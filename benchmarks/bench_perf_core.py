@@ -15,8 +15,9 @@ Run from the repo root (scale via ``REPRO_SCALE=smoke|default|large``):
     PYTHONPATH=src REPRO_SCALE=default python benchmarks/bench_perf_core.py
 
 Each result record carries ``op``, ``n``, ``backend``, ``seconds`` and
-``speedup`` (vs the serial backend for builds, vs the scalar loop for
-queries, vs the per-model loop for fused inference).  Thread/process
+``speedup`` (vs the serial backend for builds, vs a loop of per-query
+calls — batches of one — for queries, vs the per-model loop for fused
+inference).  Thread/process
 speedups reflect the host's core count — on a single-core CI runner they
 hover near 1.0x and the ``fused`` backend (vectorised multi-model
 training) carries the build win.  The fused-inference section runs at
@@ -295,7 +296,7 @@ def _reference_window_queries(index: ZMIndex, windows) -> list:
     """The pre-PR batch window path, inlined verbatim as the baseline: one
     batched model pass, then a per-window ``locate_rank`` + ``scan`` +
     ``contains_points`` Python loop."""
-    from repro.indices.zm import locate_rank
+    from repro.indices.ml_index import locate_rank
 
     store, model = index.store, index.model
     w = len(windows)

@@ -48,14 +48,13 @@ def main() -> int:
     index.knn_queries(pts[:8], 5)
 
     # The level-wise RSMI build: rsmi.fit_level spans with one perf.map
-    # dispatch per tree level, plus traced point/window queries.
+    # dispatch per tree level, plus a traced point lookup (rsmi.point), the
+    # shared-DFS window walk (rsmi.window_batch) and expanding-window kNN
+    # riding on it.
     from repro.indices.rsmi import RSMIIndex
 
     rsmi = RSMIIndex(builder=elsi.builder(), leaf_capacity=500).build(pts)
     rsmi.point_query(pts[0])
-    rsmi.window_query(Rect((0.3, 0.3), (0.5, 0.5)))
-    # Batch overrides: the shared-DFS window walk (rsmi.window_batch) and
-    # expanding-window kNN riding on it.
     rsmi.window_queries([Rect((0.1, 0.1), (0.25, 0.25)), Rect((0.6, 0.6), (0.8, 0.8))])
     rsmi.knn_queries(pts[:4], 3)
 

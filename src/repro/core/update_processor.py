@@ -216,13 +216,7 @@ class UpdateProcessor:
         return points[keep]
 
     def point_query(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        key = tuple(float(v) for v in p)
-        if key in self._deleted:
-            return False
-        if self._inserted_count.get(key, 0) > 0:
-            return True
-        return self.index.point_query(p)
+        return bool(self.point_queries(np.asarray(point)[None, :])[0])
 
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Batch membership merging the side structures with the base
@@ -252,15 +246,7 @@ class UpdateProcessor:
         return out
 
     def window_query(self, window: Rect) -> np.ndarray:
-        base = self._filter_deleted(self.index.window_query(window))
-        extra = self._inserted_array()
-        if len(extra):
-            extra = extra[window.contains_points(extra)]
-        if len(extra) == 0:
-            return base
-        if len(base) == 0:
-            return extra
-        return np.vstack([base, extra])
+        return self.window_queries([window])[0]
 
     def window_queries(self, windows: list) -> list[np.ndarray]:
         """Batch window queries: the base index answers all windows at once
@@ -299,12 +285,7 @@ class UpdateProcessor:
         return merged[order[: min(k, len(order))]]
 
     def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        q = np.asarray(point, dtype=np.float64)
-        # Ask the base for enough extra neighbours to absorb deletions.
-        base = self.index.knn_query(q, k + len(self._deleted))
-        return self._merge_knn(q, base, self._inserted_array(), k)
+        return self.knn_queries(np.asarray(point)[None, :], k)[0]
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         """Batch kNN: the base index answers the whole batch at once (the
@@ -315,6 +296,7 @@ class UpdateProcessor:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(pts) == 0:
             return []
+        # Ask the base for enough extra neighbours to absorb deletions.
         base_results = self.index.knn_queries(pts, k + len(self._deleted))
         extra = self._inserted_array()
         return [

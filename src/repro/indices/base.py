@@ -94,7 +94,23 @@ class BuildStats:
 
 @dataclass
 class QueryStats:
-    """Counters accumulated across queries (reset with :meth:`reset`)."""
+    """Counters accumulated across queries (reset with :meth:`reset`).
+
+    Charged by the batch methods (a per-query call is a batch of one):
+
+    1. *Additive*: one call with ``b`` queries charges exactly the sum of
+       ``b`` calls with one query, for all three counters.  Work a batch
+       shares (merged block reads, one forward pass for many keys) shows
+       in wall time and ``BlockStore.block_reads``, never here, so the
+       paper's per-query cost figures do not depend on batching.
+    2. ``model_invocations`` counts predictions actually evaluated, one
+       per key handed to a model; scan boundaries located by
+       ``searchsorted`` alone (ZM and Flood windows, ML-Index kNN annuli)
+       charge none.
+
+    ``queries`` counts index-level queries: an expanding-window kNN
+    charges one per window it issues.
+    """
 
     model_invocations: int = 0
     points_scanned: int = 0
@@ -561,11 +577,16 @@ class OriginalBuilder(ModelBuilder):
 
 
 class LearnedSpatialIndex(ABC):
-    """Query-facing API shared by ZM, ML-Index, RSMI and LISA.
+    """Query-facing API shared by ZM, ML-Index, RSMI, LISA and Flood.
 
     Subclasses implement :meth:`build` (map + sort + train through the
-    builder) and the three query kinds.  ``build_stats`` and ``query_stats``
-    expose the cost counters every experiment reports.
+    builder) and the three *batch* query kinds — :meth:`point_queries`,
+    :meth:`window_queries`, :meth:`knn_queries`.  Those are the whole query
+    contract: the per-query spellings of the paper's API are defined once,
+    here, as batches of one, so an index has a single query path and
+    "batch == scalar" holds by construction.  ``build_stats`` and
+    ``query_stats`` expose the cost counters every experiment reports
+    (see :class:`QueryStats` for how a batch is charged).
     """
 
     name: str = "base"
@@ -593,52 +614,35 @@ class LearnedSpatialIndex(ABC):
         """Index ``points``; returns self for chaining."""
 
     @abstractmethod
-    def point_query(self, point: np.ndarray) -> bool:
-        """Whether ``point`` (exact coordinates) is indexed."""
+    def point_queries(self, points: np.ndarray) -> np.ndarray:
+        """Membership of each ``(b, d)`` row (exact coordinates): one bool
+        per row, ``shape (0,)`` for an empty batch."""
 
     @abstractmethod
-    def window_query(self, window: Rect) -> np.ndarray:
-        """Points inside ``window`` as an (m, d) array (may be approximate)."""
+    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
+        """Points inside each window: one ``(m, d)`` array per window (may
+        be approximate)."""
 
     @abstractmethod
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        """The ``k`` nearest indexed points to ``point`` (may be approximate)."""
+    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
+        """The ``k`` nearest indexed points to each ``(b, d)`` row, nearest
+        first: one ``(m, d)`` array per row (may be approximate)."""
 
     @abstractmethod
     def indexed_points(self) -> np.ndarray:
         """Every indexed point, exactly (used by the update processor)."""
 
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Batch membership test; returns one bool per row.
+    def point_query(self, point: np.ndarray) -> bool:
+        """Whether ``point`` (exact coordinates) is indexed."""
+        return bool(self.point_queries(np.asarray(point)[None, :])[0])
 
-        The default loops over :meth:`point_query`; store-backed indices
-        override it with vectorised model predictions (one forward pass
-        for the whole batch).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        return np.array([self.point_query(p) for p in pts], dtype=bool)
+    def window_query(self, window: Rect) -> np.ndarray:
+        """Points inside ``window`` as an (m, d) array (may be approximate)."""
+        return self.window_queries([window])[0]
 
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        """Batch kNN: one ``(m, d)`` result array per query row.
-
-        The default loops over :meth:`knn_query`; indices answering kNN by
-        the expanding-window strategy override it with
-        :meth:`_knn_by_expanding_window_batch`, which shares the radius
-        expansion and distance ranking across the whole batch.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return [self.knn_query(p, k) for p in pts]
-
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Batch window queries: one ``(m, d)`` result array per window.
-
-        The default loops over :meth:`window_query`; store-backed indices
-        override it with a vectorised path that predicts scan ranges for
-        every window corner in one model pass (see ``ZMIndex``).
-        """
-        return [self.window_query(w) for w in windows]
+    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
+        """The ``k`` nearest indexed points to ``point`` (may be approximate)."""
+        return self.knn_queries(np.asarray(point)[None, :], k)[0]
 
     def insert(self, point: np.ndarray) -> None:
         """Built-in insertion procedure (Section IV-B2 / Figure 15).
@@ -669,56 +673,24 @@ class LearnedSpatialIndex(ABC):
             raise ValueError("spatial indices need d >= 2")
         return pts
 
-    def _knn_by_expanding_window(self, point: np.ndarray, k: int) -> np.ndarray:
-        """kNN via growing window queries (the paper's learned-index strategy).
-
-        Starts from a window sized for the expected k-point density and
-        doubles the side length until at least k points fall inside *and*
-        the k-th distance is covered by the window's inradius (so no closer
-        point can be outside the window).
-        """
-        self._check_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        q = np.asarray(point, dtype=np.float64)
-        assert self.bounds is not None
-        d = self.bounds.ndim
-        volume = self.bounds.area()
-        density = self.n_points / volume if volume > 0 else self.n_points
-        side = (k / max(density, 1e-12)) ** (1.0 / d)
-        max_side = float(self.bounds.extents.max()) * 2.0 + 1e-9
-        while True:
-            window = Rect.centered(q, side)
-            candidates = self.window_query(window)
-            if len(candidates) >= k:
-                diff = candidates - q
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                order = np.argsort(dist, kind="stable")
-                if dist[order[k - 1]] <= side / 2.0 or side > max_side:
-                    return candidates[order[:k]]
-            elif side > max_side:
-                # Fewer than k points indexed in total: return what exists.
-                if len(candidates) == 0:
-                    return np.empty((0, d))
-                diff = candidates - q
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                order = np.argsort(dist, kind="stable")
-                return candidates[order]
-            side *= 2.0
-
     def _knn_by_expanding_window_batch(
         self, points: np.ndarray, k: int
     ) -> list[np.ndarray]:
-        """Vectorised expanding-window kNN over a query batch.
+        """kNN via growing window queries (the paper's learned-index
+        strategy), vectorised over a query batch.
 
-        The per-query radius-expansion loop becomes one loop over
-        *expansion rounds* shared by the whole batch: each round gathers
-        the active queries' window candidates, ranks every candidate in a
-        single flattened distance computation + lexsort (owner-major,
-        distance-minor — stable, so results match the per-query path
-        exactly), retires the queries whose k-th distance is covered by
-        the window inradius, and doubles the remaining sides.  Queries
-        finish independently, so one slow region never re-scans the rest.
+        Each query starts from a window sized for the expected k-point
+        density and doubles its side until at least k points fall inside
+        *and* the k-th distance is covered by the window's inradius (so no
+        closer point can be outside the window), or the window outgrows
+        twice the data extent (fewer than k points indexed: what exists).
+        One loop over *expansion rounds* is shared by the whole batch: each
+        round gathers the active queries' window candidates, ranks every
+        candidate in a single flattened distance computation + lexsort
+        (owner-major, distance-minor — stable, so ties keep scan order
+        whatever else is in the batch), retires the covered queries, and
+        doubles the remaining sides.  Queries finish independently, so one
+        slow region never re-scans the rest.
         """
         self._check_built()
         if k < 1:

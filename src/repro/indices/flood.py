@@ -17,7 +17,7 @@ columns (fewer per-column fixed costs), selective windows favour many
 :class:`~repro.indices.base.ModelBuilder`, so ELSI accelerates Flood
 builds exactly as it does the paper's four base indices.  Window queries
 are exact: within a column the window's y-interval is contiguous in the
-sort order, and scan boundaries are gallop-refined.
+sort order, and scan boundaries are its exact ranks (``searchsorted``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import time
 import numpy as np
 
 from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel
-from repro.indices.zm import locate_rank
 from repro.ml.ffn import FFN
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
@@ -229,22 +228,6 @@ class FloodIndex(LearnedSpatialIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def point_query(self, point: np.ndarray) -> bool:
-        self._check_built()
-        q = np.asarray(point, dtype=np.float64)
-        column = int(self._column_of(q[:1])[0])
-        store = self._stores[column]
-        model = self._models[column]
-        self.query_stats.queries += 1
-        if store is None or model is None:
-            return False
-        # Predict on the cast y — the key the build measured bounds over.
-        lo, hi = model.search_range(float(self.key_dtype.type(q[1])))
-        pts, _keys, _ids = store.scan(lo, hi)
-        self.query_stats.model_invocations += 1
-        self.query_stats.points_scanned += len(pts)
-        return bool(np.any(np.all(pts == q, axis=1)))
-
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup: queries grouped by column, one model
         forward pass and one fused range-gather per visited column."""
@@ -298,47 +281,16 @@ class FloodIndex(LearnedSpatialIndex):
                     out[mask] = batch_point_membership(store, lo, hi, keys, member_pts)
         return out
 
-    def window_query(self, window: Rect) -> np.ndarray:
-        self._check_built()
-        self.query_stats.queries += 1
-        first = int(self._column_of(np.array([window.lo[0]]))[0])
-        last = int(self._column_of(np.array([window.hi[0]]))[0])
-        # Boundary y values go through the monotone key-dtype cast: the cast
-        # interval brackets a superset of the true candidates over quantised
-        # key columns, and the rectangle filter removes the extras.
-        y_lo = self.key_dtype.type(window.lo[1])
-        y_hi = self.key_dtype.type(window.hi[1])
-        results: list[np.ndarray] = []
-        for c in range(first, last + 1):
-            store = self._stores[c]
-            model = self._models[c]
-            if store is None or model is None:
-                continue
-            lo = locate_rank(store.keys, y_lo, model.search_range(y_lo), "left")
-            hi = locate_rank(store.keys, y_hi, model.search_range(y_hi), "right")
-            pts, _keys, _ids = store.scan(lo, hi)
-            self.query_stats.model_invocations += 2
-            self.query_stats.points_scanned += len(pts)
-            if len(pts):
-                inside = pts[window.contains_points(pts)]
-                if len(inside):
-                    results.append(inside)
-        if not results:
-            return np.empty((0, window.ndim))
-        return np.vstack(results)
-
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Batch window queries over flattened (window, column) pairs.
 
         Every window expands to its visited-column pairs.  Per visited
         column, *all* pairs' boundary ranks come from two batched
-        ``searchsorted`` calls over the cast key column (the exact ranks
-        the scalar path's model-hinted galloping search converges to — no
-        model pass at all), and the scan + rectangle filter runs through
-        the fused refinement kernel
-        (:func:`~repro.perf.batching.batch_window_refine`).  Results match
-        the scalar :meth:`window_query` exactly, concatenation order
-        included (columns ascending per window).
+        ``searchsorted`` calls over the cast key column (exact ranks, no
+        model pass, so no ``model_invocations``), and the scan + rectangle
+        filter runs through the fused refinement kernel
+        (:func:`~repro.perf.batching.batch_window_refine`).  A window's
+        rows come back columns ascending.
         """
         self._check_built()
         if not windows:
@@ -359,6 +311,10 @@ class FloodIndex(LearnedSpatialIndex):
                 return [np.empty((0, w.ndim)) for w in windows]
             wins = np.array(pair_win, dtype=np.int64)
             cols = np.array(pair_col, dtype=np.int64)
+            # Boundary y values go through the monotone key-dtype cast: the
+            # cast interval brackets a superset of the true candidates over
+            # quantised key columns, and the rectangle filter removes the
+            # extras.
             y_lo = cast_boundaries(
                 np.array([windows[w].lo[1] for w in wins]), self.key_dtype
             )
@@ -387,9 +343,6 @@ class FloodIndex(LearnedSpatialIndex):
             np.vstack(chunks) if chunks else np.empty((0, windows[wi].ndim))
             for wi, chunks in enumerate(results)
         ]
-
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        return self._knn_by_expanding_window(point, k)
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)

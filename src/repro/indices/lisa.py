@@ -24,8 +24,11 @@ from repro.indices.base import LearnedSpatialIndex, ModelBuilder
 from repro.indices.rmi import RMIModel
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_point_membership, batch_window_refine
-from repro.perf.batching import merge_ranges as batching_merge_ranges
+from repro.perf.batching import (
+    batch_point_membership,
+    batch_window_refine,
+    merge_ranges,
+)
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -161,30 +164,9 @@ class LISAIndex(LearnedSpatialIndex):
         self._native_inserts += 1
         self.n_points += 1
 
-    def _shard_aligned(self, lo: int, hi: int) -> tuple[int, int]:
-        """Widen a position range to whole shards (pages are the scan unit),
-        padded by the built-in-insert count to keep scans correct."""
-        lo -= self._native_inserts
-        hi += self._native_inserts
-        lo = (lo // self.shard_size) * self.shard_size
-        hi = -(-hi // self.shard_size) * self.shard_size
-        return max(0, lo), min(self.n_points, hi)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def point_query(self, point: np.ndarray) -> bool:
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q)[0])
-        lo, hi = self._shard_aligned(*self.model.search_range(key))
-        pts, _keys, _ids = self.store.scan(lo, hi)
-        self.query_stats.queries += 1
-        self.query_stats.model_invocations += 1
-        self.query_stats.points_scanned += len(pts)
-        return bool(np.any(np.all(pts == q, axis=1)))
-
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup: one shard-predictor forward pass for all
         mapped values, shard alignment done arithmetically on the whole
@@ -198,7 +180,8 @@ class LISAIndex(LearnedSpatialIndex):
             with _span("query.model_predict", index=self.name, queries=len(pts)):
                 keys = self.map(pts)
                 lo, hi = self.model.search_ranges(keys)
-            # Vectorised _shard_aligned: widen by inserts, round to whole shards.
+            # Pages are the scan unit: widen to whole shards, padded by the
+            # built-in-insert count to keep scans correct.
             lo = ((lo - self._native_inserts) // self.shard_size) * self.shard_size
             hi = -(-(hi + self._native_inserts) // self.shard_size) * self.shard_size
             lo = np.maximum(lo, 0)
@@ -210,61 +193,18 @@ class LISAIndex(LearnedSpatialIndex):
             with _span("query.refine", index=self.name, queries=len(pts)):
                 return batch_point_membership(self.store, lo, hi, keys, pts)
 
-    def window_query(self, window: Rect) -> np.ndarray:
-        """Approximate window query (FFN shard predictor, see module docs).
-
-        The window intersects a rectangle of grid cells; each run of cells
-        that is contiguous in cell-ID order yields one mapped-value interval
-        whose scan boundaries come from the shard predictor.
-        """
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        self.query_stats.queries += 1
-        d = window.ndim
-        corners = np.vstack([window.lo_array, window.hi_array])
-        cell_lo = self._cell_indices(corners[:1])[0]
-        cell_hi = self._cell_indices(corners[1:])[0]
-        cell_lo = np.clip(cell_lo, 0, self.grid_size - 1)
-        cell_hi = np.clip(cell_hi, 0, self.grid_size - 1)
-
-        # Collect one candidate position range per run of trailing-dimension
-        # cells, then merge overlaps so no point is scanned (or reported)
-        # twice — shard alignment and error bounds make ranges overlap.
-        ranges: list[tuple[int, int]] = []
-        leading = [range(cell_lo[dim], cell_hi[dim] + 1) for dim in range(d - 1)]
-        for prefix in _product(leading):
-            first = self._row_major((*prefix, int(cell_lo[d - 1])))
-            last = self._row_major((*prefix, int(cell_hi[d - 1])))
-            # Scan the run of cells in full: offsets live in [0, 1) per cell,
-            # so [first, last + 1) covers every candidate in the run.
-            lo_range = self.model.search_range(first)
-            hi_range = self.model.search_range(last + 1.0 - 1e-9)
-            self.query_stats.model_invocations += 2
-            ranges.append(self._shard_aligned(lo_range[0], hi_range[1]))
-
-        results: list[np.ndarray] = []
-        for lo, hi in _merge_ranges(ranges):
-            pts, _keys, _ids = self.store.scan(lo, hi)
-            self.query_stats.points_scanned += len(pts)
-            if len(pts):
-                inside = pts[window.contains_points(pts)]
-                if len(inside):
-                    results.append(inside)
-        if not results:
-            return np.empty((0, d))
-        return np.vstack(results)
-
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Vectorised batch window queries (approximate, like the scalar).
+        """Vectorised batch window queries (approximate: FFN shard
+        predictor, see module docs).
 
-        Every window's per-cell-run shard-predictor probes run in two
-        batched forward passes (one per run edge) instead of two scalar
-        predictions per run; ranges are shard-aligned arithmetically over
+        A window intersects a rectangle of grid cells; each run of cells
+        that is contiguous in cell-ID order yields one mapped-value
+        interval whose scan boundaries come from the shard predictor.
+        Every window's run-edge probes go through two batched forward
+        passes (one per edge); ranges are shard-aligned arithmetically over
         the whole batch, merged per window, and refined through the fused
         scan + rectangle kernel
-        (:func:`~repro.perf.batching.batch_window_refine`).  Probe values
-        and merge behaviour match :meth:`window_query` exactly, so results
-        are identical to looping it.
+        (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
         assert self.store is not None and self.model is not None
@@ -289,6 +229,8 @@ class LISAIndex(LearnedSpatialIndex):
                 for prefix in _product(leading):
                     first = self._row_major((*prefix, int(cell_lo[wi, d - 1])))
                     last = self._row_major((*prefix, int(cell_hi[wi, d - 1])))
+                    # Scan the run of cells in full: offsets live in [0, 1)
+                    # per cell, so [first, last + 1) covers every candidate.
                     lo_probes.append(first)
                     hi_probes.append(last + 1.0 - 1e-9)
                     probe_owner.append(wi)
@@ -298,7 +240,7 @@ class LISAIndex(LearnedSpatialIndex):
                 lo_pred, _ = self.model.search_ranges(np.array(lo_probes))
                 _, hi_pred = self.model.search_ranges(np.array(hi_probes))
             self.query_stats.model_invocations += 2 * len(probe_owner)
-            # Vectorised _shard_aligned over every probe range at once.
+            # Whole shards, padded by the insert count (as for points).
             lo = (
                 (lo_pred - self._native_inserts) // self.shard_size
             ) * self.shard_size
@@ -307,13 +249,16 @@ class LISAIndex(LearnedSpatialIndex):
             ) * self.shard_size
             lo = np.maximum(lo, 0)
             hi = np.minimum(hi, self.n_points)
+            # Merge each window's overlapping ranges so no point is scanned
+            # (or reported) twice — shard alignment and error bounds make
+            # the per-run ranges overlap.
             owner_arr = np.asarray(probe_owner, dtype=np.int64)
             starts_parts: list[np.ndarray] = []
             ends_parts: list[np.ndarray] = []
             owner_parts: list[np.ndarray] = []
             for wi in range(w):
                 sel = owner_arr == wi
-                starts, ends = batching_merge_ranges(lo[sel], hi[sel])
+                starts, ends = merge_ranges(lo[sel], hi[sel])
                 starts_parts.append(starts)
                 ends_parts.append(ends)
                 owner_parts.append(np.full(len(starts), wi, dtype=np.int64))
@@ -341,9 +286,6 @@ class LISAIndex(LearnedSpatialIndex):
             cid = cid * self.grid_size + c
         return float(cid)
 
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        return self._knn_by_expanding_window(point, k)
-
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)
 
@@ -360,17 +302,6 @@ class LISAIndex(LearnedSpatialIndex):
         self._check_built()
         assert self.model is not None
         return self.model.max_error_width
-
-
-def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Union of half-open integer ranges, sorted and overlap-free."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(r for r in ranges if r[1] > r[0]):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def _product(ranges: list[range]):

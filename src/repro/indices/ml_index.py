@@ -7,8 +7,9 @@ key order.  Predict-and-scan: an RMI predicts the storage address.
 ML-Index answers window and kNN queries *exactly* (the paper: "By design,
 ML offers accurate results"): a window is circumscribed by a ball, the
 iDistance annulus filter yields one candidate key interval per reference
-partition, and each interval is scanned with model-predicted, gallop-refined
-boundaries.
+partition, and each interval is scanned between its exact boundary ranks
+(model-predicted and gallop-refined for windows, ``searchsorted`` for the
+batched kNN rounds).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from repro.indices.base import LearnedSpatialIndex, ModelBuilder
 from repro.indices.rmi import RMIModel
-from repro.indices.zm import locate_rank
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_point_membership, cast_boundaries, merge_ranges
@@ -27,7 +27,42 @@ from repro.spatial.idistance import IDistanceMapping
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
-__all__ = ["MLIndex"]
+__all__ = ["MLIndex", "locate_rank"]
+
+
+def locate_rank(
+    sorted_keys: np.ndarray, key: float, hint: tuple[int, int], side: str = "left"
+) -> int:
+    """Exact insertion rank of ``key``, starting from a predicted range.
+
+    ``hint`` is the model's search range.  If the true boundary lies outside
+    it (possible for keys that were never indexed, where the empirical error
+    bounds give no guarantee), the bracket grows by doubling — so the cost
+    stays proportional to the prediction error, not to ``n``.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    n = len(sorted_keys)
+    if n == 0:
+        return 0
+    lo = max(0, min(hint[0], n - 1))
+    hi = max(lo + 1, min(n, hint[1]))
+
+    # Grow the bracket downward until the boundary cannot be left of `lo`:
+    # for both sides it suffices that sorted_keys[lo - 1] < key (left) or
+    # <= key (right); use the conservative strict comparison for both.
+    step = max(1, hi - lo)
+    while lo > 0 and sorted_keys[lo - 1] >= key:
+        lo = max(0, lo - step)
+        step *= 2
+    # Grow upward until the boundary cannot be right of `hi`.
+    step = max(1, hi - lo)
+    while hi < n and (
+        sorted_keys[hi - 1] < key if side == "left" else sorted_keys[hi - 1] <= key
+    ):
+        hi = min(n, hi + step)
+        step *= 2
+    return int(lo + np.searchsorted(sorted_keys[lo:hi], key, side=side))
 
 
 class MLIndex(LearnedSpatialIndex):
@@ -103,24 +138,6 @@ class MLIndex(LearnedSpatialIndex):
         self._native_inserts += 1
         self.n_points += 1
 
-    def point_query(self, point: np.ndarray) -> bool:
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q[None, :])[0])
-        lo, hi = self.model.search_range(key)
-        # Clamp like the batch path: inserts near rank 0 would otherwise
-        # push `lo` negative (harmless for scan, wrong for accounting).
-        lo = max(lo - self._native_inserts, 0)
-        hi += self._native_inserts
-        pts, keys, _ids = self.store.scan(lo, hi)
-        self.query_stats.queries += 1
-        self.query_stats.model_invocations += 1
-        self.query_stats.points_scanned += len(pts)
-        # iDistance keys are floats; match on coordinates within the range.
-        match = np.isclose(keys, key, rtol=0.0, atol=self.KEY_ATOL)
-        return bool(np.any(match & np.all(pts == q, axis=1)))
-
     #: iDistance keys are floats; candidates match within this tolerance.
     KEY_ATOL = 1e-12
 
@@ -136,6 +153,8 @@ class MLIndex(LearnedSpatialIndex):
             with _span("query.model_predict", index=self.name, queries=len(pts)):
                 keys = self.map(pts)
                 lo, hi = self.model.search_ranges(keys)
+            # Clamped: inserts near rank 0 would otherwise push `lo` negative
+            # (harmless for the scan, wrong for the accounting).
             lo = np.maximum(lo - self._native_inserts, 0)
             hi = np.minimum(hi + self._native_inserts, len(self.store))
             record_range_widths(self.name, lo, hi)
@@ -167,83 +186,57 @@ class MLIndex(LearnedSpatialIndex):
         self.query_stats.points_scanned += len(pts)
         return pts
 
-    def window_query(self, window: Rect) -> np.ndarray:
-        self._check_built()
+    def _partition_caps(self) -> np.ndarray:
+        """Per partition, the largest key (in the key dtype) below the next
+        partition's first key.  An annulus whose outer radius exceeds the
+        stretch constant (a query far outside the data, a huge window)
+        would otherwise run into the next partition's keys and report its
+        rows a second time."""
         assert self.mapping is not None
-        self.query_stats.queries += 1
-        center = window.center
-        radius = float(np.linalg.norm(window.extents) / 2.0)
-        results = []
-        for key_lo, key_hi in self.mapping.annulus_keys(center, radius):
-            pts = self._scan_key_interval(key_lo, key_hi)
-            if len(pts):
-                inside = pts[window.contains_points(pts)]
-                if len(inside):
-                    results.append(inside)
-        if not results:
-            d = window.ndim
-            return np.empty((0, d))
-        return np.vstack(results)
+        first_next = (np.arange(self.mapping.n_references) + 1.0) * self.mapping.stretch
+        return np.nextafter(
+            first_next.astype(self.key_dtype), self.key_dtype.type(-np.inf)
+        )
 
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        """Exact kNN by iDistance radius expansion.
+    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
+        """Exact window queries, one window at a time (no fused kernel yet).
 
-        Grows the search radius until k candidates are found *and* the k-th
-        candidate distance is within the certified radius, the original
-        iDistance termination condition.
+        Each window is circumscribed by a ball; the iDistance annulus
+        filter yields one candidate key interval per reference partition,
+        and each interval is scanned and filtered by the rectangle.
         """
         self._check_built()
-        assert self.mapping is not None and self.bounds is not None
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        q = np.asarray(point, dtype=np.float64)
-        self.query_stats.queries += 1
-        volume = self.bounds.area()
-        d = self.bounds.ndim
-        density = self.n_points / volume if volume > 0 else self.n_points
-        radius = 0.5 * (k / max(density, 1e-12)) ** (1.0 / d)
-        max_radius = float(np.linalg.norm(self.bounds.extents)) + 1e-9
-        while True:
+        assert self.mapping is not None
+        caps = self._partition_caps()
+        out: list[np.ndarray] = []
+        for window in windows:
+            self.query_stats.queries += 1
+            center = window.center
+            radius = float(np.linalg.norm(window.extents) / 2.0)
             results = []
-            for key_lo, key_hi in self.mapping.annulus_keys(q, radius):
-                pts = self._scan_key_interval(key_lo, key_hi)
+            intervals = self.mapping.annulus_keys(center, radius)
+            for (key_lo, key_hi), cap in zip(intervals, caps):
+                pts = self._scan_key_interval(key_lo, min(key_hi, cap))
                 if len(pts):
-                    results.append(pts)
-            if results:
-                candidates = np.vstack(results)
-                diff = candidates - q
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                within = dist <= radius
-                if within.sum() >= k:
-                    order = np.argsort(dist, kind="stable")
-                    return candidates[order[:k]]
-            if radius > max_radius:
-                # Fewer than k points indexed: return everything, nearest first.
-                if not results:
-                    return np.empty((0, d))
-                candidates = np.vstack(results)
-                diff = candidates - q
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                order = np.argsort(dist, kind="stable")
-                return candidates[order[: min(k, len(order))]]
-            radius *= 2.0
+                    inside = pts[window.contains_points(pts)]
+                    if len(inside):
+                        results.append(inside)
+            out.append(np.vstack(results) if results else np.empty((0, window.ndim)))
+        return out
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        """Vectorised batch kNN: the iDistance annulus filter and radius
-        doubling of :meth:`knn_query`, run for the whole batch at once.
+        """Exact kNN by iDistance radius expansion, vectorised over the batch.
 
-        The per-query radius loop becomes one loop over expansion *rounds*
-        shared by all still-active queries.  Each round locates every
-        (query, partition) annulus interval in the sorted key array with
-        two batched ``searchsorted`` calls (the same exact ranks the scalar
-        path's model-hinted galloping search converges to), gathers all
-        candidate rows in one flattened indexing pass, ranks them with a
-        stable owner-major / distance-minor lexsort (matching the scalar
-        path's stable ``argsort`` over partition-ordered candidates), and
-        retires the queries that meet the scalar termination condition —
-        at least k candidates within the certified radius, or the radius
-        exceeding the space diameter.  Results are exactly what looping
-        :meth:`knn_query` returns, ties included.
+        One loop over expansion *rounds* shared by all still-active
+        queries.  Each round locates every (query, partition) annulus
+        interval in the sorted key array with two batched ``searchsorted``
+        calls (exact ranks, no model pass, so no ``model_invocations``),
+        gathers all candidate rows in one flattened indexing pass, ranks
+        them with a stable owner-major / distance-minor lexsort (ties keep
+        partition order), and retires the queries that meet the original
+        iDistance termination condition — at least k candidates within the
+        certified radius — or whose ball already covers the data bounds
+        (fewer than k points indexed: everything found, nearest first).
         """
         self._check_built()
         assert self.mapping is not None and self.store is not None
@@ -266,13 +259,20 @@ class MLIndex(LearnedSpatialIndex):
         volume = self.bounds.area()
         density = self.n_points / volume if volume > 0 else self.n_points
         radius = np.full(b, 0.5 * (k / max(density, 1e-12)) ** (1.0 / d))
-        max_radius = float(np.linalg.norm(self.bounds.extents)) + 1e-9
+        # Give up once the ball must cover the data bounds: the query's
+        # distance to their farthest corner (at most the space diameter for
+        # a query inside them; a query outside needs more).
+        reach = np.maximum(
+            np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
+        )
+        max_radius = np.sqrt(np.einsum("ij,ij->i", reach, reach)) + 1e-9
         refs = self.mapping.references
         m = len(refs)
         # Query-to-reference distances: computed once, reused every round.
         diff = pts[:, None, :] - refs[None, :, :]
         ref_dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
         base = np.arange(m) * self.mapping.stretch
+        caps = self._partition_caps()
         store_keys = self.store.keys
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)
@@ -283,8 +283,8 @@ class MLIndex(LearnedSpatialIndex):
             key_lo = base[None, :] + np.maximum(0.0, rd - r)
             key_hi = base[None, :] + rd + r
             # Boundaries pass through the same monotone key-dtype cast as
-            # the scalar path, so both search the identical (superset)
-            # candidate runs over quantised key columns.
+            # the stored keys (see _scan_key_interval), so quantised key
+            # columns yield a superset of the true candidate runs.
             lo = np.searchsorted(
                 store_keys,
                 cast_boundaries(key_lo.ravel(), store_keys.dtype),
@@ -292,21 +292,20 @@ class MLIndex(LearnedSpatialIndex):
             )
             hi = np.searchsorted(
                 store_keys,
-                cast_boundaries(key_hi.ravel(), store_keys.dtype),
+                np.minimum(cast_boundaries(key_hi, store_keys.dtype), caps).ravel(),
                 side="right",
             )
-            counts = hi - lo
-            # Scalar-path accounting: two boundary locations per annulus
-            # interval, every candidate row charged once; block reads are
-            # charged once per merged interval group, vectorised.
-            self.query_stats.model_invocations += 2 * a * m
+            # An annulus that starts past its partition's cap is empty.  Every
+            # candidate row is charged once; block reads are charged once per
+            # merged interval group, vectorised.
+            counts = np.maximum(hi - lo, 0)
             self.query_stats.points_scanned += int(counts.sum())
             self.store.charge_block_reads(*merge_ranges(lo, hi))
             total = int(counts.sum())
             per_query = counts.reshape(a, m).sum(axis=1)
             if total:
                 # Flatten all candidate runs, grouped per query in partition
-                # order — the same candidate order the scalar path vstacks.
+                # order (the order the stable lexsort below breaks ties in).
                 offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
                 rows = (
                     np.arange(total)
@@ -333,7 +332,7 @@ class MLIndex(LearnedSpatialIndex):
                 s0 = int(starts[j])
                 if within[j] >= k:
                     results[qi] = cand[s0 : s0 + k].copy()
-                elif radius[qi] > max_radius:
+                elif radius[qi] > max_radius[qi]:
                     # Fewer than k reachable: return everything, nearest
                     # first (empty when nothing was gathered at all).
                     results[qi] = (

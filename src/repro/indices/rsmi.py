@@ -15,15 +15,13 @@ Every node model is trained through the pluggable
 scenario Figure 3 illustrates ELSI accelerating (models M_{0,0}, M_{1,0},
 M_{1,1} built one at a time).
 
-Build strategies.  The default ``"level"`` strategy restructures the
-recursion into level-wise frontiers: every sibling subtree's model fit at a
-given depth is an independent job, dispatched as one
+The build is level-wise: every sibling subtree's model fit at a given
+depth is an independent job, dispatched as one
 :meth:`~repro.indices.base.ModelBuilder.build_models` call per level
 through the builder's executor (``perf.map`` spans under each
-``rsmi.fit_level``).  The trees and predictions are identical to the
-``"recursive"`` reference strategy — node preparation stays in tree order
-and every fit job is a pure function of its partition — so the strategies
-are interchangeable and parity-tested.
+``rsmi.fit_level``).  Node preparation stays in tree order and every fit
+job is a pure function of its partition, so the tree is the one a
+depth-first recursion would build.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
 
 __all__ = ["RSMIIndex"]
-
-BUILD_STRATEGIES = ("level", "recursive")
 
 
 @dataclass
@@ -80,11 +76,6 @@ class RSMIIndex(LearnedSpatialIndex):
         Children per internal node.
     bits:
         Morton resolution for the per-node local curve.
-    build_strategy:
-        ``"level"`` (default) fits all sibling subtrees of one depth as a
-        single ``build_models`` dispatch per level (executor-parallel);
-        ``"recursive"`` is the depth-first reference.  Both produce the
-        same tree and the same predictions.
     """
 
     name = "RSMI"
@@ -96,22 +87,15 @@ class RSMIIndex(LearnedSpatialIndex):
         leaf_capacity: int = 2_000,
         fanout: int = 4,
         bits: int = 16,
-        build_strategy: str = "level",
     ) -> None:
         super().__init__(builder, block_size)
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
         if fanout < 2:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
-        if build_strategy not in BUILD_STRATEGIES:
-            raise ValueError(
-                f"build_strategy must be one of {BUILD_STRATEGIES}, "
-                f"got {build_strategy!r}"
-            )
         self.leaf_capacity = leaf_capacity
         self.fanout = fanout
         self.bits = bits
-        self.build_strategy = build_strategy
         self.root: _Node | None = None
 
     # ------------------------------------------------------------------
@@ -121,19 +105,10 @@ class RSMIIndex(LearnedSpatialIndex):
         pts = self._prepare_points(points)
         self.bounds = Rect.bounding(pts)
         self.n_points = len(pts)
-        with _span(
-            "rsmi.build", n=len(pts), strategy=self.build_strategy
-        ) as build_span:
+        with _span("rsmi.build", n=len(pts)) as build_span:
             self.root = self._build_subtree(pts, self.bounds, depth=0)
             build_span.set(models=self.n_models(), depth=self.depth())
         return self
-
-    def _build_subtree(self, points: np.ndarray, bounds: Rect, depth: int) -> _Node:
-        """Build one subtree with the configured strategy (full builds start
-        at the root; leaf-overflow rebuilds start at the old leaf's depth)."""
-        if self.build_strategy == "recursive":
-            return self._build_node(points, bounds, depth)
-        return self._build_levelwise(points, bounds, depth)
 
     def _node_keys(self, points: np.ndarray, bounds: Rect) -> np.ndarray:
         """Morton codes local to the node's bounding box.
@@ -178,8 +153,7 @@ class RSMIIndex(LearnedSpatialIndex):
         """Decide leaf vs. split for a freshly modelled node.
 
         Returns the non-empty child partitions as ``(branch, points,
-        bounds)`` in branch order — empty for a leaf.  Shared by both build
-        strategies so the routing decision cannot diverge between them.
+        bounds)`` in branch order — empty for a leaf.
         """
         if len(sorted_pts) <= self.leaf_capacity or node.depth >= 16:
             node.store = BlockStore(sorted_pts, sorted_keys, block_size=self.block_size)
@@ -199,33 +173,16 @@ class RSMIIndex(LearnedSpatialIndex):
                 specs.append((b, child_pts, Rect.bounding(child_pts)))
         return specs
 
-    def _build_node(self, points: np.ndarray, bounds: Rect, depth: int) -> _Node:
-        sorted_pts, sorted_keys = self._sort_by_node_keys(points, bounds)
-
-        node_map = lambda pts: self._node_keys(pts, bounds)  # noqa: E731
-        model = self.builder.build_model(
-            sorted_keys, sorted_pts, self.build_stats, map_fn=node_map
-        )
-        self._cast_node_model(model, sorted_keys)
-        node = _Node(bounds=bounds, model=model, n=len(points), depth=depth)
-
-        specs = self._split_specs(node, sorted_pts, sorted_keys)
-        if not specs:
-            return node
-        node.children = [None] * self.fanout
-        for b, child_pts, child_bounds in specs:
-            node.children[b] = self._build_node(child_pts, child_bounds, depth + 1)
-        return node
-
-    def _build_levelwise(self, points: np.ndarray, bounds: Rect, depth: int) -> _Node:
-        """Frontier build: one ``build_models`` dispatch per tree level.
+    def _build_subtree(self, points: np.ndarray, bounds: Rect, depth: int) -> _Node:
+        """Frontier build: one ``build_models`` dispatch per tree level
+        (full builds start at the root; leaf-overflow rebuilds start at the
+        old leaf's depth).
 
         Sibling subtrees at the same depth are independent — their model
         fits go to the builder's executor as a single batch, so the
         thread/process backends overlap them and the fused backend trains
         them in one vectorised pass.  Node preparation (sort, routing)
-        stays in deterministic tree order, which keeps the result identical
-        to the recursive strategy.
+        stays in deterministic tree order.
         """
         # A frontier entry: (points, bounds, depth, attach) where attach
         # places the finished node on its parent (or captures the root).
@@ -331,10 +288,19 @@ class RSMIIndex(LearnedSpatialIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def point_query(self, point: np.ndarray) -> bool:
+    def point_queries(self, points: np.ndarray) -> np.ndarray:
+        """Batch lookup, one root-to-leaf descent per row (no fused kernel
+        yet): each hop repeats the build-time routing computation, so
+        indexed points always reach the leaf that stores them."""
         self._check_built()
         assert self.root is not None
-        q = np.asarray(point, dtype=np.float64)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return np.fromiter(
+            (self._point_lookup(q) for q in pts), dtype=bool, count=len(pts)
+        )
+
+    def _point_lookup(self, q: np.ndarray) -> bool:
+        assert self.root is not None
         node = self.root
         self.query_stats.queries += 1
         with _span("rsmi.point", index=self.name) as point_span:
@@ -360,63 +326,17 @@ class RSMIIndex(LearnedSpatialIndex):
                     return False
                 node = child
 
-    def window_query(self, window: Rect) -> np.ndarray:
-        self._check_built()
-        assert self.root is not None
-        self.query_stats.queries += 1
-        with _span("rsmi.window", index=self.name) as window_span:
-            results: list[np.ndarray] = []
-            self._window_visit(self.root, window, results)
-            matched = sum(len(r) for r in results)
-            window_span.set(matched=matched)
-        if not results:
-            return np.empty((0, window.ndim))
-        return np.vstack(results)
-
-    def _window_visit(self, node: _Node, window: Rect, out: list[np.ndarray]) -> None:
-        if not node.bounds.intersects(window):
-            return
-        # Clip the window to the node's box before mapping, so corner codes
-        # stay inside the local curve's domain.
-        lo = np.maximum(window.lo_array, node.bounds.lo_array)
-        hi = np.minimum(window.hi_array, node.bounds.hi_array)
-        corners = np.vstack([lo, hi])
-        z_lo, z_hi = self._node_keys(corners, node.bounds)
-        self.query_stats.model_invocations += 2
-        if node.is_leaf:
-            assert node.store is not None
-            scan_lo, _ = node.model.search_range(float(z_lo))
-            _, scan_hi = node.model.search_range(float(z_hi))
-            pts, _keys, _ids = node.store.scan(
-                scan_lo - node.inserts, scan_hi + node.inserts
-            )
-            self.query_stats.points_scanned += len(pts)
-            if len(pts):
-                inside = pts[window.contains_points(pts)]
-                if len(inside):
-                    out.append(inside)
-            return
-        pos_lo, _ = node.model.search_range(float(z_lo))
-        _, pos_hi = node.model.search_range(float(z_hi))
-        b_lo = int(np.clip((pos_lo * self.fanout) // max(node.n, 1), 0, self.fanout - 1))
-        b_hi = int(
-            np.clip(((pos_hi - 1) * self.fanout) // max(node.n, 1), 0, self.fanout - 1)
-        )
-        for b in range(b_lo, b_hi + 1):
-            child = node.children[b]
-            if child is not None:
-                self._window_visit(child, window, out)
-
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Batch window queries: one tree walk shared by the whole batch.
 
-        Instead of one recursive descent per window, a single DFS carries
-        the set of still-active windows through each node: per node, both
-        corner keys of *every* active window map and predict in one model
-        pass (2 forward passes per window in the scalar path become 1 per
-        visited node).  Traversal stays pre-order, so each window's result
-        chunks — and hence its result array — match :meth:`window_query`
-        exactly, including RSMI's characteristic approximate recall.
+        A single DFS carries the set of still-active windows through each
+        node: per node, both corner keys of *every* active window map and
+        predict in one model pass (charged as 2 ``model_invocations`` per
+        window and visited node).  Each window descends into the child
+        range its corner predictions bracket; the per-node models are not
+        monotone, so that range can miss a child holding a match — RSMI's
+        characteristic approximate recall.  Traversal is pre-order, so a
+        window's result rows do not depend on what else is in the batch.
         """
         self._check_built()
         assert self.root is not None
@@ -471,8 +391,8 @@ class RSMIIndex(LearnedSpatialIndex):
                 n = max(node.n, 1)
                 b_lo = np.clip((pos_lo * self.fanout) // n, 0, self.fanout - 1)
                 b_hi = np.clip(((pos_hi - 1) * self.fanout) // n, 0, self.fanout - 1)
-                # Push children high-branch-first so the LIFO pop keeps the
-                # scalar path's ascending pre-order per window.
+                # Push children high-branch-first so the LIFO pop visits
+                # each window's children in ascending pre-order.
                 for b in range(self.fanout - 1, -1, -1):
                     child = node.children[b]
                     if child is None:
@@ -484,9 +404,6 @@ class RSMIIndex(LearnedSpatialIndex):
         return [
             np.vstack(cs) if cs else np.empty((0, d)) for cs in chunks
         ]
-
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        return self._knn_by_expanding_window(point, k)
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)

@@ -6,10 +6,11 @@ predicts a code's storage address, and a bounded scan completes the lookup.
 
 Window queries are exact: every point inside window ``[lo, hi]`` has a
 Morton code within ``[z(lo), z(hi)]``, so scanning that code interval and
-filtering by the rectangle cannot miss results.  The scan boundaries come
-from model predictions refined by a galloping search
-(:func:`locate_rank`), keeping predict-and-scan behaviour while
-guaranteeing correctness for non-indexed boundary keys.
+filtering by the rectangle cannot miss results.  The scan boundaries are
+the corner codes' exact ranks in the sorted key column (``searchsorted``):
+corner codes are usually not indexed keys, where the empirical error
+bounds guarantee nothing, so a model pass could only hint at the rank the
+binary search finds anyway.
 """
 
 from __future__ import annotations
@@ -27,42 +28,7 @@ from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
 
-__all__ = ["ZMIndex", "locate_rank"]
-
-
-def locate_rank(
-    sorted_keys: np.ndarray, key: float, hint: tuple[int, int], side: str = "left"
-) -> int:
-    """Exact insertion rank of ``key``, starting from a predicted range.
-
-    ``hint`` is the model's search range.  If the true boundary lies outside
-    it (possible for keys that were never indexed, where the empirical error
-    bounds give no guarantee), the bracket grows by doubling — so the cost
-    stays proportional to the prediction error, not to ``n``.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = len(sorted_keys)
-    if n == 0:
-        return 0
-    lo = max(0, min(hint[0], n - 1))
-    hi = max(lo + 1, min(n, hint[1]))
-
-    # Grow the bracket downward until the boundary cannot be left of `lo`:
-    # for both sides it suffices that sorted_keys[lo - 1] < key (left) or
-    # <= key (right); use the conservative strict comparison for both.
-    step = max(1, hi - lo)
-    while lo > 0 and sorted_keys[lo - 1] >= key:
-        lo = max(0, lo - step)
-        step *= 2
-    # Grow upward until the boundary cannot be right of `hi`.
-    step = max(1, hi - lo)
-    while hi < n and (
-        sorted_keys[hi - 1] < key if side == "left" else sorted_keys[hi - 1] <= key
-    ):
-        hi = min(n, hi + step)
-        step *= 2
-    return int(lo + np.searchsorted(sorted_keys[lo:hi], key, side=side))
+__all__ = ["ZMIndex"]
 
 
 class ZMIndex(LearnedSpatialIndex):
@@ -136,36 +102,6 @@ class ZMIndex(LearnedSpatialIndex):
         self._native_inserts += 1
         self.n_points += 1
 
-    def point_query(self, point: np.ndarray) -> bool:
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q[None, :])[0])
-        lo, hi = self.model.search_range(key)
-        lo = max(lo - self._native_inserts, 0)
-        hi += self._native_inserts
-        pts, keys, _ids = self.store.scan(lo, hi)
-        self.query_stats.queries += 1
-        self.query_stats.model_invocations += 1
-        self.query_stats.points_scanned += len(pts)
-        match = keys == key
-        return bool(np.any(match & np.all(pts == q, axis=1)))
-
-    def window_query(self, window: Rect) -> np.ndarray:
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        corners = np.vstack([window.lo_array, window.hi_array])
-        z_lo, z_hi = self.map(corners)
-        lo = locate_rank(self.store.keys, z_lo, self.model.search_range(z_lo), "left")
-        hi = locate_rank(self.store.keys, z_hi, self.model.search_range(z_hi), "right")
-        pts, _keys, _ids = self.store.scan(lo, hi)
-        self.query_stats.queries += 1
-        self.query_stats.model_invocations += 2
-        self.query_stats.points_scanned += len(pts)
-        if len(pts) == 0:
-            return pts
-        return pts[window.contains_points(pts)]
-
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup: one model forward pass for all keys and
         one fused gather per group of overlapping scan ranges."""
@@ -190,13 +126,11 @@ class ZMIndex(LearnedSpatialIndex):
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Vectorised batch window queries.
 
-        The per-window ``locate_rank`` + scan + ``contains_points`` loop is
-        replaced by two batched ``searchsorted`` calls over the cast key
-        column (the exact global ranks the scalar path's model-hinted
-        galloping search converges to — the model pass is skipped entirely)
-        and one fused rectangle-refinement kernel over all windows' scan
-        ranges (:func:`~repro.perf.batching.batch_window_refine`).  Results
-        are identical to looping :meth:`window_query`.
+        Two batched ``searchsorted`` calls over the cast key column give
+        every window's exact scan boundaries (no model pass, so no
+        ``model_invocations`` are charged), and one fused
+        rectangle-refinement kernel filters all windows' scan ranges
+        (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
         assert self.store is not None and self.model is not None
@@ -214,9 +148,6 @@ class ZMIndex(LearnedSpatialIndex):
                 self.query_stats.queries += w
                 self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
                 return batch_window_refine(self.store, lo, hi, win_lo, win_hi)
-
-    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
-        return self._knn_by_expanding_window(point, k)
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)

@@ -26,9 +26,11 @@ replace both with single-pass vectorised refinement over the whole batch:
    float32 key column with float32 boundaries halves the binary-search
    memory traffic instead of silently promoting every probe to float64.
 
-Results are exactly what the scalar loops produce: the same predicates over
-the same (or superset) candidate sets, with false candidates removed by the
-exact coordinate checks.
+Results are exactly what scanning and testing each query's range on its own
+produces: the same predicates over the same (or superset) candidate sets,
+with false candidates removed by the exact coordinate checks.  A batch of
+one — which is what every per-query call is — takes that literal form: one
+``store.scan`` and one predicate.
 """
 
 from __future__ import annotations
@@ -142,19 +144,20 @@ def batch_point_membership(
     n = len(store)
     b = len(query_keys)
     out = np.zeros(b, dtype=bool)
-    # Serving-path edge cases: an empty request batch has nothing to do,
-    # and a single-point batch degenerates to the scalar predict-and-scan
-    # (one store.scan, no range merging or flattened-run bookkeeping).
+    # Edge cases: an empty batch has nothing to do, and a batch of one —
+    # every per-query call — is plain predict-and-scan (one store.scan,
+    # which clips the range itself; no range merging or flattened-run
+    # bookkeeping).
     if n == 0 or b == 0:
         return out
-    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
-    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     if b == 1:
         pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
         if len(pts):
             match = np.abs(keys.astype(np.float64) - float(query_keys[0])) <= atol
-            out[0] = bool(np.any(match & np.all(pts == query_points[0], axis=1)))
+            out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
         return out
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
 
     # Charge block reads once per merged group — same accounting as the old
     # per-group store.scan loop, with no slice materialisation.
@@ -245,12 +248,11 @@ def batch_window_refine(
     empty = np.empty((0, d))
     if w == 0:
         return []
-    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
-    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     win_lo = np.asarray(win_lo, dtype=np.float64)
     win_hi = np.asarray(win_hi, dtype=np.float64)
     if w == 1:
-        # Contiguity fast path: a single window is one contiguous slice.
+        # Contiguity fast path: a single window is one contiguous slice
+        # (store.scan clips the range itself).
         pts, _keys, _ids = store.scan(int(lo[0]), int(hi[0]))
         if len(pts) == 0:
             return [empty]
@@ -259,6 +261,8 @@ def batch_window_refine(
             mask &= (pts[:, dim] >= win_lo[0, dim]) & (pts[:, dim] <= win_hi[0, dim])
         return [pts[mask]]
 
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     store.charge_block_reads(*merge_ranges(lo, hi))
     counts = np.maximum(hi - lo, 0)
     results: list[np.ndarray] = [empty] * w

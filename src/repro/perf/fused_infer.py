@@ -256,9 +256,11 @@ class FusedInferenceEngine:
         endpoints through member position arrays without further checks.
         """
         pos = self.predict_positions(model_idx, keys)
-        n = self.n_indexed[model_idx]
-        lo = np.clip(pos - self.err_l[model_idx], 0, np.maximum(n - 1, 0))
-        hi = np.clip(pos + self.err_u[model_idx] + 1, 1, np.maximum(n, 1))
+        # pos is already in [0, n - 1], so each end needs one clamp only.
+        lo = np.maximum(pos - self.err_l[model_idx], 0)
+        hi = np.minimum(
+            pos + self.err_u[model_idx] + 1, np.maximum(self.n_indexed[model_idx], 1)
+        )
         return lo, hi
 
     # ------------------------------------------------------------------

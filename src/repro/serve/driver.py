@@ -8,8 +8,9 @@ concurrent demand and can form micro-batches — a strictly closed loop
 with a handful of threads would cap every batch at the client count.
 
 The same module provides the unbatched baseline the benchmark compares
-against: one thread calling the update processor's scalar query methods
-one request at a time, i.e. serving without the serving subsystem.
+against: one thread calling the update processor's per-query methods
+(batches of one) one request at a time, i.e. serving without the serving
+subsystem.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def run_closed_loop(
 
 
 def run_baseline(processor, workload: ServeWorkload) -> DriverResult:
-    """One-request-at-a-time serving: a single loop over the scalar query
+    """One-request-at-a-time serving: a single loop over the per-query
     APIs, no queue, no batching.  This is the benchmark's denominator."""
     started = time.perf_counter()
     for i in range(len(workload)):

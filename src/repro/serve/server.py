@@ -6,8 +6,8 @@
 threads coalesce them into micro-batches under two admission knobs —
 ``max_batch_size`` and ``max_wait_seconds`` — and answer each batch
 through the vectorised batch paths (``point_queries`` /
-``knn_queries``), which is where PR 1's 17–111× batch-over-scalar gains
-become request throughput.
+``knn_queries``), which is where PR 1's 17–111× gains of a batch over
+one query at a time become request throughput.
 
 Consistency model:
 

@@ -465,7 +465,6 @@ def save_rsmi_index(index: RSMIIndex, path: str | Path) -> None:
         "leaf_capacity": index.leaf_capacity,
         "fanout": index.fanout,
         "bits": index.bits,
-        "build_strategy": index.build_strategy,
         "n_points": index.n_points,
         "bounds_lo": list(index.bounds.lo),
         "bounds_hi": list(index.bounds.hi),
@@ -475,7 +474,12 @@ def save_rsmi_index(index: RSMIIndex, path: str | Path) -> None:
 
 
 def load_rsmi_index(path: str | Path) -> RSMIIndex:
-    """Load an RSMI index saved by :func:`save_rsmi_index`."""
+    """Load an RSMI index saved by :func:`save_rsmi_index`.
+
+    Snapshots written while RSMI had two build strategies carry a
+    ``build_strategy`` key; it is ignored (the strategies built the same
+    tree, and the tree is what the file stores).
+    """
     with np.load(Path(path)) as data:
         meta = _read_meta(data)
         if meta.get("format") != "repro-rsmi-v1":
@@ -485,7 +489,6 @@ def load_rsmi_index(path: str | Path) -> RSMIIndex:
             leaf_capacity=meta["leaf_capacity"],
             fanout=meta["fanout"],
             bits=meta["bits"],
-            build_strategy=meta["build_strategy"],
         )
         index.bounds = Rect(tuple(meta["bounds_lo"]), tuple(meta["bounds_hi"]))
         index.n_points = meta["n_points"]

@@ -1,4 +1,9 @@
-"""Tests for the batch point-query API (vectorised lookups)."""
+"""Tests for the batch query API — the one query path every index has.
+
+Answers are checked against brute force (``tests/brute.py``), through both
+spellings: a batch call and a loop of per-query calls, which
+``indices/base.py`` defines as batches of one.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from tests.brute import assert_knn, assert_windows, canon, point_truth
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +30,10 @@ def test_batch_matches_scalar(indices, osm_points, name):
     index = indices[name]
     rng = np.random.default_rng(0)
     batch = np.vstack([osm_points[:200], rng.random((50, 2)) + 1.5])
-    got = index.point_queries(batch)
-    expected = np.array([index.point_query(p) for p in batch])
-    np.testing.assert_array_equal(got, expected)
+    truth = point_truth(osm_points, batch)
+    np.testing.assert_array_equal(index.point_queries(batch), truth)
+    np.testing.assert_array_equal([index.point_query(p) for p in batch], truth)
+    assert truth[:200].all() and not truth[200:].any()
 
 
 @pytest.mark.parametrize("name", ["ZM", "ML"])
@@ -96,42 +103,43 @@ class TestBatchEdgeCases:
 
     def test_single_point_batch_no_gather(self, indices, osm_points):
         """A one-request batch must not pay the range-merge machinery —
-        it degenerates to one store scan."""
+        it degenerates to one store scan, which is also what a per-query
+        call costs (it *is* a one-request batch)."""
         index = indices["ZM"]
         store = index.store
-        single = index.point_queries(osm_points[:1])
-        scalar = index.point_query(osm_points[0])
-        assert bool(single[0]) == scalar
-        # The single-point fast path charges the same block reads as the
-        # scalar predict-and-scan (one store.scan, no fused gather).
+        assert index.point_queries(osm_points[:1])[0]
         store.reset_block_reads()
         index.point_queries(osm_points[:1])
         batch_reads = store.block_reads
+        # One contiguous scan: the blocks its range touches, read once.
+        keys = index.map(osm_points[:1])
+        lo, hi = index.model.search_ranges(keys)
+        assert batch_reads == (hi[0] - 1) // store.block_size - lo[0] // store.block_size + 1
         store.reset_block_reads()
-        index.point_query(osm_points[0])
-        assert batch_reads == store.block_reads
+        assert index.point_query(osm_points[0])
+        assert store.block_reads == batch_reads
 
     @pytest.mark.parametrize("name", ["ZM", "ML", "RSMI", "LISA"])
     def test_single_point_matches_scalar(self, indices, osm_points, name):
         index = indices[name]
         miss = np.array([[1.7, 1.9]])
-        assert index.point_queries(osm_points[3:4])[0] == index.point_query(
-            osm_points[3]
-        )
-        assert index.point_queries(miss)[0] == index.point_query(miss[0])
+        assert index.point_queries(osm_points[3:4])[0]
+        assert index.point_query(osm_points[3])
+        assert not index.point_queries(miss)[0]
+        assert not index.point_query(miss[0])
 
 
 class TestBatchKNN:
-    """The vectorised expanding-window kNN must agree with the scalar path."""
+    """Expanding-window kNN against brute force, through both spellings."""
 
     @pytest.mark.parametrize("name", ["ZM", "LISA"])
     def test_batch_knn_matches_scalar(self, indices, osm_points, name):
         index = indices[name]
         queries = osm_points[::100]
-        batch = index.knn_queries(queries, 7)
-        assert len(batch) == len(queries)
-        for q, got in zip(queries, batch):
-            np.testing.assert_array_equal(got, index.knn_query(q, 7))
+        assert_knn(name, osm_points, queries, 7, index.knn_queries(queries, 7))
+        assert_knn(
+            name, osm_points, queries, 7, [index.knn_query(q, 7) for q in queries]
+        )
 
     def test_batch_knn_flood(self, osm_points):
         from repro.indices import FloodIndex
@@ -141,8 +149,10 @@ class TestBatchKNN:
             osm_points
         )
         queries = osm_points[::200]
-        for q, got in zip(queries, index.knn_queries(queries, 5)):
-            np.testing.assert_array_equal(got, index.knn_query(q, 5))
+        assert_knn("Flood", osm_points, queries, 5, index.knn_queries(queries, 5))
+        assert_knn(
+            "Flood", osm_points, queries, 5, [index.knn_query(q, 5) for q in queries]
+        )
 
     def test_batch_knn_k_exceeds_n(self, indices, osm_points):
         index = indices["ZM"]
@@ -150,21 +160,27 @@ class TestBatchKNN:
         results = index.knn_queries(osm_points[:3], n + 10)
         for got in results:
             assert len(got) == n
+        assert_knn("ZM", osm_points, osm_points[:3], n + 10, results)
 
     def test_batch_knn_empty(self, indices):
         assert indices["ZM"].knn_queries(np.empty((0, 2)), 5) == []
 
     def test_batch_knn_outside_bounds(self, indices, osm_points):
         index = indices["ZM"]
+        # Outside the data bounds but within reach of the widest window.
+        near = np.array([[1.3, 1.2], [-0.4, 0.5]])
+        assert_knn("ZM", osm_points, near, 4, index.knn_queries(near, 4))
+        assert_knn("ZM", osm_points, near, 4, [index.knn_query(q, 4) for q in near])
+        # Farther than twice the data extent the expansion gives up: the
+        # window cap is the search's known limit, so the answer is empty.
         far = np.array([[5.0, 5.0], [-3.0, 0.5]])
-        batch = index.knn_queries(far, 4)
-        for q, got in zip(far, batch):
-            np.testing.assert_array_equal(got, index.knn_query(q, 4))
+        assert all(len(got) == 0 for got in index.knn_queries(far, 4))
+        assert all(len(index.knn_query(q, 4)) == 0 for q in far)
 
 
 class TestMLBatchKNN:
-    """ML-Index's batched iDistance kNN must agree with the scalar radius
-    loop exactly — candidate order, ties, and edge cases included."""
+    """ML-Index's batched iDistance kNN is exact: sorted distances equal
+    brute force — ties and edge cases included."""
 
     @pytest.mark.parametrize("k", [1, 7, 23])
     def test_matches_scalar(self, indices, osm_points, k):
@@ -173,19 +189,23 @@ class TestMLBatchKNN:
         queries = np.vstack(
             [osm_points[::80], rng.random((30, 2)), rng.random((10, 2)) + 1.5]
         )
-        batch = index.knn_queries(queries, k)
-        assert len(batch) == len(queries)
-        for q, got in zip(queries, batch):
-            np.testing.assert_array_equal(got, index.knn_query(q, k))
+        assert_knn("ML", osm_points, queries, k, index.knn_queries(queries, k))
+        assert_knn(
+            "ML", osm_points, queries[::9], k, [index.knn_query(q, k) for q in queries[::9]]
+        )
 
     def test_ties_resolve_identically(self, osm_points):
-        # Duplicated points force exact distance ties; stable ordering must
-        # make both paths pick the same representatives.
+        # Duplicated points force exact distance ties: each duplicate pair
+        # sits at one distance, and the answer must hold the true distances
+        # whichever representative the stable ordering keeps.
         config = ELSIConfig(train_epochs=80)
         dup = np.vstack([osm_points[:400], osm_points[:400]])
         index = MLIndex(builder=ELSIModelBuilder(config, method="SP")).build(dup)
         queries = osm_points[:25]
-        for q, got in zip(queries, index.knn_queries(queries, 6)):
+        batch = index.knn_queries(queries, 6)
+        assert_knn("ML", dup, queries, 6, batch)
+        for q, got in zip(queries, batch):
+            np.testing.assert_array_equal(got[:2], [q, q])  # the query's own pair
             np.testing.assert_array_equal(got, index.knn_query(q, 6))
 
     def test_k_exceeds_n(self, osm_points):
@@ -195,11 +215,12 @@ class TestMLBatchKNN:
         ).build(osm_points[:6])
         queries = osm_points[:4]
         for q, got in zip(queries, index.knn_queries(queries, 10)):
-            np.testing.assert_array_equal(got, index.knn_query(q, 10))
             # At radii past the data diameter the annulus intervals overlap
-            # partitions, so the (scalar and batch) candidate list can carry
-            # duplicates — but it must cover the whole dataset.
+            # partitions, so the candidate list can carry duplicates — but
+            # it must cover the whole dataset, nearest first.
             assert len(np.unique(got, axis=0)) == 6
+            assert np.all(np.diff(np.linalg.norm(got - q, axis=1)) >= 0)
+            np.testing.assert_array_equal(got, index.knn_query(q, 10))
 
     def test_empty_batch(self, indices):
         assert indices["ML"].knn_queries(np.empty((0, 2)), 3) == []
@@ -207,24 +228,21 @@ class TestMLBatchKNN:
     def test_invalid_k_rejected(self, indices, osm_points):
         with pytest.raises(ValueError, match="k must be"):
             indices["ML"].knn_queries(osm_points[:2], 0)
+        with pytest.raises(ValueError, match="k must be"):
+            indices["ML"].knn_query(osm_points[0], 0)
 
     def test_query_stats_match_scalar(self, osm_points):
+        """kNN annuli are located by ``searchsorted``: no model runs, none
+        is charged, and every gathered candidate row is."""
         config = ELSIConfig(train_epochs=80)
         queries = osm_points[::150]
-        scalar = MLIndex(builder=ELSIModelBuilder(config, method="SP")).build(
+        index = MLIndex(builder=ELSIModelBuilder(config, method="SP")).build(
             osm_points
         )
-        batch = MLIndex(builder=ELSIModelBuilder(config, method="SP")).build(
-            osm_points
-        )
-        for q in queries:
-            scalar.knn_query(q, 5)
-        batch.knn_queries(queries, 5)
-        assert batch.query_stats.queries == scalar.query_stats.queries
-        assert batch.query_stats.model_invocations == (
-            scalar.query_stats.model_invocations
-        )
-        assert batch.query_stats.points_scanned == scalar.query_stats.points_scanned
+        results = index.knn_queries(queries, 5)
+        assert index.query_stats.queries == len(queries)
+        assert index.query_stats.model_invocations == 0
+        assert index.query_stats.points_scanned >= sum(len(r) for r in results)
 
 
 # ----------------------------------------------------------------------
@@ -246,29 +264,36 @@ class TestBatchWindowQueries:
     def test_batch_matches_scalar(self, indices, osm_points, name):
         index = indices[name]
         windows = self._windows(osm_points)
-        batch = index.window_queries(windows)
-        assert len(batch) == len(windows)
-        for w, got in zip(windows, batch):
-            np.testing.assert_array_equal(got, index.window_query(w))
+        assert_windows(name, osm_points, windows, index.window_queries(windows))
+        assert_windows(
+            name, osm_points, windows, [index.window_query(w) for w in windows]
+        )
 
     def test_batch_window_empty_list(self, indices):
         assert indices["ZM"].window_queries([]) == []
 
     def test_batch_window_query_stats_match_scalar(self, osm_points):
-        from repro.core.config import ELSIConfig
-
+        """ZM windows: one query and the rows of its exact key interval are
+        charged per window; no model runs, so none is charged."""
         config = ELSIConfig(train_epochs=80)
-        a = ZMIndex(builder=ELSIModelBuilder(config, method="SP")).build(osm_points)
-        b = ZMIndex(builder=ELSIModelBuilder(config, method="SP")).build(osm_points)
+        index = ZMIndex(builder=ELSIModelBuilder(config, method="SP")).build(
+            osm_points
+        )
         windows = self._windows(osm_points)
-        a.window_queries(windows)
+        index.window_queries(windows)
+        scanned = 0
         for w in windows:
-            b.window_query(w)
-        assert a.query_stats.queries == b.query_stats.queries
-        assert a.query_stats.points_scanned == b.query_stats.points_scanned
+            z_lo, z_hi = index.map(np.vstack([w.lo_array, w.hi_array]))
+            scanned += np.count_nonzero(
+                (index.store.keys >= z_lo) & (index.store.keys <= z_hi)
+            )
+        assert index.query_stats.queries == len(windows)
+        assert index.query_stats.model_invocations == 0
+        assert index.query_stats.points_scanned == scanned
 
     def test_update_processor_batch_merges_side_list(self, osm_points):
-        from repro.core.config import ELSIConfig
+        """Side list and deletion marks merge into every query kind, the
+        same through both spellings, and equal to brute force over D'."""
         from repro.core.update_processor import UpdateProcessor
 
         config = ELSIConfig(train_epochs=80)
@@ -278,11 +303,19 @@ class TestBatchWindowQueries:
         proc = UpdateProcessor(index, config=config)
         proc.insert(np.array([0.501, 0.501]))
         proc.delete(osm_points[0])
+        current = proc.current_points()
+        assert len(current) == len(osm_points)
+
         windows = self._windows(osm_points)
-        batch = proc.window_queries(windows)
-        for w, got in zip(windows, batch):
-            expected = proc.window_query(w)
-            np.testing.assert_array_equal(
-                got[np.lexsort(got.T)] if len(got) else got,
-                expected[np.lexsort(expected.T)] if len(expected) else expected,
-            )
+        assert_windows("ZM", current, windows, proc.window_queries(windows))
+        assert_windows("ZM", current, windows, [proc.window_query(w) for w in windows])
+
+        probes = np.vstack([osm_points[:20], [[0.501, 0.501], [1.7, 1.9]]])
+        truth = point_truth(current, probes)
+        assert not truth[0] and truth[20] and not truth[21]
+        np.testing.assert_array_equal(proc.point_queries(probes), truth)
+        np.testing.assert_array_equal([proc.point_query(p) for p in probes], truth)
+
+        queries = np.vstack([osm_points[:3], [[0.5, 0.5]]])
+        assert_knn("ZM", current, queries, 5, proc.knn_queries(queries, 5))
+        assert_knn("ZM", current, queries, 5, [proc.knn_query(q, 5) for q in queries])

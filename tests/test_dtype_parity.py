@@ -23,9 +23,10 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.ml.ffn import FFN
-from repro.queries import brute_force_knn, brute_force_window, window_recall
+from repro.queries import brute_force_window
 from repro.spatial.rect import Rect
 from repro.storage.persist import load_index, save_index
+from tests.brute import assert_knn, assert_windows, canon as _canon, point_truth
 
 INDEX_CLASSES = {
     "ZM": ZMIndex,
@@ -34,8 +35,9 @@ INDEX_CLASSES = {
     "LISA": LISAIndex,
     "Flood": FloodIndex,
 }
-#: Indices whose window (and hence kNN) results are exact; RSMI's are
-#: approximate by design (non-monotone per-node models).
+#: Indices whose window (and hence kNN) results are exact, plus LISA, which
+#: misses nothing on this fixture (recall floor 1.0 in ``tests/brute.py``);
+#: RSMI's are approximate by design (non-monotone per-node models).
 EXACT = ("ZM", "ML", "LISA", "Flood")
 
 
@@ -72,13 +74,6 @@ def pairs(parity_points):
     }
 
 
-def _canon(rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if len(rows) == 0:
-        return rows
-    return rows[np.lexsort(rows.T)]
-
-
 # ----------------------------------------------------------------------
 # Point queries: bit-exact f32/f64 parity for all five index types
 # ----------------------------------------------------------------------
@@ -96,11 +91,15 @@ def test_point_query_parity(pairs, parity_points, name):
             rng.random((50, 2)) + 1.5,  # far misses
         ]
     )
-    got32 = pairs[name]["float32"].point_queries(batch)
-    got64 = pairs[name]["float64"].point_queries(batch)
-    np.testing.assert_array_equal(got32, got64)
-    assert got32[:160].all()  # every indexed point (incl. duplicates) found
-    assert not got32[160:].any()  # every non-indexed probe rejected
+    truth = point_truth(parity_points, batch)
+    assert truth[:160].all()  # every indexed point (incl. duplicates)
+    assert not truth[160:].any()  # every non-indexed probe
+    for dtype in ("float32", "float64"):
+        index = pairs[name][dtype]
+        np.testing.assert_array_equal(index.point_queries(batch), truth)
+        np.testing.assert_array_equal(
+            [index.point_query(p) for p in batch[::7]], truth[::7]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -123,37 +122,34 @@ def _windows(points: np.ndarray) -> list[Rect]:
 
 @pytest.mark.parametrize("name", EXACT)
 def test_window_query_parity(pairs, parity_points, name):
-    for win in _windows(parity_points):
-        truth = _canon(brute_force_window(parity_points, win))
-        for dtype in ("float32", "float64"):
-            got = _canon(pairs[name][dtype].window_query(win))
-            np.testing.assert_array_equal(got, truth)
+    """Per-query spelling, one window at a time, under both dtypes."""
+    wins = _windows(parity_points)
+    for dtype in ("float32", "float64"):
+        index = pairs[name][dtype]
+        assert_windows(
+            name, parity_points, wins, [index.window_query(w) for w in wins]
+        )
 
 
 @pytest.mark.parametrize("name", EXACT)
 def test_window_batch_parity(pairs, parity_points, name):
     wins = _windows(parity_points)
-    res32 = pairs[name]["float32"].window_queries(wins)
-    res64 = pairs[name]["float64"].window_queries(wins)
-    for win, r32, r64 in zip(wins, res32, res64):
-        truth = _canon(brute_force_window(parity_points, win))
-        np.testing.assert_array_equal(_canon(r32), truth)
-        np.testing.assert_array_equal(_canon(r64), truth)
+    for dtype in ("float32", "float64"):
+        assert_windows(
+            name, parity_points, wins, pairs[name][dtype].window_queries(wins)
+        )
 
 
 def test_rsmi_window_subset_and_recall(pairs, parity_points):
     """RSMI windows stay approximate under float32: every returned point
-    is a true match, and recall stays in the same band as float64."""
+    is a true match, and recall holds the floor it shows under float64."""
     wins = _windows(parity_points)[:9]
     for dtype in ("float32", "float64"):
         index = pairs["RSMI"][dtype]
-        recalls = []
-        for win in wins:
-            got = index.window_query(win)
-            assert win.contains_points(got).all() if len(got) else True
-            truth = brute_force_window(parity_points, win)
-            recalls.append(window_recall(got, truth))
-        assert np.mean(recalls) >= 0.5
+        assert_windows("RSMI", parity_points, wins, index.window_queries(wins))
+        assert_windows(
+            "RSMI", parity_points, wins, [index.window_query(w) for w in wins]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +160,15 @@ def test_knn_parity(pairs, parity_points, name):
     rng = np.random.default_rng(11)
     queries = rng.random((6, 2))
     k = 10
-    res32 = pairs[name]["float32"].knn_queries(queries, k)
-    res64 = pairs[name]["float64"].knn_queries(queries, k)
-    for q, r32, r64 in zip(queries, res32, res64):
-        truth = brute_force_knn(parity_points, q, k)
-        # Compare by distance multiset: equidistant ties may legitimately
-        # resolve to different (equally correct) points.
-        d_truth = np.sort(np.linalg.norm(truth - q, axis=1))
-        for got in (r32, r64):
-            assert len(got) == k
-            d_got = np.sort(np.linalg.norm(got - q, axis=1))
-            np.testing.assert_allclose(d_got, d_truth, rtol=0, atol=0)
+    for dtype in ("float32", "float64"):
+        index = pairs[name][dtype]
+        # Compared by sorted distance vector: equidistant ties may
+        # legitimately resolve to different (equally correct) points.
+        assert_knn(name, parity_points, queries, k, index.knn_queries(queries, k))
+        assert_knn(
+            name, parity_points, queries[:2], k,
+            [index.knn_query(q, k) for q in queries[:2]],
+        )
 
 
 # ----------------------------------------------------------------------

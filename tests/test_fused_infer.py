@@ -15,6 +15,7 @@ from repro.perf.fused_infer import (
     resolve_dtype,
 )
 from repro.spatial.rect import Rect
+from tests.brute import assert_knn, assert_windows, point_truth
 
 
 def _builder(dtype="float64"):
@@ -102,18 +103,20 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("cls", (ZMIndex, MLIndex), ids=lambda c: c.name)
     def test_fused_batch_queries_match_scalar(self, cls, osm_points):
+        """Fused two-stage lookups, batched and one at a time (where the
+        engine sees single-key batches), equal brute force."""
         index = cls(builder=_builder(), branching=4).build(osm_points)
         assert index.model.fused
         rng = np.random.default_rng(1)
         probes = _probe_points(osm_points, rng)
-        scalar = np.array([index.point_query(p) for p in probes], dtype=bool)
-        np.testing.assert_array_equal(index.point_queries(probes), scalar)
+        truth = point_truth(osm_points, probes)
+        np.testing.assert_array_equal(index.point_queries(probes), truth)
+        np.testing.assert_array_equal([index.point_query(p) for p in probes], truth)
         windows = [Rect.centered(rng.random(2), 0.12) for _ in range(8)]
-        for batch, one in zip(
-            index.window_queries(windows),
-            [index.window_query(w) for w in windows],
-        ):
-            np.testing.assert_array_equal(batch, one)
+        assert_windows(cls.name, osm_points, windows, index.window_queries(windows))
+        assert_windows(
+            cls.name, osm_points, windows, [index.window_query(w) for w in windows]
+        )
 
     def test_flood_fuses_columns(self, osm_points):
         index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
@@ -121,44 +124,41 @@ class TestEngineParity:
         assert index._engine.k == sum(m is not None for m in index._models)
         rng = np.random.default_rng(2)
         probes = _probe_points(osm_points, rng)
-        scalar = np.array([index.point_query(p) for p in probes], dtype=bool)
-        np.testing.assert_array_equal(index.point_queries(probes), scalar)
+        truth = point_truth(osm_points, probes)
+        np.testing.assert_array_equal(index.point_queries(probes), truth)
+        np.testing.assert_array_equal([index.point_query(p) for p in probes], truth)
         windows = [Rect.centered(rng.random(2), 0.15) for _ in range(8)]
-        for batch, one in zip(
-            index.window_queries(windows),
-            [index.window_query(w) for w in windows],
-        ):
-            np.testing.assert_array_equal(batch, one)
+        assert_windows("Flood", osm_points, windows, index.window_queries(windows))
+        assert_windows(
+            "Flood", osm_points, windows, [index.window_query(w) for w in windows]
+        )
 
     def test_flood_batch_knn_matches_scalar(self, osm_points):
         index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
         rng = np.random.default_rng(3)
         queries = rng.random((10, 2))
-        for batch, one in zip(
-            index.knn_queries(queries, 5),
-            [index.knn_query(q, 5) for q in queries],
-        ):
-            np.testing.assert_array_equal(batch, one)
+        assert_knn("Flood", osm_points, queries, 5, index.knn_queries(queries, 5))
+        assert_knn(
+            "Flood", osm_points, queries, 5, [index.knn_query(q, 5) for q in queries]
+        )
 
     def test_rsmi_batch_windows_match_scalar(self, osm_points):
         index = RSMIIndex(builder=_builder(), leaf_capacity=300).build(osm_points)
         rng = np.random.default_rng(4)
         windows = [Rect.centered(rng.random(2), 0.12) for _ in range(10)]
-        for batch, one in zip(
-            index.window_queries(windows),
-            [index.window_query(w) for w in windows],
-        ):
-            np.testing.assert_array_equal(batch, one)
+        assert_windows("RSMI", osm_points, windows, index.window_queries(windows))
+        assert_windows(
+            "RSMI", osm_points, windows, [index.window_query(w) for w in windows]
+        )
 
     def test_rsmi_batch_knn_matches_scalar(self, osm_points):
         index = RSMIIndex(builder=_builder(), leaf_capacity=300).build(osm_points)
         rng = np.random.default_rng(5)
         queries = rng.random((8, 2))
-        for batch, one in zip(
-            index.knn_queries(queries, 4),
-            [index.knn_query(q, 4) for q in queries],
-        ):
-            np.testing.assert_array_equal(batch, one)
+        assert_knn("RSMI", osm_points, queries, 4, index.knn_queries(queries, 4))
+        assert_knn(
+            "RSMI", osm_points, queries, 4, [index.knn_query(q, 4) for q in queries]
+        )
 
     def test_engine_predictions_match_member_semantics(self, osm_points):
         """Each member's fused range covers the key's true local rank."""

@@ -131,6 +131,28 @@ class TestContract:
             fresh.build(np.zeros((5, 1)))
 
 
+def test_one_query_path_per_index():
+    """The batch methods are the contract; the per-query spellings exist
+    once, in the base class, as batches of one."""
+    import inspect
+
+    import repro.indices
+    from repro.indices.base import LearnedSpatialIndex
+
+    subclasses = [
+        cls
+        for _, cls in inspect.getmembers(repro.indices, inspect.isclass)
+        if issubclass(cls, LearnedSpatialIndex) and cls is not LearnedSpatialIndex
+    ]
+    assert len(subclasses) == 5  # ZM, ML, RSMI, LISA, Flood
+    for cls in subclasses:
+        for scalar in ("point_query", "window_query", "knn_query"):
+            assert scalar not in vars(cls), f"{cls.__name__} defines {scalar}"
+            assert getattr(cls, scalar) is getattr(LearnedSpatialIndex, scalar)
+        for batch in ("point_queries", "window_queries", "knn_queries"):
+            assert batch in vars(cls), f"{cls.__name__} lacks {batch}"
+
+
 class TestExactWindowIndices:
     """ZM and ML answer window queries exactly (Section VII-G2)."""
 

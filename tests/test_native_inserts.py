@@ -187,13 +187,13 @@ class TestNativeModeProcessor:
             def build(self, points):
                 raise NotImplementedError
 
-            def point_query(self, point):
+            def point_queries(self, points):
                 raise NotImplementedError
 
-            def window_query(self, window):
+            def window_queries(self, windows):
                 raise NotImplementedError
 
-            def knn_query(self, point, k):
+            def knn_queries(self, points, k):
                 raise NotImplementedError
 
             def indexed_points(self):

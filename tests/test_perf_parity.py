@@ -1,5 +1,6 @@
-"""Batch/serial parity properties for every index with a vectorised
-``point_queries``, plus the scalar lo-clamp regression (inserts near rank 0)."""
+"""Point lookups against set membership for every index, through both
+spellings (a per-query call is a batch of one), the lo-clamp regression
+(inserts near rank 0), and the ``QueryStats`` additivity rule."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices.base import QueryStats
+from repro.spatial.rect import Rect
+from tests.brute import point_truth
 
 INDEX_CLASSES = {
     cls.name: cls for cls in (ZMIndex, MLIndex, LISAIndex, FloodIndex, RSMIIndex)
@@ -34,8 +38,9 @@ def _mixed_workload(points, rng):
 def test_batch_equals_scalar_loop(built, osm_points, name):
     index = built[name]
     batch = _mixed_workload(osm_points, np.random.default_rng(11))
-    expected = np.array([index.point_query(p) for p in batch], dtype=bool)
+    expected = point_truth(osm_points, batch)
     np.testing.assert_array_equal(index.point_queries(batch), expected)
+    np.testing.assert_array_equal([index.point_query(p) for p in batch], expected)
     # Sanity: the workload actually mixes hits and misses.
     assert expected.any() and not expected.all()
 
@@ -51,16 +56,16 @@ def test_batch_equals_scalar_after_inserts(osm_points, name):
     for p in extra:
         index.insert(p)
     batch = np.vstack([extra, _mixed_workload(osm_points, rng)])
-    expected = np.array([index.point_query(p) for p in batch], dtype=bool)
+    expected = point_truth(np.vstack([osm_points, extra]), batch)
     np.testing.assert_array_equal(index.point_queries(batch), expected)
+    np.testing.assert_array_equal([index.point_query(p) for p in batch], expected)
     assert expected[:30].all()  # inserted points are all found
 
 
 @pytest.mark.parametrize("name", ["ZM", "ML"])
 def test_scalar_lo_clamp_with_inserts_near_rank_zero(osm_points, name):
     """Regression: ``lo -= native_inserts`` used to go negative for keys
-    predicted near rank 0, corrupting the points-scanned accounting and
-    diverging from the clamped batch path."""
+    predicted near rank 0, corrupting the points-scanned accounting."""
     config = ELSIConfig(train_epochs=80)
     index = INDEX_CLASSES[name](
         builder=ELSIModelBuilder(config, method="SP")
@@ -77,17 +82,44 @@ def test_scalar_lo_clamp_with_inserts_near_rank_zero(osm_points, name):
     # A negative `lo` would overstate the scan by up to `inserts` points
     # per query relative to what the store can actually return.
     assert 0 <= scanned <= 5 * len(index.store)
-    np.testing.assert_array_equal(
-        index.point_queries(smallest),
-        np.array([index.point_query(p) for p in smallest], dtype=bool),
-    )
+    assert index.point_queries(smallest).all()
+
+
+def _charge(index, call) -> tuple[int, int, int]:
+    """``QueryStats`` charged by one call, on a fresh counter."""
+    index.query_stats = QueryStats()
+    call()
+    stats = index.query_stats
+    return stats.queries, stats.model_invocations, stats.points_scanned
 
 
 def test_batch_stats_accounting(built, osm_points):
-    index = built["ZM"]
-    index.query_stats.reset()
-    batch = osm_points[:64]
-    index.point_queries(batch)
-    assert index.query_stats.queries == 64
-    assert index.query_stats.model_invocations >= 64
-    assert index.query_stats.points_scanned > 0
+    """``QueryStats`` is additive: one call with ``b`` queries charges the
+    sum of ``b`` calls with one query each — for every index and query
+    kind, ``queries``, ``model_invocations`` and ``points_scanned`` alike —
+    and the two rule-2 cases charge no model at all."""
+    rng = np.random.default_rng(3)
+    probes = _mixed_workload(osm_points, rng)[::4]
+    windows = [
+        Rect.centered(osm_points[i], float(rng.uniform(0.01, 0.2)))
+        for i in rng.integers(0, len(osm_points), 9)
+    ] + [Rect((2.0, 2.0), (3.0, 3.0))]
+    queries = np.vstack([osm_points[::250], rng.random((3, 2))])
+    kinds = {
+        "point": (probes, lambda ix, items: ix.point_queries(items)),
+        "window": (windows, lambda ix, items: ix.window_queries(items)),
+        "knn": (queries, lambda ix, items: ix.knn_queries(items, 6)),
+    }
+    for name, index in built.items():
+        for kind, (items, ask) in kinds.items():
+            whole = _charge(index, lambda: ask(index, items))
+            singles = [
+                _charge(index, lambda: ask(index, items[i : i + 1]))
+                for i in range(len(items))
+            ]
+            assert whole == tuple(map(sum, zip(*singles))), (name, kind)
+            assert whole[0] >= len(items) and whole[2] > 0, (name, kind)
+            if (name, kind) in {("ZM", "window"), ("Flood", "window"), ("ML", "knn")}:
+                assert whole[1] == 0, (name, kind)  # boundaries by searchsorted
+            elif kind == "point" and name in ("ZM", "ML", "LISA"):
+                assert whole[1] == len(items), (name, kind)  # one key, one prediction

@@ -160,6 +160,38 @@ class TestGenericDispatch:
         for a, b in zip(rsmi.window_queries(windows), loaded.window_queries(windows)):
             np.testing.assert_array_equal(a, b)
 
+    def test_rsmi_snapshot_with_build_strategy_key_loads(self, osm_points, tmp_path):
+        """Snapshots written while RSMI had a ``build_strategy`` option
+        carry that key in their metadata; it is ignored on load."""
+        import json
+
+        from tests.brute import assert_windows, point_truth
+
+        config = ELSIConfig(train_epochs=60)
+        rsmi = RSMIIndex(
+            builder=ELSIModelBuilder(config, method="SP"), leaf_capacity=300
+        ).build(osm_points)
+        new_path, old_path = tmp_path / "rsmi.npz", tmp_path / "rsmi-old.npz"
+        save_index(rsmi, new_path)
+        with np.load(new_path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        assert "build_strategy" not in meta
+        old_meta = {**meta, "build_strategy": "recursive"}
+        arrays["meta"] = np.frombuffer(json.dumps(old_meta).encode(), dtype=np.uint8)
+        np.savez_compressed(old_path, **arrays)
+
+        loaded = load_index(old_path)
+        assert type(loaded) is RSMIIndex
+        assert not hasattr(loaded, "build_strategy")
+        assert loaded.n_models() == rsmi.n_models()
+        probes = np.vstack([osm_points[::20], osm_points[:30] + 1.5])
+        np.testing.assert_array_equal(
+            loaded.point_queries(probes), point_truth(osm_points, probes)
+        )
+        windows = [Rect.centered(osm_points[i], 0.15) for i in (3, 700, 1500)]
+        assert_windows("RSMI", osm_points, windows, loaded.window_queries(windows))
+
     def test_zm_specific_loader_still_works(self, built_index, tmp_path):
         path = tmp_path / "generic-zm.npz"
         save_index(built_index, path)

@@ -1,9 +1,10 @@
-"""Tests for RSMI's level-wise build strategy and its obs instrumentation.
+"""Tests for RSMI's level-wise build and its obs instrumentation.
 
 The level-wise frontier build dispatches every level's sibling model fits
-as one ``build_models`` batch; the resulting tree must be identical to the
-depth-first recursive reference — structure, models, and error bounds —
-for every executor backend that guarantees bit-identical fits.
+as one ``build_models`` batch; the resulting tree must be identical to a
+depth-first recursion — structure, models, and error bounds — for every
+executor backend that guarantees bit-identical fits.  The depth-first
+builder lives here, as the reference: ``RSMIIndex`` has one build.
 """
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices.rsmi import RSMIIndex
+from repro.indices.rsmi import RSMIIndex, _Node
 from repro.obs.trace import get_tracer
+from repro.spatial.rect import Rect
+from tests.brute import assert_windows
 
 
 @pytest.fixture
@@ -25,15 +28,46 @@ def tracer():
     t.reset()
 
 
-def _build(points, strategy, backend="serial", leaf_capacity=300):
+def _index(backend="serial", leaf_capacity=300):
     config = ELSIConfig(
         train_epochs=60, parallelism=backend, parallel_workers=2
     )
     return RSMIIndex(
-        builder=ELSIModelBuilder(config, method="SP"),
-        leaf_capacity=leaf_capacity,
-        build_strategy=strategy,
-    ).build(points)
+        builder=ELSIModelBuilder(config, method="SP"), leaf_capacity=leaf_capacity
+    )
+
+
+def _build(points, backend="serial", leaf_capacity=300):
+    return _index(backend, leaf_capacity).build(points)
+
+
+def _build_depth_first(points, leaf_capacity=300):
+    """The reference: one ``build_model`` call per node, children built
+    before siblings, sharing the index's own sort, cast and split steps."""
+    index = _index(leaf_capacity=leaf_capacity)
+    pts = index._prepare_points(points)
+    index.bounds = Rect.bounding(pts)
+    index.n_points = len(pts)
+
+    def build_node(points, bounds, depth):
+        sorted_pts, sorted_keys = index._sort_by_node_keys(points, bounds)
+        model = index.builder.build_model(
+            sorted_keys,
+            sorted_pts,
+            index.build_stats,
+            map_fn=lambda p: index._node_keys(p, bounds),
+        )
+        index._cast_node_model(model, sorted_keys)
+        node = _Node(bounds=bounds, model=model, n=len(points), depth=depth)
+        specs = index._split_specs(node, sorted_pts, sorted_keys)
+        if specs:
+            node.children = [None] * index.fanout
+            for b, child_pts, child_bounds in specs:
+                node.children[b] = build_node(child_pts, child_bounds, depth + 1)
+        return node
+
+    index.root = build_node(pts, index.bounds, 0)
+    return index
 
 
 def _signature(node, out):
@@ -75,8 +109,8 @@ def _weights_equal(a, b):
 class TestLevelwiseParity:
     def test_level_matches_recursive(self, osm_points, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        recursive = _build(osm_points, "recursive")
-        level = _build(osm_points, "level")
+        recursive = _build_depth_first(osm_points)
+        level = _build(osm_points)
         sig_r, sig_l = [], []
         _signature(recursive.root, sig_r)
         _signature(level.root, sig_l)
@@ -89,8 +123,8 @@ class TestLevelwiseParity:
     @pytest.mark.parametrize("backend", ["thread", "fused"])
     def test_backends_produce_same_tree(self, osm_points, backend, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        serial = _build(osm_points, "level")
-        other = _build(osm_points, "level", backend=backend)
+        serial = _build(osm_points)
+        other = _build(osm_points, backend=backend)
         sig_s, sig_o = [], []
         _signature(serial.root, sig_s)
         _signature(other.root, sig_o)
@@ -98,42 +132,40 @@ class TestLevelwiseParity:
             # Thread dispatch is bit-identical to serial.
             assert sig_s == sig_o
             _weights_equal(serial, other)
-        # Fused training differs at the ulp level, but every strategy must
+        # Fused training differs at the ulp level, but every backend must
         # keep predict-and-scan exact for indexed points.
-        assert all(other.point_query(p) for p in osm_points[:150])
+        assert other.point_queries(osm_points[:150]).all()
 
     def test_queries_agree_across_strategies(self, osm_points, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        from repro.spatial.rect import Rect
-
-        recursive = _build(osm_points, "recursive")
-        level = _build(osm_points, "level")
-        assert all(level.point_query(p) for p in osm_points[:150])
+        recursive = _build_depth_first(osm_points)
+        level = _build(osm_points)
+        assert level.point_queries(osm_points[:150]).all()
         window = Rect(np.array([0.2, 0.2]), np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(
-            recursive.window_query(window), level.window_query(window)
-        )
+        got = level.window_query(window)
+        assert_windows("RSMI", osm_points, [window], [got])
+        np.testing.assert_array_equal(recursive.window_query(window), got)
 
     def test_overflow_rebuild_uses_configured_strategy(self, osm_points):
-        index = _build(osm_points[:500], "level", leaf_capacity=40)
+        index = _build(osm_points[:500], leaf_capacity=40)
         rng = np.random.default_rng(2)
         extra = osm_points[500:900] + rng.normal(0.0, 1e-4, (400, 2))
         for p in extra:
             index.insert(p)
-        assert all(index.point_query(p) for p in extra[::25])
+        assert index.point_queries(extra[::25]).all()
         assert index.n_points == 900
 
     def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError, match="build_strategy"):
-            RSMIIndex(build_strategy="bfs")
+        """The build-strategy option is gone, not silently ignored."""
+        with pytest.raises(TypeError, match="build_strategy"):
+            RSMIIndex(build_strategy="level")
 
 
 class TestRSMISpans:
     def test_build_emits_level_spans(self, osm_points, tracer):
-        _build(osm_points, "level")
+        _build(osm_points)
         build_spans = tracer.find("rsmi.build")
         assert len(build_spans) == 1
-        assert build_spans[0].attrs["strategy"] == "level"
         assert build_spans[0].attrs["models"] >= 1
         levels = tracer.find("rsmi.fit_level")
         assert levels, "level-wise build must emit per-level spans"
@@ -142,23 +174,15 @@ class TestRSMISpans:
         # Each level dispatches its fits through the executor.
         assert tracer.find("perf.map")
 
-    def test_recursive_build_span(self, osm_points, tracer):
-        _build(osm_points, "recursive")
-        spans = tracer.find("rsmi.build")
-        assert len(spans) == 1
-        assert spans[0].attrs["strategy"] == "recursive"
-        assert not tracer.find("rsmi.fit_level")
-
     def test_query_spans(self, osm_points, tracer):
-        from repro.spatial.rect import Rect
-
-        index = _build(osm_points, "level")
+        index = _build(osm_points)
         tracer.reset()
         index.point_query(osm_points[0])
         index.window_query(Rect(np.array([0.2, 0.2]), np.array([0.4, 0.4])))
         point_spans = tracer.find("rsmi.point")
         assert len(point_spans) == 1
         assert point_spans[0].attrs["hops"] >= 1
-        window_spans = tracer.find("rsmi.window")
+        window_spans = tracer.find("rsmi.window_batch")
         assert len(window_spans) == 1
+        assert window_spans[0].attrs["windows"] == 1
         assert "matched" in window_spans[0].attrs
