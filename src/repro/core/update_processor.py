@@ -255,6 +255,8 @@ class UpdateProcessor:
         if not windows:
             return []
         base_results = self.index.window_queries(windows)
+        if not self._deleted and not self._inserted:
+            return base_results
         extra = self._inserted_array()
         out: list[np.ndarray] = []
         for window, base in zip(windows, base_results):
@@ -298,6 +300,10 @@ class UpdateProcessor:
             return []
         # Ask the base for enough extra neighbours to absorb deletions.
         base_results = self.index.knn_queries(pts, k + len(self._deleted))
+        if not self._deleted and not self._inserted:
+            # Nothing to merge: the base answer is already the k nearest,
+            # nearest first, which is what _merge_knn would hand back.
+            return base_results
         extra = self._inserted_array()
         return [
             self._merge_knn(q, base, extra, k)

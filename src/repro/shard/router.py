@@ -7,6 +7,11 @@ reassembles the answers in the caller's order.
 
 Routing per query kind
 ----------------------
+Batches are routed whole: the shard map is asked once per batch
+(:meth:`ShardMap.shard_of_points`, :meth:`ShardMap.shard_spans`), every
+sub-request and reply is a few arrays (see :mod:`repro.shard.worker`),
+and no step below runs once per query except slicing the answers apart.
+
 - **point batches** — each row goes to exactly the shard owning its
   curve code; one ``point_batch`` sub-request per involved shard.
 - **window batches** — each window goes to every shard overlapping its
@@ -378,95 +383,111 @@ class ShardRouter:
         return out
 
     def window_queries(self, windows: "list") -> "list[np.ndarray]":
-        """Batch windows: each split across its range-overlapping shards."""
+        """Batch windows: each split across its range-overlapping shards.
+
+        One :meth:`ShardMap.shard_spans` call routes the whole batch.  A
+        window's rows are its shards' rows in shard order; when only one
+        shard has rows for it (most windows visit one shard) they are a
+        slice of that shard's reply, not a copy.
+
+        Returns one ``(m, d)`` float64 array per window.  The arrays may
+        be views of one buffer per shard (disjoint rows, so writing to
+        one never shows in another); a view keeps that whole buffer
+        alive, so ``copy()`` a result that is to outlive its batch.
+        """
         if not windows:
             return []
-        per_shard: dict[int, list[int]] = {}
-        for i, window in enumerate(windows):
-            for sid in self.shard_map.shards_for_window(window):
-                per_shard.setdefault(sid, []).append(i)
+        w = len(windows)
+        lo = np.array([win.lo for win in windows], dtype=np.float64)
+        hi = np.array([win.hi for win in windows], dtype=np.float64)
+        first, last = self.shard_map.shard_spans(lo, hi)
+        members = _span_members(first, last)
         calls = {
-            sid: ("window_batch", [windows[i] for i in members])
-            for sid, members in per_shard.items()
+            sid: ("window_batch", lo[rows], hi[rows])
+            for sid, rows in members.items()
         }
-        self.registry.counter("router.queries", kind="window").inc(len(windows))
+        self.registry.counter("router.queries", kind="window").inc(w)
         t0 = time.perf_counter()
         with _span(
-            "shard.scatter", kind="window", n=len(windows), shards=len(calls)
+            "shard.scatter", kind="window", n=w, shards=len(calls)
         ) as sp:
             replies = self._scatter(
                 calls, idempotent=True, trace=self._trace_ctx(sp)
             )
-        self.slo.record("window", time.perf_counter() - t0, count=len(windows))
-        d = self.shard_map.bounds.ndim
+        self.slo.record("window", time.perf_counter() - t0, count=w)
         parts: list[list[np.ndarray]] = [[] for _ in windows]
         for sid in sorted(replies):  # shard order => deterministic output
-            for i, result in zip(per_shard[sid], replies[sid]):
-                if len(result):
-                    parts[i].append(np.asarray(result, dtype=np.float64))
+            for i, rows in zip(members[sid].tolist(), replies[sid].split()):
+                if len(rows):
+                    parts[i].append(rows)
+        d = lo.shape[1]
         return [
-            np.vstack(p) if p else np.empty((0, d), dtype=np.float64)
+            p[0] if len(p) == 1
+            else np.concatenate(p) if p
+            else np.empty((0, d), dtype=np.float64)
             for p in parts
         ]
 
     def knn_queries(self, points: np.ndarray, k: int) -> "list[np.ndarray]":
-        """Batch kNN: home-shard round, then radius-pruned widening."""
+        """Batch kNN: home-shard round, then radius-pruned widening.
+
+        Candidates of the whole batch live in one flat array with an
+        ``owner`` (query row) per candidate, so the kth distances after
+        round one and the final top k are each one distance pass and one
+        lexsort, whatever the batch size.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
+        b = len(pts)
+        if b == 0:
             return []
-        self.registry.counter("router.queries", kind="knn").inc(len(pts))
-        owners = self.shard_map.shard_of_points(pts)
-        calls = {
-            int(sid): ("knn_batch", pts[owners == sid], k)
-            for sid in np.unique(owners)
+        self.registry.counter("router.queries", kind="knn").inc(b)
+        home = self.shard_map.shard_of_points(pts)
+        members = {
+            int(sid): np.flatnonzero(home == sid) for sid in np.unique(home)
         }
         t0 = time.perf_counter()
         # One scatter span covers both kNN rounds: the widening round's
         # per-shard dispatches adopt under the same root, so the tree
         # shows the full two-round fan-out of each request.
         with _span(
-            "shard.scatter", kind="knn", n=len(pts), k=k, shards=len(calls)
+            "shard.scatter", kind="knn", n=b, k=k, shards=len(members)
         ) as sp:
             trace = self._trace_ctx(sp)
-            replies = self._scatter(calls, idempotent=True, trace=trace)
-            candidates: list[list[np.ndarray]] = [[] for _ in pts]
-            for sid, results in replies.items():
-                for i, result in zip(np.flatnonzero(owners == sid), results):
-                    candidates[i].append(np.asarray(result, dtype=np.float64))
+            cand, owner = self._knn_round(pts, k, members, trace)
             if self.n_shards > 1:
                 # Round two: shards whose range intersects the ball of the
                 # kth candidate distance (everything, when round one came up
                 # short of k — the radius is unbounded then).
-                per_shard: dict[int, list[int]] = {}
-                for i, q in enumerate(pts):
-                    radius = _kth_distance(q, candidates[i], k)
-                    for sid in self.shard_map.shards_for_ball(q, radius):
-                        if sid != owners[i]:
-                            per_shard.setdefault(int(sid), []).append(i)
-                if per_shard:
-                    round2 = sum(len(v) for v in per_shard.values())
+                radius = _kth_distances(pts, cand, owner, k)[:, None]
+                first, last = self.shard_map.shard_spans(pts - radius, pts + radius)
+                members = _span_members(first, last, skip=home)
+                if members:
+                    round2 = sum(len(rows) for rows in members.values())
                     self.registry.counter("router.knn_round2").inc(round2)
                     sp.set(round2=round2)
-                    calls = {
-                        sid: ("knn_batch", pts[members], k)
-                        for sid, members in per_shard.items()
-                    }
-                    replies = self._scatter(
-                        calls, idempotent=True, trace=trace
-                    )
-                    for sid, results in replies.items():
-                        for i, result in zip(per_shard[sid], results):
-                            candidates[i].append(
-                                np.asarray(result, dtype=np.float64)
-                            )
-        out = [
-            _top_k(q, cands, k, self.shard_map.bounds.ndim)
-            for q, cands in zip(pts, candidates)
-        ]
-        self.slo.record("knn", time.perf_counter() - t0, count=len(pts))
+                    more, more_owner = self._knn_round(pts, k, members, trace)
+                    cand = np.concatenate([cand, more])
+                    owner = np.concatenate([owner, more_owner])
+        out = _top_k(pts, cand, owner, k)
+        self.slo.record("knn", time.perf_counter() - t0, count=b)
         return out
+
+    def _knn_round(
+        self, pts: np.ndarray, k: int, members: "dict[int, np.ndarray]", trace
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Ask each shard for the k nearest of its ``members`` rows of
+        ``pts``; returns every candidate and the query row it answers."""
+        calls = {
+            sid: ("knn_batch", pts[rows], k) for sid, rows in members.items()
+        }
+        replies = self._scatter(calls, idempotent=True, trace=trace)
+        cand = [replies[sid].rows for sid in members]
+        owner = [
+            np.repeat(rows, replies[sid].counts()) for sid, rows in members.items()
+        ]
+        return np.concatenate(cand), np.concatenate(owner)
 
     # ------------------------------------------------------------------
     # Updates
@@ -648,30 +669,59 @@ class ShardRouter:
 
 
 # ----------------------------------------------------------------------
-# kNN merge helpers
+# Batch routing and kNN merge helpers
 # ----------------------------------------------------------------------
-def _kth_distance(q: np.ndarray, candidate_sets: "list[np.ndarray]", k: int) -> float:
-    """Distance of the kth-best candidate so far (inf when short of k)."""
-    stacked = [c for c in candidate_sets if len(c)]
-    if not stacked:
-        return np.inf
-    merged = np.vstack(stacked)
-    if len(merged) < k:
-        return np.inf
-    diff = merged - q
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return float(np.partition(dist, k - 1)[k - 1])
+def _span_members(
+    first: np.ndarray, last: np.ndarray, skip: "np.ndarray | None" = None
+) -> "dict[int, np.ndarray]":
+    """``{shard: rows}`` for every shard inside some row's ``first ..
+    last`` span (rows ascending), leaving out each row's ``skip`` shard."""
+    members = {}
+    for sid in range(int(first.min()), int(last.max()) + 1):
+        hit = (first <= sid) & (sid <= last)
+        if skip is not None:
+            hit &= skip != sid
+        rows = np.flatnonzero(hit)
+        if len(rows):
+            members[sid] = rows
+    return members
 
 
-def _top_k(q: np.ndarray, candidate_sets: "list[np.ndarray]", k: int, d: int):
-    """Global top-k of the candidate union, ranked by distance with
+def _distances(pts: np.ndarray, cand: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    diff = cand - pts[owner]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _by_owner(owner: np.ndarray, b: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Start and length of each query's run in an owner-sorted order."""
+    counts = np.bincount(owner, minlength=b)
+    return np.cumsum(counts) - counts, counts
+
+
+def _kth_distances(
+    pts: np.ndarray, cand: np.ndarray, owner: np.ndarray, k: int
+) -> np.ndarray:
+    """Per query, the distance of its kth-best candidate so far (inf
+    when it has fewer than k)."""
+    dist = _distances(pts, cand, owner)
+    dist = dist[np.lexsort((dist, owner))]
+    starts, counts = _by_owner(owner, len(pts))
+    radius = np.full(len(pts), np.inf)
+    enough = counts >= k
+    radius[enough] = dist[starts[enough] + (k - 1)]
+    return radius
+
+
+def _top_k(
+    pts: np.ndarray, cand: np.ndarray, owner: np.ndarray, k: int
+) -> "list[np.ndarray]":
+    """Per query, the top k of its candidates, ranked by distance with
     coordinates as the deterministic tie-break (shard arrival order must
     never leak into the result)."""
-    stacked = [c for c in candidate_sets if len(c)]
-    if not stacked:
-        return np.empty((0, d), dtype=np.float64)
-    merged = np.vstack(stacked)
-    diff = merged - q
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.lexsort(tuple(merged.T[::-1]) + (dist,))
-    return merged[order[: min(k, len(order))]]
+    dist = _distances(pts, cand, owner)
+    ranked = cand[np.lexsort(tuple(cand.T[::-1]) + (dist, owner))]
+    starts, counts = _by_owner(owner, len(pts))
+    return [
+        ranked[start : start + min(k, count)]
+        for start, count in zip(starts.tolist(), counts.tolist())
+    ]

@@ -12,7 +12,8 @@ sorted keys differ, so duplicate codes never straddle a cut: routing by
 Routing rules (all conservative, never lossy):
 
 - **point** → the single shard whose range contains the point's code;
-- **window** → every shard whose range overlaps ``[code(lo), code(hi)]``.
+- **window** → every shard whose range overlaps ``[code(lo), code(hi)]``
+  (:meth:`ShardMap.shard_spans`, for a whole batch of windows at once).
   Morton codes are monotone in each coordinate (spreading bits preserves
   order and the per-dimension bit positions are disjoint), so every
   point inside the rect has a code inside that corner interval — shards
@@ -21,8 +22,8 @@ Routing rules (all conservative, never lossy):
   kNN round-two) routing broadcasts to all shards — correct, just
   unpruned;
 - **kNN** → round one asks the point's home shard, round two widens to
-  the shards overlapping the interval of the ball's bounding rect (see
-  :meth:`ShardMap.shards_for_ball`).
+  the shards overlapping the interval of the ball's bounding rect (the
+  same :meth:`ShardMap.shard_spans`, over ``q - r`` and ``q + r``).
 
 The map is persisted as ``shard_map.json`` next to the per-shard
 directories and reloaded verbatim on cluster reopen — boundaries are part
@@ -160,34 +161,45 @@ class ShardMap:
         """Owning shard id per point row."""
         return np.searchsorted(self.boundaries, self.keys_of(points), side="right")
 
-    def shard_range(self, code_lo: int, code_hi: int) -> range:
-        """Shards whose ranges overlap the closed code interval."""
-        first = int(np.searchsorted(self.boundaries, np.uint64(code_lo), side="right"))
-        last = int(np.searchsorted(self.boundaries, np.uint64(code_hi), side="right"))
-        return range(first, last + 1)
-
-    def shards_for_window(self, window: Rect) -> range:
-        """Shards a window query must visit.
+    def shard_spans(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Per box ``[lo[i], hi[i]]``, the closed range ``first[i] ..
+        last[i]`` of shards that can hold one of its points.
 
         Z-order: the corner-code interval ``[code(lo), code(hi)]`` covers
-        every point in the rect (Morton monotonicity), so only shards
-        overlapping it are visited.  Hilbert: all shards (no corner
-        interval exists).
+        every point in the box (Morton monotonicity), so the span is the
+        shards overlapping it — all ``2 * w`` corners are encoded in one
+        :meth:`keys_of` call.  Corners are clipped into the map's bounds
+        first, which is what the grid does to them anyway and lets a box
+        reach to infinity (a kNN ball of unbounded radius spans every
+        shard).  Hilbert: every shard (no corner interval exists).
         """
+        lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
+        hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
+        w = len(lo)
         if self.curve != "zorder":
-            return range(self.n_shards)
-        corners = np.stack([window.lo_array, window.hi_array])
-        lo, hi = self.keys_of(corners)
-        return self.shard_range(int(lo), int(hi))
+            return (
+                np.zeros(w, dtype=np.intp),
+                np.full(w, self.n_shards - 1, dtype=np.intp),
+            )
+        corners = np.clip(
+            np.concatenate([lo, hi]), self.bounds.lo_array, self.bounds.hi_array
+        )
+        spans = np.searchsorted(self.boundaries, self.keys_of(corners), side="right")
+        return spans[:w], spans[w:]
+
+    def shards_for_window(self, window: Rect) -> range:
+        """Shards a window query must visit (:meth:`shard_spans` of one)."""
+        first, last = self.shard_spans(window.lo_array, window.hi_array)
+        return range(int(first[0]), int(last[0]) + 1)
 
     def shards_for_ball(self, center: np.ndarray, radius: float) -> range:
         """Shards that can contain a point within ``radius`` of ``center``
         (the kNN round-two candidate set; ``inf`` means every shard)."""
-        if self.curve != "zorder" or not np.isfinite(radius):
-            return range(self.n_shards)
         q = np.asarray(center, dtype=np.float64)
-        ball = Rect.from_arrays(q - radius, q + radius)
-        return self.shards_for_window(ball)
+        first, last = self.shard_spans(q - radius, q + radius)
+        return range(int(first[0]), int(last[0]) + 1)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -29,10 +29,13 @@ failure vocabulary.  Batch commands wait on the server's reply for
 slightly *less* than the parent's ``timeout`` (see :func:`_reply_wait`),
 so a queued-but-healthy server surfaces its typed ``RequestTimeout``
 over the pipe before the parent gives up and poisons the handle.  Query
-commands carry whole sub-batches and run through the server's batch
-request kinds (one queued ``Request`` per sub-batch), keeping the
-per-operation cost on the pipe and the queue negligible next to the
-vectorised query work.
+commands carry whole sub-batches as arrays — ``("point_batch", points)``,
+``("window_batch", lo, hi)`` with one ``(w, d)`` array per corner,
+``("knn_batch", points, k)`` — and run through the server's batch
+request kinds (one queued ``Request`` per sub-batch).  Window and kNN
+answers come back packed (:class:`PackedRows`): one flat ``(m, d)`` array of
+rows plus ``(queries + 1,)`` offsets, so the pipe pickles two arrays per
+sub-batch whatever its size.
 
 ``("crash",)`` makes the worker die with ``os._exit`` — no cleanup, no
 flushes — which is the chaos hook the kill-mid-stream recovery test uses.
@@ -44,8 +47,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.spatial.rect import Rect
 
 __all__ = [
     "ENV_KEYS",
@@ -281,17 +287,53 @@ def _reply_wait(timeout: float) -> float:
     return max(0.05, timeout - max(0.5, 0.1 * timeout))
 
 
+class PackedRows(NamedTuple):
+    """Window / kNN answers of one sub-batch as they cross the pipe: the
+    only place that knows the layout.  The worker packs, the router
+    reads :meth:`counts` and :meth:`split`."""
+
+    #: ``(m, d)`` float64: every query's rows back to back.
+    rows: np.ndarray
+    #: ``(queries + 1,)`` int64: query ``j`` owns rows ``offsets[j] ..
+    #: offsets[j + 1]``.
+    offsets: np.ndarray
+
+    @classmethod
+    def pack(cls, results: "list[np.ndarray]", d: int) -> "PackedRows":
+        offsets = np.zeros(len(results) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in results], out=offsets[1:])
+        filled = [r for r in results if len(r)]
+        flat = np.concatenate(filled) if filled else np.empty((0, d))
+        return cls(np.asarray(flat, dtype=np.float64), offsets)
+
+    def counts(self) -> np.ndarray:
+        """Rows per query."""
+        return np.diff(self.offsets)
+
+    def split(self) -> "list[np.ndarray]":
+        """One ``(m_j, d)`` array per query: views of ``rows``, no copies."""
+        cuts = self.offsets.tolist()
+        return [self.rows[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def _dispatch(server, spec: WorkerSpec, command: str, payload: tuple, timeout: float):
     wait = _reply_wait(timeout)
     if command == "point_batch":
         (points,) = payload
         return np.asarray(server.submit_point_batch(points).wait(wait))
     if command == "window_batch":
-        (windows,) = payload
-        return server.submit_window_batch(windows).wait(wait)
+        lo, hi = payload
+        windows = [
+            Rect(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())
+        ]
+        return PackedRows.pack(
+            server.submit_window_batch(windows).wait(wait), lo.shape[1]
+        )
     if command == "knn_batch":
         points, k = payload
-        return server.submit_knn_batch(points, k).wait(wait)
+        return PackedRows.pack(
+            server.submit_knn_batch(points, k).wait(wait), points.shape[1]
+        )
     if command == "insert":
         (point,) = payload
         server.insert(point)

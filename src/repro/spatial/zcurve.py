@@ -14,6 +14,8 @@ Codes use ``d * bits`` bits and are returned as ``uint64``; the default
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.spatial.rect import Rect
@@ -35,8 +37,31 @@ def _check_args(d: int, bits: int) -> None:
         raise ValueError(f"d * bits must be <= 63 to fit uint64, got {d * bits}")
 
 
+@lru_cache(maxsize=None)
+def _spread_table(d: int) -> np.ndarray:
+    """``table[v]``: the 8 bits of byte ``v`` moved to positions 0, d, 2d, ...
+
+    One read-only 256-entry table per dimensionality (d <= 63, so the cache
+    is bounded).  Bits pushed past position 63 are dropped: they belong to
+    byte values no coordinate below ``2**bits`` with ``d * bits <= 63`` has.
+    """
+    table = np.array(
+        [
+            sum(((v >> i) & 1) << (i * d) for i in range(8)) & (2**64 - 1)
+            for v in range(256)
+        ],
+        dtype=np.uint64,
+    )
+    table.flags.writeable = False
+    return table
+
+
 def morton_encode(coords: np.ndarray, bits: int = 16) -> np.ndarray:
     """Interleave integer grid coordinates into Morton codes.
+
+    Each coordinate is spread one byte at a time through a 256-entry
+    table (:func:`_spread_table`), so the work is one gather, one shift and
+    one OR per byte per dimension whatever ``bits`` is.
 
     Parameters
     ----------
@@ -58,15 +83,19 @@ def morton_encode(coords: np.ndarray, bits: int = 16) -> np.ndarray:
     _check_args(d, bits)
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    if np.any(arr < 0) or np.any(arr >= 2**bits):
+    if arr.min() < 0 or arr.max() >= 2**bits:
         raise ValueError(f"coordinates must lie in [0, 2**{bits})")
-    arr = arr.astype(np.uint64)
+    table = _spread_table(d)
+    # Little-endian bytes: octets[:, dim, j] is bits 8j .. 8j+7 of a coordinate.
+    # C order whatever the input's layout (F-ordered, transposed, strided):
+    # the byte view needs a contiguous last axis.
+    octets = arr.astype("<u8", order="C").view(np.uint8).reshape(n, d, 8)
     codes = np.zeros(n, dtype=np.uint64)
-    for bit in range(bits):
+    for j in range((bits + 7) // 8):
         for dim in range(d):
-            codes |= ((arr[:, dim] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(
-                bit * d + dim
-            )
+            part = table[octets[:, dim, j]]
+            part <<= np.uint64(8 * j * d + dim)
+            codes |= part
     return codes
 
 

@@ -37,6 +37,7 @@ from repro.shard import (
     capture_env,
     open_cluster,
 )
+from repro.shard.worker import PackedRows
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 
@@ -47,6 +48,19 @@ _SERVE = {"max_wait_seconds": 0.0}
 # ----------------------------------------------------------------------
 # Shard map units (no processes)
 # ----------------------------------------------------------------------
+def _scalar_span(smap, lo, hi):
+    """One box's shard span the way the per-query router computed it:
+    every shard without a finite Z-order corner interval, else the shards
+    of the two corner codes, one ``searchsorted`` each."""
+    if smap.curve != "zorder" or not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return 0, smap.n_shards - 1
+    code_lo, code_hi = zvalues(np.stack([lo, hi]), smap.bounds, bits=smap.bits)
+    return (
+        int(np.searchsorted(smap.boundaries, code_lo, side="right")),
+        int(np.searchsorted(smap.boundaries, code_hi, side="right")),
+    )
+
+
 class TestShardMap:
     def test_quantile_boundaries_balance_points(self, osm_points):
         smap = ShardMap.from_points(osm_points, 4)
@@ -108,9 +122,34 @@ class TestShardMap:
         window = Rect((0.2, 0.3), (0.4, 0.5))
         corners = np.stack([window.lo_array, window.hi_array])
         lo, hi = zvalues(corners, smap.bounds, bits=smap.bits)
-        assert list(smap.shards_for_window(window)) == list(
-            smap.shard_range(int(lo), int(hi))
-        )
+        first, last = np.searchsorted(smap.boundaries, [lo, hi], side="right")
+        assert list(smap.shards_for_window(window)) == list(range(first, last + 1))
+
+    @pytest.mark.parametrize("curve", ["zorder", "hilbert"])
+    def test_shard_spans_equals_scalar_definition(self, osm_points, curve):
+        smap = ShardMap.from_points(osm_points, 5, curve=curve)
+        rng = np.random.default_rng(13)
+        centres = rng.uniform(-0.5, 1.5, size=(200, 2))  # many outside the map
+        half = rng.uniform(0.0, 0.4, size=(200, 1))
+        half[::7] = 0.0  # zero-extent windows / radius-0 balls
+        half[3::11] = np.inf  # unbounded balls
+        centres[:5], half[:5] = (-2.0, 1.75), 0.25  # wholly outside the map
+        lo, hi = centres - half, centres + half
+        first, last = smap.shard_spans(lo, hi)
+        assert first.shape == last.shape == (200,)
+        want = [_scalar_span(smap, a, b) for a, b in zip(lo, hi)]
+        assert list(zip(first.tolist(), last.tolist())) == want
+        if curve == "hilbert":
+            assert set(want) == {(0, 4)}
+        else:
+            assert len(set(want)) > 5  # the spans do vary
+        # The scalar spellings are batch-of-one calls of the same function.
+        for i in (0, 7, 14, 50, 199):
+            span = list(range(want[i][0], want[i][1] + 1))
+            assert list(smap.shards_for_ball(centres[i], float(half[i, 0]))) == span
+            if np.isfinite(half[i, 0]):
+                window = Rect.from_arrays(lo[i], hi[i])
+                assert list(smap.shards_for_window(window)) == span
 
     def test_hilbert_windows_broadcast(self, osm_points):
         smap = ShardMap.from_points(osm_points, 3, curve="hilbert")
@@ -216,6 +255,9 @@ class _StubHandle:
             raise exc
         if command == "point_batch":
             return np.ones(len(payload[0]), dtype=bool)
+        if command in ("window_batch", "knn_batch"):  # every answer empty
+            n, d = payload[0].shape
+            return PackedRows.pack([np.empty((0, d))] * n, d)
         if command == "status":
             return {"health": "healthy", "generation": 0, "n_points": 1}
         return self.result
@@ -329,6 +371,45 @@ class TestRouterFailureHandling:
         assert [r["error"] for r in report["rejected"]] == ["ShardTimeout"]
         assert report["rejected"][0]["shard"] == 0
         assert handle.respawns == 1
+
+
+class TestRouterRoutesBatches:
+    """The router encodes a batch's corners in O(1) ``keys_of`` calls; a
+    per-query routing loop would make the count grow with the batch."""
+
+    @pytest.fixture()
+    def counted(self, osm_points, monkeypatch):
+        smap = ShardMap.from_points(osm_points, 3)
+        calls = []
+        keys_of = ShardMap.keys_of
+        monkeypatch.setattr(
+            ShardMap,
+            "keys_of",
+            lambda self, points: calls.append(len(points)) or keys_of(self, points),
+        )
+        router = ShardRouter(smap, [_StubHandle(i) for i in range(3)])
+        yield router, calls
+        router.close()
+
+    @pytest.mark.parametrize("w", [1, 8, 200])
+    def test_window_batch_is_one_keys_of_call(self, counted, osm_points, w):
+        router, calls = counted
+        windows = [Rect.centered(c, 0.3) for c in osm_points[:w]]
+        out = router.window_queries(windows)
+        assert calls == [2 * w]  # every corner, once
+        assert [r.shape for r in out] == [(0, 2)] * w
+        commands = [h.requests for h in router.handles]
+        assert all(c in ([], ["window_batch"]) for c in commands)
+
+    @pytest.mark.parametrize("b", [1, 8, 200])
+    def test_knn_batch_is_two_keys_of_calls(self, counted, osm_points, b):
+        router, calls = counted
+        out = router.knn_queries(osm_points[:b], 4)
+        # Home shards, then both ends of every ball (the stubs answer with
+        # nothing, so every radius is unbounded and round two runs).
+        assert calls == [b, 2 * b]
+        assert [r.shape for r in out] == [(0, 2)] * b
+        assert sum(len(h.requests) for h in router.handles) <= 6
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +581,113 @@ class TestClusterParity:
         assert sum(latency["value"]["buckets"]) == latency["value"]["count"]
         # Router-side counters ride along in the same view.
         assert "router.queries" in stats
+
+
+# ----------------------------------------------------------------------
+# Router contract: row order, tie-breaks, result shapes (real processes)
+# ----------------------------------------------------------------------
+_LATTICE_SIDE = 32
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    """A 32 x 32 lattice with power-of-two spacing: distances between its
+    points are exact in floating point, so ties are real ties."""
+    axis = np.arange(_LATTICE_SIDE) / _LATTICE_SIDE
+    return np.array([(x, y) for x in axis for y in axis])
+
+
+@pytest.fixture(scope="module")
+def lattice_cluster(lattice, tmp_path_factory):
+    router = build_cluster(
+        lattice, tmp_path_factory.mktemp("shard-lattice"), n_shards=3,
+        elsi=_ELSI, serve=_SERVE,
+    )
+    yield router
+    router.close()
+
+
+class TestRouterContract:
+    def test_window_rows_are_shard_major_in_scan_order(self, lattice_cluster, lattice):
+        smap = lattice_cluster.shard_map
+        rng = np.random.default_rng(21)
+        windows = [
+            Rect.centered(lattice[rng.integers(len(lattice))], float(side))
+            for side in rng.uniform(0.05, 0.9, 30)
+        ]
+        fanouts = {len(smap.shards_for_window(win)) for win in windows}
+        assert fanouts == {1, 2, 3}
+        got = lattice_cluster.window_queries(windows)
+        for window, rows in zip(windows, got):
+            # Each visited shard's own answer to this one window, in shard
+            # order: what the router concatenated before it routed batches.
+            lo, hi = window.lo_array[None, :], window.hi_array[None, :]
+            per_shard = [
+                lattice_cluster.handles[sid].request("window_batch", lo, hi)[0]
+                for sid in smap.shards_for_window(window)
+            ]
+            want = np.vstack(per_shard)
+            assert rows.dtype == np.float64 and rows.tobytes() == want.tobytes()
+            inside = lattice[window.contains_points(lattice)]
+            np.testing.assert_array_equal(_canon(rows), _canon(inside))
+
+    def test_mixed_fanout_batch_returns_one_array_per_window(
+        self, lattice_cluster, lattice
+    ):
+        smap = lattice_cluster.shard_map
+        windows = [
+            Rect.centered(lattice[0], 0.1),  # one shard
+            Rect((0.0, 0.0), (1.0, 1.0)),  # all three
+            Rect((-3.0, -3.0), (-2.0, -2.0)),  # outside the data: no rows
+            Rect((0.51, 0.51), (0.52, 0.52)),  # between lattice points: no rows
+            Rect.centered(lattice[-1], 0.1),  # one shard, the last
+            Rect((0.0, 0.0), (1.0, 1.0)),
+        ]
+        assert [len(smap.shards_for_window(win)) for win in windows] == [
+            1, 3, 1, 1, 1, 3,
+        ]
+        got = lattice_cluster.window_queries(windows)
+        assert len(got) == len(windows)
+        for window, rows in zip(windows, got):
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            assert rows.ndim == 2 and rows.shape[1] == 2
+            inside = lattice[window.contains_points(lattice)]
+            np.testing.assert_array_equal(_canon(rows), _canon(inside))
+        assert got[2].shape == got[3].shape == (0, 2)
+        assert len(got[1]) == len(lattice)
+
+    def test_knn_ties_across_a_shard_boundary_break_by_coordinates(
+        self, lattice_cluster, lattice
+    ):
+        smap = lattice_cluster.shard_map
+        step = 1.0 / _LATTICE_SIDE
+        ring = step * np.array([[-1, 0], [0, -1], [0, 1], [1, 0]])
+        interior = lattice[
+            ((lattice > 0) & (lattice < (_LATTICE_SIDE - 1) * step)).all(axis=1)
+        ]
+        # Queries whose four equidistant neighbours live on several shards.
+        straddling = np.array(
+            [q for q in interior if len(set(smap.shard_of_points(q + ring))) > 1]
+        )
+        assert len(straddling) >= 10
+        got = lattice_cluster.knn_queries(straddling, 5)
+        for q, rows in zip(straddling, got):
+            # Itself, then the ring at distance exactly `step`, ordered by
+            # (x, y) whichever shard each neighbour came from.
+            want = np.vstack([q, q + ring])
+            assert rows.tobytes() == want.tobytes()
+        # The general case against brute force (distance, then x, then y).
+        rng = np.random.default_rng(22)
+        queries = rng.uniform(0.0, 1.0, size=(40, 2))
+        for q, rows in zip(queries, lattice_cluster.knn_queries(queries, 7)):
+            diff = lattice - q
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            order = np.lexsort((lattice[:, 1], lattice[:, 0], dist))[:7]
+            np.testing.assert_array_equal(
+                np.sort(dist[order]),
+                np.sort(np.sqrt(((rows - q) ** 2).sum(axis=1))),
+            )
+            assert rows.shape == (7, 2) and rows.dtype == np.float64
 
 
 # ----------------------------------------------------------------------

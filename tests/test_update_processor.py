@@ -10,7 +10,7 @@ from repro.core.update_processor import (
     train_rebuild_predictor,
 )
 from repro.data import load_dataset
-from repro.indices import ZMIndex
+from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window
 from repro.spatial.rect import Rect
 
@@ -95,6 +95,51 @@ class TestQueryMerging:
         current = proc.current_points()
         assert len(current) == len(pts)  # one in, one out
         assert proc.n_effective == len(current)
+
+
+class TestNoPendingFastPath:
+    """With nothing pending, window and kNN batches are the base index's
+    answer itself; it must be the array the merge would have produced."""
+
+    @pytest.mark.parametrize(
+        "index_cls", [ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex]
+    )
+    def test_fast_path_equals_merge_path(
+        self, index_cls, osm_points, sp_builder, fast_config
+    ):
+        index = index_cls(builder=sp_builder).build(osm_points)
+        fast = UpdateProcessor(index, fast_config)
+        merging = UpdateProcessor(index, fast_config)
+        # One pending insert no window holds and no query is near forces
+        # the merge path without changing any answer.
+        merging.insert(np.array([50.0, 50.0]))
+        rng = np.random.default_rng(4)
+        centres = osm_points[rng.integers(0, len(osm_points), 24)]
+        windows = [Rect.centered(c, 0.05) for c in centres]
+        windows.append(Rect((2.0, 2.0), (3.0, 3.0)))  # empty answer
+        for got, want in zip(
+            fast.window_queries(windows), merging.window_queries(windows)
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        queries = np.vstack([centres, centres[:4] + 1e-3])
+        for k in (1, 10):
+            for got, want in zip(
+                fast.knn_queries(queries, k), merging.knn_queries(queries, k)
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    def test_deletion_alone_takes_the_merge_path(self, processor):
+        proc, pts = processor
+        proc.delete(pts[3])
+        assert not any(
+            np.array_equal(pts[3], row) for row in proc.knn_queries(pts[3:4], 5)[0]
+        )
+        window = Rect.centered(pts[3], 0.01)
+        assert not any(
+            np.array_equal(pts[3], row) for row in proc.window_queries([window])[0]
+        )
 
 
 class TestRebuild:

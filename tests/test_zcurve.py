@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ELSIConfig, ELSIModelBuilder
+from repro.indices import ZMIndex
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import grid_coordinates, morton_decode, morton_encode, zvalues
 
@@ -49,6 +53,112 @@ class TestEncodeDecode:
         # Fixing one coordinate, the code grows with the other.
         ys = morton_encode(np.column_stack([np.zeros(8, int), np.arange(8)]), bits=3)
         assert np.all(np.diff(ys.astype(np.int64)) > 0)
+
+
+def _bit_loop_encode(coords: np.ndarray, bits: int) -> np.ndarray:
+    """The encoder `morton_encode` replaced, kept as the reference: one
+    shift-mask-shift-or per bit per dimension."""
+    arr = np.asarray(coords).astype(np.uint64)
+    n, d = arr.shape
+    codes = np.zeros(n, dtype=np.uint64)
+    for bit in range(bits):
+        for dim in range(d):
+            codes |= ((arr[:, dim] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(
+                bit * d + dim
+            )
+    return codes
+
+
+@st.composite
+def _grids(draw):
+    """(coords, bits) for d in 1..5 and any bits with d * bits <= 63;
+    corner cells (0 and 2**bits - 1) are drawn often."""
+    d = draw(st.integers(1, 5))
+    bits = draw(st.integers(1, 63 // d))
+    top = 2**bits - 1
+    cell = st.one_of(st.integers(0, top), st.sampled_from([0, top]))
+    rows = draw(
+        st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=40)
+    )
+    return np.array(rows, dtype=np.int64), bits
+
+
+class TestTableDrivenEncode:
+    @given(_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bit_loop_and_round_trips(self, grid):
+        coords, bits = grid
+        codes = morton_encode(coords, bits=bits)
+        assert codes.dtype == np.uint64
+        np.testing.assert_array_equal(codes, _bit_loop_encode(coords, bits))
+        np.testing.assert_array_equal(
+            morton_decode(codes, d=coords.shape[1], bits=bits),
+            coords.astype(np.uint64),
+        )
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_every_bit_width_at_the_grid_corners(self, d):
+        # Every bits (not only multiples of 8) with d * bits <= 63.
+        for bits in range(1, 63 // d + 1):
+            top = 2**bits - 1
+            coords = np.array(list(itertools.product((0, 1, top // 2, top), repeat=d)))
+            np.testing.assert_array_equal(
+                morton_encode(coords, bits=bits), _bit_loop_encode(coords, bits)
+            )
+
+    def test_unsigned_and_small_integer_inputs(self):
+        coords = np.array([[255, 0], [7, 200]], dtype=np.uint8)
+        np.testing.assert_array_equal(
+            morton_encode(coords, bits=8), _bit_loop_encode(coords, 8)
+        )
+
+    @given(_grids())
+    @settings(max_examples=100, deadline=None)
+    def test_any_memory_layout(self, grid):
+        # np.vstack([x, y]).T, df[["x", "y"]].to_numpy() and column slices
+        # are not C-contiguous; the codes must not depend on the layout.
+        coords, bits = grid
+        expected = _bit_loop_encode(coords, bits)
+        wide = np.repeat(coords, 2, axis=1)
+        for laid_out in (
+            np.asfortranarray(coords),
+            np.ascontiguousarray(coords.T).T,
+            wide[:, ::2],
+            np.repeat(coords, 2, axis=0)[::2],
+        ):
+            np.testing.assert_array_equal(morton_encode(laid_out, bits=bits), expected)
+
+    def test_fortran_ordered_points_through_zvalues_and_zm(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.random(500), rng.random(500)
+        points_f = np.vstack([x, y]).T
+        assert not points_f.flags.c_contiguous
+        points_c = np.ascontiguousarray(points_f)
+        bounds = Rect.unit(2)
+        np.testing.assert_array_equal(
+            zvalues(points_f, bounds), zvalues(points_c, bounds)
+        )
+        builder = ELSIModelBuilder(ELSIConfig(train_epochs=20), method="SP")
+        index = ZMIndex(builder=builder).build(points_f)
+        assert index.point_queries(points_f).all()
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_range_and_shape_errors(self, d, data):
+        bits = data.draw(st.integers(1, 63 // d))
+        good = np.zeros((2, d), dtype=np.int64)
+        # 2**63 (d = 1, bits = 63) only fits an unsigned array.
+        for bad_cell, dtype in ((-1, np.int64), (2**bits, np.uint64)):
+            bad = good.astype(dtype)
+            bad[1, d - 1] = bad_cell
+            with pytest.raises(ValueError, match="must lie in"):
+                morton_encode(bad, bits=bits)
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            morton_encode(good[0], bits=bits)
+        with pytest.raises(ValueError, match="d \\* bits"):
+            morton_encode(good, bits=63 // d + 1)
+        with pytest.raises(ValueError, match="bits must be"):
+            morton_encode(good, bits=0)
 
 
 class TestGridScaling:
