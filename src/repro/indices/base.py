@@ -28,9 +28,11 @@ import numpy as np
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
+from repro.perf.batching import merge_ranges
 from repro.perf.executor import MapExecutor, resolve_executor
 from repro.perf.fused_infer import FUSION_DTYPES, resolve_dtype
 from repro.spatial.rect import Rect
+from repro.storage.blocks import BlockStore
 
 __all__ = [
     "BuildStats",
@@ -679,11 +681,13 @@ class LearnedSpatialIndex(ABC):
         """kNN via growing window queries (the paper's learned-index
         strategy), vectorised over a query batch.
 
-        Each query starts from a window sized for the expected k-point
-        density and doubles its side until at least k points fall inside
-        *and* the k-th distance is covered by the window's inradius (so no
-        closer point can be outside the window), or the window outgrows
-        twice the data extent (fewer than k points indexed: what exists).
+        Each query starts from the window :meth:`_knn_first_sides` gives it
+        and doubles its side until at least k points fall inside *and* the
+        k-th distance is covered by the window's inradius (so no closer
+        point can be outside the window), or the window outgrows twice the
+        data extent (fewer than k points indexed: what exists).  That test
+        alone decides the answers; the first side only decides how many
+        rounds and candidates they cost.
         One loop over *expansion rounds* is shared by the whole batch: each
         round gathers the active queries' window candidates, ranks every
         candidate in a single flattened distance computation + lexsort
@@ -702,50 +706,97 @@ class LearnedSpatialIndex(ABC):
         with _span("query.knn_batch", queries=b, k=k):
             return self._knn_batch_inner(pts, k)
 
+    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """Side of each query's first kNN window: the cube expected to hold
+        k points at the global density ``n / area``.  Indices with one
+        key-sorted store override this with :meth:`_knn_sides_from_store`."""
+        assert self.bounds is not None
+        volume = self.bounds.area()
+        density = self.n_points / volume if volume > 0 else self.n_points
+        return np.full(
+            len(pts), (k / max(density, 1e-12)) ** (1.0 / self.bounds.ndim)
+        )
+
+    def _knn_sides_from_store(
+        self, store: BlockStore, pts: np.ndarray, k: int
+    ) -> np.ndarray:
+        """First kNN window sides from each query's key-order neighbours.
+
+        The 2k rows around the query key's rank in ``store`` (all rows when
+        n < 2k) are indexed points, so the k-th smallest of their distances
+        bounds the true k-th distance from above: the window of that
+        half-side holds the whole answer and the driver's test passes in
+        round one (given exact windows).
+        """
+        n = len(store)
+        m = min(2 * k, n)
+        with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
+            rank = np.searchsorted(store.keys, self.map(pts))
+            lo = np.minimum(np.maximum(rank - k, 0), n - m)
+            if len(pts) == 1:
+                # A batch of one (every per-query call) is one contiguous
+                # scan, as in the batching kernels: no merge machinery.
+                near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
+            else:
+                near = store.points[lo[:, None] + np.arange(m)]
+                store.charge_block_reads(*merge_ranges(lo, lo + m))
+            self.query_stats.points_scanned += len(pts) * m
+            diff = near - pts[:, None, :]
+            dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+            kth = min(k, m) - 1
+            radius = np.partition(dist, kth, axis=1)[:, kth]
+            # A few ulps of slack at the coordinates' scale: rounding, in
+            # the distances or in ``q -+ radius``, must not put the
+            # neighbour that set the radius outside its own window.
+            radius += (np.abs(pts).max(axis=1) + radius) * 2.0**-50
+            return 2.0 * radius
+
     def _knn_batch_inner(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         b = len(pts)
         assert self.bounds is not None
-        d = self.bounds.ndim
-        volume = self.bounds.area()
-        density = self.n_points / volume if volume > 0 else self.n_points
-        side = np.full(b, (k / max(density, 1e-12)) ** (1.0 / d))
         max_side = float(self.bounds.extents.max()) * 2.0 + 1e-9
+        # Floored: a zero side (the query sits on k coincident points)
+        # could never double should an approximate window miss them.
+        side = np.maximum(self._knn_first_sides(pts, k), max_side * 1e-9)
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)
         while len(active):
             # One batched window call per expansion round: indices with a
             # fused window path (and a fused inference engine underneath)
             # answer every active query's candidate window in one pass.
+            centre = pts[active]
+            s = side[active]
+            half = (s / 2.0)[:, None]
             cand = self.window_queries(
-                [Rect.centered(pts[qi], float(side[qi])) for qi in active]
-            )
-            counts = np.array([len(c) for c in cand], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            if counts.sum():
-                flat = np.vstack([c for c in cand if len(c)])
-                owner = np.repeat(np.arange(len(active)), counts)
-                diff = flat - pts[active][owner]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                order = np.lexsort((dist, owner))
-                flat = flat[order]
-                dist = dist[order]
-            still: list[int] = []
-            for j, qi in enumerate(active):
-                c = int(counts[j])
-                s = float(side[qi])
-                start = int(offsets[j])
-                if c >= k:
-                    if dist[start + k - 1] <= s / 2.0 or s > max_side:
-                        results[qi] = flat[start : start + k].copy()
-                        continue
-                elif s > max_side:
-                    results[qi] = (
-                        flat[start : start + c].copy() if c else np.empty((0, d))
+                [
+                    Rect(tuple(lo), tuple(hi))
+                    for lo, hi in zip(
+                        (centre - half).tolist(), (centre + half).tolist()
                     )
-                    continue
-                still.append(int(qi))
-            if still:
-                side[still] *= 2.0
-            active = np.array(still, dtype=np.int64)
+                ]
+            )
+            counts = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            flat = np.concatenate(cand)
+            owner = np.repeat(np.arange(len(active)), counts)
+            diff = flat - centre[owner]
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            order = np.lexsort((dist, owner))
+            flat = flat[order]
+            dist = dist[order]
+            # k-th distance per query: inf with fewer than k candidates.
+            full = counts >= k
+            kth = np.full(len(active), np.inf)
+            kth[full] = dist[offsets[:-1][full] + k - 1]
+            # Retired: covered, or outgrown — spelt so that a NaN side (a
+            # non-finite query) counts as outgrown instead of never ending.
+            done = (kth <= s / 2.0) | ~(s <= max_side)
+            ends = offsets[:-1] + np.minimum(counts, k)
+            for qi, start, end in zip(
+                active[done].tolist(), offsets[:-1][done].tolist(), ends[done].tolist()
+            ):
+                results[qi] = flat[start:end]
+            active = active[~done]
+            side[active] *= 2.0
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]

@@ -289,6 +289,10 @@ class LISAIndex(LearnedSpatialIndex):
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)
 
+    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
+        assert self.store is not None
+        return self._knn_sides_from_store(self.store, pts, k)
+
     def indexed_points(self) -> np.ndarray:
         """Every indexed point in storage (key) order."""
         self._check_built()

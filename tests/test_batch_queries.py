@@ -166,14 +166,23 @@ class TestBatchKNN:
         assert indices["ZM"].knn_queries(np.empty((0, 2)), 5) == []
 
     def test_batch_knn_outside_bounds(self, indices, osm_points):
-        index = indices["ZM"]
-        # Outside the data bounds but within reach of the widest window.
+        # Outside the data bounds, near and farther than twice the data
+        # extent: ZM and LISA seed the first window from indexed points
+        # (their key-order neighbours), so it reaches the data from anywhere.
         near = np.array([[1.3, 1.2], [-0.4, 0.5]])
-        assert_knn("ZM", osm_points, near, 4, index.knn_queries(near, 4))
-        assert_knn("ZM", osm_points, near, 4, [index.knn_query(q, 4) for q in near])
-        # Farther than twice the data extent the expansion gives up: the
-        # window cap is the search's known limit, so the answer is empty.
-        far = np.array([[5.0, 5.0], [-3.0, 0.5]])
+        far = np.array([[5.0, 5.0], [-3.0, 0.5], [1e6, -1e6]])
+        for name in ("ZM", "LISA"):
+            index = indices[name]
+            for queries in (near, far):
+                assert_knn(name, osm_points, queries, 4, index.knn_queries(queries, 4))
+                assert_knn(
+                    name, osm_points, queries, 4, [index.knn_query(q, 4) for q in queries]
+                )
+        # RSMI (and Flood) size the first window from the global density and
+        # stop doubling at twice the data extent: that cap is their known
+        # limit, so near queries are answered and far ones come back empty.
+        index = indices["RSMI"]
+        assert_knn("RSMI", osm_points, near, 4, index.knn_queries(near, 4))
         assert all(len(got) == 0 for got in index.knn_queries(far, 4))
         assert all(len(index.knn_query(q, 4)) == 0 for q in far)
 

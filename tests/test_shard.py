@@ -689,6 +689,20 @@ class TestRouterContract:
             )
             assert rows.shape == (7, 2) and rows.dtype == np.float64
 
+    def test_knn_outside_every_shards_bounds_equals_brute_force(
+        self, lattice_cluster, lattice
+    ):
+        # Farther than twice the data extent from the data: each shard's
+        # first window is seeded from indexed points, so it still reaches
+        # them (the density-seeded search gave up and returned nothing).
+        queries = np.array([[5.0, 5.0], [-3.0, 0.5], [0.5, -40.0], [1e6, -1e6]])
+        got = lattice_cluster.knn_queries(queries, 6)
+        for q, rows in zip(queries, got):
+            diff = lattice - q
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            want = lattice[np.lexsort((lattice[:, 1], lattice[:, 0], dist))[:6]]
+            assert rows.dtype == np.float64 and rows.tobytes() == want.tobytes()
+
 
 # ----------------------------------------------------------------------
 # Wedged-worker recovery end to end (real processes)
