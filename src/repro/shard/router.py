@@ -22,11 +22,15 @@ and no step below runs once per query except slicing the answers apart.
   identical (tests compare canonicalised forms).
 - **kNN batches** — two-round scatter: round one asks each query's home
   shard for its k nearest; the kth distance bounds a ball, and round two
-  queries only the other shards whose key range intersects the ball's
+  asks only the other shards whose key range intersects the ball's
   bounding-rect interval (no such shard can hold anything closer than
-  the current kth candidate).  The global answer is the top k of the
-  union, ranked by distance with coordinates as the deterministic
-  tie-break.
+  the current kth candidate) — and asks them for that bounding rect as
+  a *window*, not for their own k nearest: whatever can still enter the
+  top k lies inside it, and a shard's k nearest to a point outside its
+  data cost tens of thousands of scanned rows a query.  Only a query
+  whose home shard held fewer than k points (no radius yet) asks the
+  others for their k nearest.  The global answer is the top k of the union, ranked
+  by distance with coordinates as the deterministic tie-break.
 
 Failure handling (the PR 7 vocabulary, per shard)
 -------------------------------------------------
@@ -455,33 +459,48 @@ class ShardRouter:
             "shard.scatter", kind="knn", n=b, k=k, shards=len(members)
         ) as sp:
             trace = self._trace_ctx(sp)
-            cand, owner = self._knn_round(pts, k, members, trace)
+            found = [self._knn_round(pts, k, members, trace)]
             if self.n_shards > 1:
                 # Round two: shards whose range intersects the ball of the
                 # kth candidate distance (everything, when round one came up
                 # short of k — the radius is unbounded then).
-                radius = _kth_distances(pts, cand, owner, k)[:, None]
+                radius = _kth_distances(pts, *found[0], k)[:, None]
                 first, last = self.shard_map.shard_spans(pts - radius, pts + radius)
                 members = _span_members(first, last, skip=home)
                 if members:
                     round2 = sum(len(rows) for rows in members.values())
                     self.registry.counter("router.knn_round2").inc(round2)
                     sp.set(round2=round2)
-                    more, more_owner = self._knn_round(pts, k, members, trace)
-                    cand = np.concatenate([cand, more])
-                    owner = np.concatenate([owner, more_owner])
+                    bounded = np.isfinite(radius[:, 0])
+                    balls, rest = _only(members, bounded), _only(members, ~bounded)
+                    if balls:
+                        found.append(self._knn_round(pts, k, balls, trace, radius))
+                    if rest:
+                        found.append(self._knn_round(pts, k, rest, trace))
+            cand = np.concatenate([c for c, _owner in found])
+            owner = np.concatenate([o for _c, o in found])
         out = _top_k(pts, cand, owner, k)
         self.slo.record("knn", time.perf_counter() - t0, count=b)
         return out
 
     def _knn_round(
-        self, pts: np.ndarray, k: int, members: "dict[int, np.ndarray]", trace
+        self, pts: np.ndarray, k: int, members: "dict[int, np.ndarray]", trace,
+        radius: "np.ndarray | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Ask each shard for the k nearest of its ``members`` rows of
-        ``pts``; returns every candidate and the query row it answers."""
-        calls = {
-            sid: ("knn_batch", pts[rows], k) for sid, rows in members.items()
-        }
+        ``pts`` — or, given their ``radius`` (round two), for what it holds
+        in the ball's bounding rect, a few ulps (at the coordinates' scale)
+        wider so that rounding in ``q -+ r`` cannot leave out a point at
+        exactly the kth distance, which may win the coordinate tie-break.
+        Returns every candidate and the query row it answers."""
+        if radius is None:
+            calls = {sid: ("knn_batch", pts[rows], k) for sid, rows in members.items()}
+        else:
+            reach = radius + (np.abs(pts).max(axis=1, keepdims=True) + radius) * 2.0**-50
+            lo, hi = pts - reach, pts + reach
+            calls = {
+                sid: ("window_batch", lo[rows], hi[rows]) for sid, rows in members.items()
+            }
         replies = self._scatter(calls, idempotent=True, trace=trace)
         cand = [replies[sid].rows for sid in members]
         owner = [
@@ -685,6 +704,12 @@ def _span_members(
         if len(rows):
             members[sid] = rows
     return members
+
+
+def _only(members: "dict[int, np.ndarray]", keep: np.ndarray) -> "dict[int, np.ndarray]":
+    """``members`` restricted to the rows where ``keep`` holds."""
+    kept = {sid: rows[keep[rows]] for sid, rows in members.items()}
+    return {sid: rows for sid, rows in kept.items() if len(rows)}
 
 
 def _distances(pts: np.ndarray, cand: np.ndarray, owner: np.ndarray) -> np.ndarray:

@@ -703,6 +703,36 @@ class TestRouterContract:
             want = lattice[np.lexsort((lattice[:, 1], lattice[:, 0], dist))[:6]]
             assert rows.dtype == np.float64 and rows.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k, round_two", [(5, "window_batch"), (700, "knn_batch")])
+    def test_knn_round_two_asks_for_the_ball_once_a_radius_is_known(
+        self, lattice_cluster, lattice, monkeypatch, k, round_two
+    ):
+        # A home shard that holds k points bounds the answer: the other
+        # shards are asked for the ball's bounding rect, not for their own
+        # k nearest (to a point outside their data: tens of thousands of
+        # rows scanned).  A home shard short of k (341 or 342 points each
+        # here) gives no radius, so the others are asked for their k nearest.
+        sent = []
+        request = ShardHandle.request
+
+        def recording(handle, command, *payload, **kwargs):
+            sent.append((command, len(payload[0])))
+            return request(handle, command, *payload, **kwargs)
+
+        monkeypatch.setattr(ShardHandle, "request", recording)
+        rng = np.random.default_rng(23)
+        queries = rng.uniform(-0.1, 1.1, size=(60, 2))  # off the lattice: no ties
+        got = lattice_cluster.knn_queries(queries, k)
+        homes = len(np.unique(lattice_cluster.shard_map.shard_of_points(queries)))
+        assert {command for command, _n in sent[:homes]} == {"knn_batch"}
+        assert sum(n for _command, n in sent[:homes]) == len(queries)
+        assert {command for command, _n in sent[homes:]} == {round_two}
+        for q, rows in zip(queries, got):
+            diff = lattice - q
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            want = lattice[np.lexsort((lattice[:, 1], lattice[:, 0], dist))[:k]]
+            assert rows.tobytes() == want.tobytes()
+
 
 # ----------------------------------------------------------------------
 # Wedged-worker recovery end to end (real processes)
