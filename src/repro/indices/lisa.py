@@ -267,17 +267,9 @@ class LISAIndex(LearnedSpatialIndex):
             r_own = np.concatenate(owner_parts)
             self.query_stats.points_scanned += int(np.maximum(r_hi - r_lo, 0).sum())
             with _span("query.refine", index=self.name, queries=w):
-                parts = batch_window_refine(
-                    self.store, r_lo, r_hi, lo_corners[r_own], hi_corners[r_own]
+                return batch_window_refine(
+                    self.store, r_lo, r_hi, lo_corners, hi_corners, owner=r_own
                 )
-            collected: list[list[np.ndarray]] = [[] for _ in range(w)]
-            for own, part in zip(r_own, parts):
-                if len(part):
-                    collected[own].append(part)
-            return [
-                np.vstack(chunks) if chunks else np.empty((0, d))
-                for chunks in collected
-            ]
 
     def _row_major(self, cell: tuple[int, ...]) -> float:
         """Row-major cell ID of integer cell coordinates."""

@@ -23,12 +23,24 @@ from repro.indices.base import LearnedSpatialIndex, ModelBuilder
 from repro.indices.rmi import RMIModel
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_point_membership, batch_window_refine
+from repro.perf.batching import (
+    batch_point_membership,
+    batch_window_refine,
+    cast_boundaries,
+)
 from repro.spatial.rect import Rect
-from repro.spatial.zcurve import zvalues
+from repro.spatial.zcurve import split_zranges, zvalues
 from repro.storage.blocks import BlockStore
 
 __all__ = ["ZMIndex"]
+
+#: Stored rows a skipped code gap must hold before a window's Z-interval is
+#: cut there: about what one more run costs ``batch_window_refine``.
+_MIN_GAP_ROWS = 64
+
+#: Rows the intervals still worth cutting must hold, summed over the batch,
+#: for one more splitting round: about what its fixed NumPy calls cost.
+_MIN_ROUND_ROWS = 16384
 
 
 class ZMIndex(LearnedSpatialIndex):
@@ -126,10 +138,12 @@ class ZMIndex(LearnedSpatialIndex):
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Vectorised batch window queries.
 
-        Two batched ``searchsorted`` calls over the cast key column give
-        every window's exact scan boundaries (no model pass, so no
+        Each window's corner codes bound one Z-interval, cut into the
+        sub-intervals worth scanning on their own (:meth:`_scan_runs`);
+        their boundaries are exact ranks from batched ``searchsorted``
+        calls over the cast key column (no model pass, so no
         ``model_invocations`` are charged), and one fused
-        rectangle-refinement kernel filters all windows' scan ranges
+        rectangle-refinement kernel filters every window's runs
         (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
@@ -140,14 +154,81 @@ class ZMIndex(LearnedSpatialIndex):
             w = len(windows)
             win_lo = np.vstack([win.lo_array for win in windows])
             win_hi = np.vstack([win.hi_array for win in windows])
-            z = self.map(np.vstack([win_lo, win_hi]))
+            assert self.bounds is not None
+            z = zvalues(np.vstack([win_lo, win_hi]), self.bounds, self.bits)
             with _span("query.refine", index=self.name, queries=w):
-                lo = np.searchsorted(self.store.keys, z[:w], side="left")
-                hi = np.searchsorted(self.store.keys, z[w:], side="right")
-                record_range_widths(self.name, lo, hi)
+                lo, hi, owner = self._scan_runs(z[:w], z[w:])
+                rows = hi - lo
+                record_range_widths(
+                    self.name, 0, rows if owner is None else np.bincount(owner, rows)
+                )
                 self.query_stats.queries += w
-                self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-                return batch_window_refine(self.store, lo, hi, win_lo, win_hi)
+                self.query_stats.points_scanned += int(rows.sum())
+                return batch_window_refine(self.store, lo, hi, win_lo, win_hi, owner)
+
+    def _scan_runs(
+        self, zlo: np.ndarray, zhi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Rank runs ``[lo, hi)`` covering every window's Z-interval, and
+        the window each run belongs to (``None``: one run per window).
+
+        ``[zlo, zhi]`` holds every code of the rect but mostly codes outside
+        it.  :func:`~repro.spatial.zcurve.split_zranges` cuts a rect's
+        interval in two around the codes its top differing bit skips, and
+        ``searchsorted`` says how many stored rows those codes hold, so the
+        loop is driven by the data, not by a depth or interval budget:
+
+        - an interval is cut only if the gap holds at least
+          ``_MIN_GAP_ROWS`` rows (what one more run costs the refinement
+          kernel), and only its halves are candidates for the next round;
+        - a round runs only while the candidates together hold at least
+          ``_MIN_ROUND_ROWS`` rows (what the round's fixed NumPy calls
+          cost), so a few small windows are scanned as one interval each.
+
+        Runs stay in Z order within a window and are disjoint in *rank*
+        space, since a cut needs at least one row between the two ranks:
+        LITMAX and BIGMIN can cast to one key (float32 keys; float64 above
+        2**53), and a row must not be scanned — and returned — twice.
+        """
+        assert self.store is not None
+        keys = self.store.keys
+        lo = np.searchsorted(keys, cast_boundaries(zlo, keys.dtype), side="left")
+        hi = np.searchsorted(keys, cast_boundaries(zhi, keys.dtype), side="right")
+        if int((hi - lo).sum()) < _MIN_ROUND_ROWS:
+            return lo, hi, None  # not even every interval together: no round
+        d = self.store.points.shape[1]
+        owner = live = np.arange(len(lo))
+        while True:
+            rows = hi[live] - lo[live]
+            worth = (rows >= _MIN_GAP_ROWS) & (zlo[live] < zhi[live])
+            live = live[worth]
+            if not len(live) or int(rows[worth].sum()) < _MIN_ROUND_ROWS:
+                break
+            litmax, bigmin = split_zranges(zlo[live], zhi[live], d)
+            r_lit = np.searchsorted(
+                keys, cast_boundaries(litmax, keys.dtype), side="right"
+            )
+            r_big = np.searchsorted(
+                keys, cast_boundaries(bigmin, keys.dtype), side="left"
+            )
+            # Codes that cast to one key give r_big <= r_lit: never a cut.
+            cut = r_big - r_lit >= _MIN_GAP_ROWS
+            if not cut.any():
+                break
+            live, litmax, bigmin = live[cut], litmax[cut], bigmin[cut]
+            r_lit, r_big = r_lit[cut], r_big[cut]
+            # Each cut interval becomes two adjacent entries, low half first;
+            # only these halves are candidates for the next round.
+            copies = np.ones(len(lo), dtype=np.int64)
+            copies[live] = 2
+            low = live + np.arange(len(live))
+            zlo, zhi, lo, hi, owner = (
+                np.repeat(a, copies) for a in (zlo, zhi, lo, hi, owner)
+            )
+            zhi[low], hi[low] = litmax, r_lit
+            zlo[low + 1], lo[low + 1] = bigmin, r_big
+            live = (low[:, None] + np.arange(2)).ravel()
+        return lo, hi, owner
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         return self._knn_by_expanding_window_batch(points, k)

@@ -12,11 +12,16 @@ replace both with single-pass vectorised refinement over the whole batch:
    are read and charged once, exactly as the previous per-group
    ``store.scan`` loop did, but without materialising the group slices
    (batch membership never used the gathered rows).
-2. **Fused gather + predicate**: every query's candidate run is flattened
-   into one row-index vector and refined with a *progressive* per-dimension
-   predicate — each dimension's comparison narrows the surviving rows before
-   the next gathers — instead of gathering an (n, d) slab and reducing with
-   ``np.all``.  Survivors are committed with one fancy-index assignment.
+2. **Fused gather + predicate** (point membership): every query's
+   candidate run is flattened into one row-index vector and refined with a
+   *progressive* per-dimension predicate — each dimension's comparison
+   narrows the surviving rows before the next gathers — instead of
+   gathering an (n, d) slab and reducing with ``np.all``.  Survivors are
+   committed with one fancy-index assignment.  **Slice copy + predicate**
+   (windows): scan runs are hundreds to thousands of rows long, so each
+   window's runs are copied as contiguous slices into one bounded,
+   column-major buffer and tested there against the window's scalar bounds
+   — no row-index vector at all.
 3. **Dtype-aware boundaries**: ``searchsorted`` runs in the store's key
    dtype.  Query-side boundary values are cast through the same
    round-to-nearest conversion the stored keys went through; because the
@@ -46,18 +51,11 @@ __all__ = [
     "merge_ranges",
 ]
 
-#: Flattened-run chunk bound for the window kernel: caps peak gather memory
-#: (row indices + per-dimension masks) while keeping each chunk big enough
-#: to amortise the NumPy dispatch overhead.
-_WINDOW_CHUNK_ROWS = 1 << 22
-
-#: Run length above which a window takes the contiguous-slice path instead
-#: of joining the flattened gather.  Long runs are dominated by the
-#: predicate itself, where contiguous column reads beat materialising an
-#: int64 row-index vector and fancy-gathering through it; short runs are
-#: dominated by per-window dispatch overhead, which the flattened kernel
-#: amortises across the whole batch.
-_SLICE_RUN_ROWS = 2048
+#: Rows of the window kernel's reused candidate buffer (1 MiB in 2-D):
+#: bounds its working memory whatever the scan runs hold, and is large
+#: enough that only a window scanning more rows than this pays for a second
+#: predicate pass.
+_REFINE_BUFFER_ROWS = 1 << 16
 
 
 def cast_boundaries(values: np.ndarray, key_dtype: np.dtype) -> np.ndarray:
@@ -211,115 +209,102 @@ def batch_point_membership(
     return out
 
 
+def _rows_in_rect(cols: np.ndarray, lo: list[float], hi: list[float]) -> np.ndarray:
+    """Rows inside the closed rect ``lo <= x <= hi``, in order, as a new
+    ``(m, d)`` array; ``cols`` holds them one dimension per row, ``(d, r)``."""
+    mask = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
+    for dim in range(1, len(cols)):
+        mask &= cols[dim] >= lo[dim]
+        mask &= cols[dim] <= hi[dim]
+    keep = mask.nonzero()[0]
+    out = np.empty((len(keep), len(cols)))
+    for dim in range(len(cols)):
+        out[:, dim] = cols[dim].take(keep)
+    return out
+
+
 def batch_window_refine(
     store: BlockStore,
     lo: np.ndarray,
     hi: np.ndarray,
     win_lo: np.ndarray,
     win_hi: np.ndarray,
+    owner: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Fused rectangle refinement over per-window scan ranges.
+    """Fused rectangle refinement over every window's scan runs.
 
     Replaces the per-window ``store.scan`` + ``Rect.contains_points`` loop
-    — the dominant cost of batch window queries at the 1e6-point scale —
-    with a hybrid single-pass kernel: windows with long scan runs
-    (>= ``_SLICE_RUN_ROWS``) narrow progressively over their contiguous
-    slice, and the remaining short runs are flattened into one gather and
-    refined with a shared per-dimension predicate.
+    with one kernel: a window's runs are copied, as contiguous slices of
+    the store, one after the other into a reused buffer, and the rectangle
+    predicate runs once over that segment with the window's bounds as
+    scalars.  No row-index vector is built and nothing is fancy-gathered —
+    a slice copy moves a row for about a fifth of what building and
+    gathering through an index costs (2.8 vs 15.6 ns on 400-row runs).
+    The buffer is column-major (the copy transposes), so every comparison
+    reads contiguous memory, and it is bounded (``_REFINE_BUFFER_ROWS``)
+    whatever the runs hold: a window with more rows is filtered a
+    bufferful at a time.
 
     Parameters
     ----------
     store:
-        Key-sorted store; block reads are charged per merged group.
+        Key-sorted store; block reads are charged per merged group of runs.
     lo, hi:
-        Per-window half-open scan ranges over the sorted order (already
-        exact boundary ranks or conservative supersets); clipped here.
+        Half-open scan runs over the sorted order (already exact boundary
+        ranks or conservative supersets); clipped here.
     win_lo, win_hi:
         (w, d) closed rectangle bounds per window, in float64.
+    owner:
+        The window each run belongs to, non-decreasing: a window's runs are
+        adjacent and in the order their rows are wanted, and a window may
+        have none.  Absent: run ``i`` is window ``i``'s only run.
 
-    Returns one ``(m_i, d)`` float64 array per window, rows in scan (key)
-    order — exactly what scanning and filtering each window individually
-    produces, because the flattened runs preserve scan order and the
+    Returns one ``(m_i, d)`` float64 array per window, rows in run order
+    and in scan (key) order within a run — exactly what scanning and
+    filtering each run on its own and stacking the pieces produces: the
     predicate is the same closed-interval test ``lo <= x <= hi``.
     """
-    n = len(store)
-    w = len(lo)
-    d = store.points.shape[1]
-    empty = np.empty((0, d))
-    if w == 0:
-        return []
     win_lo = np.asarray(win_lo, dtype=np.float64)
     win_hi = np.asarray(win_hi, dtype=np.float64)
-    if w == 1:
-        # Contiguity fast path: a single window is one contiguous slice
-        # (store.scan clips the range itself).
-        pts, _keys, _ids = store.scan(int(lo[0]), int(hi[0]))
-        if len(pts) == 0:
-            return [empty]
-        mask = np.ones(len(pts), dtype=bool)
-        for dim in range(d):
-            mask &= (pts[:, dim] >= win_lo[0, dim]) & (pts[:, dim] <= win_hi[0, dim])
-        return [pts[mask]]
+    w = len(win_lo)
+    if w == 0:
+        return []
+    bounds_lo, bounds_hi = win_lo.tolist(), win_hi.tolist()
+    if w == 1 and len(lo) == 1:
+        # A lone run is one contiguous slice already (store.scan clips it
+        # and charges its blocks): nothing to merge, nothing to copy.
+        seg = store.scan(int(lo[0]), int(hi[0]))[0]
+        return [_rows_in_rect(seg.T, bounds_lo[0], bounds_hi[0])]
 
+    points = store.points
+    n, d = points.shape
     lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
     hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     store.charge_block_reads(*merge_ranges(lo, hi))
-    counts = np.maximum(hi - lo, 0)
-    results: list[np.ndarray] = [empty] * w
-
-    # Long runs: progressive narrowing over the contiguous slice — the
-    # first dimension's predicate runs on a strided column view with
-    # scalar bounds (no row-index vector, no owner gathers), and later
-    # dimensions only touch its survivors.
-    big = np.flatnonzero(counts >= _SLICE_RUN_ROWS)
-    for i in big:
-        pts = store.points[lo[i] : hi[i]]
-        keep = np.flatnonzero(
-            (pts[:, 0] >= win_lo[i, 0]) & (pts[:, 0] <= win_hi[i, 0])
-        )
-        for dim in range(1, d):
-            vals = pts[keep, dim]
-            keep = keep[(vals >= win_lo[i, dim]) & (vals <= win_hi[i, dim])]
-            if len(keep) == 0:
-                break
-        if len(keep):
-            results[i] = pts[keep]
-    if len(big):
-        counts = counts.copy()
-        counts[big] = 0
-        if int(counts.sum()) == 0:
-            return results
-
-    # Chunk over windows so the flattened row vector stays bounded; each
-    # chunk is still thousands of windows at serving batch sizes.
-    boundaries = np.concatenate(([0], np.cumsum(counts)))
-    start = 0
-    while start < w:
-        end = start + 1
-        while end < w and boundaries[end + 1] - boundaries[start] <= _WINDOW_CHUNK_ROWS:
-            end += 1
-        chunk_counts = counts[start:end]
-        if int(chunk_counts.sum()) == 0:
-            start = end
-            continue
-        rows, owner = _flatten_runs(lo[start:end], chunk_counts)
-        owner += start
-        for dim in range(d):
-            keep = (store.points[rows, dim] >= win_lo[owner, dim]) & (
-                store.points[rows, dim] <= win_hi[owner, dim]
-            )
-            rows = rows[keep]
-            owner = owner[keep]
-            if len(rows) == 0:
-                break
-        if len(rows):
-            # owner is non-decreasing, so each window's survivors form one
-            # contiguous segment of `rows`, still in scan order.
-            hits = np.bincount(owner - start, minlength=end - start)
-            gathered = store.points[rows]
-            splits = np.cumsum(hits)[:-1]
-            for off, part in enumerate(np.split(gathered, splits)):
-                if len(part):
-                    results[start + off] = part
-        start = end
+    first = (
+        range(w + 1)
+        if owner is None
+        else np.searchsorted(owner, np.arange(w + 1)).tolist()
+    )
+    cap = min(int(np.maximum(hi - lo, 0).sum()), _REFINE_BUFFER_ROWS)
+    buf = np.empty((d, cap))
+    results: list[np.ndarray] = [np.empty((0, d))] * w
+    run_lo, run_hi = lo.tolist(), hi.tolist()
+    for i in range(w):
+        parts = []
+        fill = 0
+        for run in range(first[i], first[i + 1]):
+            a, b = run_lo[run], run_hi[run]
+            while a < b:
+                take = min(b - a, cap - fill)
+                buf[:, fill : fill + take] = points[a : a + take].T
+                a += take
+                fill += take
+                if fill == cap:
+                    parts.append(_rows_in_rect(buf, bounds_lo[i], bounds_hi[i]))
+                    fill = 0
+        if fill:
+            parts.append(_rows_in_rect(buf[:, :fill], bounds_lo[i], bounds_hi[i]))
+        if parts:
+            results[i] = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return results

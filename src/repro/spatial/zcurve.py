@@ -24,6 +24,7 @@ __all__ = [
     "grid_coordinates",
     "morton_decode",
     "morton_encode",
+    "split_zranges",
     "zvalues",
 ]
 
@@ -97,6 +98,52 @@ def morton_encode(coords: np.ndarray, bits: int = 16) -> np.ndarray:
             part <<= np.uint64(8 * j * d + dim)
             codes |= part
     return codes
+
+
+@lru_cache(maxsize=None)
+def _axis_masks(d: int) -> np.ndarray:
+    """``masks[dim]``: every bit position of a code that dimension ``dim``
+    owns (``dim``, ``dim + d``, ... below 64).  Read-only, one per ``d``."""
+    masks = np.array(
+        [sum(1 << pos for pos in range(dim, 64, d)) for dim in range(d)],
+        dtype=np.uint64,
+    )
+    masks.flags.writeable = False
+    return masks
+
+
+def split_zranges(
+    zlo: np.ndarray, zhi: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split grid rects at their top differing code bit: ``(LITMAX, BIGMIN)``.
+
+    ``zlo[i] < zhi[i]`` are the Morton codes of rect ``i``'s low and high
+    corners (``d`` dimensions, any ``bits`` with ``d * bits <= 63``).  The
+    most significant bit in which they differ belongs to one axis; the
+    plane where that coordinate bit turns from 0 to 1 cuts the rect in two,
+    and every cell of the rect has its code in ``[zlo, LITMAX]`` (the half
+    below the plane) or ``[BIGMIN, zhi]`` (the half above) — the codes in
+    between belong to cells outside the rect (Tropf & Herzog, 1981).
+    LITMAX is the low half's high corner — ``zhi`` with the split axis set
+    to ``0111...`` from that bit down — and BIGMIN the high half's low
+    corner, ``zlo`` with ``1000...`` there; all other bits stay, so the two
+    are a few mask operations on the codes, not a re-encoding.  Both halves
+    are rects again and can be split further.
+
+    Integer arithmetic throughout: the top bit is isolated by smearing
+    (codes above 2**53 have no exact float64 logarithm).
+    """
+    zlo = np.asarray(zlo, dtype=np.uint64)
+    zhi = np.asarray(zhi, dtype=np.uint64)
+    smear = zlo ^ zhi
+    for shift in (1, 2, 4, 8, 16, 32):
+        smear |= smear >> np.uint64(shift)
+    below = smear >> np.uint64(1)  # every bit under the top differing one
+    top = smear ^ below  # the top differing bit alone
+    masks = _axis_masks(d)
+    axis = masks[np.argmax((top[:, None] & masks) != 0, axis=1)]
+    axis &= below  # the split axis' bits under ``top``
+    return (zhi ^ top) | axis, (zlo | top) & ~axis
 
 
 def morton_decode(codes: np.ndarray, d: int, bits: int = 16) -> np.ndarray:

@@ -5,6 +5,7 @@ Algorithm 2's 2^d partitions, RL's eta^d grid); verify the stack beyond 2-d.
 import numpy as np
 import pytest
 
+import repro.indices.zm as zm
 from repro.baselines import KDBIndex
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
@@ -13,6 +14,7 @@ from repro.indices import MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_knn, brute_force_window
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
+from tests.brute import assert_knn, assert_windows
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,38 @@ class TestIndices3D:
             got = index.window_query(window)
             truth = brute_force_window(points_3d, window)
             assert len(got) == len(truth)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_zm_split_scan_equals_brute_force_3d(
+        self, points_3d, builder, exhaustive, monkeypatch
+    ):
+        """Three interleaved axes: the Z-interval split (shipped stopping
+        rules, and cutting at every gap) changes no window or kNN answer."""
+        if exhaustive:
+            monkeypatch.setattr(zm, "_MIN_GAP_ROWS", 1)
+            monkeypatch.setattr(zm, "_MIN_ROUND_ROWS", 0)
+        data = np.vstack([points_3d, points_3d[:40]])  # 40 rows stored twice
+        index = ZMIndex(builder=builder, bits=10).build(data)
+        runs = []
+        inner = index._scan_runs
+        monkeypatch.setattr(
+            index, "_scan_runs", lambda *a: runs.append(inner(*a)) or runs[-1]
+        )
+        mid = (index.bounds.lo_array + index.bounds.hi_array) / 2.0
+        rng = np.random.default_rng(2)
+        windows = [
+            Rect.centered(mid, 0.01),  # straddles the top-level octant planes
+            Rect.centered(mid, 0.4),
+            Rect(tuple(mid - [0.3, 0.01, 0.3]), tuple(mid + [0.3, 0.01, 0.3])),
+            Rect(tuple(data[5]), tuple(data[5])),  # zero extent, stored twice
+            Rect((-1.0,) * 3, (2.0,) * 3),  # whole space and more
+            Rect((1.5,) * 3, (2.0,) * 3),  # outside
+            *(Rect.centered(data[i], 0.15) for i in rng.integers(0, len(data), 40)),
+        ]
+        assert_windows("ZM", data, windows, index.window_queries(windows))
+        assert len(runs[0][0]) > len(windows)  # intervals were cut
+        queries = np.vstack([data[::300], mid, [1.4, 1.4, -0.2]])
+        assert_knn("ZM", data, queries, 7, index.knn_queries(queries, 7))
 
     def test_ml_knn_exact_3d(self, points_3d, builder):
         index = MLIndex(builder=builder, n_references=8).build(points_3d)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from repro.core import ELSIConfig, ELSIModelBuilder
 from repro.indices import ZMIndex
 from repro.spatial.rect import Rect
-from repro.spatial.zcurve import grid_coordinates, morton_decode, morton_encode, zvalues
+from repro.spatial.zcurve import (
+    grid_coordinates,
+    morton_decode,
+    morton_encode,
+    split_zranges,
+    zvalues,
+)
 
 
 class TestEncodeDecode:
@@ -159,6 +165,97 @@ class TestTableDrivenEncode:
             morton_encode(good, bits=63 // d + 1)
         with pytest.raises(ValueError, match="bits must be"):
             morton_encode(good, bits=0)
+
+
+@st.composite
+def _small_rects(draw):
+    """(lo, hi, bits): a grid rect of at most 4 cells per axis, d in 1..4,
+    any ``bits`` with ``d * bits <= 63``.  It is anchored at the origin, at
+    the far corner (top code bit set: bit 62 when ``d * bits == 63``) or
+    around a power-of-two plane, where corner codes differ in a high bit."""
+    d = draw(st.integers(1, 4))
+    bits = draw(st.integers(1, 63 // d))
+    top = 2**bits - 1
+    lo, hi = [], []
+    for _ in range(d):
+        extent = draw(st.integers(0, min(3, top)))
+        plane = 2 ** draw(st.integers(0, bits))
+        anchor = draw(
+            st.one_of(
+                st.integers(0, top),
+                st.sampled_from([0, top, plane - 1, plane - 2, plane])
+            )
+        )
+        start = min(max(anchor - draw(st.integers(0, extent)), 0), top - extent)
+        lo.append(start)
+        hi.append(start + extent)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), bits
+
+
+class TestSplitZRanges:
+    @given(_small_rects())
+    @settings(max_examples=400, deadline=None)
+    def test_intervals_cover_the_rect_in_ascending_disjoint_order(self, rect):
+        lo, hi, bits = rect
+        d = len(lo)
+        cells = np.array(
+            list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+        )
+        cell_codes = morton_encode(cells, bits=bits)
+        # Split every interval that still spans more than one code, in
+        # place (low half first), for a few rounds.
+        zlo = morton_encode(lo[None, :], bits=bits)
+        zhi = morton_encode(hi[None, :], bits=bits)
+        for _ in range(4):
+            wide = np.flatnonzero(zlo < zhi)
+            if not len(wide):
+                break
+            litmax, bigmin = split_zranges(zlo[wide], zhi[wide], d)
+            assert litmax.dtype == bigmin.dtype == np.uint64
+            # (LITMAX, BIGMIN) are the codes of the two corners on either
+            # side of the cutting plane, worked out in coordinates here.
+            for i, lit, big in zip(wide, litmax.tolist(), bigmin.tolist()):
+                c_lo = morton_decode(zlo[i : i + 1], d, bits)[0].astype(np.int64)
+                c_hi = morton_decode(zhi[i : i + 1], d, bits)[0].astype(np.int64)
+                bit = (int(zlo[i]) ^ int(zhi[i])).bit_length() - 1
+                axis, level = bit % d, bit // d
+                plane = (int(c_hi[axis]) >> level) << level
+                below, above = c_hi.copy(), c_lo.copy()
+                below[axis], above[axis] = plane - 1, plane
+                assert lit == int(morton_encode(below[None, :], bits=bits)[0])
+                assert big == int(morton_encode(above[None, :], bits=bits)[0])
+            copies = np.ones(len(zlo), dtype=np.int64)
+            copies[wide] = 2
+            low = wide + np.arange(len(wide))
+            zlo, zhi = np.repeat(zlo, copies), np.repeat(zhi, copies)
+            zhi[low], zlo[low + 1] = litmax, bigmin
+        assert np.all(zlo <= zhi)
+        assert np.all(zhi[:-1] < zlo[1:])  # ascending and disjoint
+        held = (cell_codes[:, None] >= zlo) & (cell_codes[:, None] <= zhi)
+        assert held.any(axis=1).all()  # every cell of the rect is kept
+        # Tight: every interval starts and ends on a cell of the rect.
+        assert np.isin(zlo, cell_codes).all() and np.isin(zhi, cell_codes).all()
+
+    @pytest.mark.parametrize("d, bits", [(1, 63), (3, 21), (2, 31), (4, 15)])
+    def test_codes_beyond_float64_precision(self, d, bits):
+        # Corners whose codes agree in the top bits and differ only in the
+        # lowest 3 * d: where those lie under a float64's 53-bit mantissa,
+        # it cannot tell the two codes apart.
+        top = 2**bits - 1
+        lo = np.full((1, d), top - 5, dtype=np.int64)
+        hi = np.full((1, d), top, dtype=np.int64)
+        zlo, zhi = morton_encode(lo, bits=bits), morton_encode(hi, bits=bits)
+        assert int(zhi[0]) >> (d * bits - 1) == 1
+        if d * bits - 53 >= 3 * d:
+            assert float(zlo[0]) == float(zhi[0])
+        litmax, bigmin = split_zranges(zlo, zhi, d)
+        # top - 5 = ...11010 and top = ...11111 first differ in bit 2 of
+        # the last axis: the plane is at coordinate top - 3.
+        below, above = hi.copy(), lo.copy()
+        below[0, d - 1], above[0, d - 1] = top - 4, top - 3
+        assert litmax[0] == morton_encode(below, bits=bits)[0]
+        assert bigmin[0] == morton_encode(above, bits=bits)[0]
+        assert zlo[0] < litmax[0] < bigmin[0] < zhi[0]
 
 
 class TestGridScaling:
