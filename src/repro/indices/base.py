@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from repro.ml.ffn import FFN
+from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
 from repro.perf.batching import merge_ranges
@@ -53,6 +54,10 @@ BOUND_CHUNK = 32_768
 
 # A base index's map() for one partition: coordinates -> mapped keys.
 MapFn = Callable[[np.ndarray], np.ndarray]
+
+#: Net classes a snapshot can hold, by the name :meth:`TrainedModel.state_dict`
+#: tags them with.
+_NET_TYPES = {cls.__name__: cls for cls in (FFN, PiecewiseLinearModel)}
 
 
 @dataclass
@@ -241,6 +246,34 @@ class TrainedModel:
     def error_width(self) -> int:
         """``err_l + err_u`` — the paper's |Error| column in Table I."""
         return self.err_l + self.err_u
+
+    # ------------------------------------------------------------------
+    #: The constructor's arguments after ``net``, in order: with the net
+    #: and the measured bounds, a model's durable state.
+    _INIT_FIELDS = ("key_lo", "key_hi", "n_indexed", "method_name", "train_set_size")
+
+    def state_dict(self) -> dict:
+        """Durable state: the net, the normalisation range and the measured
+        bounds — a stored model is only safe to scan from because its
+        bounds travel with it."""
+        net_type = type(self.net).__name__
+        if net_type not in _NET_TYPES:
+            raise TypeError(f"cannot persist model net of type {net_type}")
+        state = {"net_type": net_type, "net": self.net.state_dict()}
+        for name in (*self._INIT_FIELDS, "err_l", "err_u"):
+            state[name] = getattr(self, name)
+        return state
+
+    @classmethod
+    def from_state(cls, state: dict) -> "TrainedModel":
+        """Rebuild a model from :meth:`state_dict` output."""
+        if state["net_type"] not in _NET_TYPES:
+            raise ValueError(f"unknown net type {state['net_type']!r}")
+        net = _NET_TYPES[state["net_type"]].from_state(state["net"])
+        model = cls(net, *(state[name] for name in cls._INIT_FIELDS))
+        model.err_l = state["err_l"]
+        model.err_u = state["err_u"]
+        return model
 
 
 def _bound_chunk(job: tuple["TrainedModel", int, np.ndarray]) -> tuple[int, int]:
@@ -593,6 +626,9 @@ class LearnedSpatialIndex(ABC):
 
     name: str = "base"
 
+    #: Constructor parameters a snapshot carries (``block_size`` aside).
+    state_params: tuple[str, ...] = ()
+
     def __init__(self, builder: ModelBuilder | None = None, block_size: int = 100) -> None:
         self.builder = builder or OriginalBuilder()
         self.block_size = block_size
@@ -600,6 +636,9 @@ class LearnedSpatialIndex(ABC):
         self.query_stats = QueryStats()
         self.bounds: Rect | None = None
         self.n_points = 0
+        #: Built-in insertions since the build, for the indices that widen
+        #: every scan range by this count instead of retraining.
+        self._native_inserts = 0
         #: Storage dtype for mapped keys — follows the builder's model
         #: precision (one knob: ``ELSIConfig.dtype`` / ``REPRO_DTYPE``), so
         #: float32 models index float32 key columns with bounds measured
@@ -660,6 +699,55 @@ class LearnedSpatialIndex(ABC):
     @abstractmethod
     def map(self, points: np.ndarray) -> np.ndarray:
         """The base index's map(): coordinates to one-dimensional keys."""
+
+    # ------------------------------------------------------------------
+    # Durable state (what :mod:`repro.storage.persist` writes and reads)
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _structure_state(self) -> dict:
+        """The index-specific part of :meth:`state_dict`: stores, models
+        and mapping parameters, as a tree of dicts, lists, scalars and
+        ndarrays.  Derived state (fused inference engines) is left out."""
+
+    @abstractmethod
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        """Rebuild what :meth:`_structure_state` described, derived state
+        included, and return one stored key column."""
+
+    def state_dict(self) -> dict:
+        """The built index's durable state as one plain tree."""
+        if self.bounds is None:
+            raise ValueError("the index must be built before saving")
+        return {
+            "params": {p: getattr(self, p) for p in ("block_size", *self.state_params)},
+            "bounds": [self.bounds.lo, self.bounds.hi],
+            "n_points": self.n_points,
+            "native_inserts": self._native_inserts,
+            **self._structure_state(),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "LearnedSpatialIndex":
+        """An index equal to the one :meth:`state_dict` described,
+        queryable immediately (under a default builder)."""
+        params = state["params"]
+        undeclared = sorted(set(params) - {"block_size", *cls.state_params})
+        if undeclared:
+            raise ValueError(
+                f"{cls.name} takes no constructor parameter {undeclared[0]!r}"
+            )
+        index = cls(**params)
+        index.bounds = Rect.from_arrays(*state["bounds"])
+        index.n_points = state["n_points"]
+        index._native_inserts = state["native_inserts"]
+        keys = index._restore_structure(state)
+        if np.issubdtype(keys.dtype, np.floating):
+            # The stored quantisation is authoritative: probe keys must go
+            # through the cast the stored keys did at build time, whatever
+            # ``REPRO_DTYPE`` the loading process runs under — otherwise
+            # equal coordinates would map to unequal keys and lookups miss.
+            index.key_dtype = keys.dtype
+        return index
 
     # ------------------------------------------------------------------
     def _check_built(self) -> None:

@@ -52,6 +52,7 @@ class FloodIndex(LearnedSpatialIndex):
     """
 
     name = "Flood"
+    state_params = ("n_columns",)
 
     def __init__(
         self,
@@ -198,8 +199,8 @@ class FloodIndex(LearnedSpatialIndex):
     def _fuse_columns(self) -> "FusedInferenceEngine | None":
         """Stack the column models into one fused batch-prediction engine.
 
-        Called at the end of :meth:`build` and again by the persistence
-        loader (the engine is derived state, never saved).  Batch queries
+        Called at the end of :meth:`build` and of :meth:`_restore_structure`
+        (the engine is derived state, never saved).  Batch queries
         touching many columns then cost one grouped einsum per layer
         instead of one FFN forward pass per visited column.
         """
@@ -224,6 +225,25 @@ class FloodIndex(LearnedSpatialIndex):
             self._engine = engine
             self._col_to_midx = col_to_midx
         return engine
+
+    def _structure_state(self) -> dict:
+        return {
+            "column_edges": self._column_edges,
+            "columns": [
+                None
+                if store is None
+                else {"store": store.state_dict(), "model": model.state_dict()}
+                for store, model in zip(self._stores, self._models)
+            ],
+        }
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        self._column_edges = state["column_edges"]
+        columns = state["columns"]
+        self._stores = [c and BlockStore.from_state(c["store"]) for c in columns]
+        self._models = [c and TrainedModel.from_state(c["model"]) for c in columns]
+        self._fuse_columns()
+        return next(store.keys for store in self._stores if store is not None)
 
     # ------------------------------------------------------------------
     # Queries

@@ -47,6 +47,7 @@ class LISAIndex(LearnedSpatialIndex):
     """
 
     name = "LISA"
+    state_params = ("grid_size", "shard_size")
 
     def __init__(
         self,
@@ -66,9 +67,6 @@ class LISAIndex(LearnedSpatialIndex):
         self._weights: np.ndarray | None = None
         self.store: BlockStore | None = None
         self.model: RMIModel | None = None
-        #: Built-in insertions since the build (LISA adds points to pages
-        #: by predicted shard ID; pages overflow and scans lengthen).
-        self._native_inserts = 0
 
     # ------------------------------------------------------------------
     # Mapping
@@ -154,6 +152,21 @@ class LISAIndex(LearnedSpatialIndex):
         # methods that synthesise new points cannot be used: no map_fn.
         self.model.fit(self.store.keys, self.store.points, self.build_stats)
         return self
+
+    def _structure_state(self) -> dict:
+        return {
+            "boundaries": self._boundaries,
+            "weights": self._weights,
+            "store": self.store.state_dict(),
+            "model": self.model.state_dict(),
+        }
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        self._boundaries = state["boundaries"]
+        self._weights = state["weights"]
+        self.store = BlockStore.from_state(state["store"])
+        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
+        return self.store.keys
 
     def insert(self, point: np.ndarray) -> None:
         self._check_built()

@@ -78,6 +78,7 @@ class MLIndex(LearnedSpatialIndex):
     """
 
     name = "ML"
+    state_params = ("n_references", "branching", "seed")
 
     def __init__(
         self,
@@ -94,9 +95,6 @@ class MLIndex(LearnedSpatialIndex):
         self.mapping: IDistanceMapping | None = None
         self.store: BlockStore | None = None
         self.model: RMIModel | None = None
-        #: Built-in insertions since the build ("extra data pages" in the
-        #: paper); scan ranges widen by this count.
-        self._native_inserts = 0
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
@@ -127,6 +125,22 @@ class MLIndex(LearnedSpatialIndex):
             self.store.keys, self.store.points, self.build_stats, map_fn=self.map
         )
         return self
+
+    def _structure_state(self) -> dict:
+        return {
+            "references": self.mapping.references,
+            "stretch": self.mapping.stretch,
+            "store": self.store.state_dict(),
+            "model": self.model.state_dict(),
+        }
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        self.mapping = IDistanceMapping(
+            references=state["references"], stretch=state["stretch"]
+        )
+        self.store = BlockStore.from_state(state["store"])
+        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
+        return self.store.keys
 
     # ------------------------------------------------------------------
     def insert(self, point: np.ndarray) -> None:

@@ -148,8 +148,8 @@ class RMIModel:
     def fuse_inference(self, sorted_keys: np.ndarray) -> "FusedInferenceEngine | None":
         """Stack the stage-2 leaves into a fused batch-prediction engine.
 
-        Called at the end of :meth:`fit` and again by the persistence
-        loaders (the engine itself is derived state and is not saved).
+        Called at the end of :meth:`fit` and of :meth:`from_state` (the
+        engine itself is derived state and is not saved).
         Returns the engine, or ``None`` with the rejection reason counted
         when the leaves cannot share one compute path.
         """
@@ -188,6 +188,38 @@ class RMIModel:
         self._fused_offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
         self._fused_members = members
         return engine
+
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Durable state: the member models and each branch's positions
+        (a branch that reuses stage 1 is stored as ``None``)."""
+        return {
+            "branching": self.branching,
+            "n": self.n,
+            "stage1": self.stage1.state_dict(),
+            "stage2": [
+                None if member is self.stage1 else member.state_dict()
+                for member in self.stage2
+            ],
+            "stage2_positions": self._stage2_positions,
+        }
+
+    @classmethod
+    def from_state(
+        cls, state: dict, builder: ModelBuilder, sorted_keys: np.ndarray
+    ) -> "RMIModel":
+        """Rebuild the hierarchy over ``sorted_keys`` and re-fuse it (with
+        freshly re-measured fused bounds)."""
+        rmi = cls(builder, branching=state["branching"])
+        rmi.n = state["n"]
+        rmi.stage1 = TrainedModel.from_state(state["stage1"])
+        rmi.stage2 = [
+            rmi.stage1 if member is None else TrainedModel.from_state(member)
+            for member in state["stage2"]
+        ]
+        rmi._stage2_positions = state["stage2_positions"]
+        rmi.fuse_inference(sorted_keys)
+        return rmi
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         """Stage-2 branch per key, from the stage-1 position prediction."""

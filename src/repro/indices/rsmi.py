@@ -64,6 +64,38 @@ class _Node:
     def is_leaf(self) -> bool:
         return self.store is not None
 
+    def state_dict(self) -> dict:
+        """This node and its subtree — insertion-widened leaves
+        (``inserts``) and the unbalanced subtrees built-in insertion
+        produces included."""
+        return {
+            "bounds": [self.bounds.lo, self.bounds.hi],
+            "model": self.model.state_dict(),
+            "n": self.n,
+            "children": [
+                None if child is None else child.state_dict()
+                for child in self.children
+            ],
+            "store": None if self.store is None else self.store.state_dict(),
+            "depth": self.depth,
+            "inserts": self.inserts,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "_Node":
+        return cls(
+            bounds=Rect.from_arrays(*state["bounds"]),
+            model=TrainedModel.from_state(state["model"]),
+            n=state["n"],
+            children=[
+                None if child is None else cls.from_state(child)
+                for child in state["children"]
+            ],
+            store=None if state["store"] is None else BlockStore.from_state(state["store"]),
+            depth=state["depth"],
+            inserts=state["inserts"],
+        )
+
 
 class RSMIIndex(LearnedSpatialIndex):
     """The RSMI learned spatial index.
@@ -79,6 +111,7 @@ class RSMIIndex(LearnedSpatialIndex):
     """
 
     name = "RSMI"
+    state_params = ("leaf_capacity", "fanout", "bits")
 
     def __init__(
         self,
@@ -109,6 +142,15 @@ class RSMIIndex(LearnedSpatialIndex):
             self.root = self._build_subtree(pts, self.bounds, depth=0)
             build_span.set(models=self.n_models(), depth=self.depth())
         return self
+
+    def _structure_state(self) -> dict:
+        return {"root": self.root.state_dict()}
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        node = self.root = _Node.from_state(state["root"])
+        while node.store is None:
+            node = next(child for child in node.children if child is not None)
+        return node.store.keys
 
     def _node_keys(self, points: np.ndarray, bounds: Rect) -> np.ndarray:
         """Morton codes local to the node's bounding box.

@@ -58,6 +58,7 @@ class ZMIndex(LearnedSpatialIndex):
     """
 
     name = "ZM"
+    state_params = ("bits", "branching")
 
     def __init__(
         self,
@@ -71,9 +72,6 @@ class ZMIndex(LearnedSpatialIndex):
         self.branching = branching
         self.store: BlockStore | None = None
         self.model: RMIModel | None = None
-        #: Built-in insertions since the build; scan ranges widen by this
-        #: count to keep predict-and-scan correct without retraining.
-        self._native_inserts = 0
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
@@ -103,6 +101,14 @@ class ZMIndex(LearnedSpatialIndex):
             self.store.keys, self.store.points, self.build_stats, map_fn=self.map
         )
         return self
+
+    def _structure_state(self) -> dict:
+        return {"store": self.store.state_dict(), "model": self.model.state_dict()}
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        self.store = BlockStore.from_state(state["store"])
+        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
+        return self.store.keys
 
     # ------------------------------------------------------------------
     def insert(self, point: np.ndarray) -> None:

@@ -143,14 +143,11 @@ class FFN:
         return loss, [g for g in grads if g is not None]
 
     # ------------------------------------------------------------------
-    # (De)serialisation — used by the MR pre-trained model pool
+    # (De)serialisation — the MR pre-trained model pool and index snapshots
     # ------------------------------------------------------------------
     def copy(self) -> "FFN":
         """Deep copy of the network (weights included)."""
-        clone = FFN(self.layer_sizes)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return FFN.from_state(self.state_dict())
 
     def astype(self, dtype) -> "FFN":
         """Cast every parameter to ``dtype`` in place; returns self.
@@ -171,6 +168,20 @@ class FFN:
             state[f"w{i}"] = w.copy()
             state[f"b{i}"] = b.copy()
         return state
+
+    @classmethod
+    def from_state(cls, state: dict[str, np.ndarray]) -> "FFN":
+        """Rebuild a network from :meth:`state_dict` output as stored.
+
+        The layer sizes come from the weight shapes and the arrays keep
+        their dtype, so a float32-cast network (``ELSIConfig.dtype``)
+        predicts under the precision its error bounds were measured in.
+        """
+        weights = [state[f"w{i}"] for i in range(len(state) // 2)]
+        net = cls([len(weights[0])] + [w.shape[1] for w in weights])
+        net.weights = weights
+        net.biases = [state[f"b{i}"] for i in range(len(weights))]
+        return net
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore parameters from :meth:`state_dict` output."""

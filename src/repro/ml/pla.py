@@ -17,28 +17,9 @@ A :class:`PiecewiseLinearModel` quacks like the FFN for prediction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["PiecewiseLinearModel", "fit_pla"]
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """One linear piece: valid from ``start`` (key space).
-
-    Evaluated in anchor form ``y = slope * (x - anchor_x) + anchor_y``
-    rather than slope/intercept form: when two keys sit a few ulps apart
-    the corridor slope can reach ~1e15, and ``anchor_y - slope * anchor_x``
-    would cancel catastrophically (the intercept's ulp dwarfs epsilon).
-    Anchor form keeps every rounding at the scale of the y-range.
-    """
-
-    start: float
-    slope: float
-    anchor_x: float
-    anchor_y: float
 
 
 class PiecewiseLinearModel:
@@ -46,21 +27,48 @@ class PiecewiseLinearModel:
 
     Use :func:`fit_pla` to construct.  ``predict`` matches the FFN call
     convention (2-D input, per-row output).
+
+    Segment ``i`` is valid from ``starts[i]`` (key space) and evaluated in
+    anchor form ``y = slope * (x - anchor_x) + anchor_y`` rather than
+    slope/intercept form: when two keys sit a few ulps apart the corridor
+    slope can reach ~1e15, and ``anchor_y - slope * anchor_x`` would cancel
+    catastrophically (the intercept's ulp dwarfs epsilon).  Anchor form
+    keeps every rounding at the scale of the y-range.
     """
 
-    def __init__(self, segments: list[_Segment], epsilon: float) -> None:
-        if not segments:
+    def __init__(self, starts, slopes, anchors_x, anchors_y, epsilon: float) -> None:
+        if len(starts) == 0:
             raise ValueError("a PLA needs at least one segment")
-        self.segments = segments
         self.epsilon = epsilon
-        self._starts = np.array([s.start for s in segments])
-        self._slopes = np.array([s.slope for s in segments])
-        self._anchors_x = np.array([s.anchor_x for s in segments])
-        self._anchors_y = np.array([s.anchor_y for s in segments])
+        self._starts = np.array(starts, dtype=np.float64)
+        self._slopes = np.array(slopes, dtype=np.float64)
+        self._anchors_x = np.array(anchors_x, dtype=np.float64)
+        self._anchors_y = np.array(anchors_y, dtype=np.float64)
+
+    def state_dict(self) -> dict:
+        """Durable state: the constructor's arguments."""
+        return {
+            "starts": self._starts,
+            "slopes": self._slopes,
+            "anchors_x": self._anchors_x,
+            "anchors_y": self._anchors_y,
+            "epsilon": self.epsilon,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "PiecewiseLinearModel":
+        """Rebuild a model from :meth:`state_dict` output."""
+        return cls(
+            state["starts"],
+            state["slopes"],
+            state["anchors_x"],
+            state["anchors_y"],
+            state["epsilon"],
+        )
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self._starts)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Per-row prediction; accepts (n,), (n, 1) like the FFN."""
@@ -98,7 +106,7 @@ def fit_pla(
     if np.any(np.diff(x) < 0):
         raise ValueError("keys must be sorted ascending")
 
-    segments: list[_Segment] = []
+    segments: list[tuple[float, float, float, float]] = []
     anchor_x, anchor_y = x[0], y[0]
     lo, hi = -np.inf, np.inf
     start = x[0]
@@ -112,9 +120,7 @@ def fit_pla(
             slope = hi
         else:
             slope = lo / 2.0 + hi / 2.0  # avoids overflow of (lo + hi)
-        segments.append(
-            _Segment(start=start, slope=slope, anchor_x=anchor_x, anchor_y=anchor_y)
-        )
+        segments.append((start, slope, anchor_x, anchor_y))
 
     # Gaps too small to divide by without overflow behave as duplicates.
     tiny = np.finfo(np.float64).tiny * 4.0
@@ -142,4 +148,4 @@ def fit_pla(
             lo, hi = -np.inf, np.inf
             start = x[i]
     close_segment(len(x) - 1)
-    return PiecewiseLinearModel(segments, epsilon)
+    return PiecewiseLinearModel(*np.array(segments).T, epsilon)

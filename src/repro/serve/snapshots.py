@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import re
 import zipfile
+import zlib
 from pathlib import Path
 
 from repro.faults.registry import InjectedFault, fault_check
@@ -43,13 +44,16 @@ _SNAPSHOT_RE = re.compile(r"^gen-(\d+)\.npz$")
 _TMP_RE = re.compile(r"^\.gen-(\d+)\.tmp\.npz$")
 
 #: Exceptions that mean "this snapshot file is unusable" (as opposed to a
-#: programming error): truncated archives, bad zip members, garbage meta.
+#: programming error): truncated archives, bad zip members, damage inside
+#: a deflate stream, garbage meta.  ``persist.OldFormatError`` is not one
+#: of them: a file in a retired format is intact, so it propagates.
 _LOAD_ERRORS = (
     OSError,
     ValueError,
     KeyError,
     EOFError,
     zipfile.BadZipFile,
+    zlib.error,
 )
 
 
@@ -123,7 +127,9 @@ class SnapshotManager:
 
         With no explicit generation, corrupt snapshots are quarantined
         and the loader falls back to the next-older generation; raises
-        ``FileNotFoundError`` only when no snapshot loads at all.  An
+        ``FileNotFoundError`` only when no snapshot loads at all.  A
+        snapshot in a retired format is not corrupt: its
+        ``OldFormatError`` propagates and the file stays where it is.  An
         explicit ``generation`` is strict: load errors propagate.
 
         Returns ``(index, generation)``.

@@ -7,16 +7,15 @@ returns a plain JSON-able dict.
 
 The instruments live in a per-server :class:`~repro.obs.metrics.MetricsRegistry`
 (so two servers in one process never mix their counts) and are therefore
-also available in the registry's exporter formats —
-:meth:`ServerStats.export` / :meth:`ServerStats.export_text` — alongside
-the process-wide build/query metrics (``IndexServer.stats_snapshot``).
+also available in the registry's exporter formats
+(``ServerStats.registry.export()``, :meth:`ServerStats.export_text`)
+alongside the process-wide build/query metrics
+(``IndexServer.stats_snapshot``).
 """
 
 from __future__ import annotations
 
 import threading
-
-import numpy as np
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -63,9 +62,9 @@ class ServerStats:
     own counters so tests can assert the background machinery ran.
 
     All instruments come from ``registry`` (a fresh per-instance
-    :class:`~repro.obs.metrics.MetricsRegistry` by default); the legacy
-    attribute surface (``stats.batches``, ``stats.latency`` ...) reads the
-    same objects, so existing call sites keep working unchanged.
+    :class:`~repro.obs.metrics.MetricsRegistry` by default); the
+    attributes tests and benchmarks read (``stats.batches``,
+    ``stats.latency`` ...) are views of the same objects.
     """
 
     def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
@@ -177,24 +176,12 @@ class ServerStats:
             self._wal_appends.inc()
 
     # ------------------------------------------------------------------
-    # Legacy attribute surface (reads the registry instruments)
+    # Attribute surface (reads the registry instruments)
     # ------------------------------------------------------------------
-    @property
-    def submitted(self) -> dict[str, int]:
+    def _labelled(self, name: str, label: str, values: "list[str]") -> dict[str, int]:
         return {
-            kind: int(
-                self.registry.counter("serve.requests_submitted", kind=kind).value
-            )
-            for kind in self._submitted_kinds
+            v: int(self.registry.counter(name, **{label: v}).value) for v in values
         }
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value)
 
     @property
     def batches(self) -> int:
@@ -205,48 +192,20 @@ class ServerStats:
         return int(self._batched_requests.value)
 
     @property
-    def max_batch_size(self) -> int:
-        return int(self._max_batch_size.value)
-
-    @property
-    def inserts(self) -> int:
-        return int(self._inserts.value)
-
-    @property
-    def deletes(self) -> int:
-        return int(self._deletes.value)
-
-    @property
     def rebuilds(self) -> int:
         return int(self._rebuilds.value)
-
-    @property
-    def rebuild_seconds(self) -> float:
-        return self._rebuild_seconds.value
 
     @property
     def generation_swaps(self) -> int:
         return int(self._generation_swaps.value)
 
     @property
-    def snapshots_saved(self) -> int:
-        return int(self._snapshots_saved.value)
-
-    @property
     def shed(self) -> dict[str, int]:
-        return {
-            reason: int(
-                self.registry.counter("serve.requests_shed", reason=reason).value
-            )
-            for reason in self._shed_reasons
-        }
+        return self._labelled("serve.requests_shed", "reason", self._shed_reasons)
 
     @property
     def retries(self) -> dict[str, int]:
-        return {
-            op: int(self.registry.counter("serve.retries", op=op).value)
-            for op in self._retry_ops
-        }
+        return self._labelled("serve.retries", "op", self._retry_ops)
 
     @property
     def rebuild_failures(self) -> int:
@@ -256,43 +215,34 @@ class ServerStats:
     def snapshot_failures(self) -> int:
         return int(self._snapshot_failures.value)
 
-    @property
-    def wal_appends(self) -> int:
-        return int(self._wal_appends.value)
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_requests / self.batches if self.batches else 0.0
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         with self._lock:
+            batches = self.batches
             return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "errors": self.errors,
-                "batches": self.batches,
-                "mean_batch_size": self.mean_batch_size,
-                "max_batch_size": self.max_batch_size,
-                "inserts": self.inserts,
-                "deletes": self.deletes,
+                "submitted": self._labelled(
+                    "serve.requests_submitted", "kind", self._submitted_kinds
+                ),
+                "completed": int(self._completed.value),
+                "errors": int(self._errors.value),
+                "batches": batches,
+                "mean_batch_size": self.batched_requests / batches if batches else 0.0,
+                "max_batch_size": int(self._max_batch_size.value),
+                "inserts": int(self._inserts.value),
+                "deletes": int(self._deletes.value),
                 "rebuilds": self.rebuilds,
-                "rebuild_seconds": self.rebuild_seconds,
+                "rebuild_seconds": self._rebuild_seconds.value,
                 "generation_swaps": self.generation_swaps,
-                "snapshots_saved": self.snapshots_saved,
+                "snapshots_saved": int(self._snapshots_saved.value),
                 "shed": self.shed,
                 "retries": self.retries,
                 "rebuild_failures": self.rebuild_failures,
                 "snapshot_failures": self.snapshot_failures,
-                "wal_appends": self.wal_appends,
+                "wal_appends": int(self._wal_appends.value),
                 "queue_wait": _seconds_snapshot(self.queue_wait),
                 "service": _seconds_snapshot(self.service),
                 "latency": _seconds_snapshot(self.latency),
             }
-
-    def export(self) -> dict:
-        """The registry exporter format (``{name: [{labels, kind, value}]}``)."""
-        return self.registry.export()
 
     def export_text(self) -> str:
         """Prometheus-style text lines for every serve instrument."""

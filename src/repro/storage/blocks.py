@@ -77,6 +77,31 @@ class BlockStore:
         self._reads = 0
 
     # ------------------------------------------------------------------
+    # Durable state
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """The key-sorted columns and the block size (reads are not kept)."""
+        return {
+            "points": self.points,
+            "keys": self.keys,
+            "ids": self.ids,
+            "block_size": self.block_size,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "BlockStore":
+        """Adopt :meth:`state_dict` columns as they are: already key-sorted,
+        so nothing is re-sorted, copied or cast (the key dtype is the
+        stored one)."""
+        store = cls.__new__(cls)
+        store.points = state["points"]
+        store.keys = state["keys"]
+        store.ids = state["ids"]
+        store.block_size = state["block_size"]
+        store._reads = 0
+        return store
+
+    # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -202,6 +202,12 @@ class TestNativeModeProcessor:
             def map(self, points):
                 raise NotImplementedError
 
+            def _structure_state(self):
+                raise NotImplementedError
+
+            def _restore_structure(self, state):
+                raise NotImplementedError
+
         with pytest.raises(NotImplementedError):
             Stub().insert(np.zeros(2))
 

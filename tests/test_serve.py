@@ -604,6 +604,44 @@ class TestSnapshotHardening:
             built_index.point_queries(osm_points[:20]),
         )
 
+    def test_damage_anywhere_in_the_file_falls_back(
+        self, built_index, osm_points, tmp_path
+    ):
+        """64 overwritten bytes at any offset — zip headers, the central
+        directory or the middle of a deflate stream (``zlib.error``) —
+        quarantine the file and load the older generation."""
+        manager = SnapshotManager(tmp_path)
+        manager.save(built_index, 0)
+        manager.save(built_index, 1)
+        intact = manager.path_for(1).read_bytes()
+        expected = built_index.point_queries(osm_points[:20])
+        for offset in np.linspace(0, len(intact) - 64, 39).astype(int):
+            damaged = bytearray(intact)
+            damaged[offset : offset + 64] = b"\xa5" * 64
+            manager.path_for(1).write_bytes(bytes(damaged))
+            loaded, gen = manager.load()
+            assert gen == 0, f"offset {offset}"
+            np.testing.assert_array_equal(
+                loaded.point_queries(osm_points[:20]), expected
+            )
+            (tmp_path / "gen-000001.npz.corrupt").unlink()
+
+    def test_retired_format_is_not_quarantined(self, built_index, tmp_path):
+        """An intact file with an old ``repro-*-v1`` tag is not corrupt:
+        the typed error reaches the caller and the file keeps its name."""
+        from repro.storage.persist import OldFormatError
+
+        manager = SnapshotManager(tmp_path)
+        manager.save(built_index, 0)
+        meta = np.frombuffer(b'{"format": "repro-zm-v1"}', dtype=np.uint8)
+        np.savez_compressed(manager.path_for(1), meta=meta)
+        with pytest.raises(OldFormatError, match="repro-zm-v1"):
+            manager.load()
+        assert manager.generations() == [0, 1]
+        with pytest.raises(OldFormatError):
+            IndexServer.from_snapshot(str(tmp_path))
+        assert manager.generations() == [0, 1]
+
     def test_explicit_generation_load_is_strict(self, built_index, tmp_path):
         manager = SnapshotManager(tmp_path)
         manager.save(built_index, 2)
