@@ -207,9 +207,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         stop_updates.set()
         feeder.join()
-        stats = server.stats.snapshot()
-        final_generation = server.generation
-        final_health = server.health
+    # Read after close(): it waits for a background rebuild still in flight
+    # (the workload can finish before the rebuild it triggered swaps in).
+    stats = server.stats.snapshot()
+    final_generation = server.generation
+    final_health = server.health
 
     baseline_result = None
     if args.baseline:
@@ -578,8 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="outstanding requests per client")
     p.add_argument("--batch-size", type=int, default=256,
                    help="admission control: max requests per micro-batch")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="admission control: batch-formation window")
+    p.add_argument("--max-wait-ms", type=float, default=0.0,
+                   help="admission control: hold an under-full batch open "
+                        "this long (0 = drain-and-go)")
     p.add_argument("--workers", type=int, default=1,
                    help="dispatcher threads (see docs/serving.md)")
     p.add_argument("--updates", type=int, default=0,

@@ -143,8 +143,24 @@ class Histogram:
             self.max = value
 
     def record_many(self, values: "list[float] | np.ndarray") -> None:
-        for v in values:
-            self.record(float(v))
+        """Record every sample of ``values`` in one vectorised pass.
+
+        ``scaled = mantissa * 2**exponent`` with the mantissa in
+        ``[0.5, 1)``, so the halvings :meth:`bucket_index` counts are the
+        exponent, one fewer at an exact power of two; clipping ``scaled``
+        into ``[1, 2**(n_buckets - 1)]`` first lands everything at or
+        below ``base`` in bucket 0 and everything past the end in the last.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return
+        mantissa, exponent = np.frexp(
+            np.clip(values / self.base, 1.0, 2.0 ** (self.n_buckets - 1))
+        )
+        buckets = exponent - (mantissa == 0.5)
+        self.counts += np.bincount(buckets, minlength=self.n_buckets)
+        self.total += float(values.sum())
+        self.max = max(self.max, float(values.max()))
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other``'s samples into this histogram (same shape only)."""

@@ -7,8 +7,9 @@ The one API that matters is :func:`span`::
 
 When tracing is *disabled* (the default), :func:`span` returns a shared
 no-op context manager after a single boolean check — cheap enough to leave
-at every instrumentation site, which is what keeps the ``BENCH_core`` /
-``BENCH_serve`` headline numbers within the <5 % overhead budget.  When
+at every instrumentation site, which is what keeps the ``BENCH_core``
+numbers and the served route (``benchmarks/e2e/run.py --workload
+serve_zm_200k --smoke``) within the <5 % overhead budget.  When
 enabled, each span records name, start timestamp, duration, attributes,
 process/thread identity, and its parent (tracked per thread), into an
 in-memory ring buffer and — when a sink path is configured — a JSON-lines

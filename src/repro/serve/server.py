@@ -2,12 +2,15 @@
 
 :class:`IndexServer` owns one built learned index (wrapped in an
 :class:`~repro.core.update_processor.UpdateProcessor`) behind a
-*generation pointer*.  Requests enter a thread-safe queue; dispatcher
-threads coalesce them into micro-batches under two admission knobs —
-``max_batch_size`` and ``max_wait_seconds`` — and answer each batch
-through the vectorised batch paths (``point_queries`` /
-``knn_queries``), which is where PR 1's 17–111× gains of a batch over
-one query at a time become request throughput.
+*generation pointer*.  Requests enter one deque under one condition;
+a dispatcher takes everything that is queued (up to ``max_batch_size``)
+and answers it through the vectorised batch paths (``point_queries`` /
+``window_queries`` / ``knn_queries``).  While it serves, the next batch
+forms by itself — that is where batching pays, so by default nothing
+holds a batch open (``max_wait_seconds = 0``).  Each kind-group of a
+batch is stamped once, counted into the stats, and only then released,
+so a served request costs little more than its share of the batch call
+(``docs/performance.md``, "Where a served request's time goes").
 
 Consistency model:
 
@@ -46,10 +49,10 @@ Fault tolerance (docs/serving.md, "Durability and failure modes"):
 
 from __future__ import annotations
 
-import queue
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,9 +128,12 @@ class ServeConfig:
         Hard cap on requests per micro-batch.
     max_wait_seconds:
         How long a dispatcher holds an under-full batch open for more
-        requests.  ``0`` serves whatever is already queued immediately —
-        the latency-first setting; larger windows trade p50 latency for
-        throughput.
+        requests.  ``0`` (the default) is drain-and-go: serve whatever is
+        queued, the next batch forms meanwhile.  With one client keeping
+        128 requests in flight a 2 ms window never enlarged a batch and
+        added 2 ms to every flight.  A positive value trades that latency
+        for batch size under traffic that trickles in (no benchmark
+        workload sets one, so what it buys there is unmeasured).
     worker_threads:
         Dispatcher thread count.  One is usually right in CPython (the
         batch engine holds the GIL only between NumPy kernels); more
@@ -170,7 +176,7 @@ class ServeConfig:
     """
 
     max_batch_size: int = 256
-    max_wait_seconds: float = 0.002
+    max_wait_seconds: float = 0.0
     worker_threads: int = 1
     rebuild_check_every: int = 512
     auto_rebuild: bool = True
@@ -232,9 +238,6 @@ class Generation:
     @property
     def index(self) -> LearnedSpatialIndex:
         return self.processor.index
-
-
-_SHUTDOWN = object()
 
 
 class IndexServer:
@@ -317,7 +320,18 @@ class IndexServer:
                     window_seconds=self.config.slo_window_seconds,
                 )
             )
-        self._queue: queue.Queue = queue.Queue()
+        # Admission: one deque under one condition.  submit() checks,
+        # counts and appends under it; a dispatcher pops a whole batch under
+        # it; close() flips ``_closed`` under it, so nothing is enqueued
+        # after shutdown.  ``_idle`` counts dispatchers parked in wait()
+        # and ``_woken`` says one of them has been notified and has not
+        # run yet (a whole flight is submitted before it gets the GIL):
+        # only the first submission to an idle server pays for a notify.
+        self._admission = threading.Condition(threading.Lock())
+        self._pending: "deque[Request]" = deque()
+        self._idle = 0
+        self._woken = False
+        self._d = index.bounds.ndim
         self._stop = threading.Event()
         self._rebuild_wanted = threading.Event()
         self._update_lock = threading.Lock()
@@ -325,9 +339,6 @@ class IndexServer:
         # so a slow fsync never blocks the generation-swap critical
         # section.  Lock order where nested: _update_lock -> _wal_lock.
         self._wal_lock = threading.Lock()
-        # Serializes submit()'s closed-check-then-enqueue against close()
-        # so no request can slip into the queue after shutdown drains it.
-        self._lifecycle_lock = threading.Lock()
         self._rebuild_mutex = threading.Lock()
         self._rebuilding = False
         # (op, point, wal seq or None): ops applied while a rebuild was in
@@ -464,32 +475,28 @@ class IndexServer:
         """Stop workers; queued requests are served before shutdown.
         After ``close()`` the server is dead: submissions and updates
         raise :class:`~repro.serve.errors.ServerClosed`."""
-        with self._lifecycle_lock:
+        with self._admission:
             if self._closed:
                 return
             self._closed = True
+            self._admission.notify_all()
         if self._started:
             self._stop.set()
-            for _ in range(self.config.worker_threads):
-                self._queue.put(_SHUTDOWN)
             self._rebuild_wanted.set()
             for t in self._threads:
                 t.join(timeout=30.0)
             self._threads = []
             self._started = False
-        # Reject whatever is still queued (a worker that timed out above,
-        # or leftover shutdown pills interleaved with late requests) so
-        # no Reply is left to block until its wait() deadline.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN and not item.reply.done():
-                item.reply.reject(
-                    ServerClosed("server closed before this request was served")
-                )
-                self.stats.note_shed("closed")
+        # Reject whatever is still queued (a dispatcher that timed out
+        # above) so no Reply is left to block until its wait() deadline.
+        with self._admission:
+            stranded = list(self._pending)
+            self._pending.clear()
+        for request in stranded:
+            self.stats.note_shed("closed")
+            request.reply.reject(
+                ServerClosed("server closed before this request was served")
+            )
         if self.wal is not None:
             self.wal.close()
 
@@ -553,7 +560,7 @@ class IndexServer:
         ``{name: [{labels, kind, value}, ...]}``, JSON-able."""
         self._age_gauge.set(time.time() - self._gen_swapped_at)
         self._health_gauge.set(_HEALTH_LEVELS[self._health])
-        self._queue_gauge.set(self._queue.qsize())
+        self._queue_gauge.set(len(self._pending))
         if self.wal is not None:
             self._wal_gauge.set(self.wal.depth)
         if self.slo is not None:
@@ -566,10 +573,12 @@ class IndexServer:
     # Request submission (async) and sync conveniences
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> Reply:
-        # The closed check and the enqueue happen under one lock shared
-        # with close(), so a request can never land in the queue after
-        # shutdown has drained it (it would hang until its wait timeout).
-        with self._lifecycle_lock:
+        if request.d != self._d and request.d is not None:
+            raise ValueError(
+                f"this server's index is {self._d}-dimensional, got a "
+                f"{request.d}-dimensional {request.kind} request"
+            )
+        with self._admission:
             if self._closed:
                 raise ServerClosed(
                     "server is closed; submissions after close() are rejected"
@@ -579,14 +588,17 @@ class IndexServer:
                     "server is not started; use start() or a with-block"
                 )
             depth = self.config.max_queue_depth
-            if depth and self._queue.qsize() >= depth:
+            if depth and len(self._pending) >= depth:
                 self.stats.note_shed("overloaded")
                 raise ServerOverloaded(
                     f"request queue is at capacity ({depth}); shedding instead of "
                     "queueing unboundedly"
                 )
             self.stats.note_submit(request.kind)
-            self._queue.put(request)
+            self._pending.append(request)
+            if self._idle and not self._woken:
+                self._woken = True
+                self._admission.notify()
         return request.reply
 
     def submit_point(self, point: np.ndarray) -> Reply:
@@ -704,35 +716,45 @@ class IndexServer:
     # Dispatch: micro-batch admission and execution
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        cfg = self.config
-        while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            if first is _SHUTDOWN:
-                return
-            batch = [first]
-            deadline = time.perf_counter() + cfg.max_wait_seconds
-            while len(batch) < cfg.max_batch_size:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if item is _SHUTDOWN:
-                    # Keep the poison pill effective for sibling workers.
-                    self._queue.put(_SHUTDOWN)
-                    break
-                batch.append(item)
+        while (batch := self._next_batch()) is not None:
             self._serve_batch(batch)
+
+    def _next_batch(self) -> "list[Request] | None":
+        """Everything that is queued, up to ``max_batch_size``; ``None``
+        once the server is closed and nothing is left to serve."""
+        cfg, pending = self.config, self._pending
+        with self._admission:
+            deadline = None
+            while True:
+                if not pending:
+                    if self._closed:
+                        return None
+                    deadline = timeout = None
+                elif (
+                    not cfg.max_wait_seconds
+                    or len(pending) >= cfg.max_batch_size
+                    or self._closed
+                ):
+                    break
+                else:
+                    # Hold the under-full batch open, once, for stragglers.
+                    now = time.perf_counter()
+                    if deadline is None:
+                        deadline = now + cfg.max_wait_seconds
+                    timeout = deadline - now
+                    if timeout <= 0:
+                        break
+                self._idle += 1
+                self._admission.wait(timeout)
+                self._idle -= 1
+                self._woken = False
+            batch = [
+                pending.popleft()
+                for _ in range(min(len(pending), cfg.max_batch_size))
+            ]
+            if pending and self._idle:
+                self._admission.notify()  # more than one batch queued: wake a sibling
+            return batch
 
     def _shed_expired(self, batch: list[Request], now: float) -> list[Request]:
         """Reject requests that aged past the deadline while queued."""
@@ -743,13 +765,13 @@ class IndexServer:
         for r in batch:
             waited = now - r.reply.submitted_at
             if waited > timeout:
+                self.stats.note_shed("timeout")
                 r.reply.reject(
                     RequestTimeout(
                         f"request waited {waited * 1e3:.1f} ms in queue "
                         f"(deadline {timeout * 1e3:.1f} ms); shed unserved"
                     )
                 )
-                self.stats.note_shed("timeout")
             else:
                 live.append(r)
         return live
@@ -763,71 +785,84 @@ class IndexServer:
         batch = self._shed_expired(batch, started)
         if not batch:
             return
-        errors = 0
+        points: list[Request] = []
+        windows: list[Request] = []
+        by_k: dict[int, list[Request]] = {}
+        whole: list[Request] = []
+        for r in batch:
+            if r.kind == POINT:
+                points.append(r)
+            elif r.kind == KNN:
+                by_k.setdefault(r.k, []).append(r)
+            elif r.kind == WINDOW:
+                windows.append(r)
+            else:
+                whole.append(r)
+        processor = gen.processor
         try:
             fault_check("serve.dispatch")
             with _span("serve.batch", size=len(batch), gen=gen.gen_id):
                 fault_check("index.query")
-                points_idx = [i for i, r in enumerate(batch) if r.kind == POINT]
-                if points_idx:
-                    pts = np.stack([batch[i].point for i in points_idx])
-                    hits = gen.processor.point_queries(pts)
-                    for i, hit in zip(points_idx, hits):
-                        batch[i].reply.resolve(bool(hit), gen.gen_id)
-                by_k: dict[int, list[int]] = {}
-                for i, r in enumerate(batch):
-                    if r.kind == KNN:
-                        by_k.setdefault(r.k, []).append(i)
+                # Points first: they are released before the batch's kNN
+                # and window work starts.
+                if points:
+                    hits = processor.point_queries(np.array([r.point for r in points]))
+                    self._release(points, started, gen.gen_id, hits.tolist())
                 for k, members in by_k.items():
-                    pts = np.stack([batch[i].point for i in members])
-                    neighbours = gen.processor.knn_queries(pts, k)
-                    for i, result in zip(members, neighbours):
-                        batch[i].reply.resolve(result, gen.gen_id)
-                window_idx = [i for i, r in enumerate(batch) if r.kind == WINDOW]
-                if window_idx:
+                    neighbours = processor.knn_queries(
+                        np.array([r.point for r in members]), k
+                    )
+                    self._release(members, started, gen.gen_id, neighbours)
+                if windows:
                     # All of the batch's windows go through the processor's
                     # batch path at once (one model pass over every corner
                     # on vectorised indices) instead of one call per window.
-                    with _span("serve.window_batch", windows=len(window_idx)):
-                        results = gen.processor.window_queries(
-                            [batch[i].window for i in window_idx]
-                        )
-                    for i, result in zip(window_idx, results):
-                        batch[i].reply.resolve(result, gen.gen_id)
+                    with _span("serve.window_batch", windows=len(windows)):
+                        results = processor.window_queries([r.window for r in windows])
+                    self._release(windows, started, gen.gen_id, results)
                 # Batch-kind requests already arrive vectorised; each one
                 # resolves to its whole sub-batch's results in one
                 # processor call against the same generation snapshot.
-                for r in batch:
+                for r in whole:
                     if r.kind == POINT_BATCH:
-                        r.reply.resolve(
-                            gen.processor.point_queries(r.points), gen.gen_id
-                        )
+                        result = processor.point_queries(r.points)
                     elif r.kind == WINDOW_BATCH:
-                        r.reply.resolve(
-                            gen.processor.window_queries(r.windows), gen.gen_id
-                        )
-                    elif r.kind == KNN_BATCH:
-                        r.reply.resolve(
-                            gen.processor.knn_queries(r.points, r.k), gen.gen_id
-                        )
+                        result = processor.window_queries(r.windows)
+                    else:
+                        result = processor.knn_queries(r.points, r.k)
+                    self._release([r], started, gen.gen_id, [result])
         except BaseException as exc:  # noqa: BLE001 - must fail replies, not the worker
-            for r in batch:
-                if not r.reply.done():
-                    r.reply.reject(exc)
-                    errors += 1
-        service_seconds = time.perf_counter() - started
-        queue_waits = [started - r.reply.submitted_at for r in batch]
-        latencies = [r.reply.latency_seconds for r in batch]
-        self.stats.note_batch(
-            len(batch), service_seconds, queue_waits, latencies, errors=errors
-        )
+            # completed_at is the dispatcher's own mark of what it released.
+            failed = [r for r in batch if r.reply.completed_at is None]
+            self._release(failed, started, gen.gen_id, error=exc)
+        self.stats.note_batch(len(batch), time.perf_counter() - started)
         if self.slo is not None:
-            for r, latency in zip(batch, latencies):
-                # Batch kinds: every sub-operation experienced this latency.
-                self.slo.record(
-                    _SLO_KINDS.get(r.kind, r.kind), latency, count=r.size
-                )
             self._check_slo()
+
+    def _release(
+        self,
+        group: list[Request],
+        started: float,
+        gen_id: int,
+        values: "list | None" = None,
+        error: "BaseException | None" = None,
+    ) -> None:
+        """Stamp a group of one batch once, count it, then release it:
+        a client that holds its answer can already read it in the stats."""
+        now = time.perf_counter()
+        submitted = np.array([r.reply.submitted_at for r in group])
+        latencies = now - submitted
+        self.stats.note_replies(started - submitted, latencies, failed=error is not None)
+        if error is None:
+            for r, value in zip(group, values):
+                r.reply.resolve(value, gen_id, now)
+        else:
+            for r in group:
+                r.reply.reject(error, now)
+        if self.slo is not None:
+            for r, latency in zip(group, latencies.tolist()):
+                # Batch kinds: every sub-operation experienced this latency.
+                self.slo.record(_SLO_KINDS[r.kind], latency, count=r.size)
 
     # ------------------------------------------------------------------
     # Background rebuild + generation swap

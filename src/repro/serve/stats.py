@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+import numpy as np
+
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = ["LatencyHistogram", "ServerStats"]
 
@@ -71,7 +73,10 @@ class ServerStats:
         self._lock = threading.Lock()
         self.registry = registry or MetricsRegistry()
         r = self.registry
-        self._submitted_kinds: list[str] = []
+        # Labelled counters, bound on first use (an unseen label exports nothing).
+        self._submitted: dict[str, Counter] = {}
+        self._shed: dict[str, Counter] = {}
+        self._retries: dict[str, Counter] = {}
         self._completed = r.counter("serve.requests_completed")
         self._errors = r.counter("serve.request_errors")
         self._batches = r.counter("serve.batches")
@@ -83,8 +88,6 @@ class ServerStats:
         self._rebuild_seconds = r.counter("serve.rebuild_seconds")
         self._generation_swaps = r.counter("serve.generation_swaps")
         self._snapshots_saved = r.counter("serve.snapshots_saved")
-        self._shed_reasons: list[str] = []
-        self._retry_ops: list[str] = []
         self._rebuild_failures = r.counter("serve.rebuild_failures")
         self._snapshot_failures = r.counter("serve.snapshot_failures")
         self._wal_appends = r.counter("serve.wal_appends")
@@ -105,11 +108,18 @@ class ServerStats:
         )
 
     # ------------------------------------------------------------------
+    def _bound(
+        self, bound: "dict[str, Counter]", name: str, label: str, value: str
+    ) -> Counter:
+        counter = bound.get(value)
+        if counter is None:
+            counter = bound[value] = self.registry.counter(name, **{label: value})
+        return counter
+
     def note_submit(self, kind: str) -> None:
-        with self._lock:
-            if kind not in self._submitted_kinds:
-                self._submitted_kinds.append(kind)
-            self.registry.counter("serve.requests_submitted", kind=kind).inc()
+        """One request admitted.  Not locked here: the caller holds the
+        server's admission lock, which already serialises submissions."""
+        self._bound(self._submitted, "serve.requests_submitted", "kind", kind).inc()
 
     def note_update(self, kind: str) -> None:
         with self._lock:
@@ -118,24 +128,23 @@ class ServerStats:
             else:
                 self._deletes.inc()
 
-    def note_batch(
-        self,
-        size: int,
-        service_seconds: float,
-        queue_waits: "list[float]",
-        latencies: "list[float]",
-        errors: int = 0,
+    def note_replies(
+        self, queue_waits: np.ndarray, latencies: np.ndarray, failed: bool = False
     ) -> None:
+        """A group of one batch's replies, counted *before* they are
+        released, so whoever holds an answer finds it in the stats."""
+        with self._lock:
+            (self._errors if failed else self._completed).inc(len(latencies))
+            self.queue_wait.record_many(queue_waits)
+            self.latency.record_many(latencies)
+
+    def note_batch(self, size: int, service_seconds: float) -> None:
         with self._lock:
             self._batches.inc()
             self._batched_requests.inc(size)
-            self._completed.inc(size - errors)
-            self._errors.inc(errors)
             if size > self._max_batch_size.value:
                 self._max_batch_size.set(size)
             self.service.record(service_seconds)
-            self.queue_wait.record_many(queue_waits)
-            self.latency.record_many(latencies)
 
     def note_rebuild(self, seconds: float) -> None:
         with self._lock:
@@ -152,16 +161,12 @@ class ServerStats:
         capacity), ``timeout`` (aged out while queued), or ``read_only``
         (update rejected in degraded-read-only state)."""
         with self._lock:
-            if reason not in self._shed_reasons:
-                self._shed_reasons.append(reason)
-            self.registry.counter("serve.requests_shed", reason=reason).inc()
+            self._bound(self._shed, "serve.requests_shed", "reason", reason).inc()
 
     def note_retry(self, op: str) -> None:
         """One backoff retry of a background op (``rebuild``/``snapshot``)."""
         with self._lock:
-            if op not in self._retry_ops:
-                self._retry_ops.append(op)
-            self.registry.counter("serve.retries", op=op).inc()
+            self._bound(self._retries, "serve.retries", "op", op).inc()
 
     def note_rebuild_failure(self) -> None:
         with self._lock:
@@ -178,10 +183,10 @@ class ServerStats:
     # ------------------------------------------------------------------
     # Attribute surface (reads the registry instruments)
     # ------------------------------------------------------------------
-    def _labelled(self, name: str, label: str, values: "list[str]") -> dict[str, int]:
-        return {
-            v: int(self.registry.counter(name, **{label: v}).value) for v in values
-        }
+    @staticmethod
+    def _values(bound: "dict[str, Counter]") -> dict[str, int]:
+        # list(): a first-of-its-label increment may insert while we read.
+        return {label: int(counter.value) for label, counter in list(bound.items())}
 
     @property
     def batches(self) -> int:
@@ -201,11 +206,11 @@ class ServerStats:
 
     @property
     def shed(self) -> dict[str, int]:
-        return self._labelled("serve.requests_shed", "reason", self._shed_reasons)
+        return self._values(self._shed)
 
     @property
     def retries(self) -> dict[str, int]:
-        return self._labelled("serve.retries", "op", self._retry_ops)
+        return self._values(self._retries)
 
     @property
     def rebuild_failures(self) -> int:
@@ -220,9 +225,7 @@ class ServerStats:
         with self._lock:
             batches = self.batches
             return {
-                "submitted": self._labelled(
-                    "serve.requests_submitted", "kind", self._submitted_kinds
-                ),
+                "submitted": self._values(self._submitted),
                 "completed": int(self._completed.value),
                 "errors": int(self._errors.value),
                 "batches": batches,

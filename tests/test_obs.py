@@ -205,6 +205,33 @@ def test_histogram_stats_and_percentiles():
     assert Histogram().percentile(99) == 0.0  # empty histogram
 
 
+def test_histogram_record_many_matches_the_record_loop():
+    """The vectorised path lands every sample in the bucket the reference
+    doubling loop picks: bulk values, exact bucket edges, zero, overflow."""
+    rng = np.random.default_rng(7)
+    for base, n_buckets in ((1e-6, 28), (1.0, 5), (3e-4, 1)):
+        edges = [base * 2.0**i for i in range(-3, 41)]
+        values = np.concatenate(
+            [
+                10.0 ** rng.uniform(-8, 3, 20_000),
+                [0.0],
+                edges,
+                np.nextafter(edges, np.inf),
+                [base * 2.0**n_buckets * 3, 1e12],
+            ]
+        )
+        loop, many = Histogram(base, n_buckets), Histogram(base, n_buckets)
+        for v in values:
+            loop.record(float(v))
+        many.record_many(values)
+        np.testing.assert_array_equal(many.counts, loop.counts)
+        assert many.max == loop.max
+        assert many.total == pytest.approx(loop.total, rel=1e-9)
+        many.record_many([])
+        many.record_many(np.empty(0))
+        np.testing.assert_array_equal(many.counts, loop.counts)
+
+
 def test_histogram_merge_adds_samples():
     a = Histogram(base=1.0, n_buckets=6)
     b = Histogram(base=1.0, n_buckets=6)

@@ -6,6 +6,7 @@ arrive without ever blocking on the rebuild and (b) name exactly one
 generation — no batch may mix pre- and post-swap index state.
 """
 
+import sys
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.serve import (
     IndexServer,
     LatencyHistogram,
     RebuildFailed,
+    Reply,
     RequestTimeout,
     ServeConfig,
     ServeWorkload,
@@ -35,6 +37,7 @@ from repro.serve import (
     run_closed_loop,
 )
 from repro.spatial.rect import Rect
+from tests.brute import point_truth
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,47 @@ class TestBasicServing:
             text = server.stats.export_text()
         assert 'serve.requests_submitted{kind="point"} 1' in text
         assert "serve.request_latency_seconds_count 1" in text
+
+    def test_stats_already_hold_a_request_when_its_answer_is_out(
+        self, built_index, osm_points
+    ):
+        """Count, then release: a client that has its answer finds it in
+        the completed counter and the latency histogram."""
+        with _server(built_index) as server:
+            for i in range(1, 301):
+                server.point_query(osm_points[i % len(osm_points)])
+                snap = server.stats.snapshot()
+                assert snap["completed"] == i
+                assert snap["latency"]["count"] == i
+                assert snap["queue_wait"]["count"] == i
+
+    def test_malformed_request_is_refused_at_the_door(self, built_index, osm_points):
+        """One malformed request must not poison its micro-batch: it raises
+        at submit, is neither queued nor counted, and its neighbours in the
+        flight are answered."""
+        with _server(built_index) as server:
+            replies = [server.submit_point(p) for p in osm_points[:5]]
+            with pytest.raises(ValueError):
+                server.submit_point(np.array([0.1, 0.2, 0.3]))
+            replies += [server.submit_point(p) for p in osm_points[5:10]]
+            assert [r.wait(20) for r in replies] == [True] * 10
+            for bad in (
+                lambda: server.submit_point(np.zeros((1, 2))),
+                lambda: server.submit_knn(np.zeros(3), 2),
+                lambda: server.submit_point_batch(np.zeros(2)),
+                lambda: server.submit_point_batch(np.zeros((4, 3))),
+                lambda: server.submit_knn_batch(np.zeros((4, 3)), 2),
+                lambda: server.submit_window(Rect((0.1,) * 3, (0.2,) * 3)),
+                lambda: server.submit_window_batch(
+                    [Rect((0.1,) * 2, (0.2,) * 2), Rect((0.1,) * 3, (0.2,) * 3)]
+                ),
+            ):
+                with pytest.raises(ValueError):
+                    bad()
+            assert server.submit_window_batch([]).wait(20) == []
+            snap = server.stats.snapshot()
+        assert snap["submitted"] == {"point": 10, "window_batch": 1}
+        assert snap["completed"] == 11 and snap["errors"] == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -390,6 +434,124 @@ class TestLifecycle:
                 reply.wait(timeout=10.0)
             except ServerClosed:
                 pass
+
+
+class TestReply:
+    def test_wait_times_out_while_pending_then_returns_repeatedly(self):
+        reply = Reply()
+        assert not reply.done()
+        for timeout in (0.0, 0.01, -1.0):
+            with pytest.raises(TimeoutError):
+                reply.wait(timeout)
+        assert not reply.done()
+        reply.resolve("answer", 3)
+        assert reply.done()
+        for _ in range(3):
+            assert reply.wait(0) == "answer"
+            assert reply.wait() == "answer"
+        assert reply.done()
+        assert reply.generation == 3
+        assert reply.latency_seconds >= 0.0
+
+    def test_every_waiter_returns(self):
+        reply = Reply()
+        got: list = []
+        waiters = [
+            threading.Thread(target=lambda: got.append(reply.wait(10)))
+            for _ in range(2)
+        ]
+        for t in waiters:
+            t.start()
+        time.sleep(0.02)
+        assert got == []
+        reply.resolve(42, 0)
+        for t in waiters:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert got == [42, 42]
+
+    def test_reject_reraises_and_completion_is_single(self):
+        reply = Reply()
+        reply.reject(ServerClosed("gone"))
+        assert reply.done()
+        for _ in range(2):
+            with pytest.raises(ServerClosed):
+                reply.wait(1)
+        with pytest.raises(RuntimeError):
+            reply.resolve(1, 0)  # single-assignment: already completed
+
+
+@pytest.fixture()
+def fast_switching():
+    """Thread switches every 10 µs, so races show up in a short test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestAdmissionStress:
+    def test_every_submission_is_shed_or_answered_right(
+        self, built_index, osm_points, fast_switching
+    ):
+        """Four submitters against two dispatchers and a 64-deep queue,
+        closed mid-stream: each submission raises ServerOverloaded /
+        ServerClosed or is answered correctly (or rejected with
+        ServerClosed), nothing stays pending, and the counters add up."""
+        rng = np.random.default_rng(12)
+        probes = np.vstack([osm_points[:300], rng.random((300, 2)) + 2.0])
+        truth = point_truth(osm_points, probes)
+        config = ServeConfig(max_batch_size=16, worker_threads=2, max_queue_depth=64)
+        server = _server(built_index, config=config).start()
+        accepted: list = []  # (probe number, reply)
+        overloaded = closed = 0
+        lock = threading.Lock()
+
+        def submitter(offset: int) -> None:
+            nonlocal overloaded, closed
+            for i in range(offset, 20 * len(probes), 4):
+                j = i % len(probes)
+                try:
+                    reply = server.submit_point(probes[j])
+                except ServerOverloaded:
+                    with lock:
+                        overloaded += 1
+                    continue
+                except ServerClosed:
+                    with lock:
+                        closed += 1
+                    return
+                with lock:
+                    accepted.append((j, reply))
+
+        threads = [threading.Thread(target=submitter, args=(o,)) for o in range(4)]
+        for t in threads:
+            t.start()
+        time.sleep(0.15)
+        server.close()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        with pytest.raises(ServerClosed):
+            server.submit_point(probes[0])
+
+        answered = rejected = 0
+        for j, reply in accepted:
+            try:
+                assert reply.wait(1.0) == truth[j]
+                answered += 1
+            except ServerClosed:
+                rejected += 1
+        assert answered > 0
+        snap = server.stats.snapshot()
+        # An overloaded submission is shed before it counts as submitted.
+        assert snap["submitted"]["point"] == len(accepted)
+        assert snap["completed"] == answered and snap["errors"] == 0
+        assert snap["shed"].get("closed", 0) == rejected
+        assert snap["shed"].get("overloaded", 0) == overloaded
+        assert len(accepted) == snap["completed"] + snap["errors"] + rejected
 
 
 class TestAdmissionControl:
