@@ -5,8 +5,8 @@ Run with the trace sink enabled::
     REPRO_TRACE=obs_trace.jsonl PYTHONPATH=src python benchmarks/obs_smoke.py
 
 Exercises every instrumented path — ELSI build (method selection, training
-set, FFN training, error bounds), batch point/window/knn queries, the
-executor, a serve session with a generation rebuild, and a 2-shard
+set, FFN training, error bounds), batch point/window/knn queries, a
+serve session with a generation rebuild, and a 2-shard
 cluster answering a mixed batch with cross-process trace propagation —
 then writes the metric registries to ``obs_metrics.json`` and the fleet's
 ``/metrics`` endpoint text to ``obs_fleet_metrics.txt``.  CI renders the
@@ -47,10 +47,10 @@ def main() -> int:
     )
     index.knn_queries(pts[:8], 5)
 
-    # The level-wise RSMI build: rsmi.fit_level spans with one perf.map
-    # dispatch per tree level, plus a traced point lookup (rsmi.point), the
-    # shared-DFS window walk (rsmi.window_batch) and expanding-window kNN
-    # riding on it.
+    # The level-wise RSMI build: rsmi.fit_level spans with one
+    # build.models call per tree level, plus a traced point lookup
+    # (rsmi.point), the shared-DFS window walk (rsmi.window_batch) and
+    # expanding-window kNN riding on it.
     from repro.indices.rsmi import RSMIIndex
 
     rsmi = RSMIIndex(builder=elsi.builder(), leaf_capacity=500).build(pts)

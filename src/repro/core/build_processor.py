@@ -37,7 +37,6 @@ from repro.indices.base import (
 )
 from repro.ml.trainer import TrainConfig
 from repro.obs.trace import span as _span
-from repro.perf.executor import MapExecutor, resolve_executor
 from repro.perf.fused_infer import resolve_dtype
 from repro.spatial.cdf import uniform_dissimilarity
 
@@ -72,12 +71,7 @@ class ELSIModelBuilder(ModelBuilder):
         self.selector = selector
         self.fixed_method = method
         self.random_choice = random_choice
-        #: Dispatch backend for multi-model builds; ``ELSIConfig.parallelism``
-        #: seeds it, the ``REPRO_PARALLELISM`` env variable overrides it.
-        self.executor = MapExecutor(
-            backend=self.config.parallelism,
-            max_workers=self.config.parallel_workers,
-        )
+        self.parallelism = self.config.parallelism
         #: Inference precision for the models this builder produces;
         #: ``ELSIConfig.dtype`` seeds it, ``REPRO_DTYPE`` overrides it.
         #: Indices read it when fusing leaf models after the build.
@@ -137,8 +131,7 @@ class ELSIModelBuilder(ModelBuilder):
         Method choice and ``compute_set`` run here — serially, in partition
         order — because they may consume shared RNG state (``random_choice``)
         and their cost is the ``cost_ex`` term, small next to training.  The
-        returned job carries everything the train + error-bound phase needs,
-        so the executor can run jobs on any backend with identical results.
+        returned job carries everything the train + error-bound phase needs.
         """
         n = len(sorted_keys)
         if n == 0:
@@ -190,6 +183,6 @@ class ELSIModelBuilder(ModelBuilder):
         map_fn: MapFn | None = None,
     ) -> TrainedModel:
         job = self.prepare_fit_job(sorted_keys, sorted_points, map_fn)
-        outcome = run_fit_job(job, executor=resolve_executor(self.executor))
+        outcome = run_fit_job(job)
         _merge_fit_costs(stats, job, outcome)
         return outcome.model

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ELSIConfig"]
+__all__ = ["ELSIConfig", "PARALLELISM"]
+
+#: The accepted values of ``ELSIConfig.parallelism``.
+PARALLELISM = ("serial", "fused")
 
 
 @dataclass
@@ -51,13 +54,11 @@ class ELSIConfig:
         FFN training epochs and hidden width for index models (paper: 500
         epochs, lr 0.01).
     parallelism:
-        Build-executor backend for multi-model builds: ``serial`` (the
-        reference), ``thread`` / ``process`` (pool dispatch of per-partition
-        fit jobs), or ``fused`` (batched single-pass training of all leaf
-        models, see :mod:`repro.perf.fused`).  The ``REPRO_PARALLELISM``
-        environment variable overrides this (e.g. ``thread:4``).
-    parallel_workers:
-        Pool size for the thread/process backends (default: CPU count).
+        How a multi-model build runs its per-partition fits: ``serial``
+        (one after another, the reference) or ``fused`` (all
+        same-architecture models of a ``build_models`` call trained in one
+        vectorised pass, see :mod:`repro.perf.fused`; faster for many small
+        training sets, slower for OG-sized ones — docs/performance.md).
     dtype:
         End-to-end precision for index models *and* mapped keys:
         ``float64`` (the reference) or ``float32`` (opt-in).  Training
@@ -100,7 +101,6 @@ class ELSIConfig:
     train_epochs: int = 500
     hidden_size: int = 16
     parallelism: str = "serial"
-    parallel_workers: int | None = None
     dtype: str = "float64"
     faults: str = ""
     seed: int = 0
@@ -123,15 +123,9 @@ class ELSIConfig:
             raise ValueError(f"f_u must be >= 1, got {self.f_u}")
         if not self.methods:
             raise ValueError("the method pool cannot be empty")
-        from repro.perf.executor import BACKENDS
-
-        if self.parallelism not in BACKENDS:
+        if self.parallelism not in PARALLELISM:
             raise ValueError(
-                f"parallelism must be one of {BACKENDS}, got {self.parallelism!r}"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
+                f"parallelism must be one of {PARALLELISM}, got {self.parallelism!r}"
             )
         from repro.perf.fused_infer import FUSION_DTYPES
 

@@ -30,7 +30,6 @@ from repro.data.controlled import dataset_with_uniform_distance
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.obs.trace import span as _span
-from repro.perf.executor import MapExecutor, resolve_executor, serial_nested
 from repro.spatial.cdf import uniform_dissimilarity
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
@@ -78,11 +77,8 @@ class DatasetRecord:
 
 @dataclass
 class _CellJob:
-    """One (cardinality, delta) grid cell, packaged for executor dispatch.
-
-    Pure data plus the user's ``index_factory`` — picklable as long as the
-    factory is (a module-level function; required for the process backend).
-    """
+    """One (cardinality, delta) grid cell: pure data plus the user's
+    ``index_factory``, picklable as long as the factory is."""
 
     index_factory: Callable
     config: ELSIConfig
@@ -91,9 +87,6 @@ class _CellJob:
     seed: int
     n_queries: int
     query_kind: str
-    #: Set when the grid itself runs on a pool: nested build dispatch inside
-    #: the worker is forced serial so cells never open pools of their own.
-    nested_serial: bool = False
 
 
 def _og_baseline(timings: dict[str, tuple[float, float]]) -> tuple[float, float]:
@@ -110,24 +103,13 @@ def _og_baseline(timings: dict[str, tuple[float, float]]) -> tuple[float, float]
 
 
 def _measure_cell(job: _CellJob) -> DatasetRecord:
-    """Build + query every method on one generated data set (executor job).
+    """Build + query every method on one generated data set.
 
-    All ``time.perf_counter`` measurements happen here, inside the worker,
-    so per-cell timings stay valid under thread/process dispatch; only the
-    finished :class:`DatasetRecord` travels back to the parent.
+    Module-level, self-timing and fed a picklable job, so
+    ``ProcessPoolExecutor().map(_measure_cell, jobs)`` is the way back to a
+    pooled grid (docs/performance.md).
     """
-    if job.nested_serial:
-        with serial_nested():
-            return _measure_cell_inner(job)
-    return _measure_cell_inner(job)
-
-
-def _measure_cell_inner(job: _CellJob) -> DatasetRecord:
     cfg = job.config
-    # Idempotent; keeps MR pool preparation out of the timed builds even
-    # when the worker did not inherit the parent's warm pool (spawn start
-    # methods copy nothing).
-    _warm_mr_pool(cfg)
     with _span("selector.cell", n=job.n, delta=job.delta) as cell_span:
         points = dataset_with_uniform_distance(job.n, job.delta, seed=job.seed)
         keys = np.sort(zvalues(points, Rect.bounding(points)).astype(np.float64))
@@ -176,7 +158,6 @@ def collect_selector_data(
     n_queries: int = 200,
     seed: int = 0,
     query_kind: str = "point",
-    executor: "MapExecutor | str | None" = None,
 ) -> list[DatasetRecord]:
     """Measure per-method build and query speedups over the (n, dist) grid.
 
@@ -189,30 +170,14 @@ def collect_selector_data(
     complex queries") or ``"window"`` (the paper: "Costs of other query
     types, e.g., window queries, can also be considered").
 
-    Grid cells are independent build+query measurements, so they dispatch
-    through a :class:`~repro.perf.executor.MapExecutor`: ``executor`` (a
-    backend spec such as ``"process:4"`` or an instance) takes precedence
-    over ``config.parallelism``, and ``REPRO_PARALLELISM`` overrides both.
-    The process backend sidesteps the GIL — the right choice here, since
-    cell builds are dominated by Python-level training loops — but needs a
-    picklable ``index_factory`` (a module-level function, not a lambda).
-    Each cell times itself inside its worker, so per-cell speedups remain
-    valid under parallel dispatch; inside workers any nested build
-    parallelism is forced serial so cells never open pools of their own.
+    Grid cells are independent build+query measurements and run one after
+    another (what a process pool over the cells was measured to give, and
+    why it is not here: docs/performance.md).
     """
     if query_kind not in ("point", "window"):
         raise ValueError(f"query_kind must be 'point' or 'window', got {query_kind!r}")
     cfg = config or ELSIConfig()
-    # Warm MR in the parent: fork-started workers inherit the pool.
     _warm_mr_pool(cfg)
-    ex = resolve_executor(
-        executor
-        if executor is not None
-        else MapExecutor(
-            backend=cfg.parallelism, max_workers=cfg.parallel_workers
-        )
-    )
-    pooled = ex.backend in ("thread", "process")
     jobs = [
         _CellJob(
             index_factory=index_factory,
@@ -222,7 +187,6 @@ def collect_selector_data(
             seed=seed + i,
             n_queries=n_queries,
             query_kind=query_kind,
-            nested_serial=pooled,
         )
         for n in cardinalities
         for i, delta in enumerate(deltas)
@@ -232,9 +196,8 @@ def collect_selector_data(
         cells=len(jobs),
         methods=len(cfg.methods),
         query_kind=query_kind,
-        backend=ex.backend,
     ):
-        return ex.submit_many([(_measure_cell, (job,)) for job in jobs])
+        return [_measure_cell(job) for job in jobs]
 
 
 def records_to_samples(records: list[DatasetRecord]) -> list[ScorerSample]:

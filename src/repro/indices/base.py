@@ -30,7 +30,6 @@ from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
 from repro.perf.batching import merge_ranges
-from repro.perf.executor import MapExecutor, resolve_executor
 from repro.perf.fused_infer import FUSION_DTYPES, resolve_dtype
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
@@ -47,10 +46,6 @@ __all__ = [
     "TrainedModel",
     "run_fit_job",
 ]
-
-#: Keys per chunk when the error-bound pass is dispatched through an
-#: executor (the M(n) full-set prediction of Section VI-B).
-BOUND_CHUNK = 32_768
 
 # A base index's map() for one partition: coordinates -> mapped keys.
 MapFn = Callable[[np.ndarray], np.ndarray]
@@ -192,42 +187,21 @@ class TrainedModel:
         self.invocations += len(keys)
         return self._positions(keys)
 
-    def measure_error_bounds(
-        self, all_keys_sorted: np.ndarray, executor: "MapExecutor | None" = None
-    ) -> None:
+    def measure_error_bounds(self, all_keys_sorted: np.ndarray) -> None:
         """Record ``err_l``/``err_u`` over the full sorted key set.
 
         Guarantees that for every indexed key at true position ``i`` with
         prediction ``p``: ``i in [p - err_l, p + err_u]`` — the invariant the
         predict-and-scan paradigm relies on (Section III, condition 2).
-
-        The full-set prediction pass is embarrassingly parallel over key
-        chunks; passing a thread/process ``executor`` dispatches it chunked
-        with bit-identical results (predictions are elementwise).
         """
         n = len(all_keys_sorted)
         if n == 0:
             self.err_l = self.err_u = 0
             return
-        chunked = (
-            executor is not None
-            and executor.backend in ("thread", "process")
-            and n > BOUND_CHUNK
-        )
-        if not chunked:
-            predicted = self.predict_positions(all_keys_sorted)
-            over = predicted - np.arange(n)  # positive: predicted past the point
-            self.err_l = int(max(0, over.max()))
-            self.err_u = int(max(0, (-over).max()))
-            return
-        jobs = [
-            (self, start, all_keys_sorted[start : start + BOUND_CHUNK])
-            for start in range(0, n, BOUND_CHUNK)
-        ]
-        extremes = executor.map(_bound_chunk, jobs)
-        self.invocations += n
-        self.err_l = int(max(0, max(over for over, _ in extremes)))
-        self.err_u = int(max(0, max(under for _, under in extremes)))
+        predicted = self.predict_positions(all_keys_sorted)
+        over = predicted - np.arange(n)  # positive: predicted past the point
+        self.err_l = int(max(0, over.max()))
+        self.err_u = int(max(0, (-over).max()))
 
     def search_range(self, key: float) -> tuple[int, int]:
         """Half-open scan range [lo, hi) for ``key`` under the error bounds."""
@@ -276,24 +250,15 @@ class TrainedModel:
         return model
 
 
-def _bound_chunk(job: tuple["TrainedModel", int, np.ndarray]) -> tuple[int, int]:
-    """Max over/under-prediction of one key chunk (module-level so the
-    process backend can pickle it; pure, so dispatch order is irrelevant)."""
-    model, start, keys = job
-    predicted = model._positions(np.asarray(keys, dtype=np.float64))
-    over = predicted - (start + np.arange(len(keys)))
-    return int(over.max()), int((-over).max())
-
-
 @dataclass
 class FitJob:
     """One self-contained model-fit unit: everything ``run_fit_job`` needs.
 
-    Builders *prepare* jobs serially (method choice and ``compute_set`` may
-    draw from shared RNG state, so preparation order must be the input
-    order) and *run* them through an executor — jobs are pure functions of
-    their fields, which is what makes thread/process dispatch bit-identical
-    to serial.
+    Builders *prepare* jobs in input order (method choice and
+    ``compute_set`` may draw from shared RNG state) and then *run* them;
+    a job is a pure function of its fields, so running jobs one by one or
+    training a group of them together (:func:`_run_fit_jobs_fused`) needs
+    nothing from the builder.
     """
 
     train_keys: np.ndarray
@@ -319,7 +284,7 @@ class FitOutcome:
     error_bound_seconds: float
 
 
-def run_fit_job(job: FitJob, executor: "MapExecutor | None" = None) -> FitOutcome:
+def run_fit_job(job: FitJob) -> FitOutcome:
     """Train (or load) one model and measure its error bounds."""
     with _span(
         "build.train", method=job.method_name, train_size=len(job.train_keys)
@@ -349,9 +314,15 @@ def run_fit_job(job: FitJob, executor: "MapExecutor | None" = None) -> FitOutcom
                 method_name=job.method_name,
                 seed=job.seed,
             )
+    return _measured(model, job, train_seconds)
+
+
+def _measured(model: TrainedModel, job: FitJob, train_seconds: float) -> FitOutcome:
+    """The ``M(n)`` pass: measure ``model``'s bounds over the job's full
+    partition, under one ``build.error_bounds`` span."""
     started = time.perf_counter()
     with _span("build.error_bounds", n=job.n_indexed) as eb_span:
-        model.measure_error_bounds(job.sorted_keys, executor=executor)
+        model.measure_error_bounds(job.sorted_keys)
         eb_span.set(err_l=model.err_l, err_u=model.err_u)
     return FitOutcome(
         model=model,
@@ -374,13 +345,15 @@ class ModelBuilder(ABC):
     exactly the paper's applicability restriction for those methods.
 
     Multi-model indices call :meth:`build_models` with all partitions at
-    once; jobs are prepared serially (deterministic RNG order) and then
-    dispatched through the builder's :class:`~repro.perf.executor.MapExecutor`
-    (``executor`` attribute, env-overridable via ``REPRO_PARALLELISM``).
+    once; jobs are prepared in partition order (deterministic RNG order)
+    and then run one by one, or — when :attr:`parallelism` is ``"fused"``
+    — trained together by :mod:`repro.perf.fused`.
     """
 
-    #: Executor (or backend spec string) for :meth:`build_models` dispatch.
-    executor: "MapExecutor | str | None" = None
+    #: How :meth:`build_models` runs its fit jobs: one of
+    #: :data:`repro.core.config.PARALLELISM` (``ELSIModelBuilder`` takes it
+    #: from ``ELSIConfig.parallelism``).
+    parallelism: str = "serial"
 
     @abstractmethod
     def build_model(
@@ -402,7 +375,7 @@ class ModelBuilder(ABC):
 
         Builders that cannot express their work as a pure job (custom
         subclasses) keep the default, which makes :meth:`build_models`
-        fall back to a serial ``build_model`` loop.
+        fall back to a ``build_model`` loop.
         """
         raise NotImplementedError
 
@@ -411,7 +384,6 @@ class ModelBuilder(ABC):
         partitions: list[tuple[np.ndarray, np.ndarray]],
         stats: BuildStats,
         map_fn: "MapFn | list[MapFn | None] | None" = None,
-        executor: "MapExecutor | None" = None,
     ) -> list[TrainedModel]:
         """Build one model per ``(sorted_keys, sorted_points)`` partition.
 
@@ -420,8 +392,7 @@ class ModelBuilder(ABC):
         partition (RSMI's node-local curves, where each sibling has its own
         bounding box).
 
-        Results are returned in partition order and are identical across
-        the serial/thread/process backends; the fused backend trains all
+        Results are returned in partition order.  ``fused`` trains all
         same-architecture jobs in one vectorised pass
         (:mod:`repro.perf.fused`) and then measures error bounds through
         the standard per-model path, preserving predict-and-scan
@@ -435,9 +406,8 @@ class ModelBuilder(ABC):
             map_fns = map_fn
         else:
             map_fns = [map_fn] * len(partitions)
-        ex = resolve_executor(executor if executor is not None else self.executor)
         with _span(
-            "build.models", partitions=len(partitions), backend=ex.backend
+            "build.models", partitions=len(partitions), backend=self.parallelism
         ):
             try:
                 jobs = [
@@ -449,10 +419,10 @@ class ModelBuilder(ABC):
                     self.build_model(keys, pts, stats, mf)
                     for (keys, pts), mf in zip(partitions, map_fns)
                 ]
-            if ex.backend == "fused":
+            if self.parallelism == "fused":
                 outcomes = _run_fit_jobs_fused(jobs)
             else:
-                outcomes = ex.map(run_fit_job, jobs)
+                outcomes = [run_fit_job(job) for job in jobs]
             models = []
             for job, outcome in zip(jobs, outcomes):
                 _merge_fit_costs(stats, job, outcome)
@@ -476,8 +446,9 @@ def _run_fit_jobs_fused(jobs: list[FitJob]) -> list[FitOutcome]:
     """Run fit jobs with fused (batched) training where possible.
 
     Jobs sharing an architecture and train config are trained in one
-    vectorised loop; pretrained (MR) and odd-one-out jobs fall back to the
-    serial path.  The fused wall-clock is split evenly across its jobs so
+    vectorised loop, under one ``build.train`` span per group; pretrained
+    (MR) and odd-one-out jobs go through :func:`run_fit_job`.  The fused
+    wall-clock is split evenly across its jobs so
     ``BuildStats.train_seconds`` still totals the real elapsed time.
     """
     from repro.perf.fused import train_regressors_fused
@@ -510,18 +481,19 @@ def _run_fit_jobs_fused(jobs: list[FitJob]) -> list[FitOutcome]:
             models.append(model)
             xs.append(model.normalise(np.asarray(job.train_keys, dtype=np.float64)))
             ys.append(np.asarray(job.train_ranks, dtype=np.float64))
-        result = train_regressors_fused(
-            [m.net for m in models], xs, ys, train_config or TrainConfig()
-        )
+        with _span(
+            "build.train",
+            method=",".join(sorted({m.method_name for m in models})),
+            models=len(models),
+            fused=True,
+            train_size=sum(len(x) for x in xs),
+        ):
+            result = train_regressors_fused(
+                [m.net for m in models], xs, ys, train_config or TrainConfig()
+            )
         per_job_train = result.elapsed_seconds / len(members)
         for i, model in zip(members, models):
-            started = time.perf_counter()
-            model.measure_error_bounds(jobs[i].sorted_keys)
-            outcomes[i] = FitOutcome(
-                model=model,
-                train_seconds=per_job_train,
-                error_bound_seconds=time.perf_counter() - started,
-            )
+            outcomes[i] = _measured(model, jobs[i], per_job_train)
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]
 
@@ -563,13 +535,11 @@ class OriginalBuilder(ModelBuilder):
         train_config: TrainConfig | None = None,
         hidden: int = 16,
         seed: int = 0,
-        executor: "MapExecutor | str | None" = None,
         dtype: str = "float64",
     ) -> None:
         self.train_config = train_config
         self.hidden = hidden
         self.seed = seed
-        self.executor = executor
         #: Inference/key precision for models built here; ``REPRO_DTYPE``
         #: overrides, matching ``ELSIModelBuilder`` so OG builds honour the
         #: same environment knob.
@@ -606,7 +576,7 @@ class OriginalBuilder(ModelBuilder):
         map_fn: MapFn | None = None,
     ) -> TrainedModel:
         job = self.prepare_fit_job(sorted_keys, sorted_points, map_fn)
-        outcome = run_fit_job(job, executor=resolve_executor(self.executor))
+        outcome = run_fit_job(job)
         _merge_fit_costs(stats, job, outcome)
         return outcome.model
 

@@ -154,10 +154,9 @@ class FloodIndex(LearnedSpatialIndex):
         columns = self._column_of(pts[:, 0])
         self.build_stats.prepare_seconds += time.perf_counter() - started
 
-        # Per-column stores are laid out serially (cheap sorts), then every
-        # column model builds through the builder's executor — Flood's
-        # columns are independent partitions, the embarrassingly parallel
-        # case the perf executor exists for.
+        # Per-column stores are laid out first (cheap sorts), then every
+        # column model builds in one ``build_models`` call — Flood's
+        # columns are independent partitions.
         self._stores = []
         for c in range(self.n_columns):
             members = pts[columns == c]

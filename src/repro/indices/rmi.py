@@ -122,8 +122,8 @@ class RMIModel:
             return self
 
         # Stage-2 leaves are independent per-partition jobs: prepare every
-        # partition, then build them all through the builder's executor
-        # (parallel backends overlap the fits; results stay in branch order).
+        # partition, then build them all in one ``build_models`` call
+        # (results stay in branch order).
         routed = self._route(sorted_keys)
         positions_per_branch = [
             np.flatnonzero(routed == branch) for branch in range(self.branching)

@@ -16,12 +16,11 @@ scenario Figure 3 illustrates ELSI accelerating (models M_{0,0}, M_{1,0},
 M_{1,1} built one at a time).
 
 The build is level-wise: every sibling subtree's model fit at a given
-depth is an independent job, dispatched as one
-:meth:`~repro.indices.base.ModelBuilder.build_models` call per level
-through the builder's executor (``perf.map`` spans under each
-``rsmi.fit_level``).  Node preparation stays in tree order and every fit
-job is a pure function of its partition, so the tree is the one a
-depth-first recursion would build.
+depth is an independent job, and a level is one
+:meth:`~repro.indices.base.ModelBuilder.build_models` call (a
+``build.models`` span under each ``rsmi.fit_level``).  Node preparation
+stays in tree order and every fit job is a pure function of its
+partition, so the tree is the one a depth-first recursion would build.
 """
 
 from __future__ import annotations
@@ -221,10 +220,9 @@ class RSMIIndex(LearnedSpatialIndex):
         old leaf's depth).
 
         Sibling subtrees at the same depth are independent — their model
-        fits go to the builder's executor as a single batch, so the
-        thread/process backends overlap them and the fused backend trains
-        them in one vectorised pass.  Node preparation (sort, routing)
-        stays in deterministic tree order.
+        fits go to the builder as a single batch, which ``fused`` trains
+        in one vectorised pass.  Node preparation (sort, routing) stays in
+        deterministic tree order.
         """
         # A frontier entry: (points, bounds, depth, attach) where attach
         # places the finished node on its parent (or captures the root).

@@ -7,7 +7,7 @@ observable end to end:
 - :mod:`repro.obs.trace` — nested spans with durations and attributes
   (``span("build.method_select", n=...)``), an in-memory ring buffer, an
   optional ``REPRO_TRACE`` JSON-lines sink, and merge support for spans
-  produced inside ``repro.perf`` process-backend workers;
+  produced inside worker processes;
 - :mod:`repro.obs.metrics` — counters, gauges and log-bucket histograms
   in a :class:`MetricsRegistry` with text/JSON exporters (the machinery
   behind ``repro.serve.stats.ServerStats``);

@@ -7,10 +7,9 @@ The one API that matters is :func:`span`::
 
 When tracing is *disabled* (the default), :func:`span` returns a shared
 no-op context manager after a single boolean check — cheap enough to leave
-at every instrumentation site, which is what keeps the ``BENCH_core``
-numbers and the served route (``benchmarks/e2e/run.py --workload
-serve_zm_200k --smoke``) within the <5 % overhead budget.  When
-enabled, each span records name, start timestamp, duration, attributes,
+at every instrumentation site, which is what keeps the served route
+(``benchmarks/e2e/run.py --workload serve_zm_200k --smoke``) within the
+<5 % overhead budget.  When enabled, each span records name, start timestamp, duration, attributes,
 process/thread identity, and its parent (tracked per thread), into an
 in-memory ring buffer and — when a sink path is configured — a JSON-lines
 file, one object per completed span.
@@ -19,12 +18,11 @@ Enabling: set ``REPRO_TRACE=/path/to/trace.jsonl`` in the environment
 (picked up at import), set ``REPRO_OBS=1`` for ring-buffer-only tracing,
 or call :func:`enable` programmatically.
 
-Executor workers: spans opened on pool threads parent themselves under the
-dispatching span via :meth:`Tracer.ambient`; spans opened in *process*
-workers are collected with :meth:`Tracer.capture` and shipped back to the
-parent as plain dicts, where :meth:`Tracer.adopt` re-parents and stores
-them — see :mod:`repro.perf.executor` for the wiring.  Span ids embed the
-pid, so parent and worker ids never collide.
+Worker processes: spans opened in a shard worker are collected with
+:meth:`Tracer.capture` under a :meth:`Tracer.ambient` scope and shipped
+back to the parent as plain dicts, where :meth:`Tracer.adopt` re-parents
+and stores them.  Span ids embed the pid, so parent and worker ids never
+collide.
 
 Distributed traces: every span carries a ``trace_id`` — inherited from the
 enclosing span (or the ambient context a worker was seeded with), else the
@@ -242,7 +240,7 @@ class _Span:
 class _Ambient:
     """Context manager that seeds a thread's parent id — and, for
     cross-process propagation, the trace id — for spans opened inside the
-    scope (executor workers, shard workers)."""
+    scope (shard workers)."""
 
     __slots__ = ("_tracer", "_parent", "_trace")
 
@@ -274,7 +272,7 @@ class _Ambient:
 class _Capture:
     """Collects spans recorded during its scope instead of publishing them.
 
-    Used inside executor worker processes: tracing is force-enabled for
+    Used inside shard worker processes: tracing is force-enabled for
     the scope, the ring buffer and file sink are bypassed, and the caller
     ships the collected dicts back to the parent process.
     """

@@ -1,15 +1,14 @@
-"""Performance subsystem: parallel build execution and batch-query kernels.
+"""Performance subsystem: fused model training and batch-query kernels.
 
 ELSI's contribution is shrinking the training set behind each index model;
-this package makes the surrounding *system* costs match — per-partition
-model builds dispatch through a configurable :class:`MapExecutor`
-(serial / thread / process / fused backends), batch point lookups run
+this package makes the surrounding *system* costs match — the models of a
+multi-model build can train in one vectorised loop (:mod:`repro.perf.fused`,
+``ELSIConfig(parallelism="fused")``), batch point lookups run
 through vectorised gather kernels instead of per-query Python loops, and
 multi-model batch prediction runs through one stacked-parameter compute
 path (:class:`FusedInferenceEngine`) instead of one FFN call per leaf.
 """
 
-from repro.perf.executor import MapExecutor, resolve_executor
 from repro.perf.fused_infer import (
     FusedInferenceEngine,
     fusion_rejection_reason,
@@ -19,9 +18,7 @@ from repro.perf.fused_infer import (
 
 __all__ = [
     "FusedInferenceEngine",
-    "MapExecutor",
     "fusion_rejection_reason",
     "record_fusion_rejected",
     "resolve_dtype",
-    "resolve_executor",
 ]

@@ -6,17 +6,18 @@ repo's model sizes that cost is interpreter overhead, not arithmetic.  The
 fused trainer stacks the ``k`` networks' parameters into ``(k, fan_in,
 fan_out)`` tensors, pads the per-model training sets to a common length
 with zero-weight masks, and runs **one** epoch loop of batched matmuls for
-all models at once.  This is the executor's ``fused`` backend: the only
-one that speeds up builds on a single core (thread/process backends need
-spare cores; batching needs only wider BLAS calls and fewer interpreter
-iterations).
+all models at once.  This is what ``ELSIConfig(parallelism="fused")``
+selects: batching needs only wider BLAS calls and fewer interpreter
+iterations, so it pays on one core — for many small training sets; the
+padding makes it slower than the per-model loop on OG-sized ones
+(docs/performance.md).
 
 Semantics match :func:`repro.ml.trainer.train_regressor` per model — same
 Adam hyperparameters, same per-model early stopping (a converged model's
 parameters freeze while the rest keep training) — up to floating-point
 reassociation from padded reductions; the resulting models go through the
 usual full-partition error-bound measurement, so predict-and-scan
-correctness is preserved exactly regardless of the training backend.
+correctness is preserved exactly however the models were trained.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def build_cluster(
 
     ``elsi`` / ``serve`` are keyword dicts for each worker's ``ELSIConfig``
     and ``ServeConfig``; ``env`` overrides the captured
-    ``REPRO_FAULTS``/``REPRO_DTYPE``/``REPRO_PARALLELISM`` propagation.
+    ``REPRO_FAULTS``/``REPRO_DTYPE`` propagation.
     """
     pts = np.asarray(points, dtype=np.float64)
     directory = Path(directory)

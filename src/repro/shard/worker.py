@@ -5,11 +5,11 @@ interpreter, **nothing inherited from the parent by fork** — so every bit
 of configuration a shard needs travels explicitly in its
 :class:`WorkerSpec`: the per-shard directory (snapshots + WAL + build
 points), the index kind and build method, ELSI/serve config kwargs, and
-the captured environment (``REPRO_FAULTS`` / ``REPRO_DTYPE`` /
-``REPRO_PARALLELISM``).  The worker applies that environment to
-``os.environ`` *and* arms the fault spec on its own fault registry before
-building anything, so ``repro chaos``-style scenarios can target fault
-sites inside an individual shard regardless of how the process started.
+the captured environment (``REPRO_FAULTS`` / ``REPRO_DTYPE``).  The
+worker applies that environment to ``os.environ`` *and* arms the fault
+spec on its own fault registry before building anything, so
+``repro chaos``-style scenarios can target fault sites inside an
+individual shard regardless of how the process started.
 
 The control protocol over the duplex pipe is one request, one response:
 the parent sends ``(seq, timeout, command, trace, *payload)`` tuples and
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 #: Environment configuration propagated explicitly into workers at spawn.
-ENV_KEYS = ("REPRO_FAULTS", "REPRO_DTYPE", "REPRO_PARALLELISM")
+ENV_KEYS = ("REPRO_FAULTS", "REPRO_DTYPE")
 
 #: Exit code of a deliberate ``("crash",)`` — same idea as the chaos
 #: child's marker: distinguishes commanded crashes from real failures.
@@ -130,7 +130,7 @@ def _apply_env(spec: WorkerSpec) -> None:
     """Apply the spec's captured environment, then arm faults explicitly.
 
     Applying ``os.environ`` covers everything read lazily after this
-    point (dtype, parallelism, a fault registry not yet created); the
+    point (dtype, a fault registry not yet created); the
     explicit ``arm_spec`` covers the one case the environment cannot —
     a start method under which this process already initialised its
     registry before the spec arrived."""

@@ -25,6 +25,19 @@ def _disarm_faults():
     get_fault_registry().reset()
 
 
+@pytest.fixture
+def tracer():
+    """The process-wide tracer, enabled for the test and reset afterwards."""
+    from repro.obs.trace import get_tracer
+
+    t = get_tracer()
+    t.enable()
+    t.reset()
+    yield t
+    t.disable()
+    t.reset()
+
+
 @pytest.fixture(scope="session")
 def osm_points() -> np.ndarray:
     """A 2 000-point OSM1-like data set shared across tests."""

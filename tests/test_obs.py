@@ -15,23 +15,6 @@ from repro.obs.report import (
     render_tree,
 )
 from repro.obs.trace import SpanRecord, Tracer, get_tracer, span, traced
-from repro.perf.executor import ENV_VAR, MapExecutor, resolve_executor
-
-
-def _square(x):
-    """Module-level so the process backend can pickle it."""
-    return x * x
-
-
-@pytest.fixture
-def tracer():
-    """The process-wide tracer, enabled for the test and reset afterwards."""
-    t = get_tracer()
-    t.enable()
-    t.reset()
-    yield t
-    t.disable()
-    t.reset()
 
 
 # ----------------------------------------------------------------------
@@ -134,43 +117,6 @@ def test_capture_redirects_and_adopt_reparents(tracer):
     child = tracer.find("worker.child")[0]
     assert root.parent_id == "parent-span"
     assert child.parent_id == root.span_id  # intra-batch links preserved
-
-
-# ----------------------------------------------------------------------
-# Executor tracing (thread + process workers)
-# ----------------------------------------------------------------------
-def test_thread_map_chunks_parent_under_map_span(tracer):
-    ex = MapExecutor(backend="thread", max_workers=2, chunk_size=3)
-    assert ex.map(_square, list(range(9))) == [x * x for x in range(9)]
-    map_spans = tracer.find("perf.map")
-    assert len(map_spans) == 1
-    assert map_spans[0].attrs["backend"] == "thread"
-    chunks = tracer.find("perf.chunk")
-    assert len(chunks) == 3
-    assert all(c.parent_id == map_spans[0].span_id for c in chunks)
-
-
-def test_process_map_worker_spans_survive_pickling(tracer):
-    import os
-
-    ex = MapExecutor(backend="process", max_workers=2, chunk_size=2)
-    assert ex.map(_square, list(range(8))) == [x * x for x in range(8)]
-    map_spans = tracer.find("perf.map")
-    assert len(map_spans) == 1
-    assert "utilisation" in map_spans[0].attrs
-    chunks = tracer.find("perf.chunk")
-    assert len(chunks) == 4
-    assert all(c.parent_id == map_spans[0].span_id for c in chunks)
-    # The chunk spans really came from worker processes.
-    assert all(c.pid != os.getpid() for c in chunks)
-
-
-def test_disabled_map_takes_untraced_path():
-    t = get_tracer()
-    assert not t.enabled
-    ex = MapExecutor(backend="thread", max_workers=2)
-    assert ex.map(_square, list(range(5))) == [x * x for x in range(5)]
-    assert t.spans() == []
 
 
 # ----------------------------------------------------------------------
@@ -433,28 +379,6 @@ def test_load_trace_round_trip_and_errors(tmp_path):
     bad.write_text('{"name": "x"}\nnot json\n')
     with pytest.raises(ValueError, match="malformed span line"):
         load_trace(str(bad))
-
-
-# ----------------------------------------------------------------------
-# REPRO_PARALLELISM spec parsing
-# ----------------------------------------------------------------------
-def test_from_spec_rejects_malformed_values():
-    with pytest.raises(ValueError, match="accepted forms"):
-        MapExecutor.from_spec("")
-    with pytest.raises(ValueError, match="unknown backend"):
-        MapExecutor.from_spec("gpu:4")
-    with pytest.raises(ValueError, match="integer"):
-        MapExecutor.from_spec("thread:4.5")
-    with pytest.raises(ValueError, match="positive"):
-        MapExecutor.from_spec("thread:0")
-    with pytest.raises(ValueError, match="positive"):
-        MapExecutor.from_spec("process:-2")
-
-
-def test_resolve_executor_names_env_var_on_bad_spec(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "warp:9")
-    with pytest.raises(ValueError, match=ENV_VAR):
-        resolve_executor(None)
 
 
 # ----------------------------------------------------------------------

@@ -1,198 +1,120 @@
-"""Tests for the parallel build executor (repro.perf.executor / fused)."""
+"""Tests for the one build dispatch: a loop, or the fused trainer."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
+from repro.core.elsi import ELSI
+from repro.core.selector import collect_selector_data
 from repro.indices import ZMIndex
+from repro.indices.base import ModelBuilder, OriginalBuilder, TrainedModel, run_fit_job
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig, train_regressor
-from repro.perf.executor import (
-    ENV_VAR,
-    MapExecutor,
-    resolve_executor,
-    serial_nested,
-)
 from repro.perf.fused import can_fuse, train_regressors_fused
 
 
-def _square(x):
-    """Module-level so the process backend can pickle it."""
-    return x * x
+def test_one_build_dispatch(monkeypatch):
+    """Model fits run in a loop or through the fused trainer: there is no
+    pool, no executor object and no second place to choose one."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.perf.executor")
 
+    root = Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        if "shard" in path.relative_to(root).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            for name in names:
+                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), (
+                    f"{path} imports {name}"
+                )
 
-def _cube(x):
-    return x * x * x
+    assert "parallel_workers" not in ELSIConfig.__dataclass_fields__
+    for value in ("thread", "process", "gpu", "thread:4"):
+        with pytest.raises(ValueError, match="'serial', 'fused'"):
+            ELSIConfig(parallelism=value)
+    for fn in (
+        collect_selector_data,
+        ModelBuilder.build_models,
+        run_fit_job,
+        OriginalBuilder.__init__,
+        TrainedModel.measure_error_bounds,
+    ):
+        assert "executor" not in inspect.signature(fn).parameters, fn.__qualname__
 
-
-def _resolved_backend(spec):
-    """Worker helper: what resolve_executor yields inside this task."""
-    return resolve_executor(spec).backend
-
-
-# ----------------------------------------------------------------------
-# MapExecutor
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread", "process", "fused"])
-def test_map_preserves_input_order(backend):
-    ex = MapExecutor(backend=backend, max_workers=2)
-    items = list(range(37))
-    assert ex.map(_square, items) == [x * x for x in items]
-
-
-@pytest.mark.parametrize("chunk_size", [1, 3, 100])
-def test_map_order_stable_across_chunk_sizes(chunk_size):
-    ex = MapExecutor(backend="thread", max_workers=3, chunk_size=chunk_size)
-    items = list(range(25))
-    assert ex.map(_square, items) == [x * x for x in items]
-
-
-def test_map_empty_and_singleton():
-    ex = MapExecutor(backend="process", max_workers=2)
-    assert ex.map(_square, []) == []
-    assert ex.map(_square, [7]) == [49]
-
-
-def test_chunking_covers_all_jobs():
-    ex = MapExecutor(backend="thread", max_workers=2, chunk_size=4)
-    chunks = ex._chunked(list(range(10)))
-    assert [len(c) for c in chunks] == [4, 4, 2]
-    assert [x for c in chunks for x in c] == list(range(10))
-
-
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        MapExecutor(backend="gpu")
-    with pytest.raises(ValueError, match="max_workers"):
-        MapExecutor(backend="thread", max_workers=0)
-
-
-def test_from_spec_parses_workers():
-    ex = MapExecutor.from_spec("thread:4")
-    assert ex.backend == "thread"
-    assert ex.max_workers == 4
-    assert MapExecutor.from_spec("serial").max_workers is None
-    with pytest.raises(ValueError, match="integer"):
-        MapExecutor.from_spec("thread:many")
-
-
-# ----------------------------------------------------------------------
-# submit_many: heterogeneous tasks
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread", "process", "fused"])
-def test_submit_many_mixed_functions_in_order(backend):
-    ex = MapExecutor(backend=backend, max_workers=2)
-    tasks = [(_square, (i,)) if i % 2 else (_cube, (i,)) for i in range(11)]
-    expected = [i * i if i % 2 else i * i * i for i in range(11)]
-    assert ex.submit_many(tasks) == expected
-
-
-def test_submit_many_empty():
-    assert MapExecutor(backend="thread").submit_many([]) == []
-
-
-def test_submit_many_propagates_exceptions():
-    def boom(x):
-        raise RuntimeError(f"task {x}")
-
-    with pytest.raises(RuntimeError, match="task 1"):
-        MapExecutor(backend="serial").submit_many([(boom, (1,))])
-
-
-# ----------------------------------------------------------------------
-# serial_nested: no pools inside pool workers
-# ----------------------------------------------------------------------
-def test_serial_nested_forces_serial_resolution(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "process:4")
-    with serial_nested():
-        assert resolve_executor(None).backend == "serial"
-        assert resolve_executor("thread:2").backend == "serial"
-        # Re-entrant.
-        with serial_nested():
-            assert resolve_executor(MapExecutor(backend="fused")).backend == "serial"
-        assert resolve_executor(None).backend == "serial"
-    assert resolve_executor(None).backend == "process"
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_serial_nested_inside_workers(backend, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    ex = MapExecutor(backend=backend, max_workers=2)
-
-    def guarded(spec):
-        with serial_nested():
-            return _resolved_backend(spec)
-
-    # Without the guard workers resolve normally; with it, always serial.
-    assert ex.map(_resolved_backend, ["thread:2", "process:2"]) == [
-        "thread",
-        "process",
-    ]
-    if backend == "thread":  # closures don't pickle for the process backend
-        assert ex.map(guarded, ["thread:2", "process:2"]) == ["serial", "serial"]
-
-
-# ----------------------------------------------------------------------
-# resolve_executor + environment override
-# ----------------------------------------------------------------------
-def test_resolve_defaults_to_serial(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert resolve_executor(None).backend == "serial"
-    assert resolve_executor("thread:2").backend == "thread"
-    passed = MapExecutor(backend="fused")
-    assert resolve_executor(passed) is passed
-
-
-def test_env_variable_wins(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "thread:3")
-    ex = resolve_executor(MapExecutor(backend="process", max_workers=8))
-    assert ex.backend == "thread"
-    assert ex.max_workers == 3
+    # A name nothing reads: lambda factories died on it with PicklingError.
+    monkeypatch.setenv("REPRO_PARALLELISM", "process:2")
+    elsi = ELSI(ELSIConfig(train_epochs=40, methods=("SP", "OG")))
+    scorer = elsi.train_selector(
+        lambda builder: ZMIndex(builder=builder, branching=1),
+        cardinalities=(300,),
+        deltas=(0.0, 0.5),
+        n_queries=20,
+    )
+    assert scorer is elsi.selector
 
 
 def test_config_validates_parallelism():
-    assert ELSIConfig(parallelism="thread").parallelism == "thread"
-    with pytest.raises(ValueError, match="parallelism"):
+    assert ELSIConfig(parallelism="fused").parallelism == "fused"
+    with pytest.raises(ValueError, match=r"\('serial', 'fused'\)"):
         ELSIConfig(parallelism="gpu")
-    with pytest.raises(ValueError, match="parallel_workers"):
-        ELSIConfig(parallel_workers=0)
 
 
 # ----------------------------------------------------------------------
-# Backend-identical builds
+# Builds
 # ----------------------------------------------------------------------
-def _build(points, backend):
-    config = ELSIConfig(train_epochs=60, parallelism=backend, parallel_workers=2)
+def _build(points, backend, branching=4):
+    config = ELSIConfig(train_epochs=60, parallelism=backend)
     return ZMIndex(
-        builder=ELSIModelBuilder(config, method="SP"), branching=4
+        builder=ELSIModelBuilder(config, method="SP"), branching=branching
     ).build(points)
 
 
-def _model_state(index):
-    return [
-        (m.err_l, m.err_u, [w.copy() for w in m.net.weights])
-        for m in index.model.models
-    ]
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_build_bit_identical_to_serial(osm_points, backend, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    serial = _model_state(_build(osm_points, "serial"))
-    other = _model_state(_build(osm_points, backend))
-    assert len(serial) == len(other)
-    for (el_a, eu_a, ws_a), (el_b, eu_b, ws_b) in zip(serial, other):
-        assert el_a == el_b and eu_a == eu_b
-        for wa, wb in zip(ws_a, ws_b):
-            np.testing.assert_array_equal(wa, wb)
-
-
-def test_fused_build_answers_queries(osm_points, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_fused_build_answers_queries(osm_points):
     index = _build(osm_points, "fused")
     assert index.point_queries(osm_points[:300]).all()
     assert not index.point_queries(osm_points[:50] + 2.0).any()
+
+
+def test_fused_build_is_traced_like_the_serial_one(osm_points, tracer):
+    """One ``build.train`` span per fused group, one ``build.error_bounds``
+    span per model, and the group's wall time lands in ``BuildStats``."""
+
+    _build(osm_points, "serial", branching=8)
+    serial_train = tracer.find("build.train")
+    serial_bounds = tracer.find("build.error_bounds")
+    tracer.reset()
+    index = _build(osm_points, "fused", branching=8)
+    fused_train = tracer.find("build.train")
+    leaves = len(index.model.models) - 1  # all but the stage-1 model
+    assert leaves > 1
+    assert len(serial_train) == leaves + 1
+    assert len(tracer.find("build.error_bounds")) == len(serial_bounds) == leaves + 1
+
+    (stage1,) = [s for s in fused_train if "fused" not in s.attrs]
+    (group,) = [s for s in fused_train if s.attrs.get("fused")]
+    assert group.attrs["models"] == leaves
+    assert group.attrs["method"] == "SP"
+    assert (
+        group.attrs["train_size"] + stage1.attrs["train_size"]
+        == index.build_stats.train_set_size
+    )
+    # train_seconds = the stage-1 fit + the group's one training loop,
+    # both timed inside their spans.
+    in_spans = sum(s.duration for s in fused_train)
+    assert 0.8 * in_spans <= index.build_stats.train_seconds <= in_spans
 
 
 # ----------------------------------------------------------------------

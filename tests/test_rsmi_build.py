@@ -2,9 +2,9 @@
 
 The level-wise frontier build dispatches every level's sibling model fits
 as one ``build_models`` batch; the resulting tree must be identical to a
-depth-first recursion — structure, models, and error bounds — for every
-executor backend that guarantees bit-identical fits.  The depth-first
-builder lives here, as the reference: ``RSMIIndex`` has one build.
+depth-first recursion — structure, models, and error bounds.  The
+depth-first builder lives here, as the reference: ``RSMIIndex`` has one
+build.
 """
 
 import numpy as np
@@ -13,25 +13,12 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices.rsmi import RSMIIndex, _Node
-from repro.obs.trace import get_tracer
 from repro.spatial.rect import Rect
 from tests.brute import assert_windows
 
 
-@pytest.fixture
-def tracer():
-    t = get_tracer()
-    t.enable()
-    t.reset()
-    yield t
-    t.disable()
-    t.reset()
-
-
 def _index(backend="serial", leaf_capacity=300):
-    config = ELSIConfig(
-        train_epochs=60, parallelism=backend, parallel_workers=2
-    )
+    config = ELSIConfig(train_epochs=60, parallelism=backend)
     return RSMIIndex(
         builder=ELSIModelBuilder(config, method="SP"), leaf_capacity=leaf_capacity
     )
@@ -107,8 +94,7 @@ def _weights_equal(a, b):
 
 
 class TestLevelwiseParity:
-    def test_level_matches_recursive(self, osm_points, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+    def test_level_matches_recursive(self, osm_points):
         recursive = _build_depth_first(osm_points)
         level = _build(osm_points)
         sig_r, sig_l = [], []
@@ -120,24 +106,14 @@ class TestLevelwiseParity:
         assert level.n_models() > 1
         assert level.depth() >= 1
 
-    @pytest.mark.parametrize("backend", ["thread", "fused"])
-    def test_backends_produce_same_tree(self, osm_points, backend, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        serial = _build(osm_points)
-        other = _build(osm_points, backend=backend)
-        sig_s, sig_o = [], []
-        _signature(serial.root, sig_s)
-        _signature(other.root, sig_o)
-        if backend == "thread":
-            # Thread dispatch is bit-identical to serial.
-            assert sig_s == sig_o
-            _weights_equal(serial, other)
-        # Fused training differs at the ulp level, but every backend must
+    @pytest.mark.parametrize("backend", ["fused"])
+    def test_backends_produce_same_tree(self, osm_points, backend):
+        # Fused training differs from serial at the ulp level, but it must
         # keep predict-and-scan exact for indexed points.
+        other = _build(osm_points, backend=backend)
         assert other.point_queries(osm_points[:150]).all()
 
-    def test_queries_agree_across_strategies(self, osm_points, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+    def test_queries_agree_across_strategies(self, osm_points):
         recursive = _build_depth_first(osm_points)
         level = _build(osm_points)
         assert level.point_queries(osm_points[:150]).all()
@@ -171,8 +147,8 @@ class TestRSMISpans:
         assert levels, "level-wise build must emit per-level spans"
         assert levels[0].attrs["level"] == 0
         assert levels[0].attrs["nodes"] == 1
-        # Each level dispatches its fits through the executor.
-        assert tracer.find("perf.map")
+        # Each level is one build_models call.
+        assert len(tracer.find("build.models")) == len(levels)
 
     def test_query_spans(self, osm_points, tracer):
         index = _build(osm_points)

@@ -18,7 +18,7 @@ from repro.indices import ZMIndex
 
 
 def _zm_factory(builder):
-    """Module-level index factory so the process backend can pickle it."""
+    """The base index the selector grids below are measured on."""
     return ZMIndex(builder=builder, branching=1)
 
 
@@ -149,55 +149,6 @@ class TestOGBaseline:
         # measures exactly 1.0 and nothing falls below it.
         assert min(bs for bs, _qs in speedups.values()) == pytest.approx(1.0)
         assert min(qs for _bs, qs in speedups.values()) == pytest.approx(1.0)
-
-
-class TestParallelCollection:
-    """Grid cells dispatched through MapExecutor must match serial output."""
-
-    def _collect(self, fast_config, executor):
-        return collect_selector_data(
-            _zm_factory,
-            config=fast_config,
-            cardinalities=(300, 500),
-            deltas=(0.0, 0.5),
-            n_queries=30,
-            executor=executor,
-        )
-
-    @pytest.mark.parametrize("executor", ["thread:2", "process:2"])
-    def test_parallel_grid_matches_serial(self, fast_config, executor, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        serial = self._collect(fast_config, None)
-        parallel = self._collect(fast_config, executor)
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            # Data generation and the distribution feature are
-            # deterministic; speedups are wall-clock measurements, so only
-            # their structure is comparable.
-            assert a.n == b.n
-            assert a.dist_u == pytest.approx(b.dist_u, abs=1e-12)
-            assert set(a.speedups) == set(b.speedups)
-            assert all(bs > 0 and qs > 0 for bs, qs in b.speedups.values())
-            og_b, og_q = b.speedups["OG"]
-            assert og_b == pytest.approx(1.0)
-            assert og_q == pytest.approx(1.0)
-
-    def test_config_parallelism_drives_grid(self, fast_config, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        config = ELSIConfig(
-            train_epochs=fast_config.train_epochs,
-            methods=("SP", "OG"),
-            parallelism="thread",
-            parallel_workers=2,
-        )
-        records = collect_selector_data(
-            _zm_factory,
-            config=config,
-            cardinalities=(300,),
-            deltas=(0.0, 0.5),
-            n_queries=20,
-        )
-        assert [r.n for r in records] == [300, 300]
 
 
 class TestWindowAwareCollection:

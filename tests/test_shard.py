@@ -769,9 +769,7 @@ class TestEnvPropagation:
         env = capture_env()
         assert env["REPRO_FAULTS"] == "index.query=error:1"
         assert env["REPRO_DTYPE"] == "float32"
-        assert capture_env({"REPRO_PARALLELISM": "serial"})[
-            "REPRO_PARALLELISM"
-        ] == "serial"
+        assert capture_env({"REPRO_DTYPE": "float64"})["REPRO_DTYPE"] == "float64"
 
     def test_faults_armed_inside_shard_worker(self, osm_points, tmp_path):
         # The parent process has no faults armed; the spec's env must arm
