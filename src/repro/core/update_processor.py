@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from repro.core.config import ELSIConfig
-from repro.indices.base import LearnedSpatialIndex
+from repro.indices.base import InsertRefused, LearnedSpatialIndex
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
@@ -113,12 +113,7 @@ class UpdateProcessor:
         self.predictor = predictor
         self.auto_rebuild = auto_rebuild
         self.native = native
-        # Rebuilds recreate the index through this factory; the default
-        # clone keeps only the builder, so pass a factory when the index
-        # was constructed with non-default parameters.
-        self._index_factory = index_factory or (
-            lambda: type(index)(builder=index.builder)
-        )
+        self._index_factory = index_factory
         self._base_points = self._snapshot_points(index)
         self._base_keys = np.sort(
             np.asarray(index.map(self._base_points), dtype=np.float64)
@@ -161,12 +156,19 @@ class UpdateProcessor:
         # Re-inserting a deleted base point just clears the mark.
         if key in self._deleted:
             self._deleted.remove(key)
-        elif self.native:
-            self.index.insert(p)
-        else:
+        elif not (self.native and self._insert_native(p)):
             self._inserted.append(p)
             self._inserted_count[key] = self._inserted_count.get(key, 0) + 1
         self._note_update()
+
+    def _insert_native(self, point: np.ndarray) -> bool:
+        """Whether the index's built-in insertion took ``point``; one it
+        refuses (it is unchanged then) belongs on the side list."""
+        try:
+            self.index.insert(point)
+        except InsertRefused:
+            return False
+        return True
 
     def delete(self, point: np.ndarray) -> bool:
         """Mark a point deleted; returns whether it was indexed."""
@@ -355,6 +357,10 @@ class UpdateProcessor:
         drift = ks_distance(keys, self._base_keys, assume_sorted=True)
         return drift > 0.05 or len(self._inserted) > 0.1 * len(self._base_points)
 
+    def fresh_index(self) -> LearnedSpatialIndex:
+        """The unbuilt index a rebuild builds into."""
+        return (self._index_factory or self.index.unbuilt_copy)()
+
     def rebuild(self) -> float:
         """Full index rebuild on D' through the build API; returns seconds."""
         points = self.current_points()
@@ -362,8 +368,7 @@ class UpdateProcessor:
         with _span(
             "update.rebuild", n=len(points), pending=len(self._inserted)
         ):
-            fresh = self._index_factory()
-            fresh.build(points)
+            fresh = self.fresh_index().build(points)
         elapsed = time.perf_counter() - started
         self.index = fresh
         self._base_points = points

@@ -29,15 +29,14 @@ from repro.ml.ffn import FFN
 from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
-from repro.perf.batching import merge_ranges
 from repro.perf.fused_infer import FUSION_DTYPES, resolve_dtype
 from repro.spatial.rect import Rect
-from repro.storage.blocks import BlockStore
 
 __all__ = [
     "BuildStats",
     "FitJob",
     "FitOutcome",
+    "InsertRefused",
     "LearnedSpatialIndex",
     "MapFn",
     "ModelBuilder",
@@ -581,17 +580,23 @@ class OriginalBuilder(ModelBuilder):
         return outcome.model
 
 
+class InsertRefused(ValueError):
+    """The index's built-in insertion cannot place this point; the index is
+    unchanged (the update processor keeps such a point on its side list)."""
+
+
 class LearnedSpatialIndex(ABC):
     """Query-facing API shared by ZM, ML-Index, RSMI, LISA and Flood.
 
     Subclasses implement :meth:`build` (map + sort + train through the
-    builder) and the three *batch* query kinds — :meth:`point_queries`,
-    :meth:`window_queries`, :meth:`knn_queries`.  Those are the whole query
-    contract: the per-query spellings of the paper's API are defined once,
-    here, as batches of one, so an index has a single query path and
-    "batch == scalar" holds by construction.  ``build_stats`` and
-    ``query_stats`` expose the cost counters every experiment reports
-    (see :class:`QueryStats` for how a batch is charged).
+    builder) and the *batch* query kinds :meth:`point_queries` and
+    :meth:`window_queries`; :meth:`knn_queries` is defined here, over
+    :meth:`window_queries`.  Those three are the whole query contract: the
+    per-query spellings of the paper's API are defined once, here, as
+    batches of one, so an index has a single query path and "batch ==
+    scalar" holds by construction.  ``build_stats`` and ``query_stats``
+    expose the cost counters every experiment reports (see
+    :class:`QueryStats` for how a batch is charged).
     """
 
     name: str = "base"
@@ -635,11 +640,6 @@ class LearnedSpatialIndex(ABC):
         be approximate)."""
 
     @abstractmethod
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        """The ``k`` nearest indexed points to each ``(b, d)`` row, nearest
-        first: one ``(m, d)`` array per row (may be approximate)."""
-
-    @abstractmethod
     def indexed_points(self) -> np.ndarray:
         """Every indexed point, exactly (used by the update processor)."""
 
@@ -662,7 +662,9 @@ class LearnedSpatialIndex(ABC):
         position and scan ranges widen conservatively, so predict-and-scan
         stays correct while queries slow down as insertions accumulate —
         the degradation that motivates the rebuild predictor.  Subclasses
-        refine this (RSMI adds local models, Figure 1).
+        refine this (RSMI adds local models, Figure 1).  A point the
+        mapping cannot place raises :class:`InsertRefused` and leaves the
+        index as it was.
         """
         raise NotImplementedError(f"{self.name} has no built-in insertion")
 
@@ -684,12 +686,21 @@ class LearnedSpatialIndex(ABC):
         """Rebuild what :meth:`_structure_state` described, derived state
         included, and return one stored key column."""
 
+    def _params(self) -> dict:
+        """The constructor parameters, builder aside."""
+        return {p: getattr(self, p) for p in ("block_size", *self.state_params)}
+
+    def unbuilt_copy(self) -> "LearnedSpatialIndex":
+        """An unbuilt index of this class with this index's builder and
+        constructor parameters: what a rebuild builds into."""
+        return type(self)(builder=self.builder, **self._params())
+
     def state_dict(self) -> dict:
         """The built index's durable state as one plain tree."""
         if self.bounds is None:
             raise ValueError("the index must be built before saving")
         return {
-            "params": {p: getattr(self, p) for p in ("block_size", *self.state_params)},
+            "params": self._params(),
             "bounds": [self.bounds.lo, self.bounds.hi],
             "n_points": self.n_points,
             "native_inserts": self._native_inserts,
@@ -733,11 +744,35 @@ class LearnedSpatialIndex(ABC):
             raise ValueError("spatial indices need d >= 2")
         return pts
 
-    def _knn_by_expanding_window_batch(
-        self, points: np.ndarray, k: int
-    ) -> list[np.ndarray]:
+    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
+        """The ``k`` nearest indexed points to each ``(b, d)`` row, nearest
+        first: one ``(m, d)`` array per row, as exact as the index's
+        windows.  Checks the batch; :meth:`_knn_rounds` answers it."""
+        self._check_built()
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        b = len(pts)
+        if b == 0:
+            return []
+        with _span("query.knn_batch", index=self.name, queries=b, k=k):
+            return self._knn_rounds(pts, k)
+
+    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """Side of each query's first kNN window: the cube expected to hold
+        k points at the global density ``n / area``.  An index with one
+        key-sorted store reads a tighter side off the query's key-order
+        neighbours (:class:`~repro.indices.mapsort.MapAndSortIndex`)."""
+        assert self.bounds is not None
+        volume = self.bounds.area()
+        density = self.n_points / volume if volume > 0 else self.n_points
+        return np.full(
+            len(pts), (k / max(density, 1e-12)) ** (1.0 / self.bounds.ndim)
+        )
+
+    def _knn_rounds(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         """kNN via growing window queries (the paper's learned-index
-        strategy), vectorised over a query batch.
+        strategy), vectorised over a query batch; ML-Index has its own.
 
         Each query starts from the window :meth:`_knn_first_sides` gives it
         and doubles its side until at least k points fall inside *and* the
@@ -754,62 +789,6 @@ class LearnedSpatialIndex(ABC):
         doubles the remaining sides.  Queries finish independently, so one
         slow region never re-scans the rest.
         """
-        self._check_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        b = len(pts)
-        if b == 0:
-            return []
-        with _span("query.knn_batch", queries=b, k=k):
-            return self._knn_batch_inner(pts, k)
-
-    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """Side of each query's first kNN window: the cube expected to hold
-        k points at the global density ``n / area``.  Indices with one
-        key-sorted store override this with :meth:`_knn_sides_from_store`."""
-        assert self.bounds is not None
-        volume = self.bounds.area()
-        density = self.n_points / volume if volume > 0 else self.n_points
-        return np.full(
-            len(pts), (k / max(density, 1e-12)) ** (1.0 / self.bounds.ndim)
-        )
-
-    def _knn_sides_from_store(
-        self, store: BlockStore, pts: np.ndarray, k: int
-    ) -> np.ndarray:
-        """First kNN window sides from each query's key-order neighbours.
-
-        The 2k rows around the query key's rank in ``store`` (all rows when
-        n < 2k) are indexed points, so the k-th smallest of their distances
-        bounds the true k-th distance from above: the window of that
-        half-side holds the whole answer and the driver's test passes in
-        round one (given exact windows).
-        """
-        n = len(store)
-        m = min(2 * k, n)
-        with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
-            rank = np.searchsorted(store.keys, self.map(pts))
-            lo = np.minimum(np.maximum(rank - k, 0), n - m)
-            if len(pts) == 1:
-                # A batch of one (every per-query call) is one contiguous
-                # scan, as in the batching kernels: no merge machinery.
-                near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
-            else:
-                near = store.points[lo[:, None] + np.arange(m)]
-                store.charge_block_reads(*merge_ranges(lo, lo + m))
-            self.query_stats.points_scanned += len(pts) * m
-            diff = near - pts[:, None, :]
-            dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
-            kth = min(k, m) - 1
-            radius = np.partition(dist, kth, axis=1)[:, kth]
-            # A few ulps of slack at the coordinates' scale: rounding, in
-            # the distances or in ``q -+ radius``, must not put the
-            # neighbour that set the radius outside its own window.
-            radius += (np.abs(pts).max(axis=1) + radius) * 2.0**-50
-            return 2.0 * radius
-
-    def _knn_batch_inner(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         b = len(pts)
         assert self.bounds is not None
         max_side = float(self.bounds.extents.max()) * 2.0 + 1e-9

@@ -363,9 +363,6 @@ class FloodIndex(LearnedSpatialIndex):
             for wi, chunks in enumerate(results)
         ]
 
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        return self._knn_by_expanding_window_batch(points, k)
-
     def indexed_points(self) -> np.ndarray:
         self._check_built()
         chunks = [s.points for s in self._stores if s is not None]

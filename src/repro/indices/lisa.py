@@ -16,26 +16,18 @@ window recall.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder
-from repro.indices.rmi import RMIModel
-from repro.obs.query_obs import record_range_widths
+from repro.indices.base import ModelBuilder
+from repro.indices.mapsort import MapAndSortIndex
 from repro.obs.trace import span as _span
-from repro.perf.batching import (
-    batch_point_membership,
-    batch_window_refine,
-    merge_ranges,
-)
+from repro.perf.batching import batch_window_refine, merge_ranges
 from repro.spatial.rect import Rect
-from repro.storage.blocks import BlockStore
 
 __all__ = ["LISAIndex"]
 
 
-class LISAIndex(LearnedSpatialIndex):
+class LISAIndex(MapAndSortIndex):
     """The LISA learned spatial index (2-D).
 
     Parameters
@@ -48,6 +40,10 @@ class LISAIndex(LearnedSpatialIndex):
 
     name = "LISA"
     state_params = ("grid_size", "shard_size")
+
+    #: LISA's mapping is derived from D (the quantile grid), so build
+    #: methods that synthesise new points cannot be used: no ``map_fn``.
+    BUILDER_MAY_MAP = False
 
     def __init__(
         self,
@@ -65,13 +61,11 @@ class LISAIndex(LearnedSpatialIndex):
         self.shard_size = shard_size
         self._boundaries: list[np.ndarray] | None = None  # per-axis cell edges
         self._weights: np.ndarray | None = None
-        self.store: BlockStore | None = None
-        self.model: RMIModel | None = None
 
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
-    def _fit_grid(self, points: np.ndarray) -> None:
+    def _fit_mapping(self, points: np.ndarray) -> None:
         """Quantile cell boundaries per axis, from the data (LISA's grid)."""
         d = points.shape[1]
         quantiles = np.linspace(0.0, 1.0, self.grid_size + 1)[1:-1]
@@ -94,8 +88,7 @@ class LISAIndex(LearnedSpatialIndex):
 
     def map(self, points: np.ndarray) -> np.ndarray:
         """LISA's mapped value: cell ID plus the weighted in-cell offset."""
-        if self._boundaries is None or self.bounds is None:
-            raise RuntimeError("LISA index is not built yet")
+        self._check_built()
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -134,77 +127,22 @@ class LISAIndex(LearnedSpatialIndex):
             offset += self._weights[dim] * frac
         return offset
 
-    # ------------------------------------------------------------------
-    # Build
-    # ------------------------------------------------------------------
-    def build(self, points: np.ndarray) -> "LISAIndex":
-        pts = self._prepare_points(points)
-        started = time.perf_counter()
-        self.bounds = Rect.bounding(pts)
-        self.n_points = len(pts)
-        self._fit_grid(pts)
-        keys = self.map(pts)
-        self.store = BlockStore(pts, keys, block_size=self.block_size)
-        self.build_stats.prepare_seconds += time.perf_counter() - started
+    def _mapping_state(self) -> dict:
+        return {"boundaries": self._boundaries, "weights": self._weights}
 
-        self.model = RMIModel(self.builder, branching=1)
-        # LISA's mapping is derived from D (the quantile grid), so build
-        # methods that synthesise new points cannot be used: no map_fn.
-        self.model.fit(self.store.keys, self.store.points, self.build_stats)
-        return self
-
-    def _structure_state(self) -> dict:
-        return {
-            "boundaries": self._boundaries,
-            "weights": self._weights,
-            "store": self.store.state_dict(),
-            "model": self.model.state_dict(),
-        }
-
-    def _restore_structure(self, state: dict) -> np.ndarray:
+    def _restore_mapping(self, state: dict) -> None:
         self._boundaries = state["boundaries"]
         self._weights = state["weights"]
-        self.store = BlockStore.from_state(state["store"])
-        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
-        return self.store.keys
-
-    def insert(self, point: np.ndarray) -> None:
-        self._check_built()
-        assert self.store is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q)[0])
-        self.store.insert(q, key)
-        self._native_inserts += 1
-        self.n_points += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: one shard-predictor forward pass for all
-        mapped values, shard alignment done arithmetically on the whole
-        batch, and one fused gather per group of overlapping shard ranges."""
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        with _span("query.point_batch", index=self.name, queries=len(pts)):
-            with _span("query.model_predict", index=self.name, queries=len(pts)):
-                keys = self.map(pts)
-                lo, hi = self.model.search_ranges(keys)
-            # Pages are the scan unit: widen to whole shards, padded by the
-            # built-in-insert count to keep scans correct.
-            lo = ((lo - self._native_inserts) // self.shard_size) * self.shard_size
-            hi = -(-(hi + self._native_inserts) // self.shard_size) * self.shard_size
-            lo = np.maximum(lo, 0)
-            hi = np.minimum(hi, self.n_points)
-            record_range_widths(self.name, lo, hi)
-            self.query_stats.queries += len(pts)
-            self.query_stats.model_invocations += len(pts)
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=len(pts)):
-                return batch_point_membership(self.store, lo, hi, keys, pts)
+    def _scan_bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pages are the scan unit: widen to whole shards, padded by the
+        built-in-insert count to keep scans correct."""
+        lo = ((lo - self._native_inserts) // self.shard_size) * self.shard_size
+        hi = -(-(hi + self._native_inserts) // self.shard_size) * self.shard_size
+        return np.maximum(lo, 0), np.minimum(hi, len(self.store))
 
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Vectorised batch window queries (approximate: FFN shard
@@ -253,15 +191,7 @@ class LISAIndex(LearnedSpatialIndex):
                 lo_pred, _ = self.model.search_ranges(np.array(lo_probes))
                 _, hi_pred = self.model.search_ranges(np.array(hi_probes))
             self.query_stats.model_invocations += 2 * len(probe_owner)
-            # Whole shards, padded by the insert count (as for points).
-            lo = (
-                (lo_pred - self._native_inserts) // self.shard_size
-            ) * self.shard_size
-            hi = -(
-                -(hi_pred + self._native_inserts) // self.shard_size
-            ) * self.shard_size
-            lo = np.maximum(lo, 0)
-            hi = np.minimum(hi, self.n_points)
+            lo, hi = self._scan_bounds(lo_pred, hi_pred)
             # Merge each window's overlapping ranges so no point is scanned
             # (or reported) twice — shard alignment and error bounds make
             # the per-run ranges overlap.
@@ -290,27 +220,6 @@ class LISAIndex(LearnedSpatialIndex):
         for c in cell:
             cid = cid * self.grid_size + c
         return float(cid)
-
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        return self._knn_by_expanding_window_batch(points, k)
-
-    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
-        assert self.store is not None
-        return self._knn_sides_from_store(self.store, pts, k)
-
-    def indexed_points(self) -> np.ndarray:
-        """Every indexed point in storage (key) order."""
-        self._check_built()
-        assert self.store is not None
-        return self.store.points
-
-    # ------------------------------------------------------------------
-    @property
-    def error_width(self) -> int:
-        """Model ``err_l + err_u`` (Table I)."""
-        self._check_built()
-        assert self.model is not None
-        return self.model.max_error_width
 
 
 def _product(ranges: list[range]):

@@ -1,0 +1,188 @@
+"""The map-and-sort core: one key-sorted store under one learned CDF.
+
+ZM, ML-Index and LISA are one procedure around three mappings (Section
+III): bound the data, ``map()`` every point to a key, sort the points into
+one :class:`~repro.storage.blocks.BlockStore`, fit one
+:class:`~repro.indices.rmi.RMIModel` over the key column, answer a point
+query by predict-and-scan.  :class:`MapAndSortIndex` is that procedure,
+once.  A subclass supplies ``map()``, ``window_queries`` (how a rectangle
+becomes key intervals is the mapping's business) and whatever the mapping
+learns from the data (``_fit_mapping`` / ``_mapping_state`` /
+``_restore_mapping``; nothing for ZM); the rest is inherited.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.indices.base import LearnedSpatialIndex, ModelBuilder
+from repro.indices.rmi import RMIModel
+from repro.obs.query_obs import record_range_widths
+from repro.obs.trace import span as _span
+from repro.perf.batching import batch_point_membership, merge_ranges
+from repro.spatial.rect import Rect
+from repro.storage.blocks import BlockStore
+
+__all__ = ["MapAndSortIndex"]
+
+
+class MapAndSortIndex(LearnedSpatialIndex):
+    """A learned index over a single key-sorted store."""
+
+    #: Stage-2 fan-out of the RMI (1 = a single model); ZM and ML-Index
+    #: take it as a constructor parameter.
+    branching = 1
+
+    #: Probe keys match stored keys within this tolerance (exact by
+    #: default; ML-Index's keys are floating distances).
+    KEY_ATOL = 0.0
+
+    #: Whether the builder gets ``map()`` to key the points it synthesises
+    #: (CL, RL).  False where the mapping is derived from ``D`` itself.
+    BUILDER_MAY_MAP = True
+
+    def __init__(self, builder: ModelBuilder | None = None, block_size: int = 100) -> None:
+        super().__init__(builder, block_size)
+        self.store: BlockStore | None = None
+        self.model: RMIModel | None = None
+
+    # ------------------------------------------------------------------
+    # What a mapping may add
+    # ------------------------------------------------------------------
+    def _fit_mapping(self, points: np.ndarray) -> None:
+        """Learn the mapping's data-dependent state (``bounds`` is set)."""
+
+    def _mapping_state(self) -> dict:
+        """The fitted mapping's durable state, ahead of store and model in
+        the index's state tree."""
+        return {}
+
+    def _restore_mapping(self, state: dict) -> None:
+        """Take back what :meth:`_mapping_state` wrote."""
+
+    def _check_insert(self, point: np.ndarray, key: float) -> None:
+        """Raise :class:`~repro.indices.base.InsertRefused` if storing
+        ``point`` at ``key`` would break an invariant the mapping's queries
+        rely on.  Called before the store is touched."""
+
+    def _scan_bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted ranges as scanned: widened by the built-in insertions
+        since the build (each moves a true rank by at most one) and clamped
+        — inserts near rank 0 would otherwise push ``lo`` negative, harmless
+        for the scan, wrong for the accounting."""
+        lo = np.maximum(lo - self._native_inserts, 0)
+        hi = np.minimum(hi + self._native_inserts, len(self.store))
+        return lo, hi
+
+    # ------------------------------------------------------------------
+    def build(self, points: np.ndarray) -> "MapAndSortIndex":
+        pts = self._prepare_points(points)
+        started = time.perf_counter()
+        self.bounds = Rect.bounding(pts)
+        self.n_points = len(pts)
+        self._fit_mapping(pts)
+        self.store = BlockStore(pts, self.map(pts), block_size=self.block_size)
+        self.build_stats.prepare_seconds += time.perf_counter() - started
+
+        self.model = RMIModel(self.builder, branching=self.branching)
+        self.model.fit(
+            self.store.keys,
+            self.store.points,
+            self.build_stats,
+            map_fn=self.map if self.BUILDER_MAY_MAP else None,
+        )
+        return self
+
+    def _structure_state(self) -> dict:
+        return {
+            **self._mapping_state(),
+            "store": self.store.state_dict(),
+            "model": self.model.state_dict(),
+        }
+
+    def _restore_structure(self, state: dict) -> np.ndarray:
+        self._restore_mapping(state)
+        self.store = BlockStore.from_state(state["store"])
+        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
+        return self.store.keys
+
+    def insert(self, point: np.ndarray) -> None:
+        self._check_built()
+        assert self.store is not None
+        q = np.asarray(point, dtype=np.float64)
+        key = float(self.map(q[None, :])[0])
+        self._check_insert(q, key)
+        self.store.insert(q, key)
+        self._native_inserts += 1
+        self.n_points += 1
+
+    def point_queries(self, points: np.ndarray) -> np.ndarray:
+        """Vectorised batch lookup: one model forward pass for all keys and
+        one fused gather per group of overlapping scan ranges."""
+        self._check_built()
+        assert self.store is not None and self.model is not None
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if len(pts) == 0:
+            return np.zeros(0, dtype=bool)
+        with _span("query.point_batch", index=self.name, queries=len(pts)):
+            with _span("query.model_predict", index=self.name, queries=len(pts)):
+                keys = self.map(pts)
+                lo, hi = self.model.search_ranges(keys)
+            lo, hi = self._scan_bounds(lo, hi)
+            record_range_widths(self.name, lo, hi)
+            self.query_stats.queries += len(pts)
+            self.query_stats.model_invocations += len(pts)
+            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
+            with _span("query.refine", index=self.name, queries=len(pts)):
+                return batch_point_membership(
+                    self.store, lo, hi, keys, pts, atol=self.KEY_ATOL
+                )
+
+    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """First kNN window sides from each query's key-order neighbours.
+
+        The 2k rows around the query key's rank in the store (all rows when
+        n < 2k) are indexed points, so the k-th smallest of their distances
+        bounds the true k-th distance from above: the window of that
+        half-side holds the whole answer and the driver's test passes in
+        round one (given exact windows).
+        """
+        store = self.store
+        assert store is not None
+        n = len(store)
+        m = min(2 * k, n)
+        with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
+            rank = np.searchsorted(store.keys, self.map(pts))
+            lo = np.minimum(np.maximum(rank - k, 0), n - m)
+            if len(pts) == 1:
+                # A batch of one (every per-query call) is one contiguous
+                # scan, as in the batching kernels: no merge machinery.
+                near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
+            else:
+                near = store.points[lo[:, None] + np.arange(m)]
+                store.charge_block_reads(*merge_ranges(lo, lo + m))
+            self.query_stats.points_scanned += len(pts) * m
+            diff = near - pts[:, None, :]
+            dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+            kth = min(k, m) - 1
+            radius = np.partition(dist, kth, axis=1)[:, kth]
+            # A few ulps of slack at the coordinates' scale: rounding, in
+            # the distances or in ``q -+ radius``, must not put the
+            # neighbour that set the radius outside its own window.
+            radius += (np.abs(pts).max(axis=1) + radius) * 2.0**-50
+            return 2.0 * radius
+
+    def indexed_points(self) -> np.ndarray:
+        """Every indexed point in storage (key) order."""
+        self._check_built()
+        assert self.store is not None
+        return self.store.points
+
+    @property
+    def error_width(self) -> int:
+        """Worst-model ``err_l + err_u`` (Table I)."""
+        self._check_built()
+        assert self.model is not None
+        return self.model.max_error_width

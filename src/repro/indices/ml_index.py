@@ -14,18 +14,13 @@ batched kNN rounds).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder
-from repro.indices.rmi import RMIModel
-from repro.obs.query_obs import record_range_widths
-from repro.obs.trace import span as _span
-from repro.perf.batching import batch_point_membership, cast_boundaries, merge_ranges
+from repro.indices.base import InsertRefused, ModelBuilder
+from repro.indices.mapsort import MapAndSortIndex
+from repro.perf.batching import cast_boundaries, merge_ranges
 from repro.spatial.idistance import IDistanceMapping
 from repro.spatial.rect import Rect
-from repro.storage.blocks import BlockStore
 
 __all__ = ["MLIndex", "locate_rank"]
 
@@ -65,7 +60,7 @@ def locate_rank(
     return int(lo + np.searchsorted(sorted_keys[lo:hi], key, side=side))
 
 
-class MLIndex(LearnedSpatialIndex):
+class MLIndex(MapAndSortIndex):
     """The ML-Index learned spatial index.
 
     Parameters
@@ -80,6 +75,9 @@ class MLIndex(LearnedSpatialIndex):
     name = "ML"
     state_params = ("n_references", "branching", "seed")
 
+    #: iDistance keys are floats; candidates match within this tolerance.
+    KEY_ATOL = 1e-12
+
     def __init__(
         self,
         builder: ModelBuilder | None = None,
@@ -93,8 +91,6 @@ class MLIndex(LearnedSpatialIndex):
         self.branching = branching
         self.seed = seed
         self.mapping: IDistanceMapping | None = None
-        self.store: BlockStore | None = None
-        self.model: RMIModel | None = None
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
@@ -104,82 +100,38 @@ class MLIndex(LearnedSpatialIndex):
         keys are bit-identical for equal coordinates; error bounds are
         measured over the cast keys.
         """
-        if self.mapping is None:
-            raise RuntimeError("ML index is not built yet")
+        self._check_built()
+        assert self.mapping is not None
         return self.mapping.keys(points).astype(self.key_dtype, copy=False)
 
-    def build(self, points: np.ndarray) -> "MLIndex":
-        pts = self._prepare_points(points)
-        started = time.perf_counter()
-        self.bounds = Rect.bounding(pts)
-        self.n_points = len(pts)
+    def _fit_mapping(self, points: np.ndarray) -> None:
         self.mapping = IDistanceMapping.fit(
-            pts, n_references=self.n_references, seed=self.seed
+            points, n_references=self.n_references, seed=self.seed
         )
-        keys = self.map(pts)
-        self.store = BlockStore(pts, keys, block_size=self.block_size)
-        self.build_stats.prepare_seconds += time.perf_counter() - started
 
-        self.model = RMIModel(self.builder, branching=self.branching)
-        self.model.fit(
-            self.store.keys, self.store.points, self.build_stats, map_fn=self.map
-        )
-        return self
+    def _mapping_state(self) -> dict:
+        return {"references": self.mapping.references, "stretch": self.mapping.stretch}
 
-    def _structure_state(self) -> dict:
-        return {
-            "references": self.mapping.references,
-            "stretch": self.mapping.stretch,
-            "store": self.store.state_dict(),
-            "model": self.model.state_dict(),
-        }
-
-    def _restore_structure(self, state: dict) -> np.ndarray:
+    def _restore_mapping(self, state: dict) -> None:
         self.mapping = IDistanceMapping(
             references=state["references"], stretch=state["stretch"]
         )
-        self.store = BlockStore.from_state(state["store"])
-        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
-        return self.store.keys
+
+    def _check_insert(self, point: np.ndarray, key: float) -> None:
+        """A point farther than the stretch from every reference would get a
+        key inside the next partition's range, past the cap that window and
+        kNN scans stop at (:meth:`_partition_caps`): found by a point
+        lookup, missed by a window."""
+        assert self.mapping is not None
+        partition = int(self.mapping.nearest_reference(point)[0][0])
+        if key >= self.key_dtype.type((partition + 1) * self.mapping.stretch):
+            raise InsertRefused(
+                f"ML-Index cannot insert {point.tolist()}: it is farther from "
+                f"every reference point than the stretch {self.mapping.stretch:g} "
+                f"that separates partitions in key space"
+            )
 
     # ------------------------------------------------------------------
-    def insert(self, point: np.ndarray) -> None:
-        self._check_built()
-        assert self.store is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q[None, :])[0])
-        self.store.insert(q, key)
-        self._native_inserts += 1
-        self.n_points += 1
-
-    #: iDistance keys are floats; candidates match within this tolerance.
-    KEY_ATOL = 1e-12
-
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: one model forward pass for all keys and
-        one fused gather per group of overlapping scan ranges."""
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        with _span("query.point_batch", index=self.name, queries=len(pts)):
-            with _span("query.model_predict", index=self.name, queries=len(pts)):
-                keys = self.map(pts)
-                lo, hi = self.model.search_ranges(keys)
-            # Clamped: inserts near rank 0 would otherwise push `lo` negative
-            # (harmless for the scan, wrong for the accounting).
-            lo = np.maximum(lo - self._native_inserts, 0)
-            hi = np.minimum(hi + self._native_inserts, len(self.store))
-            record_range_widths(self.name, lo, hi)
-            self.query_stats.queries += len(pts)
-            self.query_stats.model_invocations += len(pts)
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=len(pts)):
-                return batch_point_membership(
-                    self.store, lo, hi, keys, pts, atol=self.KEY_ATOL
-                )
-
     def _scan_key_interval(self, key_lo: float, key_hi: float) -> np.ndarray:
         """Scan all points whose *stored* key lies in the cast interval.
 
@@ -238,7 +190,7 @@ class MLIndex(LearnedSpatialIndex):
             out.append(np.vstack(results) if results else np.empty((0, window.ndim)))
         return out
 
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
+    def _knn_rounds(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         """Exact kNN by iDistance radius expansion, vectorised over the batch.
 
         One loop over expansion *rounds* shared by all still-active
@@ -252,23 +204,10 @@ class MLIndex(LearnedSpatialIndex):
         certified radius — or whose ball already covers the data bounds
         (fewer than k points indexed: everything found, nearest first).
         """
-        self._check_built()
         assert self.mapping is not None and self.store is not None
         assert self.bounds is not None
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         b = len(pts)
-        if b == 0:
-            return []
         self.query_stats.queries += b
-        with _span("query.knn_batch", index=self.name, queries=b, k=k):
-            return self._knn_idistance_batch(pts, k)
-
-    def _knn_idistance_batch(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
-        assert self.mapping is not None and self.store is not None
-        assert self.bounds is not None
-        b = len(pts)
         d = self.bounds.ndim
         volume = self.bounds.area()
         density = self.n_points / volume if volume > 0 else self.n_points
@@ -359,17 +298,3 @@ class MLIndex(LearnedSpatialIndex):
             active = np.array(still, dtype=np.int64)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
-
-    def indexed_points(self) -> np.ndarray:
-        """Every indexed point in storage (key) order."""
-        self._check_built()
-        assert self.store is not None
-        return self.store.points
-
-    # ------------------------------------------------------------------
-    @property
-    def error_width(self) -> int:
-        """Worst-model ``err_l + err_u`` (Table I)."""
-        self._check_built()
-        assert self.model is not None
-        return self.model.max_error_width

@@ -445,9 +445,6 @@ class RSMIIndex(LearnedSpatialIndex):
             np.vstack(cs) if cs else np.empty((0, d)) for cs in chunks
         ]
 
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        return self._knn_by_expanding_window_batch(points, k)
-
     def map(self, points: np.ndarray) -> np.ndarray:
         """Global Morton keys over the root bounds (CDF tracking only;
         per-node queries use node-local curves)."""

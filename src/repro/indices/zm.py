@@ -15,22 +15,15 @@ binary search finds anyway.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder
-from repro.indices.rmi import RMIModel
+from repro.indices.base import ModelBuilder
+from repro.indices.mapsort import MapAndSortIndex
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import (
-    batch_point_membership,
-    batch_window_refine,
-    cast_boundaries,
-)
+from repro.perf.batching import batch_window_refine, cast_boundaries
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import split_zranges, zvalues
-from repro.storage.blocks import BlockStore
 
 __all__ = ["ZMIndex"]
 
@@ -43,7 +36,7 @@ _MIN_GAP_ROWS = 64
 _MIN_ROUND_ROWS = 16384
 
 
-class ZMIndex(LearnedSpatialIndex):
+class ZMIndex(MapAndSortIndex):
     """The ZM learned spatial index.
 
     Parameters
@@ -70,8 +63,6 @@ class ZMIndex(LearnedSpatialIndex):
         super().__init__(builder, block_size)
         self.bits = bits
         self.branching = branching
-        self.store: BlockStore | None = None
-        self.model: RMIModel | None = None
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
@@ -86,60 +77,6 @@ class ZMIndex(LearnedSpatialIndex):
         self._check_built()
         assert self.bounds is not None
         return zvalues(points, self.bounds, self.bits, dtype=self.key_dtype)
-
-    def build(self, points: np.ndarray) -> "ZMIndex":
-        pts = self._prepare_points(points)
-        started = time.perf_counter()
-        self.bounds = Rect.bounding(pts)
-        self.n_points = len(pts)
-        keys = zvalues(pts, self.bounds, self.bits, dtype=self.key_dtype)
-        self.store = BlockStore(pts, keys, block_size=self.block_size)
-        self.build_stats.prepare_seconds += time.perf_counter() - started
-
-        self.model = RMIModel(self.builder, branching=self.branching)
-        self.model.fit(
-            self.store.keys, self.store.points, self.build_stats, map_fn=self.map
-        )
-        return self
-
-    def _structure_state(self) -> dict:
-        return {"store": self.store.state_dict(), "model": self.model.state_dict()}
-
-    def _restore_structure(self, state: dict) -> np.ndarray:
-        self.store = BlockStore.from_state(state["store"])
-        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
-        return self.store.keys
-
-    # ------------------------------------------------------------------
-    def insert(self, point: np.ndarray) -> None:
-        self._check_built()
-        assert self.store is not None
-        q = np.asarray(point, dtype=np.float64)
-        key = float(self.map(q[None, :])[0])
-        self.store.insert(q, key)
-        self._native_inserts += 1
-        self.n_points += 1
-
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: one model forward pass for all keys and
-        one fused gather per group of overlapping scan ranges."""
-        self._check_built()
-        assert self.store is not None and self.model is not None
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        with _span("query.point_batch", index=self.name, queries=len(pts)):
-            with _span("query.model_predict", index=self.name, queries=len(pts)):
-                keys = self.map(pts)
-                lo, hi = self.model.search_ranges(keys)
-            lo = np.maximum(lo - self._native_inserts, 0)
-            hi = np.minimum(hi + self._native_inserts, len(self.store))
-            record_range_widths(self.name, lo, hi)
-            self.query_stats.queries += len(pts)
-            self.query_stats.model_invocations += len(pts)
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=len(pts)):
-                return batch_point_membership(self.store, lo, hi, keys, pts)
 
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Vectorised batch window queries.
@@ -235,24 +172,3 @@ class ZMIndex(LearnedSpatialIndex):
             zlo[low + 1], lo[low + 1] = bigmin, r_big
             live = (low[:, None] + np.arange(2)).ravel()
         return lo, hi, owner
-
-    def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
-        return self._knn_by_expanding_window_batch(points, k)
-
-    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
-        assert self.store is not None
-        return self._knn_sides_from_store(self.store, pts, k)
-
-    def indexed_points(self) -> np.ndarray:
-        """Every indexed point in storage (key) order."""
-        self._check_built()
-        assert self.store is not None
-        return self.store.points
-
-    # ------------------------------------------------------------------
-    @property
-    def error_width(self) -> int:
-        """Worst-model ``err_l + err_u`` (Table I)."""
-        self._check_built()
-        assert self.model is not None
-        return self.model.max_error_width

@@ -256,9 +256,9 @@ class IndexServer:
         Optional trained rebuild predictor; without one the CDF-drift
         heuristic decides rebuilds.
     index_factory:
-        Recreates the index class for rebuilds (same contract as
-        :class:`UpdateProcessor`); required when the index was built with
-        non-default constructor arguments.
+        What a rebuild builds into (same contract as
+        :class:`UpdateProcessor`); by default the served index's
+        ``unbuilt_copy()``: same class, builder and parameters.
     snapshots:
         Optional :class:`SnapshotManager` (or directory path); when set,
         every rebuild's result is persisted as the new generation's
@@ -291,9 +291,7 @@ class IndexServer:
         if self.elsi_config.faults:
             get_fault_registry().arm_spec(self.elsi_config.faults)
         self.predictor = predictor
-        self._index_factory = index_factory or (
-            lambda: type(index)(builder=index.builder)
-        )
+        self._index_factory = index_factory
         self.stats = ServerStats()
         if isinstance(snapshots, (str, bytes)) or hasattr(snapshots, "__fspath__"):
             snapshots = SnapshotManager(snapshots)
@@ -958,8 +956,7 @@ class IndexServer:
                 fault_check("rebuild.worker")
                 started = time.perf_counter()
                 with _span("serve.rebuild.build", n=len(points)):
-                    fresh = self._index_factory()
-                    fresh.build(points)
+                    fresh = old.processor.fresh_index().build(points)
                 elapsed = time.perf_counter() - started
                 new_processor = self._make_processor(fresh)
                 swap_started = time.perf_counter()

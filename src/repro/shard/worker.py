@@ -349,7 +349,7 @@ def _dispatch(server, spec: WorkerSpec, command: str, payload: tuple, timeout: f
         # Shipped in export format so MetricsRegistry.merge keeps it as a
         # per-shard series: cumulative process CPU (user + system), whose
         # scrape-to-scrape deltas separate real parallel speedup from
-        # batching in bench_shard_scaling.
+        # batching (the e2e benchmark's ``shard.cpu_vs_wall``).
         cpu = os.times()
         snapshot["worker.cpu_seconds"] = [
             {

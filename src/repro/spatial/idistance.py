@@ -33,8 +33,12 @@ class IDistanceMapping:
     def fit(points: np.ndarray, n_references: int = 16, seed: int = 0) -> "IDistanceMapping":
         """Choose reference points as k-means centroids of ``points``.
 
-        The stretch constant is set above the space diameter so partitions
-        can never overlap in key space even after later insertions.
+        The stretch constant is twice the diameter of ``points``' bounding
+        box, so the partitions of ``points`` cannot overlap in key space.
+        That holds for a later insertion only while the new point is closer
+        than the stretch to its nearest reference; one farther away would
+        get a key inside the next partition's range, and
+        :class:`~repro.indices.ml_index.MLIndex` refuses to insert it.
 
         Floating inputs keep their dtype (float32 points yield float32
         references and distances); other dtypes upcast to float64.

@@ -131,9 +131,20 @@ class TestContract:
             fresh.build(np.zeros((5, 1)))
 
 
+def _definitions(cls, name):
+    """The classes in ``cls``'s MRO that define ``name`` and are not
+    abstract there."""
+    return [
+        c
+        for c in cls.__mro__
+        if name in vars(c) and not getattr(vars(c)[name], "__isabstractmethod__", False)
+    ]
+
+
 def test_one_query_path_per_index():
-    """The batch methods are the contract; the per-query spellings exist
-    once, in the base class, as batches of one."""
+    """The batch methods are the contract, each resolved to one concrete
+    definition; the per-query spellings exist once, in the base class, as
+    batches of one."""
     import inspect
 
     import repro.indices
@@ -147,10 +158,91 @@ def test_one_query_path_per_index():
     assert len(subclasses) == 5  # ZM, ML, RSMI, LISA, Flood
     for cls in subclasses:
         for scalar in ("point_query", "window_query", "knn_query"):
-            assert scalar not in vars(cls), f"{cls.__name__} defines {scalar}"
-            assert getattr(cls, scalar) is getattr(LearnedSpatialIndex, scalar)
+            assert _definitions(cls, scalar) == [LearnedSpatialIndex]
         for batch in ("point_queries", "window_queries", "knn_queries"):
-            assert batch in vars(cls), f"{cls.__name__} lacks {batch}"
+            owners = _definitions(cls, batch)
+            assert len(owners) == 1, f"{cls.__name__}.{batch}: {owners}"
+        assert _definitions(cls, "knn_queries") == [LearnedSpatialIndex]
+
+
+#: Members the single-store indices inherit from the map-and-sort core.
+MAP_AND_SORT_CORE = (
+    "build",
+    "insert",
+    "point_queries",
+    "indexed_points",
+    "error_width",
+    "_knn_first_sides",
+    "_structure_state",
+    "_restore_structure",
+)
+
+#: Top-level ``state_dict()`` keys, in order, as PR 17 wrote them.
+_STATE_HEAD = ["params", "bounds", "n_points", "native_inserts"]
+STATE_KEYS = {
+    "ZM": [*_STATE_HEAD, "store", "model"],
+    "ML": [*_STATE_HEAD, "references", "stretch", "store", "model"],
+    "LISA": [*_STATE_HEAD, "boundaries", "weights", "store", "model"],
+}
+
+
+def test_one_map_and_sort_core(built_indices):
+    from repro.indices.mapsort import MapAndSortIndex
+
+    built, _ = built_indices
+    for cls in (ZMIndex, MLIndex, LISAIndex):
+        assert issubclass(cls, MapAndSortIndex)
+        for member in MAP_AND_SORT_CORE:
+            assert member not in vars(cls), f"{cls.__name__} defines {member}"
+            assert _definitions(cls, member)[0] is MapAndSortIndex
+        assert list(built[cls.name].state_dict()) == STATE_KEYS[cls.name]
+
+
+def test_ml_refuses_insert_beyond_stretch(built_indices):
+    """A point farther than the stretch from every reference would be keyed
+    into the next partition: found by point and kNN queries, missed by a
+    window.  The insert is refused before anything changes, and the update
+    processor serves the point from its side list."""
+    from repro.core.update_processor import UpdateProcessor
+    from repro.indices.base import InsertRefused, OriginalBuilder
+    from repro.ml.trainer import TrainConfig
+
+    _, pts = built_indices
+    index = MLIndex(
+        builder=OriginalBuilder(TrainConfig(epochs=40)), n_references=8
+    ).build(pts)
+    far = np.array([5.0, 5.0])
+    window = Rect.centered(far, 0.1)
+    before = index.store.keys.copy()
+    with pytest.raises(InsertRefused, match="stretch"):
+        index.insert(far)
+    assert issubclass(InsertRefused, ValueError)
+    assert np.array_equal(index.store.keys, before)
+    assert (index.n_points, index._native_inserts) == (len(pts), 0)
+    assert not index.point_query(far)
+
+    processor = UpdateProcessor(index, native=True)
+    processor.insert(far)
+    processor.insert(pts[0] + 1e-3)  # placeable: goes into the index
+    assert (processor.n_pending, index._native_inserts) == (1, 1)
+    assert processor.point_query(far)
+    assert np.array_equal(processor.window_query(window), far[None])
+    assert np.array_equal(processor.knn_query(far, 1), far[None])
+    assert processor.n_effective == len(pts) + 2
+
+
+@pytest.mark.parametrize("cls", [ZMIndex, LISAIndex])
+def test_far_native_insert_is_seen_by_windows(built_indices, cls):
+    """What ML-Index refuses, ZM and LISA place and return."""
+    from repro.indices.base import OriginalBuilder
+    from repro.ml.trainer import TrainConfig
+
+    _, pts = built_indices
+    index = cls(builder=OriginalBuilder(TrainConfig(epochs=40))).build(pts)
+    far = np.array([5.0, 5.0])
+    index.insert(far)
+    assert index.point_query(far)
+    assert np.array_equal(index.window_query(Rect.centered(far, 0.1)), far[None])
 
 
 class TestExactWindowIndices:

@@ -213,6 +213,20 @@ class TestUpdates:
         assert server.stats.rebuilds == 1
         assert server.stats.generation_swaps == 1
 
+    def test_rebuild_keeps_constructor_parameters(self, osm_points):
+        """The server's default rebuild target is the served index's
+        ``unbuilt_copy()``, not ``type(index)(builder=...)``."""
+        builder = ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP")
+        index = ZMIndex(builder=builder, block_size=50, bits=12, branching=2)
+        index.build(osm_points[:800])
+        with _server(index, config=ServeConfig(auto_rebuild=False)) as server:
+            server.insert(np.array([0.5, 0.5]))
+            server.rebuild_now()
+            rebuilt = server._gen.processor.index
+            assert rebuilt is not index and rebuilt.builder is builder
+            assert rebuilt._params() == {"block_size": 50, "bits": 12, "branching": 2}
+            assert server.point_query(np.array([0.5, 0.5]))
+
 
 class TestSwapUnderLoad:
     """Queries during a background rebuild never block on it and never see

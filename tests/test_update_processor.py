@@ -188,6 +188,33 @@ class TestRebuild:
         with pytest.raises(ValueError):
             UpdateProcessor(ZMIndex(builder=sp_builder), fast_config)
 
+    @pytest.mark.parametrize(
+        "cls,params",
+        [
+            (ZMIndex, {"bits": 12, "branching": 2}),
+            (MLIndex, {"n_references": 5, "branching": 2, "seed": 3}),
+            (RSMIIndex, {"leaf_capacity": 300, "fanout": 2, "bits": 12}),
+            (LISAIndex, {"grid_size": 6, "shard_size": 40}),
+            (FloodIndex, {"n_columns": 7}),
+        ],
+        ids=lambda v: getattr(v, "name", ""),
+    )
+    def test_rebuild_keeps_constructor_parameters(
+        self, cls, params, osm_points, sp_builder, fast_config
+    ):
+        """Without an explicit factory a rebuild builds into an index of the
+        same class, builder, block size and declared parameters."""
+        assert set(params) == set(cls.state_params)
+        index = cls(builder=sp_builder, block_size=50, **params).build(osm_points[:600])
+        proc = UpdateProcessor(index, fast_config)
+        proc.insert(np.array([0.5, 0.5]))
+        proc.rebuild()
+        rebuilt = proc.index
+        assert rebuilt is not index and type(rebuilt) is cls
+        assert rebuilt.builder is sp_builder
+        assert rebuilt._params() == {"block_size": 50, **params}
+        assert rebuilt.n_points == 601
+
 
 class TestRebuildPredictor:
     def test_feature_vector(self):
