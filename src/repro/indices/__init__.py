@@ -11,11 +11,12 @@ The seam where ELSI plugs in is :class:`repro.indices.base.ModelBuilder`:
 each index builds its model(s) through a builder, and ELSI substitutes its
 build processor for the default original-data (OG) builder.
 
-ZM, ML-Index and LISA keep their points in one key-sorted store under one
-RMI and differ only in the mapping: they supply ``map()``, the mapping's
-fit/state and ``window_queries``, and share the rest
-(:class:`repro.indices.mapsort.MapAndSortIndex`).  RSMI has a store and a
-model per node.
+A key-sorted store with the model over it is one
+:class:`repro.indices.run.KeyedRun`, in every index.  ZM, ML-Index and LISA
+keep their points in one run and differ only in the mapping: they supply
+``map()``, the mapping's fit/state and ``window_queries``, and share the
+rest (:class:`repro.indices.mapsort.MapAndSortIndex`).  RSMI has a run per
+leaf, Flood one per column.
 
 - :mod:`repro.indices.zm` — ZM: Z-curve keys + learned CDF model,
 - :mod:`repro.indices.ml_index` — ML-Index: iDistance keys (exact queries),

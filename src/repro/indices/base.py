@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class QueryStats:
        paper's per-query cost figures do not depend on batching.
     2. ``model_invocations`` counts predictions actually evaluated, one
        per key handed to a model; scan boundaries located by
-       ``searchsorted`` alone (ZM and Flood windows, ML-Index kNN annuli)
-       charge none.
+       ``searchsorted`` alone (ZM and Flood windows, ML-Index window and
+       kNN annuli) charge none.
 
     ``queries`` counts index-level queries: an expanding-window kNN
     charges one per window it issues.
@@ -202,13 +202,8 @@ class TrainedModel:
         self.err_l = int(max(0, over.max()))
         self.err_u = int(max(0, (-over).max()))
 
-    def search_range(self, key: float) -> tuple[int, int]:
-        """Half-open scan range [lo, hi) for ``key`` under the error bounds."""
-        pos = int(self.predict_positions(np.array([key]))[0])
-        return max(0, pos - self.err_l), min(self.n_indexed, pos + self.err_u + 1)
-
     def search_ranges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`search_range` over a key batch."""
+        """Half-open scan range ``[lo, hi)`` per key under the error bounds."""
         keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
         pos = self.predict_positions(keys)
         lo = np.maximum(pos - self.err_l, 0)
@@ -604,6 +599,10 @@ class LearnedSpatialIndex(ABC):
     #: Constructor parameters a snapshot carries (``block_size`` aside).
     state_params: tuple[str, ...] = ()
 
+    #: Built-in insertions since the build (a snapshot header field): the
+    #: run's count where one run is the whole index, else 0.
+    _native_inserts = 0
+
     def __init__(self, builder: ModelBuilder | None = None, block_size: int = 100) -> None:
         self.builder = builder or OriginalBuilder()
         self.block_size = block_size
@@ -611,18 +610,18 @@ class LearnedSpatialIndex(ABC):
         self.query_stats = QueryStats()
         self.bounds: Rect | None = None
         self.n_points = 0
-        #: Built-in insertions since the build, for the indices that widen
-        #: every scan range by this count instead of retraining.
-        self._native_inserts = 0
         #: Storage dtype for mapped keys — follows the builder's model
         #: precision (one knob: ``ELSIConfig.dtype`` / ``REPRO_DTYPE``), so
         #: float32 models index float32 key columns with bounds measured
         #: over the quantised keys.  Query-side keys must pass through the
         #: same cast (``map()`` does) before model prediction or store
         #: search.
-        self.key_dtype = np.dtype(
-            FUSION_DTYPES[getattr(self.builder, "dtype", "float64")]
-        )
+        self.key_dtype = np.dtype(FUSION_DTYPES[self._model_dtype])
+
+    @property
+    def _model_dtype(self) -> str:
+        """The builder's inference precision (default float64)."""
+        return getattr(self.builder, "dtype", "float64")
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -640,8 +639,16 @@ class LearnedSpatialIndex(ABC):
         be approximate)."""
 
     @abstractmethod
+    def runs(self) -> Iterator:
+        """The index's :class:`~repro.indices.run.KeyedRun` objects, in
+        storage order: the one run of ZM / ML-Index / LISA, Flood's
+        populated columns, RSMI's leaves."""
+
     def indexed_points(self) -> np.ndarray:
-        """Every indexed point, exactly (used by the update processor)."""
+        """Every indexed point, exactly, in storage order (used by the
+        update processor)."""
+        chunks = [run.store.points for run in self.runs()]
+        return chunks[0] if len(chunks) == 1 else np.vstack(chunks)
 
     def point_query(self, point: np.ndarray) -> bool:
         """Whether ``point`` (exact coordinates) is indexed."""
@@ -682,9 +689,9 @@ class LearnedSpatialIndex(ABC):
         ndarrays.  Derived state (fused inference engines) is left out."""
 
     @abstractmethod
-    def _restore_structure(self, state: dict) -> np.ndarray:
+    def _restore_structure(self, state: dict) -> None:
         """Rebuild what :meth:`_structure_state` described, derived state
-        included, and return one stored key column."""
+        included."""
 
     def _params(self) -> dict:
         """The constructor parameters, builder aside."""
@@ -720,8 +727,8 @@ class LearnedSpatialIndex(ABC):
         index = cls(**params)
         index.bounds = Rect.from_arrays(*state["bounds"])
         index.n_points = state["n_points"]
-        index._native_inserts = state["native_inserts"]
-        keys = index._restore_structure(state)
+        index._restore_structure(state)
+        keys = next(index.runs()).store.keys
         if np.issubdtype(keys.dtype, np.floating):
             # The stored quantisation is authoritative: probe keys must go
             # through the cast the stored keys did at build time, whatever
@@ -777,10 +784,11 @@ class LearnedSpatialIndex(ABC):
         Each query starts from the window :meth:`_knn_first_sides` gives it
         and doubles its side until at least k points fall inside *and* the
         k-th distance is covered by the window's inradius (so no closer
-        point can be outside the window), or the window outgrows twice the
-        data extent (fewer than k points indexed: what exists).  That test
-        alone decides the answers; the first side only decides how many
-        rounds and candidates they cost.
+        point can be outside the window), or the window outgrows the side
+        at which it covers the data bounds from where the query is, at
+        least twice the data extent (fewer than k points indexed: what
+        exists).  That test alone decides the answers; the first side only
+        decides how many rounds and candidates they cost.
         One loop over *expansion rounds* is shared by the whole batch: each
         round gathers the active queries' window candidates, ranks every
         candidate in a single flattened distance computation + lexsort
@@ -791,7 +799,14 @@ class LearnedSpatialIndex(ABC):
         """
         b = len(pts)
         assert self.bounds is not None
-        max_side = float(self.bounds.extents.max()) * 2.0 + 1e-9
+        reach = np.maximum(
+            np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
+        ).max(axis=1)
+        # A non-finite query has no such side; it gets the floor.
+        max_side = np.maximum(
+            float(self.bounds.extents.max()) * 2.0 + 1e-9,
+            2.0 * np.where(np.isfinite(reach), reach, 0.0),
+        )
         # Floored: a zero side (the query sits on k coincident points)
         # could never double should an approximate window miss them.
         side = np.maximum(self._knn_first_sides(pts, k), max_side * 1e-9)
@@ -827,7 +842,7 @@ class LearnedSpatialIndex(ABC):
             kth[full] = dist[offsets[:-1][full] + k - 1]
             # Retired: covered, or outgrown — spelt so that a NaN side (a
             # non-finite query) counts as outgrown instead of never ending.
-            done = (kth <= s / 2.0) | ~(s <= max_side)
+            done = (kth <= s / 2.0) | ~(s <= max_side[active])
             ends = offsets[:-1] + np.minimum(counts, k)
             for qi, start, end in zip(
                 active[done].tolist(), offsets[:-1][done].tolist(), ends[done].tolist()

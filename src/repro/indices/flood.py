@@ -26,16 +26,11 @@ import time
 
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel
-from repro.ml.ffn import FFN
-from repro.obs.query_obs import record_range_widths
+from repro.indices.base import LearnedSpatialIndex, ModelBuilder
+from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
-from repro.perf.batching import (
-    batch_point_membership,
-    batch_window_refine,
-    cast_boundaries,
-)
-from repro.perf.fused_infer import FusedInferenceEngine
+from repro.perf.batching import batch_window_refine, cast_boundaries
+from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -65,12 +60,12 @@ class FloodIndex(LearnedSpatialIndex):
             raise ValueError(f"n_columns must be >= 1, got {n_columns}")
         self.n_columns = n_columns
         self._column_edges: np.ndarray | None = None
-        self._stores: list[BlockStore | None] = []
-        self._models: list[TrainedModel | None] = []
-        #: Fused batch-prediction engine over the column models (None when
-        #: fusion was rejected, e.g. a single populated column).
-        self._engine: FusedInferenceEngine | None = None
-        self._col_to_midx: np.ndarray | None = None
+        #: Per column, its points in y order under a y-CDF model (None: no
+        #: point fell in the column); the populated columns' models (derived,
+        #: never saved) and each column's member in them (-1: empty).
+        self._columns: list[KeyedRun | None] = []
+        self._models: ModelSet | None = None
+        self._member_of_column: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Query-aware tuning (Flood's contribution)
@@ -157,11 +152,11 @@ class FloodIndex(LearnedSpatialIndex):
         # Per-column stores are laid out first (cheap sorts), then every
         # column model builds in one ``build_models`` call — Flood's
         # columns are independent partitions.
-        self._stores = []
+        stores: list[BlockStore | None] = []
         for c in range(self.n_columns):
             members = pts[columns == c]
             if len(members) == 0:
-                self._stores.append(None)
+                stores.append(None)
                 continue
             started = time.perf_counter()
             order = np.argsort(members[:, 1], kind="stable")
@@ -170,86 +165,57 @@ class FloodIndex(LearnedSpatialIndex):
             # y values pass through the same monotone cast, and the y-CDF
             # models measure their bounds over these cast keys.
             keys = sorted_pts[:, 1].astype(self.key_dtype)
-            self._stores.append(
-                BlockStore(sorted_pts, keys, block_size=self.block_size)
-            )
+            stores.append(BlockStore(sorted_pts, keys, block_size=self.block_size))
             self.build_stats.prepare_seconds += time.perf_counter() - started
-        partitions = [
-            (store.keys, store.points) for store in self._stores if store is not None
-        ]
+        partitions = [(store.keys, store.points) for store in stores if store is not None]
         models = iter(
             self.builder.build_models(partitions, self.build_stats, map_fn=None)
         )
-        self._models = [
-            None if store is None else next(models) for store in self._stores
+        self._columns = [
+            None if store is None else KeyedRun(store, next(models)) for store in stores
         ]
-        if getattr(self.builder, "dtype", "float64") == "float32":
-            # Column routing is a searchsorted over float64 edges, so the
-            # precision drop only touches the y-CDF models; re-measuring
-            # their bounds keeps predict-and-scan exact under float32.
-            for store, model in zip(self._stores, self._models):
-                if model is not None and isinstance(model.net, FFN):
-                    model.net.astype(np.float32)
-                    assert store is not None
-                    model.measure_error_bounds(store.keys)
-        self._fuse_columns()
+        # Column routing is a searchsorted over float64 edges, so the
+        # builder's precision only touches the y-CDF models.
+        self._gather_models(cast=True)
         return self
 
-    def _fuse_columns(self) -> "FusedInferenceEngine | None":
-        """Stack the column models into one fused batch-prediction engine.
+    def runs(self):
+        self._check_built()
+        return (run for run in self._columns if run is not None)
 
-        Called at the end of :meth:`build` and of :meth:`_restore_structure`
-        (the engine is derived state, never saved).  Batch queries
-        touching many columns then cost one grouped einsum per layer
-        instead of one FFN forward pass per visited column.
-        """
-        self._engine = None
-        self._col_to_midx = None
-        members: list[TrainedModel] = []
-        member_keys: list[np.ndarray] = []
-        col_to_midx = np.full(self.n_columns, -1, dtype=np.int64)
-        for c, (store, model) in enumerate(zip(self._stores, self._models)):
-            if store is None or model is None:
-                continue
-            col_to_midx[c] = len(members)
-            members.append(model)
-            member_keys.append(store.keys)
-        engine = FusedInferenceEngine.try_build(
-            members,
-            member_keys=member_keys,
-            dtype=getattr(self.builder, "dtype", "float64"),
+    def _gather_models(self, cast: bool = False) -> None:
+        """Put the populated columns' models in one :class:`ModelSet`
+        (``cast``: they were just fitted and take the builder's dtype), so
+        a batch touching many columns is predicted in one call."""
+        populated = [c for c, run in enumerate(self._columns) if run is not None]
+        runs = [self._columns[c] for c in populated]
+        self._member_of_column = np.full(self.n_columns, -1, dtype=np.int64)
+        self._member_of_column[populated] = np.arange(len(populated))
+        self._models = ModelSet(
+            [run.model for run in runs],
+            [run.store.keys for run in runs],
+            dtype=self._model_dtype,
             context="flood",
+            cast=cast,
         )
-        if engine is not None:
-            self._engine = engine
-            self._col_to_midx = col_to_midx
-        return engine
 
     def _structure_state(self) -> dict:
         return {
             "column_edges": self._column_edges,
-            "columns": [
-                None
-                if store is None
-                else {"store": store.state_dict(), "model": model.state_dict()}
-                for store, model in zip(self._stores, self._models)
-            ],
+            "columns": [run and run.state_dict() for run in self._columns],
         }
 
-    def _restore_structure(self, state: dict) -> np.ndarray:
+    def _restore_structure(self, state: dict) -> None:
         self._column_edges = state["column_edges"]
-        columns = state["columns"]
-        self._stores = [c and BlockStore.from_state(c["store"]) for c in columns]
-        self._models = [c and TrainedModel.from_state(c["model"]) for c in columns]
-        self._fuse_columns()
-        return next(store.keys for store in self._stores if store is not None)
+        self._columns = [c and KeyedRun.from_state(c) for c in state["columns"]]
+        self._gather_models()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: queries grouped by column, one model
-        forward pass and one fused range-gather per visited column."""
+        """Vectorised batch lookup: one prediction pass for all visited
+        columns, then one fused range-gather per visited column."""
         self._check_built()
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(pts) == 0:
@@ -261,43 +227,26 @@ class FloodIndex(LearnedSpatialIndex):
             # Cast once for the whole batch: predictions and store searches
             # must both see the key-dtype y values.
             cast_y = pts[:, 1].astype(self.key_dtype, copy=False)
-            all_lo = all_hi = None
-            if self._engine is not None and self._col_to_midx is not None:
-                # One grouped forward pass for every visited column at once;
-                # rows landing in an empty column keep midx == -1 and are
-                # answered False without touching the engine.
-                midx = self._col_to_midx[columns]
-                valid = midx >= 0
-                all_lo = np.zeros(len(pts), dtype=np.int64)
-                all_hi = np.zeros(len(pts), dtype=np.int64)
-                if valid.any():
-                    with _span(
-                        "query.model_predict", index=self.name, queries=int(valid.sum())
-                    ):
-                        all_lo[valid], all_hi[valid] = self._engine.search_ranges(
-                            midx[valid], cast_y[valid]
-                        )
-            for c in np.unique(columns):
-                store = self._stores[c]
-                model = self._models[c]
+            # One prediction pass for every visited column at once; rows
+            # landing in an empty column are answered False without it.
+            member = self._member_of_column[columns]
+            valid = member >= 0
+            lo = np.zeros(len(pts), dtype=np.int64)
+            hi = np.zeros(len(pts), dtype=np.int64)
+            if valid.any():
+                with _span(
+                    "query.model_predict", index=self.name, queries=int(valid.sum())
+                ):
+                    lo[valid], hi[valid] = self._models.search_ranges(
+                        member[valid], cast_y[valid]
+                    )
+            for c in np.unique(columns[valid]):
                 mask = columns == c
-                if store is None or model is None:
-                    continue
-                member_pts = pts[mask]
-                keys = cast_y[mask]
-                if all_lo is not None and all_hi is not None:
-                    lo, hi = all_lo[mask], all_hi[mask]
-                    model.invocations += int(mask.sum())
-                else:
-                    with _span(
-                        "query.model_predict", index=self.name, queries=int(mask.sum())
-                    ):
-                        lo, hi = model.search_ranges(keys)
-                record_range_widths(self.name, lo, hi)
+                out[mask], scanned = self._columns[c].point_lookup(
+                    self.name, cast_y[mask], pts[mask], predicted=(lo[mask], hi[mask])
+                )
                 self.query_stats.model_invocations += int(mask.sum())
-                self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-                with _span("query.refine", index=self.name, queries=int(mask.sum())):
-                    out[mask] = batch_point_membership(store, lo, hi, keys, member_pts)
+                self.query_stats.points_scanned += scanned
         return out
 
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
@@ -323,7 +272,7 @@ class FloodIndex(LearnedSpatialIndex):
                 first = int(self._column_of(np.array([window.lo[0]]))[0])
                 last = int(self._column_of(np.array([window.hi[0]]))[0])
                 for c in range(first, last + 1):
-                    if self._stores[c] is not None and self._models[c] is not None:
+                    if self._columns[c] is not None:
                         pair_win.append(wi)
                         pair_col.append(c)
             if not pair_win:
@@ -344,8 +293,7 @@ class FloodIndex(LearnedSpatialIndex):
             rect_hi = np.vstack([windows[w].hi_array for w in wins])
             with _span("query.refine", index=self.name, queries=len(wins)):
                 for c in np.unique(cols):
-                    store = self._stores[c]
-                    assert store is not None
+                    store = self._columns[c].store
                     sel = np.flatnonzero(cols == c)
                     lo = np.searchsorted(store.keys, y_lo[sel], side="left")
                     hi = np.searchsorted(store.keys, y_hi[sel], side="right")
@@ -362,8 +310,3 @@ class FloodIndex(LearnedSpatialIndex):
             np.vstack(chunks) if chunks else np.empty((0, windows[wi].ndim))
             for wi, chunks in enumerate(results)
         ]
-
-    def indexed_points(self) -> np.ndarray:
-        self._check_built()
-        chunks = [s.points for s in self._stores if s is not None]
-        return np.vstack(chunks)

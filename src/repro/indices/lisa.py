@@ -59,6 +59,8 @@ class LISAIndex(MapAndSortIndex):
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self.grid_size = grid_size
         self.shard_size = shard_size
+        #: Pages are the scan unit: every scan is widened to whole shards.
+        self.scan_page = shard_size
         self._boundaries: list[np.ndarray] | None = None  # per-axis cell edges
         self._weights: np.ndarray | None = None
 
@@ -137,13 +139,6 @@ class LISAIndex(MapAndSortIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _scan_bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pages are the scan unit: widen to whole shards, padded by the
-        built-in-insert count to keep scans correct."""
-        lo = ((lo - self._native_inserts) // self.shard_size) * self.shard_size
-        hi = -(-(hi + self._native_inserts) // self.shard_size) * self.shard_size
-        return np.maximum(lo, 0), np.minimum(hi, len(self.store))
-
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
         """Vectorised batch window queries (approximate: FFN shard
         predictor, see module docs).
@@ -158,7 +153,6 @@ class LISAIndex(MapAndSortIndex):
         (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
-        assert self.store is not None and self.model is not None
         if not windows:
             return []
         w = len(windows)
@@ -188,10 +182,10 @@ class LISAIndex(MapAndSortIndex):
             with _span(
                 "query.model_predict", index=self.name, queries=2 * len(probe_owner)
             ):
-                lo_pred, _ = self.model.search_ranges(np.array(lo_probes))
-                _, hi_pred = self.model.search_ranges(np.array(hi_probes))
+                lo_pred, _ = self.run.model.search_ranges(np.array(lo_probes))
+                _, hi_pred = self.run.model.search_ranges(np.array(hi_probes))
             self.query_stats.model_invocations += 2 * len(probe_owner)
-            lo, hi = self._scan_bounds(lo_pred, hi_pred)
+            lo, hi = self.run.scan_bounds(lo_pred, hi_pred)
             # Merge each window's overlapping ranges so no point is scanned
             # (or reported) twice — shard alignment and error bounds make
             # the per-run ranges overlap.
@@ -211,7 +205,7 @@ class LISAIndex(MapAndSortIndex):
             self.query_stats.points_scanned += int(np.maximum(r_hi - r_lo, 0).sum())
             with _span("query.refine", index=self.name, queries=w):
                 return batch_window_refine(
-                    self.store, r_lo, r_hi, lo_corners, hi_corners, owner=r_own
+                    self.run.store, r_lo, r_hi, lo_corners, hi_corners, owner=r_own
                 )
 
     def _row_major(self, cell: tuple[int, ...]) -> float:

@@ -1,14 +1,15 @@
-"""The map-and-sort core: one key-sorted store under one learned CDF.
+"""The map-and-sort core: one keyed run under one mapping.
 
 ZM, ML-Index and LISA are one procedure around three mappings (Section
 III): bound the data, ``map()`` every point to a key, sort the points into
 one :class:`~repro.storage.blocks.BlockStore`, fit one
 :class:`~repro.indices.rmi.RMIModel` over the key column, answer a point
 query by predict-and-scan.  :class:`MapAndSortIndex` is that procedure,
-once.  A subclass supplies ``map()``, ``window_queries`` (how a rectangle
-becomes key intervals is the mapping's business) and whatever the mapping
-learns from the data (``_fit_mapping`` / ``_mapping_state`` /
-``_restore_mapping``; nothing for ZM); the rest is inherited.
+once, over one :class:`~repro.indices.run.KeyedRun`.  A subclass supplies
+``map()``, ``window_queries`` (how a rectangle becomes key intervals is the
+mapping's business) and whatever the mapping learns from the data
+(``_fit_mapping`` / ``_mapping_state`` / ``_restore_mapping``; nothing for
+ZM); the rest is inherited.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from repro.indices.base import LearnedSpatialIndex, ModelBuilder
 from repro.indices.rmi import RMIModel
-from repro.obs.query_obs import record_range_widths
+from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_point_membership, merge_ranges
+from repro.perf.batching import merge_ranges
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -43,10 +44,29 @@ class MapAndSortIndex(LearnedSpatialIndex):
     #: (CL, RL).  False where the mapping is derived from ``D`` itself.
     BUILDER_MAY_MAP = True
 
+    #: Rows per scan unit (1 = none); LISA scans whole shards.
+    scan_page = 1
+
     def __init__(self, builder: ModelBuilder | None = None, block_size: int = 100) -> None:
         super().__init__(builder, block_size)
-        self.store: BlockStore | None = None
-        self.model: RMIModel | None = None
+        self.run: KeyedRun | None = None
+
+    @property
+    def store(self) -> BlockStore | None:
+        return self.run and self.run.store
+
+    @property
+    def model(self) -> RMIModel | None:
+        return self.run and self.run.model
+
+    @property
+    def _native_inserts(self) -> int:
+        """Built-in insertions since the build: the run's count."""
+        return self.run.inserts if self.run else 0
+
+    def runs(self):
+        self._check_built()
+        yield self.run
 
     # ------------------------------------------------------------------
     # What a mapping may add
@@ -67,15 +87,6 @@ class MapAndSortIndex(LearnedSpatialIndex):
         ``point`` at ``key`` would break an invariant the mapping's queries
         rely on.  Called before the store is touched."""
 
-    def _scan_bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted ranges as scanned: widened by the built-in insertions
-        since the build (each moves a true rank by at most one) and clamped
-        — inserts near rank 0 would otherwise push ``lo`` negative, harmless
-        for the scan, wrong for the accounting."""
-        lo = np.maximum(lo - self._native_inserts, 0)
-        hi = np.minimum(hi + self._native_inserts, len(self.store))
-        return lo, hi
-
     # ------------------------------------------------------------------
     def build(self, points: np.ndarray) -> "MapAndSortIndex":
         pts = self._prepare_points(points)
@@ -83,62 +94,53 @@ class MapAndSortIndex(LearnedSpatialIndex):
         self.bounds = Rect.bounding(pts)
         self.n_points = len(pts)
         self._fit_mapping(pts)
-        self.store = BlockStore(pts, self.map(pts), block_size=self.block_size)
+        store = BlockStore(pts, self.map(pts), block_size=self.block_size)
         self.build_stats.prepare_seconds += time.perf_counter() - started
 
-        self.model = RMIModel(self.builder, branching=self.branching)
-        self.model.fit(
-            self.store.keys,
-            self.store.points,
+        model = RMIModel(self.builder, branching=self.branching).fit(
+            store.keys,
+            store.points,
             self.build_stats,
             map_fn=self.map if self.BUILDER_MAY_MAP else None,
         )
+        self.run = KeyedRun(store, model, page=self.scan_page)
         return self
 
     def _structure_state(self) -> dict:
-        return {
-            **self._mapping_state(),
-            "store": self.store.state_dict(),
-            "model": self.model.state_dict(),
-        }
+        return {**self._mapping_state(), **self.run.state_dict()}
 
-    def _restore_structure(self, state: dict) -> np.ndarray:
+    def _restore_structure(self, state: dict) -> None:
         self._restore_mapping(state)
-        self.store = BlockStore.from_state(state["store"])
-        self.model = RMIModel.from_state(state["model"], self.builder, self.store.keys)
-        return self.store.keys
+        self.run = KeyedRun.from_state(
+            state,
+            lambda model, keys: RMIModel.from_state(model, self.builder, keys),
+            inserts=state["native_inserts"],
+            page=self.scan_page,
+        )
 
     def insert(self, point: np.ndarray) -> None:
         self._check_built()
-        assert self.store is not None
         q = np.asarray(point, dtype=np.float64)
         key = float(self.map(q[None, :])[0])
         self._check_insert(q, key)
-        self.store.insert(q, key)
-        self._native_inserts += 1
+        self.run.insert(q, key)
         self.n_points += 1
 
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup: one model forward pass for all keys and
         one fused gather per group of overlapping scan ranges."""
         self._check_built()
-        assert self.store is not None and self.model is not None
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(pts) == 0:
             return np.zeros(0, dtype=bool)
         with _span("query.point_batch", index=self.name, queries=len(pts)):
-            with _span("query.model_predict", index=self.name, queries=len(pts)):
-                keys = self.map(pts)
-                lo, hi = self.model.search_ranges(keys)
-            lo, hi = self._scan_bounds(lo, hi)
-            record_range_widths(self.name, lo, hi)
+            found, scanned = self.run.point_lookup(
+                self.name, self.map(pts), pts, atol=self.KEY_ATOL
+            )
             self.query_stats.queries += len(pts)
             self.query_stats.model_invocations += len(pts)
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=len(pts)):
-                return batch_point_membership(
-                    self.store, lo, hi, keys, pts, atol=self.KEY_ATOL
-                )
+            self.query_stats.points_scanned += scanned
+            return found
 
     def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
         """First kNN window sides from each query's key-order neighbours.
@@ -149,8 +151,7 @@ class MapAndSortIndex(LearnedSpatialIndex):
         half-side holds the whole answer and the driver's test passes in
         round one (given exact windows).
         """
-        store = self.store
-        assert store is not None
+        store = self.run.store
         n = len(store)
         m = min(2 * k, n)
         with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
@@ -174,15 +175,8 @@ class MapAndSortIndex(LearnedSpatialIndex):
             radius += (np.abs(pts).max(axis=1) + radius) * 2.0**-50
             return 2.0 * radius
 
-    def indexed_points(self) -> np.ndarray:
-        """Every indexed point in storage (key) order."""
-        self._check_built()
-        assert self.store is not None
-        return self.store.points
-
     @property
     def error_width(self) -> int:
         """Worst-model ``err_l + err_u`` (Table I)."""
         self._check_built()
-        assert self.model is not None
-        return self.model.max_error_width
+        return self.run.model.max_error_width

@@ -8,8 +8,7 @@ ML-Index answers window and kNN queries *exactly* (the paper: "By design,
 ML offers accurate results"): a window is circumscribed by a ball, the
 iDistance annulus filter yields one candidate key interval per reference
 partition, and each interval is scanned between its exact boundary ranks
-(model-predicted and gallop-refined for windows, ``searchsorted`` for the
-batched kNN rounds).
+(``searchsorted`` over the key column, for windows and kNN rounds alike).
 """
 
 from __future__ import annotations
@@ -18,46 +17,12 @@ import numpy as np
 
 from repro.indices.base import InsertRefused, ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
-from repro.perf.batching import cast_boundaries, merge_ranges
+from repro.obs.trace import span as _span
+from repro.perf.batching import batch_window_refine, cast_boundaries, merge_ranges
 from repro.spatial.idistance import IDistanceMapping
 from repro.spatial.rect import Rect
 
-__all__ = ["MLIndex", "locate_rank"]
-
-
-def locate_rank(
-    sorted_keys: np.ndarray, key: float, hint: tuple[int, int], side: str = "left"
-) -> int:
-    """Exact insertion rank of ``key``, starting from a predicted range.
-
-    ``hint`` is the model's search range.  If the true boundary lies outside
-    it (possible for keys that were never indexed, where the empirical error
-    bounds give no guarantee), the bracket grows by doubling — so the cost
-    stays proportional to the prediction error, not to ``n``.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = len(sorted_keys)
-    if n == 0:
-        return 0
-    lo = max(0, min(hint[0], n - 1))
-    hi = max(lo + 1, min(n, hint[1]))
-
-    # Grow the bracket downward until the boundary cannot be left of `lo`:
-    # for both sides it suffices that sorted_keys[lo - 1] < key (left) or
-    # <= key (right); use the conservative strict comparison for both.
-    step = max(1, hi - lo)
-    while lo > 0 and sorted_keys[lo - 1] >= key:
-        lo = max(0, lo - step)
-        step *= 2
-    # Grow upward until the boundary cannot be right of `hi`.
-    step = max(1, hi - lo)
-    while hi < n and (
-        sorted_keys[hi - 1] < key if side == "left" else sorted_keys[hi - 1] <= key
-    ):
-        hi = min(n, hi + step)
-        step *= 2
-    return int(lo + np.searchsorted(sorted_keys[lo:hi], key, side=side))
+__all__ = ["MLIndex"]
 
 
 class MLIndex(MapAndSortIndex):
@@ -120,7 +85,7 @@ class MLIndex(MapAndSortIndex):
     def _check_insert(self, point: np.ndarray, key: float) -> None:
         """A point farther than the stretch from every reference would get a
         key inside the next partition's range, past the cap that window and
-        kNN scans stop at (:meth:`_partition_caps`): found by a point
+        kNN scans stop at (:meth:`_annulus_ranks`): found by a point
         lookup, missed by a window."""
         assert self.mapping is not None
         partition = int(self.mapping.nearest_reference(point)[0][0])
@@ -132,63 +97,77 @@ class MLIndex(MapAndSortIndex):
             )
 
     # ------------------------------------------------------------------
-    def _scan_key_interval(self, key_lo: float, key_hi: float) -> np.ndarray:
-        """Scan all points whose *stored* key lies in the cast interval.
+    def _annulus_ranks(
+        self, ref_dist: np.ndarray, radius: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rank runs ``[lo, hi)`` of every (query, partition) annulus, query
+        major: the stored keys in ``[j*c + max(0, r_j - radius), j*c + r_j +
+        radius]`` for each query's distance ``r_j`` (``ref_dist``, ``(a,
+        m)``) to reference ``j``.
 
-        Boundaries go through the key-dtype cast: for quantised key columns
-        a raw float64 boundary could fall above a stored key whose true
-        (pre-cast) value is inside the interval, so the monotone cast —
-        which brackets a superset of the true candidates — is required for
-        correctness, not just speed.  Downstream exact coordinate/distance
-        filters remove the extras.
+        Exact ranks from two batched ``searchsorted`` calls over the key
+        column.  Boundaries go through the key-dtype cast: for quantised
+        key columns a raw float64 boundary could fall above a stored key
+        whose true (pre-cast) value is inside the interval, so the monotone
+        cast — which brackets a superset of the true candidates — is
+        required for correctness; the exact coordinate / distance filters
+        downstream remove the extras.  The upper boundary stops at the
+        partition's largest possible key: an annulus whose outer radius
+        exceeds the stretch constant (a query far outside the data, a huge
+        window) would otherwise run into the next partition's keys and
+        report its rows a second time.  One that starts past that cap is
+        empty (``hi <= lo``).
         """
-        assert self.store is not None and self.model is not None
-        key_lo = self.key_dtype.type(key_lo)
-        key_hi = self.key_dtype.type(key_hi)
-        lo = locate_rank(self.store.keys, key_lo, self.model.search_range(key_lo), "left")
-        hi = locate_rank(self.store.keys, key_hi, self.model.search_range(key_hi), "right")
-        pts, _keys, _ids = self.store.scan(lo, hi)
-        self.query_stats.model_invocations += 2
-        self.query_stats.points_scanned += len(pts)
-        return pts
-
-    def _partition_caps(self) -> np.ndarray:
-        """Per partition, the largest key (in the key dtype) below the next
-        partition's first key.  An annulus whose outer radius exceeds the
-        stretch constant (a query far outside the data, a huge window)
-        would otherwise run into the next partition's keys and report its
-        rows a second time."""
         assert self.mapping is not None
-        first_next = (np.arange(self.mapping.n_references) + 1.0) * self.mapping.stretch
-        return np.nextafter(
-            first_next.astype(self.key_dtype), self.key_dtype.type(-np.inf)
+        keys = self.run.store.keys
+        partition = np.arange(self.mapping.n_references)
+        base = partition * self.mapping.stretch
+        caps = np.nextafter(
+            ((partition + 1.0) * self.mapping.stretch).astype(keys.dtype),
+            keys.dtype.type(-np.inf),
         )
+        r = radius[:, None]
+        key_lo = base + np.maximum(0.0, ref_dist - r)
+        key_hi = base + ref_dist + r
+        lo = np.searchsorted(
+            keys, cast_boundaries(key_lo.ravel(), keys.dtype), side="left"
+        )
+        hi = np.searchsorted(
+            keys,
+            np.minimum(cast_boundaries(key_hi, keys.dtype), caps).ravel(),
+            side="right",
+        )
+        return lo, hi
 
     def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Exact window queries, one window at a time (no fused kernel yet).
+        """Exact batch window queries.
 
         Each window is circumscribed by a ball; the iDistance annulus
-        filter yields one candidate key interval per reference partition,
-        and each interval is scanned and filtered by the rectangle.
+        filter yields one candidate key interval per reference partition
+        (:meth:`_annulus_ranks`; no model pass, so no
+        ``model_invocations``), and one fused rectangle-refinement kernel
+        filters every window's runs, partitions ascending
+        (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
         assert self.mapping is not None
-        caps = self._partition_caps()
-        out: list[np.ndarray] = []
-        for window in windows:
-            self.query_stats.queries += 1
-            center = window.center
-            radius = float(np.linalg.norm(window.extents) / 2.0)
-            results = []
-            intervals = self.mapping.annulus_keys(center, radius)
-            for (key_lo, key_hi), cap in zip(intervals, caps):
-                pts = self._scan_key_interval(key_lo, min(key_hi, cap))
-                if len(pts):
-                    inside = pts[window.contains_points(pts)]
-                    if len(inside):
-                        results.append(inside)
-            out.append(np.vstack(results) if results else np.empty((0, window.ndim)))
-        return out
+        if not windows:
+            return []
+        w = len(windows)
+        with _span("query.window_batch", index=self.name, windows=w):
+            win_lo = np.vstack([win.lo_array for win in windows])
+            win_hi = np.vstack([win.hi_array for win in windows])
+            diff = self.mapping.references - ((win_lo + win_hi) / 2.0)[:, None, :]
+            extent = win_hi - win_lo
+            lo, hi = self._annulus_ranks(
+                np.sqrt(np.einsum("wmd,wmd->wm", diff, diff)),
+                np.sqrt(np.einsum("wd,wd->w", extent, extent)) / 2.0,
+            )
+            owner = np.repeat(np.arange(w), self.mapping.n_references)
+            self.query_stats.queries += w
+            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
+            with _span("query.refine", index=self.name, queries=w):
+                return batch_window_refine(self.run.store, lo, hi, win_lo, win_hi, owner)
 
     def _knn_rounds(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         """Exact kNN by iDistance radius expansion, vectorised over the batch.
@@ -204,8 +183,7 @@ class MLIndex(MapAndSortIndex):
         certified radius — or whose ball already covers the data bounds
         (fewer than k points indexed: everything found, nearest first).
         """
-        assert self.mapping is not None and self.store is not None
-        assert self.bounds is not None
+        assert self.mapping is not None and self.bounds is not None
         b = len(pts)
         self.query_stats.queries += b
         d = self.bounds.ndim
@@ -224,36 +202,17 @@ class MLIndex(MapAndSortIndex):
         # Query-to-reference distances: computed once, reused every round.
         diff = pts[:, None, :] - refs[None, :, :]
         ref_dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
-        base = np.arange(m) * self.mapping.stretch
-        caps = self._partition_caps()
-        store_keys = self.store.keys
+        store = self.run.store
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)
         while len(active):
             a = len(active)
-            r = radius[active][:, None]
-            rd = ref_dist[active]
-            key_lo = base[None, :] + np.maximum(0.0, rd - r)
-            key_hi = base[None, :] + rd + r
-            # Boundaries pass through the same monotone key-dtype cast as
-            # the stored keys (see _scan_key_interval), so quantised key
-            # columns yield a superset of the true candidate runs.
-            lo = np.searchsorted(
-                store_keys,
-                cast_boundaries(key_lo.ravel(), store_keys.dtype),
-                side="left",
-            )
-            hi = np.searchsorted(
-                store_keys,
-                np.minimum(cast_boundaries(key_hi, store_keys.dtype), caps).ravel(),
-                side="right",
-            )
-            # An annulus that starts past its partition's cap is empty.  Every
-            # candidate row is charged once; block reads are charged once per
-            # merged interval group, vectorised.
+            lo, hi = self._annulus_ranks(ref_dist[active], radius[active])
+            # Every candidate row is charged once; block reads are charged
+            # once per merged interval group, vectorised.
             counts = np.maximum(hi - lo, 0)
             self.query_stats.points_scanned += int(counts.sum())
-            self.store.charge_block_reads(*merge_ranges(lo, hi))
+            store.charge_block_reads(*merge_ranges(lo, hi))
             total = int(counts.sum())
             per_query = counts.reshape(a, m).sum(axis=1)
             if total:
@@ -268,7 +227,7 @@ class MLIndex(MapAndSortIndex):
                 owner = np.repeat(
                     np.repeat(np.arange(a), m), counts.reshape(a, m).ravel()
                 )
-                cand = self.store.points[rows]
+                cand = store.points[rows]
                 cdiff = cand - pts[active][owner]
                 dist = np.sqrt(np.einsum("ij,ij->i", cdiff, cdiff))
                 within = np.bincount(

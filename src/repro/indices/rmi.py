@@ -11,16 +11,10 @@ Every member model is trained through a
 :class:`~repro.indices.base.ModelBuilder`, which is how ELSI accelerates
 multi-model indices one model at a time (Figure 3).
 
-Batch prediction is fused: after the fit, the structurally identical
-stage-2 leaves are stacked into one
-:class:`~repro.perf.fused_infer.FusedInferenceEngine`, so a
-:meth:`~RMIModel.search_ranges` batch touching many leaves costs one
-grouped einsum per layer instead of one FFN call per visited leaf.  The
-engine re-measures its own error bounds over every member's partition, so
-predict-and-scan correctness holds on the fused path exactly as on the
-per-model one; when the leaves cannot be fused (single model, mixed
-architectures, PLA nets) the per-model loop keeps running and the reason
-lands in the ``perf.fusion_rejected`` counter.
+The stage-2 leaves are one :class:`~repro.perf.fused_infer.ModelSet`: a
+:meth:`~RMIModel.search_ranges` batch touching many leaves is predicted in
+one grouped pass where the leaves stack (bounds re-measured under the fused
+arithmetic), one visited leaf at a time where they do not.
 
 The builder's ``dtype`` (``ELSIConfig.dtype`` / ``REPRO_DTYPE``) selects
 the inference precision: with ``float32``, stage-1 is cast *before*
@@ -34,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indices.base import BuildStats, MapFn, ModelBuilder, TrainedModel
-from repro.ml.ffn import FFN
-from repro.perf.fused_infer import FusedInferenceEngine, record_fusion_rejected
+from repro.perf.fused_infer import ModelSet, record_fusion_rejected
 
 __all__ = ["RMIModel"]
 
@@ -70,30 +63,19 @@ class RMIModel:
         self.stage2: list[TrainedModel] = []
         self._stage2_positions: list[np.ndarray] = []
         self.n = 0
-        #: Fused batch-prediction engine over the stage-2 leaves (None
-        #: when fusion was rejected or the model is single-stage).
-        self._engine: FusedInferenceEngine | None = None
-        self._branch_to_midx: np.ndarray | None = None
-        self._fused_positions: np.ndarray | None = None
-        self._fused_offsets: np.ndarray | None = None
-        self._fused_members: list[TrainedModel] = []
+        #: Derived, never saved: the non-empty branches' leaves (None while
+        #: single-stage), each branch's member (-1: empty, stage 1 answers)
+        #: and the members' global positions, concatenated, with offsets.
+        self._leaves: ModelSet | None = None
+        self._member_of_branch: np.ndarray | None = None
+        self._member_positions: np.ndarray | None = None
+        self._member_offsets: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
     def dtype(self) -> str:
         """Inference precision, from the builder (default float64)."""
         return getattr(self.builder, "dtype", "float64")
-
-    def _cast_model(self, model: TrainedModel, member_keys: np.ndarray) -> None:
-        """Apply the reduced-precision mode to one member model.
-
-        Casts the network parameters down and re-measures the error bounds
-        over the member's full partition, so the per-model prediction path
-        keeps its predict-and-scan guarantee under the new arithmetic.
-        """
-        if isinstance(model.net, FFN):
-            model.net.astype(np.float32)
-            model.measure_error_bounds(member_keys)
 
     # ------------------------------------------------------------------
     def fit(
@@ -107,16 +89,11 @@ class RMIModel:
         self.n = len(sorted_keys)
         if self.n == 0:
             raise ValueError("cannot fit an RMI on an empty key set")
-        reduced = self.dtype == "float32"
         self.stage1 = self.builder.build_model(sorted_keys, sorted_points, stats, map_fn)
-        if reduced:
-            # Cast *before* routing: stage-1 predictions partition the data,
-            # and query-time routing must repeat the build-time computation
-            # exactly, so the precision drop has to land first.
-            self._cast_model(self.stage1, sorted_keys)
+        ModelSet.cast_model(self.stage1, sorted_keys, self.dtype)
         self.stage2 = []
         self._stage2_positions = []
-        self._engine = None
+        self._leaves = None
         if self.branching == 1 or self.n < self.min_partition_size:
             record_fusion_rejected("single_model", context="rmi")
             return self
@@ -138,56 +115,31 @@ class RMIModel:
             # An empty branch reuses stage 1 (routing sends no key there).
             self.stage2.append(self.stage1 if len(positions) == 0 else next(models))
             self._stage2_positions.append(positions)
-        if reduced:
-            for model, positions in zip(self.stage2, self._stage2_positions):
-                if model is not self.stage1 and len(positions):
-                    self._cast_model(model, sorted_keys[positions])
-        self.fuse_inference(sorted_keys)
+        self._gather_leaves(sorted_keys, cast=True)
         return self
 
-    def fuse_inference(self, sorted_keys: np.ndarray) -> "FusedInferenceEngine | None":
-        """Stack the stage-2 leaves into a fused batch-prediction engine.
-
-        Called at the end of :meth:`fit` and of :meth:`from_state` (the
-        engine itself is derived state and is not saved).
-        Returns the engine, or ``None`` with the rejection reason counted
-        when the leaves cannot share one compute path.
-        """
-        self._engine = None
-        self._branch_to_midx = None
-        self._fused_positions = None
-        self._fused_offsets = None
-        self._fused_members = []
+    def _gather_leaves(self, sorted_keys: np.ndarray, cast: bool = False) -> None:
+        """Put the non-empty branches' models in one :class:`ModelSet`
+        (``cast``: they were just fitted and take the builder's dtype)."""
         if not self.is_two_stage:
-            return None
-        assert self.stage1 is not None
-        members: list[TrainedModel] = []
-        member_positions: list[np.ndarray] = []
-        branch_to_midx = np.full(self.branching, -1, dtype=np.int64)
-        for branch, (model, positions) in enumerate(
-            zip(self.stage2, self._stage2_positions)
-        ):
-            if model is self.stage1 or len(positions) == 0:
-                continue  # empty branch: the stage-1 fallback answers it
-            branch_to_midx[branch] = len(members)
-            members.append(model)
-            member_positions.append(np.asarray(positions, dtype=np.int64))
+            return
+        filled = [b for b, positions in enumerate(self._stage2_positions) if len(positions)]
+        positions = [
+            np.asarray(self._stage2_positions[b], dtype=np.int64) for b in filled
+        ]
+        self._member_of_branch = np.full(self.branching, -1, dtype=np.int64)
+        self._member_of_branch[filled] = np.arange(len(filled))
+        self._member_positions = np.concatenate(positions)
+        lengths = [len(p) for p in positions]
+        self._member_offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
         sorted_keys = np.asarray(sorted_keys, dtype=np.float64)
-        engine = FusedInferenceEngine.try_build(
-            members,
-            member_keys=[sorted_keys[p] for p in member_positions],
+        self._leaves = ModelSet(
+            [self.stage2[b] for b in filled],
+            [sorted_keys[p] for p in positions],
             dtype=self.dtype,
             context="rmi",
+            cast=cast,
         )
-        if engine is None:
-            return None
-        self._engine = engine
-        self._branch_to_midx = branch_to_midx
-        self._fused_positions = np.concatenate(member_positions)
-        lengths = np.array([len(p) for p in member_positions], dtype=np.int64)
-        self._fused_offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        self._fused_members = members
-        return engine
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -208,8 +160,8 @@ class RMIModel:
     def from_state(
         cls, state: dict, builder: ModelBuilder, sorted_keys: np.ndarray
     ) -> "RMIModel":
-        """Rebuild the hierarchy over ``sorted_keys`` and re-fuse it (with
-        freshly re-measured fused bounds)."""
+        """Rebuild the hierarchy over ``sorted_keys`` (the leaves re-fuse,
+        with freshly re-measured fused bounds)."""
         rmi = cls(builder, branching=state["branching"])
         rmi.n = state["n"]
         rmi.stage1 = TrainedModel.from_state(state["stage1"])
@@ -218,7 +170,7 @@ class RMIModel:
             for member in state["stage2"]
         ]
         rmi._stage2_positions = state["stage2_positions"]
-        rmi.fuse_inference(sorted_keys)
+        rmi._gather_leaves(sorted_keys)
         return rmi
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
@@ -236,7 +188,7 @@ class RMIModel:
     @property
     def fused(self) -> bool:
         """Whether batch predictions run through the fused engine."""
-        return self._engine is not None
+        return self._leaves is not None and self._leaves.fused
 
     @property
     def models(self) -> list[TrainedModel]:
@@ -258,88 +210,31 @@ class RMIModel:
         return max(m.error_width for m in self.models)
 
     def search_ranges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`search_range` over a key batch.
+        """Global half-open position range per key, guaranteed to contain
+        the key if it is indexed.
 
-        With the fused engine: one stage-1 pass to route, then one grouped
-        forward pass for *all* visited stage-2 leaves at once.  Without it:
-        one network forward pass per visited stage-2 model.  Either way the
-        returned ranges are guaranteed to contain every indexed key.
+        Single-stage: the stage-1 model's own range.  Two-stage: one
+        stage-1 pass to route, the routed leaf's *local* range from the
+        :class:`ModelSet`, widened to the global positions its local
+        endpoints map to (a leaf's point set need not be globally
+        contiguous).  A key routed to an empty branch gets stage 1's range.
         """
         assert self.stage1 is not None
         keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
         if not self.is_two_stage:
-            pos = self.stage1.predict_positions(keys)
-            lo = np.maximum(pos - self.stage1.err_l, 0)
-            hi = np.minimum(pos + self.stage1.err_u + 1, self.n)
-            return lo, hi
-        branches = self._route(keys)
-        if self._engine is not None:
-            return self._search_ranges_fused(keys, branches)
+            return self.stage1.search_ranges(keys)
+        assert self._leaves is not None
+        member = self._member_of_branch[self._route(keys)]
         lo = np.zeros(len(keys), dtype=np.int64)
         hi = np.zeros(len(keys), dtype=np.int64)
-        for branch in np.unique(branches):
-            mask = branches == branch
-            positions = self._stage2_positions[branch]
-            model = self.stage2[branch]
-            if len(positions) == 0:
-                pos = self.stage1.predict_positions(keys[mask])
-                lo[mask] = np.maximum(pos - self.stage1.err_l, 0)
-                hi[mask] = np.minimum(pos + self.stage1.err_u + 1, self.n)
-                continue
-            local = model.predict_positions(keys[mask])
-            lo_local = np.clip(local - model.err_l, 0, len(positions) - 1)
-            hi_local = np.clip(local + model.err_u + 1, 1, len(positions))
-            lo[mask] = positions[lo_local]
-            hi[mask] = positions[hi_local - 1] + 1
-        return lo, hi
-
-    def _search_ranges_fused(
-        self, keys: np.ndarray, branches: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The engine-backed half of :meth:`search_ranges`."""
-        assert self._engine is not None
-        assert self._branch_to_midx is not None
-        assert self._fused_positions is not None and self._fused_offsets is not None
-        assert self.stage1 is not None
-        lo = np.zeros(len(keys), dtype=np.int64)
-        hi = np.zeros(len(keys), dtype=np.int64)
-        midx = self._branch_to_midx[branches]
-        fused = midx >= 0
-        if fused.any():
-            fm = midx[fused]
-            lo_local, hi_local = self._engine.search_ranges(fm, keys[fused])
-            base = self._fused_offsets[fm]
-            lo[fused] = self._fused_positions[base + lo_local]
-            hi[fused] = self._fused_positions[base + hi_local - 1] + 1
-            # Keep per-model invocation accounting meaningful on the
-            # fused path (one logical invocation per answered key).
-            for i, count in enumerate(np.bincount(fm, minlength=len(self._fused_members))):
-                if count:
-                    self._fused_members[i].invocations += int(count)
-        rest = ~fused
+        routed = member >= 0
+        if routed.any():
+            m = member[routed]
+            lo_local, hi_local = self._leaves.search_ranges(m, keys[routed])
+            base = self._member_offsets[m]
+            lo[routed] = self._member_positions[base + lo_local]
+            hi[routed] = self._member_positions[base + hi_local - 1] + 1
+        rest = ~routed
         if rest.any():
-            pos = self.stage1.predict_positions(keys[rest])
-            lo[rest] = np.maximum(pos - self.stage1.err_l, 0)
-            hi[rest] = np.minimum(pos + self.stage1.err_u + 1, self.n)
+            lo[rest], hi[rest] = self.stage1.search_ranges(keys[rest])
         return lo, hi
-
-    def search_range(self, key: float) -> tuple[int, int]:
-        """Global half-open position range guaranteed to contain ``key``.
-
-        Single-stage: the stage-1 model's own range.  Two-stage: route, get
-        the stage-2 model's *local* range, then widen to the global
-        positions its local endpoints map to (stage-2 point sets need not be
-        globally contiguous).
-        """
-        assert self.stage1 is not None
-        if not self.is_two_stage:
-            return self.stage1.search_range(key)
-        branch = int(self._route(np.array([key]))[0])
-        positions = self._stage2_positions[branch]
-        model = self.stage2[branch]
-        if len(positions) == 0:
-            return self.stage1.search_range(key)
-        lo_local, hi_local = model.search_range(key)
-        lo_local = max(0, min(lo_local, len(positions) - 1))
-        hi_local = max(1, min(hi_local, len(positions)))
-        return int(positions[lo_local]), int(positions[hi_local - 1]) + 1

@@ -30,14 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.indices.base import (
-    BuildStats,
-    LearnedSpatialIndex,
-    ModelBuilder,
-    TrainedModel,
-)
-from repro.ml.ffn import FFN
+from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel
+from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
+from repro.perf.batching import batch_window_refine
+from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
@@ -47,52 +44,55 @@ __all__ = ["RSMIIndex"]
 
 @dataclass
 class _Node:
-    """One RSMI partition: a model plus either children or a leaf store."""
+    """One RSMI partition: a model plus either children or, for a leaf, the
+    keyed run its model was fitted over (``run.model is model``; the run's
+    insert count widens the leaf's scans — no retraining on insert)."""
 
     bounds: Rect
     model: TrainedModel
     n: int
     children: list["_Node | None"] = field(default_factory=list)
-    store: BlockStore | None = None
+    run: KeyedRun | None = None
     depth: int = 0
-    #: Built-in insertions into this leaf since its model was trained;
-    #: scan ranges widen by this count (no retraining on insert).
-    inserts: int = 0
 
     @property
     def is_leaf(self) -> bool:
-        return self.store is not None
+        return self.run is not None
 
     def state_dict(self) -> dict:
         """This node and its subtree — insertion-widened leaves
         (``inserts``) and the unbalanced subtrees built-in insertion
         produces included."""
+        if self.run is None:
+            pair, inserts = {"store": None, "model": self.model.state_dict()}, 0
+        else:
+            pair, inserts = self.run.state_dict(), self.run.inserts
         return {
             "bounds": [self.bounds.lo, self.bounds.hi],
-            "model": self.model.state_dict(),
+            "model": pair["model"],
             "n": self.n,
             "children": [
                 None if child is None else child.state_dict()
                 for child in self.children
             ],
-            "store": None if self.store is None else self.store.state_dict(),
+            "store": pair["store"],
             "depth": self.depth,
-            "inserts": self.inserts,
+            "inserts": inserts,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "_Node":
+        run = state["store"] and KeyedRun.from_state(state, inserts=state["inserts"])
         return cls(
             bounds=Rect.from_arrays(*state["bounds"]),
-            model=TrainedModel.from_state(state["model"]),
+            model=run.model if run else TrainedModel.from_state(state["model"]),
             n=state["n"],
             children=[
                 None if child is None else cls.from_state(child)
                 for child in state["children"]
             ],
-            store=None if state["store"] is None else BlockStore.from_state(state["store"]),
+            run=run,
             depth=state["depth"],
-            inserts=state["inserts"],
         )
 
 
@@ -145,11 +145,22 @@ class RSMIIndex(LearnedSpatialIndex):
     def _structure_state(self) -> dict:
         return {"root": self.root.state_dict()}
 
-    def _restore_structure(self, state: dict) -> np.ndarray:
-        node = self.root = _Node.from_state(state["root"])
-        while node.store is None:
-            node = next(child for child in node.children if child is not None)
-        return node.store.keys
+    def _restore_structure(self, state: dict) -> None:
+        self.root = _Node.from_state(state["root"])
+
+    def _nodes(self):
+        """Every node of the hierarchy (a stack walk: a node before its
+        subtree, later siblings' subtrees first)."""
+        self._check_built()
+        assert self.root is not None
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(c for c in node.children if c is not None)
+
+    def runs(self):
+        return (node.run for node in self._nodes() if node.is_leaf)
 
     def _node_keys(self, points: np.ndarray, bounds: Rect) -> np.ndarray:
         """Morton codes local to the node's bounding box.
@@ -159,22 +170,6 @@ class RSMIIndex(LearnedSpatialIndex):
         coordinates always produce bit-equal node-local keys.
         """
         return zvalues(points, bounds, self.bits, dtype=self.key_dtype)
-
-    def _cast_node_model(self, model: TrainedModel, node_keys: np.ndarray) -> None:
-        """Apply the builder's reduced-precision mode to one node model.
-
-        Mirrors :meth:`repro.indices.rmi.RMIModel._cast_model`: cast the
-        network down and re-measure the error bounds over the node's full
-        (cast) key partition, so predict-and-scan stays exact under the new
-        arithmetic.  Must run *before* :meth:`_split_specs` routes the
-        partition — query-time routing repeats the build-time computation,
-        so the precision drop has to land first.
-        """
-        if getattr(self.builder, "dtype", "float64") == "float32" and isinstance(
-            model.net, FFN
-        ):
-            model.net.astype(np.float32)
-            model.measure_error_bounds(node_keys)
 
     def _sort_by_node_keys(
         self, points: np.ndarray, bounds: Rect
@@ -196,15 +191,15 @@ class RSMIIndex(LearnedSpatialIndex):
         Returns the non-empty child partitions as ``(branch, points,
         bounds)`` in branch order — empty for a leaf.
         """
-        if len(sorted_pts) <= self.leaf_capacity or node.depth >= 16:
-            node.store = BlockStore(sorted_pts, sorted_keys, block_size=self.block_size)
-            return []
-        branch = self._route(node.model, sorted_keys, len(sorted_pts))
-        counts = np.bincount(branch, minlength=self.fanout)
-        if counts.max() == len(sorted_pts):
+        leaf = len(sorted_pts) <= self.leaf_capacity or node.depth >= 16
+        if not leaf:
+            branch = self._route(node.model, sorted_keys, len(sorted_pts))
             # Degenerate model: everything routed to one child.  Fall back
             # to a leaf; the scan bounds still guarantee point lookups.
-            node.store = BlockStore(sorted_pts, sorted_keys, block_size=self.block_size)
+            leaf = np.bincount(branch, minlength=self.fanout).max() == len(sorted_pts)
+        if leaf:
+            store = BlockStore(sorted_pts, sorted_keys, block_size=self.block_size)
+            node.run = KeyedRun(store, node.model)
             return []
         specs = []
         for b in range(self.fanout):
@@ -257,7 +252,8 @@ class RSMIIndex(LearnedSpatialIndex):
         for (pts, bounds, depth, attach), (sorted_pts, sorted_keys), model in zip(
             frontier, prepared, models
         ):
-            self._cast_node_model(model, sorted_keys)
+            # Cast before ``_split_specs`` routes the partition.
+            ModelSet.cast_model(model, sorted_keys, self._model_dtype)
             node = _Node(bounds=bounds, model=model, n=len(pts), depth=depth)
             attach(node)
             specs = self._split_specs(node, sorted_pts, sorted_keys)
@@ -305,13 +301,11 @@ class RSMIIndex(LearnedSpatialIndex):
                 return
             parent, branch = node, b
             node = child
-        assert node.store is not None
-        key = float(self._node_keys(q[None, :], node.bounds)[0])
-        node.store.insert(q, key)
-        node.inserts += 1
+        node.run.insert(q, float(self._node_keys(q[None, :], node.bounds)[0]))
         self.n_points += 1
-        if len(node.store) > 2 * self.leaf_capacity and node.depth < 16:
-            rebuilt = self._build_subtree(node.store.points, node.bounds, node.depth)
+        store = node.run.store
+        if len(store) > 2 * self.leaf_capacity and node.depth < 16:
+            rebuilt = self._build_subtree(store.points, node.bounds, node.depth)
             if parent is None:
                 self.root = rebuilt
             else:
@@ -320,10 +314,9 @@ class RSMIIndex(LearnedSpatialIndex):
     def _make_singleton_leaf(self, point: np.ndarray, bounds: Rect, depth: int) -> _Node:
         keys = self._node_keys(point[None, :], bounds)
         model = self.builder.build_model(keys, point[None, :], self.build_stats)
-        self._cast_node_model(model, keys)
-        node = _Node(bounds=bounds, model=model, n=1, depth=depth)
-        node.store = BlockStore(point[None, :], keys, block_size=self.block_size)
-        return node
+        ModelSet.cast_model(model, keys, self._model_dtype)
+        store = BlockStore(point[None, :], keys, block_size=self.block_size)
+        return _Node(bounds, model, n=1, run=KeyedRun(store, model), depth=depth)
 
     # ------------------------------------------------------------------
     # Queries
@@ -346,21 +339,15 @@ class RSMIIndex(LearnedSpatialIndex):
         with _span("rsmi.point", index=self.name) as point_span:
             hops = 0
             while True:
-                key = float(self._node_keys(q[None, :], node.bounds)[0])
+                key = self._node_keys(q[None, :], node.bounds)
                 self.query_stats.model_invocations += 1
                 hops += 1
                 if node.is_leaf:
-                    assert node.store is not None
-                    lo, hi = node.model.search_range(key)
-                    pts, keys, _ids = node.store.scan(
-                        lo - node.inserts, hi + node.inserts
-                    )
-                    self.query_stats.points_scanned += len(pts)
-                    point_span.set(hops=hops, scanned=len(pts))
-                    match = keys == key
-                    return bool(np.any(match & np.all(pts == q, axis=1)))
-                branch = int(self._route(node.model, np.array([key]), node.n)[0])
-                child = node.children[branch]
+                    found, scanned = node.run.point_lookup(self.name, key, q[None, :])
+                    self.query_stats.points_scanned += scanned
+                    point_span.set(hops=hops, scanned=scanned)
+                    return bool(found[0])
+                child = node.children[int(self._route(node.model, key, node.n)[0])]
                 if child is None:
                     point_span.set(hops=hops, scanned=0)
                     return False
@@ -411,22 +398,19 @@ class RSMIIndex(LearnedSpatialIndex):
                 hi = np.minimum(win_hi[active], bhi)
                 z = self._node_keys(np.vstack([lo, hi]), node.bounds)
                 self.query_stats.model_invocations += 2 * w
-                pos = node.model.predict_positions(z)
-                model = node.model
-                pos_lo = np.maximum(pos[:w] - model.err_l, 0)
-                pos_hi = np.minimum(pos[w:] + model.err_u + 1, model.n_indexed)
+                lo_all, hi_all = node.model.search_ranges(z)
+                pos_lo, pos_hi = lo_all[:w], hi_all[w:]
                 if node.is_leaf:
-                    assert node.store is not None
-                    for j, wi in enumerate(active):
-                        pts, _keys, _ids = node.store.scan(
-                            int(pos_lo[j]) - node.inserts,
-                            int(pos_hi[j]) + node.inserts,
-                        )
-                        self.query_stats.points_scanned += len(pts)
-                        if len(pts):
-                            inside = pts[windows[wi].contains_points(pts)]
-                            if len(inside):
-                                chunks[wi].append(inside)
+                    pos_lo, pos_hi = node.run.scan_bounds(pos_lo, pos_hi)
+                    self.query_stats.points_scanned += int(
+                        np.maximum(pos_hi - pos_lo, 0).sum()
+                    )
+                    inside = batch_window_refine(
+                        node.run.store, pos_lo, pos_hi, win_lo[active], win_hi[active]
+                    )
+                    for wi, rows in zip(active, inside):
+                        if len(rows):
+                            chunks[wi].append(rows)
                     continue
                 n = max(node.n, 1)
                 b_lo = np.clip((pos_lo * self.fanout) // n, 0, self.fanout - 1)
@@ -452,61 +436,18 @@ class RSMIIndex(LearnedSpatialIndex):
         assert self.bounds is not None
         return self._node_keys(np.atleast_2d(np.asarray(points, dtype=np.float64)), self.bounds)
 
-    def indexed_points(self) -> np.ndarray:
-        """Every indexed point, gathered from the leaf stores."""
-        self._check_built()
-        assert self.root is not None
-        chunks: list[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                assert node.store is not None
-                chunks.append(node.store.points)
-            else:
-                stack.extend(c for c in node.children if c is not None)
-        return np.vstack(chunks)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def depth(self) -> int:
         """Maximum leaf depth (the rebuild predictor's index-depth feature)."""
-        self._check_built()
-        assert self.root is not None
-        best = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                best = max(best, node.depth)
-            else:
-                stack.extend(c for c in node.children if c is not None)
-        return best
+        return max(node.depth for node in self._nodes() if node.is_leaf)
 
     def n_models(self) -> int:
         """Number of learned models in the hierarchy."""
-        self._check_built()
-        assert self.root is not None
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(c for c in node.children if c is not None)
-        return count
+        return sum(1 for _ in self._nodes())
 
     @property
     def error_width(self) -> int:
-        """Worst leaf-model ``err_l + err_u``."""
-        self._check_built()
-        assert self.root is not None
-        worst = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            worst = max(worst, node.model.error_width)
-            if not node.is_leaf:
-                stack.extend(c for c in node.children if c is not None)
-        return worst
+        """Worst node-model ``err_l + err_u``."""
+        return max(node.model.error_width for node in self._nodes())

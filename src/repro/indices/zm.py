@@ -90,7 +90,6 @@ class ZMIndex(MapAndSortIndex):
         (:func:`~repro.perf.batching.batch_window_refine`).
         """
         self._check_built()
-        assert self.store is not None and self.model is not None
         if not windows:
             return []
         with _span("query.window_batch", index=self.name, windows=len(windows)):
@@ -107,7 +106,7 @@ class ZMIndex(MapAndSortIndex):
                 )
                 self.query_stats.queries += w
                 self.query_stats.points_scanned += int(rows.sum())
-                return batch_window_refine(self.store, lo, hi, win_lo, win_hi, owner)
+                return batch_window_refine(self.run.store, lo, hi, win_lo, win_hi, owner)
 
     def _scan_runs(
         self, zlo: np.ndarray, zhi: np.ndarray
@@ -133,13 +132,12 @@ class ZMIndex(MapAndSortIndex):
         LITMAX and BIGMIN can cast to one key (float32 keys; float64 above
         2**53), and a row must not be scanned — and returned — twice.
         """
-        assert self.store is not None
-        keys = self.store.keys
+        keys = self.run.store.keys
         lo = np.searchsorted(keys, cast_boundaries(zlo, keys.dtype), side="left")
         hi = np.searchsorted(keys, cast_boundaries(zhi, keys.dtype), side="right")
         if int((hi - lo).sum()) < _MIN_ROUND_ROWS:
             return lo, hi, None  # not even every interval together: no round
-        d = self.store.points.shape[1]
+        d = self.run.store.points.shape[1]
         owner = live = np.arange(len(lo))
         while True:
             rows = hi[live] - lo[live]

@@ -1,37 +1,29 @@
-"""Fused batch *inference* over many same-architecture leaf models.
+"""The member models of a multi-model index level, predicted as one.
 
-Fused training (:mod:`repro.perf.fused`) already collapses the per-model
-epoch loops of a multi-model build into one vectorised pass; this module
-does the same for the query side.  A batch query path (ZM/ML point
-batches, Flood column lookups, window-corner predictions) routes each key
-to one leaf model and then calls that model's FFN once per *visited
-model* — at branching 16 that is up to 16 small forward passes plus the
-Python dispatch around each.  The :class:`FusedInferenceEngine` stacks
-the leaves' weights and biases into ``(k, fan_in, fan_out)`` tensors at
-build time and answers the whole key batch with one grouped einsum per
-layer: every key gathers its own model's parameters by row, so a batch
-touching all 16 leaves costs the same number of NumPy calls as a batch
-touching one.
+A batch query path (ZM/ML point batches, Flood column lookups) routes each
+key to one leaf model.  :class:`ModelSet` is that set of leaves: it answers
+``(member, key)`` pairs with each member's local scan range, through one
+:class:`FusedInferenceEngine` when the members stack and one forward pass
+per visited member when they do not (:func:`fusion_rejection_reason` names
+why; the ``perf.fusion_rejected{reason=...}`` counter records it).  The
+engine stacks the leaves' weights and biases into ``(k, fan_in, fan_out)``
+tensors and answers the whole batch with one grouped einsum per layer:
+every key gathers its own model's parameters by row, so a batch touching
+all 16 leaves costs the same number of NumPy calls as one touching one.
 
-Correctness is preserved the same way the fused trainer preserves it:
-through the error bounds, not through bit-equality of the arithmetic.
-Grouped einsum reductions may reassociate relative to the per-model BLAS
-calls, so the engine re-measures each member's ``err_l``/``err_u`` under
-its *own* prediction path over the member's full key set and takes the
-elementwise maximum with the per-model bounds — a scan of the fused range
-is then guaranteed to contain every indexed key on either path.
+Correctness is preserved the way the fused trainer
+(:mod:`repro.perf.fused`) preserves it: through the error bounds, not
+through bit-equality of the arithmetic.  Grouped einsum reductions may
+reassociate relative to the per-model BLAS calls, so the engine re-measures
+each member's ``err_l``/``err_u`` under its *own* prediction path over the
+member's full key set and takes the elementwise maximum with the per-model
+bounds — a scan of the fused range holds every indexed key on either path.
 
-The engine also carries the opt-in reduced-precision mode: construct it
-with ``dtype="float32"`` and the stacked parameters and normalised keys
-are single precision (half the memory), with the bound re-measurement
-absorbing the precision drop.  ``REPRO_DTYPE`` overrides the configured
-dtype at builder construction (see :func:`resolve_dtype`).
-
-When a model set cannot be fused the engine is simply not built and the
-per-model path keeps running; :func:`fusion_rejection_reason` names the
-reason and :func:`record_fusion_rejected` lands it in the
-``perf.fusion_rejected`` counter (labelled ``reason=...``) so a silent
-``False`` never hides why a build fell back.
+The reduced-precision mode lives here too: with ``dtype="float32"`` a
+freshly fitted model's network is cast down and its bounds re-measured
+(:meth:`ModelSet.cast_model`), and the engine's stacked parameters and
+normalised keys are single precision.  ``REPRO_DTYPE`` overrides the
+configured dtype at builder construction (see :func:`resolve_dtype`).
 """
 
 from __future__ import annotations
@@ -49,6 +41,7 @@ __all__ = [
     "ENV_DTYPE",
     "FUSION_DTYPES",
     "FusedInferenceEngine",
+    "ModelSet",
     "fusion_rejection_reason",
     "record_fusion_rejected",
     "resolve_dtype",
@@ -143,7 +136,6 @@ class FusedInferenceEngine:
         k = len(models)
         nets = [m.net for m in models]
         self.n_layers = nets[0].n_layers
-        self.layer_sizes = list(nets[0].layer_sizes)
         self.weights = [
             np.stack([net.weights[l] for net in nets]).astype(self.dtype, copy=False)
             for l in range(self.n_layers)
@@ -165,7 +157,6 @@ class FusedInferenceEngine:
         # cover the fused arithmetic as well.
         self.err_l = np.array([m.err_l for m in models], dtype=np.int64)
         self.err_u = np.array([m.err_u for m in models], dtype=np.int64)
-        self.invocations = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -234,7 +225,6 @@ class FusedInferenceEngine:
             raise ValueError(
                 f"got {len(keys)} keys for {len(model_idx)} model indices"
             )
-        self.invocations += len(keys)
         with _span(
             "perf.fused_predict",
             models=self.k,
@@ -298,3 +288,69 @@ class FusedInferenceEngine:
             self.err_u[i] = max(self.err_u[i], int((-over[mask]).max()))
         np.maximum(self.err_l, 0, out=self.err_l)
         np.maximum(self.err_u, 0, out=self.err_u)
+
+
+class ModelSet:
+    """The models of one index level (RMI stage 2, Flood's columns),
+    answering ``(member_idx, keys) -> (lo, hi)`` in each member's local
+    ranks: through one engine pass when the members fuse, one forward pass
+    per visited member when they do not.  Either way a range holds every
+    key the member indexed, and a member's ``invocations`` counts the keys
+    it answered.
+
+    ``member_keys[i]`` is member ``i``'s full sorted key set.  ``cast`` is
+    set when the members were just fitted and applies the ``float32`` mode
+    to each first; a loaded model keeps the precision its bounds were
+    measured in.
+    """
+
+    def __init__(
+        self,
+        members: list,
+        member_keys: "list[np.ndarray]",
+        dtype: str = "float64",
+        context: str = "",
+        cast: bool = False,
+    ) -> None:
+        self.members = list(members)
+        if cast:
+            for member, keys in zip(self.members, member_keys):
+                self.cast_model(member, keys, dtype)
+        self._engine = FusedInferenceEngine.try_build(
+            self.members, member_keys=member_keys, dtype=dtype, context=context
+        )
+
+    @staticmethod
+    def cast_model(model, member_keys: np.ndarray, dtype: str) -> None:
+        """The ``float32`` mode for one model: cast the network down and
+        re-measure the bounds over its full key set, so predict-and-scan
+        stays exact.  A model that routes (RMI stage 1, an RSMI node) is
+        cast *before* it partitions its keys: query-time routing repeats
+        the build-time computation."""
+        if dtype == "float32" and isinstance(model.net, FFN):
+            model.net.astype(np.float32)
+            model.measure_error_bounds(member_keys)
+
+    @property
+    def fused(self) -> bool:
+        """Whether batches run through the stacked engine."""
+        return self._engine is not None
+
+    def search_ranges(
+        self, member_idx: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Half-open local scan range per key under its member's bounds:
+        ``lo`` in ``[0, n - 1]``, ``hi`` in ``[1, n]``."""
+        counts = np.bincount(member_idx, minlength=len(self.members))
+        visited = np.flatnonzero(counts)
+        if self._engine is not None:
+            # One logical invocation per answered key, as on the loop path.
+            for i in visited:
+                self.members[i].invocations += int(counts[i])
+            return self._engine.search_ranges(member_idx, keys)
+        lo = np.zeros(len(keys), dtype=np.int64)
+        hi = np.zeros(len(keys), dtype=np.int64)
+        for i in visited:
+            mask = member_idx == i
+            lo[mask], hi[mask] = self.members[i].search_ranges(keys[mask])
+        return lo, hi

@@ -62,9 +62,9 @@ def test_search_ranges_match_scalar(osm_points):
     keys = index.store.keys[::37]
     lo, hi = index.model.search_ranges(keys)
     for i, key in enumerate(keys):
-        s_lo, s_hi = index.model.search_range(float(key))
-        assert lo[i] == s_lo
-        assert hi[i] == s_hi
+        s_lo, s_hi = index.model.search_ranges(np.array([key]))
+        assert lo[i] == s_lo[0]
+        assert hi[i] == s_hi[0]
 
 
 def test_batch_after_native_inserts(osm_points):
@@ -167,24 +167,31 @@ class TestBatchKNN:
 
     def test_batch_knn_outside_bounds(self, indices, osm_points):
         # Outside the data bounds, near and farther than twice the data
-        # extent: ZM and LISA seed the first window from indexed points
-        # (their key-order neighbours), so it reaches the data from anywhere.
+        # extent.  ZM, ML-Index and LISA seed the first window from indexed
+        # points (their key-order neighbours), so it reaches the data from
+        # anywhere; Flood and RSMI size it from the global density and
+        # double it until it covers the data bounds from where the query is.
+        from repro.indices import FloodIndex
+
         near = np.array([[1.3, 1.2], [-0.4, 0.5]])
         far = np.array([[5.0, 5.0], [-3.0, 0.5], [1e6, -1e6]])
-        for name in ("ZM", "LISA"):
-            index = indices[name]
+        builder = ELSIModelBuilder(ELSIConfig(train_epochs=80), method="SP")
+        exact = {name: indices[name] for name in ("ZM", "ML", "LISA")}
+        exact["Flood"] = FloodIndex(builder=builder).build(osm_points)
+        for name, index in exact.items():
             for queries in (near, far):
                 assert_knn(name, osm_points, queries, 4, index.knn_queries(queries, 4))
                 assert_knn(
                     name, osm_points, queries, 4, [index.knn_query(q, 4) for q in queries]
                 )
-        # RSMI (and Flood) size the first window from the global density and
-        # stop doubling at twice the data extent: that cap is their known
-        # limit, so near queries are answered and far ones come back empty.
+            assert_knn(name, osm_points, far[:1], 5, [index.knn_query(far[0], 5)])
+        # RSMI's windows are approximate, so a far query gets what they
+        # find — never nothing.
         index = indices["RSMI"]
         assert_knn("RSMI", osm_points, near, 4, index.knn_queries(near, 4))
-        assert all(len(got) == 0 for got in index.knn_queries(far, 4))
-        assert all(len(index.knn_query(q, 4)) == 0 for q in far)
+        assert all(len(got) > 0 for got in index.knn_queries(far, 4))
+        assert all(len(index.knn_query(q, 4)) > 0 for q in far)
+        assert len(index.knn_query(far[0], 5)) > 0
 
 
 class TestMLBatchKNN:

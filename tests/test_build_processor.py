@@ -80,7 +80,7 @@ class TestBuildCorrectness:
         builder = ELSIModelBuilder(config, method=method)
         model = builder.build_model(keys, pts, BuildStats(), map_fn)
         for i in range(0, len(keys), 137):
-            lo, hi = model.search_range(keys[i])
+            lo, hi = model.search_ranges(np.array([keys[i]]))
             assert lo <= i < hi
 
     def test_mr_failure_falls_back(self, config):

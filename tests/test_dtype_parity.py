@@ -191,39 +191,22 @@ def test_float32_casts_model_parameters(pairs):
 
 
 def test_flood_column_keys_follow_dtype(pairs):
-    stores32 = [s for s in pairs["Flood"]["float32"]._stores if s is not None]
+    stores32 = [run.store for run in pairs["Flood"]["float32"].runs()]
     assert stores32 and all(s.keys.dtype == np.float32 for s in stores32)
 
 
 def test_rsmi_leaf_keys_and_nets_follow_dtype(pairs):
     index = pairs["RSMI"]["float32"]
-    stack = [index.root]
-    leaves = 0
-    while stack:
-        node = stack.pop()
+    for node in index._nodes():
         if isinstance(node.model.net, FFN):
             assert all(w.dtype == np.float32 for w in node.model.net.weights)
-        if node.is_leaf:
-            leaves += 1
-            assert node.store.keys.dtype == np.float32
-        else:
-            stack.extend(c for c in node.children if c is not None)
-    assert leaves > 0
+    leaves = list(index.runs())
+    assert leaves and all(run.store.keys.dtype == np.float32 for run in leaves)
 
 
 # ----------------------------------------------------------------------
 # Persistence: float32 snapshots round-trip dtype and bounds
 # ----------------------------------------------------------------------
-def _rsmi_nodes(index):
-    out, stack = [], [index.root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not node.is_leaf:
-            stack.extend(c for c in node.children if c is not None)
-    return out
-
-
 def test_rsmi_float32_snapshot_round_trip(pairs, parity_points, tmp_path):
     index = pairs["RSMI"]["float32"]
     path = tmp_path / "rsmi32.npz"
@@ -240,14 +223,14 @@ def test_rsmi_float32_snapshot_round_trip(pairs, parity_points, tmp_path):
         else:
             os.environ["REPRO_DTYPE"] = saved
     assert loaded.key_dtype == np.dtype(np.float32)
-    orig_nodes, loaded_nodes = _rsmi_nodes(index), _rsmi_nodes(loaded)
+    orig_nodes, loaded_nodes = list(index._nodes()), list(loaded._nodes())
     assert len(orig_nodes) == len(loaded_nodes)
     for a, b in zip(orig_nodes, loaded_nodes):
         assert (a.model.err_l, a.model.err_u) == (b.model.err_l, b.model.err_u)
         if isinstance(b.model.net, FFN):
             assert all(w.dtype == np.float32 for w in b.model.net.weights)
         if a.is_leaf:
-            assert b.store.keys.dtype == np.float32
+            assert b.run.store.keys.dtype == np.float32
     assert loaded.point_queries(parity_points[::40]).all()
 
 

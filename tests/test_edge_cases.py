@@ -142,7 +142,7 @@ class TestBuilderEdges:
         from repro.indices.base import BuildStats
 
         model = builder.build_model(keys, pts, BuildStats())
-        lo, hi = model.search_range(0.5)
+        lo, hi = model.search_ranges(np.array([0.5]))
         assert lo == 0 and hi == 1
 
     def test_constant_keys_partition(self, builder):
@@ -151,7 +151,7 @@ class TestBuilderEdges:
         from repro.indices.base import BuildStats
 
         model = builder.build_model(keys, pts, BuildStats())
-        lo, hi = model.search_range(7.0)
+        lo, hi = model.search_ranges(np.array([7.0]))
         assert lo == 0 and hi == 50  # degenerate range: scan everything
 
     def test_rl_on_tiny_partition(self):

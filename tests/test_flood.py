@@ -50,7 +50,7 @@ class TestQueries:
 
 class TestELSIIntegration:
     def test_one_model_per_nonempty_column(self, built):
-        n_models = sum(m is not None for m in built._models)
+        n_models = len(list(built.runs()))
         assert built.build_stats.n_models == n_models
         assert built.build_stats.methods_used.get("SP", 0) == n_models
 

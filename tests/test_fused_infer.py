@@ -88,17 +88,19 @@ class TestEngineParity:
         index = ZMIndex(builder=_builder(), branching=4).build(osm_points)
         model = index.model
         assert model.fused
-        engine = model._engine
+        leaves = model._leaves
+        engine = leaves._engine
         # Both paths must answer the actual queries identically: the fused
         # bounds are re-measured, so predict-and-scan stays exact.
         rng = np.random.default_rng(0)
         probes = _probe_points(osm_points, rng)
         fused_res = index.point_queries(probes)
-        model._engine = None
+        leaves._engine = None
         try:
+            assert not model.fused
             plain_res = index.point_queries(probes)
         finally:
-            model._engine = engine
+            leaves._engine = engine
         np.testing.assert_array_equal(fused_res, plain_res)
 
     @pytest.mark.parametrize("cls", (ZMIndex, MLIndex), ids=lambda c: c.name)
@@ -120,8 +122,8 @@ class TestEngineParity:
 
     def test_flood_fuses_columns(self, osm_points):
         index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
-        assert index._engine is not None
-        assert index._engine.k == sum(m is not None for m in index._models)
+        assert index._models.fused
+        assert index._models._engine.k == len(list(index.runs()))
         rng = np.random.default_rng(2)
         probes = _probe_points(osm_points, rng)
         truth = point_truth(osm_points, probes)
@@ -164,12 +166,12 @@ class TestEngineParity:
         """Each member's fused range covers the key's true local rank."""
         index = ZMIndex(builder=_builder(), branching=4).build(osm_points)
         model = index.model
-        engine = model._engine
+        engine = model._leaves._engine
         assert engine is not None
         for midx in range(engine.k):
             member = engine.models[midx]
             positions = None
-            for branch, b_midx in enumerate(model._branch_to_midx):
+            for branch, b_midx in enumerate(model._member_of_branch):
                 if b_midx == midx:
                     positions = model._stage2_positions[branch]
                     break
@@ -206,8 +208,7 @@ class TestFloat32:
         by the re-measured error bounds, never by the results."""
         f64 = cls(builder=_builder("float64"), branching=4).build(osm_points)
         f32 = cls(builder=_builder("float32"), branching=4).build(osm_points)
-        assert f32.model._engine is not None
-        assert f32.model._engine.dtype_name == "float32"
+        assert f32.model._leaves._engine.dtype_name == "float32"
         rng = np.random.default_rng(6)
         probes = _probe_points(osm_points, rng)
         np.testing.assert_array_equal(
@@ -223,7 +224,7 @@ class TestFloat32:
     def test_flood_query_parity_with_float64(self, osm_points):
         f64 = FloodIndex(builder=_builder("float64"), n_columns=6).build(osm_points)
         f32 = FloodIndex(builder=_builder("float32"), n_columns=6).build(osm_points)
-        assert f32._engine is not None and f32._engine.dtype_name == "float32"
+        assert f32._models._engine.dtype_name == "float32"
         rng = np.random.default_rng(7)
         probes = _probe_points(osm_points, rng)
         np.testing.assert_array_equal(
@@ -233,7 +234,7 @@ class TestFloat32:
     def test_memory_halved(self, osm_points):
         f64 = ZMIndex(builder=_builder("float64"), branching=4).build(osm_points)
         f32 = ZMIndex(builder=_builder("float32"), branching=4).build(osm_points)
-        assert f32.model._engine.nbytes * 2 == f64.model._engine.nbytes
+        assert f32.model._leaves._engine.nbytes * 2 == f64.model._leaves._engine.nbytes
         for net in (m.net for m in f32.model.models if isinstance(m.net, FFN)):
             assert all(w.dtype == np.float32 for w in net.weights)
             assert all(b.dtype == np.float32 for b in net.biases)

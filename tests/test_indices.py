@@ -170,7 +170,7 @@ MAP_AND_SORT_CORE = (
     "build",
     "insert",
     "point_queries",
-    "indexed_points",
+    "runs",
     "error_width",
     "_knn_first_sides",
     "_structure_state",
@@ -186,16 +186,47 @@ STATE_KEYS = {
 }
 
 
-def test_one_map_and_sort_core(built_indices):
-    from repro.indices.mapsort import MapAndSortIndex
+def test_one_keyed_run(built_indices):
+    """Store + model + widened scan + point lookup + state pair exist once
+    (``indices/run.py``), the model side once (``perf/fused_infer.py``):
+    the single-store indices inherit their core, and no index module
+    refines a point lookup, casts a model down or builds an inference
+    engine itself."""
+    from pathlib import Path
 
-    built, _ = built_indices
+    import repro
+    from repro.indices import FloodIndex
+    from repro.indices.base import LearnedSpatialIndex, OriginalBuilder
+    from repro.indices.mapsort import MapAndSortIndex
+    from repro.indices.run import KeyedRun
+    from repro.ml.trainer import TrainConfig
+
+    built, pts = built_indices
     for cls in (ZMIndex, MLIndex, LISAIndex):
         assert issubclass(cls, MapAndSortIndex)
         for member in MAP_AND_SORT_CORE:
             assert member not in vars(cls), f"{cls.__name__} defines {member}"
             assert _definitions(cls, member)[0] is MapAndSortIndex
         assert list(built[cls.name].state_dict()) == STATE_KEYS[cls.name]
+    flood = FloodIndex(builder=OriginalBuilder(TrainConfig(epochs=20))).build(pts)
+    for index in (*built.values(), flood):
+        assert _definitions(type(index), "indexed_points") == [LearnedSpatialIndex]
+        runs = list(index.runs())
+        assert runs and all(type(run) is KeyedRun for run in runs)
+        assert sum(len(run.store) for run in runs) == index.n_points
+
+    src = Path(repro.__file__).parent
+    for name in ("flood.py", "rsmi.py", "mapsort.py"):
+        text = (src / "indices" / name).read_text()
+        assert "batch_point_membership" not in text, name
+        assert "net.astype(" not in text, name
+    sites = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if "FusedInferenceEngine.try_build(" in line
+    ]
+    assert sites == ["perf/fused_infer.py"]
 
 
 def test_ml_refuses_insert_beyond_stretch(built_indices):

@@ -196,7 +196,7 @@ class TestNativeModeProcessor:
             def knn_queries(self, points, k):
                 raise NotImplementedError
 
-            def indexed_points(self):
+            def runs(self):
                 raise NotImplementedError
 
             def map(self, points):

@@ -101,7 +101,7 @@ class TestPGMBuilder:
         deviation = np.abs(predicted - np.arange(len(keys)))
         assert deviation.max() <= model.err_l
         for i in range(0, len(keys), 131):
-            lo, hi = model.search_range(keys[i])
+            lo, hi = model.search_ranges(np.array([keys[i]]))
             assert lo <= i < hi
 
     def test_bounds_hold_with_duplicate_runs(self):

@@ -139,7 +139,7 @@ def test_predict_and_scan_containment(keys):
     # Deliberately untrained network: bounds must still make scans correct.
     model.measure_error_bounds(sorted_keys)
     for i in range(0, len(sorted_keys), 7):
-        lo, hi = model.search_range(sorted_keys[i])
+        lo, hi = model.search_ranges(np.array([sorted_keys[i]]))
         assert lo <= i < hi
 
 

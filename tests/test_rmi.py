@@ -51,8 +51,8 @@ def test_search_range_contains_every_key(builder):
         keys, pts, BuildStats()
     )
     for i in range(0, len(keys), 97):
-        lo, hi = rmi.search_range(keys[i])
-        assert lo <= i < hi, f"key rank {i} outside [{lo}, {hi})"
+        lo, hi = rmi.search_ranges(keys[i : i + 1])
+        assert lo[0] <= i < hi[0], f"key rank {i} outside [{lo[0]}, {hi[0]})"
 
 
 def test_two_stage_narrower_scans(builder):
@@ -63,8 +63,8 @@ def test_two_stage_narrower_scans(builder):
     )
 
     def avg_width(rmi):
-        widths = [rmi.search_range(keys[i])[1] - rmi.search_range(keys[i])[0] for i in range(0, 5_000, 111)]
-        return np.mean(widths)
+        lo, hi = zip(*(rmi.search_ranges(keys[i : i + 1]) for i in range(0, 5_000, 111)))
+        return np.mean(np.subtract(hi, lo))
 
     assert avg_width(multi) < avg_width(single)
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices.rsmi import RSMIIndex, _Node
+from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from tests.brute import assert_windows
 
@@ -44,7 +45,7 @@ def _build_depth_first(points, leaf_capacity=300):
             index.build_stats,
             map_fn=lambda p: index._node_keys(p, bounds),
         )
-        index._cast_node_model(model, sorted_keys)
+        ModelSet.cast_model(model, sorted_keys, index.builder.dtype)
         node = _Node(bounds=bounds, model=model, n=len(points), depth=depth)
         specs = index._split_specs(node, sorted_pts, sorted_keys)
         if specs:
@@ -71,7 +72,8 @@ def _signature(node, out):
         )
     )
     if node.is_leaf:
-        out.append(tuple(node.store.keys[:: max(1, len(node.store) // 7)]))
+        keys = node.run.store.keys
+        out.append(tuple(keys[:: max(1, len(keys) // 7)]))
     else:
         for child in node.children:
             if child is None:

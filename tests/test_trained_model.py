@@ -44,7 +44,7 @@ class TestTrainedModel:
         )
         model.measure_error_bounds(keys)
         for i in (0, 100, 400, 799):
-            lo, hi = model.search_range(keys[i])
+            lo, hi = model.search_ranges(np.array([keys[i]]))
             assert lo <= i < hi
 
     def test_error_width(self):
