@@ -8,8 +8,10 @@ Exercises every instrumented path — ELSI build (method selection, training
 set, FFN training, error bounds), batch point/window/knn queries, a
 serve session with a generation rebuild, and a 2-shard
 cluster answering a mixed batch with cross-process trace propagation —
-then writes the metric registries to ``obs_metrics.json`` and the fleet's
-``/metrics`` endpoint text to ``obs_fleet_metrics.txt``.  CI renders the
+then checks both metrics exports through the export readers
+(``repro.obs.metrics.series_sum`` / ``histogram_stat``), writes the
+server's to ``obs_metrics.json`` and the fleet's ``/metrics`` endpoint text
+to ``obs_fleet_metrics.txt``.  CI renders the
 trace with ``python -m repro obs report`` and asserts the
 acceptance-criteria spans are present — including the adopted-from-worker
 ``serve.dispatch`` children under ``shard.scatter`` via
@@ -26,6 +28,7 @@ import numpy as np
 from repro.core.config import ELSIConfig
 from repro.core.elsi import ELSI
 from repro.indices.zm import ZMIndex
+from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve.server import IndexServer
 from repro.spatial.rect import Rect
 
@@ -68,6 +71,9 @@ def main() -> int:
         server.insert(np.array([0.42, 0.42]))
         server.rebuild_now()
         metrics = server.stats_snapshot()
+    assert series_sum(metrics, "serve.requests_completed") == 33
+    assert histogram_stat(metrics, "serve.request_latency_seconds", "count") == 33
+    assert series_sum(metrics, "serve.rebuilds") == 1
 
     # Sharded tier: a 2-shard cluster answering a mixed point/window/kNN
     # batch.  Every scatter carries the trace context, so the workers'
@@ -106,15 +112,14 @@ def main() -> int:
             ) as resp:
                 fleet_text = resp.read().decode("utf-8")
             fleet_stats = router.stats_snapshot()
-        for required in (
-            "telemetry.scrape_age_seconds",
-            "telemetry.shard_up",
-            "slo.p99_seconds",
-            "slo.burn_rate",
-            "worker.cpu_seconds",
-        ):
-            assert required in fleet_stats, f"{required} missing from fleet stats"
-            assert required in fleet_text, f"{required} missing from /metrics"
+        assert series_sum(fleet_stats, "serve.requests_completed") > 0
+        assert series_sum(fleet_stats, "worker.cpu_seconds") > 0
+        assert series_sum(fleet_stats, "slo.p99_seconds", kind="knn") > 0
+        for shard in (0, 1):
+            assert series_sum(fleet_stats, "telemetry.shard_up", shard=shard) == 1
+            assert f'telemetry.shard_up{{shard="{shard}"}} 1' in fleet_text
+        for kind in ("point", "window", "knn"):
+            assert f'slo.burn_rate{{kind="{kind}"}}' in fleet_text
 
     with open("obs_fleet_metrics.txt", "w") as fh:
         fh.write(fleet_text)

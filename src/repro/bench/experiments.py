@@ -13,7 +13,7 @@ mirroring the paper's "ELSI preparation is an off-line and one-off task".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,14 +32,14 @@ from repro.core.methods.model_reuse import ModelReuseMethod
 from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
 from repro.data.generators import skewed
-from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LEARNED_INDICES, ZMIndex
 from repro.indices.base import LearnedSpatialIndex
 from repro.queries.evaluate import brute_force_window, knn_recall, window_recall
 from repro.queries.workload import knn_workload, point_workload, window_workload
 
 __all__ = [
     "Context",
-    "LEARNED_INDICES",
+    "PAPER_INDICES",
     "TRADITIONAL_INDICES",
     "fig06_selector_accuracy",
     "fig07_pareto",
@@ -56,14 +56,10 @@ __all__ = [
     "table2_ablation",
 ]
 
-#: Learned base indices by paper name ("ML", "LISA", "RSMI" are reported;
-#: ZM is used for the method studies, Section VII-A).
-LEARNED_INDICES: dict[str, type[LearnedSpatialIndex]] = {
-    "ZM": ZMIndex,
-    "ML": MLIndex,
-    "RSMI": RSMIIndex,
-    "LISA": LISAIndex,
-}
+#: The paper's four learned base indices by name ("ML", "LISA", "RSMI" are
+#: reported; ZM is used for the method studies, Section VII-A); the classes
+#: are :data:`repro.indices.LEARNED_INDICES`.
+PAPER_INDICES = ("ZM", "ML", "RSMI", "LISA")
 
 TRADITIONAL_INDICES = {
     "Grid": GridIndex,
@@ -97,25 +93,7 @@ class Context:
         return self._config
 
     def config_with(self, **overrides) -> ELSIConfig:
-        base = self.config
-        kwargs = dict(
-            lam=base.lam,
-            w_q=base.w_q,
-            rho=base.rho,
-            n_clusters=base.n_clusters,
-            epsilon=base.epsilon,
-            beta=base.beta,
-            eta=base.eta,
-            rl_steps=base.rl_steps,
-            rl_alpha=base.rl_alpha,
-            f_u=base.f_u,
-            train_epochs=base.train_epochs,
-            hidden_size=base.hidden_size,
-            seed=base.seed,
-            methods=base.methods,
-        )
-        kwargs.update(overrides)
-        return ELSIConfig(**kwargs)
+        return replace(self.config, **overrides)
 
     def dataset(self, name: str, n: int | None = None) -> np.ndarray:
         n = n or self.scale.n
@@ -261,7 +239,7 @@ def fig07_pareto(ctx: Context, dataset: str = "OSM1") -> list[dict]:
 
     rows: list[dict] = []
     all_methods = ("SP", "RSP", "CL", "MR", "RS", "RL", "OG")
-    for index_name in LEARNED_INDICES:
+    for index_name in PAPER_INDICES:
         for method, label, overrides in sweeps:
             if method in ("CL", "RL") and index_name == "LISA":
                 continue  # inapplicable (Section VII-A)

@@ -8,10 +8,6 @@ Commands
     Build an index on a data set and report the Section VI cost breakdown.
 ``query``
     Build then run a point/window/kNN workload, reporting latencies.
-``serve``
-    Build an index, start the micro-batching :class:`IndexServer`, and
-    drive it with a closed-loop workload (optionally with concurrent
-    updates and background rebuilds).  No network involved.
 ``chaos``
     Run the fault-injection chaos scenarios (process kill + recovery,
     torn snapshot, rebuild-crash-retry) and assert zero
@@ -21,6 +17,10 @@ Commands
 ``obs report``
     Render a ``REPRO_TRACE`` JSON-lines trace: per-phase cost breakdown
     plus the nested span tree (see docs/observability.md).
+``obs trace``
+    Dump one request's cross-process span tree out of such a trace.
+``obs top``
+    Live fleet dashboard off a router's ``serve_metrics()`` endpoint.
 ``obs flame``
     Turn a ``REPRO_TRACE`` trace into a flame graph: an SVG icicle (the
     default), the folded-stack text format (``--folded``), and a
@@ -39,7 +39,7 @@ from repro.baselines import GridIndex, HRRIndex, KDBIndex, RStarIndex
 from repro.bench.harness import format_table
 from repro.core import ELSIConfig, ELSIModelBuilder
 from repro.data import DATASETS, load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LEARNED_INDICES
 from repro.queries.workload import knn_workload, point_workload, window_workload
 from repro.spatial.cdf import uniform_dissimilarity
 from repro.spatial.rect import Rect
@@ -47,13 +47,6 @@ from repro.spatial.zcurve import zvalues
 
 __all__ = ["main"]
 
-_LEARNED = {
-    "ZM": ZMIndex,
-    "ML": MLIndex,
-    "RSMI": RSMIIndex,
-    "LISA": LISAIndex,
-    "Flood": FloodIndex,
-}
 _TRADITIONAL = {
     "Grid": GridIndex,
     "KDB": KDBIndex,
@@ -90,7 +83,7 @@ def _make_index(args: argparse.Namespace):
     if args.index in _TRADITIONAL:
         return _TRADITIONAL[args.index]()
     builder = ELSIModelBuilder(config, method=args.method)
-    return _LEARNED[args.index](builder=builder)
+    return LEARNED_INDICES[args.index](builder=builder)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -147,190 +140,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         ["query type", "count", "us/query", "notes"],
         rows,
         title=f"{args.index} on {args.dataset} (n={args.n})",
-    ))
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
-
-    from repro.core.update_processor import UpdateProcessor
-    from repro.serve import IndexServer, ServeConfig, ServeWorkload, run_closed_loop
-
-    points = load_dataset(args.dataset, args.n, seed=args.seed)
-    index = _make_index(args)
-    print(f"building {args.index} on {args.dataset} (n={args.n}) ...")
-    index.build(points)
-
-    serve_config = ServeConfig(
-        max_batch_size=args.batch_size,
-        max_wait_seconds=args.max_wait_ms / 1e3,
-        worker_threads=args.workers,
-        rebuild_check_every=args.rebuild_check_every,
-        fsync_policy=args.fsync_policy,
-    )
-    if args.wal and not args.snapshot_dir:
-        print("--wal requires --snapshot-dir (the log lives next to the "
-              "snapshots)", file=sys.stderr)
-        return 2
-    workload = ServeWorkload.mixed(
-        points,
-        args.requests,
-        point_fraction=args.point_fraction,
-        knn_fraction=args.knn_fraction,
-        k=args.k,
-        seed=args.seed,
-    )
-    rng = np.random.default_rng(args.seed + 1)
-    updates = rng.uniform(0.0, 1.0, size=(args.updates, points.shape[1]))
-
-    server = IndexServer(
-        index,
-        serve_config,
-        elsi_config=ELSIConfig(seed=args.seed),
-        snapshots=args.snapshot_dir,
-        wal=bool(args.wal),
-    )
-    with server:
-        stop_updates = threading.Event()
-
-        def update_feeder() -> None:
-            for p in updates:
-                if stop_updates.is_set():
-                    return
-                server.insert(p)
-
-        feeder = threading.Thread(target=update_feeder, name="serve-updates")
-        feeder.start()
-        result = run_closed_loop(
-            server, workload, clients=args.clients, pipeline=args.pipeline
-        )
-        stop_updates.set()
-        feeder.join()
-    # Read after close(): it waits for a background rebuild still in flight
-    # (the workload can finish before the rebuild it triggered swaps in).
-    stats = server.stats.snapshot()
-    final_generation = server.generation
-    final_health = server.health
-
-    baseline_result = None
-    if args.baseline:
-        processor = UpdateProcessor(index, ELSIConfig(seed=args.seed))
-        from repro.serve import run_baseline
-
-        baseline_result = run_baseline(processor, workload)
-
-    rows = [
-        ["requests served", f"{result.n_requests}", ""],
-        ["errors", f"{result.errors}", ""],
-        ["throughput", f"{result.throughput:,.0f} req/s", ""],
-        ["mean batch size", f"{stats['mean_batch_size']:.1f}",
-         f"max {stats['max_batch_size']}"],
-        ["latency p50 / p99",
-         f"{stats['latency']['p50_seconds']*1e3:.2f} / "
-         f"{stats['latency']['p99_seconds']*1e3:.2f} ms", ""],
-        ["inserts applied", f"{stats['inserts']}", ""],
-        ["rebuilds (generation)", f"{stats['rebuilds']} (gen {final_generation})",
-         f"{stats['rebuild_seconds']:.2f}s total"],
-        ["health", final_health,
-         f"shed {sum(stats['shed'].values())}, "
-         f"retries {sum(stats['retries'].values())}"],
-    ]
-    if args.wal:
-        rows.append(["WAL appends", f"{stats['wal_appends']}",
-                     f"fsync {args.fsync_policy}"])
-    if baseline_result is not None:
-        rows.append(["baseline (unbatched)",
-                     f"{baseline_result.throughput:,.0f} req/s",
-                     f"speedup {result.throughput / max(baseline_result.throughput, 1e-9):.1f}x"])
-    print(format_table(
-        ["metric", "value", "notes"],
-        rows,
-        title=(f"serve: {args.index} on {args.dataset} "
-               f"(batch<= {args.batch_size}, wait {args.max_wait_ms}ms, "
-               f"{args.clients} clients x {args.pipeline} pipeline)"),
-    ))
-    return 0
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.queries.workload import window_workload
-    from repro.shard import RouterConfig, build_cluster
-
-    slo_targets = None
-    if args.slo_target:
-        slo_targets = {}
-        for spec in args.slo_target:
-            try:
-                kind, seconds = spec.split("=", 1)
-                slo_targets[kind] = float(seconds)
-            except ValueError:
-                print(f"bad --slo-target {spec!r} (want KIND=SECONDS)",
-                      file=sys.stderr)
-                return 2
-    router_config = RouterConfig(
-        slo_targets=slo_targets,
-        telemetry_interval=args.telemetry_interval,
-    )
-    points = load_dataset(args.dataset, args.n, seed=args.seed)
-    directory = args.dir or tempfile.mkdtemp(prefix="repro-shard-")
-    print(f"building {args.shards} x {args.index} shards on {args.dataset} "
-          f"(n={args.n}) under {directory} ...")
-    router = build_cluster(
-        points,
-        directory,
-        n_shards=args.shards,
-        index=args.index,
-        method=args.method,
-        curve=args.curve,
-        elsi={"lam": args.lam, "train_epochs": args.epochs, "seed": args.seed},
-        serve={"max_wait_seconds": 0.0},
-        router_config=router_config,
-    )
-    rng = np.random.default_rng(args.seed)
-    n_points = args.requests
-    n_windows = max(args.requests // 20, 5)
-    n_knn = max(args.requests // 50, 3)
-    probe_rows = rng.integers(0, len(points), size=n_points)
-    probes = points[probe_rows]
-    windows = [q.window for q in window_workload(points, n_windows, 1e-3,
-                                                 seed=args.seed)]
-    knn_pts = points[rng.integers(0, len(points), size=n_knn)]
-
-    rows = []
-    with router:
-        if args.metrics_port is not None:
-            endpoint = router.serve_metrics(port=args.metrics_port)
-            print(f"metrics endpoint: {endpoint.url}/metrics")
-        started = time.perf_counter()
-        hits = int(router.point_queries(probes).sum())
-        seconds = time.perf_counter() - started
-        rows.append(["point", f"{n_points}", f"{n_points / seconds:,.0f}/s",
-                     f"{hits} hits"])
-        started = time.perf_counter()
-        results = router.window_queries(windows)
-        seconds = time.perf_counter() - started
-        rows.append(["window (0.1%)", f"{n_windows}",
-                     f"{n_windows / seconds:,.0f}/s",
-                     f"avg {np.mean([len(r) for r in results]):.1f} results"])
-        started = time.perf_counter()
-        router.knn_queries(knn_pts, args.k)
-        seconds = time.perf_counter() - started
-        rows.append([f"kNN (k={args.k})", f"{n_knn}",
-                     f"{n_knn / seconds:,.0f}/s", ""])
-        health = router.health_summary()
-        stats = router.stats_snapshot()
-        served = sum(e["value"] for e in stats.get("serve.requests_completed", []))
-        rows.append(["fleet health", health["overall"],
-                     f"{len(health['shards'])} shards",
-                     f"{served:,.0f} sub-requests"])
-    print(format_table(
-        ["workload", "count", "throughput", "notes"],
-        rows,
-        title=(f"shard: {args.shards} x {args.index} on {args.dataset} "
-               f"(n={args.n}, curve={args.curve})"),
     ))
     return 0
 
@@ -551,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("build", _cmd_build), ("query", _cmd_query)):
         p = sub.add_parser(name, help=f"{name} an index on a data set")
-        p.add_argument("--index", choices=sorted({**_LEARNED, **_TRADITIONAL}), default="ZM")
+        p.add_argument("--index", choices=sorted({**LEARNED_INDICES, **_TRADITIONAL}), default="ZM")
         p.add_argument("--dataset", choices=sorted(DATASETS), default="OSM1")
         p.add_argument("--method", choices=_METHODS, default="RS",
                        help="ELSI build method (learned indices only)")
@@ -561,74 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queries", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("serve", help="serve a built index with micro-batching")
-    p.add_argument("--index", choices=sorted({**_LEARNED, **_TRADITIONAL}), default="ZM")
-    p.add_argument("--dataset", choices=sorted(DATASETS), default="OSM1")
-    p.add_argument("--method", choices=_METHODS, default="RS")
-    p.add_argument("--n", type=int, default=20_000)
-    p.add_argument("--lam", type=float, default=0.8)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests", type=int, default=5_000,
-                   help="workload size (closed-loop, in-process)")
-    p.add_argument("--point-fraction", type=float, default=0.8)
-    p.add_argument("--knn-fraction", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--clients", type=int, default=8)
-    p.add_argument("--pipeline", type=int, default=64,
-                   help="outstanding requests per client")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="admission control: max requests per micro-batch")
-    p.add_argument("--max-wait-ms", type=float, default=0.0,
-                   help="admission control: hold an under-full batch open "
-                        "this long (0 = drain-and-go)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="dispatcher threads (see docs/serving.md)")
-    p.add_argument("--updates", type=int, default=0,
-                   help="concurrent inserts fed while the workload runs")
-    p.add_argument("--rebuild-check-every", type=int, default=512)
-    p.add_argument("--snapshot-dir", default=None,
-                   help="persist generation snapshots to this directory")
-    p.add_argument("--wal", action="store_true",
-                   help="write-ahead-log every update before acknowledging "
-                        "it (requires --snapshot-dir; see docs/serving.md)")
-    p.add_argument("--fsync-policy", choices=("always", "batch", "off"),
-                   default="always",
-                   help="WAL durability: fsync per append, per batch, or "
-                        "leave writes OS-buffered")
-    p.add_argument("--baseline", action="store_true",
-                   help="also time the unbatched one-at-a-time loop")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("shard", help="serve through the sharded scatter-gather tier")
-    p.add_argument("--index", choices=("ZM", "ML", "LISA", "Flood"), default="ZM")
-    p.add_argument("--dataset", choices=sorted(DATASETS), default="OSM1")
-    p.add_argument("--method", choices=_METHODS, default="SP")
-    p.add_argument("--curve", choices=("zorder", "hilbert"), default="zorder")
-    p.add_argument("--n", type=int, default=20_000)
-    p.add_argument("--shards", type=int, default=4,
-                   help="worker processes / keyspace ranges")
-    p.add_argument("--lam", type=float, default=0.8)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests", type=int, default=20_000,
-                   help="point probes (windows/kNN scale from this)")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--dir", default=None,
-                   help="cluster directory (default: a fresh temp dir); "
-                        "reusable with repro.shard.open_cluster")
-    p.add_argument("--telemetry-interval", type=float, default=None,
-                   help="start the background fleet-telemetry poller with "
-                        "this scrape interval (seconds)")
-    p.add_argument("--metrics-port", type=int, default=None,
-                   help="serve /metrics, /health and /overview on this "
-                        "port for the duration of the run (0 = ephemeral)")
-    p.add_argument("--slo-target", action="append", default=None,
-                   metavar="KIND=SECONDS",
-                   help="router SLO latency target (repeatable), e.g. "
-                        "--slo-target point=0.05 --slo-target knn=0.2")
-    p.set_defaults(func=_cmd_shard)
 
     p = sub.add_parser("chaos", help="run the fault-injection chaos scenarios")
     p.add_argument("--scenario", action="append", default=None,
@@ -674,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--url", default="http://127.0.0.1:9180",
                    help="base URL of a router's metrics endpoint "
-                        "(repro shard --metrics-port / serve_metrics())")
+                        "(ShardRouter.serve_metrics())")
     p.add_argument("--interval", type=float, default=1.0,
                    help="refresh interval in seconds")
     p.add_argument("--iterations", type=int, default=None,

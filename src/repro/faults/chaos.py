@@ -48,6 +48,7 @@ from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
 from repro.faults.registry import InjectedFault, get_fault_registry
 from repro.indices.zm import ZMIndex
+from repro.obs.metrics import series_sum
 from repro.serve.server import HEALTHY, IndexServer, ServeConfig
 from repro.spatial.rect import Rect
 
@@ -436,7 +437,11 @@ def rebuild_crash_retry(
         )
     for op, point in schedule[ops // 2 :]:
         server.insert(point) if op == "insert" else server.delete(point)
-    retries = dict(server.stats.retries)
+    retries = {
+        "rebuild": int(
+            series_sum(server.stats.registry.export(), "serve.retries", op="rebuild")
+        )
+    }
     server.close()
 
     recovered = IndexServer.from_snapshot(directory, wal=True)

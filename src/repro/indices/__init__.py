@@ -46,9 +46,16 @@ from repro.indices.rmi import RMIModel
 from repro.indices.rsmi import RSMIIndex
 from repro.indices.zm import ZMIndex
 
+#: The one name -> class table of the learned indices: the CLI,
+#: persistence, the shard workers and the experiment drivers all read it.
+LEARNED_INDICES: dict[str, type[LearnedSpatialIndex]] = {
+    cls.name: cls for cls in (ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex)
+}
+
 __all__ = [
     "BuildStats",
     "FloodIndex",
+    "LEARNED_INDICES",
     "LISAIndex",
     "LearnedSpatialIndex",
     "MLIndex",

@@ -9,7 +9,8 @@ observable end to end:
   optional ``REPRO_TRACE`` JSON-lines sink, and merge support for spans
   produced inside worker processes;
 - :mod:`repro.obs.metrics` — counters, gauges and log-bucket histograms
-  in a :class:`MetricsRegistry` with text/JSON exporters (the machinery
+  in a :class:`MetricsRegistry` whose export is the one stats schema
+  (read with :func:`series_sum` / :func:`histogram_stat`; the machinery
   behind ``repro.serve.stats.ServerStats``);
 - :mod:`repro.obs.report` — per-phase cost breakdowns and span trees from
   a trace file (``python -m repro obs report``), including cross-process
@@ -33,7 +34,9 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
+    histogram_stat,
     registry_from_export,
+    series_sum,
 )
 from repro.obs.slo import SLOConfig, SLOTarget, SLOTracker
 from repro.obs.top import render_top, run_top
@@ -65,10 +68,12 @@ __all__ = [
     "enabled",
     "get_registry",
     "get_tracer",
+    "histogram_stat",
     "new_request_id",
     "registry_from_export",
     "render_top",
     "run_top",
+    "series_sum",
     "span",
     "traced",
 ]

@@ -1,4 +1,4 @@
-"""Flame graphs over the obs span stream, plus a sampling profiler.
+"""Flame graphs over the obs span stream.
 
 The profiler-guided kernel pass needs to see *where* wall-clock goes: not
 just per-phase totals (:mod:`repro.obs.report`) but the full hierarchy —
@@ -12,27 +12,17 @@ span trace into the two standard flame-graph forms:
 - **an SVG icicle graph** (:func:`render_svg`): a self-contained,
   dependency-free rendering for quick browser viewing, written by
   ``python -m repro obs flame``.
-
-For code outside instrumented spans, :class:`SamplingProfiler` captures
-periodic Python stack samples (``sys._current_frames``) and emits the same
-folded format, so kernel-level hotspots (einsum vs. gather vs. sort) show
-up even where no span was declared.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
-import threading
-import time
-import traceback
 from xml.sax.saxutils import escape
 
 from repro.obs.report import build_tree
 from repro.obs.trace import SpanRecord
 
 __all__ = [
-    "SamplingProfiler",
     "folded_stacks",
     "render_folded",
     "render_svg",
@@ -176,84 +166,3 @@ def render_svg(
         + "".join(rects)
         + "</svg>"
     )
-
-
-# ----------------------------------------------------------------------
-# Sampling profiler
-# ----------------------------------------------------------------------
-class SamplingProfiler:
-    """Periodic Python stack sampler producing folded stacks.
-
-    A daemon thread snapshots every live thread's frame stack
-    (``sys._current_frames``) at ``interval`` seconds; each sample adds
-    ``interval`` to its ``module:function`` path.  Sampling costs one
-    traversal per tick and needs no instrumentation, so it complements the
-    span flame graph with function-level hotspots.  Usable as a context
-    manager::
-
-        with SamplingProfiler(interval=0.005) as prof:
-            index.build(points)
-        print(render_folded(prof.stacks()))
-    """
-
-    def __init__(self, interval: float = 0.005, max_depth: int = 64) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.interval = interval
-        self.max_depth = max_depth
-        self._stacks: dict[str, float] = {}
-        self._samples = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "SamplingProfiler":
-        if self._thread is not None:
-            raise RuntimeError("profiler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-sampling-profiler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> "SamplingProfiler":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- sampling -------------------------------------------------------
-    def _run(self) -> None:
-        me = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            for tid, frame in sys._current_frames().items():
-                if tid == me:
-                    continue
-                parts = [
-                    f"{f.f_code.co_filename.rsplit('/', 1)[-1]}:{f.f_code.co_name}"
-                    for f, _lineno in traceback.walk_stack(frame)
-                ]
-                parts.reverse()
-                if not parts:
-                    continue
-                path = ";".join(parts[-self.max_depth :])
-                self._stacks[path] = self._stacks.get(path, 0.0) + self.interval
-            self._samples += 1
-
-    # -- results --------------------------------------------------------
-    @property
-    def samples(self) -> int:
-        """Number of sampling ticks taken so far."""
-        return self._samples
-
-    def stacks(self) -> dict[str, float]:
-        """Folded ``{path: seconds}`` accumulated so far (a copy)."""
-        return dict(self._stacks)

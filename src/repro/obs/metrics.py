@@ -33,7 +33,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
+    "histogram_stat",
     "registry_from_export",
+    "series_sum",
 ]
 
 #: Canonical label encoding: a sorted tuple of (key, value-string) pairs.
@@ -96,11 +98,11 @@ class Histogram:
 
     Bucket ``i`` covers ``(base * 2**(i-1), base * 2**i]`` for ``i >= 1``
     and ``[0, base]`` for bucket 0; the last bucket absorbs everything
-    larger.  Percentiles are estimated from bucket upper bounds —
-    pessimistic by at most one doubling.  Exact count/total/max are kept
-    alongside, and two histograms with the same shape merge by adding
-    their buckets (:meth:`merge`), which is how spans' worker-process
-    histograms fold back into the parent.
+    larger.  Percentiles are estimated from bucket upper bounds, capped at
+    the largest sample — pessimistic by at most one doubling.  Exact
+    count/total/max are kept alongside, and two histograms with the same
+    shape merge by adding their buckets (:meth:`merge`), which is how
+    spans' worker-process histograms fold back into the parent.
     """
 
     kind = "histogram"
@@ -190,9 +192,20 @@ class Histogram:
         if n == 0:
             return 0.0
         rank = max(1, int(np.ceil(q / 100.0 * n)))
-        cumulative = np.cumsum(self.counts)
-        bucket = int(np.searchsorted(cumulative, rank))
-        return self.base * (2.0 ** (bucket + 1))
+        bucket = int(np.searchsorted(np.cumsum(self.counts), rank))
+        if bucket == self.n_buckets - 1:  # open-ended: only ``max`` bounds it
+            return self.max
+        return min(self.bucket_bounds(bucket)[1], self.max)
+
+    @classmethod
+    def from_snapshot(cls, value: dict) -> "Histogram":
+        """The histogram a full :meth:`snapshot` (raw buckets included)
+        was taken of."""
+        hist = cls(base=float(value["base"]), n_buckets=int(value["n_buckets"]))
+        hist.counts += np.asarray(value["buckets"], dtype=np.int64)
+        hist.total = float(value["total"])
+        hist.max = float(value["max"])
+        return hist
 
     def snapshot(self) -> dict:
         """Summary stats plus the raw shape/buckets, so a snapshot taken in
@@ -343,16 +356,13 @@ class MetricsRegistry:
                             f"histogram snapshot {name!r} has no bucket counts; "
                             "only full snapshots (with 'buckets') can be merged"
                         )
-                    hist = self.histogram(
+                    incoming = Histogram.from_snapshot(value)
+                    self.histogram(
                         name,
-                        base=float(value["base"]),
-                        n_buckets=int(value["n_buckets"]),
+                        base=incoming.base,
+                        n_buckets=incoming.n_buckets,
                         **labels,
-                    )
-                    hist.counts += np.asarray(value["buckets"], dtype=np.int64)
-                    hist.total += float(value["total"])
-                    if value["max"] > hist.max:
-                        hist.max = float(value["max"])
+                    ).merge(incoming)
                 else:
                     raise ValueError(
                         f"cannot merge metric {name!r} of unknown kind {kind!r}"
@@ -369,6 +379,40 @@ def registry_from_export(exported: dict) -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.merge(exported)
     return registry
+
+
+# ----------------------------------------------------------------------
+# Export readers: the one place that knows an export is
+# ``{name: [{labels, kind, value}, ...]}``
+# ----------------------------------------------------------------------
+def _matching(export: dict, name: str, labels: dict) -> list:
+    """The series under ``name`` whose labels include all of ``labels``."""
+    want = _label_key(labels)
+    return [
+        entry
+        for entry in export.get(name, ())
+        if all(entry["labels"].get(k) == v for k, v in want)
+    ]
+
+
+def series_sum(export: dict, name: str, **labels) -> float:
+    """Sum of the counter / gauge series under ``name`` that carry
+    ``labels`` (every series when none are given; 0.0 when absent)."""
+    return float(sum(entry["value"] for entry in _matching(export, name, labels)))
+
+
+def histogram_stat(export: dict, name: str, stat: str, **labels) -> float:
+    """One :meth:`Histogram.snapshot` statistic (``count``, ``mean``,
+    ``max``, ``p50``, ``p99``, ``total``) over the histogram series under
+    ``name`` that carry ``labels``, their buckets added; 0.0 when absent."""
+    merged = None
+    for entry in _matching(export, name, labels):
+        hist = Histogram.from_snapshot(entry["value"])
+        if merged is None:
+            merged = hist
+        else:
+            merged.merge(hist)
+    return float(merged.snapshot()[stat]) if merged is not None else 0.0
 
 
 #: The process-wide default registry: build/query/perf instrumentation

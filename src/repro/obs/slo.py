@@ -3,12 +3,12 @@
 An SLO here is "quantile ``q`` of per-request latency stays under
 ``latency`` seconds" per request kind (``point`` / ``window`` / ``knn`` /
 ``update``).  The tracker keeps a rolling window of per-kind latency
-samples in time-sliced log-bucket histograms (the same doubling buckets
-as :class:`~repro.obs.metrics.Histogram`, so quantile estimates are
-upper bounds by at most one doubling) and derives two things:
+samples in time slices, each a :class:`~repro.obs.metrics.Histogram`
+(so quantile estimates are upper bounds by at most one doubling), and
+derives two things:
 
 - **quantile estimators** — p50/p99/p999 over everything inside the
-  window, recomputed from the summed slice buckets on demand;
+  window, recomputed from the merged slice histograms on demand;
 - **burn rate** — the fraction of windowed requests that violated the
   target, divided by the error budget the objective allows
   (``1 - quantile/100``).  Burn 1.0 means the budget is being spent
@@ -30,16 +30,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
+from repro.obs.metrics import Histogram
 
 __all__ = ["SLOConfig", "SLOTarget", "SLOTracker", "DEFAULT_KINDS"]
 
 #: The request kinds the serving tier records (a tracker accepts any
 #: string kind; these are the conventional ones).
 DEFAULT_KINDS = ("point", "window", "knn", "update")
-
-_BASE = 1e-6
-_N_BUCKETS = 28
 
 
 @dataclass(frozen=True)
@@ -116,15 +113,15 @@ class SLOConfig:
 
 
 class _Window:
-    """One kind's rolling window: a ring of time slices, each a bucket
-    array + violation count, expired wholesale as time advances."""
+    """One kind's rolling window: a ring of time slices, each a latency
+    histogram + violation count, expired wholesale as time advances."""
 
     __slots__ = ("slice_seconds", "n_slices", "slices")
 
     def __init__(self, window_seconds: float, n_slices: int) -> None:
         self.slice_seconds = window_seconds / n_slices
         self.n_slices = n_slices
-        # {slice index: [buckets, n, violations, total]}
+        # {slice index: [histogram, violations]}
         self.slices: dict[int, list] = {}
 
     def _advance(self, now: float) -> int:
@@ -138,39 +135,20 @@ class _Window:
         idx = self._advance(now)
         cell = self.slices.get(idx)
         if cell is None:
-            cell = self.slices[idx] = [
-                np.zeros(_N_BUCKETS, dtype=np.int64), 0, 0, 0.0,
-            ]
-        bucket = 0
-        scaled = seconds / _BASE
-        while scaled > 1.0 and bucket < _N_BUCKETS - 1:
-            scaled /= 2.0
-            bucket += 1
-        cell[0][bucket] += count
-        cell[1] += count
+            cell = self.slices[idx] = [Histogram(), 0]
+        cell[0].record(seconds, count)
         if violated:
-            cell[2] += count
-        cell[3] += seconds * count
+            cell[1] += count
 
-    def totals(self, now: float) -> tuple[np.ndarray, int, int, float]:
+    def totals(self, now: float) -> "tuple[Histogram, int]":
+        """Everything inside the window: one merged histogram and the
+        violation count."""
         self._advance(now)
-        buckets = np.zeros(_N_BUCKETS, dtype=np.int64)
-        n = violations = 0
-        total = 0.0
-        for cell in self.slices.values():
-            buckets += cell[0]
-            n += cell[1]
-            violations += cell[2]
-            total += cell[3]
-        return buckets, n, violations, total
-
-
-def _quantile(buckets: np.ndarray, n: int, q: float) -> float:
-    if n == 0:
-        return 0.0
-    rank = max(1, int(np.ceil(q / 100.0 * n)))
-    bucket = int(np.searchsorted(np.cumsum(buckets), rank))
-    return _BASE * (2.0 ** (bucket + 1))
+        merged, violations = Histogram(), 0
+        for hist, violated in self.slices.values():
+            merged.merge(hist)
+            violations += violated
+        return merged, violations
 
 
 class SLOTracker:
@@ -201,21 +179,21 @@ class SLOTracker:
             window.record(now, float(seconds), int(count), violated)
 
     # ------------------------------------------------------------------
-    def _kind_totals(self, kind: str) -> tuple[np.ndarray, int, int, float]:
+    def _kind_totals(self, kind: str) -> "tuple[Histogram, int]":
         with self._lock:
             window = self._windows.get(kind)
             if window is None:
-                return np.zeros(_N_BUCKETS, dtype=np.int64), 0, 0, 0.0
+                return Histogram(), 0
             return window.totals(time.monotonic())
 
     def quantiles(self, kind: str) -> dict:
         """``{"p50": s, "p99": s, "p999": s, "n": count}`` over the window."""
-        buckets, n, _violations, _total = self._kind_totals(kind)
+        hist, _violations = self._kind_totals(kind)
         return {
-            "p50": _quantile(buckets, n, 50.0),
-            "p99": _quantile(buckets, n, 99.0),
-            "p999": _quantile(buckets, n, 99.9),
-            "n": n,
+            "p50": hist.percentile(50.0),
+            "p99": hist.percentile(99.0),
+            "p999": hist.percentile(99.9),
+            "n": hist.count,
         }
 
     def burn_rate(self, kind: str) -> float:
@@ -224,7 +202,8 @@ class SLOTracker:
         target = self.targets.get(kind)
         if target is None:
             return 0.0
-        _buckets, n, violations, _total = self._kind_totals(kind)
+        hist, violations = self._kind_totals(kind)
+        n = hist.count
         if n == 0:
             return 0.0
         return (violations / n) / target.budget

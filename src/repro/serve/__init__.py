@@ -9,12 +9,6 @@ persist generations through :mod:`repro.storage.persist`, and a
 (see docs/serving.md, "Durability and failure modes").
 """
 
-from repro.serve.driver import (
-    DriverResult,
-    ServeWorkload,
-    run_baseline,
-    run_closed_loop,
-)
 from repro.serve.errors import (
     RebuildFailed,
     RequestTimeout,
@@ -43,19 +37,17 @@ from repro.serve.server import (
     ServeConfig,
 )
 from repro.serve.snapshots import SnapshotManager
-from repro.serve.stats import LatencyHistogram, ServerStats
+from repro.serve.stats import ServerStats
 from repro.serve.wal import FSYNC_POLICIES, WALRecord, WriteAheadLog
 
 __all__ = [
     "DEGRADED",
-    "DriverResult",
     "FSYNC_POLICIES",
     "Generation",
     "HEALTHY",
     "IndexServer",
     "KNN",
     "KNN_BATCH",
-    "LatencyHistogram",
     "POINT",
     "POINT_BATCH",
     "READ_ONLY",
@@ -64,7 +56,6 @@ __all__ = [
     "Request",
     "RequestTimeout",
     "ServeConfig",
-    "ServeWorkload",
     "ServerClosed",
     "ServerOverloaded",
     "ServerReadOnly",
@@ -76,6 +67,4 @@ __all__ = [
     "WINDOW",
     "WINDOW_BATCH",
     "WriteAheadLog",
-    "run_baseline",
-    "run_closed_loop",
 ]

@@ -1,16 +1,13 @@
-"""The server's stats surface: per-stage counters + latency histograms.
+"""The server's stats recorders: per-stage counters + latency histograms.
 
 Everything here is cheap enough to record on the hot path (a lock, a few
-counter increments, one bucket index per latency sample) and structured
-enough for benchmarks and tests to assert on: :meth:`ServerStats.snapshot`
-returns a plain JSON-able dict.
-
-The instruments live in a per-server :class:`~repro.obs.metrics.MetricsRegistry`
-(so two servers in one process never mix their counts) and are therefore
-also available in the registry's exporter formats
-(``ServerStats.registry.export()``, :meth:`ServerStats.export_text`)
-alongside the process-wide build/query metrics
-(``IndexServer.stats_snapshot``).
+counter increments, one bucket index per latency sample).  The
+instruments live in a per-server :class:`~repro.obs.metrics.MetricsRegistry`
+(so two servers in one process never mix their counts), and that
+registry's export — ``ServerStats.registry.export()``, or merged with the
+process-wide build/query metrics by ``IndexServer.stats_snapshot()`` — is
+the one schema they are read in (:func:`repro.obs.metrics.series_sum`,
+:func:`repro.obs.metrics.histogram_stat`).
 """
 
 from __future__ import annotations
@@ -19,40 +16,9 @@ import threading
 
 import numpy as np
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "ServerStats"]
-
-
-def _seconds_snapshot(hist: Histogram) -> dict:
-    """A histogram snapshot with the serving surface's ``*_seconds`` keys."""
-    return {
-        "count": hist.count,
-        "mean_seconds": hist.mean,
-        "max_seconds": hist.max,
-        "p50_seconds": hist.percentile(50),
-        "p99_seconds": hist.percentile(99),
-    }
-
-
-class LatencyHistogram(Histogram):
-    """Log-spaced latency histogram (1 µs .. ~134 s, doubling buckets).
-
-    A :class:`~repro.obs.metrics.Histogram` fixed to the serving layer's
-    shape, with the snapshot keys the serve benchmarks and tests assert on.
-    Percentiles are estimated from bucket upper bounds — pessimistic by at
-    most one doubling, which is plenty for serving dashboards and for the
-    benchmark's p50/p99 columns.
-    """
-
-    BASE = 1e-6
-    N_BUCKETS = 28
-
-    def __init__(self) -> None:
-        super().__init__(base=self.BASE, n_buckets=self.N_BUCKETS)
-
-    def snapshot(self) -> dict:
-        return _seconds_snapshot(self)
+__all__ = ["ServerStats"]
 
 
 class ServerStats:
@@ -64,9 +30,9 @@ class ServerStats:
     own counters so tests can assert the background machinery ran.
 
     All instruments come from ``registry`` (a fresh per-instance
-    :class:`~repro.obs.metrics.MetricsRegistry` by default); the
-    attributes tests and benchmarks read (``stats.batches``,
-    ``stats.latency`` ...) are views of the same objects.
+    :class:`~repro.obs.metrics.MetricsRegistry` by default) and are read
+    from its export; ``batches`` / ``batched_requests`` are int views for
+    the e2e layer pass, which differences them around a load.
     """
 
     def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
@@ -91,21 +57,10 @@ class ServerStats:
         self._rebuild_failures = r.counter("serve.rebuild_failures")
         self._snapshot_failures = r.counter("serve.snapshot_failures")
         self._wal_appends = r.counter("serve.wal_appends")
-        self.queue_wait = r.histogram(
-            "serve.queue_wait_seconds",
-            base=LatencyHistogram.BASE,
-            n_buckets=LatencyHistogram.N_BUCKETS,
-        )
-        self.service = r.histogram(
-            "serve.service_seconds",
-            base=LatencyHistogram.BASE,
-            n_buckets=LatencyHistogram.N_BUCKETS,
-        )
-        self.latency = r.histogram(
-            "serve.request_latency_seconds",
-            base=LatencyHistogram.BASE,
-            n_buckets=LatencyHistogram.N_BUCKETS,
-        )
+        # 1 µs .. ~134 s in doubling buckets: ``Histogram``'s default shape.
+        self.queue_wait = r.histogram("serve.queue_wait_seconds")
+        self.service = r.histogram("serve.service_seconds")
+        self.latency = r.histogram("serve.request_latency_seconds")
 
     # ------------------------------------------------------------------
     def _bound(
@@ -181,13 +136,6 @@ class ServerStats:
             self._wal_appends.inc()
 
     # ------------------------------------------------------------------
-    # Attribute surface (reads the registry instruments)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _values(bound: "dict[str, Counter]") -> dict[str, int]:
-        # list(): a first-of-its-label increment may insert while we read.
-        return {label: int(counter.value) for label, counter in list(bound.items())}
-
     @property
     def batches(self) -> int:
         return int(self._batches.value)
@@ -195,58 +143,3 @@ class ServerStats:
     @property
     def batched_requests(self) -> int:
         return int(self._batched_requests.value)
-
-    @property
-    def rebuilds(self) -> int:
-        return int(self._rebuilds.value)
-
-    @property
-    def generation_swaps(self) -> int:
-        return int(self._generation_swaps.value)
-
-    @property
-    def shed(self) -> dict[str, int]:
-        return self._values(self._shed)
-
-    @property
-    def retries(self) -> dict[str, int]:
-        return self._values(self._retries)
-
-    @property
-    def rebuild_failures(self) -> int:
-        return int(self._rebuild_failures.value)
-
-    @property
-    def snapshot_failures(self) -> int:
-        return int(self._snapshot_failures.value)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        with self._lock:
-            batches = self.batches
-            return {
-                "submitted": self._values(self._submitted),
-                "completed": int(self._completed.value),
-                "errors": int(self._errors.value),
-                "batches": batches,
-                "mean_batch_size": self.batched_requests / batches if batches else 0.0,
-                "max_batch_size": int(self._max_batch_size.value),
-                "inserts": int(self._inserts.value),
-                "deletes": int(self._deletes.value),
-                "rebuilds": self.rebuilds,
-                "rebuild_seconds": self._rebuild_seconds.value,
-                "generation_swaps": self.generation_swaps,
-                "snapshots_saved": int(self._snapshots_saved.value),
-                "shed": self.shed,
-                "retries": self.retries,
-                "rebuild_failures": self.rebuild_failures,
-                "snapshot_failures": self.snapshot_failures,
-                "wal_appends": int(self._wal_appends.value),
-                "queue_wait": _seconds_snapshot(self.queue_wait),
-                "service": _seconds_snapshot(self.service),
-                "latency": _seconds_snapshot(self.latency),
-            }
-
-    def export_text(self) -> str:
-        """Prometheus-style text lines for every serve instrument."""
-        return self.registry.export_text()

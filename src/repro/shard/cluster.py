@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.indices import LEARNED_INDICES
 from repro.shard.handle import ShardHandle
 from repro.shard.router import RouterConfig, ShardRouter
 from repro.shard.shardmap import ShardMap
@@ -41,6 +42,15 @@ _CLUSTER_VERSION = 1
 
 def _shard_dir(directory: Path, shard_id: int) -> Path:
     return directory / f"shard-{shard_id:03d}"
+
+
+def _check_index(name: str) -> None:
+    """Refuse an index name no worker could serve, in the parent."""
+    if name not in LEARNED_INDICES:
+        raise ValueError(
+            f"no learned index named {name!r}; "
+            f"known names: {', '.join(sorted(LEARNED_INDICES))}"
+        )
 
 
 def _spawn_all(specs: "list[WorkerSpec]", start_timeout: float) -> "list[ShardHandle]":
@@ -75,8 +85,11 @@ def build_cluster(
 
     ``elsi`` / ``serve`` are keyword dicts for each worker's ``ELSIConfig``
     and ``ServeConfig``; ``env`` overrides the captured
-    ``REPRO_FAULTS``/``REPRO_DTYPE`` propagation.
+    ``REPRO_FAULTS``/``REPRO_DTYPE`` propagation.  ``index`` is a name
+    of :data:`repro.indices.LEARNED_INDICES`; an unknown one is refused
+    here, before anything is written or spawned.
     """
+    _check_index(index)
     pts = np.asarray(points, dtype=np.float64)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -134,6 +147,7 @@ def open_cluster(
             f"unsupported cluster version {meta.get('version')!r} "
             f"(this build reads version {_CLUSTER_VERSION})"
         )
+    _check_index(meta["index"])
     worker_env = capture_env(env)
     specs = [
         WorkerSpec(

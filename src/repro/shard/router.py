@@ -68,12 +68,13 @@ carries ``None`` — workers skip capture entirely.
 ``stats_snapshot()`` export and the router's own counters into one view
 via :meth:`MetricsRegistry.merge` — counters sum and histogram buckets
 add, so fleet-wide percentiles are computed over the union of all
-samples.  With ``RouterConfig.telemetry_interval`` set (or
-:meth:`ShardRouter.start_telemetry` called) a background
-:class:`~repro.shard.telemetry.FleetTelemetry` poller replaces that
-merge-on-demand path with a continuously refreshed fleet view that
-also carries per-shard ``telemetry.scrape_age_seconds`` staleness and
-``telemetry.shard_up`` markers.  The router additionally keeps an
+samples.  The scrape and the merge are the router's one
+:class:`~repro.shard.telemetry.FleetTelemetry`, which also adds
+per-shard ``telemetry.scrape_age_seconds`` staleness and
+``telemetry.shard_up`` markers: with ``RouterConfig.telemetry_interval``
+set (or :meth:`ShardRouter.start_telemetry` called) its background
+poller keeps the view fresh, otherwise every snapshot scrapes once
+first.  The router additionally keeps an
 :class:`~repro.obs.slo.SLOTracker` over end-to-end (router-side)
 request latencies per kind, published as ``slo.*`` gauges in every
 snapshot.
@@ -96,6 +97,7 @@ from repro.serve.errors import ServerOverloaded, ServerReadOnly
 from repro.shard.errors import ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.shardmap import ShardMap
+from repro.shard.telemetry import FleetTelemetry, fleet_verdict
 
 __all__ = ["RouterConfig", "ShardRouter"]
 
@@ -128,8 +130,8 @@ class RouterConfig:
         Rolling-window length for the router's SLO quantiles and burn.
     telemetry_interval:
         Seconds between background fleet-telemetry scrapes.  ``None``
-        (default) leaves the poller off — ``stats_snapshot`` then merges
-        on demand; set, the router starts a
+        (default) leaves the poller off — ``stats_snapshot`` then scrapes
+        once per call; set, the router starts its
         :class:`~repro.shard.telemetry.FleetTelemetry` thread at
         construction.
     """
@@ -189,7 +191,6 @@ class ShardRouter:
                 window_seconds=self.config.slo_window_seconds,
             )
         )
-        self._telemetry = None
         self._metrics_server = None
         self._closed = False
         # One respawn lock per shard: concurrent scatter threads that hit
@@ -197,6 +198,11 @@ class ShardRouter:
         self._respawn_locks = [threading.Lock() for _ in handles]
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(handles), 1), thread_name_prefix="shard-scatter"
+        )
+        # The one fleet scrape behind stats_snapshot() and overview(); its
+        # poller thread runs only when asked for.
+        self.telemetry = FleetTelemetry(
+            self, interval=self.config.telemetry_interval or 1.0
         )
         if self.config.telemetry_interval is not None:
             self.start_telemetry()
@@ -215,8 +221,7 @@ class ShardRouter:
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None
-        if self._telemetry is not None:
-            self._telemetry.stop()
+        self.telemetry.stop()
         self._pool.shutdown(wait=True)
         for handle in self.handles:
             handle.close()
@@ -583,12 +588,8 @@ class ShardRouter:
     # Health and metrics
     # ------------------------------------------------------------------
     def health_summary(self) -> dict:
-        """Per-shard health plus a fleet verdict.
-
-        ``healthy`` — every shard healthy; ``degraded`` — at least one
-        shard degraded/read-only/down but the fleet still answers;
-        ``down`` — every shard unreachable.
-        """
+        """Per-shard health plus a fleet verdict
+        (:func:`~repro.shard.telemetry.fleet_verdict`)."""
         shards = {}
         for handle in self.handles:
             sid = handle.shard_id
@@ -596,77 +597,38 @@ class ShardRouter:
                 shards[sid] = self._call(sid, "status", idempotent=False)
             except (ShardUnavailable, ShardTimeout) as exc:
                 shards[sid] = {"health": "down", "error": type(exc).__name__}
-        states = [s["health"] for s in shards.values()]
-        if all(state == "down" for state in states):
-            overall = "down"
-        elif all(state == "healthy" for state in states):
-            overall = "healthy"
-        else:
-            overall = "degraded"
+        overall = fleet_verdict([s["health"] for s in shards.values()])
         return {"overall": overall, "shards": shards}
 
     def stats_snapshot(self) -> dict:
-        """One fleet-wide metrics export: every live shard's
+        """One fleet-wide metrics export: every shard's last scraped
         ``stats_snapshot()`` merged (counters summed, histogram buckets
-        added, gauges by freshest stamp) with the router's own counters
-        and ``slo.*`` gauges.  With the telemetry poller running this is
-        the poller's continuously refreshed view (plus per-shard
-        staleness/up markers); without it, shards are scraped on demand —
-        dead or wedged ones skipped and counted on
-        ``router.stats_unreachable``."""
+        added, gauges by freshest stamp) with per-shard staleness/up
+        markers, the router's own counters and ``slo.*`` gauges.  A dead
+        or wedged shard keeps its last known export and is counted on
+        ``telemetry.scrape_failures``."""
         self.slo.publish(self.registry)
-        telemetry = self._telemetry
-        if telemetry is not None and telemetry.running:
-            return telemetry.merged()
-        merged = MetricsRegistry()
-        for handle in self.handles:
-            try:
-                merged.merge(
-                    self._call(handle.shard_id, "stats", idempotent=False)
-                )
-            except (ShardUnavailable, ShardTimeout):
-                self.registry.counter(
-                    "router.stats_unreachable", shard=handle.shard_id
-                ).inc()
-        # The router's own counters merge last so this very snapshot
-        # already reflects any shard found unreachable above.
-        merged.merge(self.registry.export())
-        return merged.export()
+        return self._fresh_fleet().merged()
 
     # ------------------------------------------------------------------
     # Live surfaces: telemetry poller, overview, /metrics endpoint
     # ------------------------------------------------------------------
-    @property
-    def telemetry(self):
-        """The :class:`~repro.shard.telemetry.FleetTelemetry` poller, or
-        ``None`` when running merge-on-demand."""
-        return self._telemetry
+    def _fresh_fleet(self) -> FleetTelemetry:
+        """The one fleet scrape, run now unless its poller keeps it fresh."""
+        if not self.telemetry.running:
+            self.telemetry.scrape_now()
+        return self.telemetry
 
     def start_telemetry(self, interval: "float | None" = None):
         """Start (or return) the background fleet-telemetry poller."""
-        from repro.shard.telemetry import FleetTelemetry
-
-        if self._telemetry is None:
-            self._telemetry = FleetTelemetry(
-                self,
-                interval=interval or self.config.telemetry_interval or 1.0,
-            )
-        self._telemetry.start()
-        return self._telemetry
+        if interval is not None and not self.telemetry.running:
+            self.telemetry.interval = interval
+        return self.telemetry.start()
 
     def overview(self) -> dict:
         """Per-shard dashboard rows (health, generation, queue depth,
-        qps-able counters, p99, staleness) — the ``repro obs top`` feed.
-        Uses the running poller's cache; without one, scrapes once."""
-        from repro.shard.telemetry import FleetTelemetry
-
-        telemetry = self._telemetry
-        if telemetry is None or not telemetry.running:
-            telemetry = FleetTelemetry(
-                self, interval=self.config.telemetry_interval or 1.0
-            )
-            telemetry.scrape_now()
-        return telemetry.overview()
+        qps-able counters, p99, staleness) — the ``repro obs top`` feed."""
+        return self._fresh_fleet().overview()
 
     def serve_metrics(self, host: str = "127.0.0.1", port: int = 0):
         """Start (or return) the stdlib HTTP observability endpoint

@@ -3,9 +3,11 @@
 :class:`FleetTelemetry` owns one daemon thread that, every ``interval``
 seconds, asks each shard worker for its ``stats`` export and ``status``
 and folds the answers into a cached per-shard table.  The router's
-``stats_snapshot()`` then serves :meth:`merged` — the latest per-shard
+``stats_snapshot()`` serves :meth:`merged` — the latest per-shard
 exports combined through :meth:`~repro.obs.metrics.MetricsRegistry.merge`
-— instead of fanning a scrape out on every caller's thread.
+— and its ``overview()`` serves :meth:`overview`; a router whose poller
+is not running calls :meth:`scrape_now` first, so there is one scrape
+path whether or not the thread runs.
 
 Staleness is first-class: every merged view carries a
 ``telemetry.scrape_age_seconds{shard=...}`` gauge (seconds since that
@@ -26,10 +28,10 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, histogram_stat, series_sum
 from repro.shard.errors import ShardTimeout, ShardUnavailable
 
-__all__ = ["FleetTelemetry"]
+__all__ = ["FleetTelemetry", "fleet_verdict"]
 
 #: Per-shard scrape deadline: generous enough for a busy worker, short
 #: enough that one wedged shard cannot stall a whole polling tick for
@@ -37,14 +39,23 @@ __all__ = ["FleetTelemetry"]
 SCRAPE_TIMEOUT = 10.0
 
 
+def fleet_verdict(states: "list[str]") -> str:
+    """``healthy`` — every shard healthy; ``degraded`` — at least one
+    shard degraded/read-only/down but the fleet still answers; ``down`` —
+    every shard unreachable (or there are none)."""
+    if all(state == "down" for state in states):
+        return "down"
+    if all(state == "healthy" for state in states):
+        return "healthy"
+    return "degraded"
+
+
 class FleetTelemetry:
     """Poll every shard's stats/status into a cached fleet view."""
 
     def __init__(self, router, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         self.router = router
-        self.interval = float(interval)
+        self.interval = interval
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -62,6 +73,17 @@ class FleetTelemetry:
         }
 
     # ------------------------------------------------------------------
+    @property
+    def interval(self) -> float:
+        """Seconds between two polls of the background thread."""
+        return self._interval
+
+    @interval.setter
+    def interval(self, seconds: float) -> None:
+        if seconds <= 0:
+            raise ValueError(f"interval must be positive, got {seconds}")
+        self._interval = float(seconds)
+
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
@@ -172,45 +194,21 @@ class FleetTelemetry:
                 "n_points": status.get("n_points"),
                 "scrape_age_seconds": self._age(cell, now),
                 "error": cell["error"],
-                "requests_completed": _series_sum(
+                "requests_completed": series_sum(
                     export, "serve.requests_completed"
                 ),
-                "queue_depth": _series_sum(export, "serve.queue_depth"),
-                "generation_age_seconds": _series_sum(
+                "queue_depth": series_sum(export, "serve.queue_depth"),
+                "generation_age_seconds": series_sum(
                     export, "serve.generation_age_seconds"
                 ),
-                "p99_seconds": _histogram_stat(
+                "p99_seconds": histogram_stat(
                     export, "serve.request_latency_seconds", "p99"
                 ),
-                "cpu_seconds": _series_sum(export, "worker.cpu_seconds"),
+                "cpu_seconds": series_sum(export, "worker.cpu_seconds"),
             }
-        states = [s["health"] for s in shards.values()]
-        if not states or all(state == "down" for state in states):
-            overall = "down"
-        elif all(state == "healthy" for state in states):
-            overall = "healthy"
-        else:
-            overall = "degraded"
         return {
-            "overall": overall,
+            "overall": fleet_verdict([s["health"] for s in shards.values()]),
             "n_shards": len(shards),
             "shards": shards,
             "slo": self.router.slo.snapshot(),
         }
-
-
-# ----------------------------------------------------------------------
-# Export-dict readers (an export is {name: [{labels, kind, value}, ...]})
-# ----------------------------------------------------------------------
-def _series_sum(export: dict, name: str) -> float:
-    """Sum of every series value under ``name`` (0.0 when absent)."""
-    return float(sum(entry["value"] for entry in export.get(name, ())))
-
-
-def _histogram_stat(export: dict, name: str, stat: str) -> float:
-    """One summary stat off the first histogram series under ``name``."""
-    for entry in export.get(name, ()):
-        value = entry.get("value")
-        if isinstance(value, dict) and stat in value:
-            return float(value[stat])
-    return 0.0

@@ -150,16 +150,10 @@ def _apply_env(spec: WorkerSpec) -> None:
 def _open_server(spec: WorkerSpec):
     """Build (or recover) this shard's :class:`IndexServer`."""
     from repro.core import ELSIConfig, ELSIModelBuilder
-    from repro.indices import FloodIndex, LISAIndex, MLIndex, ZMIndex
+    from repro.indices import LEARNED_INDICES
     from repro.serve.server import IndexServer, ServeConfig
 
-    kinds = {"ZM": ZMIndex, "ML": MLIndex, "LISA": LISAIndex, "Flood": FloodIndex}
-    if spec.index not in kinds:
-        raise ValueError(
-            f"shard worker cannot serve index kind {spec.index!r}; "
-            f"known kinds: {sorted(kinds)}"
-        )
-    index_cls = kinds[spec.index]
+    index_cls = LEARNED_INDICES[spec.index]
     config = ELSIConfig(**spec.elsi)
     builder = ELSIModelBuilder(config, method=spec.method)
     factory = lambda: index_cls(builder=builder)  # noqa: E731

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LEARNED_INDICES
 
 __all__ = ["load_index", "save_index"]
 
@@ -29,11 +29,6 @@ FORMAT = "repro-index-v2"
 
 #: A dict of this one key stands where the tree held ndarray number ``i``.
 _ARRAY = "__ndarray__"
-
-_INDEX_TYPES = {
-    cls.name: cls for cls in (FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex)
-}
-
 
 class OldFormatError(Exception):
     """The file is an intact snapshot in a format no longer read.
@@ -111,10 +106,10 @@ def save_index(index, path: str | Path) -> None:
     supported; anything else (traditional baselines) raises ``TypeError``
     naming the supported set, an unbuilt index ``ValueError``.
     """
-    if type(index) not in _INDEX_TYPES.values():
+    if type(index) not in LEARNED_INDICES.values():
         raise TypeError(
             f"no persistence support for {type(index).__name__}; "
-            f"supported index types: {', '.join(sorted(_INDEX_TYPES))}"
+            f"supported index types: {', '.join(sorted(LEARNED_INDICES))}"
         )
     _write_tree(
         {"format": FORMAT, "index": index.name, "state": index.state_dict()}, path
@@ -140,10 +135,10 @@ def load_index(path: str | Path):
     if fmt != FORMAT:
         raise ValueError(f"unknown index format {fmt!r} in {path}")
     name = document.get("index")
-    cls = _INDEX_TYPES.get(name) if isinstance(name, str) else None
+    cls = LEARNED_INDICES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(
             f"unknown index name {name!r} in {path}; "
-            f"known names: {', '.join(sorted(_INDEX_TYPES))}"
+            f"known names: {', '.join(sorted(LEARNED_INDICES))}"
         )
     return cls.from_state(document["state"])

@@ -1,9 +1,12 @@
 """Tests for the benchmark harness and (tiny-scale) experiment drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bench.experiments import Context
+from repro.core.config import ELSIConfig
 from repro.bench.harness import (
     ExperimentScale,
     format_table,
@@ -96,6 +99,20 @@ class TestContext:
         assert cfg.lam == 0.3
         assert cfg.rho == 0.05
         assert cfg.train_epochs == ctx.config.train_epochs
+
+    def test_config_with_keeps_every_other_field(self):
+        """An override replaces its field only: the fields the old
+        hand-copied list left out (``zeta``, ``gamma``, ``parallelism``,
+        ``dtype``, ``faults``) survive it."""
+        base = ELSIConfig(
+            gamma=0.5, zeta=0.6, parallelism="fused", dtype="float32",
+            faults="snapshot.write=error:1",
+        )
+        ctx = Context(ExperimentScale.smoke(), _config=base)
+        cfg = ctx.config_with(lam=0.3)
+        assert cfg == dataclasses.replace(base, lam=0.3)
+        assert (cfg.gamma, cfg.zeta, cfg.parallelism) == (0.5, 0.6, "fused")
+        assert cfg is not base and base.lam == 0.8
 
     def test_build_learned_and_traditional(self, ctx):
         points = ctx.dataset("OSM1")

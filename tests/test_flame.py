@@ -1,13 +1,11 @@
 """Tests for flame graphs (repro.obs.flame) and the obs flame CLI."""
 
 import json
-import time
 
 import pytest
 
 from repro.cli import main
 from repro.obs.flame import (
-    SamplingProfiler,
     folded_stacks,
     render_folded,
     render_svg,
@@ -122,30 +120,3 @@ class TestCli:
     def test_obs_flame_missing_trace_fails(self, tmp_path):
         rc = main(["obs", "flame", str(tmp_path / "nope.jsonl")])
         assert rc == 1
-
-
-def _busy_wait(deadline: float) -> None:
-    while time.perf_counter() < deadline:
-        sum(i * i for i in range(500))
-
-
-class TestSamplingProfiler:
-    def test_captures_busy_function(self):
-        with SamplingProfiler(interval=0.002) as prof:
-            _busy_wait(time.perf_counter() + 0.15)
-        stacks = prof.stacks()
-        assert prof.samples > 0
-        assert any("_busy_wait" in path for path in stacks)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval=0.0)
-
-    def test_double_start_rejected(self):
-        prof = SamplingProfiler(interval=0.01).start()
-        try:
-            with pytest.raises(RuntimeError):
-                prof.start()
-        finally:
-            prof.stop()
-        prof.stop()  # idempotent

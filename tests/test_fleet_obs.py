@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.obs.httpd import MetricsServer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, series_sum
 from repro.obs.report import (
     check_cross_process,
     load_trace,
@@ -51,6 +51,20 @@ class TestSLOTracker:
         assert q["p50"] <= 0.005  # log buckets: upper bound within 1 doubling
         assert q["p99"] >= 0.25  # rank 99 lands on the slow tail
         assert q["p999"] >= q["p99"]
+
+    def test_quantile_is_the_samples_own_bucket_bound(self):
+        """One 20 ms request sits in (16.4, 32.8] ms; the gauges must not
+        read the next bucket's 65.5 ms."""
+        slo = SLOTracker()
+        slo.record("point", 0.020)
+        q = slo.quantiles("point")
+        assert q["p50"] == q["p99"] == q["p999"] == 0.020
+        slo.record("point", 1.0)
+        q = slo.quantiles("point")
+        assert (q["p50"], q["p99"], q["n"]) == (0.032768, 1.0, 2)
+        registry = MetricsRegistry()
+        slo.publish(registry)
+        assert series_sum(registry.export(), "slo.p50_seconds", kind="point") == 0.032768
 
     def test_burn_rate_against_budget(self):
         # p99 target: 1% budget.  5% violations => burn 5.
@@ -155,15 +169,12 @@ class TestFleetTelemetry:
         telemetry = FleetTelemetry(router, interval=5.0)
         telemetry.scrape_now()
         merged = telemetry.merged()
-        completed = sum(
-            e["value"] for e in merged["serve.requests_completed"]
-        )
-        assert completed == 30  # 10 + 20, counters sum across shards
-        ups = {e["labels"]["shard"]: e["value"]
-               for e in merged["telemetry.shard_up"]}
-        assert ups == {"0": 1.0, "1": 1.0}
-        ages = [e["value"] for e in merged["telemetry.scrape_age_seconds"]]
-        assert all(age < 5.0 for age in ages)
+        # 10 + 20, counters sum across shards
+        assert series_sum(merged, "serve.requests_completed") == 30
+        for shard in (0, 1):
+            assert series_sum(merged, "telemetry.shard_up", shard=shard) == 1.0
+            assert series_sum(merged, "telemetry.scrape_age_seconds", shard=shard) < 5.0
+        assert len(merged["telemetry.shard_up"]) == 2
 
     def test_down_shard_keeps_last_export_and_ages(self):
         down = _ScrapeStubHandle(1)
@@ -174,16 +185,15 @@ class TestFleetTelemetry:
         time.sleep(0.05)
         telemetry.scrape_now()
         merged = telemetry.merged()
-        ups = {e["labels"]["shard"]: e["value"]
-               for e in merged["telemetry.shard_up"]}
-        assert ups == {"0": 1.0, "1": 0.0}
+        assert series_sum(merged, "telemetry.shard_up", shard=0) == 1.0
+        assert series_sum(merged, "telemetry.shard_up", shard=1) == 0.0
+        assert series_sum(merged, "telemetry.scrape_failures", shard=1) == 1
         # History survives: shard 1's counters are still in the view.
-        assert sum(
-            e["value"] for e in merged["serve.requests_completed"]
-        ) == 30
-        ages = {e["labels"]["shard"]: e["value"]
-                for e in merged["telemetry.scrape_age_seconds"]}
-        assert ages["1"] > ages["0"]  # staleness grows while down
+        assert series_sum(merged, "serve.requests_completed") == 30
+        # Staleness grows while down.
+        assert series_sum(
+            merged, "telemetry.scrape_age_seconds", shard=1
+        ) > series_sum(merged, "telemetry.scrape_age_seconds", shard=0)
         overview = telemetry.overview()
         assert overview["overall"] == "degraded"
         assert overview["shards"][1]["health"] == "down"
@@ -195,7 +205,8 @@ class TestFleetTelemetry:
         overview = telemetry.overview()  # no scrape yet
         assert overview["overall"] == "down"
         merged = telemetry.merged()
-        assert merged["telemetry.shard_up"][0]["value"] == 0.0
+        assert len(merged["telemetry.shard_up"]) == 1
+        assert series_sum(merged, "telemetry.shard_up") == 0.0
 
     def test_poller_thread_refreshes_and_router_uses_cache(self):
         handle = _ScrapeStubHandle(0)
@@ -206,11 +217,7 @@ class TestFleetTelemetry:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 snap = router.stats_snapshot()
-                done = sum(
-                    e["value"]
-                    for e in snap.get("serve.requests_completed", [])
-                )
-                if done == 15:
+                if series_sum(snap, "serve.requests_completed") == 15:
                     break
                 time.sleep(0.02)
             else:
@@ -229,6 +236,72 @@ class TestFleetTelemetry:
             assert overview["shards"][0]["requests_completed"] == 10.0
         finally:
             router.close()
+
+    def test_snapshot_and_overview_share_the_one_scrape(self):
+        """With or without the poller, both router views come off the same
+        ``FleetTelemetry``: each call without a poller is one scrape of it,
+        and a shard that stops answering keeps its last export."""
+        down = _ScrapeStubHandle(1)
+        router = _stub_fleet([_ScrapeStubHandle(0), down])
+        try:
+            assert not router.telemetry.running
+            snap = router.stats_snapshot()
+            assert series_sum(snap, "telemetry.scrapes") == 2
+            assert series_sum(snap, "serve.requests_completed") == 30
+            down.down = True
+            overview = router.overview()
+            assert overview["overall"] == "degraded"
+            assert overview["shards"][1]["requests_completed"] == 20.0
+            snap = router.stats_snapshot()
+            assert series_sum(snap, "telemetry.scrapes", shard=0) == 3
+            assert series_sum(snap, "telemetry.scrape_failures", shard=1) == 2
+            assert series_sum(snap, "telemetry.shard_up", shard=1) == 0.0
+            assert series_sum(snap, "serve.requests_completed") == 30
+            router.start_telemetry(interval=0.05)
+            assert router.telemetry.running and router.telemetry.interval == 0.05
+        finally:
+            router.close()
+
+
+#: ``(name, labels)`` of a two-stub-shard ``router.stats_snapshot()`` with
+#: shard 1 gone after its first scrape and one SLO sample recorded, as the
+#: parent commit printed it with its poller running — less the parent's
+#: on-demand-only ``router.stats_unreachable`` (``telemetry.scrape_failures``
+#: says the same) and the ``router.shard_deaths`` its on-demand stats probe
+#: added.  Snapshots without a poller now carry this same set.
+ROUTER_SCHEMA = {
+    ("serve.queue_depth", ()),
+    ("serve.requests_completed", ()),
+    *((f"slo.{name}", (("kind", "point"),)) for name in (
+        "burn_rate", "p50_seconds", "p99_seconds", "p999_seconds", "window_requests",
+    )),
+    *((f"telemetry.{name}", (("shard", shard),)) for shard in "01" for name in (
+        "scrape_age_seconds", "scrapes", "shard_up",
+    )),
+    ("telemetry.scrape_failures", (("shard", "1"),)),
+}
+
+
+@pytest.mark.parametrize("config", [{}, {"telemetry_interval": 5.0}])
+def test_router_snapshot_schema_is_the_parents(config):
+    down = _ScrapeStubHandle(1)
+    router = _stub_fleet(
+        [_ScrapeStubHandle(0), down], slo_targets={"point": 0.05}, **config
+    )
+    try:
+        router.slo.record("point", 0.001)
+        router.stats_snapshot()
+        down.down = True
+        if router.telemetry.running:
+            router.telemetry.scrape_now()
+        snapshot = router.stats_snapshot()
+    finally:
+        router.close()
+    assert {
+        (name, tuple(sorted(entry["labels"].items())))
+        for name, series in snapshot.items()
+        for entry in series
+    } == ROUTER_SCHEMA
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +330,7 @@ class TestMetricsServer:
             assert 'telemetry.shard_up{shard="0"} 1' in text
             status, body = _fetch(server.url + "/metrics.json")
             assert status == 200
-            assert json.loads(body)["serve.requests_completed"][0]["value"] == 7
+            assert series_sum(json.loads(body), "serve.requests_completed") == 7
             status, body = _fetch(server.url + "/health")
             assert status == 200
             assert json.loads(body)["overall"] == "healthy"

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    histogram_stat,
+    series_sum,
+)
 from repro.obs.report import (
     build_tree,
     load_trace,
@@ -145,10 +152,27 @@ def test_histogram_stats_and_percentiles():
     assert h.count == 5
     assert h.max == 100.0
     assert h.mean == pytest.approx(108.5 / 5)
-    # Percentiles are pessimistic bucket-bound estimates (within a doubling).
-    assert h.percentile(50) == 8.0
-    assert h.percentile(99) == 256.0  # last bucket of an 8-bucket base-1 histogram
+    # Percentiles are the upper bound of the bucket the ranked sample sits
+    # in (pessimistic by at most one doubling), never above the max.
+    assert h.percentile(50) == 4.0  # 3.0 sits in (2, 4]
+    assert h.percentile(99) == 100.0  # (64, 128], capped at the largest sample
     assert Histogram().percentile(99) == 0.0  # empty histogram
+
+
+def test_histogram_percentile_reports_the_samples_own_bucket():
+    """A 20 ms latency sits in (16.4, 32.8] ms: it must not read 65.5 ms
+    (the next bucket's bound), and one sample alone reads as itself."""
+    h = Histogram()
+    h.record(0.020)
+    assert h.bucket_bounds(h.bucket_index(0.020)) == (0.016384, 0.032768)
+    assert h.percentile(50) == h.percentile(99) == 0.020
+    h.record(1.0)  # lifts the max, so the 20 ms rank reads its bucket bound
+    assert h.percentile(50) == 0.032768
+    assert h.percentile(99) == 1.0
+    # Overflow: the last bucket is open-ended, only the max bounds it.
+    tail = Histogram(base=1.0, n_buckets=3)
+    tail.record_many([1.5, 1e6])
+    assert tail.percentile(99) == 1e6
 
 
 def test_histogram_record_many_matches_the_record_loop():
@@ -254,13 +278,112 @@ def test_registry_export_formats():
     assert dump["jobs"] == [
         {"labels": {"backend": "thread"}, "kind": "counter", "value": 4.0}
     ]
-    assert dump["depth"][0]["value"] == 2.0
-    assert dump["lat"][0]["value"]["count"] == 1
+    assert series_sum(dump, "depth") == 2.0
+    assert histogram_stat(dump, "lat", "count") == 1
     text = r.export_text()
     assert 'jobs{backend="thread"} 4' in text
     assert "lat_count 1" in text
     assert "lat_buckets" not in text  # structural keys stay out of the text form
     assert json.loads(r.export_json())["depth"][0]["kind"] == "gauge"
+
+
+def test_export_readers():
+    """``series_sum`` / ``histogram_stat`` are how an export is read: an
+    absent name is 0.0, labels filter, a histogram stat spans series."""
+    r = MetricsRegistry()
+    r.counter("serve.requests_shed", reason="overloaded").inc(3)
+    r.counter("serve.requests_shed", reason="timeout").inc(2)
+    r.gauge("telemetry.shard_up", shard=0).set(1.0)
+    r.gauge("telemetry.shard_up", shard=1).set(0.0)
+    r.histogram("lat", base=1.0, n_buckets=6, kind="point").record_many([0.5, 2.0])
+    r.histogram("lat", base=1.0, n_buckets=6, kind="knn").record_many([4.0, 9.0])
+    export = json.loads(r.export_json())  # as it arrives over /metrics.json
+    assert series_sum(export, "no.such.metric") == 0.0
+    assert histogram_stat(export, "no.such.metric", "p99") == 0.0
+    assert series_sum(export, "serve.requests_shed") == 5.0
+    assert series_sum(export, "serve.requests_shed", reason="timeout") == 2.0
+    assert series_sum(export, "serve.requests_shed", reason="closed") == 0.0
+    assert series_sum(export, "telemetry.shard_up", shard=0) == 1.0  # int label
+    assert series_sum(export, "telemetry.shard_up", shard="1") == 0.0
+    assert histogram_stat(export, "lat", "count", kind="point") == 2
+    assert histogram_stat(export, "lat", "max", kind="point") == 2.0
+    # Across both series the buckets add: the stat is the union's.
+    assert histogram_stat(export, "lat", "count") == 4
+    assert histogram_stat(export, "lat", "total") == pytest.approx(15.5)
+    assert histogram_stat(export, "lat", "mean") == pytest.approx(15.5 / 4)
+    assert histogram_stat(export, "lat", "p50") == 2.0
+    assert histogram_stat(export, "lat", "p99") == 9.0
+    assert histogram_stat(export, "lat", "count", kind="window") == 0.0
+
+
+def test_one_metrics_schema():
+    """The registry export is the one stats schema, ``Histogram`` the one
+    bucket code, ``FleetTelemetry`` the one fleet scrape — checked the way
+    ``test_one_keyed_run`` checks the indices: by what the tree contains."""
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).parent
+    root = src.parent.parent
+    e2e = root / "benchmarks" / "e2e"  # frozen by BENCHMARK.json, reads the export
+
+    def python_files(*tops: Path) -> "list[Path]":
+        return [
+            path
+            for top in tops
+            for path in sorted(top.rglob("*.py"))
+            if e2e not in path.parents and path != Path(__file__)
+        ]
+
+    def sites(paths: "list[Path]", *needles: str) -> "list[str]":
+        return sorted(
+            {
+                path.relative_to(root).as_posix()
+                for path in paths
+                for line in path.read_text().splitlines()
+                if any(needle in line for needle in needles)
+            }
+        )
+
+    package = python_files(src)
+    serve = python_files(src / "serve")
+    assert sites(serve, "def snapshot", "LatencyHistogram", "_seconds_snapshot") == []
+    # One bucket implementation, one percentile, in what keeps metrics.
+    metered = python_files(src / "obs", src / "serve", src / "shard", src / "faults")
+    assert sites(metered, "/= 2.0", "np.frexp", "2.0 **") == ["src/repro/obs/metrics.py"]
+    # One module reads an export entry's value.
+    everything = python_files(src, root / "tests", root / "benchmarks")
+    assert sites(everything, '["value"]', '.get("value")') == [
+        "src/repro/obs/metrics.py"
+    ]
+    assert sites(package, "FleetTelemetry(") == ["src/repro/shard/router.py"]
+    # One load harness (benchmarks/e2e); what the others were is gone.
+    texts = [
+        *python_files(src, root / "benchmarks"),
+        *sorted((root / "docs").rglob("*.md")),
+        *sorted((root / ".github").rglob("*.yml")),
+    ]
+    assert sites(
+        texts,
+        "stats_unreachable",
+        "run_closed_loop",
+        "ServeWorkload",
+        "SamplingProfiler",
+        "profile_kernels",
+    ) == []
+    assert not (root / "benchmarks" / "profile_kernels.py").exists()
+    assert sites([src / "cli.py"], "repro.serve", "repro.shard") == []
+    # One name -> class table for the learned indices.
+    from repro.bench import experiments
+    from repro.indices import LEARNED_INDICES
+    from repro.storage import persist
+
+    assert sorted(LEARNED_INDICES) == ["Flood", "LISA", "ML", "RSMI", "ZM"]
+    assert persist.LEARNED_INDICES is LEARNED_INDICES
+    assert experiments.LEARNED_INDICES is LEARNED_INDICES
+    assert set(experiments.PAPER_INDICES) == set(LEARNED_INDICES) - {"Flood"}
+    assert sites(package, '"ZM":', "ZMIndex, MLIndex") == ["src/repro/indices/__init__.py"]
 
 
 def test_registry_merge_sums_counters_and_adds_histogram_buckets():
@@ -281,7 +404,7 @@ def test_registry_merge_sums_counters_and_adds_histogram_buckets():
     np.testing.assert_array_equal(merged.counts, [1, 1, 1, 0, 1, 0])
     # The merged p99 is computed over the union of samples — the thing
     # per-server summary snapshots could never provide.
-    assert merged.percentile(99) == 32.0
+    assert merged.percentile(99) == 9.0  # (8, 16], capped at the max
 
 
 def test_registry_merge_gauges_keep_newest_stamp():

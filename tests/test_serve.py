@@ -15,26 +15,22 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.core.update_processor import UpdateProcessor
 from repro.faults import get_fault_registry
 from repro.indices import ZMIndex
+from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve import (
     DEGRADED,
     HEALTHY,
     READ_ONLY,
     IndexServer,
-    LatencyHistogram,
     RebuildFailed,
     Reply,
     RequestTimeout,
     ServeConfig,
-    ServeWorkload,
     ServerClosed,
     ServerOverloaded,
     ServerReadOnly,
     SnapshotManager,
-    run_baseline,
-    run_closed_loop,
 )
 from repro.spatial.rect import Rect
 from tests.brute import point_truth
@@ -85,13 +81,15 @@ class TestBasicServing:
         with _server(built_index) as server:
             for p in osm_points[:40]:
                 server.point_query(p)
-            snap = server.stats.snapshot()
-        assert snap["submitted"]["point"] == 40
-        assert snap["completed"] == 40
-        assert snap["errors"] == 0
-        assert snap["batches"] >= 1
-        assert snap["latency"]["count"] == 40
-        assert snap["latency"]["p99_seconds"] >= snap["latency"]["p50_seconds"]
+            snap = server.stats_snapshot()
+        assert series_sum(snap, "serve.requests_submitted", kind="point") == 40
+        assert series_sum(snap, "serve.requests_completed") == 40
+        assert series_sum(snap, "serve.request_errors") == 0
+        assert series_sum(snap, "serve.batches") == server.stats.batches >= 1
+        assert series_sum(snap, "serve.batched_requests") == 40
+        latency = "serve.request_latency_seconds"
+        assert histogram_stat(snap, latency, "count") == 40
+        assert histogram_stat(snap, latency, "p99") >= histogram_stat(snap, latency, "p50")
 
     def test_window_micro_batch_matches_direct(self, built_index, osm_points):
         rng = np.random.default_rng(3)
@@ -117,15 +115,15 @@ class TestBasicServing:
         ]
         assert dump["serve.batches"][0]["kind"] == "counter"
         assert dump["serve.request_latency_seconds"][0]["kind"] == "histogram"
-        assert dump["serve.request_latency_seconds"][0]["value"]["count"] == 10
+        assert histogram_stat(dump, "serve.request_latency_seconds", "count") == 10
         # Serving-health gauges are exported alongside the counters.
-        assert dump["serve.generation_age_seconds"][0]["value"] >= 0.0
+        assert series_sum(dump, "serve.generation_age_seconds") >= 0.0
         assert "serve.rebuild_journal_depth" in dump
 
     def test_stats_export_text(self, built_index, osm_points):
         with _server(built_index) as server:
             server.point_query(osm_points[0])
-            text = server.stats.export_text()
+            text = server.stats.registry.export_text()
         assert 'serve.requests_submitted{kind="point"} 1' in text
         assert "serve.request_latency_seconds_count 1" in text
 
@@ -137,10 +135,10 @@ class TestBasicServing:
         with _server(built_index) as server:
             for i in range(1, 301):
                 server.point_query(osm_points[i % len(osm_points)])
-                snap = server.stats.snapshot()
-                assert snap["completed"] == i
-                assert snap["latency"]["count"] == i
-                assert snap["queue_wait"]["count"] == i
+                snap = server.stats.registry.export()
+                assert series_sum(snap, "serve.requests_completed") == i
+                assert histogram_stat(snap, "serve.request_latency_seconds", "count") == i
+                assert histogram_stat(snap, "serve.queue_wait_seconds", "count") == i
 
     def test_malformed_request_is_refused_at_the_door(self, built_index, osm_points):
         """One malformed request must not poison its micro-batch: it raises
@@ -166,9 +164,12 @@ class TestBasicServing:
                 with pytest.raises(ValueError):
                     bad()
             assert server.submit_window_batch([]).wait(20) == []
-            snap = server.stats.snapshot()
-        assert snap["submitted"] == {"point": 10, "window_batch": 1}
-        assert snap["completed"] == 11 and snap["errors"] == 0
+            snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.requests_submitted") == 11
+        assert series_sum(snap, "serve.requests_submitted", kind="point") == 10
+        assert series_sum(snap, "serve.requests_submitted", kind="window_batch") == 1
+        assert series_sum(snap, "serve.requests_completed") == 11
+        assert series_sum(snap, "serve.request_errors") == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -210,8 +211,9 @@ class TestUpdates:
             # Every inserted point survives the rebuild.
             for p in extra:
                 assert server.point_query(p)
-        assert server.stats.rebuilds == 1
-        assert server.stats.generation_swaps == 1
+        snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.rebuilds") == 1
+        assert series_sum(snap, "serve.generation_swaps") == 1
 
     def test_rebuild_keeps_constructor_parameters(self, osm_points):
         """The server's default rebuild target is the served index's
@@ -559,13 +561,14 @@ class TestAdmissionStress:
             except ServerClosed:
                 rejected += 1
         assert answered > 0
-        snap = server.stats.snapshot()
+        snap = server.stats.registry.export()
         # An overloaded submission is shed before it counts as submitted.
-        assert snap["submitted"]["point"] == len(accepted)
-        assert snap["completed"] == answered and snap["errors"] == 0
-        assert snap["shed"].get("closed", 0) == rejected
-        assert snap["shed"].get("overloaded", 0) == overloaded
-        assert len(accepted) == snap["completed"] + snap["errors"] + rejected
+        assert series_sum(snap, "serve.requests_submitted", kind="point") == len(accepted)
+        assert series_sum(snap, "serve.requests_completed") == answered
+        assert series_sum(snap, "serve.request_errors") == 0
+        assert series_sum(snap, "serve.requests_shed", reason="closed") == rejected
+        assert series_sum(snap, "serve.requests_shed", reason="overloaded") == overloaded
+        assert len(accepted) == answered + rejected
 
 
 class TestAdmissionControl:
@@ -588,9 +591,11 @@ class TestAdmissionControl:
             # Everything that *was* admitted still completes.
             for reply in accepted:
                 reply.wait(20)
-            assert server.stats.shed["overloaded"] >= 1
-        snap = server.stats.snapshot()
-        assert snap["shed"]["overloaded"] >= 1
+        snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.requests_shed", reason="overloaded") >= 1
+        assert series_sum(snap, "serve.requests_shed") == series_sum(
+            snap, "serve.requests_shed", reason="overloaded"
+        )
 
     def test_aged_requests_shed_with_timeout(self, built_index, osm_points):
         config = ServeConfig(
@@ -606,7 +611,8 @@ class TestAdmissionControl:
             assert fresh.wait(20) is True
             with pytest.raises(RequestTimeout):
                 stale.wait(20)
-            assert server.stats.shed["timeout"] >= 1
+            snap = server.stats.registry.export()
+            assert series_sum(snap, "serve.requests_shed", reason="timeout") >= 1
 
     def test_bad_admission_config_rejected(self):
         with pytest.raises(ValueError):
@@ -652,8 +658,10 @@ class TestFaultTolerance:
         server.rebuild_now()
         assert server.generation == 1
         assert server.health == HEALTHY
-        assert server.stats.retries == {"rebuild": 1}
-        assert server.stats.rebuild_failures == 1
+        snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.retries") == 1
+        assert series_sum(snap, "serve.retries", op="rebuild") == 1
+        assert series_sum(snap, "serve.rebuild_failures") == 1
         assert server.last_rebuild_error is None
         server.close()
 
@@ -695,7 +703,7 @@ class TestFaultTolerance:
         server.rebuild_now()
         assert server.generation == 1  # the rebuild itself landed
         assert server.health == DEGRADED
-        assert server.stats.snapshot_failures >= 1
+        assert series_sum(server.stats.registry.export(), "serve.snapshot_failures") >= 1
         assert server.snapshots.generations() == generations_before
         server.insert(np.array([0.6, 0.6]))  # degraded still accepts writes
         server.close()
@@ -845,41 +853,73 @@ class TestSnapshotHardening:
         assert removed == []
 
 
-class TestDriver:
-    def test_closed_loop_serves_everything(self, built_index, osm_points):
-        workload = ServeWorkload.mixed(osm_points, 300, seed=1)
-        with _server(built_index) as server:
-            result = run_closed_loop(server, workload, clients=4, pipeline=16)
-        assert result.errors == 0
-        assert result.n_requests == 300
-        assert result.stats["completed"] == 300
-        assert result.throughput > 0
-
-    def test_baseline_runs_same_workload(self, built_index, osm_points):
-        workload = ServeWorkload.points_only(osm_points[:100])
-        processor = UpdateProcessor(built_index, ELSIConfig())
-        result = run_baseline(processor, workload)
-        assert result.n_requests == 100
-        assert result.throughput > 0
-
-    def test_mixed_workload_composition(self, osm_points):
-        workload = ServeWorkload.mixed(
-            osm_points, 200, point_fraction=0.5, knn_fraction=0.25, seed=3
+#: ``(name, labels)`` of ``IndexServer.stats_snapshot()`` after the scripted
+#: session below, as the parent commit (the last one with
+#: ``ServerStats.snapshot()`` beside it) printed them.
+SERVER_SCHEMA = {
+    ("faults.triggered", (("kind", "delay"), ("site", "serve.dispatch"))),
+    ("serve.requests_shed", (("reason", "overloaded"),)),
+    ("serve.requests_submitted", (("kind", "point"),)),
+    ("serve.requests_submitted", (("kind", "window"),)),
+    ("serve.updates", (("op", "delete"),)),
+    ("serve.updates", (("op", "insert"),)),
+    *(
+        (f"serve.{name}", ())
+        for name in (
+            "batched_requests", "batches", "generation_age_seconds",
+            "generation_swaps", "health_state", "max_batch_size", "queue_depth",
+            "queue_wait_seconds", "rebuild_failures", "rebuild_journal_depth",
+            "rebuild_seconds", "rebuilds", "request_errors",
+            "request_latency_seconds", "requests_completed", "service_seconds",
+            "snapshot_failures", "snapshots_saved", "swap_seconds",
+            "wal_appends", "wal_depth",
         )
-        kinds = set(workload.kinds)
-        assert kinds == {"point", "knn", "window"}
+    ),
+}
 
 
-class TestLatencyHistogram:
-    def test_percentiles_bracket_samples(self):
-        hist = LatencyHistogram()
-        hist.record_many([1e-5] * 90 + [1e-2] * 10)
-        assert hist.count == 100
-        assert hist.percentile(50) <= 1e-4
-        assert hist.percentile(99) >= 1e-2 / 2
-        assert hist.max == 1e-2
+def test_server_snapshot_schema_is_the_parents(small_server_parts, osm_points):
+    """32 point requests, one window, one insert, one rebuild, one shed:
+    the export names and label sets are what they were before the
+    ``ServerStats`` views went, and the counts are the session's."""
+    from repro.obs.metrics import get_registry
 
-    def test_empty(self):
-        hist = LatencyHistogram()
-        assert hist.percentile(99) == 0.0
-        assert hist.mean == 0.0
+    index, config, factory = small_server_parts
+    get_registry().clear()  # the snapshot merges the process-wide registry
+    server = IndexServer(
+        index,
+        ServeConfig(
+            max_batch_size=4, max_wait_seconds=0.0, max_queue_depth=4,
+            auto_rebuild=False,
+        ),
+        elsi_config=config,
+        index_factory=factory,
+    )
+    with server:
+        for p in osm_points[:32]:
+            assert server.point_query(p)
+        server.window_query(Rect.centered(np.array([0.5, 0.5]), 0.1))
+        server.insert(np.array([0.123, 0.456]))
+        server.rebuild_now()
+        get_fault_registry().arm("serve.dispatch", kind="delay", delay_seconds=0.3)
+        accepted = [server.submit_point(osm_points[0])]
+        time.sleep(0.05)
+        with pytest.raises(ServerOverloaded):
+            for p in osm_points[1:32]:
+                accepted.append(server.submit_point(p))
+        get_fault_registry().reset()
+        for reply in accepted:
+            reply.wait(20)
+        snapshot = server.stats_snapshot()
+    assert {
+        (name, tuple(sorted(entry["labels"].items())))
+        for name, series in snapshot.items()
+        for entry in series
+    } == SERVER_SCHEMA
+    assert series_sum(snapshot, "serve.requests_submitted") == 33 + len(accepted)
+    assert series_sum(snapshot, "serve.requests_completed") == 33 + len(accepted)
+    assert series_sum(snapshot, "serve.requests_submitted", kind="window") == 1
+    assert series_sum(snapshot, "serve.updates", op="insert") == 1
+    assert series_sum(snapshot, "serve.rebuilds") == 1
+    assert series_sum(snapshot, "serve.requests_shed") == 1
+    assert histogram_stat(snapshot, "serve.swap_seconds", "count") == 1

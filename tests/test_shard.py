@@ -24,6 +24,7 @@ from repro.core.update_processor import UpdateProcessor
 from repro.faults.chaos import make_schedule, _apply_op, _canon
 from repro.faults.registry import InjectedFault
 from repro.indices import ZMIndex
+from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve import ServerOverloaded, ServerReadOnly
 from repro.shard import (
     RouterConfig,
@@ -40,6 +41,7 @@ from repro.shard import (
 from repro.shard.worker import PackedRows
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
+from tests.brute import point_truth
 
 _ELSI = {"train_epochs": 40, "seed": 0}
 _SERVE = {"max_wait_seconds": 0.0}
@@ -282,7 +284,7 @@ class TestRouterFailureHandling:
         assert hits.all()
         assert handle.requests.count("point_batch") == 3
         export = router.registry.export()
-        assert sum(e["value"] for e in export["router.retries"]) == 2
+        assert series_sum(export, "router.retries", reason="overloaded") == 2
 
     def test_overloaded_beyond_budget_raises(self):
         handle = _StubHandle(0, fail=[ServerOverloaded("full")] * 9)
@@ -332,7 +334,7 @@ class TestRouterFailureHandling:
         assert router.point_queries(np.zeros((2, 2))).all()
         assert handle.respawns == 1
         export = router.registry.export()
-        assert sum(e["value"] for e in export["router.shard_timeouts"]) == 1
+        assert series_sum(export, "router.shard_timeouts", shard=0) == 1
 
     def test_timeout_on_update_surfaces_without_resend(self):
         handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
@@ -355,9 +357,8 @@ class TestRouterFailureHandling:
         assert health["overall"] == "down"
         handle._alive = True  # wedged again for the stats probe
         stats = router.stats_snapshot()
-        assert sum(
-            e["value"] for e in stats["router.stats_unreachable"]
-        ) == 1
+        assert series_sum(stats, "telemetry.scrape_failures", shard=0) == 1
+        assert series_sum(stats, "telemetry.shard_up", shard=0) == 0.0
 
     def test_apply_updates_rejects_timed_out_then_recovers(self):
         handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
@@ -569,16 +570,16 @@ class TestClusterParity:
         assert len(health["shards"]) == 3
         stats = cluster.stats_snapshot()
         # Counters from all three workers summed into one series.
-        completed = sum(e["value"] for e in stats["serve.requests_completed"])
+        completed = series_sum(stats, "serve.requests_completed")
         assert completed > 0
         # Histograms merged with buckets, so a fleet p99 exists.
-        (latency,) = (
-            e
-            for e in stats["serve.request_latency_seconds"]
-            if not e["labels"]
+        latency = "serve.request_latency_seconds"
+        assert histogram_stat(stats, latency, "count") == completed
+        assert 0.0 < histogram_stat(stats, latency, "p99") <= histogram_stat(
+            stats, latency, "max"
         )
-        assert latency["value"]["count"] > 0
-        assert sum(latency["value"]["buckets"]) == latency["value"]["count"]
+        for shard in range(3):
+            assert series_sum(stats, "telemetry.shard_up", shard=shard) == 1.0
         # Router-side counters ride along in the same view.
         assert "router.queries" in stats
 
@@ -756,7 +757,7 @@ class TestWedgedWorkerRecovery:
             assert handle.alive()
             assert handle._proc.pid != old_pid
             export = router.registry.export()
-            assert sum(e["value"] for e in export["router.respawns"]) == 1
+            assert series_sum(export, "router.respawns") == 1
 
 
 # ----------------------------------------------------------------------
@@ -789,12 +790,7 @@ class TestEnvPropagation:
             # times=1: the armed fault fired once and disarmed itself.
             assert router.point_queries(osm_points[:4]).all()
             stats = router.stats_snapshot()
-            fired = sum(
-                e["value"]
-                for e in stats.get("faults.triggered", [])
-                if e["labels"].get("site") == "index.query"
-            )
-            assert fired == 1
+            assert series_sum(stats, "faults.triggered", site="index.query") == 1
 
 
 # ----------------------------------------------------------------------
@@ -838,7 +834,7 @@ class TestKillOneShardMidStream:
             assert acked == len(schedule)
             # Shard 0 was respawned from snapshots + WAL along the way.
             export = router.registry.export()
-            assert sum(e["value"] for e in export["router.respawns"]) >= 1
+            assert series_sum(export, "router.respawns") >= 1
             # Zero acknowledged loss: the fleet's state is exactly
             # base + every acknowledged op.
             everything = router.window_queries([Rect.unit()])[0]
@@ -856,3 +852,40 @@ class TestKillOneShardMidStream:
         with reopened:
             everything = reopened.window_queries([Rect.unit()])[0]
             np.testing.assert_array_equal(_canon(everything), _canon(live))
+
+
+# ----------------------------------------------------------------------
+# Index kinds: every persistable learned index serves behind the router
+# ----------------------------------------------------------------------
+class TestIndexKinds:
+    def test_rsmi_cluster_matches_brute_force_and_keeps_inserts(
+        self, osm_points, tmp_path
+    ):
+        base = osm_points[:600]
+        rng = np.random.default_rng(21)
+        inserts = rng.random((12, 2))
+        probes = np.vstack([base[:150], rng.random((50, 2)) + 2.0, inserts])
+        with build_cluster(
+            base, tmp_path, n_shards=2, index="RSMI", elsi=_ELSI, serve=_SERVE
+        ) as router:
+            np.testing.assert_array_equal(
+                router.point_queries(probes), point_truth(base, probes)
+            )
+            for p in inserts:
+                router.insert(p)
+            live = np.vstack([base, inserts])
+            np.testing.assert_array_equal(
+                router.point_queries(probes), point_truth(live, probes)
+            )
+        with open_cluster(tmp_path) as reopened:
+            np.testing.assert_array_equal(
+                reopened.point_queries(probes), point_truth(live, probes)
+            )
+
+    def test_unknown_index_refused_before_anything_is_written(
+        self, osm_points, tmp_path
+    ):
+        target = tmp_path / "cluster"
+        with pytest.raises(ValueError, match="Flood, LISA, ML, RSMI, ZM"):
+            build_cluster(osm_points[:100], target, n_shards=2, index="RTree")
+        assert not target.exists()

@@ -198,9 +198,10 @@ class TestSplitZRanges:
     def test_intervals_cover_the_rect_in_ascending_disjoint_order(self, rect):
         lo, hi, bits = rect
         d = len(lo)
-        cells = np.array(
-            list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-        )
+        # Python ints: ``hi + 1`` overflows int64 at the far corner of a
+        # 63-bit axis and the range came out empty.
+        axes = (range(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist()))
+        cells = np.array(list(itertools.product(*axes)))
         cell_codes = morton_encode(cells, bits=bits)
         # Split every interval that still spans more than one code, in
         # place (low half first), for a few rounds.
