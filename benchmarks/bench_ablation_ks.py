@@ -8,34 +8,28 @@ and the performance claim, and locates the regime where it holds.
 
 import numpy as np
 
-from repro.bench.harness import format_table, time_call
+from repro.bench.harness import format_table, timed
 from repro.spatial.cdf import ks_distance, ks_distance_reference
 
 
-def test_ablation_ks_distance(ctx, benchmark):
+def test_ablation_ks_distance(ctx):
     rng = np.random.default_rng(0)
     n = max(ctx.scale.n * 10, 100_000)
     large = np.sort(rng.random(n))
 
-    def run():
-        rows = []
-        for n_s in (100, 1_000, 10_000, n // 2):
-            small = np.sort(rng.random(n_s))
-            fast, fast_seconds = time_call(
-                lambda: ks_distance(small, large, assume_sorted=True)
-            )
-            ref, ref_seconds = time_call(lambda: ks_distance_reference(small, large))
-            rows.append(
-                {
-                    "n_s": n_s,
-                    "fast_us": fast_seconds * 1e6,
-                    "reference_us": ref_seconds * 1e6,
-                    "agree": abs(fast - ref) < 1e-12,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for n_s in (100, 1_000, 10_000, n // 2):
+        small = np.sort(rng.random(n_s))
+        fast, fast_seconds = timed(lambda: ks_distance(small, large, assume_sorted=True))
+        ref, ref_seconds = timed(lambda: ks_distance_reference(small, large))
+        rows.append(
+            {
+                "n_s": n_s,
+                "fast_us": fast_seconds * 1e6,
+                "reference_us": ref_seconds * 1e6,
+                "agree": abs(fast - ref) < 1e-12,
+            }
+        )
 
     print()
     print(format_table(

@@ -6,35 +6,31 @@ models localise the bounds.  This benchmark quantifies the scan-cost /
 build-time trade-off that justified the repo's default of branching = 8.
 """
 
-from repro.bench.harness import format_table, time_call
+from repro.bench.harness import format_table, timed
 from repro.core import ELSIModelBuilder
 from repro.indices import ZMIndex
 
 
-def test_ablation_rmi_branching(ctx, benchmark):
+def test_ablation_rmi_branching(ctx):
     points = ctx.dataset("OSM1")
     sample = points[:: max(1, len(points) // ctx.scale.n_point_queries)]
 
-    def run():
-        rows = []
-        for branching in (1, 2, 4, 8, 16):
-            builder = ELSIModelBuilder(ctx.config, method="SP")
-            index = ZMIndex(builder=builder, branching=branching)
-            _, build_seconds = time_call(index.build, points)
-            index.query_stats.reset()
-            for p in sample:
-                index.point_query(p)
-            rows.append(
-                {
-                    "branching": branching,
-                    "build_seconds": build_seconds,
-                    "models": index.build_stats.n_models,
-                    "avg_scan": index.query_stats.points_scanned / len(sample),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for branching in (1, 2, 4, 8, 16):
+        builder = ELSIModelBuilder(ctx.config, method="SP")
+        index = ZMIndex(builder=builder, branching=branching)
+        _, build_seconds = timed(lambda: index.build(points))
+        index.query_stats.reset()
+        for p in sample:
+            index.point_query(p)
+        rows.append(
+            {
+                "branching": branching,
+                "build_seconds": build_seconds,
+                "models": index.build_stats.n_models,
+                "avg_scan": index.query_stats.points_scanned / len(sample),
+            }
+        )
 
     print()
     print(format_table(

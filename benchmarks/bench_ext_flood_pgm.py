@@ -12,40 +12,34 @@
 
 import numpy as np
 
-from repro.bench.harness import format_table, time_call
+from repro.bench.harness import format_table, timed
 from repro.core import ELSIModelBuilder
 from repro.indices import FloodIndex, PGMBuilder, ZMIndex
 from repro.queries.evaluate import brute_force_window, window_recall
 from repro.queries.workload import window_workload
 
 
-def test_ext_flood_with_elsi(ctx, benchmark):
+def test_ext_flood_with_elsi(ctx):
     points = ctx.dataset("OSM1")
     queries = window_workload(points, ctx.scale.n_window_queries, 1e-3, seed=ctx.seed)
 
-    def run():
-        rows = []
-        for label, method in (("Flood (OG)", "OG"), ("Flood-F (SP)", "SP"), ("Flood-F (RS)", "RS")):
-            builder = ELSIModelBuilder(ctx.config, method=method)
-            index = FloodIndex.tune(
-                points, [q.window for q in queries[:20]], builder=builder
-            )
-            _, build_seconds = time_call(index.build, points)
-            recalls = [
-                window_recall(q.run(index), brute_force_window(points, q.window))
-                for q in queries[:30]
-            ]
-            rows.append(
-                {
-                    "label": label,
-                    "columns": index.n_columns,
-                    "build_seconds": build_seconds,
-                    "recall": float(np.mean(recalls)),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for label, method in (("Flood (OG)", "OG"), ("Flood-F (SP)", "SP"), ("Flood-F (RS)", "RS")):
+        builder = ELSIModelBuilder(ctx.config, method=method)
+        index = FloodIndex.tune(points, [q.window for q in queries[:20]], builder=builder)
+        _, build_seconds = timed(lambda: index.build(points))
+        recalls = [
+            window_recall(q.run(index), brute_force_window(points, q.window))
+            for q in queries[:30]
+        ]
+        rows.append(
+            {
+                "label": label,
+                "columns": index.n_columns,
+                "build_seconds": build_seconds,
+                "recall": float(np.mean(recalls)),
+            }
+        )
     print()
     print(format_table(
         ["config", "columns", "build (s)", "window recall"],
@@ -58,35 +52,31 @@ def test_ext_flood_with_elsi(ctx, benchmark):
         assert r["recall"] == 1.0  # Flood windows are exact
 
 
-def test_ext_pgm_bounds(ctx, benchmark):
+def test_ext_pgm_bounds(ctx):
     points = ctx.dataset("OSM1")
     sample = points[:: max(1, len(points) // ctx.scale.n_point_queries)]
 
-    def run():
-        rows = []
-        configs = [
-            ("FFN (empirical)", ELSIModelBuilder(ctx.config, method="OG")),
-            ("PGM eps=64", PGMBuilder(epsilon_positions=64)),
-            ("PGM eps=16", PGMBuilder(epsilon_positions=16)),
-        ]
-        for label, builder in configs:
-            index = ZMIndex(builder=builder)
-            _, build_seconds = time_call(index.build, points)
-            index.query_stats.reset()
-            hits = sum(index.point_query(p) for p in sample)
-            rows.append(
-                {
-                    "label": label,
-                    "build_seconds": build_seconds,
-                    "error_width": index.error_width,
-                    "avg_scan": index.query_stats.points_scanned / len(sample),
-                    "hits": hits,
-                    "n_queries": len(sample),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    configs = [
+        ("FFN (empirical)", ELSIModelBuilder(ctx.config, method="OG")),
+        ("PGM eps=64", PGMBuilder(epsilon_positions=64)),
+        ("PGM eps=16", PGMBuilder(epsilon_positions=16)),
+    ]
+    for label, builder in configs:
+        index = ZMIndex(builder=builder)
+        _, build_seconds = timed(lambda: index.build(points))
+        index.query_stats.reset()
+        hits = sum(index.point_query(p) for p in sample)
+        rows.append(
+            {
+                "label": label,
+                "build_seconds": build_seconds,
+                "error_width": index.error_width,
+                "avg_scan": index.query_stats.points_scanned / len(sample),
+                "hits": hits,
+                "n_queries": len(sample),
+            }
+        )
     print()
     print(format_table(
         ["model", "build (s)", "|Error|", "avg scan", "found"],

@@ -1,15 +1,5 @@
-"""Shared benchmark fixtures.
-
-One :class:`~repro.bench.experiments.Context` per session: the method
-selector and MR pool are prepared once (the paper's off-line one-off
-preparation) and shared by every table/figure benchmark.
-
-Scale is controlled by the ``REPRO_SCALE`` environment variable
-(``smoke`` [default] / ``default`` / ``large``); see
-:class:`repro.bench.harness.ExperimentScale`.
-"""
-
-from __future__ import annotations
+"""The ``ctx`` fixture of the ablation / extension scripts (their scale is
+``REPRO_SCALE``: ``smoke`` [default] / ``default`` / ``large``)."""
 
 import pytest
 
@@ -20,10 +10,3 @@ from repro.bench.harness import ExperimentScale
 @pytest.fixture(scope="session")
 def ctx() -> Context:
     return Context(ExperimentScale.from_env())
-
-
-def pytest_configure(config):
-    # Benchmarks are one-shot experiment drivers; calibration reruns would
-    # multiply minutes-long experiments.
-    config.option.benchmark_min_rounds = 1
-    config.option.benchmark_warmup = False

@@ -1,9 +1,10 @@
-"""Experiment infrastructure: scales, timing and paper-style tables.
+"""Experiment infrastructure: scales, the timing rule and text tables.
 
 The paper's experiments run on 10^8-point data sets; this harness scales
 every experiment through an :class:`ExperimentScale`, selectable with the
 ``REPRO_SCALE`` environment variable (``smoke`` / ``default`` / ``large``)
 so CI smoke runs and fuller reproductions share one code path.
+:func:`timed` is the one timing rule of the experiment grid.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 __all__ = [
     "ExperimentScale",
     "format_table",
-    "measure_query_seconds",
-    "time_call",
+    "timed",
 ]
 
 
@@ -36,6 +36,10 @@ class ExperimentScale:
         The (10^l..10^u) × dist grid for scorer training (Section VII-B2).
     train_epochs:
         FFN epochs for index models (the paper: 500).
+    seeds:
+        One full pass over the experiment grid per seed; a seed fixes the
+        generated data, the workloads, model initialisation and the
+        selector's training grid.
     """
 
     name: str
@@ -48,6 +52,7 @@ class ExperimentScale:
     selector_deltas: tuple[float, ...]
     train_epochs: int
     rl_steps: int
+    seeds: tuple[int, ...] = (0,)
 
     @staticmethod
     def smoke() -> "ExperimentScale":
@@ -79,6 +84,7 @@ class ExperimentScale:
             selector_deltas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
             train_epochs=300,
             rl_steps=150,
+            seeds=(0, 1, 2),
         )
 
     @staticmethod
@@ -95,37 +101,34 @@ class ExperimentScale:
             selector_deltas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
             train_epochs=500,
             rl_steps=300,
+            seeds=(0, 1, 2),
         )
 
     @staticmethod
     def from_env(default: str = "smoke") -> "ExperimentScale":
         """Scale selected by the ``REPRO_SCALE`` environment variable."""
         name = os.environ.get("REPRO_SCALE", default).lower()
-        presets = {
-            "smoke": ExperimentScale.smoke,
-            "default": ExperimentScale.default,
-            "large": ExperimentScale.large,
-        }
-        if name not in presets:
-            raise ValueError(f"REPRO_SCALE must be one of {sorted(presets)}, got {name!r}")
-        return presets[name]()
+        if name not in ("smoke", "default", "large"):
+            raise ValueError(f"REPRO_SCALE must be smoke, default or large, got {name!r}")
+        return getattr(ExperimentScale, name)()
 
 
-def time_call(fn, *args, **kwargs):
-    """(result, elapsed_seconds) of one call."""
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
+def timed(fn, warmup: bool = False, repeats: int = 1):
+    """(result of the last call, median seconds of ``repeats`` calls).
 
-
-def measure_query_seconds(index, queries) -> float:
-    """Average seconds per query over a workload list."""
-    if not queries:
-        raise ValueError("need at least one query")
-    started = time.perf_counter()
-    for query in queries:
-        query.run(index)
-    return (time.perf_counter() - started) / len(queries)
+    With ``warmup`` one untimed call goes first, so lazy set-up (fused
+    engine construction, first-call imports) is not charged to the
+    measurement: the rule for every query timing.  A build is a single
+    cold call.
+    """
+    if warmup:
+        fn()
+    seconds = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - started)
+    return result, float(np.median(seconds))
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "") -> str:

@@ -12,8 +12,11 @@ Commands
     Run the fault-injection chaos scenarios (process kill + recovery,
     torn snapshot, rebuild-crash-retry) and assert zero
     acknowledged-update loss (see docs/serving.md).
-``experiments``
-    List the per-table/figure experiment drivers and how to run them.
+``experiments run``
+    Run the paper's evaluation grid (Section VII) into a resumable rows
+    file, print every table and check the paper's shapes.
+``experiments report``
+    Render EXPERIMENTS.md from a rows file.
 ``obs report``
     Render a ``REPRO_TRACE`` JSON-lines trace: per-phase cost breakdown
     plus the nested span tree (see docs/observability.md).
@@ -35,7 +38,8 @@ import time
 
 import numpy as np
 
-from repro.baselines import GridIndex, HRRIndex, KDBIndex, RStarIndex
+from repro.bench.experiments import ALL_METHODS as _METHODS
+from repro.bench.experiments import TRADITIONAL_INDICES as _TRADITIONAL
 from repro.bench.harness import format_table
 from repro.core import ELSIConfig, ELSIModelBuilder
 from repro.data import DATASETS, load_dataset
@@ -46,14 +50,6 @@ from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 
 __all__ = ["main"]
-
-_TRADITIONAL = {
-    "Grid": GridIndex,
-    "KDB": KDBIndex,
-    "HRR": HRRIndex,
-    "RR*": RStarIndex,
-}
-_METHODS = ("SP", "RSP", "CL", "MR", "RS", "RL", "OG")
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -322,27 +318,40 @@ def _cmd_obs_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiments(_args: argparse.Namespace) -> int:
-    rows = [
-        ["Fig. 6", "selector accuracy vs lambda", "benchmarks/bench_fig06_selector.py"],
-        ["Fig. 7", "method Pareto fronts", "benchmarks/bench_fig07_pareto.py"],
-        ["Table I", "cost decomposition", "benchmarks/bench_table1_costs.py"],
-        ["Table II", "ELSI vs Rand ablation", "benchmarks/bench_table2_ablation.py"],
-        ["Fig. 8", "build time vs distribution", "benchmarks/bench_fig08_build.py"],
-        ["Fig. 9", "build time vs lambda", "benchmarks/bench_fig09_build_lambda.py"],
-        ["Fig. 10", "point query vs distribution", "benchmarks/bench_fig10_point.py"],
-        ["Fig. 11", "point query vs lambda", "benchmarks/bench_fig11_point_lambda.py"],
-        ["Fig. 12", "window query + recall", "benchmarks/bench_fig12_window.py"],
-        ["Fig. 13", "window sweeps", "benchmarks/bench_fig13_window_sweeps.py"],
-        ["Fig. 14", "kNN + recall", "benchmarks/bench_fig14_knn.py"],
-        ["Fig. 15", "insertions", "benchmarks/bench_fig15_updates.py"],
-        ["Fig. 16", "windows after insertions", "benchmarks/bench_fig16_window_updates.py"],
-        ["(extra)", "KS / RMI ablations", "benchmarks/bench_ablation_*.py"],
-        ["(extra)", "Flood + PGM extensions", "benchmarks/bench_ext_flood_pgm.py"],
-    ]
-    print(format_table(["artefact", "content", "benchmark"], rows,
-                       title="Paper experiments (run: pytest <file> --benchmark-only -s)"))
-    print("\nScale with REPRO_SCALE=smoke|default|large (see repro.bench.harness).")
+def _cmd_experiments_run(args: argparse.Namespace) -> int:
+    from repro.bench.experiments import failed_rows, row_key, run_grid
+    from repro.bench.harness import ExperimentScale
+    from repro.bench.views import by_seed, shape_failures, tables
+
+    scale = ExperimentScale.from_env()
+    path = args.rows or f"experiments-{scale.name}.jsonl"
+    print(f"scale {scale.name} (n={scale.n:,}, seeds {scale.seeds}) -> {path}")
+    rows = run_grid(scale, path, log=print)
+    data = by_seed(rows)
+    for table in tables(data).values():
+        print("\n" + table.text())
+    failed = failed_rows(rows)
+    for row in failed:
+        print(f"\nFAILED {row_key(row)}:\n{row['error']}", file=sys.stderr)
+    if failed:
+        return 1
+    failures = shape_failures(data)
+    for failure in failures:
+        print(f"SHAPE {failure}", file=sys.stderr)
+    print(f"\n{sum(map(len, data.values()))} cells, {len(failures)} shape checks failed")
+    return 1 if failures else 0
+
+
+def _cmd_experiments_report(args: argparse.Namespace) -> int:
+    from repro.bench.experiments import load_rows
+    from repro.bench.harness import ExperimentScale
+    from repro.bench.views import render_report
+
+    rows = load_rows(args.rows or f"experiments-{ExperimentScale.from_env().name}.jsonl")
+    if not rows:
+        print("no rows: run `python -m repro experiments run` first", file=sys.stderr)
+        return 1
+    sys.stdout.write(render_report(rows))
     return 0
 
 
@@ -434,8 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="heaviest paths to print to the terminal")
     p.set_defaults(func=_cmd_obs_flame)
 
-    p = sub.add_parser("experiments", help="list the paper's experiments")
-    p.set_defaults(func=_cmd_experiments)
+    p = sub.add_parser("experiments", help="the paper's evaluation (Section VII)")
+    exp_sub = p.add_subparsers(dest="experiments_command", required=True)
+    for name, func, text in (
+        ("run", _cmd_experiments_run, "run the cell grid (resumes a partial rows file)"),
+        ("report", _cmd_experiments_report, "render EXPERIMENTS.md from a rows file"),
+    ):
+        p = exp_sub.add_parser(name, help=text)
+        p.add_argument("--rows", default=None,
+                       help="rows file (default: experiments-<REPRO_SCALE>.jsonl)")
+        p.set_defaults(func=func)
     return parser
 
 

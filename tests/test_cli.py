@@ -34,11 +34,18 @@ class TestCommands:
         for name in ("Uniform", "Skewed", "OSM1", "OSM2", "TPC-H", "NYC"):
             assert name in out
 
-    def test_experiments(self, capsys):
-        assert main(["experiments"]) == 0
+    def test_experiments(self, capsys, tmp_path):
+        from pathlib import Path
+
+        rows = Path(__file__).resolve().parents[1] / "experiments-default.jsonl"
+        assert main(["experiments", "report", "--rows", str(rows)]) == 0
         out = capsys.readouterr().out
-        assert "Fig. 8" in out
-        assert "bench_table1_costs.py" in out
+        assert "Figure 8: build time (s)" in out
+        assert "Table I: cost decomposition" in out
+        assert main(["experiments", "report", "--rows", str(tmp_path / "none.jsonl")]) == 1
+        assert "experiments run" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiments"])  # run | report is required
 
     def test_build_learned(self, capsys):
         code = main(
