@@ -33,11 +33,11 @@ from repro.indices.base import (
     ModelBuilder,
     TrainedModel,
     _merge_fit_costs,
+    resolve_dtype,
     run_fit_job,
 )
 from repro.ml.trainer import TrainConfig
 from repro.obs.trace import span as _span
-from repro.perf.fused_infer import resolve_dtype
 from repro.spatial.cdf import uniform_dissimilarity
 
 __all__ = ["ELSIModelBuilder"]
@@ -74,7 +74,7 @@ class ELSIModelBuilder(ModelBuilder):
         self.parallelism = self.config.parallelism
         #: Inference precision for the models this builder produces;
         #: ``ELSIConfig.dtype`` seeds it, ``REPRO_DTYPE`` overrides it.
-        #: Indices read it when fusing leaf models after the build.
+        #: Indices read it when casting freshly fitted models.
         self.dtype = resolve_dtype(self.config.dtype)
         self._rng = np.random.default_rng(self.config.seed)
         self.pool: list[BuildMethod] = make_method_pool(self.config)

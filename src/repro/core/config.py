@@ -65,14 +65,13 @@ class ELSIConfig:
         always runs in float64; with ``float32`` the trained networks are
         cast down — including RSMI's per-node models, cast *before* the
         fanout routing so build- and query-time routing stay identical —
-        error bounds are re-measured under the reduced precision, and the
-        fused inference stacks (:mod:`repro.perf.fused_infer`) hold
-        single-precision parameters.  Mapped key columns (Z-curve/CDF,
-        iDistance, Flood's per-column sort keys, LISA's cell keys) are
-        stored at the same dtype: the round-to-nearest cast is monotone
-        and applied identically at build and probe time, so equal
-        coordinates map to bit-equal keys and the re-measured bounds keep
-        predict-and-scan exact — half the model *and* key memory.  The
+        and error bounds are re-measured under the reduced precision.
+        Mapped key columns (Z-curve/CDF, iDistance, Flood's per-column
+        sort keys, LISA's cell keys) are stored at the same dtype: the
+        round-to-nearest cast is monotone and applied identically at build
+        and probe time, so equal coordinates map to bit-equal keys and the
+        re-measured bounds keep predict-and-scan exact — half the stored
+        model *and* key bytes.  The
         ``REPRO_DTYPE`` environment variable overrides this at builder
         construction; snapshots pin the key dtype they were built with.
     faults:
@@ -127,11 +126,11 @@ class ELSIConfig:
             raise ValueError(
                 f"parallelism must be one of {PARALLELISM}, got {self.parallelism!r}"
             )
-        from repro.perf.fused_infer import FUSION_DTYPES
+        from repro.indices.base import MODEL_DTYPES
 
-        if self.dtype not in FUSION_DTYPES:
+        if self.dtype not in MODEL_DTYPES:
             raise ValueError(
-                f"dtype must be one of {sorted(FUSION_DTYPES)}, got {self.dtype!r}"
+                f"dtype must be one of {sorted(MODEL_DTYPES)}, got {self.dtype!r}"
             )
         if self.faults:
             from repro.faults.registry import parse_fault_spec

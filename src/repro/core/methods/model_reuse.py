@@ -15,7 +15,7 @@ The synthetic family is the two-piece-linear CDF of
 :mod:`repro.data.controlled`, in both skew directions, with deltas spaced
 ε/2 apart so any in-family CDF is within ε of some pool member.
 Pre-training is a one-off preparation cost (Section VII-B2) and is cached
-per (ε, network shape) at module level.
+per (ε, network shape, seed) at module level.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ import numpy as np
 
 from repro.core.methods.base import BuildMethod, MethodResult
 from repro.data.controlled import keys_with_uniform_distance
-from repro.indices.base import MapFn
+from repro.indices.base import MapFn, normalise_keys
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.spatial.cdf import ks_distance
 
 __all__ = ["MethodFailure", "ModelReuseMethod"]
 
-# (epsilon, hidden, epochs, pool_size) -> list of (synthetic sorted keys,
-# trained state_dict).  Pre-training is offline preparation, shared by all
-# MR instances in the process.
+# (epsilon, hidden, epochs, pool_size, seed) -> list of (synthetic sorted
+# keys, trained state_dict).  Pre-training is offline preparation, shared by
+# all MR instances in the process.
 _POOL_CACHE: dict[tuple, list[tuple[np.ndarray, dict]]] = {}
 
 
@@ -47,7 +47,7 @@ def _build_pool(
     epsilon: float, hidden: int, epochs: int, pool_points: int, seed: int
 ) -> list[tuple[np.ndarray, dict]]:
     """Pre-generate synthetic key sets and pre-train a model on each."""
-    key = (round(epsilon, 6), hidden, epochs, pool_points)
+    key = (round(epsilon, 6), hidden, epochs, pool_points, seed)
     if key in _POOL_CACHE:
         return _POOL_CACHE[key]
     spacing = max(epsilon / 2.0, 0.02)
@@ -110,10 +110,7 @@ class ModelReuseMethod(BuildMethod):
         )
         started = time.perf_counter()
         lo, hi = float(sorted_keys[0]), float(sorted_keys[-1])
-        span = hi - lo
-        normalised = (
-            (sorted_keys - lo) / span if span > 0 else np.zeros_like(sorted_keys)
-        )
+        normalised = normalise_keys(sorted_keys, lo, hi - lo)
         # O(n_mr * n_S log n): the synthetic sets are the small side of the
         # KS computation, per the Section III fast algorithm.
         best_dist = np.inf

@@ -18,6 +18,7 @@ Section III's applicability conditions become code here:
 
 from __future__ import annotations
 
+import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from repro.ml.ffn import FFN
 from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
-from repro.perf.fused_infer import FUSION_DTYPES, resolve_dtype
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -38,12 +38,17 @@ __all__ = [
     "FitOutcome",
     "InsertRefused",
     "LearnedSpatialIndex",
+    "MODEL_DTYPES",
     "MapFn",
     "ModelBuilder",
     "OriginalBuilder",
     "QueryStats",
     "TrainedModel",
+    "normalise_keys",
+    "predicted_positions",
+    "resolve_dtype",
     "run_fit_job",
+    "scan_ranges",
 ]
 
 # A base index's map() for one partition: coordinates -> mapped keys.
@@ -52,6 +57,42 @@ MapFn = Callable[[np.ndarray], np.ndarray]
 #: Net classes a snapshot can hold, by the name :meth:`TrainedModel.state_dict`
 #: tags them with.
 _NET_TYPES = {cls.__name__: cls for cls in (FFN, PiecewiseLinearModel)}
+
+#: Model and mapped-key precisions (name -> numpy dtype).
+MODEL_DTYPES = {"float64": np.float64, "float32": np.float32}
+
+
+def resolve_dtype(configured: str = "float64") -> str:
+    """The effective model/key dtype: ``REPRO_DTYPE`` over the configured one."""
+    name = os.environ.get("REPRO_DTYPE", "").strip() or configured
+    if name not in MODEL_DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(MODEL_DTYPES)}, got {name!r}")
+    return name
+
+
+# The arithmetic of predict-and-scan, written once: elementwise, so it runs
+# on one model's scalars (:class:`TrainedModel`) or on a key batch's
+# per-member arrays (:class:`~repro.indices.run.ModelSet`) bit for bit alike.
+def normalise_keys(keys: np.ndarray, key_lo, span) -> np.ndarray:
+    """Min-max key normalisation; a degenerate range (``span <= 0``) maps to 0."""
+    live = np.greater(span, 0.0)
+    if live.all():  # the common case, without the slower masked division
+        return (keys - key_lo) / span
+    return np.divide(keys - key_lo, span, out=np.zeros(np.shape(keys)), where=live)
+
+
+def predicted_positions(raw: np.ndarray, n_indexed) -> np.ndarray:
+    """Network outputs in [0, 1] as sorted positions clipped to
+    ``[0, n - 1]`` (``n >= 1``)."""
+    pos = np.rint(raw * (n_indexed - 1)).astype(np.int64)
+    return np.minimum(np.maximum(pos, 0), n_indexed - 1)
+
+
+def scan_ranges(
+    pos: np.ndarray, n_indexed, err_l, err_u
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open scan range ``[lo, hi)`` around each predicted position."""
+    return np.maximum(pos - err_l, 0), np.minimum(pos + err_u + 1, n_indexed)
 
 
 @dataclass
@@ -167,18 +208,14 @@ class TrainedModel:
     def normalise(self, keys: np.ndarray) -> np.ndarray:
         """Min-max key normalisation (degenerate range maps to 0)."""
         keys = np.asarray(keys, dtype=np.float64)
-        span = self.key_hi - self.key_lo
-        if span <= 0.0:
-            return np.zeros_like(keys)
-        return (keys - self.key_lo) / span
+        return normalise_keys(keys, self.key_lo, self.key_hi - self.key_lo)
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Predicted positions without invocation accounting (pure)."""
         if self.n_indexed == 0:
             return np.zeros(len(keys), dtype=np.int64)
         raw = self.net.predict(self.normalise(keys)[:, None])
-        pos = np.rint(raw * (self.n_indexed - 1)).astype(np.int64)
-        return np.clip(pos, 0, self.n_indexed - 1)
+        return predicted_positions(raw, self.n_indexed)
 
     def predict_positions(self, keys: np.ndarray) -> np.ndarray:
         """Predicted sorted positions (clipped to [0, n-1]) for ``keys``."""
@@ -205,10 +242,20 @@ class TrainedModel:
     def search_ranges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Half-open scan range ``[lo, hi)`` per key under the error bounds."""
         keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
-        pos = self.predict_positions(keys)
-        lo = np.maximum(pos - self.err_l, 0)
-        hi = np.minimum(pos + self.err_u + 1, self.n_indexed)
-        return lo, hi
+        return scan_ranges(
+            self.predict_positions(keys), self.n_indexed, self.err_l, self.err_u
+        )
+
+    def cast(self, dtype: str, sorted_keys: np.ndarray) -> None:
+        """The ``float32`` mode: cast the network down and re-measure the
+        bounds over the model's full sorted key set, so predict-and-scan
+        stays exact (a no-op for ``float64`` and for non-FFN nets).  A model
+        that routes (RMI stage 1, an RSMI node) is cast *before* it
+        partitions its keys: query-time routing repeats the build-time
+        computation."""
+        if dtype == "float32" and isinstance(self.net, FFN):
+            self.net.astype(np.float32)
+            self.measure_error_bounds(sorted_keys)
 
     @property
     def error_width(self) -> int:
@@ -616,7 +663,7 @@ class LearnedSpatialIndex(ABC):
         #: over the quantised keys.  Query-side keys must pass through the
         #: same cast (``map()`` does) before model prediction or store
         #: search.
-        self.key_dtype = np.dtype(FUSION_DTYPES[self._model_dtype])
+        self.key_dtype = np.dtype(MODEL_DTYPES[self._model_dtype])
 
     @property
     def _model_dtype(self) -> str:
@@ -686,7 +733,8 @@ class LearnedSpatialIndex(ABC):
     def _structure_state(self) -> dict:
         """The index-specific part of :meth:`state_dict`: stores, models
         and mapping parameters, as a tree of dicts, lists, scalars and
-        ndarrays.  Derived state (fused inference engines) is left out."""
+        ndarrays.  Derived state (a :class:`~repro.indices.run.ModelSet`'s
+        per-member arrays) is left out."""
 
     @abstractmethod
     def _restore_structure(self, state: dict) -> None:
@@ -814,8 +862,8 @@ class LearnedSpatialIndex(ABC):
         active = np.arange(b)
         while len(active):
             # One batched window call per expansion round: indices with a
-            # fused window path (and a fused inference engine underneath)
-            # answer every active query's candidate window in one pass.
+            # batch window path answer every active query's candidate
+            # window in one pass.
             centre = pts[active]
             s = side[active]
             half = (s / 2.0)[:, None]

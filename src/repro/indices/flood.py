@@ -27,10 +27,9 @@ import time
 import numpy as np
 
 from repro.indices.base import LearnedSpatialIndex, ModelBuilder
-from repro.indices.run import KeyedRun
+from repro.indices.run import KeyedRun, ModelSet
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_window_refine, cast_boundaries
-from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -168,36 +167,29 @@ class FloodIndex(LearnedSpatialIndex):
             stores.append(BlockStore(sorted_pts, keys, block_size=self.block_size))
             self.build_stats.prepare_seconds += time.perf_counter() - started
         partitions = [(store.keys, store.points) for store in stores if store is not None]
-        models = iter(
-            self.builder.build_models(partitions, self.build_stats, map_fn=None)
-        )
+        fitted = self.builder.build_models(partitions, self.build_stats, map_fn=None)
+        # Column routing is a searchsorted over float64 edges, so the
+        # builder's precision only touches the y-CDF models.
+        for model, (keys, _) in zip(fitted, partitions):
+            model.cast(self._model_dtype, keys)
+        models = iter(fitted)
         self._columns = [
             None if store is None else KeyedRun(store, next(models)) for store in stores
         ]
-        # Column routing is a searchsorted over float64 edges, so the
-        # builder's precision only touches the y-CDF models.
-        self._gather_models(cast=True)
+        self._gather_models()
         return self
 
     def runs(self):
         self._check_built()
         return (run for run in self._columns if run is not None)
 
-    def _gather_models(self, cast: bool = False) -> None:
-        """Put the populated columns' models in one :class:`ModelSet`
-        (``cast``: they were just fitted and take the builder's dtype), so
-        a batch touching many columns is predicted in one call."""
+    def _gather_models(self) -> None:
+        """Put the populated columns' models in one :class:`ModelSet`, so a
+        batch touching many columns is predicted in one call."""
         populated = [c for c, run in enumerate(self._columns) if run is not None]
-        runs = [self._columns[c] for c in populated]
         self._member_of_column = np.full(self.n_columns, -1, dtype=np.int64)
         self._member_of_column[populated] = np.arange(len(populated))
-        self._models = ModelSet(
-            [run.model for run in runs],
-            [run.store.keys for run in runs],
-            dtype=self._model_dtype,
-            context="flood",
-            cast=cast,
-        )
+        self._models = ModelSet([self._columns[c].model for c in populated])
 
     def _structure_state(self) -> dict:
         return {

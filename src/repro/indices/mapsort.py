@@ -113,7 +113,7 @@ class MapAndSortIndex(LearnedSpatialIndex):
         self._restore_mapping(state)
         self.run = KeyedRun.from_state(
             state,
-            lambda model, keys: RMIModel.from_state(model, self.builder, keys),
+            lambda model: RMIModel.from_state(model, self.builder),
             inserts=state["native_inserts"],
             page=self.scan_page,
         )

@@ -11,16 +11,15 @@ Every member model is trained through a
 :class:`~repro.indices.base.ModelBuilder`, which is how ELSI accelerates
 multi-model indices one model at a time (Figure 3).
 
-The stage-2 leaves are one :class:`~repro.perf.fused_infer.ModelSet`: a
-:meth:`~RMIModel.search_ranges` batch touching many leaves is predicted in
-one grouped pass where the leaves stack (bounds re-measured under the fused
-arithmetic), one visited leaf at a time where they do not.
+The stage-2 leaves are one :class:`~repro.indices.run.ModelSet`: a
+:meth:`~RMIModel.search_ranges` batch touching many leaves runs one forward
+pass per visited leaf, under that leaf's own measured bounds.
 
 The builder's ``dtype`` (``ELSIConfig.dtype`` / ``REPRO_DTYPE``) selects
 the inference precision: with ``float32``, stage-1 is cast *before*
 routing — so build-time and query-time routing stay the identical
-computation — every member's bounds are re-measured under the reduced
-precision, and the fused stacks are single precision.
+computation — and every member's bounds are re-measured under the reduced
+precision.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indices.base import BuildStats, MapFn, ModelBuilder, TrainedModel
-from repro.perf.fused_infer import ModelSet, record_fusion_rejected
+from repro.indices.run import ModelSet
 
 __all__ = ["RMIModel"]
 
@@ -90,12 +89,11 @@ class RMIModel:
         if self.n == 0:
             raise ValueError("cannot fit an RMI on an empty key set")
         self.stage1 = self.builder.build_model(sorted_keys, sorted_points, stats, map_fn)
-        ModelSet.cast_model(self.stage1, sorted_keys, self.dtype)
+        self.stage1.cast(self.dtype, sorted_keys)
         self.stage2 = []
         self._stage2_positions = []
         self._leaves = None
         if self.branching == 1 or self.n < self.min_partition_size:
-            record_fusion_rejected("single_model", context="rmi")
             return self
 
         # Stage-2 leaves are independent per-partition jobs: prepare every
@@ -110,17 +108,19 @@ class RMIModel:
             for positions in positions_per_branch
             if len(positions)
         ]
-        models = iter(self.builder.build_models(partitions, stats, map_fn))
+        fitted = self.builder.build_models(partitions, stats, map_fn)
+        for model, (keys, _) in zip(fitted, partitions):
+            model.cast(self.dtype, keys)
+        models = iter(fitted)
         for positions in positions_per_branch:
             # An empty branch reuses stage 1 (routing sends no key there).
             self.stage2.append(self.stage1 if len(positions) == 0 else next(models))
             self._stage2_positions.append(positions)
-        self._gather_leaves(sorted_keys, cast=True)
+        self._gather_leaves()
         return self
 
-    def _gather_leaves(self, sorted_keys: np.ndarray, cast: bool = False) -> None:
-        """Put the non-empty branches' models in one :class:`ModelSet`
-        (``cast``: they were just fitted and take the builder's dtype)."""
+    def _gather_leaves(self) -> None:
+        """Put the non-empty branches' models in one :class:`ModelSet`."""
         if not self.is_two_stage:
             return
         filled = [b for b, positions in enumerate(self._stage2_positions) if len(positions)]
@@ -132,14 +132,7 @@ class RMIModel:
         self._member_positions = np.concatenate(positions)
         lengths = [len(p) for p in positions]
         self._member_offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        sorted_keys = np.asarray(sorted_keys, dtype=np.float64)
-        self._leaves = ModelSet(
-            [self.stage2[b] for b in filled],
-            [sorted_keys[p] for p in positions],
-            dtype=self.dtype,
-            context="rmi",
-            cast=cast,
-        )
+        self._leaves = ModelSet([self.stage2[b] for b in filled])
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -157,11 +150,9 @@ class RMIModel:
         }
 
     @classmethod
-    def from_state(
-        cls, state: dict, builder: ModelBuilder, sorted_keys: np.ndarray
-    ) -> "RMIModel":
-        """Rebuild the hierarchy over ``sorted_keys`` (the leaves re-fuse,
-        with freshly re-measured fused bounds)."""
+    def from_state(cls, state: dict, builder: ModelBuilder) -> "RMIModel":
+        """Rebuild the hierarchy :meth:`state_dict` described; the members
+        answer under the bounds they were stored with."""
         rmi = cls(builder, branching=state["branching"])
         rmi.n = state["n"]
         rmi.stage1 = TrainedModel.from_state(state["stage1"])
@@ -170,7 +161,7 @@ class RMIModel:
             for member in state["stage2"]
         ]
         rmi._stage2_positions = state["stage2_positions"]
-        rmi._gather_leaves(sorted_keys)
+        rmi._gather_leaves()
         return rmi
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
@@ -184,11 +175,6 @@ class RMIModel:
     @property
     def is_two_stage(self) -> bool:
         return bool(self.stage2)
-
-    @property
-    def fused(self) -> bool:
-        """Whether batch predictions run through the fused engine."""
-        return self._leaves is not None and self._leaves.fused
 
     @property
     def models(self) -> list[TrainedModel]:

@@ -34,7 +34,6 @@ from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel
 from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_window_refine
-from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
@@ -253,7 +252,7 @@ class RSMIIndex(LearnedSpatialIndex):
             frontier, prepared, models
         ):
             # Cast before ``_split_specs`` routes the partition.
-            ModelSet.cast_model(model, sorted_keys, self._model_dtype)
+            model.cast(self._model_dtype, sorted_keys)
             node = _Node(bounds=bounds, model=model, n=len(pts), depth=depth)
             attach(node)
             specs = self._split_specs(node, sorted_pts, sorted_keys)
@@ -314,7 +313,7 @@ class RSMIIndex(LearnedSpatialIndex):
     def _make_singleton_leaf(self, point: np.ndarray, bounds: Rect, depth: int) -> _Node:
         keys = self._node_keys(point[None, :], bounds)
         model = self.builder.build_model(keys, point[None, :], self.build_stats)
-        ModelSet.cast_model(model, keys, self._model_dtype)
+        model.cast(self._model_dtype, keys)
         store = BlockStore(point[None, :], keys, block_size=self.block_size)
         return _Node(bounds, model, n=1, run=KeyedRun(store, model), depth=depth)
 

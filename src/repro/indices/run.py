@@ -6,6 +6,9 @@ index is made of such pairs — one under ZM, ML-Index and LISA
 (:class:`~repro.indices.mapsort.MapAndSortIndex`), one per populated column
 of Flood, one per leaf of RSMI — so the pair, the insert count that widens
 its scans, its point lookup and its durable state are written here, once.
+
+The models of one index level (RMI stage 2, Flood's columns) predict a key
+batch together as a :class:`ModelSet`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.indices.base import TrainedModel
+from repro.indices.base import (
+    TrainedModel,
+    normalise_keys,
+    predicted_positions,
+    scan_ranges,
+)
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_point_membership
 from repro.storage.blocks import BlockStore
 
-__all__ = ["KeyedRun"]
+__all__ = ["KeyedRun", "ModelSet"]
 
 
 class KeyedRun:
@@ -85,16 +93,64 @@ class KeyedRun:
     def from_state(
         cls,
         state: dict,
-        load_model: "Callable[[dict, np.ndarray], object] | None" = None,
+        load_model: "Callable[[dict], object]" = TrainedModel.from_state,
         inserts: int = 0,
         page: int = 1,
     ) -> "KeyedRun":
-        """The run :meth:`state_dict` described.  ``load_model(model_state,
-        stored_keys)`` rebuilds a model that is more than one
-        :class:`TrainedModel` (the default)."""
+        """The run :meth:`state_dict` described.  ``load_model(model_state)``
+        rebuilds a model that is more than one :class:`TrainedModel`."""
         store = BlockStore.from_state(state["store"])
-        if load_model is None:
-            model = TrainedModel.from_state(state["model"])
-        else:
-            model = load_model(state["model"], store.keys)
-        return cls(store, model, inserts, page)
+        return cls(store, load_model(state["model"]), inserts, page)
+
+
+class ModelSet:
+    """The models of one index level (RMI stage 2, Flood's columns),
+    answering ``(member_idx, keys) -> (lo, hi)`` in each member's local
+    ranks.
+
+    Each visited member runs its own forward pass on its keys, and the
+    normalisation, rounding and bounds are :class:`TrainedModel`'s own
+    arithmetic, so a key gets bit for bit the position the member's
+    ``err_l``/``err_u`` were measured with: the set needs no bounds of its
+    own.  A member's ``invocations`` counts the keys it answered.  The
+    per-member scalars are read once, here: members are final (cast, with
+    their bounds measured) when the set is made.
+    """
+
+    def __init__(self, members: "list[TrainedModel]") -> None:
+        self.members = list(members)
+        self.key_lo = np.array([m.key_lo for m in self.members])
+        self.span = np.array([m.key_hi - m.key_lo for m in self.members])
+        self.n_indexed = np.array([m.n_indexed for m in self.members], dtype=np.int64)
+        self.err_l = np.array([m.err_l for m in self.members], dtype=np.int64)
+        self.err_u = np.array([m.err_u for m in self.members], dtype=np.int64)
+
+    def search_ranges(
+        self, member_idx: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Half-open local scan range per key under its member's bounds:
+        ``lo`` in ``[0, n - 1]``, ``hi`` in ``[1, n]``."""
+        keys = np.asarray(keys, dtype=np.float64)
+        member_idx = np.asarray(member_idx, dtype=np.int64)
+        # Group the batch by member: each member's keys become one
+        # contiguous slice, in batch order.
+        order = np.argsort(member_idx, kind="stable")
+        counts = np.bincount(member_idx, minlength=len(self.members))
+        visited = np.flatnonzero(counts)
+        stops = np.cumsum(counts)[visited]
+        m = member_idx[order]
+        x = normalise_keys(keys[order], self.key_lo[m], self.span[m])[:, None]
+        raw = np.empty(len(keys))
+        for i, count, stop in zip(
+            visited.tolist(), counts[visited].tolist(), stops.tolist()
+        ):
+            member = self.members[i]
+            member.invocations += count
+            raw[stop - count : stop] = member.net.predict(x[stop - count : stop])
+        n = self.n_indexed[m]
+        lo = np.empty(len(keys), dtype=np.int64)
+        hi = np.empty(len(keys), dtype=np.int64)
+        lo[order], hi[order] = scan_ranges(
+            predicted_positions(raw, n), n, self.err_l[m], self.err_u[m]
+        )
+        return lo, hi

@@ -3,22 +3,8 @@
 ELSI's contribution is shrinking the training set behind each index model;
 this package makes the surrounding *system* costs match — the models of a
 multi-model build can train in one vectorised loop (:mod:`repro.perf.fused`,
-``ELSIConfig(parallelism="fused")``), batch point lookups run
-through vectorised gather kernels instead of per-query Python loops, and
-multi-model batch prediction runs through one stacked-parameter compute
-path (:class:`FusedInferenceEngine`) instead of one FFN call per leaf.
+``ELSIConfig(parallelism="fused")``), and batch point and window lookups
+run through vectorised gather kernels (:mod:`repro.perf.batching`) instead
+of per-query Python loops.  A leaf set predicts through
+:class:`repro.indices.run.ModelSet`, one forward pass per visited leaf.
 """
-
-from repro.perf.fused_infer import (
-    FusedInferenceEngine,
-    fusion_rejection_reason,
-    record_fusion_rejected,
-    resolve_dtype,
-)
-
-__all__ = [
-    "FusedInferenceEngine",
-    "fusion_rejection_reason",
-    "record_fusion_rejected",
-    "resolve_dtype",
-]

@@ -29,8 +29,15 @@ import numpy as np
 
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig
+from repro.obs.metrics import get_registry
+from repro.obs.trace import enabled as _obs_enabled
 
-__all__ = ["FusedTrainResult", "can_fuse", "train_regressors_fused"]
+__all__ = [
+    "FusedTrainResult",
+    "can_fuse",
+    "fusion_rejection_reason",
+    "train_regressors_fused",
+]
 
 
 @dataclass(frozen=True)
@@ -42,26 +49,41 @@ class FusedTrainResult:
     elapsed_seconds: float
 
 
-def can_fuse(nets: list[FFN], config: TrainConfig) -> bool:
-    """Whether this job set fits the fused path.
+def fusion_rejection_reason(nets: list, config=None) -> "str | None":
+    """Why this job set cannot train as one stack (None = it can).
 
-    Requires at least two networks sharing one architecture (and dtype)
-    and full-batch training (the per-model minibatch shuffles of
-    ``batch_size`` draw from one RNG stream, which fusion cannot
-    reproduce).  A rejection is never silent: the reason lands in the
-    ``perf.fusion_rejected`` counter via
-    :func:`repro.perf.fused_infer.record_fusion_rejected`.
+    At least two networks, all FFNs, one shared architecture and one
+    shared parameter dtype; with a training ``config``, full-batch
+    training too — per-model minibatch shuffles draw from one RNG stream,
+    which fusion cannot reproduce.
     """
-    from repro.perf.fused_infer import (
-        fusion_rejection_reason,
-        record_fusion_rejected,
-    )
+    if len(nets) < 2:
+        return "single_model"
+    if config is not None and getattr(config, "batch_size", None) is not None:
+        return "minibatch_config"
+    if any(not isinstance(net, FFN) for net in nets):
+        return "non_ffn"
+    first = nets[0].layer_sizes
+    if any(net.layer_sizes != first for net in nets):
+        return "mixed_shapes"
+    first_dtype = nets[0].weights[0].dtype
+    if any(
+        w.dtype != first_dtype for net in nets for w in net.weights
+    ) or any(b.dtype != first_dtype for net in nets for b in net.biases):
+        return "mixed_dtype"
+    return None
 
+
+def can_fuse(nets: list[FFN], config: TrainConfig) -> bool:
+    """Whether this job set fits the fused path.  A rejection is never
+    silent: with tracing on, its reason lands in the
+    ``perf.fusion_rejected{reason, context="train"}`` counter."""
     reason = fusion_rejection_reason(nets, config)
-    if reason is not None:
-        record_fusion_rejected(reason, context="train")
-        return False
-    return True
+    if reason is not None and _obs_enabled():
+        get_registry().counter(
+            "perf.fusion_rejected", reason=reason, context="train"
+        ).inc()
+    return reason is None
 
 
 def train_regressors_fused(

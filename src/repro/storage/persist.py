@@ -8,8 +8,8 @@ of dicts, lists, scalars and ndarrays (``state_dict()``) and rebuilds
 itself from one (``from_state()``).  This module only moves such a tree to
 and from one ``.npz``: every ndarray is lifted out into an archive member
 and the rest is JSON (``allow_pickle`` stays off, so loading runs no code
-from the file).  Derived state — fused inference engines — is never
-written; ``from_state()`` rebuilds it.
+from the file).  Derived state — a leaf set's per-member arrays — is
+never written; ``from_state()`` rebuilds it.
 """
 
 from __future__ import annotations

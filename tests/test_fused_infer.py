@@ -1,19 +1,22 @@
-"""Tests for fused batch inference and the opt-in float32 mode."""
+"""Tests for multi-leaf batch prediction, the fused trainer's rejection
+reasons and the opt-in float32 mode.
+
+The leaf set's own parity and memory contracts are in
+``tests/test_model_set.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import FloodIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices.base import resolve_dtype
 from repro.ml.ffn import FFN
+from repro.ml.trainer import TrainConfig
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.perf.fused_infer import (
-    FusedInferenceEngine,
-    fusion_rejection_reason,
-    resolve_dtype,
-)
+from repro.perf.fused import can_fuse, fusion_rejection_reason
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
@@ -58,57 +61,47 @@ class TestRejectionReasons:
         nets = [FFN([1, 4, 1], seed=i) for i in range(3)]
         assert fusion_rejection_reason(nets) is None
 
-    def test_rejection_lands_in_counter(self, osm_points):
-        """The why-not-fused satellite: rejections must be observable."""
+    def test_rejection_lands_in_counter(self):
+        """A trainer rejection is observable, labelled with its reason."""
         tracer = get_tracer()
+        counter = get_registry().counter(
+            "perf.fusion_rejected", reason="single_model", context="train"
+        )
         tracer.enable()
         try:
-            before = get_registry().counter(
-                "perf.fusion_rejected", reason="single_model", context="rmi"
-            ).snapshot()
-            # LISA uses a branching-1 RMI -> single_model rejection.
-            LISAIndex(builder=_builder()).build(osm_points)
-            after = get_registry().counter(
-                "perf.fusion_rejected", reason="single_model", context="rmi"
-            ).snapshot()
+            before = counter.snapshot()
+            assert not can_fuse([FFN([1, 4, 1])], TrainConfig())
+            after = counter.snapshot()
         finally:
             tracer.disable()
             tracer.reset()
         assert after == before + 1
 
-    def test_try_build_returns_none_on_rejection(self):
-        assert FusedInferenceEngine.try_build([]) is None
-
 
 # ----------------------------------------------------------------------
-# Engine correctness
+# Multi-leaf batch prediction
 # ----------------------------------------------------------------------
 class TestEngineParity:
     def test_rmi_fuses_and_ranges_contain_per_model(self, osm_points):
+        """A two-stage RMI's range for every indexed key holds the key's
+        position, and lookups of hits and misses equal brute force."""
         index = ZMIndex(builder=_builder(), branching=4).build(osm_points)
-        model = index.model
-        assert model.fused
-        leaves = model._leaves
-        engine = leaves._engine
-        # Both paths must answer the actual queries identically: the fused
-        # bounds are re-measured, so predict-and-scan stays exact.
-        rng = np.random.default_rng(0)
-        probes = _probe_points(osm_points, rng)
-        fused_res = index.point_queries(probes)
-        leaves._engine = None
-        try:
-            assert not model.fused
-            plain_res = index.point_queries(probes)
-        finally:
-            leaves._engine = engine
-        np.testing.assert_array_equal(fused_res, plain_res)
+        assert index.model.is_two_stage
+        keys = index.store.keys
+        lo, hi = index.model.search_ranges(keys)
+        positions = np.arange(len(keys))
+        assert np.all((lo <= positions) & (positions < hi))
+        probes = _probe_points(osm_points, np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            index.point_queries(probes), point_truth(osm_points, probes)
+        )
 
     @pytest.mark.parametrize("cls", (ZMIndex, MLIndex), ids=lambda c: c.name)
     def test_fused_batch_queries_match_scalar(self, cls, osm_points):
-        """Fused two-stage lookups, batched and one at a time (where the
-        engine sees single-key batches), equal brute force."""
+        """Two-stage lookups, batched and one at a time (single-key leaf
+        batches), equal brute force."""
         index = cls(builder=_builder(), branching=4).build(osm_points)
-        assert index.model.fused
+        assert index.model.is_two_stage
         rng = np.random.default_rng(1)
         probes = _probe_points(osm_points, rng)
         truth = point_truth(osm_points, probes)
@@ -122,8 +115,7 @@ class TestEngineParity:
 
     def test_flood_fuses_columns(self, osm_points):
         index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
-        assert index._models.fused
-        assert index._models._engine.k == len(list(index.runs()))
+        assert len(index._models.members) == len(list(index.runs()))
         rng = np.random.default_rng(2)
         probes = _probe_points(osm_points, rng)
         truth = point_truth(osm_points, probes)
@@ -162,29 +154,6 @@ class TestEngineParity:
             "RSMI", osm_points, queries, 4, [index.knn_query(q, 4) for q in queries]
         )
 
-    def test_engine_predictions_match_member_semantics(self, osm_points):
-        """Each member's fused range covers the key's true local rank."""
-        index = ZMIndex(builder=_builder(), branching=4).build(osm_points)
-        model = index.model
-        engine = model._leaves._engine
-        assert engine is not None
-        for midx in range(engine.k):
-            member = engine.models[midx]
-            positions = None
-            for branch, b_midx in enumerate(model._member_of_branch):
-                if b_midx == midx:
-                    positions = model._stage2_positions[branch]
-                    break
-            assert positions is not None
-            member_keys = index.store.keys[positions]
-            lo, hi = engine.search_ranges(
-                np.full(len(member_keys), midx), member_keys
-            )
-            ranks = np.arange(len(member_keys))
-            assert np.all(lo <= ranks)
-            assert np.all(ranks < hi)
-            assert member is not None
-
 
 # ----------------------------------------------------------------------
 # float32 mode
@@ -208,7 +177,9 @@ class TestFloat32:
         by the re-measured error bounds, never by the results."""
         f64 = cls(builder=_builder("float64"), branching=4).build(osm_points)
         f32 = cls(builder=_builder("float32"), branching=4).build(osm_points)
-        assert f32.model._leaves._engine.dtype_name == "float32"
+        assert all(
+            m.net.weights[0].dtype == np.float32 for m in f32.model._leaves.members
+        )
         rng = np.random.default_rng(6)
         probes = _probe_points(osm_points, rng)
         np.testing.assert_array_equal(
@@ -224,7 +195,7 @@ class TestFloat32:
     def test_flood_query_parity_with_float64(self, osm_points):
         f64 = FloodIndex(builder=_builder("float64"), n_columns=6).build(osm_points)
         f32 = FloodIndex(builder=_builder("float32"), n_columns=6).build(osm_points)
-        assert f32._models._engine.dtype_name == "float32"
+        assert all(m.net.weights[0].dtype == np.float32 for m in f32._models.members)
         rng = np.random.default_rng(7)
         probes = _probe_points(osm_points, rng)
         np.testing.assert_array_equal(
@@ -234,7 +205,12 @@ class TestFloat32:
     def test_memory_halved(self, osm_points):
         f64 = ZMIndex(builder=_builder("float64"), branching=4).build(osm_points)
         f32 = ZMIndex(builder=_builder("float32"), branching=4).build(osm_points)
-        assert f32.model._leaves._engine.nbytes * 2 == f64.model._leaves._engine.nbytes
+        def nbytes(index):
+            nets = [m.net for m in index.model.models]
+            return sum(a.nbytes for net in nets for a in net.weights + net.biases)
+
+        assert nbytes(f32) * 2 == nbytes(f64)
+        assert f32.store.keys.nbytes * 2 == f64.store.keys.nbytes
         for net in (m.net for m in f32.model.models if isinstance(m.net, FFN)):
             assert all(w.dtype == np.float32 for w in net.weights)
             assert all(b.dtype == np.float32 for b in net.biases)

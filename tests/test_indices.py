@@ -188,10 +188,12 @@ STATE_KEYS = {
 
 def test_one_keyed_run(built_indices):
     """Store + model + widened scan + point lookup + state pair exist once
-    (``indices/run.py``), the model side once (``perf/fused_infer.py``):
-    the single-store indices inherit their core, and no index module
-    refines a point lookup, casts a model down or builds an inference
-    engine itself."""
+    (``indices/run.py``), and so does the model side: a leaf set predicts
+    one way (``ModelSet``, made only by the RMI and Flood, with no stacked
+    engine), on predict-and-scan arithmetic written once
+    (``indices/base.py``).  The single-store indices inherit their core,
+    and no index module refines a point lookup or casts a model down
+    itself."""
     from pathlib import Path
 
     import repro
@@ -220,13 +222,22 @@ def test_one_keyed_run(built_indices):
         text = (src / "indices" / name).read_text()
         assert "batch_point_membership" not in text, name
         assert "net.astype(" not in text, name
-    sites = [
-        path.relative_to(src).as_posix()
-        for path in sorted(src.rglob("*.py"))
-        for line in path.read_text().splitlines()
-        if "FusedInferenceEngine.try_build(" in line
-    ]
-    assert sites == ["perf/fused_infer.py"]
+
+    def sites(text):
+        return [
+            path.relative_to(src).as_posix()
+            for path in sorted(src.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if text in line
+        ]
+
+    assert sites("FusedInferenceEngine") == sites("perf.fused_predict") == []
+    for name in ("run.py", "rmi.py", "flood.py"):
+        assert "einsum(" not in (src / "indices" / name).read_text(), name
+    assert set(sites("fusion_rejection_reason")) == {"perf/fused.py"}
+    assert sites("ModelSet(") == ["indices/flood.py", "indices/rmi.py"]
+    for text in ("def normalise_keys", "np.rint(", "err_u + 1"):
+        assert sites(text) == ["indices/base.py"], text
 
 
 def test_ml_refuses_insert_beyond_stretch(built_indices):

@@ -135,6 +135,16 @@ class TestModelReuse:
         large = ModelReuseMethod(epsilon=0.5, train_epochs=5, pool_points=32).prepare()
         assert small > large
 
+    def test_pool_cache_is_per_seed(self):
+        """Each seed pre-trains its own pool; the same seed reuses it."""
+        from repro.core.methods.model_reuse import _build_pool
+
+        args = (0.5, 8, 5, 32)
+        seed0, seed1 = _build_pool(*args, seed=0), _build_pool(*args, seed=1)
+        assert _build_pool(*args, seed=0) is seed0
+        assert seed1 is not seed0
+        assert not np.array_equal(seed0[0][1]["w0"], seed1[0][1]["w0"])
+
     def test_fails_when_no_match(self):
         """A pathological CDF far from every pool member raises MethodFailure
         (the paper: too-small epsilon may reuse nothing)."""

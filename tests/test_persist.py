@@ -191,9 +191,9 @@ class TestEveryIndex:
     @pytest.mark.parametrize("cls", [ZMIndex, MLIndex], ids=lambda c: c.name)
     def test_two_stage_rmi_round_trip(self, cls, osm_points, tmp_path):
         index = cls(builder=_sp_builder(epochs=60), branching=4).build(osm_points)
-        assert index.model.is_two_stage and index.model.fused
+        assert index.model.is_two_stage
         loaded = _round_trip(index, tmp_path / "two-stage.npz")
-        assert loaded.model.is_two_stage and loaded.model.fused
+        assert loaded.model.is_two_stage
         assert_trees_equal(index.state_dict(), loaded.state_dict())
         assert_same_answers(index, loaded, osm_points)
 

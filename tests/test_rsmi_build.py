@@ -13,7 +13,6 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices.rsmi import RSMIIndex, _Node
-from repro.perf.fused_infer import ModelSet
 from repro.spatial.rect import Rect
 from tests.brute import assert_windows
 
@@ -45,7 +44,7 @@ def _build_depth_first(points, leaf_capacity=300):
             index.build_stats,
             map_fn=lambda p: index._node_keys(p, bounds),
         )
-        ModelSet.cast_model(model, sorted_keys, index.builder.dtype)
+        model.cast(index.builder.dtype, sorted_keys)
         node = _Node(bounds=bounds, model=model, n=len(points), depth=depth)
         specs = index._split_specs(node, sorted_pts, sorted_keys)
         if specs:
