@@ -9,9 +9,9 @@ Commands
 ``query``
     Build then run a point/window/kNN workload, reporting latencies.
 ``chaos``
-    Run the fault-injection chaos scenarios (process kill + recovery,
-    torn snapshot, rebuild-crash-retry) and assert zero
-    acknowledged-update loss (see docs/serving.md).
+    Run the fault-injection chaos scenarios (process kill + recovery
+    under three kill modes, torn snapshot, rebuild-crash-retry) and
+    assert zero acknowledged-update loss (see docs/serving.md).
 ``experiments run``
     Run the paper's evaluation grid (Section VII) into a resumable rows
     file, print every table and check the paper's shapes.
@@ -43,6 +43,7 @@ from repro.bench.experiments import TRADITIONAL_INDICES as _TRADITIONAL
 from repro.bench.harness import format_table
 from repro.core import ELSIConfig, ELSIModelBuilder
 from repro.data import DATASETS, load_dataset
+from repro.faults.chaos import SCENARIOS as _CHAOS_SCENARIOS
 from repro.indices import LEARNED_INDICES
 from repro.queries.workload import knn_workload, point_workload, window_workload
 from repro.spatial.cdf import uniform_dissimilarity
@@ -157,13 +158,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         report = run_scenarios(base, names=names, seed=args.seed)
     except ChaosError as exc:
         print(f"CHAOS FAILURE: {exc}", file=sys.stderr)
-        return 1
+        report = {"error": str(exc), "ok": False}
     finally:
         if context is not None:
             context.cleanup()
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
+    if "error" in report:
+        return 1
     rows = [
         [r["scenario"], f"{r['acked']}", f"{r['recovered_prefix']}",
          "ok" if r["ok"] else "LOST UPDATES"]
@@ -382,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chaos", help="run the fault-injection chaos scenarios")
     p.add_argument("--scenario", action="append", default=None,
-                   choices=("kill-and-recover", "torn-snapshot",
-                            "rebuild-crash-retry"),
+                   choices=tuple(_CHAOS_SCENARIOS),
                    help="scenario to run (repeatable; default: all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dir", default=None,

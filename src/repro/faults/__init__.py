@@ -3,9 +3,9 @@
 :mod:`repro.faults.registry` declares named injection sites across the
 snapshot, WAL, rebuild, and dispatch paths and lets tests arm
 exception/delay/torn-write faults against them deterministically;
-:mod:`repro.faults.chaos` packages the kill-and-recover, torn-snapshot,
-and rebuild-crash-retry scenarios the chaos harness and ``repro chaos``
-CLI run.
+:mod:`repro.faults.chaos` packages the kill-and-recover (one scenario
+per kill mode), torn-snapshot, and rebuild-crash-retry scenarios the
+``repro chaos`` CLI runs.
 """
 
 from repro.faults.registry import (

@@ -1,19 +1,19 @@
 """Chaos scenarios: crash the serving stack on purpose, then prove recovery.
 
-Three named scenarios exercise the durability contract end to end (the CI
-``chaos-smoke`` job runs all of them, see ``benchmarks/chaos_smoke.py``
-and ``python -m repro chaos``):
+Five named scenarios (:data:`SCENARIOS`) exercise the durability contract
+end to end; ``python -m repro chaos`` runs them all, and the CI
+``chaos-smoke`` job runs that:
 
-``kill-and-recover``
+``kill-before`` / ``kill-after-wal`` / ``kill-torn`` (kill-and-recover)
     A child process builds a small index, serves it with a write-ahead
     log, applies a randomized insert/delete schedule — recording every
     *acknowledged* operation to an fsynced acks file — and kills itself
-    with ``os._exit`` mid-schedule (optionally after the WAL append but
-    before the acknowledgement, or with a torn WAL record).  The parent
-    recovers with :meth:`IndexServer.from_snapshot` and proves the
-    recovered state is **base + a schedule prefix covering every
-    acknowledged op**, and that query results are bit-identical to an
-    uncrashed reference.
+    with ``os._exit`` mid-schedule: before the op, after its WAL append
+    but before the acknowledgement, or mid-append with a torn WAL record
+    (:data:`KILL_MODES`).  The parent recovers with
+    :meth:`IndexServer.from_snapshot` and proves the recovered state is
+    **base + a schedule prefix covering every acknowledged op**, and that
+    query results are bit-identical to an uncrashed reference.
 
 ``torn-snapshot``
     A ``snapshot.write=torn_write`` fault leaves a truncated ``.npz`` as
@@ -333,7 +333,7 @@ def kill_and_recover(
     finally:
         server.close()
     return {
-        "scenario": "kill-and-recover",
+        "scenario": f"kill-{kill_mode}",
         "kill_mode": kill_mode,
         "kill_after": kill_after,
         "rebuild_at": rebuild_at,
@@ -462,8 +462,21 @@ def rebuild_crash_retry(
     }
 
 
+def _kill_scenario(kill_mode: str, seed_offset: int):
+    """:func:`kill_and_recover` under one kill mode; each mode draws its
+    kill point from its own seed, so the three modes kill at different ops."""
+
+    def scenario(directory: str | Path, seed: int = 0, **kwargs) -> dict:
+        return kill_and_recover(
+            directory, seed=seed + seed_offset, kill_mode=kill_mode, **kwargs
+        )
+
+    return scenario
+
+
+#: Every scenario, by the name ``python -m repro chaos --scenario`` takes.
 SCENARIOS = {
-    "kill-and-recover": kill_and_recover,
+    **{f"kill-{mode}": _kill_scenario(mode, i) for i, mode in enumerate(KILL_MODES)},
     "torn-snapshot": torn_snapshot,
     "rebuild-crash-retry": rebuild_crash_retry,
 }

@@ -232,12 +232,19 @@ class FloodIndex(LearnedSpatialIndex):
                     lo[valid], hi[valid] = self._models.search_ranges(
                         member[valid], cast_y[valid]
                     )
-            for c in np.unique(columns[valid]):
-                mask = columns == c
-                out[mask], scanned = self._columns[c].point_lookup(
-                    self.name, cast_y[mask], pts[mask], predicted=(lo[mask], hi[mask])
+            # Group the probes by column once: each visited column's probes
+            # become one contiguous slice of ``order``, in batch order.
+            order = np.flatnonzero(valid)
+            order = order[np.argsort(columns[order], kind="stable")]
+            counts = np.bincount(columns[order], minlength=self.n_columns)
+            stop = 0
+            for c in np.flatnonzero(counts).tolist():
+                rows = order[stop : stop + counts[c]]
+                stop += counts[c]
+                out[rows], scanned = self._columns[c].point_lookup(
+                    self.name, cast_y[rows], pts[rows], predicted=(lo[rows], hi[rows])
                 )
-                self.query_stats.model_invocations += int(mask.sum())
+                self.query_stats.model_invocations += len(rows)
                 self.query_stats.points_scanned += scanned
         return out
 

@@ -138,14 +138,23 @@ def batch_point_membership(
     query_points:
         (b, d) query coordinates; a query hits iff some row in its range
         has a key within ``atol`` of ``query_keys`` and equal coordinates.
+
+    A batch is probed in key order: one ``argsort`` of the keys, the body
+    on the permuted probes, the answers scattered back.  Each probe's
+    answer depends on its own row alone, so the order changes no answer,
+    and the merged ranges charged are a union, so it changes no block
+    read; but binary searches over monotone needles walk the key column
+    in one direction and hit cache where random ones miss (4.6× faster
+    at 65 536 probes over 300 000 keys: docs/performance.md,
+    "Key-order probing").
     """
     n = len(store)
     b = len(query_keys)
     out = np.zeros(b, dtype=bool)
     # Edge cases: an empty batch has nothing to do, and a batch of one —
     # every per-query call — is plain predict-and-scan (one store.scan,
-    # which clips the range itself; no range merging or flattened-run
-    # bookkeeping).
+    # which clips the range itself; no range merging, sorting or
+    # flattened-run bookkeeping).
     if n == 0 or b == 0:
         return out
     if b == 1:
@@ -154,9 +163,31 @@ def batch_point_membership(
             match = np.abs(keys.astype(np.float64) - float(query_keys[0])) <= atol
             out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
         return out
-    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
-    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
+    # The default (unstable) sort: a stable one costs ~6× more, and the
+    # order of equal keys cannot change a per-probe answer.
+    order = np.argsort(query_keys)
+    out[order] = _sorted_membership(
+        store,
+        np.clip(np.asarray(lo, dtype=np.int64)[order], 0, n),
+        np.clip(np.asarray(hi, dtype=np.int64)[order], 0, n),
+        np.asarray(query_keys)[order],
+        np.asarray(query_points)[order],
+        atol,
+    )
+    return out
 
+
+def _sorted_membership(
+    store: BlockStore,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query_keys: np.ndarray,
+    query_points: np.ndarray,
+    atol: float,
+) -> np.ndarray:
+    """:func:`batch_point_membership`'s body over probes already in key
+    order, with ranges already clipped; one bool per probe, in that order."""
+    out = np.zeros(len(query_keys), dtype=bool)
     # Charge block reads once per merged group — same accounting as the old
     # per-group store.scan loop, with no slice materialisation.
     store.charge_block_reads(*merge_ranges(lo, hi))

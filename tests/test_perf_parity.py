@@ -1,6 +1,8 @@
 """Point lookups against set membership for every index, through both
 spellings (a per-query call is a batch of one), the lo-clamp regression
-(inserts near rank 0), and the ``QueryStats`` additivity rule."""
+(inserts near rank 0), the ``QueryStats`` additivity rule, and probe-order
+independence: the membership kernel visits a batch in key order, so a
+shuffled batch must answer and charge exactly what the batch does."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import QueryStats
+from repro.perf.batching import batch_point_membership
 from repro.spatial.rect import Rect
+from repro.storage.blocks import BlockStore
 from tests.brute import point_truth
 
 INDEX_CLASSES = {
@@ -123,3 +127,87 @@ def test_batch_stats_accounting(built, osm_points):
                 assert whole[1] == 0, (name, kind)  # boundaries by searchsorted
             elif kind == "point" and name in ("ZM", "ML", "LISA"):
                 assert whole[1] == len(items), (name, kind)  # one key, one prediction
+
+
+def _scan_each(store, lo, hi, keys, points, atol) -> np.ndarray:
+    """The oracle: one ``store.scan`` and the predicate per probe."""
+    found = []
+    for a, b, key, point in zip(lo.tolist(), hi.tolist(), keys, points):
+        pts, stored, _ids = store.scan(a, b)
+        match = np.abs(stored.astype(np.float64) - float(key)) <= atol
+        found.append(bool((match & (pts == point).all(axis=1)).any()))
+    return np.array(found)
+
+
+@pytest.mark.parametrize("key_dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("atol", [0.0, 1e-3])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_membership_kernel_on_shuffled_probes(key_dtype, atol, duplicates):
+    """Shuffled probes get the per-probe scan's answers and charge the
+    block reads of the same batch unshuffled: hits, duplicate keys with
+    other coordinates, rows left outside their probe's ``[lo, hi)``,
+    ranges past either end of the store and repeated probes."""
+    rng = np.random.default_rng(7)
+    data = rng.random((3000, 2))
+
+    def key_of(pts):
+        x = np.floor(pts[:, 0] * 700) / 700 if duplicates else pts[:, 0]
+        return x.astype(key_dtype)
+
+    store = BlockStore(data, key_of(data), block_size=16)
+    shared_key = data[rng.integers(0, 3000, 40)].copy()
+    shared_key[:, 1] = rng.random(40)  # a stored row's key, other coordinates
+    probes = np.vstack([
+        data[rng.integers(0, 3000, 300)], shared_key, rng.random((60, 2)),
+    ])
+    probes = np.vstack([probes, probes[:25]])
+    keys = key_of(probes)
+    rank = np.searchsorted(store.keys, keys)
+    lo = rank - rng.integers(-3, 40, len(probes))  # some start past the row
+    hi = rank + rng.integers(-3, 40, len(probes))  # some stop before it
+    lo[:5], hi[-5:] = -50, len(store) + 50
+
+    want = _scan_each(store, lo, hi, keys, probes, atol)
+    assert want.any() and not want.all()
+    store.reset_block_reads()
+    got = batch_point_membership(store, lo, hi, keys, probes, atol=atol)
+    reads = store.block_reads
+    np.testing.assert_array_equal(got, want)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(probes))
+        store.reset_block_reads()
+        found = batch_point_membership(
+            store, lo[perm], hi[perm], keys[perm], probes[perm], atol=atol
+        )
+        np.testing.assert_array_equal(found, want[perm])
+        assert store.block_reads == reads
+
+
+def _block_reads(index) -> int:
+    return sum(run.store.block_reads for run in index.runs())
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CLASSES))
+def test_point_batch_is_probe_order_independent(built, osm_points, name):
+    """A batch and a permutation of it: permuted answers, equal
+    ``QueryStats`` and equal block reads, for every index."""
+    index = built[name]
+    batch = _mixed_workload(osm_points, np.random.default_rng(5))
+    batch = np.vstack([batch, batch[:20]])  # repeated probes: equal keys
+
+    def ask(probes):
+        index.query_stats = QueryStats()
+        before = _block_reads(index)
+        found = index.point_queries(probes)
+        stats = index.query_stats
+        charged = (stats.queries, stats.model_invocations, stats.points_scanned)
+        return found, charged, _block_reads(index) - before
+
+    found, charged, reads = ask(batch)
+    np.testing.assert_array_equal(found, point_truth(osm_points, batch))
+    assert reads > 0
+    for seed in range(2):
+        perm = np.random.default_rng(seed).permutation(len(batch))
+        found_p, charged_p, reads_p = ask(batch[perm])
+        np.testing.assert_array_equal(found_p, found[perm])
+        assert charged_p == charged and reads_p == reads

@@ -6,7 +6,8 @@ rebuilds, "crashes" at random points (the server object is discarded;
 recovery may use the disk only), and after every recovery the server must
 report **every acknowledged update**, with query results bit-identical to
 an uncrashed reference.  The process-level version of the same property
-(``os._exit`` mid-stream) runs in ``benchmarks/chaos_smoke.py``.
+(``os._exit`` mid-stream) is the ``kill-*`` scenarios of
+``python -m repro chaos``.
 """
 
 import threading
