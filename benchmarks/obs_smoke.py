@@ -51,9 +51,9 @@ def main() -> int:
     index.knn_queries(pts[:8], 5)
 
     # The level-wise RSMI build: rsmi.fit_level spans with one
-    # build.models call per tree level, plus a traced point lookup
-    # (rsmi.point), the shared-DFS window walk (rsmi.window_batch) and
-    # expanding-window kNN riding on it.
+    # build.models call per tree level, plus a traced point lookup, the
+    # shared-DFS window walk and expanding-window kNN riding on it (under
+    # the query.point_batch / query.window_batch spans every index emits).
     from repro.indices.rsmi import RSMIIndex
 
     rsmi = RSMIIndex(builder=elsi.builder(), leaf_capacity=500).build(pts)

@@ -12,10 +12,13 @@ each index builds its model(s) through a builder, and ELSI substitutes its
 build processor for the default original-data (OG) builder.
 
 A key-sorted store with the model over it is one
-:class:`repro.indices.run.KeyedRun`, in every index.  ZM, ML-Index and LISA
-keep their points in one run and differ only in the mapping: they supply
-``map()``, the mapping's fit/state and ``window_queries``, and share the
-rest (:class:`repro.indices.mapsort.MapAndSortIndex`).  RSMI has a run per
+:class:`repro.indices.run.KeyedRun`, in every index.  An index plans a
+query — which rows of which run to scan (``point_plan`` / ``window_plan``)
+— and :class:`repro.indices.base.LearnedSpatialIndex` scans them, once for
+all five.  ZM, ML-Index and LISA keep their points in one run and differ
+only in the mapping: they supply ``map()``, the mapping's fit/state and
+``window_plan``, and share the rest
+(:class:`repro.indices.mapsort.MapAndSortIndex`).  RSMI has a run per
 leaf, Flood one per column.
 
 - :mod:`repro.indices.zm` — ZM: Z-curve keys + learned CDF model,

@@ -13,7 +13,8 @@ Section III's applicability conditions become code here:
   full set, while ELSI's build processor trains on an engineered subset
   ``D_S`` (Algorithm 1).
 - :class:`LearnedSpatialIndex` is the query-facing API: point, window and
-  kNN queries plus build statistics.
+  kNN queries plus build statistics.  An index only *plans* a query (which
+  rows of which key-sorted run to scan); the scan is written once, here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import numpy as np
 from repro.ml.ffn import FFN
 from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
+from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
+from repro.perf.batching import batch_window_refine
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "OriginalBuilder",
     "QueryStats",
     "TrainedModel",
+    "group_by",
     "normalise_keys",
     "predicted_positions",
     "resolve_dtype",
@@ -72,7 +76,7 @@ def resolve_dtype(configured: str = "float64") -> str:
 
 # The arithmetic of predict-and-scan, written once: elementwise, so it runs
 # on one model's scalars (:class:`TrainedModel`) or on a key batch's
-# per-member arrays (:class:`~repro.indices.run.ModelSet`) bit for bit alike.
+# per-member arrays (:class:`~repro.indices.rmi.ModelSet`) bit for bit alike.
 def normalise_keys(keys: np.ndarray, key_lo, span) -> np.ndarray:
     """Min-max key normalisation; a degenerate range (``span <= 0``) maps to 0."""
     live = np.greater(span, 0.0)
@@ -627,21 +631,44 @@ class InsertRefused(ValueError):
     unchanged (the update processor keeps such a point on its side list)."""
 
 
+def group_by(ids: np.ndarray, n: int) -> Iterator[tuple[int, "np.ndarray | slice"]]:
+    """``(id, positions)`` for each id in ``[0, n)`` that ``ids`` holds,
+    ids ascending, each id's positions in order; ``-1`` entries are
+    skipped.  One stable ``argsort`` and one ``bincount`` — or, when every
+    entry has one id (a one-run plan, every per-query call), no
+    permutation: the positions are ``slice(None)``."""
+    if len(ids) and (len(ids) == 1 or (ids == ids[0]).all()):
+        if ids[0] >= 0:
+            yield int(ids[0]), slice(None)
+        return
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids + 1, minlength=n + 1)  # slot 0: the -1 entries
+    stops = np.cumsum(counts).tolist()
+    for i in np.flatnonzero(counts[1:]).tolist():
+        yield i, order[stops[i] : stops[i + 1]]
+
+
 class LearnedSpatialIndex(ABC):
     """Query-facing API shared by ZM, ML-Index, RSMI, LISA and Flood.
 
     Subclasses implement :meth:`build` (map + sort + train through the
-    builder) and the *batch* query kinds :meth:`point_queries` and
-    :meth:`window_queries`; :meth:`knn_queries` is defined here, over
-    :meth:`window_queries`.  Those three are the whole query contract: the
-    per-query spellings of the paper's API are defined once, here, as
-    batches of one, so an index has a single query path and "batch ==
-    scalar" holds by construction.  ``build_stats`` and ``query_stats``
-    expose the cost counters every experiment reports (see
+    builder) and *plan* the two batch query kinds: :meth:`point_plan` and
+    :meth:`window_plan` map, route, predict and widen, and say which rows
+    of which :class:`~repro.indices.run.KeyedRun` hold the answer.  The
+    scan is written once, here: :meth:`point_queries` and
+    :meth:`window_queries` execute any plan, and :meth:`knn_queries` runs
+    over :meth:`window_queries`.  The per-query spellings of the paper's
+    API are batches of one, so an index has a single query path and
+    "batch == scalar" holds by construction.  ``build_stats`` and
+    ``query_stats`` expose the cost counters every experiment reports (see
     :class:`QueryStats` for how a batch is charged).
     """
 
     name: str = "base"
+
+    #: Probe keys match stored keys within this tolerance (exact by
+    #: default; ML-Index's keys are floating distances).
+    KEY_ATOL = 0.0
 
     #: Constructor parameters a snapshot carries (``block_size`` aside).
     state_params: tuple[str, ...] = ()
@@ -676,14 +703,25 @@ class LearnedSpatialIndex(ABC):
         """Index ``points``; returns self for chaining."""
 
     @abstractmethod
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Membership of each ``(b, d)`` row (exact coordinates): one bool
-        per row, ``shape (0,)`` for an empty batch."""
+    def point_plan(self, pts: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """Where each probe of a non-empty ``(b, d)`` batch can be stored:
+        ``(runs, run, key)`` — a table of keyed runs, the index into it of
+        each probe's run (``-1``: answered False without a scan) and the
+        probe's key in that run.  Model invocations spent routing are the
+        plan's to charge; the run's own prediction is charged when the
+        probe is handed to it."""
 
     @abstractmethod
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Points inside each window: one ``(m, d)`` array per window (may
-        be approximate)."""
+    def window_plan(
+        self, win_lo: np.ndarray, win_hi: np.ndarray
+    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows to scan for each window of a non-empty batch, given as
+        ``(w, d)`` corner arrays: ``(runs, run, lo, hi, owner)``, one entry
+        per rank range ``[lo, hi)`` of ``runs[run]`` as scanned, for window
+        ``owner``.  Within one run, entries are in window order and a
+        window's ranges are disjoint.  A window's rows come back run by
+        run, ascending, and in entry order within a run.  Model invocations
+        are the plan's to charge."""
 
     @abstractmethod
     def runs(self) -> Iterator:
@@ -733,7 +771,7 @@ class LearnedSpatialIndex(ABC):
     def _structure_state(self) -> dict:
         """The index-specific part of :meth:`state_dict`: stores, models
         and mapping parameters, as a tree of dicts, lists, scalars and
-        ndarrays.  Derived state (a :class:`~repro.indices.run.ModelSet`'s
+        ndarrays.  Derived state (a :class:`~repro.indices.rmi.ModelSet`'s
         per-member arrays) is left out."""
 
     @abstractmethod
@@ -798,6 +836,72 @@ class LearnedSpatialIndex(ABC):
         if pts.shape[1] < 2:
             raise ValueError("spatial indices need d >= 2")
         return pts
+
+    def point_queries(self, points: np.ndarray) -> np.ndarray:
+        """Membership of each ``(b, d)`` row (exact coordinates): one bool
+        per row, ``shape (0,)`` for an empty batch.  Executes
+        :meth:`point_plan`: each visited run answers its probes in one
+        predict-and-scan (:meth:`~repro.indices.run.KeyedRun.point_lookup`)."""
+        self._check_built()
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        found = np.zeros(len(pts), dtype=bool)
+        if len(pts) == 0:
+            return found
+        with _span("query.point_batch", index=self.name, queries=len(pts)):
+            runs, run, keys = self.point_plan(pts)
+            self.query_stats.queries += len(pts)
+            for r, rows in group_by(run, len(runs)):
+                probes = pts[rows]
+                found[rows], scanned = runs[r].point_lookup(
+                    self.name, keys[rows], probes, atol=self.KEY_ATOL
+                )
+                self.query_stats.model_invocations += len(probes)
+                self.query_stats.points_scanned += scanned
+        return found
+
+    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
+        """Points inside each window: one ``(m, d)`` array per window (as
+        exact as the index's plan).  Executes :meth:`window_plan`: one
+        fused scan + rectangle filter per visited run
+        (:func:`~repro.perf.batching.batch_window_refine`), each window's
+        pieces put back run by run."""
+        self._check_built()
+        if not windows:
+            return []
+        w = len(windows)
+        with _span("query.window_batch", index=self.name, windows=w):
+            win_lo = np.vstack([win.lo_array for win in windows])
+            win_hi = np.vstack([win.hi_array for win in windows])
+            runs, run, lo, hi, owner = self.window_plan(win_lo, win_hi)
+            record_range_widths(self.name, lo, hi, owner)
+            self.query_stats.queries += w
+            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
+            with _span("query.refine", index=self.name, queries=w):
+                if len(runs) == 1:  # the kernel takes a one-run plan as it is
+                    store = runs[0].store
+                    return batch_window_refine(store, lo, hi, win_lo, win_hi, owner)
+                return self._refine(runs, run, lo, hi, owner, win_lo, win_hi)
+
+    @staticmethod
+    def _refine(runs, run, lo, hi, owner, win_lo, win_hi) -> list[np.ndarray]:
+        """A plan over many runs: one kernel call per visited run, each
+        entry filtered on its own, and each window's non-empty pieces
+        stacked run by run."""
+        chunks: list[list[np.ndarray]] = [[] for _ in range(len(win_lo))]
+        for r, entries in group_by(run, len(runs)):
+            here = owner[entries]
+            parts = batch_window_refine(
+                runs[r].store, lo[entries], hi[entries],
+                win_lo.take(here, axis=0), win_hi.take(here, axis=0),
+            )
+            for i, part in zip(here.tolist(), parts):
+                if len(part):
+                    chunks[i].append(part)
+        d = win_lo.shape[1]
+        return [
+            np.concatenate(c) if len(c) > 1 else c[0] if c else np.empty((0, d))
+            for c in chunks
+        ]
 
     def knn_queries(self, points: np.ndarray, k: int) -> list[np.ndarray]:
         """The ``k`` nearest indexed points to each ``(b, d)`` row, nearest

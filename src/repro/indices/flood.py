@@ -26,10 +26,9 @@ import time
 
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder
-from repro.indices.run import KeyedRun, ModelSet
-from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine, cast_boundaries
+from repro.indices.base import LearnedSpatialIndex, ModelBuilder, group_by
+from repro.indices.run import KeyedRun
+from repro.perf.batching import cast_boundaries
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -60,11 +59,8 @@ class FloodIndex(LearnedSpatialIndex):
         self.n_columns = n_columns
         self._column_edges: np.ndarray | None = None
         #: Per column, its points in y order under a y-CDF model (None: no
-        #: point fell in the column); the populated columns' models (derived,
-        #: never saved) and each column's member in them (-1: empty).
+        #: point fell in the column).
         self._columns: list[KeyedRun | None] = []
-        self._models: ModelSet | None = None
-        self._member_of_column: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Query-aware tuning (Flood's contribution)
@@ -176,20 +172,11 @@ class FloodIndex(LearnedSpatialIndex):
         self._columns = [
             None if store is None else KeyedRun(store, next(models)) for store in stores
         ]
-        self._gather_models()
         return self
 
     def runs(self):
         self._check_built()
         return (run for run in self._columns if run is not None)
-
-    def _gather_models(self) -> None:
-        """Put the populated columns' models in one :class:`ModelSet`, so a
-        batch touching many columns is predicted in one call."""
-        populated = [c for c, run in enumerate(self._columns) if run is not None]
-        self._member_of_column = np.full(self.n_columns, -1, dtype=np.int64)
-        self._member_of_column[populated] = np.arange(len(populated))
-        self._models = ModelSet([self._columns[c].model for c in populated])
 
     def _structure_state(self) -> dict:
         return {
@@ -200,112 +187,45 @@ class FloodIndex(LearnedSpatialIndex):
     def _restore_structure(self, state: dict) -> None:
         self._column_edges = state["column_edges"]
         self._columns = [c and KeyedRun.from_state(c) for c in state["columns"]]
-        self._gather_models()
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries: a column is a run
     # ------------------------------------------------------------------
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: one prediction pass for all visited
-        columns, then one fused range-gather per visited column."""
-        self._check_built()
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        out = np.zeros(len(pts), dtype=bool)
-        self.query_stats.queries += len(pts)
-        with _span("query.point_batch", index=self.name, queries=len(pts)):
-            columns = self._column_of(pts[:, 0])
-            # Cast once for the whole batch: predictions and store searches
-            # must both see the key-dtype y values.
-            cast_y = pts[:, 1].astype(self.key_dtype, copy=False)
-            # One prediction pass for every visited column at once; rows
-            # landing in an empty column are answered False without it.
-            member = self._member_of_column[columns]
-            valid = member >= 0
-            lo = np.zeros(len(pts), dtype=np.int64)
-            hi = np.zeros(len(pts), dtype=np.int64)
-            if valid.any():
-                with _span(
-                    "query.model_predict", index=self.name, queries=int(valid.sum())
-                ):
-                    lo[valid], hi[valid] = self._models.search_ranges(
-                        member[valid], cast_y[valid]
-                    )
-            # Group the probes by column once: each visited column's probes
-            # become one contiguous slice of ``order``, in batch order.
-            order = np.flatnonzero(valid)
-            order = order[np.argsort(columns[order], kind="stable")]
-            counts = np.bincount(columns[order], minlength=self.n_columns)
-            stop = 0
-            for c in np.flatnonzero(counts).tolist():
-                rows = order[stop : stop + counts[c]]
-                stop += counts[c]
-                out[rows], scanned = self._columns[c].point_lookup(
-                    self.name, cast_y[rows], pts[rows], predicted=(lo[rows], hi[rows])
-                )
-                self.query_stats.model_invocations += len(rows)
-                self.query_stats.points_scanned += scanned
-        return out
+    def _populated(self, columns: np.ndarray) -> np.ndarray:
+        """Which of ``columns`` hold points."""
+        return np.array([run is not None for run in self._columns])[columns]
 
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Batch window queries over flattened (window, column) pairs.
+    def point_plan(self, pts: np.ndarray):
+        """A probe's run is its column (``-1`` if empty: answered False
+        without a prediction), its key the y value in the key dtype; the
+        column's own model predicts."""
+        columns = self._column_of(pts[:, 0])
+        run = np.where(self._populated(columns), columns, -1)
+        return self._columns, run, pts[:, 1].astype(self.key_dtype, copy=False)
 
-        Every window expands to its visited-column pairs.  Per visited
-        column, *all* pairs' boundary ranks come from two batched
-        ``searchsorted`` calls over the cast key column (exact ranks, no
-        model pass, so no ``model_invocations``), and the scan + rectangle
-        filter runs through the fused refinement kernel
-        (:func:`~repro.perf.batching.batch_window_refine`).  A window's
-        rows come back columns ascending.
-        """
-        self._check_built()
-        if not windows:
-            return []
-        self.query_stats.queries += len(windows)
-        results: list[list[np.ndarray]] = [[] for _ in windows]
-        with _span("query.window_batch", index=self.name, windows=len(windows)):
-            pair_win: list[int] = []
-            pair_col: list[int] = []
-            for wi, window in enumerate(windows):
-                first = int(self._column_of(np.array([window.lo[0]]))[0])
-                last = int(self._column_of(np.array([window.hi[0]]))[0])
-                for c in range(first, last + 1):
-                    if self._columns[c] is not None:
-                        pair_win.append(wi)
-                        pair_col.append(c)
-            if not pair_win:
-                return [np.empty((0, w.ndim)) for w in windows]
-            wins = np.array(pair_win, dtype=np.int64)
-            cols = np.array(pair_col, dtype=np.int64)
-            # Boundary y values go through the monotone key-dtype cast: the
-            # cast interval brackets a superset of the true candidates over
-            # quantised key columns, and the rectangle filter removes the
-            # extras.
-            y_lo = cast_boundaries(
-                np.array([windows[w].lo[1] for w in wins]), self.key_dtype
-            )
-            y_hi = cast_boundaries(
-                np.array([windows[w].hi[1] for w in wins]), self.key_dtype
-            )
-            rect_lo = np.vstack([windows[w].lo_array for w in wins])
-            rect_hi = np.vstack([windows[w].hi_array for w in wins])
-            with _span("query.refine", index=self.name, queries=len(wins)):
-                for c in np.unique(cols):
-                    store = self._columns[c].store
-                    sel = np.flatnonzero(cols == c)
-                    lo = np.searchsorted(store.keys, y_lo[sel], side="left")
-                    hi = np.searchsorted(store.keys, y_hi[sel], side="right")
-                    self.query_stats.points_scanned += int(
-                        np.maximum(hi - lo, 0).sum()
-                    )
-                    parts = batch_window_refine(
-                        store, lo, hi, rect_lo[sel], rect_hi[sel]
-                    )
-                    for pair, part in zip(sel, parts):
-                        if len(part):
-                            results[wins[pair]].append(part)
-        return [
-            np.vstack(chunks) if chunks else np.empty((0, windows[wi].ndim))
-            for wi, chunks in enumerate(results)
-        ]
+    def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """Exact: one entry per (window, populated column) pair, window
+        major and columns ascending, bounded by the exact ranks of the
+        window's y-interval in the column (two batched ``searchsorted``
+        calls per visited column, no model pass, so no
+        ``model_invocations``)."""
+        first = self._column_of(win_lo[:, 0])
+        counts = np.maximum(self._column_of(win_hi[:, 0]) - first + 1, 0)
+        owner = np.repeat(np.arange(len(win_lo)), counts)
+        start = np.cumsum(counts) - counts
+        columns = np.arange(len(owner)) - np.repeat(start - first, counts)
+        keep = self._populated(columns)
+        owner, columns = owner[keep], columns[keep]
+        # Boundary y values go through the monotone key-dtype cast: the
+        # cast interval brackets a superset of the true candidates over
+        # quantised key columns, and the rectangle filter removes the
+        # extras.
+        y_lo = cast_boundaries(win_lo[owner, 1], self.key_dtype)
+        y_hi = cast_boundaries(win_hi[owner, 1], self.key_dtype)
+        lo = np.empty(len(owner), dtype=np.int64)
+        hi = np.empty(len(owner), dtype=np.int64)
+        for c, pairs in group_by(columns, self.n_columns):
+            keys = self._columns[c].store.keys
+            lo[pairs] = np.searchsorted(keys, y_lo[pairs], side="left")
+            hi[pairs] = np.searchsorted(keys, y_hi[pairs], side="right")
+        return self._columns, columns, lo, hi, owner

@@ -16,13 +16,14 @@ window recall.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.indices.base import ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine, merge_ranges
-from repro.spatial.rect import Rect
+from repro.perf.batching import merge_ranges
 
 __all__ = ["LISAIndex"]
 
@@ -139,88 +140,39 @@ class LISAIndex(MapAndSortIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Vectorised batch window queries (approximate: FFN shard
-        predictor, see module docs).
+    def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """Approximate (FFN shard predictor, see module docs).
 
-        A window intersects a rectangle of grid cells; each run of cells
-        that is contiguous in cell-ID order yields one mapped-value
-        interval whose scan boundaries come from the shard predictor.
-        Every window's run-edge probes go through two batched forward
-        passes (one per edge); ranges are shard-aligned arithmetically over
-        the whole batch, merged per window, and refined through the fused
-        scan + rectangle kernel
-        (:func:`~repro.perf.batching.batch_window_refine`).
+        A window covers a box of grid cells.  Each row of it along the last
+        axis is contiguous in cell-ID order, so it is one mapped-value
+        interval ``[first, last + 1)`` (offsets live in ``[0, 1)`` per
+        cell), whose scan boundaries come from the shard predictor: every
+        row's edges in two batched forward passes, one per edge.  Ranges
+        are shard-aligned, and each window's are merged so no row is
+        scanned (or reported) twice — in one merge for the whole batch,
+        each window's ranks offset past the previous window's.
         """
-        self._check_built()
-        if not windows:
-            return []
-        w = len(windows)
-        d = windows[0].ndim
-        with _span("query.window_batch", index=self.name, windows=w):
-            self.query_stats.queries += w
-            lo_corners = np.vstack([win.lo_array for win in windows])
-            hi_corners = np.vstack([win.hi_array for win in windows])
-            cell_lo = np.clip(self._cell_indices(lo_corners), 0, self.grid_size - 1)
-            cell_hi = np.clip(self._cell_indices(hi_corners), 0, self.grid_size - 1)
-            lo_probes: list[float] = []
-            hi_probes: list[float] = []
-            probe_owner: list[int] = []
-            for wi in range(w):
-                leading = [
-                    range(cell_lo[wi, dim], cell_hi[wi, dim] + 1)
-                    for dim in range(d - 1)
-                ]
-                for prefix in _product(leading):
-                    first = self._row_major((*prefix, int(cell_lo[wi, d - 1])))
-                    last = self._row_major((*prefix, int(cell_hi[wi, d - 1])))
-                    # Scan the run of cells in full: offsets live in [0, 1)
-                    # per cell, so [first, last + 1) covers every candidate.
-                    lo_probes.append(first)
-                    hi_probes.append(last + 1.0 - 1e-9)
-                    probe_owner.append(wi)
-            with _span(
-                "query.model_predict", index=self.name, queries=2 * len(probe_owner)
-            ):
-                lo_pred, _ = self.run.model.search_ranges(np.array(lo_probes))
-                _, hi_pred = self.run.model.search_ranges(np.array(hi_probes))
-            self.query_stats.model_invocations += 2 * len(probe_owner)
-            lo, hi = self.run.scan_bounds(lo_pred, hi_pred)
-            # Merge each window's overlapping ranges so no point is scanned
-            # (or reported) twice — shard alignment and error bounds make
-            # the per-run ranges overlap.
-            owner_arr = np.asarray(probe_owner, dtype=np.int64)
-            starts_parts: list[np.ndarray] = []
-            ends_parts: list[np.ndarray] = []
-            owner_parts: list[np.ndarray] = []
-            for wi in range(w):
-                sel = owner_arr == wi
-                starts, ends = merge_ranges(lo[sel], hi[sel])
-                starts_parts.append(starts)
-                ends_parts.append(ends)
-                owner_parts.append(np.full(len(starts), wi, dtype=np.int64))
-            r_lo = np.concatenate(starts_parts)
-            r_hi = np.concatenate(ends_parts)
-            r_own = np.concatenate(owner_parts)
-            self.query_stats.points_scanned += int(np.maximum(r_hi - r_lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=w):
-                return batch_window_refine(
-                    self.run.store, r_lo, r_hi, lo_corners, hi_corners, owner=r_own
-                )
-
-    def _row_major(self, cell: tuple[int, ...]) -> float:
-        """Row-major cell ID of integer cell coordinates."""
-        cid = 0
-        for c in cell:
-            cid = cid * self.grid_size + c
-        return float(cid)
-
-
-def _product(ranges: list[range]):
-    """Cartesian product of ranges; yields () once when the list is empty."""
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product(ranges[1:]):
-            yield (head, *tail)
+        g = self.grid_size
+        cell_lo = np.clip(self._cell_indices(win_lo), 0, g - 1).tolist()
+        cell_hi = np.clip(self._cell_indices(win_hi), 0, g - 1).tolist()
+        first: list[float] = []
+        last: list[float] = []
+        owner: list[int] = []
+        for wi, (lo_cell, hi_cell) in enumerate(zip(cell_lo, cell_hi)):
+            leading = map(range, lo_cell[:-1], [c + 1 for c in hi_cell[:-1]])
+            for prefix in itertools.product(*leading):
+                row = 0  # the row-major ID of the row's leading cells
+                for c in prefix:
+                    row = row * g + c
+                first.append(float(row * g + lo_cell[-1]))
+                last.append(float(row * g + hi_cell[-1]))
+                owner.append(wi)
+        with _span("query.model_predict", index=self.name, queries=2 * len(owner)):
+            lo, _ = self.run.model.search_ranges(np.array(first))
+            _, hi = self.run.model.search_ranges(np.array(last) + 1.0 - 1e-9)
+        self.query_stats.model_invocations += 2 * len(owner)
+        lo, hi = self.run.scan_bounds(lo, hi)
+        stride = len(self.run.store) + 1  # past any rank
+        offset = np.array(owner) * stride
+        lo, hi = merge_ranges(lo + offset, hi + offset)
+        return self._one_run(lo % stride, hi % stride, lo // stride)

@@ -6,7 +6,7 @@ one :class:`~repro.storage.blocks.BlockStore`, fit one
 :class:`~repro.indices.rmi.RMIModel` over the key column, answer a point
 query by predict-and-scan.  :class:`MapAndSortIndex` is that procedure,
 once, over one :class:`~repro.indices.run.KeyedRun`.  A subclass supplies
-``map()``, ``window_queries`` (how a rectangle becomes key intervals is the
+``map()``, ``window_plan`` (how a rectangle becomes key intervals is the
 mapping's business) and whatever the mapping learns from the data
 (``_fit_mapping`` / ``_mapping_state`` / ``_restore_mapping``; nothing for
 ZM); the rest is inherited.
@@ -35,10 +35,6 @@ class MapAndSortIndex(LearnedSpatialIndex):
     #: Stage-2 fan-out of the RMI (1 = a single model); ZM and ML-Index
     #: take it as a constructor parameter.
     branching = 1
-
-    #: Probe keys match stored keys within this tolerance (exact by
-    #: default; ML-Index's keys are floating distances).
-    KEY_ATOL = 0.0
 
     #: Whether the builder gets ``map()`` to key the points it synthesises
     #: (CL, RL).  False where the mapping is derived from ``D`` itself.
@@ -126,21 +122,13 @@ class MapAndSortIndex(LearnedSpatialIndex):
         self.run.insert(q, key)
         self.n_points += 1
 
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch lookup: one model forward pass for all keys and
-        one fused gather per group of overlapping scan ranges."""
-        self._check_built()
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
-        with _span("query.point_batch", index=self.name, queries=len(pts)):
-            found, scanned = self.run.point_lookup(
-                self.name, self.map(pts), pts, atol=self.KEY_ATOL
-            )
-            self.query_stats.queries += len(pts)
-            self.query_stats.model_invocations += len(pts)
-            self.query_stats.points_scanned += scanned
-            return found
+    def point_plan(self, pts: np.ndarray):
+        """Every probe is in the one run, under its mapped key."""
+        return [self.run], np.zeros(len(pts), dtype=np.int64), self.map(pts)
+
+    def _one_run(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+        """A window plan whose entries are all in the one run."""
+        return [self.run], np.zeros(len(lo), dtype=np.int64), lo, hi, owner
 
     def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
         """First kNN window sides from each query's key-order neighbours.

@@ -17,10 +17,8 @@ import numpy as np
 
 from repro.indices.base import InsertRefused, ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
-from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine, cast_boundaries, merge_ranges
+from repro.perf.batching import cast_boundaries, merge_ranges
 from repro.spatial.idistance import IDistanceMapping
-from repro.spatial.rect import Rect
 
 __all__ = ["MLIndex"]
 
@@ -139,35 +137,21 @@ class MLIndex(MapAndSortIndex):
         )
         return lo, hi
 
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Exact batch window queries.
-
-        Each window is circumscribed by a ball; the iDistance annulus
-        filter yields one candidate key interval per reference partition
-        (:meth:`_annulus_ranks`; no model pass, so no
-        ``model_invocations``), and one fused rectangle-refinement kernel
-        filters every window's runs, partitions ascending
-        (:func:`~repro.perf.batching.batch_window_refine`).
-        """
-        self._check_built()
+    def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """Exact: each window is circumscribed by a ball, and the iDistance
+        annulus filter yields one candidate key interval per reference
+        partition, partitions ascending (:meth:`_annulus_ranks`; no model
+        pass, so no ``model_invocations``)."""
         assert self.mapping is not None
-        if not windows:
-            return []
-        w = len(windows)
-        with _span("query.window_batch", index=self.name, windows=w):
-            win_lo = np.vstack([win.lo_array for win in windows])
-            win_hi = np.vstack([win.hi_array for win in windows])
-            diff = self.mapping.references - ((win_lo + win_hi) / 2.0)[:, None, :]
-            extent = win_hi - win_lo
-            lo, hi = self._annulus_ranks(
-                np.sqrt(np.einsum("wmd,wmd->wm", diff, diff)),
-                np.sqrt(np.einsum("wd,wd->w", extent, extent)) / 2.0,
-            )
-            owner = np.repeat(np.arange(w), self.mapping.n_references)
-            self.query_stats.queries += w
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
-            with _span("query.refine", index=self.name, queries=w):
-                return batch_window_refine(self.run.store, lo, hi, win_lo, win_hi, owner)
+        diff = self.mapping.references - ((win_lo + win_hi) / 2.0)[:, None, :]
+        extent = win_hi - win_lo
+        lo, hi = self._annulus_ranks(
+            np.sqrt(np.einsum("wmd,wmd->wm", diff, diff)),
+            np.sqrt(np.einsum("wd,wd->w", extent, extent)) / 2.0,
+        )
+        return self._one_run(
+            lo, hi, np.repeat(np.arange(len(win_lo)), self.mapping.n_references)
+        )
 
     def _knn_rounds(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         """Exact kNN by iDistance radius expansion, vectorised over the batch.

@@ -11,7 +11,7 @@ Every member model is trained through a
 :class:`~repro.indices.base.ModelBuilder`, which is how ELSI accelerates
 multi-model indices one model at a time (Figure 3).
 
-The stage-2 leaves are one :class:`~repro.indices.run.ModelSet`: a
+The stage-2 leaves are one :class:`ModelSet`: a
 :meth:`~RMIModel.search_ranges` batch touching many leaves runs one forward
 pass per visited leaf, under that leaf's own measured bounds.
 
@@ -26,10 +26,69 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.indices.base import BuildStats, MapFn, ModelBuilder, TrainedModel
-from repro.indices.run import ModelSet
+from repro.indices.base import (
+    BuildStats,
+    MapFn,
+    ModelBuilder,
+    TrainedModel,
+    normalise_keys,
+    predicted_positions,
+    scan_ranges,
+)
 
-__all__ = ["RMIModel"]
+__all__ = ["ModelSet", "RMIModel"]
+
+
+class ModelSet:
+    """The stage-2 leaves of an RMI, answering ``(member_idx, keys) ->
+    (lo, hi)`` in each member's local ranks.
+
+    Each visited member runs its own forward pass on its keys, and the
+    normalisation, rounding and bounds are :class:`TrainedModel`'s own
+    arithmetic, so a key gets bit for bit the position the member's
+    ``err_l``/``err_u`` were measured with: the set needs no bounds of its
+    own.  A member's ``invocations`` counts the keys it answered.  The
+    per-member scalars are read once, here: members are final (cast, with
+    their bounds measured) when the set is made.
+    """
+
+    def __init__(self, members: "list[TrainedModel]") -> None:
+        self.members = list(members)
+        self.key_lo = np.array([m.key_lo for m in self.members])
+        self.span = np.array([m.key_hi - m.key_lo for m in self.members])
+        self.n_indexed = np.array([m.n_indexed for m in self.members], dtype=np.int64)
+        self.err_l = np.array([m.err_l for m in self.members], dtype=np.int64)
+        self.err_u = np.array([m.err_u for m in self.members], dtype=np.int64)
+
+    def search_ranges(
+        self, member_idx: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Half-open local scan range per key under its member's bounds:
+        ``lo`` in ``[0, n - 1]``, ``hi`` in ``[1, n]``."""
+        keys = np.asarray(keys, dtype=np.float64)
+        member_idx = np.asarray(member_idx, dtype=np.int64)
+        # Group the batch by member: each member's keys become one
+        # contiguous slice, in batch order.
+        order = np.argsort(member_idx, kind="stable")
+        counts = np.bincount(member_idx, minlength=len(self.members))
+        visited = np.flatnonzero(counts)
+        stops = np.cumsum(counts)[visited]
+        m = member_idx[order]
+        x = normalise_keys(keys[order], self.key_lo[m], self.span[m])[:, None]
+        raw = np.empty(len(keys))
+        for i, count, stop in zip(
+            visited.tolist(), counts[visited].tolist(), stops.tolist()
+        ):
+            member = self.members[i]
+            member.invocations += count
+            raw[stop - count : stop] = member.net.predict(x[stop - count : stop])
+        n = self.n_indexed[m]
+        lo = np.empty(len(keys), dtype=np.int64)
+        hi = np.empty(len(keys), dtype=np.int64)
+        lo[order], hi[order] = scan_ranges(
+            predicted_positions(raw, n), n, self.err_l[m], self.err_u[m]
+        )
+        return lo, hi
 
 
 class RMIModel:

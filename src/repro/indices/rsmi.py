@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel
+from repro.indices.base import LearnedSpatialIndex, ModelBuilder, TrainedModel, group_by
 from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
@@ -320,40 +319,38 @@ class RSMIIndex(LearnedSpatialIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def point_queries(self, points: np.ndarray) -> np.ndarray:
-        """Batch lookup, one root-to-leaf descent per row (no fused kernel
-        yet): each hop repeats the build-time routing computation, so
-        indexed points always reach the leaf that stores them."""
-        self._check_built()
+    def point_plan(self, pts: np.ndarray):
+        """A level-wise descent: the probes at one node map and route
+        together, one model invocation each per internal hop, so each
+        repeats the build-time routing computation and an indexed point
+        reaches the leaf that stores it.  A probe routed to an empty child
+        slot is answered False."""
         assert self.root is not None
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.fromiter(
-            (self._point_lookup(q) for q in pts), dtype=bool, count=len(pts)
-        )
-
-    def _point_lookup(self, q: np.ndarray) -> bool:
-        assert self.root is not None
-        node = self.root
-        self.query_stats.queries += 1
-        with _span("rsmi.point", index=self.name) as point_span:
-            hops = 0
-            while True:
-                key = self._node_keys(q[None, :], node.bounds)
-                self.query_stats.model_invocations += 1
-                hops += 1
+        leaves: list[KeyedRun] = []
+        run = np.full(len(pts), -1, dtype=np.int64)
+        keys = np.zeros(len(pts), dtype=self.key_dtype)
+        # (node, the probes there, their coordinates) for one tree level.
+        level = [(self.root, np.arange(len(pts)), pts)]
+        while level:
+            deeper = []
+            for node, probes, at in level:
+                node_keys = self._node_keys(at, node.bounds)
                 if node.is_leaf:
-                    found, scanned = node.run.point_lookup(self.name, key, q[None, :])
-                    self.query_stats.points_scanned += scanned
-                    point_span.set(hops=hops, scanned=scanned)
-                    return bool(found[0])
-                child = node.children[int(self._route(node.model, key, node.n)[0])]
-                if child is None:
-                    point_span.set(hops=hops, scanned=0)
-                    return False
-                node = child
+                    run[probes] = len(leaves)
+                    keys[probes] = node_keys
+                    leaves.append(node.run)
+                    continue
+                self.query_stats.model_invocations += len(probes)
+                branch = self._route(node.model, node_keys, node.n)
+                for b, sub in group_by(branch, self.fanout):
+                    if node.children[b] is not None:
+                        deeper.append((node.children[b], probes[sub], at[sub]))
+            level = deeper
+        return leaves, run, keys
 
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Batch window queries: one tree walk shared by the whole batch.
+    def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """One tree walk shared by the whole batch, one entry per (leaf,
+        window) it reaches.
 
         A single DFS carries the set of still-active windows through each
         node: per node, both corner keys of *every* active window map and
@@ -364,69 +361,52 @@ class RSMIIndex(LearnedSpatialIndex):
         characteristic approximate recall.  Traversal is pre-order, so a
         window's result rows do not depend on what else is in the batch.
         """
-        self._check_built()
         assert self.root is not None
-        if not windows:
-            return []
-        self.query_stats.queries += len(windows)
-        d = windows[0].ndim
-        win_lo = np.vstack([w.lo_array for w in windows])
-        win_hi = np.vstack([w.hi_array for w in windows])
-        chunks: list[list[np.ndarray]] = [[] for _ in windows]
-        with _span(
-            "rsmi.window_batch", index=self.name, windows=len(windows)
-        ) as window_span:
-            stack: list[tuple[_Node, np.ndarray]] = [
-                (self.root, np.arange(len(windows)))
-            ]
-            while stack:
-                node, active = stack.pop()
-                # Closed-box intersection test (touching counts), vectorised
-                # over the active windows — mirrors Rect.intersects.
-                blo, bhi = node.bounds.lo_array, node.bounds.hi_array
-                hit = np.all(win_lo[active] <= bhi, axis=1) & np.all(
-                    blo <= win_hi[active], axis=1
-                )
-                active = active[hit]
-                w = len(active)
-                if w == 0:
+        leaves: list[KeyedRun] = []
+        empty = np.empty(0, dtype=np.int64)
+        run, lo_parts, hi_parts, owner = [empty], [empty], [empty], [empty]
+        stack: list[tuple[_Node, np.ndarray]] = [(self.root, np.arange(len(win_lo)))]
+        while stack:
+            node, active = stack.pop()
+            # Closed-box intersection test (touching counts), vectorised
+            # over the active windows — mirrors Rect.intersects.
+            blo, bhi = node.bounds.lo_array, node.bounds.hi_array
+            hit = np.all(win_lo[active] <= bhi, axis=1) & np.all(
+                blo <= win_hi[active], axis=1
+            )
+            active = active[hit]
+            w = len(active)
+            if w == 0:
+                continue
+            # Clip each window to the node's box before mapping, so
+            # corner codes stay inside the local curve's domain.
+            lo = np.maximum(win_lo[active], blo)
+            hi = np.minimum(win_hi[active], bhi)
+            z = self._node_keys(np.vstack([lo, hi]), node.bounds)
+            self.query_stats.model_invocations += 2 * w
+            lo_all, hi_all = node.model.search_ranges(z)
+            pos_lo, pos_hi = lo_all[:w], hi_all[w:]
+            if node.is_leaf:
+                pos_lo, pos_hi = node.run.scan_bounds(pos_lo, pos_hi)
+                run.append(np.full(w, len(leaves)))
+                lo_parts.append(pos_lo)
+                hi_parts.append(pos_hi)
+                owner.append(active)
+                leaves.append(node.run)
+                continue
+            n = max(node.n, 1)
+            b_lo = np.clip((pos_lo * self.fanout) // n, 0, self.fanout - 1)
+            b_hi = np.clip(((pos_hi - 1) * self.fanout) // n, 0, self.fanout - 1)
+            # Push children high-branch-first so the LIFO pop visits
+            # each window's children in ascending pre-order.
+            for b in range(self.fanout - 1, -1, -1):
+                child = node.children[b]
+                if child is None:
                     continue
-                # Clip each window to the node's box before mapping, so
-                # corner codes stay inside the local curve's domain.
-                lo = np.maximum(win_lo[active], blo)
-                hi = np.minimum(win_hi[active], bhi)
-                z = self._node_keys(np.vstack([lo, hi]), node.bounds)
-                self.query_stats.model_invocations += 2 * w
-                lo_all, hi_all = node.model.search_ranges(z)
-                pos_lo, pos_hi = lo_all[:w], hi_all[w:]
-                if node.is_leaf:
-                    pos_lo, pos_hi = node.run.scan_bounds(pos_lo, pos_hi)
-                    self.query_stats.points_scanned += int(
-                        np.maximum(pos_hi - pos_lo, 0).sum()
-                    )
-                    inside = batch_window_refine(
-                        node.run.store, pos_lo, pos_hi, win_lo[active], win_hi[active]
-                    )
-                    for wi, rows in zip(active, inside):
-                        if len(rows):
-                            chunks[wi].append(rows)
-                    continue
-                n = max(node.n, 1)
-                b_lo = np.clip((pos_lo * self.fanout) // n, 0, self.fanout - 1)
-                b_hi = np.clip(((pos_hi - 1) * self.fanout) // n, 0, self.fanout - 1)
-                # Push children high-branch-first so the LIFO pop visits
-                # each window's children in ascending pre-order.
-                for b in range(self.fanout - 1, -1, -1):
-                    child = node.children[b]
-                    if child is None:
-                        continue
-                    sub = active[(b_lo <= b) & (b <= b_hi)]
-                    if len(sub):
-                        stack.append((child, sub))
-            window_span.set(matched=sum(sum(len(c) for c in cs) for cs in chunks))
-        return [
-            np.vstack(cs) if cs else np.empty((0, d)) for cs in chunks
-        ]
+                sub = active[(b_lo <= b) & (b <= b_hi)]
+                if len(sub):
+                    stack.append((child, sub))
+        return leaves, *map(np.concatenate, (run, lo_parts, hi_parts, owner))
 
     def map(self, points: np.ndarray) -> np.ndarray:
         """Global Morton keys over the root bounds (CDF tracking only;

@@ -6,9 +6,8 @@ index is made of such pairs — one under ZM, ML-Index and LISA
 (:class:`~repro.indices.mapsort.MapAndSortIndex`), one per populated column
 of Flood, one per leaf of RSMI — so the pair, the insert count that widens
 its scans, its point lookup and its durable state are written here, once.
-
-The models of one index level (RMI stage 2, Flood's columns) predict a key
-batch together as a :class:`ModelSet`.
+An index's query plan names runs and rank ranges in them;
+:class:`~repro.indices.base.LearnedSpatialIndex` scans them.
 """
 
 from __future__ import annotations
@@ -17,18 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.indices.base import (
-    TrainedModel,
-    normalise_keys,
-    predicted_positions,
-    scan_ranges,
-)
+from repro.indices.base import TrainedModel
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_point_membership
 from repro.storage.blocks import BlockStore
 
-__all__ = ["KeyedRun", "ModelSet"]
+__all__ = ["KeyedRun"]
 
 
 class KeyedRun:
@@ -59,20 +53,12 @@ class KeyedRun:
         return np.maximum(lo, 0), np.minimum(hi, len(self.store))
 
     def point_lookup(
-        self,
-        index_name: str,
-        keys: np.ndarray,
-        points: np.ndarray,
-        atol: float = 0.0,
-        predicted: "tuple[np.ndarray, np.ndarray] | None" = None,
+        self, index_name: str, keys: np.ndarray, points: np.ndarray, atol: float = 0.0
     ) -> tuple[np.ndarray, int]:
         """Predict-and-scan for a batch: membership per ``(key, point)`` row
-        and the rows scanned (the ``points_scanned`` charge).  ``predicted``
-        is the model's ``search_ranges(keys)`` where the caller has it
-        already (Flood predicts for all its columns in one pass)."""
-        if predicted is None:
-            with _span("query.model_predict", index=index_name, queries=len(keys)):
-                predicted = self.model.search_ranges(keys)
+        and the rows scanned (the ``points_scanned`` charge)."""
+        with _span("query.model_predict", index=index_name, queries=len(keys)):
+            predicted = self.model.search_ranges(keys)
         lo, hi = self.scan_bounds(*predicted)
         record_range_widths(index_name, lo, hi)
         with _span("query.refine", index=index_name, queries=len(keys)):
@@ -101,56 +87,3 @@ class KeyedRun:
         rebuilds a model that is more than one :class:`TrainedModel`."""
         store = BlockStore.from_state(state["store"])
         return cls(store, load_model(state["model"]), inserts, page)
-
-
-class ModelSet:
-    """The models of one index level (RMI stage 2, Flood's columns),
-    answering ``(member_idx, keys) -> (lo, hi)`` in each member's local
-    ranks.
-
-    Each visited member runs its own forward pass on its keys, and the
-    normalisation, rounding and bounds are :class:`TrainedModel`'s own
-    arithmetic, so a key gets bit for bit the position the member's
-    ``err_l``/``err_u`` were measured with: the set needs no bounds of its
-    own.  A member's ``invocations`` counts the keys it answered.  The
-    per-member scalars are read once, here: members are final (cast, with
-    their bounds measured) when the set is made.
-    """
-
-    def __init__(self, members: "list[TrainedModel]") -> None:
-        self.members = list(members)
-        self.key_lo = np.array([m.key_lo for m in self.members])
-        self.span = np.array([m.key_hi - m.key_lo for m in self.members])
-        self.n_indexed = np.array([m.n_indexed for m in self.members], dtype=np.int64)
-        self.err_l = np.array([m.err_l for m in self.members], dtype=np.int64)
-        self.err_u = np.array([m.err_u for m in self.members], dtype=np.int64)
-
-    def search_ranges(
-        self, member_idx: np.ndarray, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Half-open local scan range per key under its member's bounds:
-        ``lo`` in ``[0, n - 1]``, ``hi`` in ``[1, n]``."""
-        keys = np.asarray(keys, dtype=np.float64)
-        member_idx = np.asarray(member_idx, dtype=np.int64)
-        # Group the batch by member: each member's keys become one
-        # contiguous slice, in batch order.
-        order = np.argsort(member_idx, kind="stable")
-        counts = np.bincount(member_idx, minlength=len(self.members))
-        visited = np.flatnonzero(counts)
-        stops = np.cumsum(counts)[visited]
-        m = member_idx[order]
-        x = normalise_keys(keys[order], self.key_lo[m], self.span[m])[:, None]
-        raw = np.empty(len(keys))
-        for i, count, stop in zip(
-            visited.tolist(), counts[visited].tolist(), stops.tolist()
-        ):
-            member = self.members[i]
-            member.invocations += count
-            raw[stop - count : stop] = member.net.predict(x[stop - count : stop])
-        n = self.n_indexed[m]
-        lo = np.empty(len(keys), dtype=np.int64)
-        hi = np.empty(len(keys), dtype=np.int64)
-        lo[order], hi[order] = scan_ranges(
-            predicted_positions(raw, n), n, self.err_l[m], self.err_u[m]
-        )
-        return lo, hi

@@ -19,10 +19,7 @@ import numpy as np
 
 from repro.indices.base import ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
-from repro.obs.query_obs import record_range_widths
-from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine, cast_boundaries
-from repro.spatial.rect import Rect
+from repro.perf.batching import cast_boundaries
 from repro.spatial.zcurve import split_zranges, zvalues
 
 __all__ = ["ZMIndex"]
@@ -78,41 +75,22 @@ class ZMIndex(MapAndSortIndex):
         assert self.bounds is not None
         return zvalues(points, self.bounds, self.bits, dtype=self.key_dtype)
 
-    def window_queries(self, windows: "list[Rect]") -> list[np.ndarray]:
-        """Vectorised batch window queries.
-
-        Each window's corner codes bound one Z-interval, cut into the
+    def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """Each window's corner codes bound one Z-interval, cut into the
         sub-intervals worth scanning on their own (:meth:`_scan_runs`);
         their boundaries are exact ranks from batched ``searchsorted``
         calls over the cast key column (no model pass, so no
-        ``model_invocations`` are charged), and one fused
-        rectangle-refinement kernel filters every window's runs
-        (:func:`~repro.perf.batching.batch_window_refine`).
-        """
-        self._check_built()
-        if not windows:
-            return []
-        with _span("query.window_batch", index=self.name, windows=len(windows)):
-            w = len(windows)
-            win_lo = np.vstack([win.lo_array for win in windows])
-            win_hi = np.vstack([win.hi_array for win in windows])
-            assert self.bounds is not None
-            z = zvalues(np.vstack([win_lo, win_hi]), self.bounds, self.bits)
-            with _span("query.refine", index=self.name, queries=w):
-                lo, hi, owner = self._scan_runs(z[:w], z[w:])
-                rows = hi - lo
-                record_range_widths(
-                    self.name, 0, rows if owner is None else np.bincount(owner, rows)
-                )
-                self.query_stats.queries += w
-                self.query_stats.points_scanned += int(rows.sum())
-                return batch_window_refine(self.run.store, lo, hi, win_lo, win_hi, owner)
+        ``model_invocations`` are charged)."""
+        assert self.bounds is not None
+        w = len(win_lo)
+        z = zvalues(np.vstack([win_lo, win_hi]), self.bounds, self.bits)
+        return self._one_run(*self._scan_runs(z[:w], z[w:]))
 
     def _scan_runs(
         self, zlo: np.ndarray, zhi: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank runs ``[lo, hi)`` covering every window's Z-interval, and
-        the window each run belongs to (``None``: one run per window).
+        the window each run belongs to.
 
         ``[zlo, zhi]`` holds every code of the rect but mostly codes outside
         it.  :func:`~repro.spatial.zcurve.split_zranges` cuts a rect's
@@ -135,10 +113,10 @@ class ZMIndex(MapAndSortIndex):
         keys = self.run.store.keys
         lo = np.searchsorted(keys, cast_boundaries(zlo, keys.dtype), side="left")
         hi = np.searchsorted(keys, cast_boundaries(zhi, keys.dtype), side="right")
-        if int((hi - lo).sum()) < _MIN_ROUND_ROWS:
-            return lo, hi, None  # not even every interval together: no round
-        d = self.run.store.points.shape[1]
         owner = live = np.arange(len(lo))
+        if int((hi - lo).sum()) < _MIN_ROUND_ROWS:
+            return lo, hi, owner  # not even every interval together: no round
+        d = self.run.store.points.shape[1]
         while True:
             rows = hi[live] - lo[live]
             worth = (rows >= _MIN_GAP_ROWS) & (zlo[live] < zhi[live])

@@ -22,9 +22,11 @@ _WIDTH_BUCKETS = 28
 
 
 def record_range_widths(
-    index_name: str, lo: np.ndarray, hi: np.ndarray
+    index_name: str, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray | None = None
 ) -> None:
-    """Record ``hi - lo`` scan-range widths for one predicted batch.
+    """Record ``hi - lo`` scan-range widths for one predicted batch: one
+    per range, or with ``owner`` (the query each range belongs to) one per
+    query, its ranges' widths summed.
 
     No-op unless tracing/observability is enabled; the widths land in the
     ``query.predicted_range_width`` histogram labelled by index.
@@ -32,6 +34,8 @@ def record_range_widths(
     if not enabled():
         return
     widths = np.maximum(np.asarray(hi) - np.asarray(lo), 0)
+    if owner is not None:
+        widths = np.bincount(owner, widths)
     if len(widths) == 0:
         return
     hist = get_registry().histogram(

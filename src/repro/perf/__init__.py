@@ -6,5 +6,5 @@ multi-model build can train in one vectorised loop (:mod:`repro.perf.fused`,
 ``ELSIConfig(parallelism="fused")``), and batch point and window lookups
 run through vectorised gather kernels (:mod:`repro.perf.batching`) instead
 of per-query Python loops.  A leaf set predicts through
-:class:`repro.indices.run.ModelSet`, one forward pass per visited leaf.
+:class:`repro.indices.rmi.ModelSet`, one forward pass per visited leaf.
 """

@@ -114,8 +114,10 @@ class TestEngineParity:
         )
 
     def test_flood_fuses_columns(self, osm_points):
+        """Each column's own model predicts its probes: batch and one at a
+        time equal brute force."""
         index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
-        assert len(index._models.members) == len(list(index.runs()))
+        assert len(list(index.runs())) == 6
         rng = np.random.default_rng(2)
         probes = _probe_points(osm_points, rng)
         truth = point_truth(osm_points, probes)
@@ -195,7 +197,7 @@ class TestFloat32:
     def test_flood_query_parity_with_float64(self, osm_points):
         f64 = FloodIndex(builder=_builder("float64"), n_columns=6).build(osm_points)
         f32 = FloodIndex(builder=_builder("float32"), n_columns=6).build(osm_points)
-        assert all(m.net.weights[0].dtype == np.float32 for m in f32._models.members)
+        assert all(run.model.net.weights[0].dtype == np.float32 for run in f32.runs())
         rng = np.random.default_rng(7)
         probes = _probe_points(osm_points, rng)
         np.testing.assert_array_equal(

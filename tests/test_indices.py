@@ -142,9 +142,9 @@ def _definitions(cls, name):
 
 
 def test_one_query_path_per_index():
-    """The batch methods are the contract, each resolved to one concrete
-    definition; the per-query spellings exist once, in the base class, as
-    batches of one."""
+    """An index plans its queries; the batch methods that execute a plan,
+    and the per-query spellings (batches of one), exist once, in the base
+    class."""
     import inspect
 
     import repro.indices
@@ -157,19 +157,23 @@ def test_one_query_path_per_index():
     ]
     assert len(subclasses) == 5  # ZM, ML, RSMI, LISA, Flood
     for cls in subclasses:
-        for scalar in ("point_query", "window_query", "knn_query"):
-            assert _definitions(cls, scalar) == [LearnedSpatialIndex]
-        for batch in ("point_queries", "window_queries", "knn_queries"):
-            owners = _definitions(cls, batch)
-            assert len(owners) == 1, f"{cls.__name__}.{batch}: {owners}"
-        assert _definitions(cls, "knn_queries") == [LearnedSpatialIndex]
+        for name in (
+            "point_query", "window_query", "knn_query",
+            "point_queries", "window_queries", "knn_queries",
+        ):
+            assert _definitions(cls, name) == [LearnedSpatialIndex], (cls, name)
+        for plan in ("point_plan", "window_plan"):
+            owners = _definitions(cls, plan)
+            assert len(owners) == 1 and owners[0] is not LearnedSpatialIndex, (
+                f"{cls.__name__}.{plan}: {owners}"
+            )
 
 
 #: Members the single-store indices inherit from the map-and-sort core.
 MAP_AND_SORT_CORE = (
     "build",
     "insert",
-    "point_queries",
+    "point_plan",
     "runs",
     "error_width",
     "_knn_first_sides",
@@ -189,11 +193,12 @@ STATE_KEYS = {
 def test_one_keyed_run(built_indices):
     """Store + model + widened scan + point lookup + state pair exist once
     (``indices/run.py``), and so does the model side: a leaf set predicts
-    one way (``ModelSet``, made only by the RMI and Flood, with no stacked
-    engine), on predict-and-scan arithmetic written once
-    (``indices/base.py``).  The single-store indices inherit their core,
-    and no index module refines a point lookup or casts a model down
-    itself."""
+    one way (``ModelSet``, made only by the RMI, with no stacked engine),
+    on predict-and-scan arithmetic written once (``indices/base.py``).
+    The single-store indices inherit their core; no index module but the
+    executor's (``base.py``) and the run's imports a refinement kernel, and
+    none casts a model down itself."""
+    import ast
     from pathlib import Path
 
     import repro
@@ -218,10 +223,19 @@ def test_one_keyed_run(built_indices):
         assert sum(len(run.store) for run in runs) == index.n_points
 
     src = Path(repro.__file__).parent
+    kernels = {"batch_point_membership", "batch_window_refine"}
+    for path in sorted((src / "indices").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if path.name not in ("base.py", "run.py"):
+            assert not imported & kernels, path.name
     for name in ("flood.py", "rsmi.py", "mapsort.py"):
-        text = (src / "indices" / name).read_text()
-        assert "batch_point_membership" not in text, name
-        assert "net.astype(" not in text, name
+        assert "net.astype(" not in (src / "indices" / name).read_text(), name
 
     def sites(text):
         return [
@@ -235,7 +249,8 @@ def test_one_keyed_run(built_indices):
     for name in ("run.py", "rmi.py", "flood.py"):
         assert "einsum(" not in (src / "indices" / name).read_text(), name
     assert set(sites("fusion_rejection_reason")) == {"perf/fused.py"}
-    assert sites("ModelSet(") == ["indices/flood.py", "indices/rmi.py"]
+    assert sites("ModelSet(") == ["indices/rmi.py"]
+    assert sites("_point_lookup") == []
     for text in ("def normalise_keys", "np.rint(", "err_u + 1"):
         assert sites(text) == ["indices/base.py"], text
 

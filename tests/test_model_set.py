@@ -1,6 +1,6 @@
 """The leaf set: one way to predict a batch across many models.
 
-A :class:`~repro.indices.run.ModelSet` must answer every key exactly as the
+A :class:`~repro.indices.rmi.ModelSet` must answer every key exactly as the
 key's own member would — same ranges, bit for bit, same ``invocations`` —
 because the member's measured bounds are the only guarantee a scan has.
 It holds no bounds of its own, so making one (at build or at load) costs
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.indices.base import BuildStats, OriginalBuilder
-from repro.indices.rmi import RMIModel
-from repro.indices.run import ModelSet
+from repro.indices.rmi import ModelSet, RMIModel
 from repro.ml.trainer import TrainConfig
 
 

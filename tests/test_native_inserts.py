@@ -187,10 +187,10 @@ class TestNativeModeProcessor:
             def build(self, points):
                 raise NotImplementedError
 
-            def point_queries(self, points):
+            def point_plan(self, pts):
                 raise NotImplementedError
 
-            def window_queries(self, windows):
+            def window_plan(self, win_lo, win_hi):
                 raise NotImplementedError
 
             def knn_queries(self, points, k):

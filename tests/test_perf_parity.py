@@ -211,3 +211,72 @@ def test_point_batch_is_probe_order_independent(built, osm_points, name):
         found_p, charged_p, reads_p = ask(batch[perm])
         np.testing.assert_array_equal(found_p, found[perm])
         assert charged_p == charged and reads_p == reads
+
+
+@pytest.fixture(scope="module")
+def deep_rsmi(osm_points):
+    """An RSMI deepened by skewed inserts: overflowing leaves rebuilt
+    locally into deeper subtrees, singleton leaves opened in empty child
+    slots, and empty slots left over.  Returns it and every stored point."""
+    index = RSMIIndex(
+        builder=ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP"),
+        leaf_capacity=30,
+    ).build(osm_points[:400])
+    rng = np.random.default_rng(2)
+    extra = np.vstack([
+        osm_points[0] + rng.normal(0.0, 2e-3, (300, 2)), rng.random((60, 2))
+    ])
+    for p in extra:
+        index.insert(p)
+    return index, np.vstack([osm_points[:400], extra])
+
+
+def _hops(index, q) -> int:
+    """The model invocations one probe costs: one per node it visits."""
+    node, hops = index.root, 1
+    while not node.is_leaf:
+        key = index._node_keys(q[None, :], node.bounds)
+        node = node.children[int(index._route(node.model, key, node.n)[0])]
+        if node is None:
+            break
+        hops += 1
+    return hops
+
+
+def test_rsmi_batch_points_on_a_deepened_tree(deep_rsmi):
+    """RSMI's level-wise descent: a batch of hits, misses, duplicates and
+    points outside the root bounds equals brute force and the same probes
+    asked one at a time, charges their sum, one model invocation per node
+    each probe visits, and reads no more blocks than they do."""
+    index, stored = deep_rsmi
+    nodes = list(index._nodes())
+    assert index.depth() >= 5
+    assert any(node.is_leaf and len(node.run.store) == 1 for node in nodes)
+    assert any(child is None for node in nodes for child in node.children)
+    rng = np.random.default_rng(0)
+    lo, hi = index.bounds.lo_array, index.bounds.hi_array
+    probes = np.vstack([
+        stored[rng.integers(0, len(stored), 300)],
+        lo + rng.random((4000, 2)) * (hi - lo),
+        hi + rng.random((20, 2)),
+        lo - rng.random((20, 2)),
+    ])
+    probes = np.vstack([probes, probes[::40]])
+    truth = point_truth(stored, probes)
+    assert truth.any() and not truth.all()
+    _, run, _ = index.point_plan(probes)
+    assert (run < 0).any()  # some probes end in an empty child slot
+
+    before = _block_reads(index)
+    found = []
+    whole = _charge(index, lambda: found.append(index.point_queries(probes)))
+    batch_reads = _block_reads(index) - before
+    np.testing.assert_array_equal(found[0], truth)
+    before = _block_reads(index)
+    singles = [
+        _charge(index, lambda: found.append(index.point_query(p))) for p in probes
+    ]
+    np.testing.assert_array_equal(found[1:], truth)
+    assert whole == tuple(map(sum, zip(*singles)))
+    assert whole[:2] == (len(probes), sum(_hops(index, p) for p in probes))
+    assert batch_reads <= _block_reads(index) - before

@@ -152,14 +152,16 @@ class TestRSMISpans:
         assert len(tracer.find("build.models")) == len(levels)
 
     def test_query_spans(self, osm_points, tracer):
+        """RSMI queries emit the span vocabulary every index shares."""
         index = _build(osm_points)
         tracer.reset()
         index.point_query(osm_points[0])
         index.window_query(Rect(np.array([0.2, 0.2]), np.array([0.4, 0.4])))
-        point_spans = tracer.find("rsmi.point")
+        point_spans = tracer.find("query.point_batch")
         assert len(point_spans) == 1
-        assert point_spans[0].attrs["hops"] >= 1
-        window_spans = tracer.find("rsmi.window_batch")
+        assert point_spans[0].attrs == {"index": "RSMI", "queries": 1}
+        window_spans = tracer.find("query.window_batch")
         assert len(window_spans) == 1
-        assert window_spans[0].attrs["windows"] == 1
-        assert "matched" in window_spans[0].attrs
+        assert window_spans[0].attrs == {"index": "RSMI", "windows": 1}
+        assert tracer.find("query.model_predict") and tracer.find("query.refine")
+        assert not [s for s in tracer.spans() if s.name.startswith("rsmi.")]
