@@ -116,9 +116,9 @@ class ExperimentScale:
 def timed(fn, warmup: bool = False, repeats: int = 1):
     """(result of the last call, median seconds of ``repeats`` calls).
 
-    With ``warmup`` one untimed call goes first, so lazy set-up (fused
-    engine construction, first-call imports) is not charged to the
-    measurement: the rule for every query timing.  A build is a single
+    With ``warmup`` one untimed call goes first, so lazy set-up
+    (first-call imports, caches) is not charged to the measurement: the
+    rule for every query timing.  A build is a single
     cold call.
     """
     if warmup:

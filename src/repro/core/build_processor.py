@@ -26,16 +26,7 @@ import numpy as np
 from repro.core.config import ELSIConfig
 from repro.core.methods.base import BuildMethod, MethodResult, make_method_pool
 from repro.core.methods.model_reuse import MethodFailure
-from repro.indices.base import (
-    BuildStats,
-    FitJob,
-    MapFn,
-    ModelBuilder,
-    TrainedModel,
-    _merge_fit_costs,
-    resolve_dtype,
-    run_fit_job,
-)
+from repro.indices.base import BuildStats, MapFn, ModelBuilder, TrainedModel, fit_model
 from repro.ml.trainer import TrainConfig
 from repro.obs.trace import span as _span
 from repro.spatial.cdf import uniform_dissimilarity
@@ -71,11 +62,6 @@ class ELSIModelBuilder(ModelBuilder):
         self.selector = selector
         self.fixed_method = method
         self.random_choice = random_choice
-        self.parallelism = self.config.parallelism
-        #: Inference precision for the models this builder produces;
-        #: ``ELSIConfig.dtype`` seeds it, ``REPRO_DTYPE`` overrides it.
-        #: Indices read it when casting freshly fitted models.
-        self.dtype = resolve_dtype(self.config.dtype)
         self._rng = np.random.default_rng(self.config.seed)
         self.pool: list[BuildMethod] = make_method_pool(self.config)
         self._by_name = {m.name: m for m in self.pool}
@@ -120,19 +106,16 @@ class ELSIModelBuilder(ModelBuilder):
         return chain
 
     # ------------------------------------------------------------------
-    def prepare_fit_job(
+    def build_model(
         self,
         sorted_keys: np.ndarray,
         sorted_points: np.ndarray,
+        stats: BuildStats,
         map_fn: MapFn | None = None,
-    ) -> FitJob:
-        """Algorithm 1's ``compute_set`` phase, packaged as a pure fit job.
-
-        Method choice and ``compute_set`` run here — serially, in partition
-        order — because they may consume shared RNG state (``random_choice``)
-        and their cost is the ``cost_ex`` term, small next to training.  The
-        returned job carries everything the train + error-bound phase needs.
-        """
+    ) -> TrainedModel:
+        """Algorithm 1 for one partition: choose a method, run its
+        ``compute_set`` (the ``cost_ex`` term), then fit on ``D_S`` and
+        measure the bounds over the full partition (:func:`fit_model`)."""
         n = len(sorted_keys)
         if n == 0:
             raise ValueError("cannot build a model over an empty partition")
@@ -158,13 +141,11 @@ class ELSIModelBuilder(ModelBuilder):
             cs_span.set(used=used.name, train_size=len(result.train_keys))
         extra_seconds += result.extra_seconds
 
-        return FitJob(
-            train_keys=result.train_keys,
-            train_ranks=result.train_ranks,
-            key_lo=float(sorted_keys[0]),
-            key_hi=float(sorted_keys[-1]),
-            n_indexed=n,
-            sorted_keys=sorted_keys,
+        return fit_model(
+            sorted_keys,
+            result.train_keys,
+            result.train_ranks,
+            stats,
             hidden=self.config.hidden_size,
             train_config=TrainConfig(
                 epochs=self.config.train_epochs, seed=self.config.seed
@@ -174,15 +155,3 @@ class ELSIModelBuilder(ModelBuilder):
             pretrained_state=result.pretrained_state,
             extra_seconds=extra_seconds,
         )
-
-    def build_model(
-        self,
-        sorted_keys: np.ndarray,
-        sorted_points: np.ndarray,
-        stats: BuildStats,
-        map_fn: MapFn | None = None,
-    ) -> TrainedModel:
-        job = self.prepare_fit_job(sorted_keys, sorted_points, map_fn)
-        outcome = run_fit_job(job)
-        _merge_fit_costs(stats, job, outcome)
-        return outcome.model

@@ -1,13 +1,13 @@
 """The ELSI update processor and rebuild predictor (Section IV-B2).
 
 Updates use the paper's default procedures: inserted points go to a side
-list and deletions are recorded as marks; queries scan the side list and
-merge/filter its contents with the base index's results.  The CDF of the
-indexed data is snapshotted at build time; as updates arrive, ``sim(D', D)``
-is recomputed so the learned *rebuild predictor* — an FFN over cardinality,
-distribution, index depth, update ratio and CDF change — can decide when to
-trigger a full rebuild (the ``to_rebuild`` API).  The predictor runs after
-every ``f_u`` updates.
+list and deletions are recorded as marks, one per deleted copy of a stored
+point; queries scan the side list and merge/filter its contents with the
+base index's results.  The CDF of the indexed data is snapshotted at build
+time; as updates arrive, ``sim(D', D)`` is recomputed so the learned
+*rebuild predictor* — an FFN over cardinality, distribution, index depth,
+update ratio and CDF change — can decide when to trigger a full rebuild
+(the ``to_rebuild`` API).  The predictor runs after every ``f_u`` updates.
 
 Ground truth for the predictor follows Section VII-B2: indices with and
 without rebuilds are compared after batches of updates, and the label is 1
@@ -123,7 +123,9 @@ class UpdateProcessor:
         # of the paper's binary tree on updated-point IDs (Section IV-B2):
         # point queries hit this map instead of scanning the list.
         self._inserted_count: dict[tuple[float, ...], int] = {}
-        self._deleted: set[tuple[float, ...]] = set()
+        #: Deletion marks on stored rows: key -> [copies marked, copies
+        #: stored].  One delete marks one copy, as one WAL record logs it.
+        self._deleted: dict[tuple[float, ...], list[int]] = {}
         self._updates_since_check = 0
         self._updates_total = 0
         self.rebuilds = 0
@@ -143,19 +145,27 @@ class UpdateProcessor:
         return len(self._inserted)
 
     @property
+    def _marked(self) -> int:
+        """Stored copies marked deleted."""
+        return sum(marked for marked, _ in self._deleted.values())
+
+    @property
     def n_effective(self) -> int:
         """Current logical cardinality |D'|."""
         base_n = self.index.n_points if self.native else len(self._base_points)
-        return base_n - len(self._deleted) + len(self._inserted)
+        return base_n - self._marked + len(self._inserted)
 
     def insert(self, point: np.ndarray) -> None:
         """Add a point — to the side list (default procedure) or through the
         index's built-in insertion when ``native`` is set."""
         p = np.asarray(point, dtype=np.float64)
         key = tuple(float(v) for v in p)
-        # Re-inserting a deleted base point just clears the mark.
-        if key in self._deleted:
-            self._deleted.remove(key)
+        marks = self._deleted.get(key)
+        if marks is not None:
+            # Re-inserting a deleted stored point clears one of its marks.
+            marks[0] -= 1
+            if marks[0] == 0:
+                del self._deleted[key]
         elif not (self.native and self._insert_native(p)):
             self._inserted.append(p)
             self._inserted_count[key] = self._inserted_count.get(key, 0) + 1
@@ -171,7 +181,8 @@ class UpdateProcessor:
         return True
 
     def delete(self, point: np.ndarray) -> bool:
-        """Mark a point deleted; returns whether it was indexed."""
+        """Delete one copy of a point — from the side list, else by marking
+        one stored copy; returns whether a copy was left to delete."""
         p = np.asarray(point, dtype=np.float64)
         key = tuple(float(v) for v in p)
         if self._inserted_count.get(key, 0) > 0:
@@ -184,13 +195,17 @@ class UpdateProcessor:
                 del self._inserted_count[key]
             self._note_update()
             return True
-        if key in self._deleted:
+        marks = self._deleted.get(key)
+        if marks is None:
+            stored = _stored_copies(self.index, p)
+            if stored == 0:
+                return False
+            marks = self._deleted[key] = [0, stored]
+        if marks[0] == marks[1]:
             return False
-        if self.index.point_query(p):
-            self._deleted.add(key)
-            self._note_update()
-            return True
-        return False
+        marks[0] += 1
+        self._note_update()
+        return True
 
     def _note_update(self) -> None:
         self._updates_since_check += 1
@@ -210,11 +225,17 @@ class UpdateProcessor:
         return np.vstack(self._inserted)
 
     def _filter_deleted(self, points: np.ndarray) -> np.ndarray:
+        """``points`` less one row per deletion mark on its coordinates:
+        rows the base returned, each stored copy at most once."""
         if not self._deleted or len(points) == 0:
             return points
-        keep = np.array(
-            [tuple(float(v) for v in p) not in self._deleted for p in points]
-        )
+        left = {key: marked for key, (marked, _) in self._deleted.items()}
+        keep = np.ones(len(points), dtype=bool)
+        for i, row in enumerate(points.tolist()):
+            key = tuple(row)
+            if left.get(key, 0):
+                left[key] -= 1
+                keep[i] = False
         return points[keep]
 
     def point_query(self, point: np.ndarray) -> bool:
@@ -236,10 +257,11 @@ class UpdateProcessor:
         undecided: list[int] = []
         for i, p in enumerate(pts):
             key = tuple(float(v) for v in p)
-            if key in self._deleted:
-                continue  # stays False
+            marks = self._deleted.get(key)
             if self._inserted_count.get(key, 0) > 0:
                 out[i] = True
+            elif marks is not None:
+                out[i] = marks[0] < marks[1]  # a stored copy is unmarked
             else:
                 undecided.append(i)
         if undecided:
@@ -300,12 +322,12 @@ class UpdateProcessor:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(pts) == 0:
             return []
-        # Ask the base for enough extra neighbours to absorb deletions.
-        base_results = self.index.knn_queries(pts, k + len(self._deleted))
         if not self._deleted and not self._inserted:
             # Nothing to merge: the base answer is already the k nearest,
             # nearest first, which is what _merge_knn would hand back.
-            return base_results
+            return self.index.knn_queries(pts, k)
+        # Ask the base for enough extra neighbours to absorb deletions.
+        base_results = self.index.knn_queries(pts, k + self._marked)
         extra = self._inserted_array()
         return [
             self._merge_knn(q, base, extra, k)
@@ -375,12 +397,26 @@ class UpdateProcessor:
         self._base_keys = np.sort(np.asarray(fresh.map(points), dtype=np.float64))
         self._inserted = []
         self._inserted_count = {}
-        self._deleted = set()
+        self._deleted = {}
         self._updates_total = 0
         self._updates_since_check = 0
         self.rebuilds += 1
         self.last_rebuild_seconds = elapsed
         return elapsed
+
+
+def _stored_copies(index: LearnedSpatialIndex, point: np.ndarray) -> int:
+    """How many rows of ``index`` equal ``point`` exactly.  Copies share
+    one key, so they sit together in the run the index's point plan names:
+    the rows under that key (within ``KEY_ATOL``), whatever the model's
+    bounds — exact for every index, RSMI included."""
+    runs, run, keys = index.point_plan(point[None, :])
+    if run[0] < 0:
+        return 0
+    store = runs[int(run[0])].store
+    lo = np.searchsorted(store.keys, keys[0] - index.KEY_ATOL, side="left")
+    hi = np.searchsorted(store.keys, keys[0] + index.KEY_ATOL, side="right")
+    return int((store.points[lo:hi] == point).all(axis=1).sum())
 
 
 def train_rebuild_predictor(

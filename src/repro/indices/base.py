@@ -11,7 +11,8 @@ Section III's applicability conditions become code here:
   :meth:`~ModelBuilder.build_model` receives the key-sorted data and returns
   a trained model; :class:`OriginalBuilder` (the paper's OG) trains on the
   full set, while ELSI's build processor trains on an engineered subset
-  ``D_S`` (Algorithm 1).
+  ``D_S`` (Algorithm 1).  Both fit through :func:`fit_model`: one serial
+  training loop, then one bound pass over the full partition.
 - :class:`LearnedSpatialIndex` is the query-facing API: point, window and
   kNN queries plus build statistics.  An index only *plans* a query (which
   rows of which key-sorted run to scan); the scan is written once, here.
@@ -19,7 +20,6 @@ Section III's applicability conditions become code here:
 
 from __future__ import annotations
 
-import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -37,21 +37,17 @@ from repro.spatial.rect import Rect
 
 __all__ = [
     "BuildStats",
-    "FitJob",
-    "FitOutcome",
     "InsertRefused",
     "LearnedSpatialIndex",
-    "MODEL_DTYPES",
     "MapFn",
     "ModelBuilder",
     "OriginalBuilder",
     "QueryStats",
     "TrainedModel",
+    "fit_model",
     "group_by",
     "normalise_keys",
     "predicted_positions",
-    "resolve_dtype",
-    "run_fit_job",
     "scan_ranges",
 ]
 
@@ -61,17 +57,6 @@ MapFn = Callable[[np.ndarray], np.ndarray]
 #: Net classes a snapshot can hold, by the name :meth:`TrainedModel.state_dict`
 #: tags them with.
 _NET_TYPES = {cls.__name__: cls for cls in (FFN, PiecewiseLinearModel)}
-
-#: Model and mapped-key precisions (name -> numpy dtype).
-MODEL_DTYPES = {"float64": np.float64, "float32": np.float32}
-
-
-def resolve_dtype(configured: str = "float64") -> str:
-    """The effective model/key dtype: ``REPRO_DTYPE`` over the configured one."""
-    name = os.environ.get("REPRO_DTYPE", "").strip() or configured
-    if name not in MODEL_DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(MODEL_DTYPES)}, got {name!r}")
-    return name
 
 
 # The arithmetic of predict-and-scan, written once: elementwise, so it runs
@@ -250,17 +235,6 @@ class TrainedModel:
             self.predict_positions(keys), self.n_indexed, self.err_l, self.err_u
         )
 
-    def cast(self, dtype: str, sorted_keys: np.ndarray) -> None:
-        """The ``float32`` mode: cast the network down and re-measure the
-        bounds over the model's full sorted key set, so predict-and-scan
-        stays exact (a no-op for ``float64`` and for non-FFN nets).  A model
-        that routes (RMI stage 1, an RSMI node) is cast *before* it
-        partitions its keys: query-time routing repeats the build-time
-        computation."""
-        if dtype == "float32" and isinstance(self.net, FFN):
-            self.net.astype(np.float32)
-            self.measure_error_bounds(sorted_keys)
-
     @property
     def error_width(self) -> int:
         """``err_l + err_u`` — the paper's |Error| column in Table I."""
@@ -295,85 +269,53 @@ class TrainedModel:
         return model
 
 
-@dataclass
-class FitJob:
-    """One self-contained model-fit unit: everything ``run_fit_job`` needs.
-
-    Builders *prepare* jobs in input order (method choice and
-    ``compute_set`` may draw from shared RNG state) and then *run* them;
-    a job is a pure function of its fields, so running jobs one by one or
-    training a group of them together (:func:`_run_fit_jobs_fused`) needs
-    nothing from the builder.
-    """
-
-    train_keys: np.ndarray
-    train_ranks: np.ndarray
-    key_lo: float
-    key_hi: float
-    n_indexed: int
-    sorted_keys: np.ndarray  # full partition, for the error-bound pass
-    hidden: int
-    train_config: TrainConfig | None
-    method_name: str
-    seed: int
-    pretrained_state: dict | None = None
-    extra_seconds: float = 0.0
-
-
-@dataclass
-class FitOutcome:
-    """A trained model plus the cost components the job incurred."""
-
-    model: TrainedModel
-    train_seconds: float
-    error_bound_seconds: float
-
-
-def run_fit_job(job: FitJob) -> FitOutcome:
-    """Train (or load) one model and measure its error bounds."""
-    with _span(
-        "build.train", method=job.method_name, train_size=len(job.train_keys)
-    ):
-        if job.pretrained_state is not None:
-            # MR: load the pre-trained network; no online training (T = 0).
-            net = FFN([1, job.hidden, 1], seed=job.seed)
-            net.load_state_dict(job.pretrained_state)
-            model = TrainedModel(
-                net=net,
-                key_lo=job.key_lo,
-                key_hi=job.key_hi,
-                n_indexed=job.n_indexed,
-                method_name=job.method_name,
-                train_set_size=len(job.train_keys),
-            )
+def fit_model(
+    sorted_keys: np.ndarray,
+    train_keys: np.ndarray,
+    train_ranks: np.ndarray,
+    stats: BuildStats,
+    *,
+    hidden: int,
+    train_config: TrainConfig | None,
+    method_name: str,
+    seed: int,
+    pretrained_state: dict | None = None,
+    extra_seconds: float = 0.0,
+) -> TrainedModel:
+    """Fit one index model over a partition's ``sorted_keys`` and charge
+    its costs to ``stats``: train an FFN on the (key, rank) pairs of the
+    training set (``train_ranks`` normalised to [0, 1]) — or, for MR, load
+    ``pretrained_state`` with no online training (``T = 0``) — then measure
+    the bounds over the *full* partition (the ``M(n)`` pass).
+    ``extra_seconds`` is the builder's ``cost_ex`` for this model."""
+    net = FFN([1, hidden, 1], seed=seed)
+    model = TrainedModel(
+        net=net,
+        key_lo=float(sorted_keys[0]),
+        key_hi=float(sorted_keys[-1]),
+        n_indexed=len(sorted_keys),
+        method_name=method_name,
+        train_set_size=len(train_keys),
+    )
+    with _span("build.train", method=method_name, train_size=len(train_keys)):
+        if pretrained_state is not None:
+            net.load_state_dict(pretrained_state)
             train_seconds = 0.0
         else:
-            model, train_seconds = fit_cdf_model(
-                job.train_keys,
-                job.train_ranks,
-                key_lo=job.key_lo,
-                key_hi=job.key_hi,
-                n_indexed=job.n_indexed,
-                hidden=job.hidden,
-                train_config=job.train_config,
-                method_name=job.method_name,
-                seed=job.seed,
-            )
-    return _measured(model, job, train_seconds)
-
-
-def _measured(model: TrainedModel, job: FitJob, train_seconds: float) -> FitOutcome:
-    """The ``M(n)`` pass: measure ``model``'s bounds over the job's full
-    partition, under one ``build.error_bounds`` span."""
+            x = model.normalise(np.asarray(train_keys, dtype=np.float64))
+            result = train_regressor(net, x, np.asarray(train_ranks), train_config)
+            train_seconds = result.elapsed_seconds
     started = time.perf_counter()
-    with _span("build.error_bounds", n=job.n_indexed) as eb_span:
-        model.measure_error_bounds(job.sorted_keys)
+    with _span("build.error_bounds", n=model.n_indexed) as eb_span:
+        model.measure_error_bounds(sorted_keys)
         eb_span.set(err_l=model.err_l, err_u=model.err_u)
-    return FitOutcome(
-        model=model,
-        train_seconds=train_seconds,
-        error_bound_seconds=time.perf_counter() - started,
-    )
+    stats.extra_seconds += extra_seconds
+    stats.train_seconds += train_seconds
+    stats.error_bound_seconds += time.perf_counter() - started
+    stats.train_set_size += len(train_keys)
+    stats.n_models += 1
+    stats.methods_used[method_name] = stats.methods_used.get(method_name, 0) + 1
+    return model
 
 
 class ModelBuilder(ABC):
@@ -388,17 +330,7 @@ class ModelBuilder(ABC):
     points not in ``D`` (CL, RL) need it; an index whose mapping depends on
     ``D`` itself (LISA's data-derived grid) passes ``None``, which is
     exactly the paper's applicability restriction for those methods.
-
-    Multi-model indices call :meth:`build_models` with all partitions at
-    once; jobs are prepared in partition order (deterministic RNG order)
-    and then run one by one, or — when :attr:`parallelism` is ``"fused"``
-    — trained together by :mod:`repro.perf.fused`.
     """
-
-    #: How :meth:`build_models` runs its fit jobs: one of
-    #: :data:`repro.core.config.PARALLELISM` (``ELSIModelBuilder`` takes it
-    #: from ``ELSIConfig.parallelism``).
-    parallelism: str = "serial"
 
     @abstractmethod
     def build_model(
@@ -410,38 +342,20 @@ class ModelBuilder(ABC):
     ) -> TrainedModel:
         """Train an index model for the given partition and record costs."""
 
-    def prepare_fit_job(
-        self,
-        sorted_keys: np.ndarray,
-        sorted_points: np.ndarray,
-        map_fn: "MapFn | None" = None,
-    ) -> FitJob:
-        """Turn one partition into a dispatchable :class:`FitJob`.
-
-        Builders that cannot express their work as a pure job (custom
-        subclasses) keep the default, which makes :meth:`build_models`
-        fall back to a ``build_model`` loop.
-        """
-        raise NotImplementedError
-
     def build_models(
         self,
         partitions: list[tuple[np.ndarray, np.ndarray]],
         stats: BuildStats,
         map_fn: "MapFn | list[MapFn | None] | None" = None,
     ) -> list[TrainedModel]:
-        """Build one model per ``(sorted_keys, sorted_points)`` partition.
+        """Build one model per ``(sorted_keys, sorted_points)`` partition,
+        one after another, in partition order (so method choice draws from
+        shared RNG state deterministically).
 
         ``map_fn`` is either one mapping shared by every partition (RMI
         stage-2 leaves over a global curve) or a list with one mapping per
         partition (RSMI's node-local curves, where each sibling has its own
         bounding box).
-
-        Results are returned in partition order.  ``fused`` trains all
-        same-architecture jobs in one vectorised pass
-        (:mod:`repro.perf.fused`) and then measures error bounds through
-        the standard per-model path, preserving predict-and-scan
-        correctness.
         """
         if isinstance(map_fn, list):
             if len(map_fn) != len(partitions):
@@ -451,125 +365,11 @@ class ModelBuilder(ABC):
             map_fns = map_fn
         else:
             map_fns = [map_fn] * len(partitions)
-        with _span(
-            "build.models", partitions=len(partitions), backend=self.parallelism
-        ):
-            try:
-                jobs = [
-                    self.prepare_fit_job(keys, pts, mf)
-                    for (keys, pts), mf in zip(partitions, map_fns)
-                ]
-            except NotImplementedError:
-                return [
-                    self.build_model(keys, pts, stats, mf)
-                    for (keys, pts), mf in zip(partitions, map_fns)
-                ]
-            if self.parallelism == "fused":
-                outcomes = _run_fit_jobs_fused(jobs)
-            else:
-                outcomes = [run_fit_job(job) for job in jobs]
-            models = []
-            for job, outcome in zip(jobs, outcomes):
-                _merge_fit_costs(stats, job, outcome)
-                models.append(outcome.model)
-            return models
-
-
-def _merge_fit_costs(stats: BuildStats, job: FitJob, outcome: FitOutcome) -> None:
-    """Accumulate one job's cost decomposition, in input order."""
-    stats.extra_seconds += job.extra_seconds
-    stats.train_seconds += outcome.train_seconds
-    stats.error_bound_seconds += outcome.error_bound_seconds
-    stats.train_set_size += len(job.train_keys)
-    stats.n_models += 1
-    stats.methods_used[job.method_name] = (
-        stats.methods_used.get(job.method_name, 0) + 1
-    )
-
-
-def _run_fit_jobs_fused(jobs: list[FitJob]) -> list[FitOutcome]:
-    """Run fit jobs with fused (batched) training where possible.
-
-    Jobs sharing an architecture and train config are trained in one
-    vectorised loop, under one ``build.train`` span per group; pretrained
-    (MR) and odd-one-out jobs go through :func:`run_fit_job`.  The fused
-    wall-clock is split evenly across its jobs so
-    ``BuildStats.train_seconds`` still totals the real elapsed time.
-    """
-    from repro.perf.fused import train_regressors_fused
-
-    outcomes: list[FitOutcome | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for i, job in enumerate(jobs):
-        if job.pretrained_state is not None:
-            outcomes[i] = run_fit_job(job)
-            continue
-        groups.setdefault((job.hidden, job.train_config), []).append(i)
-
-    for (hidden, train_config), members in groups.items():
-        if len(members) == 1:
-            i = members[0]
-            outcomes[i] = run_fit_job(jobs[i])
-            continue
-        models = []
-        xs, ys = [], []
-        for i in members:
-            job = jobs[i]
-            model = TrainedModel(
-                net=FFN([1, hidden, 1], seed=job.seed),
-                key_lo=job.key_lo,
-                key_hi=job.key_hi,
-                n_indexed=job.n_indexed,
-                method_name=job.method_name,
-                train_set_size=len(job.train_keys),
-            )
-            models.append(model)
-            xs.append(model.normalise(np.asarray(job.train_keys, dtype=np.float64)))
-            ys.append(np.asarray(job.train_ranks, dtype=np.float64))
-        with _span(
-            "build.train",
-            method=",".join(sorted({m.method_name for m in models})),
-            models=len(models),
-            fused=True,
-            train_size=sum(len(x) for x in xs),
-        ):
-            result = train_regressors_fused(
-                [m.net for m in models], xs, ys, train_config or TrainConfig()
-            )
-        per_job_train = result.elapsed_seconds / len(members)
-        for i, model in zip(members, models):
-            outcomes[i] = _measured(model, jobs[i], per_job_train)
-    assert all(o is not None for o in outcomes)
-    return outcomes  # type: ignore[return-value]
-
-
-def fit_cdf_model(
-    train_keys: np.ndarray,
-    train_ranks: np.ndarray,
-    key_lo: float,
-    key_hi: float,
-    n_indexed: int,
-    hidden: int = 16,
-    train_config: TrainConfig | None = None,
-    method_name: str = "OG",
-    seed: int = 0,
-) -> tuple[TrainedModel, float]:
-    """Train an FFN on (key, rank) pairs and wrap it as a :class:`TrainedModel`.
-
-    ``train_ranks`` must already be normalised to [0, 1].  Returns the model
-    and the training wall-clock seconds (the ``T(|D_S|)`` term).
-    """
-    model = TrainedModel(
-        net=FFN([1, hidden, 1], seed=seed),
-        key_lo=key_lo,
-        key_hi=key_hi,
-        n_indexed=n_indexed,
-        method_name=method_name,
-        train_set_size=len(train_keys),
-    )
-    x = model.normalise(np.asarray(train_keys, dtype=np.float64))
-    result = train_regressor(model.net, x, np.asarray(train_ranks), train_config)
-    return model, result.elapsed_seconds
+        with _span("build.models", partitions=len(partitions)):
+            return [
+                self.build_model(keys, pts, stats, mf)
+                for (keys, pts), mf in zip(partitions, map_fns)
+            ]
 
 
 class OriginalBuilder(ModelBuilder):
@@ -580,38 +380,10 @@ class OriginalBuilder(ModelBuilder):
         train_config: TrainConfig | None = None,
         hidden: int = 16,
         seed: int = 0,
-        dtype: str = "float64",
     ) -> None:
         self.train_config = train_config
         self.hidden = hidden
         self.seed = seed
-        #: Inference/key precision for models built here; ``REPRO_DTYPE``
-        #: overrides, matching ``ELSIModelBuilder`` so OG builds honour the
-        #: same environment knob.
-        self.dtype = resolve_dtype(dtype)
-
-    def prepare_fit_job(
-        self,
-        sorted_keys: np.ndarray,
-        sorted_points: np.ndarray,
-        map_fn: MapFn | None = None,
-    ) -> FitJob:
-        n = len(sorted_keys)
-        if n == 0:
-            raise ValueError("cannot build a model over an empty partition")
-        ranks = np.arange(n) / max(n - 1, 1)
-        return FitJob(
-            train_keys=sorted_keys,
-            train_ranks=ranks,
-            key_lo=float(sorted_keys[0]),
-            key_hi=float(sorted_keys[-1]),
-            n_indexed=n,
-            sorted_keys=sorted_keys,
-            hidden=self.hidden,
-            train_config=self.train_config,
-            method_name="OG",
-            seed=self.seed,
-        )
 
     def build_model(
         self,
@@ -620,10 +392,19 @@ class OriginalBuilder(ModelBuilder):
         stats: BuildStats,
         map_fn: MapFn | None = None,
     ) -> TrainedModel:
-        job = self.prepare_fit_job(sorted_keys, sorted_points, map_fn)
-        outcome = run_fit_job(job)
-        _merge_fit_costs(stats, job, outcome)
-        return outcome.model
+        n = len(sorted_keys)
+        if n == 0:
+            raise ValueError("cannot build a model over an empty partition")
+        return fit_model(
+            sorted_keys,
+            sorted_keys,
+            np.arange(n) / max(n - 1, 1),
+            stats,
+            hidden=self.hidden,
+            train_config=self.train_config,
+            method_name="OG",
+            seed=self.seed,
+        )
 
 
 class InsertRefused(ValueError):
@@ -684,18 +465,6 @@ class LearnedSpatialIndex(ABC):
         self.query_stats = QueryStats()
         self.bounds: Rect | None = None
         self.n_points = 0
-        #: Storage dtype for mapped keys — follows the builder's model
-        #: precision (one knob: ``ELSIConfig.dtype`` / ``REPRO_DTYPE``), so
-        #: float32 models index float32 key columns with bounds measured
-        #: over the quantised keys.  Query-side keys must pass through the
-        #: same cast (``map()`` does) before model prediction or store
-        #: search.
-        self.key_dtype = np.dtype(MODEL_DTYPES[self._model_dtype])
-
-    @property
-    def _model_dtype(self) -> str:
-        """The builder's inference precision (default float64)."""
-        return getattr(self.builder, "dtype", "float64")
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -814,13 +583,6 @@ class LearnedSpatialIndex(ABC):
         index.bounds = Rect.from_arrays(*state["bounds"])
         index.n_points = state["n_points"]
         index._restore_structure(state)
-        keys = next(index.runs()).store.keys
-        if np.issubdtype(keys.dtype, np.floating):
-            # The stored quantisation is authoritative: probe keys must go
-            # through the cast the stored keys did at build time, whatever
-            # ``REPRO_DTYPE`` the loading process runs under — otherwise
-            # equal coordinates would map to unequal keys and lookups miss.
-            index.key_dtype = keys.dtype
         return index
 
     # ------------------------------------------------------------------

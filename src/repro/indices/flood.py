@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.indices.base import LearnedSpatialIndex, ModelBuilder, group_by
 from repro.indices.run import KeyedRun
-from repro.perf.batching import cast_boundaries
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -127,7 +126,7 @@ class FloodIndex(LearnedSpatialIndex):
         y_lo, y_hi = self.bounds.lo[1], self.bounds.hi[1]
         span = max(y_hi - y_lo, 1e-12)
         offset = np.clip((pts[:, 1] - y_lo) / span, 0.0, 1.0 - 1e-12)
-        return (cols + offset).astype(self.key_dtype, copy=False)
+        return cols + offset
 
     def _column_of(self, xs: np.ndarray) -> np.ndarray:
         assert self._column_edges is not None
@@ -156,19 +155,12 @@ class FloodIndex(LearnedSpatialIndex):
             started = time.perf_counter()
             order = np.argsort(members[:, 1], kind="stable")
             sorted_pts = members[order]
-            # Column keys are stored in the configured key dtype; query-side
-            # y values pass through the same monotone cast, and the y-CDF
-            # models measure their bounds over these cast keys.
-            keys = sorted_pts[:, 1].astype(self.key_dtype)
-            stores.append(BlockStore(sorted_pts, keys, block_size=self.block_size))
+            stores.append(
+                BlockStore(sorted_pts, sorted_pts[:, 1], block_size=self.block_size)
+            )
             self.build_stats.prepare_seconds += time.perf_counter() - started
         partitions = [(store.keys, store.points) for store in stores if store is not None]
-        fitted = self.builder.build_models(partitions, self.build_stats, map_fn=None)
-        # Column routing is a searchsorted over float64 edges, so the
-        # builder's precision only touches the y-CDF models.
-        for model, (keys, _) in zip(fitted, partitions):
-            model.cast(self._model_dtype, keys)
-        models = iter(fitted)
+        models = iter(self.builder.build_models(partitions, self.build_stats, map_fn=None))
         self._columns = [
             None if store is None else KeyedRun(store, next(models)) for store in stores
         ]
@@ -197,11 +189,11 @@ class FloodIndex(LearnedSpatialIndex):
 
     def point_plan(self, pts: np.ndarray):
         """A probe's run is its column (``-1`` if empty: answered False
-        without a prediction), its key the y value in the key dtype; the
-        column's own model predicts."""
+        without a prediction), its key the y value; the column's own model
+        predicts."""
         columns = self._column_of(pts[:, 0])
         run = np.where(self._populated(columns), columns, -1)
-        return self._columns, run, pts[:, 1].astype(self.key_dtype, copy=False)
+        return self._columns, run, pts[:, 1]
 
     def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
         """Exact: one entry per (window, populated column) pair, window
@@ -216,12 +208,7 @@ class FloodIndex(LearnedSpatialIndex):
         columns = np.arange(len(owner)) - np.repeat(start - first, counts)
         keep = self._populated(columns)
         owner, columns = owner[keep], columns[keep]
-        # Boundary y values go through the monotone key-dtype cast: the
-        # cast interval brackets a superset of the true candidates over
-        # quantised key columns, and the rectangle filter removes the
-        # extras.
-        y_lo = cast_boundaries(win_lo[owner, 1], self.key_dtype)
-        y_hi = cast_boundaries(win_hi[owner, 1], self.key_dtype)
+        y_lo, y_hi = win_lo[owner, 1], win_hi[owner, 1]
         lo = np.empty(len(owner), dtype=np.int64)
         hi = np.empty(len(owner), dtype=np.int64)
         for c, pairs in group_by(columns, self.n_columns):

@@ -101,10 +101,7 @@ class LISAIndex(MapAndSortIndex):
         cell_id = np.zeros(len(pts), dtype=np.float64)
         for dim in range(d):
             cell_id = cell_id * self.grid_size + cells[:, dim]
-        offsets = self._in_cell_offset(pts, cells)
-        # Cast to the configured key dtype so build-time store keys and
-        # query-time probes share one (monotone) quantisation.
-        return (cell_id + offsets).astype(self.key_dtype, copy=False)
+        return cell_id + self._in_cell_offset(pts, cells)
 
     def _cell_edges(self, cells: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper coordinate of each point's cell along ``dim``."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.indices.base import InsertRefused, ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
-from repro.perf.batching import cast_boundaries, merge_ranges
+from repro.perf.batching import merge_ranges
 from repro.spatial.idistance import IDistanceMapping
 
 __all__ = ["MLIndex"]
@@ -57,15 +57,10 @@ class MLIndex(MapAndSortIndex):
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
-        """The base index's ``map()``: iDistance keys, in the key dtype.
-
-        The cast happens here so build-time store keys and query-time probe
-        keys are bit-identical for equal coordinates; error bounds are
-        measured over the cast keys.
-        """
+        """The base index's ``map()``: iDistance keys, as float64."""
         self._check_built()
         assert self.mapping is not None
-        return self.mapping.keys(points).astype(self.key_dtype, copy=False)
+        return self.mapping.keys(np.asarray(points, dtype=np.float64))
 
     def _fit_mapping(self, points: np.ndarray) -> None:
         self.mapping = IDistanceMapping.fit(
@@ -87,7 +82,7 @@ class MLIndex(MapAndSortIndex):
         lookup, missed by a window."""
         assert self.mapping is not None
         partition = int(self.mapping.nearest_reference(point)[0][0])
-        if key >= self.key_dtype.type((partition + 1) * self.mapping.stretch):
+        if key >= (partition + 1) * self.mapping.stretch:
             raise InsertRefused(
                 f"ML-Index cannot insert {point.tolist()}: it is farther from "
                 f"every reference point than the stretch {self.mapping.stretch:g} "
@@ -104,37 +99,24 @@ class MLIndex(MapAndSortIndex):
         m)``) to reference ``j``.
 
         Exact ranks from two batched ``searchsorted`` calls over the key
-        column.  Boundaries go through the key-dtype cast: for quantised
-        key columns a raw float64 boundary could fall above a stored key
-        whose true (pre-cast) value is inside the interval, so the monotone
-        cast — which brackets a superset of the true candidates — is
-        required for correctness; the exact coordinate / distance filters
-        downstream remove the extras.  The upper boundary stops at the
-        partition's largest possible key: an annulus whose outer radius
-        exceeds the stretch constant (a query far outside the data, a huge
-        window) would otherwise run into the next partition's keys and
-        report its rows a second time.  One that starts past that cap is
-        empty (``hi <= lo``).
+        column; the exact coordinate / distance filters downstream remove
+        the rows an annulus holds outside the query.  The upper boundary
+        stops at the partition's largest possible key: an annulus whose
+        outer radius exceeds the stretch constant (a query far outside the
+        data, a huge window) would otherwise run into the next partition's
+        keys and report its rows a second time.  One that starts past that
+        cap is empty (``hi <= lo``).
         """
         assert self.mapping is not None
         keys = self.run.store.keys
         partition = np.arange(self.mapping.n_references)
         base = partition * self.mapping.stretch
-        caps = np.nextafter(
-            ((partition + 1.0) * self.mapping.stretch).astype(keys.dtype),
-            keys.dtype.type(-np.inf),
-        )
+        caps = np.nextafter((partition + 1.0) * self.mapping.stretch, -np.inf)
         r = radius[:, None]
         key_lo = base + np.maximum(0.0, ref_dist - r)
-        key_hi = base + ref_dist + r
-        lo = np.searchsorted(
-            keys, cast_boundaries(key_lo.ravel(), keys.dtype), side="left"
-        )
-        hi = np.searchsorted(
-            keys,
-            np.minimum(cast_boundaries(key_hi, keys.dtype), caps).ravel(),
-            side="right",
-        )
+        key_hi = np.minimum(base + ref_dist + r, caps)
+        lo = np.searchsorted(keys, key_lo.ravel(), side="left")
+        hi = np.searchsorted(keys, key_hi.ravel(), side="right")
         return lo, hi
 
     def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):

@@ -14,12 +14,6 @@ multi-model indices one model at a time (Figure 3).
 The stage-2 leaves are one :class:`ModelSet`: a
 :meth:`~RMIModel.search_ranges` batch touching many leaves runs one forward
 pass per visited leaf, under that leaf's own measured bounds.
-
-The builder's ``dtype`` (``ELSIConfig.dtype`` / ``REPRO_DTYPE``) selects
-the inference precision: with ``float32``, stage-1 is cast *before*
-routing — so build-time and query-time routing stay the identical
-computation — and every member's bounds are re-measured under the reduced
-precision.
 """
 
 from __future__ import annotations
@@ -48,8 +42,8 @@ class ModelSet:
     arithmetic, so a key gets bit for bit the position the member's
     ``err_l``/``err_u`` were measured with: the set needs no bounds of its
     own.  A member's ``invocations`` counts the keys it answered.  The
-    per-member scalars are read once, here: members are final (cast, with
-    their bounds measured) when the set is made.
+    per-member scalars are read once, here: members are final (their
+    bounds measured) when the set is made.
     """
 
     def __init__(self, members: "list[TrainedModel]") -> None:
@@ -97,8 +91,7 @@ class RMIModel:
     Parameters
     ----------
     builder:
-        Trains each member model (ELSI's hook).  Its optional ``dtype``
-        attribute selects the inference precision (default float64).
+        Trains each member model (ELSI's hook).
     branching:
         Number of stage-2 models; ``1`` collapses to a single model.
     min_partition_size:
@@ -130,12 +123,6 @@ class RMIModel:
         self._member_offsets: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def dtype(self) -> str:
-        """Inference precision, from the builder (default float64)."""
-        return getattr(self.builder, "dtype", "float64")
-
-    # ------------------------------------------------------------------
     def fit(
         self,
         sorted_keys: np.ndarray,
@@ -148,7 +135,6 @@ class RMIModel:
         if self.n == 0:
             raise ValueError("cannot fit an RMI on an empty key set")
         self.stage1 = self.builder.build_model(sorted_keys, sorted_points, stats, map_fn)
-        self.stage1.cast(self.dtype, sorted_keys)
         self.stage2 = []
         self._stage2_positions = []
         self._leaves = None
@@ -167,10 +153,7 @@ class RMIModel:
             for positions in positions_per_branch
             if len(positions)
         ]
-        fitted = self.builder.build_models(partitions, stats, map_fn)
-        for model, (keys, _) in zip(fitted, partitions):
-            model.cast(self.dtype, keys)
-        models = iter(fitted)
+        models = iter(self.builder.build_models(partitions, stats, map_fn))
         for positions in positions_per_branch:
             # An empty branch reuses stage 1 (routing sends no key there).
             self.stage2.append(self.stage1 if len(positions) == 0 else next(models))

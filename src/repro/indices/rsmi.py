@@ -161,13 +161,8 @@ class RSMIIndex(LearnedSpatialIndex):
         return (node.run for node in self._nodes() if node.is_leaf)
 
     def _node_keys(self, points: np.ndarray, bounds: Rect) -> np.ndarray:
-        """Morton codes local to the node's bounding box.
-
-        Cast to the configured key dtype so build-time sort keys and
-        query-time probe keys share one (monotone) quantisation — equal
-        coordinates always produce bit-equal node-local keys.
-        """
-        return zvalues(points, bounds, self.bits, dtype=self.key_dtype)
+        """Morton codes local to the node's bounding box, as float64 keys."""
+        return zvalues(points, bounds, self.bits).astype(np.float64)
 
     def _sort_by_node_keys(
         self, points: np.ndarray, bounds: Rect
@@ -213,9 +208,8 @@ class RSMIIndex(LearnedSpatialIndex):
         old leaf's depth).
 
         Sibling subtrees at the same depth are independent — their model
-        fits go to the builder as a single batch, which ``fused`` trains
-        in one vectorised pass.  Node preparation (sort, routing) stays in
-        deterministic tree order.
+        fits go to the builder as a single batch.  Node preparation (sort,
+        routing) stays in deterministic tree order.
         """
         # A frontier entry: (points, bounds, depth, attach) where attach
         # places the finished node on its parent (or captures the root).
@@ -250,8 +244,6 @@ class RSMIIndex(LearnedSpatialIndex):
         for (pts, bounds, depth, attach), (sorted_pts, sorted_keys), model in zip(
             frontier, prepared, models
         ):
-            # Cast before ``_split_specs`` routes the partition.
-            model.cast(self._model_dtype, sorted_keys)
             node = _Node(bounds=bounds, model=model, n=len(pts), depth=depth)
             attach(node)
             specs = self._split_specs(node, sorted_pts, sorted_keys)
@@ -312,7 +304,6 @@ class RSMIIndex(LearnedSpatialIndex):
     def _make_singleton_leaf(self, point: np.ndarray, bounds: Rect, depth: int) -> _Node:
         keys = self._node_keys(point[None, :], bounds)
         model = self.builder.build_model(keys, point[None, :], self.build_stats)
-        model.cast(self._model_dtype, keys)
         store = BlockStore(point[None, :], keys, block_size=self.block_size)
         return _Node(bounds, model, n=1, run=KeyedRun(store, model), depth=depth)
 
@@ -328,7 +319,7 @@ class RSMIIndex(LearnedSpatialIndex):
         assert self.root is not None
         leaves: list[KeyedRun] = []
         run = np.full(len(pts), -1, dtype=np.int64)
-        keys = np.zeros(len(pts), dtype=self.key_dtype)
+        keys = np.zeros(len(pts))
         # (node, the probes there, their coordinates) for one tree level.
         level = [(self.root, np.arange(len(pts)), pts)]
         while level:

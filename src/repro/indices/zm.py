@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.indices.base import ModelBuilder
 from repro.indices.mapsort import MapAndSortIndex
-from repro.perf.batching import cast_boundaries
 from repro.spatial.zcurve import split_zranges, zvalues
 
 __all__ = ["ZMIndex"]
@@ -63,23 +62,16 @@ class ZMIndex(MapAndSortIndex):
 
     # ------------------------------------------------------------------
     def map(self, points: np.ndarray) -> np.ndarray:
-        """The base index's ``map()``: Morton codes as float keys.
-
-        Codes are cast to the configured key dtype here, so build-time
-        store keys and query-time probe keys go through the identical
-        (monotone) quantisation — equal coordinates always produce
-        bit-equal keys, and error bounds measured over the cast keys keep
-        predict-and-scan exact.
-        """
+        """The base index's ``map()``: Morton codes as float64 keys."""
         self._check_built()
         assert self.bounds is not None
-        return zvalues(points, self.bounds, self.bits, dtype=self.key_dtype)
+        return zvalues(points, self.bounds, self.bits).astype(np.float64)
 
     def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
         """Each window's corner codes bound one Z-interval, cut into the
         sub-intervals worth scanning on their own (:meth:`_scan_runs`);
         their boundaries are exact ranks from batched ``searchsorted``
-        calls over the cast key column (no model pass, so no
+        calls over the key column (no model pass, so no
         ``model_invocations`` are charged)."""
         assert self.bounds is not None
         w = len(win_lo)
@@ -107,12 +99,17 @@ class ZMIndex(MapAndSortIndex):
 
         Runs stay in Z order within a window and are disjoint in *rank*
         space, since a cut needs at least one row between the two ranks:
-        LITMAX and BIGMIN can cast to one key (float32 keys; float64 above
-        2**53), and a row must not be scanned — and returned — twice.
+        LITMAX and BIGMIN can round to one float64 key (codes above 2**53),
+        and a row must not be scanned — and returned — twice.  The integer
+        codes are ranked among the keys as float64, the conversion ``map``
+        applies.
         """
         keys = self.run.store.keys
-        lo = np.searchsorted(keys, cast_boundaries(zlo, keys.dtype), side="left")
-        hi = np.searchsorted(keys, cast_boundaries(zhi, keys.dtype), side="right")
+
+        def rank(codes: np.ndarray, side: str) -> np.ndarray:
+            return np.searchsorted(keys, codes.astype(np.float64), side=side)
+
+        lo, hi = rank(zlo, "left"), rank(zhi, "right")
         owner = live = np.arange(len(lo))
         if int((hi - lo).sum()) < _MIN_ROUND_ROWS:
             return lo, hi, owner  # not even every interval together: no round
@@ -124,13 +121,8 @@ class ZMIndex(MapAndSortIndex):
             if not len(live) or int(rows[worth].sum()) < _MIN_ROUND_ROWS:
                 break
             litmax, bigmin = split_zranges(zlo[live], zhi[live], d)
-            r_lit = np.searchsorted(
-                keys, cast_boundaries(litmax, keys.dtype), side="right"
-            )
-            r_big = np.searchsorted(
-                keys, cast_boundaries(bigmin, keys.dtype), side="left"
-            )
-            # Codes that cast to one key give r_big <= r_lit: never a cut.
+            r_lit, r_big = rank(litmax, "right"), rank(bigmin, "left")
+            # Codes that round to one key give r_big <= r_lit: never a cut.
             cut = r_big - r_lit >= _MIN_GAP_ROWS
             if not cut.any():
                 break

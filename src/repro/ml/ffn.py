@@ -149,18 +149,6 @@ class FFN:
         """Deep copy of the network (weights included)."""
         return FFN.from_state(self.state_dict())
 
-    def astype(self, dtype) -> "FFN":
-        """Cast every parameter to ``dtype`` in place; returns self.
-
-        The opt-in float32 inference mode casts trained networks down
-        after (float64) training.  Predictions change by at most the
-        precision drop, so callers must re-measure error bounds afterwards
-        to keep predict-and-scan guarantees (see ``ELSIConfig.dtype``).
-        """
-        self.weights = [w.astype(dtype) for w in self.weights]
-        self.biases = [b.astype(dtype) for b in self.biases]
-        return self
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Snapshot of all parameters keyed ``w{i}`` / ``b{i}``."""
         state: dict[str, np.ndarray] = {}
@@ -171,12 +159,8 @@ class FFN:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "FFN":
-        """Rebuild a network from :meth:`state_dict` output as stored.
-
-        The layer sizes come from the weight shapes and the arrays keep
-        their dtype, so a float32-cast network (``ELSIConfig.dtype``)
-        predicts under the precision its error bounds were measured in.
-        """
+        """Rebuild a network from :meth:`state_dict` output as stored (the
+        layer sizes come from the weight shapes)."""
         weights = [state[f"w{i}"] for i in range(len(state) // 2)]
         net = cls([len(weights[0])] + [w.shape[1] for w in weights])
         net.weights = weights

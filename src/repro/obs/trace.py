@@ -15,8 +15,8 @@ in-memory ring buffer and — when a sink path is configured — a JSON-lines
 file, one object per completed span.
 
 Enabling: set ``REPRO_TRACE=/path/to/trace.jsonl`` in the environment
-(picked up at import), set ``REPRO_OBS=1`` for ring-buffer-only tracing,
-or call :func:`enable` programmatically.
+(picked up at import), or call :func:`enable` programmatically (with no
+path for ring-buffer-only tracing).
 
 Worker processes: spans opened in a shard worker are collected with
 :meth:`Tracer.capture` under a :meth:`Tracer.ambient` scope and shipped
@@ -50,7 +50,6 @@ import time
 
 __all__ = [
     "ENV_TRACE",
-    "ENV_OBS",
     "SpanRecord",
     "Tracer",
     "disable",
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 ENV_TRACE = "REPRO_TRACE"
-ENV_OBS = "REPRO_OBS"
 
 _id_counter = itertools.count(1)
 _request_counter = itertools.count(1)
@@ -487,10 +485,7 @@ def disable() -> None:
     _TRACER.disable()
 
 
-# Environment activation: REPRO_TRACE=path streams to a JSONL file,
-# REPRO_OBS=1 keeps spans in the ring buffer only.
+# Environment activation: REPRO_TRACE=path streams to a JSONL file.
 _env_path = os.environ.get(ENV_TRACE)
 if _env_path:
     enable(_env_path)
-elif os.environ.get(ENV_OBS, "").strip() not in ("", "0"):
-    enable()

@@ -1,4 +1,4 @@
-"""Fused, dtype-aware batch refinement kernels.
+"""Fused batch refinement kernels.
 
 The per-query loop each index used to run — ``store.scan`` per key, then a
 NumPy membership test over the scanned slice — costs one interpreter
@@ -22,18 +22,10 @@ replace both with single-pass vectorised refinement over the whole batch:
    window's runs are copied as contiguous slices into one bounded,
    column-major buffer and tested there against the window's scalar bounds
    — no row-index vector at all.
-3. **Dtype-aware boundaries**: ``searchsorted`` runs in the store's key
-   dtype.  Query-side boundary values are cast through the same
-   round-to-nearest conversion the stored keys went through; because the
-   cast is monotone (x >= y implies f32(x) >= f32(y)), the cast boundaries
-   bracket a *superset* of the true candidates, and the exact float64
-   coordinate / rectangle predicates eliminate the extras.  Searching a
-   float32 key column with float32 boundaries halves the binary-search
-   memory traffic instead of silently promoting every probe to float64.
 
 Results are exactly what scanning and testing each query's range on its own
-produces: the same predicates over the same (or superset) candidate sets,
-with false candidates removed by the exact coordinate checks.  A batch of
+produces: the same predicates over the same candidate sets, with false
+candidates removed by the exact coordinate checks.  A batch of
 one — which is what every per-query call is — takes that literal form: one
 ``store.scan`` and one predicate.
 """
@@ -47,7 +39,6 @@ from repro.storage.blocks import BlockStore
 __all__ = [
     "batch_point_membership",
     "batch_window_refine",
-    "cast_boundaries",
     "merge_ranges",
 ]
 
@@ -56,19 +47,6 @@ __all__ = [
 #: enough that only a window scanning more rows than this pays for a second
 #: predicate pass.
 _REFINE_BUFFER_ROWS = 1 << 16
-
-
-def cast_boundaries(values: np.ndarray, key_dtype: np.dtype) -> np.ndarray:
-    """Cast query-side boundary keys to the store's key dtype.
-
-    Round-to-nearest casting is monotone, so for any stored key ``s``
-    (already in ``key_dtype``) and float64 boundary ``a``: ``s >= a``
-    implies ``s >= cast(a)`` and ``s <= b`` implies ``s <= cast(b)`` —
-    the cast interval brackets a superset of the true candidates.  This is
-    the whole "bound inflation" needed for quantised key columns; no
-    directed rounding required.
-    """
-    return np.asarray(values).astype(key_dtype, copy=False)
 
 
 def merge_ranges(
@@ -133,8 +111,7 @@ def batch_point_membership(
         Per-query half-open scan ranges (model prediction ± error bounds,
         already widened for inserts); clipped to the store here.
     query_keys:
-        Mapped key per query (same mapping — including any dtype cast —
-        that keyed the store).
+        Mapped key per query (same mapping that keyed the store).
     query_points:
         (b, d) query coordinates; a query hits iff some row in its range
         has a key within ``atol`` of ``query_keys`` and equal coordinates.
@@ -160,7 +137,7 @@ def batch_point_membership(
     if b == 1:
         pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
         if len(pts):
-            match = np.abs(keys.astype(np.float64) - float(query_keys[0])) <= atol
+            match = np.abs(keys - float(query_keys[0])) <= atol
             out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
         return out
     # The default (unstable) sort: a stable one costs ~6× more, and the
@@ -193,21 +170,8 @@ def _sorted_membership(
     store.charge_block_reads(*merge_ranges(lo, hi))
 
     # Candidate runs: rows whose key matches, intersected with the range.
-    # searchsorted runs in the store's key dtype; boundary values go through
-    # the same monotone cast as the stored keys (see cast_boundaries).
-    key_dtype = store.keys.dtype
-    if atol == 0.0:
-        probe = cast_boundaries(query_keys, key_dtype)
-        run_lo = np.searchsorted(store.keys, probe, side="left")
-        run_hi = np.searchsorted(store.keys, probe, side="right")
-    else:
-        keys64 = np.asarray(query_keys, dtype=np.float64)
-        run_lo = np.searchsorted(
-            store.keys, cast_boundaries(keys64 - atol, key_dtype), side="left"
-        )
-        run_hi = np.searchsorted(
-            store.keys, cast_boundaries(keys64 + atol, key_dtype), side="right"
-        )
+    run_lo = np.searchsorted(store.keys, query_keys - atol, side="left")
+    run_hi = np.searchsorted(store.keys, query_keys + atol, side="right")
     cand_lo = np.maximum(run_lo, lo)
     cand_hi = np.minimum(run_hi, hi)
     counts = np.maximum(cand_hi - cand_lo, 0)

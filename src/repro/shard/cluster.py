@@ -84,8 +84,8 @@ def build_cluster(
     """Partition, persist, spawn, and front ``points`` with a router.
 
     ``elsi`` / ``serve`` are keyword dicts for each worker's ``ELSIConfig``
-    and ``ServeConfig``; ``env`` overrides the captured
-    ``REPRO_FAULTS``/``REPRO_DTYPE`` propagation.  ``index`` is a name
+    and ``ServeConfig``; ``env`` overrides the captured ``REPRO_FAULTS``
+    propagation.  ``index`` is a name
     of :data:`repro.indices.LEARNED_INDICES`; an unknown one is refused
     here, before anything is written or spawned.
     """

@@ -5,7 +5,7 @@ interpreter, **nothing inherited from the parent by fork** — so every bit
 of configuration a shard needs travels explicitly in its
 :class:`WorkerSpec`: the per-shard directory (snapshots + WAL + build
 points), the index kind and build method, ELSI/serve config kwargs, and
-the captured environment (``REPRO_FAULTS`` / ``REPRO_DTYPE``).  The
+the captured environment (``REPRO_FAULTS``).  The
 worker applies that environment to ``os.environ`` *and* arms the fault
 spec on its own fault registry before building anything, so
 ``repro chaos``-style scenarios can target fault sites inside an
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 #: Environment configuration propagated explicitly into workers at spawn.
-ENV_KEYS = ("REPRO_FAULTS", "REPRO_DTYPE")
+ENV_KEYS = ("REPRO_FAULTS",)
 
 #: Exit code of a deliberate ``("crash",)`` — same idea as the chaos
 #: child's marker: distinguishes commanded crashes from real failures.

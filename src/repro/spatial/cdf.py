@@ -31,8 +31,8 @@ __all__ = [
 
 
 def _as_sorted(keys: np.ndarray, assume_sorted: bool) -> np.ndarray:
-    # Preserve floating key dtypes (float32 key columns stay float32 — the
-    # CDF statistics only need ranks); integers still upcast to float64.
+    # Floating keys keep their dtype (the CDF statistics only need ranks);
+    # integers upcast to float64.
     arr = np.asarray(keys).ravel()
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float64)

@@ -40,8 +40,8 @@ class IDistanceMapping:
         get a key inside the next partition's range, and
         :class:`~repro.indices.ml_index.MLIndex` refuses to insert it.
 
-        Floating inputs keep their dtype (float32 points yield float32
-        references and distances); other dtypes upcast to float64.
+        Floating inputs keep their dtype (references and distances come
+        out in it); other dtypes upcast to float64.
         """
         pts = np.asarray(points)
         if not np.issubdtype(pts.dtype, np.floating):

@@ -60,9 +60,8 @@ def kmeans(
     summarise density, not a converged optimum; the paper's complexity
     analysis treats the iteration count ``i`` as a constant factor.
 
-    Floating inputs keep their dtype (float32 points cluster in float32 —
-    centroids, distances and inertia included); other dtypes upcast to
-    float64.
+    Floating inputs keep their dtype (centroids, distances and inertia
+    come out in it); other dtypes upcast to float64.
     """
     pts = np.asarray(points)
     if not np.issubdtype(pts.dtype, np.floating):

@@ -179,21 +179,6 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
     return np.clip(cells, 0, 2**bits - 1)
 
 
-def zvalues(
-    points: np.ndarray,
-    bounds: Rect,
-    bits: int = 16,
-    dtype: np.dtype | str | None = None,
-) -> np.ndarray:
-    """Morton codes of continuous points: scale to the grid, then interleave.
-
-    ``dtype`` casts the uint64 codes to a floating key dtype in one step
-    (round-to-nearest, hence monotone) — the cast the map-and-sort indices
-    apply before keying their stores.  float32 resolves ~2^24 distinct
-    codes; collisions only widen scan ranges (bounds are re-measured over
-    the cast keys), never lose points.
-    """
-    codes = morton_encode(grid_coordinates(points, bounds, bits), bits=bits)
-    if dtype is None:
-        return codes
-    return codes.astype(np.dtype(dtype))
+def zvalues(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.ndarray:
+    """Morton codes of continuous points: scale to the grid, then interleave."""
+    return morton_encode(grid_coordinates(points, bounds, bits), bits=bits)

@@ -22,19 +22,13 @@ class BlockStore:
     points:
         (n, d) coordinates.
     keys:
-        One mapped key per point; the store sorts by these.
+        One mapped key per point, stored as float64; the store sorts by
+        these.
     ids:
         Optional stable point identifiers (defaults to the pre-sort row
         numbers), used by the update processor's side list.
     block_size:
         Points per block (the paper's B).
-    key_dtype:
-        Storage dtype for the sorted key column.  Defaults to the dtype the
-        keys arrive in (floating inputs are kept as-is, everything else is
-        cast to float64), so a float32 mapping pipeline halves key memory
-        and ``searchsorted`` traffic.  Query boundaries must be cast through
-        the same round-to-nearest conversion before searching (the cast is
-        monotone, so cast boundaries bracket a superset of the candidates).
     """
 
     def __init__(
@@ -43,17 +37,9 @@ class BlockStore:
         keys: np.ndarray,
         ids: np.ndarray | None = None,
         block_size: int = 100,
-        key_dtype: np.dtype | str | None = None,
     ) -> None:
         pts = np.asarray(points, dtype=np.float64)
-        key_arr = np.asarray(keys)
-        if key_dtype is None:
-            key_dtype = (
-                key_arr.dtype
-                if np.issubdtype(key_arr.dtype, np.floating)
-                else np.float64
-            )
-        key_arr = key_arr.astype(np.dtype(key_dtype), copy=False)
+        key_arr = np.asarray(keys, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError(f"expected (n, d) points, got shape {pts.shape}")
         if key_arr.shape != (len(pts),):
@@ -91,8 +77,7 @@ class BlockStore:
     @classmethod
     def from_state(cls, state: dict) -> "BlockStore":
         """Adopt :meth:`state_dict` columns as they are: already key-sorted,
-        so nothing is re-sorted, copied or cast (the key dtype is the
-        stored one)."""
+        so nothing is re-sorted, copied or cast."""
         store = cls.__new__(cls)
         store.points = state["points"]
         store.keys = state["keys"]
@@ -185,7 +170,7 @@ class BlockStore:
             raise ValueError(
                 f"expected a point of dim {self.points.shape[1]}, got {p.shape}"
             )
-        key = self.keys.dtype.type(key)
+        key = float(key)
         pos = int(np.searchsorted(self.keys, key, side="right"))
         self.points = np.insert(self.points, pos, p, axis=0)
         self.keys = np.insert(self.keys, pos, key)

@@ -31,7 +31,10 @@ FORMAT = "repro-index-v2"
 _ARRAY = "__ndarray__"
 
 class OldFormatError(Exception):
-    """The file is an intact snapshot in a format no longer read.
+    """The file is an intact snapshot in a format no longer read: a retired
+    format tag, or key columns / nets stored as float32 by a build from
+    before every index stored float64 (its probes would map to float64
+    keys and miss).
 
     Deliberately not a ``ValueError``: the file is not damaged, so the
     snapshot manager must not quarantine it as corrupt.
@@ -78,6 +81,17 @@ def _lower(tree, arrays, path: Path):
     return tree
 
 
+def _dtypes(tree) -> set:
+    """The dtypes of every ndarray in ``tree``."""
+    if isinstance(tree, np.ndarray):
+        return {tree.dtype}
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return set().union(*map(_dtypes, tree))
+    return set()
+
+
 def _write_tree(tree, path: str | Path) -> None:
     arrays: dict[str, np.ndarray] = {}
     document = json.dumps(_lift(tree, arrays))
@@ -122,7 +136,8 @@ def load_index(path: str | Path):
     The file is outside input: a tag other than :data:`FORMAT`, an index
     name or constructor parameter no class declares, or a reference to an
     array the archive lacks raises ``ValueError`` naming it — except a
-    pre-protocol ``repro-*-v1`` tag, which raises :class:`OldFormatError`.
+    pre-protocol ``repro-*-v1`` tag or a float32 state, which raise
+    :class:`OldFormatError`.
     """
     path = Path(path)
     document = _read_tree(path)
@@ -140,5 +155,10 @@ def load_index(path: str | Path):
         raise ValueError(
             f"unknown index name {name!r} in {path}; "
             f"known names: {', '.join(sorted(LEARNED_INDICES))}"
+        )
+    if np.dtype(np.float32) in _dtypes(document["state"]):
+        raise OldFormatError(
+            f"{path} stores float32 keys or nets, written by a float32 build; "
+            f"this version stores float64 only — rebuild the index and save it again"
         )
     return cls.from_state(document["state"])

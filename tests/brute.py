@@ -24,8 +24,8 @@ APPROXIMATE = ("RSMI", "LISA")
 
 #: Mean window / kNN recall RSMI and LISA show on the 2 000-point OSM1
 #: fixture at commit be14b0b (the last one with separate scalar methods),
-#: measured for every window and kNN set these tests use, under float64 and
-#: REPRO_DTYPE=float32 alike: nothing is missed at this scale.
+#: measured for every window and kNN set these tests use: nothing is missed
+#: at this scale.
 PARENT_RECALL = 1.0
 
 

@@ -106,17 +106,14 @@ class TestContext:
 
     def test_config_with_keeps_every_other_field(self):
         """An override replaces its field only: the fields the old
-        hand-copied list left out (``zeta``, ``gamma``, ``parallelism``,
-        ``dtype``, ``faults``) survive it."""
-        base = ELSIConfig(
-            gamma=0.5, zeta=0.6, parallelism="fused", dtype="float32",
-            faults="snapshot.write=error:1",
-        )
+        hand-copied list left out (``zeta``, ``gamma``, ``faults``) survive
+        it."""
+        base = ELSIConfig(gamma=0.5, zeta=0.6, faults="snapshot.write=error:1")
         ctx = Context(ExperimentScale.smoke())
         ctx.config = base
         cfg = ctx.config_with(lam=0.3)
         assert cfg == dataclasses.replace(base, lam=0.3)
-        assert (cfg.gamma, cfg.zeta, cfg.parallelism) == (0.5, 0.6, "fused")
+        assert (cfg.gamma, cfg.zeta, cfg.faults) == (0.5, 0.6, "snapshot.write=error:1")
         assert cfg is not base and base.lam == 0.8
 
     def test_build_learned_and_traditional(self, ctx):

@@ -5,7 +5,7 @@ the inserts since the fit, holds the key's row (Section III, condition 2).
 ``assert_bounds_hold`` checks that directly, for every stored key of every
 run of an index, rather than through queries that happen to probe it; the
 tests run it after each transition that moves keys, models or counts:
-build, built-in inserts, a snapshot round trip, and the float32 cast.
+build, built-in inserts and a snapshot round trip.
 """
 
 import numpy as np
@@ -27,13 +27,13 @@ INDEX_CASES = [
 
 
 def assert_bounds_hold(index: LearnedSpatialIndex) -> int:
-    """Every run's keys are sorted at the stored dtype, and every stored
-    key's true rank lies in the range its run scans for it.  Returns the
-    number of keys checked."""
+    """Every run's keys are sorted float64, and every stored key's true
+    rank lies in the range its run scans for it.  Returns the number of
+    keys checked."""
     checked = 0
     for run in index.runs():
         keys = run.store.keys
-        assert keys.dtype == index.key_dtype
+        assert keys.dtype == np.float64
         assert np.all(keys[:-1] <= keys[1:])
         lo, hi = run.scan_bounds(*run.model.search_ranges(keys))
         ranks = np.arange(len(keys))
@@ -43,12 +43,11 @@ def assert_bounds_hold(index: LearnedSpatialIndex) -> int:
     return checked
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dtype", ["float64"])
 @pytest.mark.parametrize("cls,kwargs", INDEX_CASES)
 def test_bounds_hold_after_every_transition(osm_points, tmp_path, cls, kwargs, dtype):
     config = ELSIConfig(train_epochs=60, dtype=dtype)
     index = cls(builder=ELSIModelBuilder(config, method="SP"), **kwargs).build(osm_points)
-    assert index.key_dtype == np.dtype(index.builder.dtype)  # REPRO_DTYPE wins
     assert assert_bounds_hold(index) == len(osm_points)
 
     if cls.insert is not LearnedSpatialIndex.insert:  # Flood has no built-in insertion

@@ -1,5 +1,5 @@
-"""Tests for multi-leaf batch prediction, the fused trainer's rejection
-reasons and the opt-in float32 mode.
+"""Tests for multi-leaf batch prediction, and that the retired float32
+mode is refused.
 
 The leaf set's own parity and memory contracts are in
 ``tests/test_model_set.py``.
@@ -11,71 +11,18 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, MLIndex, RSMIIndex, ZMIndex
-from repro.indices.base import resolve_dtype
-from repro.ml.ffn import FFN
-from repro.ml.trainer import TrainConfig
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
-from repro.perf.fused import can_fuse, fusion_rejection_reason
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
 
-def _builder(dtype="float64"):
-    config = ELSIConfig(train_epochs=80, dtype=dtype)
-    return ELSIModelBuilder(config, method="SP")
+def _builder():
+    return ELSIModelBuilder(ELSIConfig(train_epochs=80), method="SP")
 
 
 def _probe_points(points, rng, n_hits=200, n_misses=40):
     hits = points[rng.integers(0, len(points), n_hits)]
     misses = rng.random((n_misses, points.shape[1])) + 1.5
     return np.vstack([hits, misses])
-
-
-# ----------------------------------------------------------------------
-# Rejection reasons
-# ----------------------------------------------------------------------
-class TestRejectionReasons:
-    def test_single_model(self):
-        assert fusion_rejection_reason([FFN([1, 4, 1])]) == "single_model"
-
-    def test_minibatch_config(self):
-        class Cfg:
-            batch_size = 32
-
-        nets = [FFN([1, 4, 1]), FFN([1, 4, 1])]
-        assert fusion_rejection_reason(nets, Cfg()) == "minibatch_config"
-
-    def test_non_ffn(self):
-        assert fusion_rejection_reason([FFN([1, 4, 1]), object()]) == "non_ffn"
-
-    def test_mixed_shapes(self):
-        nets = [FFN([1, 4, 1]), FFN([1, 8, 1])]
-        assert fusion_rejection_reason(nets) == "mixed_shapes"
-
-    def test_mixed_dtype(self):
-        nets = [FFN([1, 4, 1]), FFN([1, 4, 1]).astype(np.float32)]
-        assert fusion_rejection_reason(nets) == "mixed_dtype"
-
-    def test_fusable(self):
-        nets = [FFN([1, 4, 1], seed=i) for i in range(3)]
-        assert fusion_rejection_reason(nets) is None
-
-    def test_rejection_lands_in_counter(self):
-        """A trainer rejection is observable, labelled with its reason."""
-        tracer = get_tracer()
-        counter = get_registry().counter(
-            "perf.fusion_rejected", reason="single_model", context="train"
-        )
-        tracer.enable()
-        try:
-            before = counter.snapshot()
-            assert not can_fuse([FFN([1, 4, 1])], TrainConfig())
-            after = counter.snapshot()
-        finally:
-            tracer.disable()
-            tracer.reset()
-        assert after == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -158,75 +105,12 @@ class TestEngineParity:
 
 
 # ----------------------------------------------------------------------
-# float32 mode
+# The retired float32 mode
 # ----------------------------------------------------------------------
 class TestFloat32:
-    def test_resolve_dtype_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        assert resolve_dtype("float64") == "float32"
-        monkeypatch.delenv("REPRO_DTYPE")
-        assert resolve_dtype("float64") == "float64"
-        with pytest.raises(ValueError, match="dtype"):
-            resolve_dtype("float16")
-
     def test_config_rejects_unknown_dtype(self):
-        with pytest.raises(ValueError, match="dtype"):
-            ELSIConfig(dtype="float16")
-
-    @pytest.mark.parametrize("cls", (ZMIndex, MLIndex), ids=lambda c: c.name)
-    def test_query_parity_with_float64(self, cls, osm_points):
-        """Same answers on hits and misses; the precision drop is absorbed
-        by the re-measured error bounds, never by the results."""
-        f64 = cls(builder=_builder("float64"), branching=4).build(osm_points)
-        f32 = cls(builder=_builder("float32"), branching=4).build(osm_points)
-        assert all(
-            m.net.weights[0].dtype == np.float32 for m in f32.model._leaves.members
-        )
-        rng = np.random.default_rng(6)
-        probes = _probe_points(osm_points, rng)
-        np.testing.assert_array_equal(
-            f32.point_queries(probes), f64.point_queries(probes)
-        )
-        windows = [Rect.centered(rng.random(2), 0.1) for _ in range(6)]
-        for a, b in zip(f32.window_queries(windows), f64.window_queries(windows)):
-            np.testing.assert_array_equal(a, b)
-        queries = rng.random((6, 2))
-        for a, b in zip(f32.knn_queries(queries, 5), f64.knn_queries(queries, 5)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_flood_query_parity_with_float64(self, osm_points):
-        f64 = FloodIndex(builder=_builder("float64"), n_columns=6).build(osm_points)
-        f32 = FloodIndex(builder=_builder("float32"), n_columns=6).build(osm_points)
-        assert all(run.model.net.weights[0].dtype == np.float32 for run in f32.runs())
-        rng = np.random.default_rng(7)
-        probes = _probe_points(osm_points, rng)
-        np.testing.assert_array_equal(
-            f32.point_queries(probes), f64.point_queries(probes)
-        )
-
-    def test_memory_halved(self, osm_points):
-        f64 = ZMIndex(builder=_builder("float64"), branching=4).build(osm_points)
-        f32 = ZMIndex(builder=_builder("float32"), branching=4).build(osm_points)
-        def nbytes(index):
-            nets = [m.net for m in index.model.models]
-            return sum(a.nbytes for net in nets for a in net.weights + net.biases)
-
-        assert nbytes(f32) * 2 == nbytes(f64)
-        assert f32.store.keys.nbytes * 2 == f64.store.keys.nbytes
-        for net in (m.net for m in f32.model.models if isinstance(m.net, FFN)):
-            assert all(w.dtype == np.float32 for w in net.weights)
-            assert all(b.dtype == np.float32 for b in net.biases)
-
-    def test_float32_round_trips_through_persistence(self, osm_points, tmp_path):
-        from repro.storage.persist import load_index, save_index
-
-        f32 = ZMIndex(builder=_builder("float32"), branching=4).build(osm_points)
-        path = tmp_path / "zm32.npz"
-        save_index(f32, path)
-        loaded = load_index(path)
-        assert loaded.model.stage1.net.weights[0].dtype == np.float32
-        rng = np.random.default_rng(8)
-        probes = _probe_points(osm_points, rng)
-        np.testing.assert_array_equal(
-            loaded.point_queries(probes), f32.point_queries(probes)
-        )
+        """float64 is the one precision: float32 is refused like any
+        other dtype."""
+        for dtype in ("float32", "float16"):
+            with pytest.raises(ValueError, match="dtype"):
+                ELSIConfig(dtype=dtype)

@@ -248,7 +248,6 @@ def test_one_keyed_run(built_indices):
     assert sites("FusedInferenceEngine") == sites("perf.fused_predict") == []
     for name in ("run.py", "rmi.py", "flood.py"):
         assert "einsum(" not in (src / "indices" / name).read_text(), name
-    assert set(sites("fusion_rejection_reason")) == {"perf/fused.py"}
     assert sites("ModelSet(") == ["indices/rmi.py"]
     assert sites("_point_lookup") == []
     for text in ("def normalise_keys", "np.rint(", "err_u + 1"):

@@ -62,7 +62,7 @@ def _seed_cases(draw):
     return k, data, np.vstack([corners, data[:2], inside, outside])
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dtype", ["float64"])
 @pytest.mark.parametrize(
     "cls, params",
     [(ZMIndex, {"bits": 2, "branching": 1}), (LISAIndex, {"grid_size": 2})],
@@ -71,8 +71,9 @@ def _seed_cases(draw):
 @given(case=_seed_cases())
 def test_seed_radius_covers_the_kth_distance(cls, params, dtype, case):
     k, data, queries = case
-    builder = OriginalBuilder(train_config=TrainConfig(epochs=2), dtype=dtype)
+    builder = OriginalBuilder(train_config=TrainConfig(epochs=2))
     index = cls(builder=builder, **params).build(data)
+    assert index.store.keys.dtype == np.dtype(dtype)
     radius = index._knn_first_sides(queries, k) / 2.0
     for q, r in zip(queries, radius):
         assert r >= np.sort(_distances(data, q))[min(k, len(data)) - 1]

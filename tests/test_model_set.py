@@ -17,7 +17,7 @@ from repro.indices.rmi import ModelSet, RMIModel
 from repro.ml.trainer import TrainConfig
 
 
-def _members(rng, sizes=(300, 50, 700, 1, 120), zero_span=None, dtype="float64"):
+def _members(rng, sizes=(300, 50, 700, 1, 120), zero_span=None):
     """Trained leaves over disjoint key ranges, with their key sets."""
     partitions = []
     for i, n in enumerate(sizes):
@@ -27,8 +27,6 @@ def _members(rng, sizes=(300, 50, 700, 1, 120), zero_span=None, dtype="float64")
         partitions.append((keys, np.column_stack([keys, keys])))
     builder = OriginalBuilder(TrainConfig(epochs=30))
     members = builder.build_models(partitions, BuildStats())
-    for model, (keys, _) in zip(members, partitions):
-        model.cast(dtype, keys)
     return members, [keys for keys, _ in partitions]
 
 
@@ -49,17 +47,11 @@ def _case(name, rng):
         members, member_keys = _members(rng)
         keys = np.concatenate([member_keys[2][::7], rng.random(20) * 6])
         return members, member_keys, np.full(len(keys), 2), keys
-    members, member_keys = _members(
-        rng,
-        zero_span=1 if name == "zero_span" else None,
-        dtype="float32" if name == "float32" else "float64",
-    )
+    members, member_keys = _members(rng, zero_span=1 if name == "zero_span" else None)
     return (members, member_keys, *_batch(rng, member_keys))
 
 
-@pytest.mark.parametrize(
-    "case", ["random", "empty", "one_member", "zero_span", "float32"]
-)
+@pytest.mark.parametrize("case", ["random", "empty", "one_member", "zero_span"])
 def test_search_ranges_equal_each_members_own(case):
     members, member_keys, member_idx, keys = _case(case, np.random.default_rng(3))
     leaves = ModelSet(members)

@@ -1,11 +1,11 @@
-"""Tests for the one build dispatch: a loop, or the fused trainer."""
+"""One trainer, one precision: every index model is fitted by one serial
+loop (``fit_model``) and stores float64 keys under float64 nets."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -13,22 +13,57 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.elsi import ELSI
 from repro.core.selector import collect_selector_data
-from repro.indices import ZMIndex
-from repro.indices.base import ModelBuilder, OriginalBuilder, TrainedModel, run_fit_job
-from repro.ml.ffn import FFN
-from repro.ml.trainer import TrainConfig, train_regressor
-from repro.perf.fused import can_fuse, train_regressors_fused
+from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices.base import ModelBuilder, OriginalBuilder, TrainedModel, fit_model
+from repro.storage.persist import save_index
+
+SRC = Path(repro.__file__).parent
 
 
-def test_one_build_dispatch(monkeypatch):
-    """Model fits run in a loop or through the fused trainer: there is no
-    pool, no executor object and no second place to choose one."""
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.perf.executor")
+def _sites(text):
+    """Files of ``src/repro`` with a line holding ``text``."""
+    return sorted(
+        {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if text in line
+        }
+    )
 
-    root = Path(repro.__file__).parent
-    for path in root.rglob("*.py"):
-        if "shard" in path.relative_to(root).parts:
+
+def _snapshot_bytes(tmp_path, name):
+    """Every learned index built once over the same points, saved: the
+    bytes of the five snapshots."""
+    from repro.data import load_dataset
+
+    points = load_dataset("OSM1", 1_500)
+    config = ELSIConfig(train_epochs=20)
+    out = []
+    for cls, params in (
+        (ZMIndex, {"branching": 4}),
+        (MLIndex, {"branching": 4}),
+        (RSMIIndex, {"leaf_capacity": 300}),
+        (LISAIndex, {}),
+        (FloodIndex, {"n_columns": 6}),
+    ):
+        index = cls(builder=ELSIModelBuilder(config, method="SP"), **params)
+        path = tmp_path / f"{name}-{cls.name}.npz"
+        save_index(index.build(points), path)
+        out.append(path.read_bytes())
+    return out
+
+
+def test_one_build_dispatch(monkeypatch, tmp_path):
+    """One serial trainer and one precision: no fused trainer, no pool or
+    executor, no float32 mode, and no environment variable that changes
+    a build."""
+    for module in ("repro.perf.fused", "repro.perf.executor"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    for path in SRC.rglob("*.py"):
+        if "shard" in path.relative_to(SRC).parts:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             names = []
@@ -42,20 +77,41 @@ def test_one_build_dispatch(monkeypatch):
                 )
 
     assert "parallel_workers" not in ELSIConfig.__dataclass_fields__
-    for value in ("thread", "process", "gpu", "thread:4"):
-        with pytest.raises(ValueError, match="'serial', 'fused'"):
+    for value in ("fused", "thread", "process", "gpu", "thread:4"):
+        with pytest.raises(ValueError, match=f"parallelism.*{value!r}"):
             ELSIConfig(parallelism=value)
+    for value in ("float32", "float16"):
+        with pytest.raises(ValueError, match=f"dtype.*{value!r}"):
+            ELSIConfig(dtype=value)
     for fn in (
         collect_selector_data,
         ModelBuilder.build_models,
-        run_fit_job,
+        fit_model,
         OriginalBuilder.__init__,
         TrainedModel.measure_error_bounds,
     ):
-        assert "executor" not in inspect.signature(fn).parameters, fn.__qualname__
+        params = inspect.signature(fn).parameters
+        assert not {"executor", "dtype", "parallelism"} & set(params), fn.__qualname__
 
-    # A name nothing reads: lambda factories died on it with PicklingError.
-    monkeypatch.setenv("REPRO_PARALLELISM", "process:2")
+    for name in (
+        "resolve_dtype",
+        "MODEL_DTYPES",
+        "cast_boundaries",
+        "fusion_rejection_reason",
+        "REPRO_DTYPE",
+        "REPRO_PARALLELISM",
+    ):
+        assert _sites(name) == [], name
+    assert _sites("float32") == ["storage/persist.py"]
+
+    # The environment the old modes read changes no byte of any build.
+    plain = _snapshot_bytes(tmp_path, "plain")
+    monkeypatch.setenv("REPRO_DTYPE", "float32")
+    monkeypatch.setenv("REPRO_PARALLELISM", "fused")
+    assert _snapshot_bytes(tmp_path, "env") == plain
+
+    # Nor does it break a selector training run: a lambda factory once
+    # died on a process pool with PicklingError.
     elsi = ELSI(ELSIConfig(train_epochs=40, methods=("SP", "OG")))
     scorer = elsi.train_selector(
         lambda builder: ZMIndex(builder=builder, branching=1),
@@ -67,82 +123,29 @@ def test_one_build_dispatch(monkeypatch):
 
 
 def test_config_validates_parallelism():
-    assert ELSIConfig(parallelism="fused").parallelism == "fused"
-    with pytest.raises(ValueError, match=r"\('serial', 'fused'\)"):
+    """The two build-side fields accept their one value each."""
+    config = ELSIConfig(parallelism="serial", dtype="float64")
+    assert (config.parallelism, config.dtype) == ("serial", "float64")
+    with pytest.raises(ValueError, match=r"parallelism can only be 'serial', got 'gpu'"):
         ELSIConfig(parallelism="gpu")
 
 
-# ----------------------------------------------------------------------
-# Builds
-# ----------------------------------------------------------------------
-def _build(points, backend, branching=4):
-    config = ELSIConfig(train_epochs=60, parallelism=backend)
-    return ZMIndex(
-        builder=ELSIModelBuilder(config, method="SP"), branching=branching
-    ).build(points)
-
-
-def test_fused_build_answers_queries(osm_points):
-    index = _build(osm_points, "fused")
-    assert index.point_queries(osm_points[:300]).all()
-    assert not index.point_queries(osm_points[:50] + 2.0).any()
-
-
-def test_fused_build_is_traced_like_the_serial_one(osm_points, tracer):
-    """One ``build.train`` span per fused group, one ``build.error_bounds``
-    span per model, and the group's wall time lands in ``BuildStats``."""
-
-    _build(osm_points, "serial", branching=8)
-    serial_train = tracer.find("build.train")
-    serial_bounds = tracer.find("build.error_bounds")
-    tracer.reset()
-    index = _build(osm_points, "fused", branching=8)
-    fused_train = tracer.find("build.train")
-    leaves = len(index.model.models) - 1  # all but the stage-1 model
-    assert leaves > 1
-    assert len(serial_train) == leaves + 1
-    assert len(tracer.find("build.error_bounds")) == len(serial_bounds) == leaves + 1
-
-    (stage1,) = [s for s in fused_train if "fused" not in s.attrs]
-    (group,) = [s for s in fused_train if s.attrs.get("fused")]
-    assert group.attrs["models"] == leaves
-    assert group.attrs["method"] == "SP"
-    assert (
-        group.attrs["train_size"] + stage1.attrs["train_size"]
-        == index.build_stats.train_set_size
-    )
-    # train_seconds = the stage-1 fit + the group's one training loop,
-    # both timed inside their spans.
-    in_spans = sum(s.duration for s in fused_train)
-    assert 0.8 * in_spans <= index.build_stats.train_seconds <= in_spans
-
-
-# ----------------------------------------------------------------------
-# Fused trainer
-# ----------------------------------------------------------------------
-def test_fused_training_close_to_serial():
-    rng = np.random.default_rng(3)
-    config = TrainConfig(epochs=120)
-    xs = [np.sort(rng.random(200 + 30 * i)) for i in range(3)]
-    ys = [np.linspace(0.0, 1.0, len(x)) for x in xs]
-
-    fused_nets = [FFN([1, 16, 1], seed=i) for i in range(3)]
-    assert can_fuse(fused_nets, config)
-    result = train_regressors_fused(fused_nets, xs, ys, config)
-    assert len(result.final_losses) == 3
-
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        serial_net = FFN([1, 16, 1], seed=i)
-        train_regressor(serial_net, x, y, config)
-        np.testing.assert_allclose(
-            fused_nets[i].predict(x), serial_net.predict(x), atol=1e-6
-        )
-
-
-def test_can_fuse_rejects_mixed_architectures():
-    config = TrainConfig(epochs=10)
-    assert not can_fuse([FFN([1, 16, 1])], config)
-    assert not can_fuse([FFN([1, 16, 1]), FFN([1, 8, 1])], config)
-    assert not can_fuse(
-        [FFN([1, 16, 1]), FFN([1, 16, 1])], TrainConfig(epochs=10, batch_size=32)
-    )
+def test_build_is_traced_per_model(osm_points, tracer):
+    """One ``build.train`` and one ``build.error_bounds`` span per model, a
+    ``build.models`` span per multi-model call, and ``BuildStats`` that
+    add up to the spans."""
+    config = ELSIConfig(train_epochs=60)
+    index = ZMIndex(builder=ELSIModelBuilder(config, method="SP"), branching=8)
+    index.build(osm_points)
+    models = len(index.model.models)
+    assert models > 2
+    train = tracer.find("build.train")
+    assert len(train) == len(tracer.find("build.error_bounds")) == models
+    assert index.build_stats.n_models == models
+    assert {s.attrs["method"] for s in train} == {"SP"}
+    assert sum(s.attrs["train_size"] for s in train) == index.build_stats.train_set_size
+    (group,) = tracer.find("build.models")
+    assert group.attrs == {"partitions": models - 1}
+    # train_seconds is each fit's training loop, timed inside its span.
+    assert 0.5 * sum(s.duration for s in train) <= index.build_stats.train_seconds
+    assert index.build_stats.train_seconds <= sum(s.duration for s in train)

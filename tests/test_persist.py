@@ -34,6 +34,20 @@ def _sp_builder(dtype="float64", epochs=80):
     return ELSIModelBuilder(ELSIConfig(train_epochs=epochs, dtype=dtype), method="SP")
 
 
+def _cast_down(tree, name=""):
+    """``tree`` with its key columns and FFN parameters (``w0``, ``b0``,
+    ...) cast to float32, as a float32 build stored them; the points
+    stayed float64."""
+    if isinstance(tree, np.ndarray):
+        ffn = name[:1] in ("w", "b") and name[1:].isdigit()
+        return tree.astype(np.float32) if name == "keys" or ffn else tree
+    if isinstance(tree, dict):
+        return {key: _cast_down(value, key) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_cast_down(value) for value in tree]
+    return tree
+
+
 def _round_trip(index, path):
     save_index(index, path)
     return load_index(path)
@@ -164,17 +178,16 @@ class TestEveryIndex:
     """The same round-trip contract for all five classes."""
 
     @every_index
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_same_state_and_answers_after_native_inserts(
-        self, cls, dtype, osm_points, tmp_path, monkeypatch
+        self, cls, dtype, osm_points, tmp_path
     ):
-        monkeypatch.setenv("REPRO_DTYPE", dtype)
         index = cls(builder=_sp_builder(dtype)).build(osm_points)
         extra = np.random.default_rng(7).random((25, 2))
         data = _insert_natively(index, extra)
         loaded = _round_trip(index, tmp_path / "index.npz")
         assert type(loaded) is cls
-        assert loaded.key_dtype == index.key_dtype == np.dtype(dtype)
+        assert {run.store.keys.dtype for run in loaded.runs()} == {np.dtype(dtype)}
         # Every model's err_l / err_u, every store column, the insert
         # counts: whatever the index calls durable came back bit for bit.
         assert_trees_equal(index.state_dict(), loaded.state_dict())
@@ -194,23 +207,6 @@ class TestEveryIndex:
         assert index.model.is_two_stage
         loaded = _round_trip(index, tmp_path / "two-stage.npz")
         assert loaded.model.is_two_stage
-        assert_trees_equal(index.state_dict(), loaded.state_dict())
-        assert_same_answers(index, loaded, osm_points)
-
-    @every_index
-    @pytest.mark.parametrize("stored, ambient", [("float32", "float64"), ("float64", "float32")])
-    def test_stored_key_dtype_wins_over_the_loading_process(
-        self, cls, stored, ambient, osm_points, tmp_path, monkeypatch
-    ):
-        """A snapshot written under one ``REPRO_DTYPE`` and opened under
-        the other keeps its own key quantisation and net precision."""
-        monkeypatch.setenv("REPRO_DTYPE", stored)
-        index = cls(builder=_sp_builder(stored)).build(osm_points)
-        save_index(index, tmp_path / "index.npz")
-        monkeypatch.setenv("REPRO_DTYPE", ambient)
-        loaded = load_index(tmp_path / "index.npz")
-        assert loaded.builder.dtype == ambient
-        assert loaded.key_dtype == np.dtype(stored)
         assert_trees_equal(index.state_dict(), loaded.state_dict())
         assert_same_answers(index, loaded, osm_points)
 
@@ -359,6 +355,28 @@ class TestErrors:
             load_index(path)
         assert not issubclass(OldFormatError, ValueError)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.npz"]
+        assert path.read_bytes() == before
+
+    @every_index
+    def test_float32_state_refused_by_dtype_and_left_alone(
+        self, cls, osm_points, tmp_path
+    ):
+        """A snapshot whose keys and nets are float32 was written by a
+        float32 build: intact, so refused as an old format (its probes
+        would map to float64 keys and miss) — neither served nor
+        quarantined by the snapshot manager."""
+        from repro.serve.snapshots import SnapshotManager
+
+        index = cls(builder=_sp_builder(epochs=20)).build(osm_points)
+        manager = SnapshotManager(tmp_path / "snapshots")
+        path = manager.save(index, 1)
+        _rewritten(path, path, lambda doc: doc.update(state=_cast_down(doc["state"])))
+        before = path.read_bytes()
+        with pytest.raises(OldFormatError, match="float32"):
+            load_index(path)
+        with pytest.raises(OldFormatError, match="float32"):
+            manager.load()
+        assert manager.generations() == [1]
         assert path.read_bytes() == before
 
     def test_unknown_index_name_rejected(self, built_index, tmp_path):

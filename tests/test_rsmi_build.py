@@ -17,20 +17,20 @@ from repro.spatial.rect import Rect
 from tests.brute import assert_windows
 
 
-def _index(backend="serial", leaf_capacity=300):
-    config = ELSIConfig(train_epochs=60, parallelism=backend)
+def _index(leaf_capacity=300):
+    config = ELSIConfig(train_epochs=60)
     return RSMIIndex(
         builder=ELSIModelBuilder(config, method="SP"), leaf_capacity=leaf_capacity
     )
 
 
-def _build(points, backend="serial", leaf_capacity=300):
-    return _index(backend, leaf_capacity).build(points)
+def _build(points, leaf_capacity=300):
+    return _index(leaf_capacity).build(points)
 
 
 def _build_depth_first(points, leaf_capacity=300):
     """The reference: one ``build_model`` call per node, children built
-    before siblings, sharing the index's own sort, cast and split steps."""
+    before siblings, sharing the index's own sort and split steps."""
     index = _index(leaf_capacity=leaf_capacity)
     pts = index._prepare_points(points)
     index.bounds = Rect.bounding(pts)
@@ -44,7 +44,6 @@ def _build_depth_first(points, leaf_capacity=300):
             index.build_stats,
             map_fn=lambda p: index._node_keys(p, bounds),
         )
-        model.cast(index.builder.dtype, sorted_keys)
         node = _Node(bounds=bounds, model=model, n=len(points), depth=depth)
         specs = index._split_specs(node, sorted_pts, sorted_keys)
         if specs:
@@ -106,13 +105,6 @@ class TestLevelwiseParity:
         # The hierarchy is non-trivial at this leaf capacity.
         assert level.n_models() > 1
         assert level.depth() >= 1
-
-    @pytest.mark.parametrize("backend", ["fused"])
-    def test_backends_produce_same_tree(self, osm_points, backend):
-        # Fused training differs from serial at the ulp level, but it must
-        # keep predict-and-scan exact for indexed points.
-        other = _build(osm_points, backend=backend)
-        assert other.point_queries(osm_points[:150]).all()
 
     def test_queries_agree_across_strategies(self, osm_points):
         recursive = _build_depth_first(osm_points)

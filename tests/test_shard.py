@@ -766,11 +766,9 @@ class TestWedgedWorkerRecovery:
 class TestEnvPropagation:
     def test_capture_env_reads_current_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "index.query=error:1")
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        env = capture_env()
-        assert env["REPRO_FAULTS"] == "index.query=error:1"
-        assert env["REPRO_DTYPE"] == "float32"
-        assert capture_env({"REPRO_DTYPE": "float64"})["REPRO_DTYPE"] == "float64"
+        monkeypatch.setenv("REPRO_DTYPE", "float32")  # read by nothing
+        assert capture_env() == {"REPRO_FAULTS": "index.query=error:1"}
+        assert capture_env({"REPRO_FAULTS": ""}) == {"REPRO_FAULTS": ""}
 
     def test_faults_armed_inside_shard_worker(self, osm_points, tmp_path):
         # The parent process has no faults armed; the spec's env must arm

@@ -4,7 +4,7 @@ correctness invariant (Section III, condition 2)."""
 import numpy as np
 import pytest
 
-from repro.indices.base import BuildStats, OriginalBuilder, TrainedModel, fit_cdf_model
+from repro.indices.base import BuildStats, OriginalBuilder, TrainedModel
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig
 
@@ -38,11 +38,8 @@ class TestTrainedModel:
         """After measure_error_bounds, every indexed key's true position
         lies within [pred - err_l, pred + err_u]."""
         keys = _sorted_keys(800)
-        ranks = np.arange(len(keys)) / (len(keys) - 1)
-        model, _ = fit_cdf_model(
-            keys, ranks, keys[0], keys[-1], len(keys), train_config=TrainConfig(epochs=80)
-        )
-        model.measure_error_bounds(keys)
+        builder = OriginalBuilder(train_config=TrainConfig(epochs=80))
+        model = builder.build_model(keys, np.column_stack([keys, keys]), BuildStats())
         for i in (0, 100, 400, 799):
             lo, hi = model.search_ranges(np.array([keys[i]]))
             assert lo <= i < hi

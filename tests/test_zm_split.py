@@ -25,7 +25,6 @@ from repro.obs.trace import get_tracer
 from repro.perf import batching
 from repro.perf.batching import batch_window_refine, merge_ranges
 from repro.spatial.rect import Rect
-from repro.spatial.zcurve import zvalues
 from repro.storage.blocks import BlockStore
 from tests.brute import assert_knn, assert_windows
 
@@ -45,12 +44,12 @@ def data(osm20k):
     return np.vstack([osm20k, np.repeat(osm20k[rng.integers(0, len(osm20k), 300)], 2, axis=0)])
 
 
-def _build(points, dtype, **params):
+def _build(points, dtype="float64", **params):
     builder = ELSIModelBuilder(ELSIConfig(train_epochs=20, dtype=dtype), method="SP")
     return ZMIndex(builder=builder, **params).build(points)
 
 
-@pytest.fixture(scope="module", params=["float64", "float32"])
+@pytest.fixture(scope="module", params=["float64"])
 def index(request, data):
     return _build(data, request.param)
 
@@ -114,7 +113,7 @@ def _data_windows(points, count, seed):
 
 def _assert_key_order(index, rows):
     keys = index.map(rows) if len(rows) else np.empty(0)
-    assert np.all(np.diff(keys.astype(np.float64)) >= 0)
+    assert np.all(np.diff(keys) >= 0)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_knn_equals_brute_force(index, data, constants):
 
 
 def test_after_native_inserts(data, constants):
-    index = _build(data[:6_000], "float64")
+    index = _build(data[:6_000])
     rng = np.random.default_rng(6)
     extra = np.vstack([
         rng.random((150, 2)),  # some outside the built bounds: clipped cells
@@ -177,34 +176,6 @@ def test_after_native_inserts(data, constants):
     assert_knn("ZM", everything, queries, 10, index.knn_queries(queries, 10))
 
 
-def test_float32_keys_collide_and_no_row_comes_back_twice(data, monkeypatch):
-    """32-bit codes in a 24-bit mantissa: neighbouring codes share a key,
-    and so can LITMAX and BIGMIN of one cut.  Runs are made disjoint in
-    rank space, so the rows under the shared key are scanned once."""
-    monkeypatch.setattr(zm, "_MIN_GAP_ROWS", 1)
-    monkeypatch.setattr(zm, "_MIN_ROUND_ROWS", 0)
-    index = _build(data, "float32")
-    codes = zvalues(data, index.bounds, index.bits)
-    assert len(np.unique(index.store.keys)) < len(np.unique(codes))
-    shared = []
-    inner = zm.split_zranges
-
-    def spy(zlo, zhi, d):
-        litmax, bigmin = inner(zlo, zhi, d)
-        shared.append(int((litmax.astype(np.float32) == bigmin.astype(np.float32)).sum()))
-        return litmax, bigmin
-
-    monkeypatch.setattr(zm, "split_zranges", spy)
-    calls = _spy_runs(index, monkeypatch)
-    windows = _special_windows(data, index.bounds) + _data_windows(data, 200, 8)
-    got = index.window_queries(windows)
-    assert sum(shared) > 0  # the case occurred
-    (lo, hi, owner), = calls
-    same = owner[1:] == owner[:-1]
-    assert np.all(lo <= hi) and np.all(hi[:-1][same] <= lo[1:][same])
-    assert_windows("ZM", data, windows, got)  # a multiset check: no row twice
-
-
 # ----------------------------------------------------------------------
 # Counters
 # ----------------------------------------------------------------------
@@ -212,7 +183,7 @@ def test_scan_ratio_on_osm1_20k(osm20k, monkeypatch):
     """The dagger count the split exists for, on a fixed input: rows scanned
     per row returned over 256 data-centred 1e-4 windows in one batch (about
     8.6 when each window's whole Z-hull is scanned, as before)."""
-    index = _build(osm20k, "float64")
+    index = _build(osm20k)
     windows = _data_windows(osm20k, 256, 0)
     before = index.query_stats.points_scanned
     returned = sum(map(len, index.window_queries(windows)))
