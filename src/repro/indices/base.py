@@ -32,7 +32,7 @@ from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine
+from repro.perf.batching import batch_window_refine, flat_window_refine
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -438,9 +438,9 @@ class LearnedSpatialIndex(ABC):
     of which :class:`~repro.indices.run.KeyedRun` hold the answer.  The
     scan is written once, here: :meth:`point_queries` and
     :meth:`window_queries` execute any plan, and :meth:`knn_queries` runs
-    over :meth:`window_queries`.  The per-query spellings of the paper's
-    API are batches of one, so an index has a single query path and
-    "batch == scalar" holds by construction.  ``build_stats`` and
+    over window plans (:meth:`_window_rows`).  The per-query spellings of
+    the paper's API are batches of one, so an index has a single query
+    path and "batch == scalar" holds by construction.  ``build_stats`` and
     ``query_stats`` expose the cost counters every experiment reports (see
     :class:`QueryStats` for how a batch is charged).
     """
@@ -634,15 +634,43 @@ class LearnedSpatialIndex(ABC):
         with _span("query.window_batch", index=self.name, windows=w):
             win_lo = np.vstack([win.lo_array for win in windows])
             win_hi = np.vstack([win.hi_array for win in windows])
-            runs, run, lo, hi, owner = self.window_plan(win_lo, win_hi)
-            record_range_widths(self.name, lo, hi, owner)
-            self.query_stats.queries += w
-            self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
+            runs, run, lo, hi, owner = self._charged_plan(win_lo, win_hi)
             with _span("query.refine", index=self.name, queries=w):
                 if len(runs) == 1:  # the kernel takes a one-run plan as it is
                     store = runs[0].store
                     return batch_window_refine(store, lo, hi, win_lo, win_hi, owner)
                 return self._refine(runs, run, lo, hi, owner, win_lo, win_hi)
+
+    def _charged_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
+        """:meth:`window_plan` of a window batch, its range widths recorded
+        and its ``queries`` and ``points_scanned`` charged."""
+        runs, run, lo, hi, owner = self.window_plan(win_lo, win_hi)
+        record_range_widths(self.name, lo, hi, owner)
+        self.query_stats.queries += len(win_lo)
+        self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
+        return runs, run, lo, hi, owner
+
+    def _window_rows(
+        self, win_lo: np.ndarray, win_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points inside each of a non-empty batch of small windows, given
+        as ``(w, d)`` corner arrays: one flat ``(m, d)`` array, window by
+        window, and a row count per window — what concatenating
+        :meth:`window_queries`' arrays gives, charged alike, without a
+        :class:`Rect` per window.  A one-run plan is refined in one
+        :func:`~repro.perf.batching.flat_window_refine` call.  A plan over
+        many runs (RSMI's leaves, Flood's columns) takes
+        :meth:`window_queries`' per-run path and is concatenated: one flat
+        call per run measured 0.77–0.99× of it (docs/performance.md)."""
+        w = len(win_lo)
+        with _span("query.window_batch", index=self.name, windows=w):
+            runs, run, lo, hi, owner = self._charged_plan(win_lo, win_hi)
+            with _span("query.refine", index=self.name, queries=w):
+                if len(runs) == 1:
+                    store = runs[0].store
+                    return flat_window_refine(store, lo, hi, win_lo, win_hi, owner)
+                parts = self._refine(runs, run, lo, hi, owner, win_lo, win_hi)
+                return np.concatenate(parts), np.fromiter(map(len, parts), np.int64, w)
 
     @staticmethod
     def _refine(runs, run, lo, hi, owner, win_lo, win_hi) -> list[np.ndarray]:
@@ -704,8 +732,11 @@ class LearnedSpatialIndex(ABC):
         exists).  That test alone decides the answers; the first side only
         decides how many rounds and candidates they cost.
         One loop over *expansion rounds* is shared by the whole batch: each
-        round gathers the active queries' window candidates, ranks every
-        candidate in a single flattened distance computation + lexsort
+        round plans the active queries' windows straight from their corner
+        arrays, ``centre -+ side / 2``, and refines them in one pass
+        (:meth:`_window_rows`: window plans, with no :class:`Rect` per
+        query and no :meth:`window_queries` call), ranks every candidate
+        in a single flattened distance computation + lexsort
         (owner-major, distance-minor — stable, so ties keep scan order
         whatever else is in the batch), retires the covered queries, and
         doubles the remaining sides.  Queries finish independently, so one
@@ -727,28 +758,20 @@ class LearnedSpatialIndex(ABC):
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)
         while len(active):
-            # One batched window call per expansion round: indices with a
-            # batch window path answer every active query's candidate
-            # window in one pass.
+            # One window plan per expansion round, refined in one pass over
+            # every active query's candidate window.
             centre = pts[active]
             s = side[active]
             half = (s / 2.0)[:, None]
-            cand = self.window_queries(
-                [
-                    Rect(tuple(lo), tuple(hi))
-                    for lo, hi in zip(
-                        (centre - half).tolist(), (centre + half).tolist()
-                    )
-                ]
-            )
-            counts = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
+            flat, counts = self._window_rows(centre - half, centre + half)
             offsets = np.concatenate(([0], np.cumsum(counts)))
-            flat = np.concatenate(cand)
             owner = np.repeat(np.arange(len(active)), counts)
-            diff = flat - centre[owner]
+            # Rows are window-major: each window's centre repeated over its
+            # rows (a 2-D ``centre[owner]`` gather costs 30× more).
+            diff = flat - np.repeat(centre, counts, axis=0)
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             order = np.lexsort((dist, owner))
-            flat = flat[order]
+            flat = flat.take(order, axis=0)
             dist = dist[order]
             # k-th distance per query: inf with fewer than k candidates.
             full = counts >= k

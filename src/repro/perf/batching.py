@@ -39,6 +39,7 @@ from repro.storage.blocks import BlockStore
 __all__ = [
     "batch_point_membership",
     "batch_window_refine",
+    "flat_window_refine",
     "merge_ranges",
 ]
 
@@ -47,6 +48,16 @@ __all__ = [
 #: enough that only a window scanning more rows than this pays for a second
 #: predicate pass.
 _REFINE_BUFFER_ROWS = 1 << 16
+
+#: About this many rows, whole runs, are gathered and tested at a time by
+#: :func:`flat_window_refine`: its working set, ~5 arrays of that length,
+#: stays in cache, and its memory is bounded whatever the batch scans.
+_FLAT_CHUNK_ROWS = 1 << 15
+
+#: Above this many rows scanned per window, on average, the slice copies
+#: of :func:`batch_window_refine` beat :func:`flat_window_refine`'s gather
+#: (they break even at ~1 500 on 300 000 points).
+_FLAT_MAX_ROWS_PER_WINDOW = 1024
 
 
 def merge_ranges(
@@ -303,3 +314,83 @@ def batch_window_refine(
         if parts:
             results[i] = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return results
+
+
+def flat_window_refine(
+    store: BlockStore,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    win_lo: np.ndarray,
+    win_hi: np.ndarray,
+    owner: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_window_refine` for a batch of small windows, flat.
+
+    Takes what that kernel takes, ``owner`` required, and returns the
+    concatenation of its arrays, byte for byte, with their lengths: the
+    rows inside each window as one ``(m, d)`` array, window by window, and
+    one row count per window.  Block reads are charged alike.
+
+    Where the windows scan at most ``_FLAT_MAX_ROWS_PER_WINDOW`` rows each
+    on average (kNN rounds: ~170 on 300 000 points), every run's rows are
+    gathered at once (one ``take`` of whole rows) and tested with one
+    closed-interval predicate against their window's bounds, repeated run
+    by run: no per-window loop, ~18 ns a row where the per-window loop
+    costs ~17 µs a window and ~5 ns a row.  Larger windows, whose slice
+    copies win, and a single run, one ``store.scan`` slice, go through
+    :func:`batch_window_refine` (docs/performance.md, "Expanding-window
+    kNN").  Two gathers that look alike cost far more: ``points[rows]``
+    takes ~7× as long as ``points.take(rows, axis=0)``, and a column
+    gather (``points[:, dim].take(rows)``) copies the strided column of
+    the whole store first.
+    """
+    win_lo = np.asarray(win_lo, dtype=np.float64)
+    win_hi = np.asarray(win_hi, dtype=np.float64)
+    w = len(win_lo)
+    n = len(store)
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
+    length = np.maximum(hi - lo, 0)
+    if len(lo) == 1 or int(length.sum()) > _FLAT_MAX_ROWS_PER_WINDOW * w:
+        parts = batch_window_refine(store, lo, hi, win_lo, win_hi, owner)
+        return np.concatenate(parts), np.fromiter(map(len, parts), np.int64, w)
+    store.charge_block_reads(*merge_ranges(lo, hi))
+    # Whole runs a chunk at a time, a new chunk at the first run to start
+    # past each multiple of _FLAT_CHUNK_ROWS.
+    starts = np.cumsum(length) - length
+    cuts = np.flatnonzero(np.diff(starts // _FLAT_CHUNK_ROWS)) + 1
+    cuts = [0, *cuts.tolist(), len(lo)]
+    pieces = [
+        _rows_in_rects(
+            store.points, lo[a:b], length[a:b],
+            win_lo.take(owner[a:b], axis=0), win_hi.take(owner[a:b], axis=0),
+        )
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    found, per_run = (
+        pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
+    )
+    counts = np.bincount(owner, weights=per_run, minlength=w).astype(np.int64)
+    return found, counts
+
+
+def _rows_in_rects(
+    points: np.ndarray,
+    lo: np.ndarray,
+    length: np.ndarray,
+    bounds_lo: np.ndarray,
+    bounds_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each run ``[lo, lo + length)`` inside the run's own
+    closed rect (one row of bounds per run), in order, and their count
+    per run."""
+    ends = np.cumsum(length)
+    rows = np.arange(int(length.sum())) + np.repeat(lo - (ends - length), length)
+    cand = points.take(rows, axis=0)
+    inside = cand >= np.repeat(bounds_lo, length, axis=0)
+    inside &= cand <= np.repeat(bounds_hi, length, axis=0)
+    keep = inside[:, 0]
+    for dim in range(1, inside.shape[1]):  # not inside.all(axis=1): ~17× slower
+        keep = keep & inside[:, dim]
+    kept = np.flatnonzero(keep)
+    return cand.take(kept, axis=0), np.diff(np.searchsorted(kept, ends), prepend=0)

@@ -75,3 +75,26 @@ def og_builder(fast_train_config) -> OriginalBuilder:
 def sp_builder(fast_config) -> ELSIModelBuilder:
     """An ELSI builder fixed to the SP method (fast, always applicable)."""
     return ELSIModelBuilder(fast_config, method="SP")
+
+
+@pytest.fixture(scope="session")
+def tied_points(osm_points):
+    """The OSM1 fixture plus 200 duplicated rows and a power-of-two lattice
+    patch: exact distance ties, between duplicates and between distinct
+    points."""
+    axis = 0.25 + np.arange(8) / 64.0
+    patch = np.array([(x, y) for x in axis for y in axis])
+    return np.vstack([osm_points, osm_points[:200], patch])
+
+
+@pytest.fixture(scope="session")
+def knn_probes(tied_points):
+    rng = np.random.default_rng(11)
+    return np.vstack(
+        [
+            tied_points[rng.integers(0, len(tied_points), 250)],
+            tied_points[-64::5],  # lattice points: four equidistant neighbours
+            rng.random((100, 2)),
+            rng.random((21, 2)) * 3.0 - 1.0,  # around and outside the bounds
+        ]
+    )

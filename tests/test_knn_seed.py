@@ -27,9 +27,10 @@ from tests.brute import _distances, assert_knn
 
 
 def _count_window_rounds(index):
-    """Record the size of every ``window_queries`` call ``index`` makes."""
-    rounds, inner = [], index.window_queries
-    index.window_queries = lambda wins: rounds.append(len(wins)) or inner(wins)
+    """Record the size of every kNN round's window batch ``index`` refines
+    (``_window_rows``)."""
+    rounds, inner = [], index._window_rows
+    index._window_rows = lambda lo, hi: rounds.append(len(lo)) or inner(lo, hi)
     return rounds
 
 
@@ -96,34 +97,11 @@ def test_non_finite_queries_end_with_no_rows(osm_points, cls):
 
 
 # ----------------------------------------------------------------------
-# Shared fixtures for the answer checks
+# The answer checks' build (``tied_points`` / ``knn_probes``: conftest.py)
 # ----------------------------------------------------------------------
 def _build(cls, points):
     return cls(builder=ELSIModelBuilder(ELSIConfig(train_epochs=80), method="SP")).build(
         points
-    )
-
-
-@pytest.fixture(scope="module")
-def tied_points(osm_points):
-    """The OSM1 fixture plus 200 duplicated rows and a power-of-two lattice
-    patch: exact distance ties, between duplicates and between distinct
-    points."""
-    axis = 0.25 + np.arange(8) / 64.0
-    patch = np.array([(x, y) for x in axis for y in axis])
-    return np.vstack([osm_points, osm_points[:200], patch])
-
-
-@pytest.fixture(scope="module")
-def knn_probes(tied_points):
-    rng = np.random.default_rng(11)
-    return np.vstack(
-        [
-            tied_points[rng.integers(0, len(tied_points), 250)],
-            tied_points[-64::5],  # lattice points: four equidistant neighbours
-            rng.random((100, 2)),
-            rng.random((21, 2)) * 3.0 - 1.0,  # around and outside the bounds
-        ]
     )
 
 
@@ -233,16 +211,16 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
     index = _build(ZMIndex, tied_points)
     queries, k = knn_probes[:50], 9
     window_scanned, window_reads = [], []
-    inner = index.window_queries
+    inner = index._window_rows
 
-    def metered(windows):
+    def metered(win_lo, win_hi):
         scanned, reads = index.query_stats.points_scanned, index.store.block_reads
-        result = inner(windows)
+        result = inner(win_lo, win_hi)
         window_scanned.append(index.query_stats.points_scanned - scanned)
         window_reads.append(index.store.block_reads - reads)
         return result
 
-    index.window_queries = metered
+    index._window_rows = metered
     index.query_stats.reset()
     index.store.reset_block_reads()
     tracer = get_tracer()
@@ -252,10 +230,17 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
         index.knn_queries(queries, k)
         (batch,) = tracer.find("query.knn_batch")
         (seed,) = tracer.find("query.knn_seed")
+        (window,) = tracer.find("query.window_batch")
+        (refine,) = tracer.find("query.refine")
     finally:
         tracer.disable()
         tracer.reset()
+    # The span tree of a kNN batch: the seed and the round's window batch
+    # under it, the refinement under the window batch.
     assert seed.parent_id == batch.span_id
+    assert window.parent_id == batch.span_id
+    assert refine.parent_id == window.span_id
+    assert window.attrs == {"index": "ZM", "windows": 50}
     assert seed.attrs == {"index": "ZM", "queries": 50, "k": 9}
     assert index.query_stats.points_scanned == 50 * 2 * k + sum(window_scanned)
     # 18 consecutive rows touch one block or two (block size 100); merged

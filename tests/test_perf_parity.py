@@ -2,16 +2,27 @@
 spellings (a per-query call is a batch of one), the lo-clamp regression
 (inserts near rank 0), the ``QueryStats`` additivity rule, and probe-order
 independence: the membership kernel visits a batch in key order, so a
-shuffled batch must answer and charge exactly what the batch does."""
+shuffled batch must answer and charge exactly what the batch does.  And
+the flat window kernel of kNN rounds against the per-window kernel."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import QueryStats
-from repro.perf.batching import batch_point_membership
+from repro.perf import batching
+from repro.perf.batching import (
+    batch_point_membership,
+    batch_window_refine,
+    flat_window_refine,
+)
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 from tests.brute import point_truth
@@ -280,3 +291,64 @@ def test_rsmi_batch_points_on_a_deepened_tree(deep_rsmi):
     assert whole == tuple(map(sum, zip(*singles)))
     assert whole[:2] == (len(probes), sum(_hops(index, p) for p in probes))
     assert batch_reads <= _block_reads(index) - before
+
+
+# ----------------------------------------------------------------------
+# The flat window kernel (kNN rounds) against the per-window kernel
+# ----------------------------------------------------------------------
+_GRID = st.integers(0, 6).map(lambda i: i / 6.0)  # coarse: duplicate rows
+
+
+@st.composite
+def _window_plans(draw):
+    """A store (duplicate rows included) and a plan over it: per window
+    zero to three scan runs, each ``[lo, hi)`` possibly empty, inverted or
+    past either end of the store; windows random, degenerate (one stored
+    point), empty (``lo > hi``) or covering everything."""
+    n = draw(st.integers(0, 40))
+    data = draw(arrays(np.float64, (n, 2), elements=_GRID))
+    keys = data[:, 0] * 7.0 + data[:, 1]
+    store = BlockStore(data, keys, block_size=draw(st.integers(1, 6)))
+    w = draw(st.integers(1, 6))
+    per = draw(st.lists(st.integers(0, 3), min_size=w, max_size=w))
+    ranks = st.integers(-4, n + 4)
+    lo = np.array([draw(ranks) for _ in range(sum(per))], dtype=np.int64)
+    hi = np.array([draw(ranks) for _ in range(sum(per))], dtype=np.int64)
+    win_lo, win_hi = np.empty((w, 2)), np.empty((w, 2))
+    for i in range(w):
+        a = np.array([draw(_GRID), draw(_GRID)])
+        b = np.array([draw(_GRID), draw(_GRID)])
+        win_lo[i], win_hi[i] = np.minimum(a, b), np.maximum(a, b)
+        kind = draw(st.sampled_from(["box", "point", "empty", "all"]))
+        if kind == "point" and n:
+            win_lo[i] = win_hi[i] = data[draw(st.integers(0, n - 1))]
+        elif kind == "empty":
+            win_lo[i], win_hi[i] = np.maximum(a, b) + 0.1, np.minimum(a, b)
+        elif kind == "all":
+            win_lo[i], win_hi[i] = -1.0, 2.0
+    return store, lo, hi, win_lo, win_hi, np.repeat(np.arange(w), per)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    plan=_window_plans(),
+    flat_max=st.sampled_from([0, 3, 1024]),
+    chunk=st.sampled_from([1, 5, 1 << 15]),
+)
+def test_flat_window_kernel_equals_per_window_kernel(plan, flat_max, chunk):
+    """``flat_window_refine`` returns the per-window kernel's arrays
+    concatenated, byte for byte, with their lengths as counts, and charges
+    the same block reads: on its gather path in one chunk or many, and on
+    its slice path (``flat_max`` 0 sends every plan there)."""
+    store, lo, hi, win_lo, win_hi, owner = plan
+    want = batch_window_refine(store, lo, hi, win_lo, win_hi, owner)
+    reads = store.block_reads
+    store.reset_block_reads()
+    with mock.patch.multiple(
+        batching, _FLAT_MAX_ROWS_PER_WINDOW=flat_max, _FLAT_CHUNK_ROWS=chunk
+    ):
+        found, counts = flat_window_refine(store, lo, hi, win_lo, win_hi, owner)
+    assert found.dtype == np.float64 and found.shape == (int(counts.sum()), 2)
+    assert found.tobytes() == np.concatenate(want).tobytes()
+    assert counts.tolist() == [len(rows) for rows in want]
+    assert store.block_reads == reads
