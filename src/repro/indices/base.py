@@ -48,6 +48,7 @@ __all__ = [
     "group_by",
     "normalise_keys",
     "predicted_positions",
+    "rank_by_owner",
     "scan_ranges",
 ]
 
@@ -429,6 +430,37 @@ def group_by(ids: np.ndarray, n: int) -> Iterator[tuple[int, "np.ndarray | slice
         yield i, order[stops[i] : stops[i + 1]]
 
 
+def rank_by_owner(owner: np.ndarray, dist: np.ndarray, owners: int) -> np.ndarray:
+    """The permutation ``np.lexsort((dist, owner))`` for candidates owned by
+    queries ``[0, owners)``: owner-major, distance-minor (NaN last), exact
+    ties in scan order — without lexsort's stable float comparison sort.
+
+    One unstable ``argsort`` of the distances, then a stable one of their
+    owners, which NumPy radix-sorts when they fit 16 bits; the second sort
+    keeps distance order within each owner, and only the runs of equal
+    (owner, distance) pairs, NaN equal to NaN, are put back into scan
+    order.  A stable float ``argsort`` is timsort, several times the cost
+    of both passes (docs/performance.md); one owner takes it alone."""
+    if owners <= 1:
+        return np.argsort(dist, kind="stable")
+    order = np.argsort(dist)
+    key = owner.take(order).astype(np.uint16 if owners <= 1 << 16 else np.int64)
+    order = order.take(np.argsort(key, kind="stable"))
+    own, ranked = owner.take(order), dist.take(order)
+    tied = (own[1:] == own[:-1]) & (
+        (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
+    )
+    if tied.any():
+        # Positions in a tied run, each run numbered: sorting
+        # ``run * len + scan position`` keeps every run in its own slots.
+        starts = np.concatenate(([True], ~tied))
+        inrun = np.concatenate((tied, [False])) | np.concatenate(([False], tied))
+        at = np.flatnonzero(inrun)
+        run = np.cumsum(starts[at]) * len(order)
+        order[at] = np.sort(run + order[at]) - run
+    return order
+
+
 class LearnedSpatialIndex(ABC):
     """Query-facing API shared by ZM, ML-Index, RSMI, LISA and Flood.
 
@@ -736,9 +768,9 @@ class LearnedSpatialIndex(ABC):
         arrays, ``centre -+ side / 2``, and refines them in one pass
         (:meth:`_window_rows`: window plans, with no :class:`Rect` per
         query and no :meth:`window_queries` call), ranks every candidate
-        in a single flattened distance computation + lexsort
-        (owner-major, distance-minor — stable, so ties keep scan order
-        whatever else is in the batch), retires the covered queries, and
+        in a single flattened distance computation + :func:`rank_by_owner`
+        (owner-major, distance-minor, ties in scan order whatever else is
+        in the batch), retires the covered queries, and
         doubles the remaining sides.  Queries finish independently, so one
         slow region never re-scans the rest.
         """
@@ -770,7 +802,7 @@ class LearnedSpatialIndex(ABC):
             # rows (a 2-D ``centre[owner]`` gather costs 30× more).
             diff = flat - np.repeat(centre, counts, axis=0)
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            order = np.lexsort((dist, owner))
+            order = rank_by_owner(owner, dist, len(active))
             flat = flat.take(order, axis=0)
             dist = dist[order]
             # k-th distance per query: inf with fewer than k candidates.

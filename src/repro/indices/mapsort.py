@@ -150,7 +150,8 @@ class MapAndSortIndex(LearnedSpatialIndex):
                 # scan, as in the batching kernels: no merge machinery.
                 near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
             else:
-                near = store.points[lo[:, None] + np.arange(m)]
+                rows = (lo[:, None] + np.arange(m)).ravel()
+                near = store.points.take(rows, axis=0).reshape(len(pts), m, -1)
                 store.charge_block_reads(*merge_ranges(lo, lo + m))
             self.query_stats.points_scanned += len(pts) * m
             diff = near - pts[:, None, :]

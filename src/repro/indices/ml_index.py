@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.indices.base import InsertRefused, ModelBuilder
+from repro.indices.base import InsertRefused, ModelBuilder, rank_by_owner
 from repro.indices.mapsort import MapAndSortIndex
 from repro.perf.batching import merge_ranges
 from repro.spatial.idistance import IDistanceMapping
 
 __all__ = ["MLIndex"]
+
+#: Candidate rows a kNN round refines at a time: beyond a few 10^4 rows
+#: the round's gathered arrays leave cache (docs/performance.md).
+_KNN_GROUP_ROWS = 1 << 14
 
 
 class MLIndex(MapAndSortIndex):
@@ -141,13 +145,15 @@ class MLIndex(MapAndSortIndex):
         One loop over expansion *rounds* shared by all still-active
         queries.  Each round locates every (query, partition) annulus
         interval in the sorted key array with two batched ``searchsorted``
-        calls (exact ranks, no model pass, so no ``model_invocations``),
-        gathers all candidate rows in one flattened indexing pass, ranks
-        them with a stable owner-major / distance-minor lexsort (ties keep
-        partition order), and retires the queries that meet the original
-        iDistance termination condition — at least k candidates within the
-        certified radius — or whose ball already covers the data bounds
-        (fewer than k points indexed: everything found, nearest first).
+        calls (exact ranks, no model pass, so no ``model_invocations``) and
+        charges the whole round's rows and merged block reads.  It then
+        refines the active queries in groups of about :data:`_KNN_GROUP_ROWS`
+        candidate rows: gathers them, ranks them with
+        :func:`~repro.indices.base.rank_by_owner` (ties keep partition
+        order), and retires the queries that meet the original iDistance
+        termination condition — at least k candidates within the certified
+        radius — or whose ball already covers the data bounds (fewer than k
+        points indexed: everything found, nearest first).
         """
         assert self.mapping is not None and self.bounds is not None
         b = len(pts)
@@ -158,10 +164,13 @@ class MLIndex(MapAndSortIndex):
         radius = np.full(b, 0.5 * (k / max(density, 1e-12)) ** (1.0 / d))
         # Give up once the ball must cover the data bounds: the query's
         # distance to their farthest corner (at most the space diameter for
-        # a query inside them; a query outside needs more).
+        # a query inside them; a query outside needs more).  A non-finite
+        # coordinate has no such distance; its annuli are empty, and the
+        # finite ones set when it stops.
         reach = np.maximum(
             np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
         )
+        reach = np.where(np.isfinite(reach), reach, 0.0)
         max_radius = np.sqrt(np.einsum("ij,ij->i", reach, reach)) + 1e-9
         refs = self.mapping.references
         m = len(refs)
@@ -172,54 +181,48 @@ class MLIndex(MapAndSortIndex):
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)
         while len(active):
-            a = len(active)
             lo, hi = self._annulus_ranks(ref_dist[active], radius[active])
             # Every candidate row is charged once; block reads are charged
             # once per merged interval group, vectorised.
             counts = np.maximum(hi - lo, 0)
             self.query_stats.points_scanned += int(counts.sum())
             store.charge_block_reads(*merge_ranges(lo, hi))
-            total = int(counts.sum())
-            per_query = counts.reshape(a, m).sum(axis=1)
-            if total:
-                # Flatten all candidate runs, grouped per query in partition
-                # order (the order the stable lexsort below breaks ties in).
-                offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-                rows = (
-                    np.arange(total)
-                    - np.repeat(offsets, counts)
-                    + np.repeat(lo, counts)
-                )
-                owner = np.repeat(
-                    np.repeat(np.arange(a), m), counts.reshape(a, m).ravel()
-                )
-                cand = store.points[rows]
-                cdiff = cand - pts[active][owner]
+            per_query = counts.reshape(len(active), m).sum(axis=1)
+            starts = np.cumsum(per_query) - per_query
+            offsets = np.cumsum(counts) - counts
+            done = np.zeros(len(active), dtype=bool)
+            # Refined in consecutive groups of queries, a new one wherever
+            # the rows before a query pass another multiple of the budget.
+            cuts = np.flatnonzero(np.diff(starts // _KNN_GROUP_ROWS)) + 1
+            for j0, j1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(active)]):
+                group, n_cand = active[j0:j1], per_query[j0:j1]
+                # Rows query-major, partitions ascending, scan order within.
+                e0, e1 = j0 * m, j1 * m
+                rows = np.arange(offsets[e0], offsets[e0] + n_cand.sum())
+                rows -= np.repeat(offsets[e0:e1] - lo[e0:e1], counts[e0:e1])
+                cand = store.points.take(rows, axis=0)
+                cdiff = cand - np.repeat(pts[group], n_cand, axis=0)
                 dist = np.sqrt(np.einsum("ij,ij->i", cdiff, cdiff))
-                within = np.bincount(
-                    owner, weights=(dist <= radius[active][owner]), minlength=a
-                )
-                order = np.lexsort((dist, owner))
-                cand = cand[order]
-            else:
-                within = np.zeros(a)
-            starts = np.concatenate(([0], np.cumsum(per_query)))
-            still: list[int] = []
-            for j, qi in enumerate(active):
-                c = int(per_query[j])
-                s0 = int(starts[j])
-                if within[j] >= k:
-                    results[qi] = cand[s0 : s0 + k].copy()
-                elif radius[qi] > max_radius[qi]:
-                    # Fewer than k reachable: return everything, nearest
-                    # first (empty when nothing was gathered at all).
-                    results[qi] = (
-                        cand[s0 : s0 + min(k, c)].copy() if c else np.empty((0, d))
-                    )
-                else:
-                    still.append(int(qi))
-            if still:
-                radius[still] *= 2.0
-            active = np.array(still, dtype=np.int64)
+                owner = np.repeat(np.arange(len(group)), n_cand)
+                order = rank_by_owner(owner, dist, len(group))
+                cand = cand.take(order, axis=0)
+                first = starts[j0:j1] - starts[j0]
+                # k-th distance per query: inf with fewer than k candidates.
+                full = n_cand >= k
+                kth = np.full(len(group), np.inf)
+                kth[full] = dist[order[first[full] + k - 1]]
+                # Retired: k candidates within the radius, or a ball that
+                # outgrew the data — spelt so that a NaN counts as outgrown.
+                r = radius[group]
+                out = (kth <= r) | ~(r <= max_radius[group])
+                ends = first + np.minimum(n_cand, k)
+                # Copied: a view would keep the group's candidates alive.
+                for qi, start, end in zip(
+                    group[out].tolist(), first[out].tolist(), ends[out].tolist()
+                ):
+                    results[qi] = cand[start:end].copy()
+                done[j0:j1] = out
+            active = active[~done]
+            radius[active] *= 2.0
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]

@@ -238,6 +238,26 @@ class TestMLBatchKNN:
             assert np.all(np.diff(np.linalg.norm(got - q, axis=1)) >= 0)
             np.testing.assert_array_equal(got, index.knn_query(q, 10))
 
+    def test_non_finite_queries_end_with_no_rows(self, indices, osm_points):
+        """No indexed point is at a finite distance from a NaN or infinite
+        query (brute force), so its answer is empty, ``(0, d)``, as ZM's
+        is, in a batch and alone; the finite queries around it keep their
+        brute-force answers."""
+        index = indices["ML"]
+        odd = np.array([[np.nan, 0.5], [np.inf, 0.5], [-np.inf, 0.5], [0.5, np.nan]])
+        queries = np.vstack([osm_points[:3], odd, osm_points[3:5]])
+        finite = np.isfinite(queries).all(axis=1)
+        with np.errstate(invalid="ignore"):
+            batch = index.knn_queries(queries, 5)
+            alone = [index.knn_query(q, 5) for q in odd]
+            for q in odd:
+                diff = osm_points - q
+                assert not np.isfinite(np.einsum("ij,ij->i", diff, diff)).any()
+        kept = [got for got, keep in zip(batch, finite) if keep]
+        assert_knn("ML", osm_points, queries[finite], 5, kept)
+        for got in [got for got, keep in zip(batch, finite) if not keep] + alone:
+            assert got.shape == (0, 2)
+
     def test_empty_batch(self, indices):
         assert indices["ML"].knn_queries(np.empty((0, 2)), 3) == []
 

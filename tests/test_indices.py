@@ -197,7 +197,9 @@ def test_one_keyed_run(built_indices):
     on predict-and-scan arithmetic written once (``indices/base.py``).
     The single-store indices inherit their core; no index module but the
     executor's (``base.py``) and the run's imports a refinement kernel, and
-    none casts a model down itself."""
+    none casts a model down itself.  kNN candidates are ranked one way:
+    both kNN drivers call ``rank_by_owner`` (``base.py``), and no index
+    module calls ``lexsort``."""
     import ast
     from pathlib import Path
 
@@ -224,6 +226,7 @@ def test_one_keyed_run(built_indices):
 
     src = Path(repro.__file__).parent
     kernels = {"batch_point_membership", "batch_window_refine", "flat_window_refine"}
+    drivers = []
     for path in sorted((src / "indices").glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = {
@@ -234,6 +237,22 @@ def test_one_keyed_run(built_indices):
         }
         if path.name not in ("base.py", "run.py"):
             assert not imported & kernels, path.name
+        # One kNN ranking: no lexsort, and every kNN driver calls the helper.
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "lexsort" not in called, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_knn_rounds":
+                drivers.append(path.name)
+                assert any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "rank_by_owner"
+                    for call in ast.walk(node)
+                ), path.name
+    assert drivers == ["base.py", "ml_index.py"]
     for name in ("flood.py", "rsmi.py", "mapsort.py"):
         assert "net.astype(" not in (src / "indices" / name).read_text(), name
 
@@ -250,7 +269,7 @@ def test_one_keyed_run(built_indices):
         assert "einsum(" not in (src / "indices" / name).read_text(), name
     assert sites("ModelSet(") == ["indices/rmi.py"]
     assert sites("_point_lookup") == []
-    for text in ("def normalise_keys", "np.rint(", "err_u + 1"):
+    for text in ("def normalise_keys", "np.rint(", "err_u + 1", "def rank_by_owner"):
         assert sites(text) == ["indices/base.py"], text
 
 

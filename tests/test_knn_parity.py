@@ -5,16 +5,21 @@ arrays and refines them in one pass (``LearnedSpatialIndex._window_rows``)
 instead of building a ``Rect`` per query and asking ``window_queries``.
 That may change only what a round costs in wall time: the answers' bytes,
 the ``QueryStats`` triple and the block reads must be those of the driver
-it replaced, kept here as ``_rect_rounds``.
+it replaced, kept here as ``_rect_rounds``.  ML-Index's annulus rounds
+rank with the shared helper and refine in groups of queries; they are held
+to their earlier one-pass form, kept here as ``_ml_rounds``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, RSMIIndex, ZMIndex
+from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex, ml_index
 from repro.indices.base import InsertRefused, QueryStats
+from repro.perf.batching import merge_ranges
 from repro.spatial.rect import Rect
 
 CLASSES = (ZMIndex, LISAIndex, RSMIIndex, FloodIndex)
@@ -68,6 +73,64 @@ def _rect_rounds(index, pts, k):
     return results
 
 
+def _ml_rounds(index, pts, k):
+    """ML-Index's rounds as they stood before: every active query's annuli
+    gathered, ranked by one ``lexsort`` and retired in one pass."""
+    b = len(pts)
+    index.query_stats.queries += b
+    d = index.bounds.ndim
+    volume = index.bounds.area()
+    density = index.n_points / volume if volume > 0 else index.n_points
+    radius = np.full(b, 0.5 * (k / max(density, 1e-12)) ** (1.0 / d))
+    reach = np.maximum(
+        np.abs(pts - index.bounds.lo_array), np.abs(pts - index.bounds.hi_array)
+    )
+    max_radius = np.sqrt(np.einsum("ij,ij->i", reach, reach)) + 1e-9
+    refs = index.mapping.references
+    m = len(refs)
+    diff = pts[:, None, :] - refs[None, :, :]
+    ref_dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+    store = index.run.store
+    results = [None] * b
+    active = np.arange(b)
+    while len(active):
+        a = len(active)
+        lo, hi = index._annulus_ranks(ref_dist[active], radius[active])
+        counts = np.maximum(hi - lo, 0)
+        index.query_stats.points_scanned += int(counts.sum())
+        store.charge_block_reads(*merge_ranges(lo, hi))
+        total = int(counts.sum())
+        per_query = counts.reshape(a, m).sum(axis=1)
+        if total:
+            offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
+            rows = np.arange(total) - np.repeat(offsets, counts) + np.repeat(lo, counts)
+            owner = np.repeat(np.repeat(np.arange(a), m), counts.reshape(a, m).ravel())
+            cand = store.points[rows]
+            cdiff = cand - pts[active][owner]
+            dist = np.sqrt(np.einsum("ij,ij->i", cdiff, cdiff))
+            within = np.bincount(
+                owner, weights=(dist <= radius[active][owner]), minlength=a
+            )
+            cand = cand[np.lexsort((dist, owner))]
+        else:
+            within = np.zeros(a)
+        starts = np.concatenate(([0], np.cumsum(per_query)))
+        still = []
+        for j, qi in enumerate(active):
+            c = int(per_query[j])
+            s0 = int(starts[j])
+            if within[j] >= k:
+                results[qi] = cand[s0 : s0 + k].copy()
+            elif radius[qi] > max_radius[qi]:
+                results[qi] = cand[s0 : s0 + min(k, c)].copy() if c else np.empty((0, d))
+            else:
+                still.append(int(qi))
+        if still:
+            radius[still] *= 2.0
+        active = np.array(still, dtype=np.int64)
+    return results
+
+
 def _charged(index, ask):
     """Answer bytes, ``QueryStats`` triple and block reads of one call."""
     index.query_stats = QueryStats()
@@ -82,12 +145,12 @@ def _charged(index, ask):
     )
 
 
-def _assert_same(index, queries, ks):
+def _assert_same(index, queries, ks, before=_rect_rounds):
     for b in (1, 8, 384):
         for k in ks:
             pts = queries[:b]
             new = _charged(index, lambda: index.knn_queries(pts, k))
-            old = _charged(index, lambda: _rect_rounds(index, pts, k))
+            old = _charged(index, lambda: before(index, pts, k))
             assert new == old, (index.name, b, k)
 
 
@@ -100,6 +163,14 @@ def queries(knn_probes):
     )
     pts = knn_probes.copy()
     pts[[0, 3, 5, 9, 200]] = odd
+    return pts
+
+
+@pytest.fixture(scope="module")
+def finite_queries(knn_probes):
+    """The same 384 queries with only the far ones among them."""
+    pts = knn_probes.copy()
+    pts[[0, 3]] = [[5.0, 5.0], [-3.0, 0.5]]
     return pts
 
 
@@ -119,11 +190,29 @@ def test_rounds_equal_the_rect_driver_after_inserts(tied_points, queries, cls):
     """200 built-in insertions, a fifth of them outside the build bounds
     (widened scans, and RSMI's deepened leaves)."""
     index = _build(cls, tied_points)
+    _insert_200(index)  # LISA keeps its grid: it refuses the outside ones
+    _assert_same(index, queries, (1, 25, 300))
+
+
+def _insert_200(index):
+    """200 built-in insertions, a fifth of them outside the build bounds
+    (ML-Index refuses those past its stretch; they stay out)."""
     rng = np.random.default_rng(4)
     extra = np.vstack([rng.random((160, 2)), rng.random((40, 2)) * 0.4 + 1.0])
     for p in extra:
         try:
             index.insert(p)
-        except InsertRefused:  # LISA keeps its grid; the point stays out
+        except InsertRefused:
             pass
-    _assert_same(index, queries, (1, 25, 300))
+
+
+def test_ml_rounds_equal_the_one_pass_driver(tied_points, finite_queries):
+    index = _build(MLIndex, tied_points)
+    ks = (1, 25, 300, len(tied_points) + 5)
+    _assert_same(index, finite_queries, ks, before=_ml_rounds)
+    # Groups of a few queries each: the grouped path, charged per round.
+    with mock.patch.object(ml_index, "_KNN_GROUP_ROWS", 700):
+        _assert_same(index, finite_queries, ks, before=_ml_rounds)
+    _insert_200(index)
+    assert index._native_inserts > 0
+    _assert_same(index, finite_queries, (1, 25, 300), before=_ml_rounds)

@@ -3,7 +3,8 @@ spellings (a per-query call is a batch of one), the lo-clamp regression
 (inserts near rank 0), the ``QueryStats`` additivity rule, and probe-order
 independence: the membership kernel visits a batch in key order, so a
 shuffled batch must answer and charge exactly what the batch does.  And
-the flat window kernel of kNN rounds against the per-window kernel."""
+the flat window kernel of kNN rounds against the per-window kernel, and
+the kNN drivers' candidate ranking against ``np.lexsort``."""
 
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
-from repro.indices.base import QueryStats
+from repro.indices.base import QueryStats, rank_by_owner
 from repro.perf import batching
 from repro.perf.batching import (
     batch_point_membership,
@@ -352,3 +353,38 @@ def test_flat_window_kernel_equals_per_window_kernel(plan, flat_max, chunk):
     assert found.tobytes() == np.concatenate(want).tobytes()
     assert counts.tolist() == [len(rows) for rows in want]
     assert store.block_reads == reads
+
+
+# ----------------------------------------------------------------------
+# The kNN candidate ranking against the stable lexsort it replaced
+# ----------------------------------------------------------------------
+@st.composite
+def _ranked_candidates(draw):
+    """Owners (any order; some queries own nothing) and distances with
+    heavy exact ties, NaN, +inf and 0.0; one owner, no candidates, and
+    more owners than 16 bits hold (owner ids on both sides of 65 536)."""
+    owners = draw(st.sampled_from([1, 2, 5, 40, 70_000]))
+    ids = st.integers(0, owners - 1)
+    if owners > 1 << 16:
+        ids = st.sampled_from([0, 1, 65_535, 65_536, 65_537, owners - 1]) | ids
+    m = draw(st.integers(0, 120))
+    owner = np.array([draw(ids) for _ in range(m)], dtype=np.int64)
+    dist = draw(
+        arrays(
+            np.float64, m,
+            elements=st.sampled_from([0.0, 0.5, 1.0, np.nan, np.inf])
+            | st.floats(0.0, 2.0),
+        )
+    )
+    return owner, dist, owners
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_ranked_candidates())
+def test_rank_by_owner_equals_lexsort(case):
+    """Owner-major, distance-minor, NaN last, exact ties in scan order:
+    the permutation ``np.lexsort((dist, owner))`` gives, element for
+    element."""
+    owner, dist, owners = case
+    got = rank_by_owner(owner, dist, owners)
+    assert got.tolist() == np.lexsort((dist, owner)).tolist()
