@@ -16,6 +16,7 @@ when the no-rebuild query time exceeds the with-rebuild time by 10 %.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -28,7 +29,26 @@ from repro.obs.trace import span as _span
 from repro.spatial.cdf import ks_distance, uniform_dissimilarity
 from repro.spatial.rect import Rect
 
-__all__ = ["RebuildPredictor", "UpdateProcessor", "train_rebuild_predictor"]
+__all__ = [
+    "RebuildPredictor",
+    "UpdateProcessor",
+    "train_rebuild_predictor",
+    "update_point",
+]
+
+
+def update_point(point, d: int) -> np.ndarray:
+    """``point`` as the finite ``(d,)`` float64 array an insert or a delete
+    must carry; anything else raises ``ValueError`` before it is logged or
+    applied.  A point of another dimensionality would break every later
+    window and kNN batch, and a NaN could never be found or deleted."""
+    p = np.asarray(point, dtype=np.float64)
+    if p.shape != (d,):
+        raise ValueError(f"an update needs one ({d},) point, got shape {p.shape}")
+    coords = p.tolist()
+    if not all(map(math.isfinite, coords)):  # a quarter of np.isfinite's cost
+        raise ValueError(f"an update needs finite coordinates, got {coords}")
+    return p
 
 
 class RebuildPredictor:
@@ -157,8 +177,9 @@ class UpdateProcessor:
 
     def insert(self, point: np.ndarray) -> None:
         """Add a point — to the side list (default procedure) or through the
-        index's built-in insertion when ``native`` is set."""
-        p = np.asarray(point, dtype=np.float64)
+        index's built-in insertion when ``native`` is set.  Raises
+        ``ValueError`` for anything but a finite ``(d,)`` point."""
+        p = update_point(point, self.index.bounds.ndim)
         key = tuple(float(v) for v in p)
         marks = self._deleted.get(key)
         if marks is not None:
@@ -182,8 +203,9 @@ class UpdateProcessor:
 
     def delete(self, point: np.ndarray) -> bool:
         """Delete one copy of a point — from the side list, else by marking
-        one stored copy; returns whether a copy was left to delete."""
-        p = np.asarray(point, dtype=np.float64)
+        one stored copy; returns whether a copy was left to delete.  Raises
+        ``ValueError`` for anything but a finite ``(d,)`` point."""
+        p = update_point(point, self.index.bounds.ndim)
         key = tuple(float(v) for v in p)
         if self._inserted_count.get(key, 0) > 0:
             for i, q in enumerate(self._inserted):
@@ -270,29 +292,39 @@ class UpdateProcessor:
         return out
 
     def window_query(self, window: Rect) -> np.ndarray:
-        return self.window_queries([window])[0]
+        return self.window_rows(window.lo_array[None, :], window.hi_array[None, :])[0]
 
-    def window_queries(self, windows: list) -> list[np.ndarray]:
-        """Batch window queries: the base index answers all windows at once
-        (the vectorised corner-prediction path where available), then each
-        window's result is deletion-filtered and merged with the side list."""
-        if not windows:
-            return []
-        base_results = self.index.window_queries(windows)
-        if not self._deleted and not self._inserted:
-            return base_results
+    def window_rows(
+        self, win_lo: np.ndarray, win_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points inside each window of a batch given as ``(w, d)`` corner
+        arrays, laid out as :meth:`LearnedSpatialIndex.window_rows` lays
+        them out: rows window by window, one count per window.  The base
+        index answers every window at once; each window's rows then lose
+        one row per deletion mark, and the side list is tested against the
+        whole batch in one predicate, each window's matches following its
+        base rows in side-list order."""
+        rows, counts = self.index.window_rows(win_lo, win_hi)
+        if self._deleted and len(rows):
+            parts = np.split(rows, np.cumsum(counts)[:-1])
+            parts = [self._filter_deleted(part) for part in parts]
+            rows = np.concatenate(parts)
+            counts = np.fromiter(map(len, parts), np.int64, len(parts))
+        if not self._inserted:
+            return rows, counts
         extra = self._inserted_array()
-        out: list[np.ndarray] = []
-        for window, base in zip(windows, base_results):
-            base = self._filter_deleted(base)
-            matched = extra[window.contains_points(extra)] if len(extra) else extra
-            if len(matched) == 0:
-                out.append(base)
-            elif len(base) == 0:
-                out.append(matched)
-            else:
-                out.append(np.vstack([base, matched]))
-        return out
+        inside = np.ones((len(counts), len(extra)), dtype=bool)
+        for dim in range(extra.shape[1]):
+            inside &= extra[:, dim] >= win_lo[:, dim, None]
+            inside &= extra[:, dim] <= win_hi[:, dim, None]
+        owner, matched = inside.nonzero()  # window-major, side-list order
+        if not len(owner):
+            return rows, counts
+        # Base rows first within each window: a stable sort by window.
+        base_owner = np.repeat(np.arange(len(counts)), counts)
+        order = np.argsort(np.concatenate([base_owner, owner]), kind="stable")
+        merged = np.concatenate([rows, extra.take(matched, axis=0)]).take(order, axis=0)
+        return merged, counts + np.bincount(owner, minlength=len(counts))
 
     def _merge_knn(
         self, q: np.ndarray, base: np.ndarray, extra: np.ndarray, k: int

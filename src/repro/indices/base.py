@@ -469,12 +469,13 @@ class LearnedSpatialIndex(ABC):
     :meth:`window_plan` map, route, predict and widen, and say which rows
     of which :class:`~repro.indices.run.KeyedRun` hold the answer.  The
     scan is written once, here: :meth:`point_queries` and
-    :meth:`window_queries` execute any plan, and :meth:`knn_queries` runs
-    over window plans (:meth:`_window_rows`).  The per-query spellings of
-    the paper's API are batches of one, so an index has a single query
-    path and "batch == scalar" holds by construction.  ``build_stats`` and
-    ``query_stats`` expose the cost counters every experiment reports (see
-    :class:`QueryStats` for how a batch is charged).
+    :meth:`window_queries` / :meth:`window_rows` execute any plan, and
+    :meth:`knn_queries` runs over window plans (:meth:`window_rows`).  The
+    per-query spellings of the paper's API are batches of one, so an index
+    has a single query path and "batch == scalar" holds by construction.
+    ``build_stats`` and ``query_stats`` expose the cost counters every
+    experiment reports (see :class:`QueryStats` for how a batch is
+    charged).
     """
 
     name: str = "base"
@@ -682,24 +683,30 @@ class LearnedSpatialIndex(ABC):
         self.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
         return runs, run, lo, hi, owner
 
-    def _window_rows(
+    def window_rows(
         self, win_lo: np.ndarray, win_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Points inside each of a non-empty batch of small windows, given
-        as ``(w, d)`` corner arrays: one flat ``(m, d)`` array, window by
-        window, and a row count per window — what concatenating
-        :meth:`window_queries`' arrays gives, charged alike, without a
-        :class:`Rect` per window.  A one-run plan is refined in one
-        :func:`~repro.perf.batching.flat_window_refine` call.  A plan over
-        many runs (RSMI's leaves, Flood's columns) takes
+        """Points inside each window of a batch given as ``(w, d)`` corner
+        arrays: one flat ``(m, d)`` array, window by window, and a row count
+        per window — what concatenating :meth:`window_queries`' arrays
+        gives, charged alike, without a :class:`Rect` per window.  A one-run
+        plan is refined in one :func:`~repro.perf.batching.flat_window_refine`
+        call, and a lone window's lone range is one slice of the store.  A
+        plan over many runs (RSMI's leaves, Flood's columns) takes
         :meth:`window_queries`' per-run path and is concatenated: one flat
         call per run measured 0.77–0.99× of it (docs/performance.md)."""
+        self._check_built()
         w = len(win_lo)
+        if w == 0:
+            return np.empty((0, self.bounds.ndim)), np.zeros(0, dtype=np.int64)
         with _span("query.window_batch", index=self.name, windows=w):
             runs, run, lo, hi, owner = self._charged_plan(win_lo, win_hi)
             with _span("query.refine", index=self.name, queries=w):
                 if len(runs) == 1:
                     store = runs[0].store
+                    if w == 1 and len(lo) == 1:
+                        rows = batch_window_refine(store, lo, hi, win_lo, win_hi)[0]
+                        return rows, np.array([len(rows)], dtype=np.int64)
                     return flat_window_refine(store, lo, hi, win_lo, win_hi, owner)
                 parts = self._refine(runs, run, lo, hi, owner, win_lo, win_hi)
                 return np.concatenate(parts), np.fromiter(map(len, parts), np.int64, w)
@@ -766,7 +773,7 @@ class LearnedSpatialIndex(ABC):
         One loop over *expansion rounds* is shared by the whole batch: each
         round plans the active queries' windows straight from their corner
         arrays, ``centre -+ side / 2``, and refines them in one pass
-        (:meth:`_window_rows`: window plans, with no :class:`Rect` per
+        (:meth:`window_rows`: window plans, with no :class:`Rect` per
         query and no :meth:`window_queries` call), ranks every candidate
         in a single flattened distance computation + :func:`rank_by_owner`
         (owner-major, distance-minor, ties in scan order whatever else is
@@ -795,7 +802,7 @@ class LearnedSpatialIndex(ABC):
             centre = pts[active]
             s = side[active]
             half = (s / 2.0)[:, None]
-            flat, counts = self._window_rows(centre - half, centre + half)
+            flat, counts = self.window_rows(centre - half, centre + half)
             offsets = np.concatenate(([0], np.cumsum(counts)))
             owner = np.repeat(np.arange(len(active)), counts)
             # Rows are window-major: each window's centre repeated over its

@@ -12,8 +12,12 @@ derives two things:
 - **burn rate** — the fraction of windowed requests that violated the
   target, divided by the error budget the objective allows
   (``1 - quantile/100``).  Burn 1.0 means the budget is being spent
-  exactly as fast as it accrues; sustained burn above
-  ``burn_threshold`` is what walks a server's health to ``degraded``.
+  exactly as fast as it accrues; :meth:`SLOTracker.burning` names the
+  kinds at or above ``burn_threshold``.
+
+The shard router is the one owner of a tracker (``RouterConfig``'s
+``slo_targets``); a single :class:`~repro.serve.server.IndexServer` keeps
+none.
 
 Recording is O(1) per call (a bucket increment after locating the live
 slice); quantiles and burn are computed only when published.  Publishing
@@ -91,7 +95,7 @@ class SLOConfig:
         expired whole — so the effective window wobbles by one slice.
     burn_threshold:
         Burn rate at or above which :meth:`SLOTracker.burning` reports
-        the kind (the server's health-walk trigger).
+        the kind.
     """
 
     targets: "dict | None" = None

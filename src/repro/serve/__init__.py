@@ -1,12 +1,13 @@
 """The serving subsystem: micro-batched concurrent query serving.
 
 Built indices answer requests through an :class:`IndexServer`, which
-coalesces queued point/window/kNN requests into micro-batches and runs
-them down the vectorised batch paths; rebuilds happen in a background
-worker and swap in atomically behind a generation pointer; snapshots
-persist generations through :mod:`repro.storage.persist`, and a
-:class:`WriteAheadLog` makes acknowledged updates durable across crashes
-(see docs/serving.md, "Durability and failure modes").
+coalesces queued point/window/kNN requests, each a batch, into
+micro-batches and answers each kind with one vectorised call; rebuilds
+happen in a background worker and swap in atomically behind a generation
+pointer; snapshots persist generations through
+:mod:`repro.storage.persist`, and a :class:`WriteAheadLog` makes
+acknowledged updates durable across crashes (see docs/serving.md,
+"Durability and failure modes").
 """
 
 from repro.serve.errors import (
@@ -18,16 +19,7 @@ from repro.serve.errors import (
     SnapshotFailed,
     WALCorruption,
 )
-from repro.serve.requests import (
-    KNN,
-    KNN_BATCH,
-    POINT,
-    POINT_BATCH,
-    WINDOW,
-    WINDOW_BATCH,
-    Reply,
-    Request,
-)
+from repro.serve.requests import KINDS, KNN, POINT, WINDOW, Reply, Request
 from repro.serve.server import (
     DEGRADED,
     HEALTHY,
@@ -46,10 +38,9 @@ __all__ = [
     "Generation",
     "HEALTHY",
     "IndexServer",
+    "KINDS",
     "KNN",
-    "KNN_BATCH",
     "POINT",
-    "POINT_BATCH",
     "READ_ONLY",
     "RebuildFailed",
     "Reply",
@@ -65,6 +56,5 @@ __all__ = [
     "WALCorruption",
     "WALRecord",
     "WINDOW",
-    "WINDOW_BATCH",
     "WriteAheadLog",
 ]

@@ -1,7 +1,7 @@
 """Request and reply types flowing through the serving queue.
 
-A request is one client operation (point membership, window, kNN, or an
-update) plus a :class:`Reply` — a miniature single-assignment future the
+A request is one batch of reads of one kind — point membership, window or
+kNN — plus a :class:`Reply`, a miniature single-assignment future the
 dispatcher completes once the micro-batch containing the request has been
 answered.  Replies record submission/completion timestamps and the
 generation that answered them, which is what the swap-under-load tests
@@ -9,7 +9,7 @@ assert on: every reply names exactly one generation, and all replies of
 one micro-batch name the same one.
 
 :meth:`Request.__post_init__` is the one place that says what a
-well-formed request is (kind, payload, ``(d,)`` / ``(n, d)`` shapes); a
+well-formed request is (kind, ``(n, d)`` payload shapes, ``k``); a
 malformed one raises there, to its submitter, before anything is queued.
 """
 
@@ -21,33 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.spatial.rect import Rect
-
-__all__ = [
-    "KNN",
-    "KNN_BATCH",
-    "POINT",
-    "POINT_BATCH",
-    "Reply",
-    "Request",
-    "WINDOW",
-    "WINDOW_BATCH",
-]
+__all__ = ["KINDS", "KNN", "POINT", "Reply", "Request", "WINDOW"]
 
 POINT = "point"
 WINDOW = "window"
 KNN = "knn"
 
-#: Batch request kinds: one request carries a whole array of points (or
-#: list of windows) and resolves to the corresponding array/list of
-#: results — the unit a shard router scatters, where per-operation
-#: Request/Reply bookkeeping would dominate the actual query work.
-POINT_BATCH = "point_batch"
-WINDOW_BATCH = "window_batch"
-KNN_BATCH = "knn_batch"
-
-KINDS = (POINT, WINDOW, KNN, POINT_BATCH, WINDOW_BATCH, KNN_BATCH)
-BATCH_KINDS = (POINT_BATCH, WINDOW_BATCH, KNN_BATCH)
+KINDS = (POINT, WINDOW, KNN)
 
 
 class Reply:
@@ -114,63 +94,53 @@ class Reply:
 
 @dataclass
 class Request:
-    """One queued operation; exactly one payload field is meaningful.
+    """One queued batch of reads of one kind.
 
-    Scalar kinds carry ``point``/``window`` (+ ``k`` for kNN); batch kinds
-    carry ``points`` (an (n, d) array) or ``windows`` (a list of Rects)
-    and resolve to the whole batch's results at once.
+    Point and kNN requests carry ``points``, an ``(n, d)`` array (plus
+    ``k`` for kNN); window requests carry the corner arrays ``win_lo`` and
+    ``win_hi``, ``(w, d)`` each.  A request resolves to its batch's
+    answers: a bool array (point), ``(rows, counts)`` — every window's
+    rows back to back and a row count per window — (window), or one
+    ``(m, d)`` array per query (kNN).  A ``scalar`` request holds one row
+    and resolves to its one answer instead: a bool, an ``(m, d)`` array,
+    an ``(m, d)`` array.
     """
 
     kind: str
-    point: np.ndarray | None = None
-    window: Rect | None = None
-    k: int = 0
     points: np.ndarray | None = None
-    windows: list | None = None
+    win_lo: np.ndarray | None = None
+    win_hi: np.ndarray | None = None
+    k: int = 0
+    scalar: bool = False
     reply: Reply = field(default_factory=Reply)
-    #: Dimensionality of the payload, read off by ``__post_init__`` (``None``
-    #: for an empty window batch); a server admits only its index's own.
-    d: "int | None" = field(init=False, default=None)
+    #: Dimensionality and row count of the payload, read off by
+    #: ``__post_init__``; a server admits only its index's own ``d``.
+    d: int = field(init=False, default=0)
+    size: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind in (KNN, KNN_BATCH) and self.k < 1:
+        if self.kind == KNN and self.k < 1:
             raise ValueError(f"kNN requests need k >= 1, got {self.k}")
         if self.kind == WINDOW:
-            if self.window is None:
-                raise ValueError("window requests need a window")
-            self.d = self.window.ndim
-        elif self.kind == WINDOW_BATCH:
-            if self.windows is None:
-                raise ValueError("window-batch requests need a list of windows")
-            dims = {w.ndim for w in self.windows}
-            if len(dims) > 1:
-                raise ValueError(f"window-batch requests need one dimensionality, got {dims}")
-            self.d = dims.pop() if dims else None
-        elif self.kind in (POINT_BATCH, KNN_BATCH):
-            if self.points is None:
-                raise ValueError(f"{self.kind} requests need a points array")
-            if self.points.ndim != 2:
+            if self.win_lo is None or self.win_hi is None:
+                raise ValueError("window requests need win_lo and win_hi corner arrays")
+            shape = self.win_lo.shape
+            if self.win_hi.shape != shape:
                 raise ValueError(
-                    f"{self.kind} requests need an (n, d) array, got shape "
-                    f"{self.points.shape}"
+                    f"window corners differ in shape: {shape} vs {self.win_hi.shape}"
                 )
-            self.d = self.points.shape[1]
-        elif self.point is None:
-            raise ValueError(f"{self.kind} requests need a point")
-        elif self.point.ndim != 1:
-            raise ValueError(
-                f"{self.kind} requests need one (d,) point, got shape {self.point.shape}"
-            )
+        elif self.points is None:
+            raise ValueError(f"{self.kind} requests need a points array")
         else:
-            self.d = self.point.shape[0]
-
-    @property
-    def size(self) -> int:
-        """Operations this request represents (1 for scalar kinds)."""
-        if self.kind == WINDOW_BATCH:
-            return len(self.windows)
-        if self.kind in (POINT_BATCH, KNN_BATCH):
-            return len(self.points)
-        return 1
+            shape = self.points.shape
+        if len(shape) != 2:
+            raise ValueError(
+                f"{self.kind} requests need (n, d) arrays, got shape {shape}"
+            )
+        if self.scalar and shape[0] != 1:
+            raise ValueError(
+                f"a scalar {self.kind} request holds one row, got {shape[0]}"
+            )
+        self.size, self.d = shape

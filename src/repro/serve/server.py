@@ -2,14 +2,16 @@
 
 :class:`IndexServer` owns one built learned index (wrapped in an
 :class:`~repro.core.update_processor.UpdateProcessor`) behind a
-*generation pointer*.  Requests enter one deque under one condition;
-a dispatcher takes everything that is queued (up to ``max_batch_size``)
-and answers it through the vectorised batch paths (``point_queries`` /
-``window_queries`` / ``knn_queries``).  While it serves, the next batch
-forms by itself — that is where batching pays, so by default nothing
-holds a batch open (``max_wait_seconds = 0``).  Each kind-group of a
-batch is stamped once, counted into the stats, and only then released,
-so a served request costs little more than its share of the batch call
+*generation pointer*.  A request is a batch of one kind — point, window
+or kNN — and the per-query spellings are batches of one.  Requests enter
+one deque under one condition; the one dispatcher takes everything that
+is queued (up to ``max_batch_size``) and makes one processor call per
+kind over every request's rows (``point_queries`` / ``window_rows`` /
+``knn_queries``, one kNN call per ``k``), handing each request its own
+slice.  While it serves, the next batch forms by itself — that is where
+batching pays, so nothing holds a batch open.  Each kind-group of a batch
+is stamped once, counted into the stats, and only then released, so a
+served request costs little more than its share of the batch call
 (``docs/performance.md``, "Where a served request's time goes").
 
 Consistency model:
@@ -54,16 +56,16 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.config import ELSIConfig
-from repro.core.update_processor import RebuildPredictor, UpdateProcessor
+from repro.core.update_processor import RebuildPredictor, UpdateProcessor, update_point
 from repro.faults.registry import fault_check, get_fault_registry
 from repro.indices.base import LearnedSpatialIndex
 from repro.obs.metrics import get_registry
-from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.trace import span as _span
 from repro.serve.errors import (
     RebuildFailed,
@@ -73,16 +75,7 @@ from repro.serve.errors import (
     ServerReadOnly,
     SnapshotFailed,
 )
-from repro.serve.requests import (
-    KNN,
-    KNN_BATCH,
-    POINT,
-    POINT_BATCH,
-    WINDOW,
-    WINDOW_BATCH,
-    Reply,
-    Request,
-)
+from repro.serve.requests import KNN, POINT, WINDOW, Reply, Request
 from repro.serve.snapshots import SnapshotManager
 from repro.serve.stats import ServerStats
 from repro.serve.wal import FSYNC_POLICIES, WriteAheadLog
@@ -107,38 +100,22 @@ READ_ONLY = "read_only"
 
 _HEALTH_LEVELS = {HEALTHY: 0, DEGRADED: 1, READ_ONLY: 2}
 
-#: Request kind → SLO latency kind (batch kinds fold into their scalar kind).
-_SLO_KINDS = {
-    POINT: "point",
-    POINT_BATCH: "point",
-    WINDOW: "window",
-    WINDOW_BATCH: "window",
-    KNN: "knn",
-    KNN_BATCH: "knn",
-}
-
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Admission-control, durability, and worker knobs.
+    """Admission-control and durability knobs.
 
     Attributes
     ----------
     max_batch_size:
         Hard cap on requests per micro-batch.
     max_wait_seconds:
-        How long a dispatcher holds an under-full batch open for more
-        requests.  ``0`` (the default) is drain-and-go: serve whatever is
-        queued, the next batch forms meanwhile.  With one client keeping
-        128 requests in flight a 2 ms window never enlarged a batch and
-        added 2 ms to every flight.  A positive value trades that latency
-        for batch size under traffic that trickles in (no benchmark
-        workload sets one, so what it buys there is unmeasured).
-    worker_threads:
-        Dispatcher thread count.  One is usually right in CPython (the
-        batch engine holds the GIL only between NumPy kernels); more
-        workers help when batches are large enough for NumPy to release
-        the GIL for meaningful stretches.
+        Single-valued: ``0``, the only value accepted.  The dispatcher
+        serves whatever is queued and the next batch forms meanwhile; with
+        one client keeping 128 requests in flight a 2 ms hold never
+        enlarged a batch and added 2 ms to every flight
+        (docs/performance.md).  The field remains only because the e2e
+        benchmark's frozen workload definitions pass it.
     rebuild_check_every:
         Updates between rebuild-predictor evaluations (the serving-side
         ``f_u``).  The check and any rebuild run in a background worker.
@@ -150,7 +127,7 @@ class ServeConfig:
         :class:`~repro.serve.errors.ServerOverloaded` instead of growing
         the queue without limit.  ``0`` disables the bound.
     request_timeout_seconds:
-        Requests older than this when a dispatcher picks them up are
+        Requests older than this when the dispatcher picks them up are
         shed with :class:`~repro.serve.errors.RequestTimeout` rather
         than served stale.  ``None`` disables shedding by age.
     max_retries:
@@ -162,22 +139,10 @@ class ServeConfig:
     fsync_policy:
         WAL durability: ``always`` / ``batch`` / ``off`` (see
         :mod:`repro.serve.wal`).
-    slo_targets:
-        Optional per-kind latency objectives, ``{"point": 0.05}`` or
-        ``{"point": {"latency": 0.05, "quantile": 99.0}}`` (see
-        :mod:`repro.obs.slo`).  When set, the server tracks rolling
-        p50/p99/p999 and error-budget burn per kind, publishes them in
-        :meth:`IndexServer.stats_snapshot`, and walks health to
-        ``degraded`` while any kind's burn rate is at or past its
-        budget (back to ``healthy`` once it recovers).  ``None`` (the
-        default) keeps the request path entirely SLO-free.
-    slo_window_seconds:
-        Rolling-window length for those estimators.
     """
 
     max_batch_size: int = 256
     max_wait_seconds: float = 0.0
-    worker_threads: int = 1
     rebuild_check_every: int = 512
     auto_rebuild: bool = True
     max_queue_depth: int = 10_000
@@ -186,18 +151,14 @@ class ServeConfig:
     retry_base_delay: float = 0.05
     retry_max_delay: float = 2.0
     fsync_policy: str = "always"
-    slo_targets: "dict | None" = None
-    slo_window_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_seconds < 0:
+        if self.max_wait_seconds != 0:
             raise ValueError(
-                f"max_wait_seconds must be >= 0, got {self.max_wait_seconds}"
+                f"max_wait_seconds can only be 0, got {self.max_wait_seconds}"
             )
-        if self.worker_threads < 1:
-            raise ValueError(f"worker_threads must be >= 1, got {self.worker_threads}")
         if self.rebuild_check_every < 1:
             raise ValueError(
                 f"rebuild_check_every must be >= 1, got {self.rebuild_check_every}"
@@ -221,10 +182,6 @@ class ServeConfig:
         if self.fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync_policy must be one of {FSYNC_POLICIES}, got {self.fsync_policy!r}"
-            )
-        if self.slo_window_seconds <= 0:
-            raise ValueError(
-                f"slo_window_seconds must be positive, got {self.slo_window_seconds}"
             )
 
 
@@ -306,29 +263,16 @@ class IndexServer:
         self._health_gauge = self.stats.registry.gauge("serve.health_state")
         self._wal_gauge = self.stats.registry.gauge("serve.wal_depth")
         self._queue_gauge = self.stats.registry.gauge("serve.queue_depth")
-        # SLO tracking is opt-in per config: without targets the request
-        # path never touches it (the zero-overhead default the benchmark
-        # parity budget assumes).
-        self.slo: SLOTracker | None = None
-        self._slo_degraded = False
-        if self.config.slo_targets:
-            self.slo = SLOTracker(
-                SLOConfig(
-                    targets=self.config.slo_targets,
-                    window_seconds=self.config.slo_window_seconds,
-                )
-            )
         # Admission: one deque under one condition.  submit() checks,
-        # counts and appends under it; a dispatcher pops a whole batch under
-        # it; close() flips ``_closed`` under it, so nothing is enqueued
-        # after shutdown.  ``_idle`` counts dispatchers parked in wait()
-        # and ``_woken`` says one of them has been notified and has not
-        # run yet (a whole flight is submitted before it gets the GIL):
-        # only the first submission to an idle server pays for a notify.
+        # counts and appends under it; the dispatcher pops a whole batch
+        # under it; close() flips ``_closed`` under it, so nothing is
+        # enqueued after shutdown.  ``_parked`` says the dispatcher waits
+        # in wait() un-notified; the first submission clears it and
+        # notifies, so the rest of a flight (submitted before the
+        # dispatcher gets the GIL) pays for no notify.
         self._admission = threading.Condition(threading.Lock())
         self._pending: "deque[Request]" = deque()
-        self._idle = 0
-        self._woken = False
+        self._parked = False
         self._d = index.bounds.ndim
         self._stop = threading.Event()
         self._rebuild_wanted = threading.Event()
@@ -456,17 +400,13 @@ class IndexServer:
             return self
         self._started = True
         self._stop.clear()
-        for i in range(self.config.worker_threads):
-            t = threading.Thread(
-                target=self._dispatch_loop, name=f"serve-dispatch-{i}", daemon=True
-            )
+        for target, name in (
+            (self._dispatch_loop, "serve-dispatch"),
+            (self._rebuild_loop, "serve-rebuild"),
+        ):
+            t = threading.Thread(target=target, name=name, daemon=True)
             t.start()
             self._threads.append(t)
-        t = threading.Thread(
-            target=self._rebuild_loop, name="serve-rebuild", daemon=True
-        )
-        t.start()
-        self._threads.append(t)
         return self
 
     def close(self) -> None:
@@ -485,8 +425,8 @@ class IndexServer:
                 t.join(timeout=30.0)
             self._threads = []
             self._started = False
-        # Reject whatever is still queued (a dispatcher that timed out
-        # above) so no Reply is left to block until its wait() deadline.
+        # Reject whatever is still queued (the dispatcher's join timed
+        # out above) so no Reply is left to block until its wait() deadline.
         with self._admission:
             stranded = list(self._pending)
             self._pending.clear()
@@ -535,34 +475,17 @@ class IndexServer:
         self._health = state
         self._health_gauge.set(_HEALTH_LEVELS[state])
 
-    def _check_slo(self) -> None:
-        """Feed error-budget burn into the health walk: burning kinds
-        degrade a healthy server; recovery (only from an SLO-caused
-        degradation — rebuild failures own their own walk) restores it."""
-        burning = self.slo.burning()
-        if burning:
-            if self._health == HEALTHY:
-                self._slo_degraded = True
-                self._set_health(DEGRADED)
-                self.stats.registry.counter("serve.slo_degradations").inc()
-        elif self._slo_degraded and self._health == DEGRADED:
-            self._slo_degraded = False
-            self._set_health(HEALTHY)
-
     def stats_snapshot(self) -> dict:
         """Exporter-format metrics dump: this server's registry (requests,
         batches, rebuilds, swap latency, journal depth, generation age,
-        health, queue depth, WAL depth, shed/retry counters, SLO
-        quantile/burn gauges) merged with the process-wide registry
-        (build/query/perf/fault metrics).
+        health, queue depth, WAL depth, shed/retry counters) merged with
+        the process-wide registry (build/query/perf/fault metrics).
         ``{name: [{labels, kind, value}, ...]}``, JSON-able."""
         self._age_gauge.set(time.time() - self._gen_swapped_at)
         self._health_gauge.set(_HEALTH_LEVELS[self._health])
         self._queue_gauge.set(len(self._pending))
         if self.wal is not None:
             self._wal_gauge.set(self.wal.depth)
-        if self.slo is not None:
-            self.slo.publish(self.stats.registry)
         out = dict(get_registry().export())
         out.update(self.stats.registry.export())
         return out
@@ -571,7 +494,7 @@ class IndexServer:
     # Request submission (async) and sync conveniences
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> Reply:
-        if request.d != self._d and request.d is not None:
+        if request.d != self._d:
             raise ValueError(
                 f"this server's index is {self._d}-dimensional, got a "
                 f"{request.d}-dimensional {request.kind} request"
@@ -594,43 +517,55 @@ class IndexServer:
                 )
             self.stats.note_submit(request.kind)
             self._pending.append(request)
-            if self._idle and not self._woken:
-                self._woken = True
+            if self._parked:
+                self._parked = False
                 self._admission.notify()
         return request.reply
 
+    # The per-query spellings are batches of one that resolve to the one
+    # answer (a point that is not ``(d,)`` stays malformed as a batch).  A
+    # batch request is the shard router's scatter unit: a shard worker
+    # answers a whole routed sub-batch as one request, so queue and Reply
+    # bookkeeping is paid once per sub-batch, and the sub-batch is answered
+    # from one generation like any micro-batch.
     def submit_point(self, point: np.ndarray) -> Reply:
-        return self.submit(
-            Request(kind=POINT, point=np.asarray(point, dtype=np.float64))
-        )
+        points = np.asarray(point, dtype=np.float64)[None]
+        return self.submit(Request(POINT, points=points, scalar=True))
 
     def submit_window(self, window: Rect) -> Reply:
-        return self.submit(Request(kind=WINDOW, window=window))
-
-    def submit_knn(self, point: np.ndarray, k: int) -> Reply:
-        return self.submit(
-            Request(kind=KNN, point=np.asarray(point, dtype=np.float64), k=k)
-        )
-
-    # Batch submissions: one Request per whole sub-batch.  These are the
-    # scatter unit of the shard router — a shard worker answers an entire
-    # routed sub-batch through the queue as one request, so queue/Reply
-    # bookkeeping is paid once per sub-batch instead of once per
-    # operation, while the one-generation-read-per-batch consistency
-    # guarantee still holds for the whole sub-batch.
-    def submit_point_batch(self, points: np.ndarray) -> Reply:
-        return self.submit(
-            Request(kind=POINT_BATCH, points=np.asarray(points, dtype=np.float64))
-        )
-
-    def submit_window_batch(self, windows: list) -> Reply:
-        return self.submit(Request(kind=WINDOW_BATCH, windows=list(windows)))
-
-    def submit_knn_batch(self, points: np.ndarray, k: int) -> Reply:
         return self.submit(
             Request(
-                kind=KNN_BATCH, points=np.asarray(points, dtype=np.float64), k=k
+                WINDOW,
+                win_lo=window.lo_array[None, :],
+                win_hi=window.hi_array[None, :],
+                scalar=True,
             )
+        )
+
+    def submit_knn(self, point: np.ndarray, k: int) -> Reply:
+        points = np.asarray(point, dtype=np.float64)[None]
+        return self.submit(Request(KNN, points=points, k=k, scalar=True))
+
+    def submit_point_batch(self, points: np.ndarray) -> Reply:
+        """Membership of each ``(n, d)`` row: resolves to a bool array."""
+        return self.submit(Request(POINT, points=np.asarray(points, dtype=np.float64)))
+
+    def submit_window_batch(self, win_lo: np.ndarray, win_hi: np.ndarray) -> Reply:
+        """Windows given as ``(w, d)`` corner arrays: resolves to ``(rows,
+        counts)``, every window's rows back to back and a count per window."""
+        return self.submit(
+            Request(
+                WINDOW,
+                win_lo=np.asarray(win_lo, dtype=np.float64),
+                win_hi=np.asarray(win_hi, dtype=np.float64),
+            )
+        )
+
+    def submit_knn_batch(self, points: np.ndarray, k: int) -> Reply:
+        """The ``k`` nearest of each ``(n, d)`` row: resolves to one array
+        per row, nearest first."""
+        return self.submit(
+            Request(KNN, points=np.asarray(points, dtype=np.float64), k=k)
         )
 
     def point_query(self, point: np.ndarray, timeout: float | None = 30.0) -> bool:
@@ -653,15 +588,17 @@ class IndexServer:
         With a WAL attached, the operation is durably appended before
         this returns — the acknowledgement *is* the durability point.
         While a rebuild is in flight the operation is also journalled and
-        replayed into the successor generation before the swap.
+        replayed into the successor generation before the swap.  Anything
+        but a finite ``(d,)`` point raises ``ValueError`` before the WAL
+        sees it.
         """
-        self._apply_update("insert", np.asarray(point, dtype=np.float64))
+        self._apply_update("insert", point)
 
     def delete(self, point: np.ndarray) -> bool:
-        return self._apply_update("delete", np.asarray(point, dtype=np.float64))
+        return self._apply_update("delete", point)
 
     def _apply_update(self, op: str, point: np.ndarray):
-        update_t0 = time.perf_counter() if self.slo is not None else 0.0
+        point = update_point(point, self._d)
         if self._closed:
             raise ServerClosed("server is closed; updates after close() are rejected")
         if self._health == READ_ONLY:
@@ -704,8 +641,6 @@ class IndexServer:
             if due:
                 self._updates_since_check = 0
         self.stats.note_update(op)
-        if self.slo is not None:
-            self.slo.record("update", time.perf_counter() - update_t0)
         if due and self.config.auto_rebuild:
             self._rebuild_wanted.set()
         return result
@@ -720,39 +655,18 @@ class IndexServer:
     def _next_batch(self) -> "list[Request] | None":
         """Everything that is queued, up to ``max_batch_size``; ``None``
         once the server is closed and nothing is left to serve."""
-        cfg, pending = self.config, self._pending
+        pending = self._pending
         with self._admission:
-            deadline = None
-            while True:
-                if not pending:
-                    if self._closed:
-                        return None
-                    deadline = timeout = None
-                elif (
-                    not cfg.max_wait_seconds
-                    or len(pending) >= cfg.max_batch_size
-                    or self._closed
-                ):
-                    break
-                else:
-                    # Hold the under-full batch open, once, for stragglers.
-                    now = time.perf_counter()
-                    if deadline is None:
-                        deadline = now + cfg.max_wait_seconds
-                    timeout = deadline - now
-                    if timeout <= 0:
-                        break
-                self._idle += 1
-                self._admission.wait(timeout)
-                self._idle -= 1
-                self._woken = False
-            batch = [
+            while not pending:
+                if self._closed:
+                    return None
+                self._parked = True
+                self._admission.wait()
+                self._parked = False
+            return [
                 pending.popleft()
-                for _ in range(min(len(pending), cfg.max_batch_size))
+                for _ in range(min(len(pending), self.config.max_batch_size))
             ]
-            if pending and self._idle:
-                self._admission.notify()  # more than one batch queued: wake a sibling
-            return batch
 
     def _shed_expired(self, batch: list[Request], now: float) -> list[Request]:
         """Reject requests that aged past the deadline while queued."""
@@ -786,56 +700,62 @@ class IndexServer:
         points: list[Request] = []
         windows: list[Request] = []
         by_k: dict[int, list[Request]] = {}
-        whole: list[Request] = []
         for r in batch:
             if r.kind == POINT:
                 points.append(r)
             elif r.kind == KNN:
                 by_k.setdefault(r.k, []).append(r)
-            elif r.kind == WINDOW:
-                windows.append(r)
             else:
-                whole.append(r)
+                windows.append(r)
         processor = gen.processor
         try:
             fault_check("serve.dispatch")
             with _span("serve.batch", size=len(batch), gen=gen.gen_id):
                 fault_check("index.query")
-                # Points first: they are released before the batch's kNN
-                # and window work starts.
+                # One processor call per kind (per k for kNN) over every
+                # request's rows; a scalar request is answered with its
+                # row's answer, a batch request with the slice [a, b) of
+                # its rows.  A group of scalar requests (served traffic)
+                # takes the per-row answers as they are.  Points first:
+                # they are released before the kNN and window work starts.
                 if points:
-                    hits = processor.point_queries(np.array([r.point for r in points]))
-                    self._release(points, started, gen.gen_id, hits.tolist())
-                for k, members in by_k.items():
-                    neighbours = processor.knn_queries(
-                        np.array([r.point for r in members]), k
+                    hits = processor.point_queries(
+                        np.concatenate([r.points for r in points])
                     )
-                    self._release(members, started, gen.gen_id, neighbours)
+                    answers = hits.tolist()
+                    if not all(r.scalar for r in points):
+                        answers = [
+                            answers[a] if r.scalar else hits[a:b]
+                            for r, a, b in _spans(points)
+                        ]
+                    self._release(points, started, gen.gen_id, answers)
+                for k, members in by_k.items():
+                    answers = processor.knn_queries(
+                        np.concatenate([r.points for r in members]), k
+                    )
+                    if not all(r.scalar for r in members):
+                        answers = [
+                            answers[a] if r.scalar else answers[a:b]
+                            for r, a, b in _spans(members)
+                        ]
+                    self._release(members, started, gen.gen_id, answers)
                 if windows:
-                    # All of the batch's windows go through the processor's
-                    # batch path at once (one model pass over every corner
-                    # on vectorised indices) instead of one call per window.
                     with _span("serve.window_batch", windows=len(windows)):
-                        results = processor.window_queries([r.window for r in windows])
-                    self._release(windows, started, gen.gen_id, results)
-                # Batch-kind requests already arrive vectorised; each one
-                # resolves to its whole sub-batch's results in one
-                # processor call against the same generation snapshot.
-                for r in whole:
-                    if r.kind == POINT_BATCH:
-                        result = processor.point_queries(r.points)
-                    elif r.kind == WINDOW_BATCH:
-                        result = processor.window_queries(r.windows)
-                    else:
-                        result = processor.knn_queries(r.points, r.k)
-                    self._release([r], started, gen.gen_id, [result])
+                        rows, counts = processor.window_rows(
+                            np.concatenate([r.win_lo for r in windows]),
+                            np.concatenate([r.win_hi for r in windows]),
+                        )
+                    cuts = [0, *np.cumsum(counts).tolist()]
+                    self._release(windows, started, gen.gen_id, [
+                        rows[cuts[a] : cuts[b]] if r.scalar
+                        else (rows[cuts[a] : cuts[b]], counts[a:b])
+                        for r, a, b in _spans(windows)
+                    ])
         except BaseException as exc:  # noqa: BLE001 - must fail replies, not the worker
             # completed_at is the dispatcher's own mark of what it released.
             failed = [r for r in batch if r.reply.completed_at is None]
             self._release(failed, started, gen.gen_id, error=exc)
         self.stats.note_batch(len(batch), time.perf_counter() - started)
-        if self.slo is not None:
-            self._check_slo()
 
     def _release(
         self,
@@ -849,18 +769,15 @@ class IndexServer:
         a client that holds its answer can already read it in the stats."""
         now = time.perf_counter()
         submitted = np.array([r.reply.submitted_at for r in group])
-        latencies = now - submitted
-        self.stats.note_replies(started - submitted, latencies, failed=error is not None)
+        self.stats.note_replies(
+            started - submitted, now - submitted, failed=error is not None
+        )
         if error is None:
             for r, value in zip(group, values):
                 r.reply.resolve(value, gen_id, now)
         else:
             for r in group:
                 r.reply.reject(error, now)
-        if self.slo is not None:
-            for r, latency in zip(group, latencies.tolist()):
-                # Batch kinds: every sub-operation experienced this latency.
-                self.slo.record(_SLO_KINDS[r.kind], latency, count=r.size)
 
     # ------------------------------------------------------------------
     # Background rebuild + generation swap
@@ -1043,3 +960,10 @@ class IndexServer:
                 )
         self.stats.note_snapshot()
         return str(path)
+
+
+def _spans(group: "list[Request]"):
+    """``(request, a, b)``: each request of a kind-group with the rows
+    ``[a, b)`` it owns in the group's one batch."""
+    cuts = list(accumulate((r.size for r in group), initial=0))
+    return zip(group, cuts, cuts[1:])

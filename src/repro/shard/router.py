@@ -509,7 +509,7 @@ class ShardRouter:
         replies = self._scatter(calls, idempotent=True, trace=trace)
         cand = [replies[sid].rows for sid in members]
         owner = [
-            np.repeat(rows, replies[sid].counts()) for sid, rows in members.items()
+            np.repeat(rows, replies[sid].counts) for sid, rows in members.items()
         ]
         return np.concatenate(cand), np.concatenate(owner)
 

@@ -31,11 +31,12 @@ so a queued-but-healthy server surfaces its typed ``RequestTimeout``
 over the pipe before the parent gives up and poisons the handle.  Query
 commands carry whole sub-batches as arrays — ``("point_batch", points)``,
 ``("window_batch", lo, hi)`` with one ``(w, d)`` array per corner,
-``("knn_batch", points, k)`` — and run through the server's batch
-request kinds (one queued ``Request`` per sub-batch).  Window and kNN
-answers come back packed (:class:`PackedRows`): one flat ``(m, d)`` array of
-rows plus ``(queries + 1,)`` offsets, so the pipe pickles two arrays per
-sub-batch whatever its size.
+``("knn_batch", points, k)`` — and each is one queued server ``Request``
+of its kind.  Window and kNN answers come back packed
+(:class:`PackedRows`): one flat ``(m, d)`` array of rows plus a row count
+per query, so the pipe pickles two arrays per sub-batch whatever its
+size.  A window sub-batch's corner arrays go into the server as they
+came, and its ``(rows, counts)`` answer comes back as it left.
 
 ``("crash",)`` makes the worker die with ``os._exit`` — no cleanup, no
 flushes — which is the chaos hook the kill-mid-stream recovery test uses.
@@ -50,8 +51,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from repro.spatial.rect import Rect
 
 __all__ = [
     "ENV_KEYS",
@@ -283,30 +282,25 @@ def _reply_wait(timeout: float) -> float:
 
 class PackedRows(NamedTuple):
     """Window / kNN answers of one sub-batch as they cross the pipe: the
-    only place that knows the layout.  The worker packs, the router
-    reads :meth:`counts` and :meth:`split`."""
+    only place that knows the layout.  The router reads ``counts`` and
+    :meth:`split`."""
 
     #: ``(m, d)`` float64: every query's rows back to back.
     rows: np.ndarray
-    #: ``(queries + 1,)`` int64: query ``j`` owns rows ``offsets[j] ..
-    #: offsets[j + 1]``.
-    offsets: np.ndarray
+    #: ``(queries,)`` int64: rows per query, in query order.
+    counts: np.ndarray
 
     @classmethod
     def pack(cls, results: "list[np.ndarray]", d: int) -> "PackedRows":
-        offsets = np.zeros(len(results) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in results], out=offsets[1:])
+        """One array per query (kNN answers), packed."""
+        counts = np.fromiter(map(len, results), np.int64, len(results))
         filled = [r for r in results if len(r)]
         flat = np.concatenate(filled) if filled else np.empty((0, d))
-        return cls(np.asarray(flat, dtype=np.float64), offsets)
-
-    def counts(self) -> np.ndarray:
-        """Rows per query."""
-        return np.diff(self.offsets)
+        return cls(np.asarray(flat, dtype=np.float64), counts)
 
     def split(self) -> "list[np.ndarray]":
         """One ``(m_j, d)`` array per query: views of ``rows``, no copies."""
-        cuts = self.offsets.tolist()
+        cuts = [0, *np.cumsum(self.counts).tolist()]
         return [self.rows[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
@@ -316,13 +310,7 @@ def _dispatch(server, spec: WorkerSpec, command: str, payload: tuple, timeout: f
         (points,) = payload
         return np.asarray(server.submit_point_batch(points).wait(wait))
     if command == "window_batch":
-        lo, hi = payload
-        windows = [
-            Rect(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())
-        ]
-        return PackedRows.pack(
-            server.submit_window_batch(windows).wait(wait), lo.shape[1]
-        )
+        return PackedRows(*server.submit_window_batch(*payload).wait(wait))
     if command == "knn_batch":
         points, k = payload
         return PackedRows.pack(

@@ -6,6 +6,10 @@ compare an answer with a linear scan of the data instead: exact indices
 (ZM, ML-Index, Flood) must return the true rows as a multiset / the true
 sorted distance vector; the approximate ones (RSMI, LISA windows, and the
 kNN built on them) must return only true rows and reach a recall floor.
+
+:func:`processor_windows` also holds the update processor's window rows to
+the per-window merge it made before ``window_rows`` (a copy of that merge,
+:func:`per_window_merge`), concatenated.
 """
 
 from __future__ import annotations
@@ -93,3 +97,37 @@ def assert_knn(name, data, queries, k, results):
             np.testing.assert_array_equal(dist, _distances(truth, q))
     if recalls:
         assert np.mean(recalls) >= PARENT_RECALL
+
+
+def per_window_merge(processor, windows) -> list:
+    """A copy of the update processor's list ``window_queries`` as it was
+    before ``window_rows`` replaced it: the base index's answer per window,
+    less one row per deletion mark, then the side-list rows inside it."""
+    extra = processor._inserted_array()
+    out = []
+    for window, base in zip(windows, processor.index.window_queries(windows)):
+        base = processor._filter_deleted(base)
+        matched = extra[window.contains_points(extra)] if len(extra) else extra
+        if len(matched) == 0:
+            out.append(base)
+        elif len(base) == 0:
+            out.append(matched)
+        else:
+            out.append(np.vstack([base, matched]))
+    return out
+
+
+def processor_windows(processor, windows) -> list:
+    """``processor.window_rows`` over ``windows`` (``Rect``s), one array per
+    window, after checking that its rows are byte for byte the
+    concatenated :func:`per_window_merge` and its counts that merge's."""
+    rows, counts = processor.window_rows(
+        np.vstack([w.lo_array for w in windows]), np.vstack([w.hi_array for w in windows])
+    )
+    want = per_window_merge(processor, windows)
+    assert counts.dtype == np.int64 and counts.tolist() == [len(w) for w in want]
+    flat = np.concatenate(want)
+    assert rows.dtype == flat.dtype and rows.shape == flat.shape
+    assert rows.tobytes() == flat.tobytes()
+    cuts = [0, *np.cumsum(counts).tolist()]
+    return [rows[a:b] for a, b in zip(cuts, cuts[1:])]

@@ -11,7 +11,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
-from tests.brute import assert_knn, assert_windows, canon, point_truth
+from tests.brute import assert_knn, assert_windows, canon, point_truth, processor_windows
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +343,7 @@ class TestBatchWindowQueries:
         assert len(current) == len(osm_points)
 
         windows = self._windows(osm_points)
-        assert_windows("ZM", current, windows, proc.window_queries(windows))
+        assert_windows("ZM", current, windows, processor_windows(proc, windows))
         assert_windows("ZM", current, windows, [proc.window_query(w) for w in windows])
 
         probes = np.vstack([osm_points[:20], [[0.501, 0.501], [1.7, 1.9]]])

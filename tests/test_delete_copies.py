@@ -18,7 +18,7 @@ from repro.core.update_processor import UpdateProcessor
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.serve.server import IndexServer, ServeConfig
 from repro.spatial.rect import Rect
-from tests.brute import assert_knn, assert_windows, canon, point_truth
+from tests.brute import assert_knn, assert_windows, canon, point_truth, processor_windows
 
 CONFIG = ELSIConfig(train_epochs=20)
 COPIES = 3
@@ -66,7 +66,7 @@ def assert_answers(name, processor, p, left):
     np.testing.assert_array_equal(processor.point_queries(probes), truth)
     assert processor.point_query(p) == (left > 0)
     windows = [Rect(tuple(p), tuple(p)), Rect.centered(p, 0.05), Rect.centered(p, 0.2)]
-    assert_windows(name, current, windows, processor.window_queries(windows))
+    assert_windows(name, current, windows, processor_windows(processor, windows))
     assert_windows(name, current, windows[:1], [processor.window_query(windows[0])])
     queries = np.vstack([p, p + 0.01])
     for k in (1, COPIES, 10):

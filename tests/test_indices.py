@@ -159,7 +159,7 @@ def test_one_query_path_per_index():
     for cls in subclasses:
         for name in (
             "point_query", "window_query", "knn_query",
-            "point_queries", "window_queries", "knn_queries",
+            "point_queries", "window_queries", "window_rows", "knn_queries",
         ):
             assert _definitions(cls, name) == [LearnedSpatialIndex], (cls, name)
         for plan in ("point_plan", "window_plan"):

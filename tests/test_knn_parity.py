@@ -1,7 +1,7 @@
 """kNN rounds refine their windows as arrays (``indices/base.py``).
 
 Each round of the expanding-window driver plans its windows from corner
-arrays and refines them in one pass (``LearnedSpatialIndex._window_rows``)
+arrays and refines them in one pass (``LearnedSpatialIndex.window_rows``)
 instead of building a ``Rect`` per query and asking ``window_queries``.
 That may change only what a round costs in wall time: the answers' bytes,
 the ``QueryStats`` triple and the block reads must be those of the driver

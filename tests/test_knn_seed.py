@@ -28,9 +28,9 @@ from tests.brute import _distances, assert_knn
 
 def _count_window_rounds(index):
     """Record the size of every kNN round's window batch ``index`` refines
-    (``_window_rows``)."""
-    rounds, inner = [], index._window_rows
-    index._window_rows = lambda lo, hi: rounds.append(len(lo)) or inner(lo, hi)
+    (``window_rows``)."""
+    rounds, inner = [], index.window_rows
+    index.window_rows = lambda lo, hi: rounds.append(len(lo)) or inner(lo, hi)
     return rounds
 
 
@@ -211,7 +211,7 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
     index = _build(ZMIndex, tied_points)
     queries, k = knn_probes[:50], 9
     window_scanned, window_reads = [], []
-    inner = index._window_rows
+    inner = index.window_rows
 
     def metered(win_lo, win_hi):
         scanned, reads = index.query_stats.points_scanned, index.store.block_reads
@@ -220,7 +220,7 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
         window_reads.append(index.store.block_reads - reads)
         return result
 
-    index._window_rows = metered
+    index.window_rows = metered
     index.query_stats.reset()
     index.store.reset_block_reads()
     tracer = get_tracer()

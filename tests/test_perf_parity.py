@@ -200,6 +200,39 @@ def _block_reads(index) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(INDEX_CLASSES))
+def test_window_rows_is_window_queries_concatenated(built, osm_points, name):
+    """``window_rows`` over corner arrays: the concatenation of
+    ``window_queries``' arrays byte for byte, their lengths as counts, and
+    the same ``QueryStats`` triple and block reads — for no window, a lone
+    window (the one-range slice) and batches of small and large ones."""
+    index = built[name]
+    rng = np.random.default_rng(13)
+    centres = osm_points[rng.integers(0, len(osm_points), 40)]
+    sides = rng.choice([0.005, 0.02, 0.1, 0.4], size=40)
+    windows = [Rect.centered(c, float(s)) for c, s in zip(centres, sides)]
+    windows.append(Rect((2.0, 2.0), (3.0, 3.0)))  # outside the data
+
+    def ask(call):
+        index.query_stats = QueryStats()
+        before = _block_reads(index)
+        out = call()
+        stats = index.query_stats
+        charged = (stats.queries, stats.model_invocations, stats.points_scanned)
+        return out, charged, _block_reads(index) - before
+
+    for batch in ([], windows[:1], windows[1:2], windows[-1:], windows[:9], windows):
+        lo = np.array([w.lo for w in batch], dtype=np.float64).reshape(-1, 2)
+        hi = np.array([w.hi for w in batch], dtype=np.float64).reshape(-1, 2)
+        (rows, counts), charged, reads = ask(lambda: index.window_rows(lo, hi))
+        parts, charged_q, reads_q = ask(lambda: index.window_queries(batch))
+        want = np.concatenate([np.empty((0, 2)), *parts])
+        assert rows.dtype == want.dtype and rows.shape == want.shape, len(batch)
+        assert rows.tobytes() == want.tobytes(), len(batch)
+        assert counts.dtype == np.int64 and counts.tolist() == [len(p) for p in parts]
+        assert (charged, reads) == (charged_q, reads_q), len(batch)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CLASSES))
 def test_point_batch_is_probe_order_independent(built, osm_points, name):
     """A batch and a permutation of it: permuted answers, equal
     ``QueryStats`` and equal block reads, for every index."""

@@ -21,10 +21,15 @@ from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve import (
     DEGRADED,
     HEALTHY,
+    KINDS,
+    KNN,
+    POINT,
     READ_ONLY,
+    WINDOW,
     IndexServer,
     RebuildFailed,
     Reply,
+    Request,
     RequestTimeout,
     ServeConfig,
     ServerClosed,
@@ -33,7 +38,7 @@ from repro.serve import (
     SnapshotManager,
 )
 from repro.spatial.rect import Rect
-from tests.brute import point_truth
+from tests.brute import assert_knn, assert_windows, point_truth
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +48,17 @@ def built_index(osm_points):
 
 
 def _server(index, **kwargs) -> IndexServer:
-    kwargs.setdefault("config", ServeConfig(max_batch_size=64, max_wait_seconds=0.001))
+    kwargs.setdefault("config", ServeConfig(max_batch_size=64))
     return IndexServer(index, elsi_config=ELSIConfig(train_epochs=80), **kwargs)
+
+
+def _queue_then_start(server: IndexServer, requests: list) -> list:
+    """Queue ``requests`` on a server that has not started, then start it:
+    the dispatcher's first batch holds all of them (up to
+    ``max_batch_size``).  Returns their replies."""
+    server._pending.extend(requests)
+    server.start()
+    return [r.reply for r in requests]
 
 
 class TestBasicServing:
@@ -97,12 +111,19 @@ class TestBasicServing:
             Rect.centered(osm_points[rng.integers(len(osm_points))], 0.1)
             for _ in range(8)
         ]
-        with _server(built_index) as server:
-            replies = [server.submit_window(w) for w in windows]
+        requests = [
+            Request(WINDOW, win_lo=w.lo_array[None], win_hi=w.hi_array[None], scalar=True)
+            for w in windows
+        ]
+        server = _server(built_index)
+        replies = _queue_then_start(server, requests)
+        with server:
             for w, reply in zip(windows, replies):
                 np.testing.assert_array_equal(
                     reply.wait(20), built_index.window_query(w)
                 )
+            assert len({reply.generation for reply in replies}) == 1
+            assert server.stats.batches == 1
 
     def test_stats_snapshot_export_format(self, built_index, osm_points):
         with _server(built_index) as server:
@@ -152,22 +173,27 @@ class TestBasicServing:
             assert [r.wait(20) for r in replies] == [True] * 10
             for bad in (
                 lambda: server.submit_point(np.zeros((1, 2))),
+                lambda: server.submit_point(0.5),
                 lambda: server.submit_knn(np.zeros(3), 2),
+                lambda: server.submit_knn(np.zeros(2), 0),
                 lambda: server.submit_point_batch(np.zeros(2)),
                 lambda: server.submit_point_batch(np.zeros((4, 3))),
                 lambda: server.submit_knn_batch(np.zeros((4, 3)), 2),
                 lambda: server.submit_window(Rect((0.1,) * 3, (0.2,) * 3)),
-                lambda: server.submit_window_batch(
-                    [Rect((0.1,) * 2, (0.2,) * 2), Rect((0.1,) * 3, (0.2,) * 3)]
-                ),
+                lambda: server.submit_window_batch(np.zeros((2, 2)), np.ones((2, 3))),
+                lambda: server.submit_window_batch(np.zeros((2, 2)), np.ones((3, 2))),
+                lambda: server.submit_window_batch(np.zeros(2), np.ones(2)),
             ):
                 with pytest.raises(ValueError):
                     bad()
-            assert server.submit_window_batch([]).wait(20) == []
+            rows, counts = server.submit_window_batch(
+                np.empty((0, 2)), np.empty((0, 2))
+            ).wait(20)
+            assert rows.shape == (0, 2) and counts.shape == (0,)
             snap = server.stats.registry.export()
         assert series_sum(snap, "serve.requests_submitted") == 11
         assert series_sum(snap, "serve.requests_submitted", kind="point") == 10
-        assert series_sum(snap, "serve.requests_submitted", kind="window_batch") == 1
+        assert series_sum(snap, "serve.requests_submitted", kind="window") == 1
         assert series_sum(snap, "serve.requests_completed") == 11
         assert series_sum(snap, "serve.request_errors") == 0
 
@@ -176,10 +202,152 @@ class TestBasicServing:
             ServeConfig(max_batch_size=0)
         with pytest.raises(ValueError):
             ServeConfig(max_wait_seconds=-1.0)
+        with pytest.raises(ValueError):
+            ServeConfig(max_wait_seconds=0.002)  # single-valued: 0 only
 
     def test_unbuilt_index_rejected(self):
         with pytest.raises(ValueError):
             IndexServer(ZMIndex())
+
+
+class TestRequestShape:
+    """Every request carries a batch, under three kinds."""
+
+    def test_one_batch_of_every_kind_equals_the_processor(self, osm_points):
+        """Requests of all three kinds, scalar and batch, several ``k`` and
+        empty batches, queued before ``start()``: one dispatcher batch
+        answers them all from one generation, every answer byte-equal to
+        the processor's own call for that request alone and equal to brute
+        force — with a side list and deletion marks to merge."""
+        config = ELSIConfig(train_epochs=60)
+        index = ZMIndex(builder=ELSIModelBuilder(config, method="SP")).build(
+            osm_points[:1500]
+        )
+        server = _server(index, config=ServeConfig(auto_rebuild=False))
+        rng = np.random.default_rng(31)
+        for p in rng.random((40, 2)):
+            server.insert(p)
+        for p in osm_points[:1500:50]:
+            assert server.delete(p)
+        processor = server._gen.processor
+        current = processor.current_points()
+        probes = np.vstack([current[:40], osm_points[:1500:50], rng.random((20, 2)) + 2])
+        centres = current[rng.integers(len(current), size=12)]
+        half = rng.uniform(0.01, 0.1, size=(12, 1))
+        lo, hi = centres - half, centres + half
+        queries = rng.random((9, 2))
+        empty = np.empty((0, 2))
+        requests = [
+            Request(POINT, points=probes[:1], scalar=True),
+            Request(POINT, points=probes[1:60]),
+            Request(POINT, points=empty),
+            Request(POINT, points=probes[60:61], scalar=True),
+            Request(POINT, points=probes[61:]),
+            Request(WINDOW, win_lo=lo[:1], win_hi=hi[:1], scalar=True),
+            Request(WINDOW, win_lo=lo[1:7], win_hi=hi[1:7]),
+            Request(WINDOW, win_lo=empty, win_hi=empty),
+            Request(WINDOW, win_lo=lo[7:8], win_hi=hi[7:8], scalar=True),
+            Request(WINDOW, win_lo=lo[8:], win_hi=hi[8:]),
+            Request(KNN, points=queries[:1], k=1, scalar=True),
+            Request(KNN, points=queries[1:4], k=7),
+            Request(KNN, points=empty, k=7),
+            Request(KNN, points=queries[4:5], k=7, scalar=True),
+            Request(KNN, points=queries[5:], k=1),
+            Request(KNN, points=queries[5:6], k=30, scalar=True),
+        ]
+        replies = _queue_then_start(server, requests)
+        with server:
+            answers = [reply.wait(20) for reply in replies]
+        assert server.stats.batches == 1
+        assert len({reply.generation for reply in replies}) == 1
+        for r, got in zip(requests, answers):
+            if r.kind == POINT:
+                want = processor.point_queries(r.points)
+                if r.scalar:
+                    assert got is bool(want[0])
+                else:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(
+                    np.atleast_1d(got), point_truth(current, r.points)
+                )
+            elif r.kind == WINDOW:
+                rows, counts = processor.window_rows(r.win_lo, r.win_hi)
+                if r.scalar:
+                    got, got_counts = got, np.array([len(got)])
+                else:
+                    got, got_counts = got
+                assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+                assert got_counts.tolist() == counts.tolist()
+                windows = [Rect.from_arrays(a, b) for a, b in zip(r.win_lo, r.win_hi)]
+                cuts = [0, *np.cumsum(got_counts).tolist()]
+                parts = [got[a:b] for a, b in zip(cuts, cuts[1:])]
+                assert_windows("ZM", current, windows, parts)
+            else:
+                want = processor.knn_queries(r.points, r.k)
+                got = [got] if r.scalar else got
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert_knn("ZM", current, r.points, r.k, got)
+
+    def test_kinds_and_config_fields_are_pinned(self):
+        """Three request kinds; ``ServeConfig`` has nine settable fields
+        plus ``max_wait_seconds``, which accepts only 0."""
+        import dataclasses
+
+        assert KINDS == ("point", "window", "knn")
+        assert {f.name for f in dataclasses.fields(ServeConfig)} == {
+            "max_batch_size", "max_wait_seconds", "rebuild_check_every",
+            "auto_rebuild", "max_queue_depth", "request_timeout_seconds",
+            "max_retries", "retry_base_delay", "retry_max_delay", "fsync_policy",
+        }
+
+
+#: Updates a 2-D server must refuse: another dimensionality, NaN, +-inf.
+BAD_UPDATES = [
+    np.array([0.1, 0.2, 0.3]),
+    np.array([np.nan, 0.5]),
+    np.array([0.5, np.inf]),
+    np.array([-np.inf, 0.5]),
+]
+
+
+def _check_reads(server: IndexServer) -> None:
+    """Windows and kNN still answer, and answer like brute force over the
+    server's logical data."""
+    current = server._gen.processor.current_points()
+    window = Rect.centered(np.array([0.5, 0.5]), 0.2)
+    assert_windows("ZM", current, [window], [server.window_query(window)])
+    queries = np.array([[0.3, 0.7], [0.5, 0.5]])
+    assert_knn("ZM", current, queries, 5, [server.knn_query(q, 5) for q in queries])
+    assert server.point_query(np.array([0.3, 0.7]))
+
+
+def test_malformed_updates_are_refused_before_the_wal(small_server_parts, tmp_path):
+    """A 3-D, NaN or infinite insert or delete raises ValueError before it
+    reaches the WAL: the log's depth and ``n_points`` stay put, windows and
+    kNN still answer, and so does a server recovered from the directory."""
+    index, config, factory = small_server_parts
+    common = dict(
+        config=ServeConfig(auto_rebuild=False),
+        elsi_config=config,
+        index_factory=factory,
+        wal=True,
+    )
+    server = IndexServer(index, snapshots=str(tmp_path), **common)
+    server.insert(np.array([0.3, 0.7]))
+    depth, n = server.wal.depth, server.n_points
+    for bad in BAD_UPDATES:
+        for update in (server.insert, server.delete):
+            with pytest.raises(ValueError):
+                update(bad)
+    assert (server.wal.depth, server.n_points) == (depth, n)
+    with server:
+        _check_reads(server)
+    recovered = IndexServer.from_snapshot(str(tmp_path), **common)
+    assert recovered.n_points == n
+    with recovered:
+        _check_reads(recovered)
 
 
 class TestUpdates:
@@ -294,7 +462,7 @@ class TestSwapUnderLoad:
         )
         server = IndexServer(
             index,
-            ServeConfig(max_batch_size=32, max_wait_seconds=0.002, auto_rebuild=False),
+            ServeConfig(max_batch_size=32, auto_rebuild=False),
             elsi_config=ELSIConfig(train_epochs=60),
         )
         with server:
@@ -512,14 +680,14 @@ class TestAdmissionStress:
     def test_every_submission_is_shed_or_answered_right(
         self, built_index, osm_points, fast_switching
     ):
-        """Four submitters against two dispatchers and a 64-deep queue,
+        """Four submitters against the dispatcher and a 64-deep queue,
         closed mid-stream: each submission raises ServerOverloaded /
         ServerClosed or is answered correctly (or rejected with
         ServerClosed), nothing stays pending, and the counters add up."""
         rng = np.random.default_rng(12)
         probes = np.vstack([osm_points[:300], rng.random((300, 2)) + 2.0])
         truth = point_truth(osm_points, probes)
-        config = ServeConfig(max_batch_size=16, worker_threads=2, max_queue_depth=64)
+        config = ServeConfig(max_batch_size=16, max_queue_depth=64)
         server = _server(built_index, config=config).start()
         accepted: list = []  # (probe number, reply)
         overloaded = closed = 0

@@ -41,7 +41,7 @@ from repro.shard import (
 from repro.shard.worker import PackedRows
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
-from tests.brute import point_truth
+from tests.brute import point_truth, processor_windows
 
 _ELSI = {"train_epochs": 40, "seed": 0}
 _SERVE = {"max_wait_seconds": 0.0}
@@ -188,9 +188,7 @@ class TestBatchRequests:
         index.build(osm_points)
         from repro.serve import IndexServer, ServeConfig
 
-        with IndexServer(
-            index, ServeConfig(max_wait_seconds=0.0), elsi_config=config
-        ) as server:
+        with IndexServer(index, ServeConfig(), elsi_config=config) as server:
             yield server
 
     def test_point_batch_matches_scalar_submits(self, server, osm_points):
@@ -203,8 +201,11 @@ class TestBatchRequests:
         windows = [
             Rect.centered(np.array([x, x]), 0.1) for x in (0.25, 0.5, 0.75)
         ]
-        batched = server.submit_window_batch(windows).wait(20)
-        for got, window in zip(batched, windows):
+        rows, counts = server.submit_window_batch(
+            np.vstack([w.lo_array for w in windows]), np.vstack([w.hi_array for w in windows])
+        ).wait(20)
+        assert len(counts) == len(windows) and counts.sum() == len(rows)
+        for got, window in zip(PackedRows(rows, counts).split(), windows):
             want = server.submit_window(window).wait(20)
             np.testing.assert_array_equal(_canon(got), _canon(want))
 
@@ -215,14 +216,14 @@ class TestBatchRequests:
             np.testing.assert_array_equal(_canon(got), _canon(want))
 
     def test_batch_requests_validate_payloads(self):
-        from repro.serve.requests import KNN_BATCH, POINT_BATCH, Request
+        from repro.serve.requests import KNN, POINT, Request
 
         with pytest.raises(ValueError, match="points"):
-            Request(kind=POINT_BATCH)
+            Request(kind=POINT)
         with pytest.raises(ValueError, match="k"):
-            Request(kind=KNN_BATCH, points=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="windows"):
-            Request(kind="window_batch")
+            Request(kind=KNN, points=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="win_lo"):
+            Request(kind="window")
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +527,7 @@ class TestClusterParity:
             for _ in range(12)
         ]
         got = cluster.window_queries(windows)
-        want = reference.window_queries(windows)
+        want = processor_windows(reference, windows)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(_canon(g), _canon(w))
 
@@ -561,7 +562,7 @@ class TestClusterParity:
         window = Rect((0.0, 0.0), (1.0, 1.0))
         np.testing.assert_array_equal(
             _canon(cluster.window_queries([window])[0]),
-            _canon(reference.window_queries([window])[0]),
+            _canon(reference.window_query(window)),
         )
 
     def test_health_and_merged_stats(self, cluster):

@@ -13,6 +13,7 @@ from repro.data import load_dataset
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window
 from repro.spatial.rect import Rect
+from tests.brute import assert_knn, assert_windows, processor_windows
 
 
 @pytest.fixture()
@@ -73,6 +74,9 @@ class TestQueryMerging:
         result = proc.window_query(window)
         truth = brute_force_window(proc.current_points(), window)
         assert len(result) == len(truth)
+        windows = [window, Rect.centered(np.array([0.5, 0.5]), 0.05), Rect.unit()]
+        for got, w in zip(processor_windows(proc, windows), windows):
+            assert len(got) == len(brute_force_window(proc.current_points(), w))
 
     def test_knn_sees_inserted_points(self, processor):
         proc, _pts = processor
@@ -97,6 +101,27 @@ class TestQueryMerging:
         assert proc.n_effective == len(current)
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.1, 0.2, 0.3], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]]
+)
+def test_malformed_updates_are_refused(processor, bad):
+    """A 3-D, NaN or infinite insert or delete raises ValueError and
+    changes nothing: the cardinality and the side list stay put, and
+    windows and kNN still answer like brute force."""
+    proc, _pts = processor
+    q = np.array([0.3, 0.7])
+    proc.insert(q)
+    before = (proc.n_effective, proc.n_pending)
+    for update in (proc.insert, proc.delete):
+        with pytest.raises(ValueError):
+            update(np.array(bad))
+    assert (proc.n_effective, proc.n_pending) == before
+    current = proc.current_points()
+    windows = [Rect.centered(q, 0.2), Rect.unit()]
+    assert_windows("ZM", current, windows, processor_windows(proc, windows))
+    assert_knn("ZM", current, q[None], 5, [proc.knn_query(q, 5)])
+
+
 class TestNoPendingFastPath:
     """With nothing pending, window and kNN batches are the base index's
     answer itself; it must be the array the merge would have produced."""
@@ -118,7 +143,7 @@ class TestNoPendingFastPath:
         windows = [Rect.centered(c, 0.05) for c in centres]
         windows.append(Rect((2.0, 2.0), (3.0, 3.0)))  # empty answer
         for got, want in zip(
-            fast.window_queries(windows), merging.window_queries(windows)
+            processor_windows(fast, windows), processor_windows(merging, windows)
         ):
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -137,8 +162,9 @@ class TestNoPendingFastPath:
             np.array_equal(pts[3], row) for row in proc.knn_queries(pts[3:4], 5)[0]
         )
         window = Rect.centered(pts[3], 0.01)
+        assert not any(np.array_equal(pts[3], row) for row in proc.window_query(window))
         assert not any(
-            np.array_equal(pts[3], row) for row in proc.window_queries([window])[0]
+            np.array_equal(pts[3], row) for row in processor_windows(proc, [window])[0]
         )
 
 
