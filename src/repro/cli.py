@@ -22,8 +22,6 @@ Commands
     plus the nested span tree (see docs/observability.md).
 ``obs trace``
     Dump one request's cross-process span tree out of such a trace.
-``obs top``
-    Live fleet dashboard off a router's ``serve_metrics()`` endpoint.
 ``obs flame``
     Turn a ``REPRO_TRACE`` trace into a flame graph: an SVG icicle (the
     default), the folded-stack text format (``--folded``), and a
@@ -264,32 +262,6 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    import json
-    from urllib.error import URLError
-    from urllib.request import urlopen
-
-    from repro.obs.top import run_top
-
-    url = args.url.rstrip("/") + "/overview"
-
-    def source() -> dict:
-        with urlopen(url, timeout=10.0) as resp:
-            overview = json.loads(resp.read().decode("utf-8"))
-        shards = overview.get("shards")
-        if isinstance(shards, dict):
-            # JSON object keys are strings; the renderer sorts shard ids.
-            overview["shards"] = {int(k): v for k, v in shards.items()}
-        return overview
-
-    try:
-        run_top(source, interval=args.interval, iterations=args.iterations)
-    except URLError as exc:
-        print(f"cannot reach {url}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_obs_flame(args: argparse.Namespace) -> int:
     from repro.obs.flame import folded_stacks, render_folded, render_svg, top_paths
     from repro.obs.report import load_trace
@@ -394,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the combined JSON report here")
     p.set_defaults(func=_cmd_chaos)
 
-    p = sub.add_parser("obs", help="observability tools (traces + metrics)")
+    p = sub.add_parser("obs", help="observability tools (traces)")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser("report", help="render a REPRO_TRACE JSONL trace")
     p.add_argument("trace", help="path to the JSON-lines trace file")
@@ -421,17 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12,
                    help="maximum span-tree depth to render")
     p.set_defaults(func=_cmd_obs_trace)
-    p = obs_sub.add_parser(
-        "top", help="live fleet dashboard off a /metrics endpoint"
-    )
-    p.add_argument("--url", default="http://127.0.0.1:9180",
-                   help="base URL of a router's metrics endpoint "
-                        "(ShardRouter.serve_metrics())")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="refresh interval in seconds")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="frames to draw before exiting (default: forever)")
-    p.set_defaults(func=_cmd_obs_top)
     p = obs_sub.add_parser("flame", help="render a trace as a flame graph")
     p.add_argument("trace", help="path to the JSON-lines trace file")
     p.add_argument("--output", default="flame.svg",

@@ -15,19 +15,16 @@ observable end to end:
 - :mod:`repro.obs.report` — per-phase cost breakdowns and span trees from
   a trace file (``python -m repro obs report``), including cross-process
   trees adopted from shard workers;
-- :mod:`repro.obs.slo` — rolling-window latency quantiles and
-  error-budget burn per request kind (:class:`SLOTracker`);
-- :mod:`repro.obs.httpd` — a stdlib ``/metrics`` + ``/health`` +
-  ``/overview`` HTTP endpoint (:class:`MetricsServer`);
-- :mod:`repro.obs.top` — the ``repro obs top`` terminal dashboard
-  renderer.
+- :mod:`repro.obs.flame` — flame graphs from a trace file
+  (``python -m repro obs flame``);
+- :mod:`repro.obs.query_obs` — the model-quality instruments
+  (``query.predicted_range_width``).
 
 Everything is no-op cheap when disabled: a single boolean guard at each
 site, so the instrumented hot paths stay within the benchmark overhead
 budget (<5 %; see ``docs/observability.md``).
 """
 
-from repro.obs.httpd import MetricsServer
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -35,11 +32,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     histogram_stat,
-    registry_from_export,
     series_sum,
 )
-from repro.obs.slo import SLOConfig, SLOTarget, SLOTracker
-from repro.obs.top import render_top, run_top
 from repro.obs.trace import (
     SpanRecord,
     Tracer,
@@ -57,10 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
-    "SLOConfig",
-    "SLOTarget",
-    "SLOTracker",
     "SpanRecord",
     "Tracer",
     "disable",
@@ -70,9 +60,6 @@ __all__ = [
     "get_tracer",
     "histogram_stat",
     "new_request_id",
-    "registry_from_export",
-    "render_top",
-    "run_top",
     "series_sum",
     "span",
     "traced",

@@ -4,9 +4,8 @@
 registry for a named instrument (``registry.counter("serve.requests",
 kind="point")``) and get the same object back on every call with the same
 name + labels, so recording is a plain attribute update behind one lock
-acquisition.  The registry exports everything at once — as a JSON-able
-dict (:meth:`MetricsRegistry.export`) or as Prometheus-style text lines
-(:meth:`MetricsRegistry.export_text`).
+acquisition.  The registry exports everything at once as a JSON-able
+dict (:meth:`MetricsRegistry.export`).
 
 :class:`Histogram` generalises the log-spaced latency histogram that used
 to be private to ``repro.serve.stats.ServerStats``: doubling buckets above
@@ -34,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "histogram_stat",
-    "registry_from_export",
     "series_sum",
 ]
 
@@ -299,30 +297,6 @@ class MetricsRegistry:
             out.setdefault(name, []).append(entry)
         return out
 
-    #: Histogram-snapshot keys that describe shape/raw state rather than a
-    #: reportable statistic; the text exporter skips them.
-    _STRUCTURAL_STATS = frozenset({"buckets", "base", "n_buckets"})
-
-    def export_text(self) -> str:
-        """Prometheus-style lines: ``name{k="v"} value`` (one per series,
-        histograms flattened to _count/_mean/_max/_p50/_p99/_total)."""
-        lines: list[str] = []
-        for name, series in self.export().items():
-            for entry in series:
-                label_text = ",".join(
-                    f'{k}="{v}"' for k, v in sorted(entry["labels"].items())
-                )
-                suffix = f"{{{label_text}}}" if label_text else ""
-                value = entry["value"]
-                if entry["kind"] == "histogram":
-                    for stat, v in value.items():
-                        if stat in self._STRUCTURAL_STATS:
-                            continue
-                        lines.append(f"{name}_{stat}{suffix} {v:g}")
-                else:
-                    lines.append(f"{name}{suffix} {value:g}")
-        return "\n".join(lines)
-
     def merge(self, exported: dict) -> None:
         """Fold an :meth:`export`-format snapshot into this registry.
 
@@ -370,15 +344,6 @@ class MetricsRegistry:
 
     def export_json(self) -> str:
         return json.dumps(self.export(), indent=2, sort_keys=True)
-
-
-def registry_from_export(exported: dict) -> MetricsRegistry:
-    """Rehydrate an :meth:`MetricsRegistry.export` dict into a registry —
-    how the ``/metrics`` endpoint turns a fleet snapshot (already merged,
-    already a plain dict) back into ``export_text()`` lines."""
-    registry = MetricsRegistry()
-    registry.merge(exported)
-    return registry
 
 
 # ----------------------------------------------------------------------

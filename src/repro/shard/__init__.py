@@ -14,7 +14,6 @@ from repro.shard.errors import ShardError, ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.router import RouterConfig, ShardRouter
 from repro.shard.shardmap import CURVES, ShardMap
-from repro.shard.telemetry import FleetTelemetry
 from repro.shard.worker import (
     ENV_KEYS,
     WORKER_CRASH_EXIT,
@@ -26,7 +25,6 @@ from repro.shard.worker import (
 __all__ = [
     "CURVES",
     "ENV_KEYS",
-    "FleetTelemetry",
     "RouterConfig",
     "ShardError",
     "ShardHandle",

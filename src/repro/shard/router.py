@@ -64,20 +64,17 @@ included as ``shard.retry`` / ``shard.respawn`` / ``error=...`` spans).
 When tracing is off the scatter span is the shared no-op and the wire
 carries ``None`` — workers skip capture entirely.
 
-:meth:`ShardRouter.stats_snapshot` merges every worker's
-``stats_snapshot()`` export and the router's own counters into one view
-via :meth:`MetricsRegistry.merge` — counters sum and histogram buckets
-add, so fleet-wide percentiles are computed over the union of all
-samples.  The scrape and the merge are the router's one
-:class:`~repro.shard.telemetry.FleetTelemetry`, which also adds
-per-shard ``telemetry.scrape_age_seconds`` staleness and
-``telemetry.shard_up`` markers: with ``RouterConfig.telemetry_interval``
-set (or :meth:`ShardRouter.start_telemetry` called) its background
-poller keeps the view fresh, otherwise every snapshot scrapes once
-first.  The router additionally keeps an
-:class:`~repro.obs.slo.SLOTracker` over end-to-end (router-side)
-request latencies per kind, published as ``slo.*`` gauges in every
-snapshot.
+:meth:`ShardRouter.stats_snapshot` is one synchronous scrape per call:
+it asks every worker for its ``stats_snapshot()`` export and merges those
+with the router's own counters into one view via
+:meth:`MetricsRegistry.merge` — counters sum and histogram buckets add,
+so fleet-wide percentiles are computed over the union of all samples.
+Each shard gets a ``telemetry.shard_up`` marker (1 answered this scrape,
+0 did not) and a ``telemetry.scrape_age_seconds`` gauge (seconds since it
+last answered).  A dead or wedged shard keeps its last good export in the
+view — counters are history, not liveness — and is counted on
+``telemetry.scrape_failures``.  Scrapes go through the handles directly
+(no retry, no respawn): reading the fleet never mutates it.
 """
 
 from __future__ import annotations
@@ -90,16 +87,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.update_processor import update_point
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.trace import get_tracer, new_request_id, span as _span
 from repro.serve.errors import ServerOverloaded, ServerReadOnly
 from repro.shard.errors import ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.shardmap import ShardMap
-from repro.shard.telemetry import FleetTelemetry, fleet_verdict
 
 __all__ = ["RouterConfig", "ShardRouter"]
+
+#: Per-shard scrape deadline: generous enough for a busy worker, short
+#: enough that one wedged shard cannot stall a snapshot for the
+#: router-configured request timeout (often 60 s).
+SCRAPE_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,6 @@ class RouterConfig:
         Whether a dead shard is recovered (snapshots + WAL) and retried
         transparently for idempotent queries.  Off, queries raise
         :class:`~repro.shard.errors.ShardUnavailable` like updates do.
-    slo_targets:
-        Optional per-kind latency objectives for the router-side
-        :class:`~repro.obs.slo.SLOTracker` — any form
-        :func:`repro.obs.slo._parse_targets` accepts (``{"point": 0.05}``,
-        ``{"knn": {"latency": 0.2, "quantile": 99.0}}``).  Quantile
-        gauges are published for observed kinds even without targets;
-        burn rates need targets.
-    slo_window_seconds:
-        Rolling-window length for the router's SLO quantiles and burn.
-    telemetry_interval:
-        Seconds between background fleet-telemetry scrapes.  ``None``
-        (default) leaves the poller off — ``stats_snapshot`` then scrapes
-        once per call; set, the router starts its
-        :class:`~repro.shard.telemetry.FleetTelemetry` thread at
-        construction.
     """
 
     request_timeout: float = 60.0
@@ -141,9 +127,6 @@ class RouterConfig:
     retry_base_delay: float = 0.01
     retry_max_delay: float = 0.5
     auto_respawn: bool = True
-    slo_targets: "dict | None" = None
-    slo_window_seconds: float = 60.0
-    telemetry_interval: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.request_timeout <= 0:
@@ -156,14 +139,6 @@ class RouterConfig:
             raise ValueError(
                 "need 0 <= retry_base_delay <= retry_max_delay, got "
                 f"{self.retry_base_delay}/{self.retry_max_delay}"
-            )
-        if self.slo_window_seconds <= 0:
-            raise ValueError(
-                f"slo_window_seconds must be positive, got {self.slo_window_seconds}"
-            )
-        if self.telemetry_interval is not None and self.telemetry_interval <= 0:
-            raise ValueError(
-                f"telemetry_interval must be positive, got {self.telemetry_interval}"
             )
 
 
@@ -185,13 +160,12 @@ class ShardRouter:
         self.handles = list(handles)
         self.config = config or RouterConfig()
         self.registry = MetricsRegistry()
-        self.slo = SLOTracker(
-            SLOConfig(
-                targets=self.config.slo_targets,
-                window_seconds=self.config.slo_window_seconds,
-            )
-        )
-        self._metrics_server = None
+        # Each shard's last good stats export and the monotonic time it
+        # arrived: a shard that stops answering keeps its counters in
+        # stats_snapshot() while its scrape age grows.
+        self._exports: dict[int, dict] = {}
+        self._scraped_at: dict[int, float] = {}
+        self._born = time.monotonic()
         self._closed = False
         # One respawn lock per shard: concurrent scatter threads that hit
         # the same dead worker must not both restart it.
@@ -199,13 +173,6 @@ class ShardRouter:
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(handles), 1), thread_name_prefix="shard-scatter"
         )
-        # The one fleet scrape behind stats_snapshot() and overview(); its
-        # poller thread runs only when asked for.
-        self.telemetry = FleetTelemetry(
-            self, interval=self.config.telemetry_interval or 1.0
-        )
-        if self.config.telemetry_interval is not None:
-            self.start_telemetry()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -218,10 +185,6 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        if self._metrics_server is not None:
-            self._metrics_server.stop()
-            self._metrics_server = None
-        self.telemetry.stop()
         self._pool.shutdown(wait=True)
         for handle in self.handles:
             handle.close()
@@ -378,7 +341,6 @@ class ShardRouter:
             for sid in np.unique(owners)
         }
         self.registry.counter("router.queries", kind="point").inc(len(pts))
-        t0 = time.perf_counter()
         with _span(
             "shard.scatter", kind="point", n=len(pts), shards=len(calls)
         ) as sp:
@@ -388,7 +350,6 @@ class ShardRouter:
         out = np.zeros(len(pts), dtype=bool)
         for sid, hits in replies.items():
             out[owners == sid] = np.asarray(hits, dtype=bool)
-        self.slo.record("point", time.perf_counter() - t0, count=len(pts))
         return out
 
     def window_queries(self, windows: "list") -> "list[np.ndarray]":
@@ -416,14 +377,12 @@ class ShardRouter:
             for sid, rows in members.items()
         }
         self.registry.counter("router.queries", kind="window").inc(w)
-        t0 = time.perf_counter()
         with _span(
             "shard.scatter", kind="window", n=w, shards=len(calls)
         ) as sp:
             replies = self._scatter(
                 calls, idempotent=True, trace=self._trace_ctx(sp)
             )
-        self.slo.record("window", time.perf_counter() - t0, count=w)
         parts: list[list[np.ndarray]] = [[] for _ in windows]
         for sid in sorted(replies):  # shard order => deterministic output
             for i, rows in zip(members[sid].tolist(), replies[sid].split()):
@@ -456,7 +415,6 @@ class ShardRouter:
         members = {
             int(sid): np.flatnonzero(home == sid) for sid in np.unique(home)
         }
-        t0 = time.perf_counter()
         # One scatter span covers both kNN rounds: the widening round's
         # per-shard dispatches adopt under the same root, so the tree
         # shows the full two-round fan-out of each request.
@@ -484,9 +442,7 @@ class ShardRouter:
                         found.append(self._knn_round(pts, k, rest, trace))
             cand = np.concatenate([c for c, _owner in found])
             owner = np.concatenate([o for _c, o in found])
-        out = _top_k(pts, cand, owner, k)
-        self.slo.record("knn", time.perf_counter() - t0, count=b)
-        return out
+        return _top_k(pts, cand, owner, k)
 
     def _knn_round(
         self, pts: np.ndarray, k: int, members: "dict[int, np.ndarray]", trace,
@@ -518,16 +474,16 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def insert(self, point: np.ndarray) -> None:
         """Route one insert to its owning shard (at-most-once)."""
-        self._update("insert", point)
+        self._update("insert", update_point(point, self.shard_map.bounds.ndim))
 
     def delete(self, point: np.ndarray) -> bool:
         """Route one delete to its owning shard (at-most-once)."""
-        return self._update("delete", point)
+        return self._update("delete", update_point(point, self.shard_map.bounds.ndim))
 
-    def _update(self, op: str, point: np.ndarray):
-        pt = np.asarray(point, dtype=np.float64)
+    def _update(self, op: str, pt: np.ndarray):
+        """Route one update whose point ``update_point`` already checked:
+        a NaN or infinite one must never reach the shard map's cast."""
         sid = int(self.shard_map.shard_of_points(pt[None, :])[0])
-        t0 = time.perf_counter()
         with _span("shard.update", op=op, shard=sid) as sp:
             # A dead worker noticed *before* anything is sent is safe to
             # recover through — nothing is in flight, so routing the update
@@ -545,31 +501,31 @@ class ShardRouter:
                 ).inc()
                 raise
         self.registry.counter("router.updates", op=op).inc()
-        self.slo.record("update", time.perf_counter() - t0)
         return result
 
     def apply_updates(self, ops: "list[tuple[str, np.ndarray]]") -> dict:
         """Apply ``(op, point)`` updates, degrading partially.
 
-        Healthy shards absorb their updates; a shard that is read-only
-        (or down) rejects its share without failing the rest.  The return
-        value itemises what happened and carries a fleet health summary:
+        Every point is checked first: a list holding one malformed point
+        (NaN, infinite, wrong dimensionality) is refused whole with a
+        ``ValueError``, before any update is sent.  Then healthy shards
+        absorb their updates; a shard that is read-only (or down) rejects
+        its share without failing the rest.  The return value itemises
+        what happened and carries a fleet health summary:
         ``{"applied": n, "rejected": [{"index", "op", "shard", "error"},
         ...], "health": ...}``.
         """
+        d = self.shard_map.bounds.ndim
+        checked = [(op, update_point(point, d)) for op, point in ops]
         applied, rejected = 0, []
-        for i, (op, point) in enumerate(ops):
+        for i, (op, pt) in enumerate(checked):
             try:
-                self._update(op, point)
+                self._update(op, pt)
                 applied += 1
             except (ServerReadOnly, ShardUnavailable, ShardTimeout) as exc:
                 shard = getattr(exc, "shard_id", None)
                 if shard is None:
-                    shard = int(
-                        self.shard_map.shard_of_points(
-                            np.asarray(point, dtype=np.float64)[None, :]
-                        )[0]
-                    )
+                    shard = int(self.shard_map.shard_of_points(pt[None, :])[0])
                 rejected.append(
                     {
                         "index": i,
@@ -588,8 +544,9 @@ class ShardRouter:
     # Health and metrics
     # ------------------------------------------------------------------
     def health_summary(self) -> dict:
-        """Per-shard health plus a fleet verdict
-        (:func:`~repro.shard.telemetry.fleet_verdict`)."""
+        """Per-shard health plus a fleet verdict: ``healthy`` — every
+        shard healthy; ``down`` — every shard unreachable (or there are
+        none); ``degraded`` — anything between, the fleet still answers."""
         shards = {}
         for handle in self.handles:
             sid = handle.shard_id
@@ -597,56 +554,42 @@ class ShardRouter:
                 shards[sid] = self._call(sid, "status", idempotent=False)
             except (ShardUnavailable, ShardTimeout) as exc:
                 shards[sid] = {"health": "down", "error": type(exc).__name__}
-        overall = fleet_verdict([s["health"] for s in shards.values()])
+        states = [s["health"] for s in shards.values()]
+        if all(state == "down" for state in states):
+            overall = "down"
+        elif all(state == "healthy" for state in states):
+            overall = "healthy"
+        else:
+            overall = "degraded"
         return {"overall": overall, "shards": shards}
 
     def stats_snapshot(self) -> dict:
-        """One fleet-wide metrics export: every shard's last scraped
-        ``stats_snapshot()`` merged (counters summed, histogram buckets
-        added, gauges by freshest stamp) with per-shard staleness/up
-        markers, the router's own counters and ``slo.*`` gauges.  A dead
-        or wedged shard keeps its last known export and is counted on
-        ``telemetry.scrape_failures``."""
-        self.slo.publish(self.registry)
-        return self._fresh_fleet().merged()
-
-    # ------------------------------------------------------------------
-    # Live surfaces: telemetry poller, overview, /metrics endpoint
-    # ------------------------------------------------------------------
-    def _fresh_fleet(self) -> FleetTelemetry:
-        """The one fleet scrape, run now unless its poller keeps it fresh."""
-        if not self.telemetry.running:
-            self.telemetry.scrape_now()
-        return self.telemetry
-
-    def start_telemetry(self, interval: "float | None" = None):
-        """Start (or return) the background fleet-telemetry poller."""
-        if interval is not None and not self.telemetry.running:
-            self.telemetry.interval = interval
-        return self.telemetry.start()
-
-    def overview(self) -> dict:
-        """Per-shard dashboard rows (health, generation, queue depth,
-        qps-able counters, p99, staleness) — the ``repro obs top`` feed."""
-        return self._fresh_fleet().overview()
-
-    def serve_metrics(self, host: str = "127.0.0.1", port: int = 0):
-        """Start (or return) the stdlib HTTP observability endpoint
-        (``/metrics``, ``/metrics.json``, ``/health``, ``/overview``)
-        backed by this router's fleet view."""
-        from repro.obs.httpd import MetricsServer
-
-        if self._metrics_server is None:
-            server = MetricsServer(
-                metrics=self.stats_snapshot,
-                health=self.health_summary,
-                overview=self.overview,
-                host=host,
-                port=port,
-            )
-            server.start()
-            self._metrics_server = server
-        return self._metrics_server
+        """One fleet-wide metrics export, scraped now: each shard's
+        ``stats_snapshot()`` (its last good one, if it does not answer)
+        merged — counters summed, histogram buckets added, gauges by
+        freshest stamp — with per-shard ``telemetry.shard_up`` /
+        ``telemetry.scrape_age_seconds`` gauges and the router's own
+        registry, which counts ``telemetry.scrapes`` and
+        ``telemetry.scrape_failures`` per shard."""
+        merged = MetricsRegistry()
+        for handle in self.handles:
+            sid = handle.shard_id
+            try:
+                self._exports[sid] = handle.request("stats", timeout=SCRAPE_TIMEOUT)
+            except (ShardUnavailable, ShardTimeout):
+                self.registry.counter("telemetry.scrape_failures", shard=sid).inc()
+                up = False
+            else:
+                self.registry.counter("telemetry.scrapes", shard=sid).inc()
+                self._scraped_at[sid] = time.monotonic()
+                up = True
+            if sid in self._exports:
+                merged.merge(self._exports[sid])
+            age = time.monotonic() - self._scraped_at.get(sid, self._born)
+            merged.gauge("telemetry.scrape_age_seconds", shard=sid).set(age)
+            merged.gauge("telemetry.shard_up", shard=sid).set(float(up))
+        merged.merge(self.registry.export())
+        return merged.export()
 
 
 # ----------------------------------------------------------------------

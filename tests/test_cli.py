@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -25,6 +27,19 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_obs_subcommands_are_pinned(self):
+        """``repro obs`` reads trace files and nothing else."""
+
+        def subcommands(parser):
+            (action,) = [
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            return action.choices
+
+        obs = subcommands(build_parser())["obs"]
+        assert sorted(subcommands(obs)) == ["flame", "report", "trace"]
 
 
 class TestCommands:

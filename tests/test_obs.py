@@ -280,10 +280,6 @@ def test_registry_export_formats():
     ]
     assert series_sum(dump, "depth") == 2.0
     assert histogram_stat(dump, "lat", "count") == 1
-    text = r.export_text()
-    assert 'jobs{backend="thread"} 4' in text
-    assert "lat_count 1" in text
-    assert "lat_buckets" not in text  # structural keys stay out of the text form
     assert json.loads(r.export_json())["depth"][0]["kind"] == "gauge"
 
 
@@ -297,7 +293,7 @@ def test_export_readers():
     r.gauge("telemetry.shard_up", shard=1).set(0.0)
     r.histogram("lat", base=1.0, n_buckets=6, kind="point").record_many([0.5, 2.0])
     r.histogram("lat", base=1.0, n_buckets=6, kind="knn").record_many([4.0, 9.0])
-    export = json.loads(r.export_json())  # as it arrives over /metrics.json
+    export = json.loads(r.export_json())  # as it arrives written to a file
     assert series_sum(export, "no.such.metric") == 0.0
     assert histogram_stat(export, "no.such.metric", "p99") == 0.0
     assert series_sum(export, "serve.requests_shed") == 5.0
@@ -318,7 +314,7 @@ def test_export_readers():
 
 def test_one_metrics_schema():
     """The registry export is the one stats schema, ``Histogram`` the one
-    bucket code, ``FleetTelemetry`` the one fleet scrape — checked the way
+    bucket code, the router's ``stats_snapshot`` the one fleet scrape — checked the way
     ``test_one_keyed_run`` checks the indices: by what the tree contains."""
     from pathlib import Path
 
@@ -357,7 +353,7 @@ def test_one_metrics_schema():
     assert sites(everything, '["value"]', '.get("value")') == [
         "src/repro/obs/metrics.py"
     ]
-    assert sites(package, "FleetTelemetry(") == ["src/repro/shard/router.py"]
+    assert sites(package, 'request("stats"') == ["src/repro/shard/router.py"]
     # One load harness (benchmarks/e2e); what the others were is gone.
     texts = [
         *python_files(src, root / "benchmarks"),
@@ -674,16 +670,6 @@ def test_registry_merge_histogram_boundary_mismatch_rejected():
     wider.histogram("lat", base=1.0, n_buckets=8).record(2.0)
     with pytest.raises(ValueError, match="n_buckets"):
         fleet.merge(wider.export())
-
-
-def test_registry_from_export_reproduces_text_lines():
-    from repro.obs.metrics import registry_from_export
-
-    source = MetricsRegistry()
-    source.counter("serve.requests", kind="point").inc(5)
-    source.gauge("depth").set(2.0)
-    clone = registry_from_export(source.export())
-    assert clone.export_text() == source.export_text()
 
 
 def test_histogram_record_count_batches():

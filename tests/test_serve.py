@@ -141,13 +141,6 @@ class TestBasicServing:
         assert series_sum(dump, "serve.generation_age_seconds") >= 0.0
         assert "serve.rebuild_journal_depth" in dump
 
-    def test_stats_export_text(self, built_index, osm_points):
-        with _server(built_index) as server:
-            server.point_query(osm_points[0])
-            text = server.stats.registry.export_text()
-        assert 'serve.requests_submitted{kind="point"} 1' in text
-        assert "serve.request_latency_seconds_count 1" in text
-
     def test_stats_already_hold_a_request_when_its_answer_is_out(
         self, built_index, osm_points
     ):

@@ -14,6 +14,7 @@ loss while the surviving shards keep serving.
 
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,45 @@ class TestRouterFailureHandling:
         assert [r["error"] for r in report["rejected"]] == ["ShardTimeout"]
         assert report["rejected"][0]["shard"] == 0
         assert handle.respawns == 1
+
+
+#: Updates a router over a 2-D map must refuse before routing them.
+MALFORMED = {
+    "nan": np.array([np.nan, 0.5]),
+    "+inf": np.array([0.5, np.inf]),
+    "-inf": np.array([-np.inf, 0.5]),
+    "3d": np.array([0.1, 0.2, 0.3]),
+    "1d": np.array([0.5]),
+}
+
+
+class TestRouterRefusesMalformedUpdates:
+    """A NaN, infinite or wrong-dimensional point is a ``ValueError``
+    before the router maps it to a shard (no cast warning) or sends
+    anything; ``apply_updates`` refuses a list holding one whole."""
+
+    @pytest.fixture()
+    def router(self):
+        handle = _StubHandle(0)
+        router = _stub_router([handle])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield router
+        assert handle.requests == []
+
+    @pytest.mark.parametrize("point", MALFORMED.values(), ids=MALFORMED.keys())
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_single_update(self, router, op, point):
+        with pytest.raises(ValueError, match="update needs"):
+            getattr(router, op)(point)
+
+    @pytest.mark.parametrize("point", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_apply_updates_refuses_the_list_whole(self, router, point):
+        good = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="update needs"):
+            router.apply_updates(
+                [("insert", good), ("delete", point), ("insert", good)]
+            )
 
 
 class TestRouterRoutesBatches:
