@@ -147,9 +147,7 @@ class ELSIModelBuilder(ModelBuilder):
             result.train_ranks,
             stats,
             hidden=self.config.hidden_size,
-            train_config=TrainConfig(
-                epochs=self.config.train_epochs, seed=self.config.seed
-            ),
+            train_config=TrainConfig(epochs=self.config.train_epochs),
             method_name=used.name,
             seed=self.config.seed,
             pretrained_state=result.pretrained_state,

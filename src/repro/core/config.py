@@ -102,6 +102,9 @@ class ELSIConfig:
             raise ValueError("n_clusters, beta >= 1 and eta >= 2 required")
         if self.f_u < 1:
             raise ValueError(f"f_u must be >= 1, got {self.f_u}")
+        for name in ("train_epochs", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.methods:
             raise ValueError("the method pool cannot be empty")
         for name, only in (("parallelism", "serial"), ("dtype", "float64")):

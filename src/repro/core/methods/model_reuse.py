@@ -53,7 +53,7 @@ def _build_pool(
     spacing = max(epsilon / 2.0, 0.02)
     deltas = list(np.arange(0.0, 0.95, spacing))
     pool: list[tuple[np.ndarray, dict]] = []
-    config = TrainConfig(epochs=epochs, seed=seed)
+    config = TrainConfig(epochs=epochs)
     for i, delta in enumerate(deltas):
         for mirror in (False, True):
             if mirror and delta == 0.0:

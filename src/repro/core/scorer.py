@@ -91,16 +91,14 @@ class MethodScorer:
         row[-1] = float(dist_u)
         return row
 
-    def fit(
-        self, samples: list[ScorerSample], epochs: int = 1500, seed: int = 0
-    ) -> None:
+    def fit(self, samples: list[ScorerSample], epochs: int = 1500) -> None:
         """Train both cost FFNs on measured speedup records."""
         if not samples:
             raise ValueError("cannot fit the scorer without samples")
         x = np.stack([self.features(s.method, s.n, s.dist_u) for s in samples])
         y_build = np.array([build_score(s.build_speedup) for s in samples])
         y_query = np.array([query_score(s.query_speedup) for s in samples])
-        config = TrainConfig(epochs=epochs, seed=seed, patience=200)
+        config = TrainConfig(epochs=epochs, patience=200)
         train_regressor(self.build_net, x, y_build, config)
         train_regressor(self.query_net, x, y_query, config)
         self._fitted = True

@@ -242,7 +242,7 @@ def train_ffn_selector(
         method_names = tuple(records[0].methods())
     scorer = MethodScorer(method_names=method_names, seed=seed)
     with _span("selector.train", records=len(records), epochs=epochs):
-        scorer.fit(records_to_samples(records), epochs=epochs, seed=seed)
+        scorer.fit(records_to_samples(records), epochs=epochs)
     return scorer
 
 

@@ -76,13 +76,13 @@ class RebuildPredictor:
             [np.log10(n) / 8.0, dist_u, depth / 16.0, update_ratio, cdf_sim]
         )
 
-    def fit(self, x: np.ndarray, labels: np.ndarray, epochs: int = 1500, seed: int = 0) -> None:
+    def fit(self, x: np.ndarray, labels: np.ndarray, epochs: int = 1500) -> None:
         """Train on feature rows and binary labels."""
         x2 = np.asarray(x, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         if x2.ndim != 2 or x2.shape[1] != self.N_FEATURES:
             raise ValueError(f"expected (n, {self.N_FEATURES}) features, got {x2.shape}")
-        train_regressor(self.net, x2, y, TrainConfig(epochs=epochs, seed=seed, patience=200))
+        train_regressor(self.net, x2, y, TrainConfig(epochs=epochs, patience=200))
         self._fitted = True
 
     def should_rebuild(
@@ -505,5 +505,5 @@ def train_rebuild_predictor(
                 features.append(processor.update_features())
                 labels.append(int(aged > threshold * fresh))
     predictor = RebuildPredictor(seed=seed)
-    predictor.fit(np.stack(features), np.array(labels), seed=seed)
+    predictor.fit(np.stack(features), np.array(labels))
     return predictor

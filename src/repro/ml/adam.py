@@ -14,6 +14,9 @@ __all__ = ["Adam"]
 class Adam:
     """Adam over a fixed list of parameter arrays (updated in place).
 
+    An FFN is optimised as one array, its ``flat_params`` vector, so a step
+    is one vector update however many layers the net has.
+
     Parameters
     ----------
     params:
@@ -42,10 +45,17 @@ class Adam:
         self.eps = eps
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
+        # Two scratch arrays per parameter, so a step allocates nothing.
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self._t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
-        """Apply one Adam update given gradients aligned with ``params``."""
+        """Apply one Adam update given gradients aligned with ``params``.
+
+        Operation for operation the textbook update
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, written into scratch.
+        """
         if len(grads) != len(self.params):
             raise ValueError(
                 f"got {len(grads)} gradients for {len(self.params)} parameters"
@@ -53,14 +63,22 @@ class Adam:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+        for p, g, m, v, (a, s) in zip(
+            self.params, grads, self._m, self._v, self._scratch
+        ):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, bias1, out=a)
+            a *= self.lr
+            np.divide(v, bias2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            a /= s
+            p -= a
 
     def reset(self) -> None:
         """Clear the optimizer state (moments and step counter)."""

@@ -124,7 +124,7 @@ class DQNAgent:
         )
         self.target_network = self.q_network.copy()
         self.replay = ReplayBuffer(self.config.replay_capacity, seed=seed)
-        self._optimizer = Adam(self.q_network.parameters(), lr=self.config.lr)
+        self._optimizer = Adam([self.q_network.flat_params], lr=self.config.lr)
         self._rng = np.random.default_rng(seed)
         self._epsilon = self.config.epsilon
         self._steps = 0
@@ -170,6 +170,6 @@ class DQNAgent:
         td_target = rewards + self.config.gamma * next_q.max(axis=1)
         targets[np.arange(len(batch)), actions] = td_target
 
-        loss, grads = self.q_network.loss_and_gradients(states, targets)
-        self._optimizer.step(grads)
+        loss, _ = self.q_network.loss_and_gradients(states, targets)
+        self._optimizer.step([self.q_network.flat_grads])
         return loss

@@ -8,13 +8,22 @@ The implementation is a plain NumPy multilayer perceptron with manual
 backpropagation.  It is intentionally small: ELSI's whole point is that the
 *training-set size* dominates the training cost ``T(n)``, so a compact,
 vectorised implementation preserves the cost behaviour the paper studies.
+
+All parameters live in one contiguous float64 vector, ``flat_params``;
+``weights[i]`` and ``biases[i]`` are reshaped views into it, and
+:meth:`FFN.loss_and_gradients` fills the matching ``flat_grads`` in place.
+An optimiser therefore updates the whole net with one vector operation, and
+a training loop that passes a :class:`Workspace` allocates nothing per
+epoch.  The views must never be rebound (``net.weights[i] = ...`` would
+detach the array from the vector the optimiser updates): assign in place,
+``net.weights[i][...] = ...``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FFN"]
+__all__ = ["FFN", "Workspace"]
 
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
@@ -25,6 +34,26 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D input, got shape {arr.shape}")
     return arr
+
+
+class Workspace:
+    """The arrays one forward/backward pass over ``n`` rows writes into.
+
+    Allocated once per fit and reused every epoch: per hidden layer its
+    post-ReLU activations, ReLU mask and back-propagated delta; for the
+    output layer the prediction (overwritten by the residual) and its square
+    (overwritten by the output delta).
+    """
+
+    __slots__ = ("hidden", "masks", "deltas", "out", "sq")
+
+    def __init__(self, layer_sizes: list[int], n: int) -> None:
+        widths = layer_sizes[1:-1]
+        self.hidden = [np.empty((n, w)) for w in widths]
+        self.masks = [np.empty((n, w), dtype=bool) for w in widths]
+        self.deltas = [np.empty((n, w)) for w in widths]
+        self.out = np.empty((n, layer_sizes[-1]))
+        self.sq = np.empty_like(self.out)
 
 
 class FFN:
@@ -45,13 +74,40 @@ class FFN:
         if any(s <= 0 for s in layer_sizes):
             raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
         self.layer_sizes = list(layer_sizes)
+        fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self._bind(np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in fans)))
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        for w, (fan_in, _) in zip(self.weights, fans):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of ``flat``, laid out
+        ``w0, b0, w1, b1, ...``."""
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        start = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            biases.append(flat[start : start + fan_out])
+            start += fan_out
+        return weights, biases
+
+    def _bind(self, flat_params: np.ndarray) -> None:
+        """Adopt ``flat_params`` and rebuild every view into it and into a
+        fresh gradient vector."""
+        self.flat_params = flat_params
+        self.flat_grads = np.zeros_like(flat_params)
+        self.weights, self.biases = self._views(flat_params)
+        grad_w, grad_b = self._views(self.flat_grads)
+        self._grads = [g for pair in zip(grad_w, grad_b) for g in pair]
+
+    def __getstate__(self) -> dict:
+        return {"layer_sizes": self.layer_sizes, "flat_params": self.flat_params}
+
+    def __setstate__(self, state: dict) -> None:
+        self.layer_sizes = state["layer_sizes"]
+        self._bind(state["flat_params"])
 
     # ------------------------------------------------------------------
     # Inference
@@ -64,7 +120,7 @@ class FFN:
     @property
     def n_parameters(self) -> int:
         """Total number of trainable scalars."""
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat_params.size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on a batch; returns shape (n_samples, n_outputs)."""
@@ -90,57 +146,61 @@ class FFN:
     # Training support
     # ------------------------------------------------------------------
     def parameters(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays, weights then biases interleaved."""
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        """Per-layer parameter views, weights then biases interleaved.  An
+        optimiser over the whole net takes ``[net.flat_params]`` instead."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def workspace(self, n: int) -> Workspace:
+        """Scratch arrays for :meth:`loss_and_gradients` on ``n`` rows."""
+        return Workspace(self.layer_sizes, n)
 
     def loss_and_gradients(
-        self, x: np.ndarray, y: np.ndarray
+        self, x: np.ndarray, y: np.ndarray, workspace: Workspace | None = None
     ) -> tuple[float, list[np.ndarray]]:
         """Mean-squared-error loss and gradients for a batch.
 
-        Returns the scalar L2 loss (the paper's training objective) and a
-        list of gradient arrays aligned with :meth:`parameters`.
+        Returns the scalar L2 loss (the paper's training objective) and the
+        gradient as per-layer views aligned with :meth:`parameters`.  The
+        gradient is written into ``flat_grads``, so the views are overwritten
+        by the next call.  ``workspace`` (from :meth:`workspace`, sized to
+        the batch) is allocated here when not given.
         """
         x2 = _as_2d(x)
         y2 = _as_2d(y)
         n = x2.shape[0]
         if n == 0:
             raise ValueError("cannot compute a loss on an empty batch")
+        ws = workspace if workspace is not None else self.workspace(n)
 
-        # Forward pass, caching post-activations and the ReLU masks so the
-        # backward pass reuses them instead of recomputing comparisons.
-        activations = [x2]
-        relu_masks: list[np.ndarray] = []
+        # Forward pass, keeping the ReLU masks so the backward pass reuses
+        # them.  fmax(z, 0) equals where(z > 0, z, 0) for every z the pass
+        # can produce (NaN included; z is never -0.0 since no bias is).
         h = x2
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            if i == last:
-                h = z
-            else:
-                mask = z > 0.0
-                h = np.where(mask, z, 0.0)
-                relu_masks.append(mask)
-            activations.append(h)
+            z = ws.out if i == last else ws.hidden[i]
+            np.matmul(h, w, out=z)
+            z += b
+            if i != last:
+                np.greater(z, 0.0, out=ws.masks[i])
+                np.fmax(z, 0.0, out=z)
+            h = z
 
-        diff = activations[-1] - y2
-        loss = float(np.mean(diff * diff))
+        diff = np.subtract(ws.out, y2, out=ws.out)
+        np.multiply(diff, diff, out=ws.sq)
+        loss = float(np.add.reduce(ws.sq, axis=None) / ws.sq.size)
 
-        # Backward pass.
-        grads: list[np.ndarray | None] = [None] * (2 * self.n_layers)
-        delta = (2.0 / n) * diff
+        # Backward pass, straight into the gradient vector's views.
+        delta = np.multiply(diff, 2.0 / n, out=ws.sq)
+        grads = self._grads
         for i in range(last, -1, -1):
-            a_prev = activations[i]
-            grads[2 * i] = a_prev.T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            a_prev = x2 if i == 0 else ws.hidden[i - 1]
+            np.matmul(a_prev.T, delta, out=grads[2 * i])
+            np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
             if i > 0:
-                delta = delta @ self.weights[i].T
-                delta = delta * relu_masks[i - 1]
-        return loss, [g for g in grads if g is not None]
+                delta = np.matmul(delta, self.weights[i].T, out=ws.deltas[i - 1])
+                delta *= ws.masks[i - 1]
+        return loss, grads
 
     # ------------------------------------------------------------------
     # (De)serialisation — the MR pre-trained model pool and index snapshots
@@ -159,16 +219,16 @@ class FFN:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "FFN":
-        """Rebuild a network from :meth:`state_dict` output as stored (the
-        layer sizes come from the weight shapes)."""
+        """Rebuild a network from :meth:`state_dict` output (the layer sizes
+        come from the weight shapes)."""
         weights = [state[f"w{i}"] for i in range(len(state) // 2)]
         net = cls([len(weights[0])] + [w.shape[1] for w in weights])
-        net.weights = weights
-        net.biases = [state[f"b{i}"] for i in range(len(weights))]
+        net.load_state_dict(state)
         return net
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore parameters from :meth:`state_dict` output."""
+        """Restore parameters from :meth:`state_dict` output, copying them
+        into the parameter vector."""
         for i in range(self.n_layers):
             w = np.asarray(state[f"w{i}"], dtype=np.float64)
             b = np.asarray(state[f"b{i}"], dtype=np.float64)
@@ -177,5 +237,5 @@ class FFN:
                     f"layer {i} shape mismatch: got {w.shape}/{b.shape}, "
                     f"expected {self.weights[i].shape}/{self.biases[i].shape}"
                 )
-            self.weights[i] = w
-            self.biases[i] = b
+            self.weights[i][...] = w
+            self.biases[i][...] = b

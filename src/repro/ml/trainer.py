@@ -23,18 +23,20 @@ __all__ = ["TrainConfig", "TrainResult", "train_regressor"]
 class TrainConfig:
     """Hyperparameters for :func:`train_regressor`.
 
-    ``epochs=500`` and ``lr=0.01`` follow the paper.  ``batch_size=None``
-    means full-batch training, which is what small training sets (the whole
-    point of ELSI) make affordable.  ``tolerance`` allows early stopping once
-    the loss improvement stalls, bounding wasted epochs on tiny sets.
+    ``epochs=500`` and ``lr=0.01`` follow the paper.  Training is full-batch,
+    which is what small training sets (the whole point of ELSI) make
+    affordable.  ``tolerance`` allows early stopping once the loss
+    improvement stalls, bounding wasted epochs on tiny sets.
     """
 
     epochs: int = 500
     lr: float = 0.01
-    batch_size: int | None = None
     tolerance: float = 1e-9
     patience: int = 50
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -72,28 +74,21 @@ def train_regressor(
     if y2.shape[0] != n:
         raise ValueError(f"x has {n} rows but y has {y2.shape[0]}")
 
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+    # One Adam update over the whole parameter vector per epoch, and one
+    # workspace for every epoch's forward and backward pass.
+    started = time.perf_counter()
+    optimizer = Adam([model.flat_params], lr=cfg.lr)
+    grads = [model.flat_grads]
+    workspace = model.workspace(n)
     history: list[float] = []
     best_loss = np.inf
     stale_epochs = 0
-    started = time.perf_counter()
     epochs_run = 0
 
     for epoch in range(cfg.epochs):
         epochs_run = epoch + 1
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            loss, grads = model.loss_and_gradients(x2, y2)
-            optimizer.step(grads)
-        else:
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                loss, grads = model.loss_and_gradients(x2[batch], y2[batch])
-                optimizer.step(grads)
-                losses.append(loss)
-            loss = float(np.mean(losses))
+        loss, _ = model.loss_and_gradients(x2, y2, workspace)
+        optimizer.step(grads)
         history.append(loss)
 
         if loss < best_loss - cfg.tolerance:

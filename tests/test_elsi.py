@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ELSIConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value", [("train_epochs", 0), ("train_epochs", -1), ("hidden_size", 0)]
+    )
+    def test_untrainable_net_rejected_naming_the_field(self, field, value):
+        # Accepted before, these failed only at build: an IndexError on an
+        # empty loss history, or a zero-width layer.
+        with pytest.raises(ValueError, match=field):
+            ELSIConfig(**{field: value})
+
 
 class TestFacade:
     @pytest.fixture()

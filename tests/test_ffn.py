@@ -1,5 +1,7 @@
 """Unit tests for the NumPy feed-forward network."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,52 @@ class TestStateDict:
         b = a.copy()
         b.weights[0][:] = 0.0
         assert not np.array_equal(a.weights[0], b.weights[0])
+
+
+class TestFlatParameterVector:
+    """``weights[i]`` / ``biases[i]`` are views of ``flat_params``: an
+    array rebound out of the vector would detach silently, and the
+    optimiser would train a vector the net no longer reads."""
+
+    @staticmethod
+    def _assert_bound(net: FFN) -> None:
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat_params)
+        assert net.flat_params.size == net.n_parameters
+        assert net.flat_grads.shape == net.flat_params.shape
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda net: net,
+            lambda net: net.copy(),
+            lambda net: FFN.from_state(net.state_dict()),
+            lambda net: pickle.loads(pickle.dumps(net)),
+        ],
+        ids=["init", "copy", "from_state", "pickle"],
+    )
+    def test_views_share_the_vector_and_adam_moves_predict(self, make):
+        net = make(FFN([2, 8, 8, 1], seed=4))
+        self._assert_bound(net)
+        x = np.random.default_rng(0).random((16, 2))
+        before = net.predict(x)
+        opt = Adam([net.flat_params], lr=0.01)
+        net.loss_and_gradients(x, np.ones(16))
+        opt.step([net.flat_grads])
+        assert not np.array_equal(net.predict(x), before)
+
+    def test_load_state_dict_copies_into_the_vector(self):
+        net = FFN([1, 4, 1], seed=0)
+        net.load_state_dict(FFN([1, 4, 1], seed=9).state_dict())
+        self._assert_bound(net)
+        np.testing.assert_array_equal(net.weights[0], FFN([1, 4, 1], seed=9).weights[0])
+
+    def test_gradients_are_views_of_the_gradient_vector(self):
+        net = FFN([3, 5, 2], seed=0)
+        _, grads = net.loss_and_gradients(np.ones((4, 3)), np.zeros((4, 2)))
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        for g in grads:
+            assert np.shares_memory(g, net.flat_grads)
+        assert np.array_equal(
+            np.concatenate([g.ravel() for g in grads]), net.flat_grads
+        )

@@ -37,18 +37,15 @@ def test_early_stopping_on_plateau():
     assert result.epochs_run <= 20
 
 
-def test_minibatch_training():
-    rng = np.random.default_rng(0)
-    x = rng.random(200)
-    y = 3 * x
-    net = FFN([1, 16, 1], seed=0)
-    result = train_regressor(net, x, y, TrainConfig(epochs=150, batch_size=32))
-    assert result.final_loss < 0.05
-
-
 def test_empty_data_rejected():
     with pytest.raises(ValueError):
         train_regressor(FFN([1, 2, 1]), np.empty(0), np.empty(0))
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_no_epochs_rejected_naming_the_field(epochs):
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=epochs)
 
 
 def test_length_mismatch_rejected():
