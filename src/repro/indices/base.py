@@ -44,6 +44,7 @@ __all__ = [
     "OriginalBuilder",
     "QueryStats",
     "TrainedModel",
+    "argsort_ids",
     "fit_model",
     "group_by",
     "normalise_keys",
@@ -73,9 +74,11 @@ def normalise_keys(keys: np.ndarray, key_lo, span) -> np.ndarray:
 
 def predicted_positions(raw: np.ndarray, n_indexed) -> np.ndarray:
     """Network outputs in [0, 1] as sorted positions clipped to
-    ``[0, n - 1]`` (``n >= 1``)."""
-    pos = np.rint(raw * (n_indexed - 1)).astype(np.int64)
-    return np.minimum(np.maximum(pos, 0), n_indexed - 1)
+    ``[0, n - 1]`` (``n >= 1``), in float before the integer cast: an
+    output the cast cannot hold (NaN from a NaN key, or past ``2**63``)
+    takes the edge it is beyond, NaN position 0, with no invalid cast."""
+    pos = np.fmin(np.fmax(np.rint(raw * (n_indexed - 1)), 0.0), n_indexed - 1)
+    return pos.astype(np.int64)
 
 
 def scan_ranges(
@@ -413,18 +416,35 @@ class InsertRefused(ValueError):
     unchanged (the update processor keeps such a point on its side list)."""
 
 
+def argsort_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, n)``.
+
+    NumPy radix-sorts integers of at most 16 bits and timsorts wider ones,
+    so the ids are narrowed to ``uint8`` / ``uint16`` where ``n`` allows:
+    a stable permutation is unique, so the narrowing changes nothing but
+    the time (65 536 ids in 9 groups: 3 vs 42 ns per id in random order,
+    7 vs 11 in near-sorted order; docs/performance.md, "Key-ordered point
+    path")."""
+    if n <= 1 << 8:
+        ids = ids.astype(np.uint8)
+    elif n <= 1 << 16:
+        ids = ids.astype(np.uint16)
+    return np.argsort(ids, kind="stable")
+
+
 def group_by(ids: np.ndarray, n: int) -> Iterator[tuple[int, "np.ndarray | slice"]]:
     """``(id, positions)`` for each id in ``[0, n)`` that ``ids`` holds,
     ids ascending, each id's positions in order; ``-1`` entries are
-    skipped.  One stable ``argsort`` and one ``bincount`` — or, when every
-    entry has one id (a one-run plan, every per-query call), no
+    skipped.  One stable :func:`argsort_ids` and one ``bincount`` — or,
+    when every entry has one id (a one-run plan, every per-query call), no
     permutation: the positions are ``slice(None)``."""
     if len(ids) and (len(ids) == 1 or (ids == ids[0]).all()):
         if ids[0] >= 0:
             yield int(ids[0]), slice(None)
         return
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids + 1, minlength=n + 1)  # slot 0: the -1 entries
+    shifted = ids + 1  # slot 0: the -1 entries
+    order = argsort_ids(shifted, n + 1)
+    counts = np.bincount(shifted, minlength=n + 1)
     stops = np.cumsum(counts).tolist()
     for i in np.flatnonzero(counts[1:]).tolist():
         yield i, order[stops[i] : stops[i + 1]]
@@ -436,16 +456,15 @@ def rank_by_owner(owner: np.ndarray, dist: np.ndarray, owners: int) -> np.ndarra
     ties in scan order — without lexsort's stable float comparison sort.
 
     One unstable ``argsort`` of the distances, then a stable one of their
-    owners, which NumPy radix-sorts when they fit 16 bits; the second sort
-    keeps distance order within each owner, and only the runs of equal
-    (owner, distance) pairs, NaN equal to NaN, are put back into scan
-    order.  A stable float ``argsort`` is timsort, several times the cost
+    owners (:func:`argsort_ids`: a radix sort up to 65 536 owners); the
+    second sort keeps distance order within each owner, and only the runs
+    of equal (owner, distance) pairs, NaN equal to NaN, are put back into
+    scan order.  A stable float ``argsort`` is timsort, several times the cost
     of both passes (docs/performance.md); one owner takes it alone."""
     if owners <= 1:
         return np.argsort(dist, kind="stable")
     order = np.argsort(dist)
-    key = owner.take(order).astype(np.uint16 if owners <= 1 << 16 else np.int64)
-    order = order.take(np.argsort(key, kind="stable"))
+    order = order.take(argsort_ids(owner.take(order), owners))
     own, ranked = owner.take(order), dist.take(order)
     tied = (own[1:] == own[:-1]) & (
         (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))

@@ -27,6 +27,21 @@ __all__ = ["MLIndex"]
 _KNN_GROUP_ROWS = 1 << 14
 
 
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, ``sqrt(einsum)`` as everywhere
+    else, except where a finite difference's squares overflow (beyond
+    ~1e154): there the difference is scaled by its largest component
+    first, so a far query is far, not infinitely far."""
+    norm = np.sqrt(np.einsum("...d,...d->...", diff, diff))
+    over = np.isinf(norm) & np.isfinite(diff).all(axis=-1)
+    if over.any():
+        big = diff[over]
+        scale = np.abs(big).max(axis=-1, keepdims=True)
+        unit = big / scale
+        norm[over] = scale[:, 0] * np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    return norm
+
+
 class MLIndex(MapAndSortIndex):
     """The ML-Index learned spatial index.
 
@@ -127,13 +142,19 @@ class MLIndex(MapAndSortIndex):
         """Exact: each window is circumscribed by a ball, and the iDistance
         annulus filter yields one candidate key interval per reference
         partition, partitions ascending (:meth:`_annulus_ranks`; no model
-        pass, so no ``model_invocations``)."""
+        pass, so no ``model_invocations``).
+
+        Every stored point is within the stretch of its reference (a point
+        farther away is refused), so an unbounded side is cut at the edge
+        of the box the references span, widened by the stretch: the window
+        keeps its rows, and its ball a finite centre."""
         assert self.mapping is not None
-        diff = self.mapping.references - ((win_lo + win_hi) / 2.0)[:, None, :]
-        extent = win_hi - win_lo
+        refs, stretch = self.mapping.references, self.mapping.stretch
+        win_lo = np.where(win_lo == -np.inf, refs.min(axis=0) - stretch, win_lo)
+        win_hi = np.where(win_hi == np.inf, refs.max(axis=0) + stretch, win_hi)
         lo, hi = self._annulus_ranks(
-            np.sqrt(np.einsum("wmd,wmd->wm", diff, diff)),
-            np.sqrt(np.einsum("wd,wd->w", extent, extent)) / 2.0,
+            _norms(refs - ((win_lo + win_hi) / 2.0)[:, None, :]),
+            _norms(win_hi - win_lo) / 2.0,
         )
         return self._one_run(
             lo, hi, np.repeat(np.arange(len(win_lo)), self.mapping.n_references)
@@ -171,12 +192,11 @@ class MLIndex(MapAndSortIndex):
             np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
         )
         reach = np.where(np.isfinite(reach), reach, 0.0)
-        max_radius = np.sqrt(np.einsum("ij,ij->i", reach, reach)) + 1e-9
+        max_radius = _norms(reach) + 1e-9
         refs = self.mapping.references
         m = len(refs)
         # Query-to-reference distances: computed once, reused every round.
-        diff = pts[:, None, :] - refs[None, :, :]
-        ref_dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+        ref_dist = _norms(pts[:, None, :] - refs[None, :, :])
         store = self.run.store
         results: list[np.ndarray | None] = [None] * b
         active = np.arange(b)

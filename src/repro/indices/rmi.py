@@ -25,6 +25,7 @@ from repro.indices.base import (
     MapFn,
     ModelBuilder,
     TrainedModel,
+    argsort_ids,
     normalise_keys,
     predicted_positions,
     scan_ranges,
@@ -34,8 +35,9 @@ __all__ = ["ModelSet", "RMIModel"]
 
 
 class ModelSet:
-    """The stage-2 leaves of an RMI, answering ``(member_idx, keys) ->
-    (lo, hi)`` in each member's local ranks.
+    """The stage-2 leaves of an RMI (and its stage 1, for keys routed to
+    an empty branch), answering ``(member_idx, keys) -> (lo, hi)`` in each
+    member's local ranks.
 
     Each visited member runs its own forward pass on its keys, and the
     normalisation, rounding and bounds are :class:`TrainedModel`'s own
@@ -63,12 +65,12 @@ class ModelSet:
         member_idx = np.asarray(member_idx, dtype=np.int64)
         # Group the batch by member: each member's keys become one
         # contiguous slice, in batch order.
-        order = np.argsort(member_idx, kind="stable")
+        order = argsort_ids(member_idx, len(self.members))
         counts = np.bincount(member_idx, minlength=len(self.members))
         visited = np.flatnonzero(counts)
         stops = np.cumsum(counts)[visited]
-        m = member_idx[order]
-        x = normalise_keys(keys[order], self.key_lo[m], self.span[m])[:, None]
+        m = member_idx.take(order)
+        x = normalise_keys(keys.take(order), self.key_lo[m], self.span[m])[:, None]
         raw = np.empty(len(keys))
         for i, count, stop in zip(
             visited.tolist(), counts[visited].tolist(), stops.tolist()
@@ -114,9 +116,9 @@ class RMIModel:
         self.stage2: list[TrainedModel] = []
         self._stage2_positions: list[np.ndarray] = []
         self.n = 0
-        #: Derived, never saved: the non-empty branches' leaves (None while
-        #: single-stage), each branch's member (-1: empty, stage 1 answers)
-        #: and the members' global positions, concatenated, with offsets.
+        #: Derived, never saved: the leaves as one set (None while
+        #: single-stage), each branch's member in it and the members'
+        #: global positions, concatenated, with offsets.
         self._leaves: ModelSet | None = None
         self._member_of_branch: np.ndarray | None = None
         self._member_positions: np.ndarray | None = None
@@ -162,19 +164,26 @@ class RMIModel:
         return self
 
     def _gather_leaves(self) -> None:
-        """Put the non-empty branches' models in one :class:`ModelSet`."""
+        """Put the non-empty branches' models in one :class:`ModelSet`,
+        and stage 1 after them if a branch is empty: stage 1 answers that
+        branch's keys over every position, so its positions are the
+        identity and every key takes the same gathers."""
         if not self.is_two_stage:
             return
         filled = [b for b, positions in enumerate(self._stage2_positions) if len(positions)]
+        members = [self.stage2[b] for b in filled]
         positions = [
             np.asarray(self._stage2_positions[b], dtype=np.int64) for b in filled
         ]
-        self._member_of_branch = np.full(self.branching, -1, dtype=np.int64)
+        self._member_of_branch = np.full(self.branching, len(filled), dtype=np.int64)
         self._member_of_branch[filled] = np.arange(len(filled))
+        if len(filled) < self.branching:
+            members.append(self.stage1)
+            positions.append(np.arange(self.n, dtype=np.int64))
         self._member_positions = np.concatenate(positions)
         lengths = [len(p) for p in positions]
         self._member_offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        self._leaves = ModelSet([self.stage2[b] for b in filled])
+        self._leaves = ModelSet(members)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -245,24 +254,19 @@ class RMIModel:
         stage-1 pass to route, the routed leaf's *local* range from the
         :class:`ModelSet`, widened to the global positions its local
         endpoints map to (a leaf's point set need not be globally
-        contiguous).  A key routed to an empty branch gets stage 1's range.
+        contiguous).  A key routed to an empty branch gets stage 1's range,
+        through the set like any other (:meth:`_gather_leaves`).  Keys in
+        ascending order make every gather here and in the set a forward
+        walk (docs/performance.md, "Key-ordered point path").
         """
         assert self.stage1 is not None
         keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
         if not self.is_two_stage:
             return self.stage1.search_ranges(keys)
         assert self._leaves is not None
-        member = self._member_of_branch[self._route(keys)]
-        lo = np.zeros(len(keys), dtype=np.int64)
-        hi = np.zeros(len(keys), dtype=np.int64)
-        routed = member >= 0
-        if routed.any():
-            m = member[routed]
-            lo_local, hi_local = self._leaves.search_ranges(m, keys[routed])
-            base = self._member_offsets[m]
-            lo[routed] = self._member_positions[base + lo_local]
-            hi[routed] = self._member_positions[base + hi_local - 1] + 1
-        rest = ~routed
-        if rest.any():
-            lo[rest], hi[rest] = self.stage1.search_ranges(keys[rest])
+        member = self._member_of_branch.take(self._route(keys))
+        lo_local, hi_local = self._leaves.search_ranges(member, keys)
+        base = self._member_offsets.take(member)
+        lo = self._member_positions.take(base + lo_local)
+        hi = self._member_positions.take(base + hi_local - 1) + 1
         return lo, hi

@@ -19,7 +19,7 @@ import numpy as np
 from repro.indices.base import TrainedModel
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_point_membership
+from repro.perf.batching import sorted_point_membership
 from repro.storage.blocks import BlockStore
 
 __all__ = ["KeyedRun"]
@@ -56,13 +56,30 @@ class KeyedRun:
         self, index_name: str, keys: np.ndarray, points: np.ndarray, atol: float = 0.0
     ) -> tuple[np.ndarray, int]:
         """Predict-and-scan for a batch: membership per ``(key, point)`` row
-        and the rows scanned (the ``points_scanned`` charge)."""
-        with _span("query.model_predict", index=index_name, queries=len(keys)):
+        and the rows scanned (the ``points_scanned`` charge).
+
+        A batch of more than one probe is put in key order once (the
+        default, unstable ``argsort``: the order of equal keys cannot
+        change an answer), so routing, prediction, the range widening and
+        the membership kernel all run on monotone keys, and the answers
+        are scattered back once.  Every step is per probe, and the merged
+        ranges charged to ``block_reads`` are a union, so the order changes
+        no answer and no charge (docs/performance.md, "Key-ordered point
+        path").  A batch of one is not sorted."""
+        b = len(keys)
+        if b > 1:
+            order = np.argsort(keys)
+            keys, points = keys.take(order), points.take(order, axis=0)
+        with _span("query.model_predict", index=index_name, queries=b):
             predicted = self.model.search_ranges(keys)
         lo, hi = self.scan_bounds(*predicted)
         record_range_widths(index_name, lo, hi)
-        with _span("query.refine", index=index_name, queries=len(keys)):
-            found = batch_point_membership(self.store, lo, hi, keys, points, atol=atol)
+        with _span("query.refine", index=index_name, queries=b):
+            found = sorted_point_membership(self.store, lo, hi, keys, points, atol)
+        if b > 1:
+            scattered = np.empty(b, dtype=bool)
+            scattered[order] = found
+            found = scattered
         return found, int(np.maximum(hi - lo, 0).sum())
 
     def insert(self, point: np.ndarray, key: float) -> None:

@@ -25,6 +25,14 @@ import numpy as np
 
 __all__ = ["FFN", "Workspace"]
 
+#: Rows :meth:`FFN.forward` runs through at a time: a ``[1, 16, 1]`` net's
+#: hidden chunk (512 KiB) stays in cache where a 65 536-row batch's does
+#: not.  Sizes from 2 048 up tie (docs/performance.md, "Key-ordered point
+#: path"); this one is a multiple of 4, and a chunk of a net up to 112
+#: wide stays below OpenBLAS's threading threshold (460 800 multiply-adds),
+#: so no chunk is split between threads.
+_FORWARD_ROWS = 4096
+
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
     """Coerce ``x`` to a 2-D float64 array of shape (n_samples, n_features)."""
@@ -123,11 +131,32 @@ class FFN:
         return self.flat_params.size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network on a batch; returns shape (n_samples, n_outputs)."""
-        h = _as_2d(x)
+        """Run the network on a batch; returns shape (n_samples, n_outputs).
+
+        A batch of more than :data:`_FORWARD_ROWS` rows (plus a remainder
+        under 4) goes through in chunks of that many, so its intermediates
+        stay in cache; the last chunk takes a remainder of fewer than 4
+        rows.  BLAS gives a row the same product whatever the batch as long
+        as the row keeps its place within a block of 4 rows, and a lone row
+        takes another kernel, so every row gets, bit for bit, what one
+        unchunked pass gives it single-threaded (docs/performance.md,
+        "Key-ordered point path")."""
+        x = _as_2d(x)
+        n = len(x)
+        if n < _FORWARD_ROWS + 4:
+            return self._forward_rows(x)
+        out = np.empty((n, self.layer_sizes[-1]))
+        stops = [*range(_FORWARD_ROWS, n - 3, _FORWARD_ROWS), n]
+        for start, stop in zip([0, *stops[:-1]], stops):
+            out[start:stop] = self._forward_rows(x[start:stop])
+        return out
+
+    def _forward_rows(self, h: np.ndarray) -> np.ndarray:
+        """One pass over the rows of ``h``, the bias added in place."""
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
         return h

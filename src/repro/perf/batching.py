@@ -41,6 +41,7 @@ __all__ = [
     "batch_window_refine",
     "flat_window_refine",
     "merge_ranges",
+    "sorted_point_membership",
 ]
 
 #: Rows of the window kernel's reused candidate buffer (1 MiB in 2-D):
@@ -110,7 +111,8 @@ def batch_point_membership(
     query_points: np.ndarray,
     atol: float = 0.0,
 ) -> np.ndarray:
-    """One membership bool per query, given per-query scan ranges.
+    """One membership bool per query, given per-query scan ranges, for
+    probes in any order.
 
     Parameters
     ----------
@@ -127,34 +129,23 @@ def batch_point_membership(
         (b, d) query coordinates; a query hits iff some row in its range
         has a key within ``atol`` of ``query_keys`` and equal coordinates.
 
-    A batch is probed in key order: one ``argsort`` of the keys, the body
-    on the permuted probes, the answers scattered back.  Each probe's
-    answer depends on its own row alone, so the order changes no answer,
-    and the merged ranges charged are a union, so it changes no block
-    read; but binary searches over monotone needles walk the key column
-    in one direction and hit cache where random ones miss (4.6× faster
-    at 65 536 probes over 300 000 keys: docs/performance.md,
-    "Key-order probing").
+    The probes are put in key order — one ``argsort`` of the keys — for
+    :func:`sorted_point_membership`, and its answers scattered back.  Each
+    probe's answer depends on its own row alone, and the merged ranges
+    charged are a union, so the order changes no answer and no block read.
+    :meth:`~repro.indices.run.KeyedRun.point_lookup` sorts its probes
+    before it predicts and calls the kernel itself; this wrapper is for
+    probes that arrive unsorted.
     """
-    n = len(store)
     b = len(query_keys)
-    out = np.zeros(b, dtype=bool)
-    # Edge cases: an empty batch has nothing to do, and a batch of one —
-    # every per-query call — is plain predict-and-scan (one store.scan,
-    # which clips the range itself; no range merging, sorting or
-    # flattened-run bookkeeping).
-    if n == 0 or b == 0:
-        return out
-    if b == 1:
-        pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
-        if len(pts):
-            match = np.abs(keys - float(query_keys[0])) <= atol
-            out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
-        return out
+    if b <= 1:
+        return sorted_point_membership(store, lo, hi, query_keys, query_points, atol)
+    n = len(store)
     # The default (unstable) sort: a stable one costs ~6× more, and the
     # order of equal keys cannot change a per-probe answer.
     order = np.argsort(query_keys)
-    out[order] = _sorted_membership(
+    out = np.empty(b, dtype=bool)
+    out[order] = sorted_point_membership(
         store,
         np.clip(np.asarray(lo, dtype=np.int64)[order], 0, n),
         np.clip(np.asarray(hi, dtype=np.int64)[order], 0, n),
@@ -165,17 +156,38 @@ def batch_point_membership(
     return out
 
 
-def _sorted_membership(
+def sorted_point_membership(
     store: BlockStore,
     lo: np.ndarray,
     hi: np.ndarray,
     query_keys: np.ndarray,
     query_points: np.ndarray,
-    atol: float,
+    atol: float = 0.0,
 ) -> np.ndarray:
-    """:func:`batch_point_membership`'s body over probes already in key
-    order, with ranges already clipped; one bool per probe, in that order."""
-    out = np.zeros(len(query_keys), dtype=bool)
+    """The membership kernel: one bool per probe, for probes in ascending
+    key order whose ranges are already within ``[0, len(store)]`` (a batch
+    of one may be anywhere; :meth:`BlockStore.scan` clips it).
+
+    Its two binary searches over the whole key column take monotone
+    needles, so consecutive searches touch the same cache lines where
+    random ones miss from the root down (4.6× faster at 65 536 probes
+    over 300 000 keys: docs/performance.md, "Key-order probing").
+    """
+    n = len(store)
+    b = len(query_keys)
+    out = np.zeros(b, dtype=bool)
+    # Edge cases: an empty batch has nothing to do, and a batch of one —
+    # every per-query call — is plain predict-and-scan (one store.scan,
+    # which clips the range itself; no range merging or flattened-run
+    # bookkeeping).
+    if n == 0 or b == 0:
+        return out
+    if b == 1:
+        pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
+        if len(pts):
+            match = np.abs(keys - float(query_keys[0])) <= atol
+            out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
+        return out
     # Charge block reads once per merged group — same accounting as the old
     # per-group store.scan loop, with no slice materialisation.
     store.charge_block_reads(*merge_ranges(lo, hi))

@@ -163,7 +163,10 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
     """Scale continuous points in ``bounds`` to the integer grid ``[0, 2**bits)``.
 
     Points exactly on the upper boundary map to the last cell; points
-    outside ``bounds`` are clipped (queries may extend past the data MBR).
+    outside ``bounds`` are clipped (queries may extend past the data MBR),
+    in float before the integer cast, so an infinite or huge coordinate
+    lands in the edge cell it is beyond instead of wrapping to cell 0
+    through the cast's overflow; NaN lands in cell 0.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -175,8 +178,8 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
     extent = bounds.extents
     extent[extent == 0.0] = 1.0  # degenerate axis: everything maps to cell 0
     scaled = (pts - bounds.lo_array) / extent
-    cells = np.floor(scaled * (2**bits)).astype(np.int64)
-    return np.clip(cells, 0, 2**bits - 1)
+    cells = np.fmin(np.fmax(np.floor(scaled * (2**bits)), 0.0), 2**bits - 1)
+    return cells.astype(np.int64)
 
 
 def zvalues(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.ndarray:

@@ -4,9 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.adam import Adam
-from repro.ml.ffn import FFN
+from repro.ml.ffn import _FORWARD_ROWS, FFN
 
 
 class TestConstruction:
@@ -71,6 +73,55 @@ class TestForward:
         net = FFN([1, 4, 1])
         x = np.array([0.3])
         np.testing.assert_array_equal(net(x), net.predict(x))
+
+    def test_empty_batch(self):
+        assert FFN([2, 4, 3]).forward(np.zeros((0, 2))).shape == (0, 3)
+
+
+def _unchunked_forward(net: FFN, x: np.ndarray) -> np.ndarray:
+    """The forward pass as one product per layer over the whole batch."""
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i != net.n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+@st.composite
+def _chunked_batches(draw):
+    """A net with random biases and a batch whose size sits on or near a
+    chunk boundary (or anywhere below the last one tried), starting at an
+    arbitrary row of a larger array.  OpenBLAS splits a matrix-vector
+    product of 460 800 multiply-adds or more between threads, and the
+    unchunked pass then depends on the thread count itself: the 64-wide
+    net stays below 7 200 rows, one boundary."""
+    sizes = draw(st.sampled_from([[1, 16, 1], [2, 4, 1], [1, 64, 64, 1]]))
+    chunks = 1 if sizes[1] == 64 else 3
+    near = st.builds(
+        lambda k, d: max(1, k * _FORWARD_ROWS + d),
+        st.integers(0, chunks),
+        st.integers(-5, 5),
+    )
+    n = draw(near | st.integers(1, chunks * _FORWARD_ROWS + 5))
+    start = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = FFN(sizes, seed=int(rng.integers(1 << 30)))
+    for b in net.biases:
+        b[...] = rng.normal(size=b.shape)
+    x = rng.normal(size=(start + n, sizes[0]))[start:]
+    return net, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_chunked_batches())
+def test_chunked_forward_equals_the_unchunked_pass(case):
+    """Byte for byte, across chunk boundaries: the chunks are multiples of
+    4 rows and the last takes a remainder under 4, so every row keeps its
+    place within BLAS's 4-row blocks and no lone row takes the 1-row
+    kernel."""
+    net, x = case
+    assert net.forward(x).tobytes() == _unchunked_forward(net, x).tobytes()
 
 
 class TestGradients:

@@ -225,7 +225,12 @@ def test_one_keyed_run(built_indices):
         assert sum(len(run.store) for run in runs) == index.n_points
 
     src = Path(repro.__file__).parent
-    kernels = {"batch_point_membership", "batch_window_refine", "flat_window_refine"}
+    kernels = {
+        "batch_point_membership",
+        "sorted_point_membership",
+        "batch_window_refine",
+        "flat_window_refine",
+    }
     drivers = []
     for path in sorted((src / "indices").glob("*.py")):
         tree = ast.parse(path.read_text())

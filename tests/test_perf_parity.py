@@ -3,8 +3,9 @@ spellings (a per-query call is a batch of one), the lo-clamp regression
 (inserts near rank 0), the ``QueryStats`` additivity rule, and probe-order
 independence: the membership kernel visits a batch in key order, so a
 shuffled batch must answer and charge exactly what the batch does.  And
-the flat window kernel of kNN rounds against the per-window kernel, and
-the kNN drivers' candidate ranking against ``np.lexsort``."""
+the flat window kernel of kNN rounds against the per-window kernel, the
+kNN drivers' candidate ranking against ``np.lexsort``, and the narrowed
+grouping sort against the stable ``int64`` one."""
 
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
-from repro.indices.base import QueryStats, rank_by_owner
+from repro.indices.base import QueryStats, argsort_ids, group_by, rank_by_owner
 from repro.perf import batching
 from repro.perf.batching import (
     batch_point_membership,
@@ -421,3 +422,27 @@ def test_rank_by_owner_equals_lexsort(case):
     owner, dist, owners = case
     got = rank_by_owner(owner, dist, owners)
     assert got.tolist() == np.lexsort((dist, owner)).tolist()
+
+
+@st.composite
+def _ids(draw):
+    """Ids in ``[0, n)`` for ``n`` either side of 8 and 16 bits, with the
+    edge ids often."""
+    n = draw(st.sampled_from([1, 2, 9, 256, 257, 65_536, 65_537, 100_000]))
+    edges = st.sampled_from(sorted({0, n - 1, min(255, n - 1), min(256, n - 1)}))
+    m = draw(st.integers(0, 300))
+    return draw(arrays(np.int64, m, elements=edges | st.integers(0, n - 1))), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ids())
+def test_argsort_ids_is_the_stable_argsort(case):
+    """Narrowed to ``uint8`` / ``uint16`` or not, the ids' permutation is
+    the stable ``argsort`` of the ``int64`` ids, ties in position order;
+    ``group_by``'s shifted ``-1`` ids included."""
+    ids, n = case
+    m = len(ids)
+    assert argsort_ids(ids, n).tolist() == np.argsort(ids, kind="stable").tolist()
+    groups = {i: np.arange(m)[rows].tolist() for i, rows in group_by(ids - 1, n)}
+    held = np.unique(ids[ids > 0] - 1).tolist()
+    assert groups == {i: np.flatnonzero(ids - 1 == i).tolist() for i in held}
