@@ -61,15 +61,15 @@ MapFn = Callable[[np.ndarray], np.ndarray]
 _NET_TYPES = {cls.__name__: cls for cls in (FFN, PiecewiseLinearModel)}
 
 
-# The arithmetic of predict-and-scan, written once: elementwise, so it runs
-# on one model's scalars (:class:`TrainedModel`) or on a key batch's
-# per-member arrays (:class:`~repro.indices.rmi.ModelSet`) bit for bit alike.
-def normalise_keys(keys: np.ndarray, key_lo, span) -> np.ndarray:
+# The arithmetic of predict-and-scan, written once: elementwise, so the
+# positions and ranges run on one model's scalars (:class:`TrainedModel`) or
+# on a key batch's per-member arrays (:class:`~repro.indices.rmi.ModelSet`)
+# bit for bit alike.
+def normalise_keys(keys: np.ndarray, key_lo: float, span: float) -> np.ndarray:
     """Min-max key normalisation; a degenerate range (``span <= 0``) maps to 0."""
-    live = np.greater(span, 0.0)
-    if live.all():  # the common case, without the slower masked division
+    if span > 0.0:
         return (keys - key_lo) / span
-    return np.divide(keys - key_lo, span, out=np.zeros(np.shape(keys)), where=live)
+    return np.zeros(np.shape(keys))
 
 
 def predicted_positions(raw: np.ndarray, n_indexed) -> np.ndarray:
@@ -85,7 +85,7 @@ def scan_ranges(
     pos: np.ndarray, n_indexed, err_l, err_u
 ) -> tuple[np.ndarray, np.ndarray]:
     """Half-open scan range ``[lo, hi)`` around each predicted position."""
-    return np.maximum(pos - err_l, 0), np.minimum(pos + err_u + 1, n_indexed)
+    return np.maximum(pos - err_l, 0), np.minimum(pos + (err_u + 1), n_indexed)
 
 
 @dataclass
@@ -234,7 +234,6 @@ class TrainedModel:
 
     def search_ranges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Half-open scan range ``[lo, hi)`` per key under the error bounds."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
         return scan_ranges(
             self.predict_positions(keys), self.n_indexed, self.err_l, self.err_u
         )
@@ -651,13 +650,26 @@ class LearnedSpatialIndex(ABC):
             raise ValueError("spatial indices need d >= 2")
         return pts
 
+    def _batch(self, points: np.ndarray, what: str = "points") -> np.ndarray:
+        """``points`` as a float64 ``(b, d)`` batch in the index's own
+        ``d`` (one ``(d,)`` row is a batch of one); any other shape is a
+        ``ValueError`` naming both, not a wrong answer or a deep error."""
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        d = self.bounds.ndim
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise ValueError(
+                f"{self.name} indexes {d}-D points: {what} must have shape "
+                f"(b, {d}), got {np.shape(points)}"
+            )
+        return pts
+
     def point_queries(self, points: np.ndarray) -> np.ndarray:
         """Membership of each ``(b, d)`` row (exact coordinates): one bool
         per row, ``shape (0,)`` for an empty batch.  Executes
         :meth:`point_plan`: each visited run answers its probes in one
         predict-and-scan (:meth:`~repro.indices.run.KeyedRun.point_lookup`)."""
         self._check_built()
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = self._batch(points)
         found = np.zeros(len(pts), dtype=bool)
         if len(pts) == 0:
             return found
@@ -684,8 +696,8 @@ class LearnedSpatialIndex(ABC):
             return []
         w = len(windows)
         with _span("query.window_batch", index=self.name, windows=w):
-            win_lo = np.vstack([win.lo_array for win in windows])
-            win_hi = np.vstack([win.hi_array for win in windows])
+            win_lo = self._batch([win.lo_array for win in windows], "window corners")
+            win_hi = self._batch([win.hi_array for win in windows], "window corners")
             runs, run, lo, hi, owner = self._charged_plan(win_lo, win_hi)
             with _span("query.refine", index=self.name, queries=w):
                 if len(runs) == 1:  # the kernel takes a one-run plan as it is
@@ -715,7 +727,11 @@ class LearnedSpatialIndex(ABC):
         :meth:`window_queries`' per-run path and is concatenated: one flat
         call per run measured 0.77–0.99× of it (docs/performance.md)."""
         self._check_built()
+        win_lo = self._batch(win_lo, "window corners")
+        win_hi = self._batch(win_hi, "window corners")
         w = len(win_lo)
+        if w != len(win_hi):
+            raise ValueError(f"{w} low corners but {len(win_hi)} high corners")
         if w == 0:
             return np.empty((0, self.bounds.ndim)), np.zeros(0, dtype=np.int64)
         with _span("query.window_batch", index=self.name, windows=w):
@@ -758,7 +774,7 @@ class LearnedSpatialIndex(ABC):
         self._check_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = self._batch(points)
         b = len(pts)
         if b == 0:
             return []

@@ -62,8 +62,13 @@ class LISAIndex(MapAndSortIndex):
         self.shard_size = shard_size
         #: Pages are the scan unit: every scan is widened to whole shards.
         self.scan_page = shard_size
-        self._boundaries: list[np.ndarray] | None = None  # per-axis cell edges
+        self._boundaries: list[np.ndarray] | None = None  # per-axis inner edges
         self._weights: np.ndarray | None = None
+        #: Derived, never saved: every cell's lower edge and width, axis by
+        #: axis in one array (axis ``k``'s cells from ``_axis_start[k]``).
+        self._cell_lo: np.ndarray | None = None
+        self._cell_span: np.ndarray | None = None
+        self._axis_start: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Mapping
@@ -79,53 +84,47 @@ class LISAIndex(MapAndSortIndex):
         # lexicographic-ish within a cell, per LISA's Lebesgue-measure idea.
         raw = np.array([2.0 ** -(dim + 1) for dim in range(d)])
         self._weights = raw / raw.sum()
+        self._derive_cells()
+
+    def _derive_cells(self) -> None:
+        """Cell edges and widths from the boundaries and the data bounds
+        (``bounds`` is set); the outer cells reach just past the bounds."""
+        assert self._boundaries is not None and self.bounds is not None
+        edges = np.array([
+            np.concatenate([[lo - 1e-9], inner, [hi + 1e-9]])
+            for lo, hi, inner in zip(self.bounds.lo, self.bounds.hi, self._boundaries)
+        ])
+        self._cell_lo = edges[:, :-1].ravel()
+        self._cell_span = np.maximum(edges[:, 1:] - edges[:, :-1], 1e-12).ravel()
+        self._axis_start = np.arange(len(edges)) * self.grid_size
 
     def _cell_indices(self, points: np.ndarray) -> np.ndarray:
         """(n, d) integer cell coordinates on the quantile grid."""
         assert self._boundaries is not None
-        cols = [
-            np.searchsorted(self._boundaries[dim], points[:, dim], side="right")
-            for dim in range(points.shape[1])
-        ]
-        return np.column_stack(cols)
+        cells = np.empty(points.shape, dtype=np.int64)
+        for dim, inner in enumerate(self._boundaries):
+            cells[:, dim] = inner.searchsorted(points[:, dim], side="right")
+        return cells
 
     def map(self, points: np.ndarray) -> np.ndarray:
-        """LISA's mapped value: cell ID plus the weighted in-cell offset."""
+        """LISA's mapped value: cell ID plus the weighted in-cell offset, a
+        weighted sum of per-axis fractions within the cell, in [0, 1)."""
         self._check_built()
+        assert self._weights is not None
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
         cells = self._cell_indices(pts)
-        d = pts.shape[1]
-        # Row-major cell id (dimension 0 is the most significant digit).
-        cell_id = np.zeros(len(pts), dtype=np.float64)
-        for dim in range(d):
+        at = cells + self._axis_start
+        frac = (pts - self._cell_lo.take(at)) / self._cell_span.take(at)
+        frac = np.minimum(np.maximum(frac, 0.0), 1.0 - 1e-12) * self._weights
+        # Row-major cell id (dimension 0 is the most significant digit),
+        # exact in integers, and the offset summed axis by axis.
+        cell_id, offset = cells[:, 0], frac[:, 0]
+        for dim in range(1, pts.shape[1]):
             cell_id = cell_id * self.grid_size + cells[:, dim]
-        return cell_id + self._in_cell_offset(pts, cells)
-
-    def _cell_edges(self, cells: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper coordinate of each point's cell along ``dim``."""
-        assert self._boundaries is not None and self.bounds is not None
-        edges = np.concatenate(
-            [
-                [self.bounds.lo[dim] - 1e-9],
-                self._boundaries[dim],
-                [self.bounds.hi[dim] + 1e-9],
-            ]
-        )
-        idx = np.clip(cells[:, dim], 0, self.grid_size - 1)
-        return edges[idx], edges[idx + 1]
-
-    def _in_cell_offset(self, pts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Weighted aggregation of per-axis fractions within the cell, in [0, 1)."""
-        assert self._weights is not None
-        offset = np.zeros(len(pts))
-        for dim in range(pts.shape[1]):
-            lo, hi = self._cell_edges(cells, dim)
-            span = np.maximum(hi - lo, 1e-12)
-            frac = np.clip((pts[:, dim] - lo) / span, 0.0, 1.0 - 1e-12)
-            offset += self._weights[dim] * frac
-        return offset
+            offset = offset + frac[:, dim]
+        return cell_id + offset
 
     def _mapping_state(self) -> dict:
         return {"boundaries": self._boundaries, "weights": self._weights}
@@ -133,6 +132,7 @@ class LISAIndex(MapAndSortIndex):
     def _restore_mapping(self, state: dict) -> None:
         self._boundaries = state["boundaries"]
         self._weights = state["weights"]
+        self._derive_cells()
 
     # ------------------------------------------------------------------
     # Queries

@@ -25,8 +25,7 @@ from repro.indices.base import (
     MapFn,
     ModelBuilder,
     TrainedModel,
-    argsort_ids,
-    normalise_keys,
+    group_by,
     predicted_positions,
     scan_ranges,
 )
@@ -39,19 +38,20 @@ class ModelSet:
     an empty branch), answering ``(member_idx, keys) -> (lo, hi)`` in each
     member's local ranks.
 
-    Each visited member runs its own forward pass on its keys, and the
-    normalisation, rounding and bounds are :class:`TrainedModel`'s own
-    arithmetic, so a key gets bit for bit the position the member's
-    ``err_l``/``err_u`` were measured with: the set needs no bounds of its
-    own.  A member's ``invocations`` counts the keys it answered.  The
-    per-member scalars are read once, here: members are final (their
-    bounds measured) when the set is made.
+    Each visited member runs its own forward pass on its keys, in batch
+    order, and the normalisation, rounding and bounds are
+    :class:`TrainedModel`'s own arithmetic, so a key gets bit for bit the
+    position the member's ``err_l``/``err_u`` were measured with: the set
+    needs no bounds of its own.  A member's ``invocations`` counts the keys
+    it answered.  Keys that all belong to one member (every key of a batch
+    of one) are handed over as they are, with no grouping sort
+    (:func:`~repro.indices.base.group_by`).  The per-member scalars are
+    read once, here: members are final (their bounds measured) when the
+    set is made.
     """
 
     def __init__(self, members: "list[TrainedModel]") -> None:
         self.members = list(members)
-        self.key_lo = np.array([m.key_lo for m in self.members])
-        self.span = np.array([m.key_hi - m.key_lo for m in self.members])
         self.n_indexed = np.array([m.n_indexed for m in self.members], dtype=np.int64)
         self.err_l = np.array([m.err_l for m in self.members], dtype=np.int64)
         self.err_u = np.array([m.err_u for m in self.members], dtype=np.int64)
@@ -63,28 +63,19 @@ class ModelSet:
         ``lo`` in ``[0, n - 1]``, ``hi`` in ``[1, n]``."""
         keys = np.asarray(keys, dtype=np.float64)
         member_idx = np.asarray(member_idx, dtype=np.int64)
-        # Group the batch by member: each member's keys become one
-        # contiguous slice, in batch order.
-        order = argsort_ids(member_idx, len(self.members))
-        counts = np.bincount(member_idx, minlength=len(self.members))
-        visited = np.flatnonzero(counts)
-        stops = np.cumsum(counts)[visited]
-        m = member_idx.take(order)
-        x = normalise_keys(keys.take(order), self.key_lo[m], self.span[m])[:, None]
         raw = np.empty(len(keys))
-        for i, count, stop in zip(
-            visited.tolist(), counts[visited].tolist(), stops.tolist()
-        ):
+        for i, rows in group_by(member_idx, len(self.members)):
             member = self.members[i]
-            member.invocations += count
-            raw[stop - count : stop] = member.net.predict(x[stop - count : stop])
-        n = self.n_indexed[m]
-        lo = np.empty(len(keys), dtype=np.int64)
-        hi = np.empty(len(keys), dtype=np.int64)
-        lo[order], hi[order] = scan_ranges(
-            predicted_positions(raw, n), n, self.err_l[m], self.err_u[m]
+            mine = keys[rows]
+            member.invocations += len(mine)
+            raw[rows] = member.net.predict(member.normalise(mine)[:, None])
+        n = self.n_indexed.take(member_idx)
+        return scan_ranges(
+            predicted_positions(raw, n),
+            n,
+            self.err_l.take(member_idx),
+            self.err_u.take(member_idx),
         )
-        return lo, hi
 
 
 class RMIModel:
@@ -216,11 +207,11 @@ class RMIModel:
         return rmi
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
-        """Stage-2 branch per key, from the stage-1 position prediction."""
+        """Stage-2 branch per key, from the stage-1 position prediction
+        (positions are never negative, so only the top needs a bound)."""
         assert self.stage1 is not None
         pos = self.stage1.predict_positions(keys)
-        branch = (pos * self.branching) // max(self.n, 1)
-        return np.clip(branch, 0, self.branching - 1)
+        return np.minimum((pos * self.branching) // max(self.n, 1), self.branching - 1)
 
     # ------------------------------------------------------------------
     @property

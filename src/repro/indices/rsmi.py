@@ -259,10 +259,10 @@ class RSMIIndex(LearnedSpatialIndex):
         return next_frontier
 
     def _route(self, model: TrainedModel, keys: np.ndarray, n: int) -> np.ndarray:
-        """Child assignment: the model's predicted rank, bucketed by fanout."""
+        """Child assignment: the model's predicted rank, bucketed by fanout
+        (positions are never negative, so only the top needs a bound)."""
         pos = model.predict_positions(keys)
-        branch = (pos * self.fanout) // max(n, 1)
-        return np.clip(branch, 0, self.fanout - 1)
+        return np.minimum((pos * self.fanout) // max(n, 1), self.fanout - 1)
 
     # ------------------------------------------------------------------
     # Built-in insertion (the Figure 1 mechanism)

@@ -45,12 +45,14 @@ class KeyedRun:
         """Predicted ranges as scanned: widened by the insert count, grown
         to whole pages and clamped to the store — inserts near rank 0 would
         otherwise push ``lo`` negative, harmless for the scan, wrong for
-        the accounting."""
-        lo, hi = lo - self.inserts, hi + self.inserts
+        the accounting.  With no inserts a predicted range is in the store
+        already, and only pages can push ``hi`` past its end."""
+        if self.inserts:
+            lo, hi = np.maximum(lo - self.inserts, 0), hi + self.inserts
         if self.page > 1:
             lo = (lo // self.page) * self.page
             hi = -(-hi // self.page) * self.page
-        return np.maximum(lo, 0), np.minimum(hi, len(self.store))
+        return lo, np.minimum(hi, len(self.store))
 
     def point_lookup(
         self, index_name: str, keys: np.ndarray, points: np.ndarray, atol: float = 0.0

@@ -25,12 +25,14 @@ replace both with single-pass vectorised refinement over the whole batch:
 
 Results are exactly what scanning and testing each query's range on its own
 produces: the same predicates over the same candidate sets, with false
-candidates removed by the exact coordinate checks.  A batch of
-one — which is what every per-query call is — takes that literal form: one
-``store.scan`` and one predicate.
+candidates removed by the exact coordinate checks.  A batch of one — what
+every per-query call is — is one ``store.scan``, a binary search of its
+keys and the predicate on the rows it finds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -177,16 +179,19 @@ def sorted_point_membership(
     b = len(query_keys)
     out = np.zeros(b, dtype=bool)
     # Edge cases: an empty batch has nothing to do, and a batch of one —
-    # every per-query call — is plain predict-and-scan (one store.scan,
-    # which clips the range itself; no range merging or flattened-run
-    # bookkeeping).
+    # every per-query call — is one store.scan (it clips and charges), then
+    # the predicate on the rows keyed within 2 * atol, found by binary
+    # search: a superset of ``|key - q| <= atol`` however the two round.
     if n == 0 or b == 0:
         return out
     if b == 1:
         pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
-        if len(pts):
-            match = np.abs(keys - float(query_keys[0])) <= atol
-            out[0] = (match & (pts == query_points[0]).all(axis=1)).any()
+        key = float(query_keys[0])
+        first, stop = keys.searchsorted((key - 2 * atol, math.nextafter(key + 2 * atol, math.inf)))
+        if first < stop:
+            match = np.abs(keys[first:stop] - key) <= atol
+            match &= (pts[first:stop] == query_points[0]).all(axis=1)
+            out[0] = match.any()
         return out
     # Charge block reads once per merged group — same accounting as the old
     # per-group store.scan loop, with no slice materialisation.

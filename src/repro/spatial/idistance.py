@@ -11,6 +11,7 @@ one-dimensional interval scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,10 @@ class IDistanceMapping:
         stretch = max(diameter * 2.0, 1e-9)
         return IDistanceMapping(references=result.centroids, stretch=stretch)
 
+    @cached_property
+    def _r_norm(self) -> np.ndarray:  # each reference's squared norm
+        return np.einsum("ij,ij->i", self.references, self.references)
+
     @property
     def n_references(self) -> int:
         return len(self.references)
@@ -62,17 +67,16 @@ class IDistanceMapping:
     def nearest_reference(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(partition id, distance to it) per point."""
         pts = np.asarray(points)
-        if not np.issubdtype(pts.dtype, np.floating):
+        if pts.dtype.kind != "f":
             pts = pts.astype(np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
         # Blockwise distance computation to bound memory.
         ids = np.empty(len(pts), dtype=np.int64)
         dists = np.empty(len(pts), dtype=np.result_type(pts, self.references))
-        r_norm = np.einsum("ij,ij->i", self.references, self.references)
         for start in range(0, len(pts), 8192):
             chunk = pts[start : start + 8192]
-            scores = chunk @ self.references.T * -2.0 + r_norm
+            scores = chunk @ self.references.T * -2.0 + self._r_norm
             best = np.argmin(scores, axis=1)
             ids[start : start + 8192] = best
             diff = chunk - self.references[best]

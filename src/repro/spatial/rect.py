@@ -87,6 +87,11 @@ class Rect:
     def extents(self) -> np.ndarray:
         return self.hi_array - self.lo_array
 
+    @cached_property
+    def unit_scale(self) -> np.ndarray:
+        """The extents, 1 on a degenerate axis: maps the box onto the unit cube."""
+        return np.where(self.extents == 0.0, 1.0, self.extents)
+
     def area(self) -> float:
         """Volume of the box (area when d = 2)."""
         return float(np.prod(self.extents))

@@ -40,29 +40,48 @@ def _check_args(d: int, bits: int) -> None:
 
 @lru_cache(maxsize=None)
 def _spread_table(d: int) -> np.ndarray:
-    """``table[v]``: the 8 bits of byte ``v`` moved to positions 0, d, 2d, ...
+    """``table[v]``: the 16 bits of ``v`` moved to positions 0, d, 2d, ...
 
-    One read-only 256-entry table per dimensionality (d <= 63, so the cache
-    is bounded).  Bits pushed past position 63 are dropped: they belong to
-    byte values no coordinate below ``2**bits`` with ``d * bits <= 63`` has.
+    One read-only 65 536-entry table (512 KiB) per dimensionality, built
+    on first use from the spread of each byte, with no temporary of its
+    size.  Bits pushed past position 63 are dropped: they belong to values
+    no coordinate below ``2**bits`` with ``d * bits <= 63`` has.
     """
-    table = np.array(
-        [
-            sum(((v >> i) & 1) << (i * d) for i in range(8)) & (2**64 - 1)
-            for v in range(256)
-        ],
+    byte = np.array(
+        [sum(((v >> i) & 1) << (i * d) for i in range(8)) % 2**64 for v in range(256)],
         dtype=np.uint64,
     )
+    table = np.bitwise_or.outer(byte << np.uint64(8 * d), byte).ravel()
     table.flags.writeable = False
     return table
+
+
+def _interleave(cells: np.ndarray, bits: int) -> np.ndarray:
+    """Morton codes of integer grid cells already in ``[0, 2**bits)``, each
+    coordinate spread 16 bits at a time through :func:`_spread_table` (in
+    2-D at ``bits <= 16``: two gathers, one shift, one OR).  No range
+    check: a cell off the grid would wrap, a negative one from the end."""
+    d = cells.shape[1]
+    table = _spread_table(d)
+    codes = None
+    for j in range((bits + 15) // 16):
+        for dim in range(d):
+            chunk = cells[:, dim] >> 16 * j if j else cells[:, dim]
+            part = table[chunk & 0xFFFF if 16 * (j + 1) < bits else chunk]
+            if codes is None:
+                codes = part
+            else:
+                part <<= np.uint64(16 * j * d + dim)
+                codes |= part
+    return codes
 
 
 def morton_encode(coords: np.ndarray, bits: int = 16) -> np.ndarray:
     """Interleave integer grid coordinates into Morton codes.
 
-    Each coordinate is spread one byte at a time through a 256-entry
+    Each coordinate is spread 16 bits at a time through a 65 536-entry
     table (:func:`_spread_table`), so the work is one gather, one shift and
-    one OR per byte per dimension whatever ``bits`` is.
+    one OR per 16-bit chunk per dimension.
 
     Parameters
     ----------
@@ -86,18 +105,7 @@ def morton_encode(coords: np.ndarray, bits: int = 16) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     if arr.min() < 0 or arr.max() >= 2**bits:
         raise ValueError(f"coordinates must lie in [0, 2**{bits})")
-    table = _spread_table(d)
-    # Little-endian bytes: octets[:, dim, j] is bits 8j .. 8j+7 of a coordinate.
-    # C order whatever the input's layout (F-ordered, transposed, strided):
-    # the byte view needs a contiguous last axis.
-    octets = arr.astype("<u8", order="C").view(np.uint8).reshape(n, d, 8)
-    codes = np.zeros(n, dtype=np.uint64)
-    for j in range((bits + 7) // 8):
-        for dim in range(d):
-            part = table[octets[:, dim, j]]
-            part <<= np.uint64(8 * j * d + dim)
-            codes |= part
-    return codes
+    return _interleave(arr.astype(np.int64, copy=False), bits)
 
 
 @lru_cache(maxsize=None)
@@ -175,13 +183,18 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
         raise ValueError(
             f"points are {pts.shape[1]}-D but bounds are {bounds.ndim}-D"
         )
-    extent = bounds.extents
-    extent[extent == 0.0] = 1.0  # degenerate axis: everything maps to cell 0
-    scaled = (pts - bounds.lo_array) / extent
+    # A degenerate axis has scale 1: everything maps to cell 0.
+    scaled = (pts - bounds.lo_array) / bounds.unit_scale
     cells = np.fmin(np.fmax(np.floor(scaled * (2**bits)), 0.0), 2**bits - 1)
     return cells.astype(np.int64)
 
 
 def zvalues(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.ndarray:
-    """Morton codes of continuous points: scale to the grid, then interleave."""
-    return morton_encode(grid_coordinates(points, bounds, bits), bits=bits)
+    """Morton codes of continuous points: scale to the grid, then
+    interleave, unchecked where :func:`grid_coordinates` clamps every cell
+    into the grid (the top cell ``2**bits - 1`` is a float to 53 bits)."""
+    cells = grid_coordinates(points, bounds, bits)
+    if bits > 53:
+        return morton_encode(cells, bits=bits)
+    _check_args(cells.shape[1], bits)
+    return _interleave(cells, bits)

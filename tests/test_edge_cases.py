@@ -12,7 +12,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
-from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.spatial.rect import Rect
 
 
@@ -56,6 +56,81 @@ class TestDegenerateData:
         window = Rect((0.2, 0.2), (0.4, 0.4))
         truth = pts[window.contains_points(pts)]
         assert len(index.window_query(window)) == len(truth)
+
+
+@pytest.fixture(scope="module")
+def built_2d():
+    """All five indices over one 3 000-point OSM1 sample (2-D)."""
+    pts = load_dataset("OSM1", 3_000, seed=0)
+    builder = ELSIModelBuilder(ELSIConfig(train_epochs=40), method="SP")
+    indices = (ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex)
+    return pts, {cls.name: cls(builder=builder).build(pts) for cls in indices}
+
+
+def _reshaped(points: np.ndarray, d: int) -> np.ndarray:
+    """``points`` cut down to their first coordinate (d = 1) or given a
+    third one, 7.0 (d = 3)."""
+    if d == 1:
+        return points[:, :1]
+    return np.column_stack([points, np.full(len(points), 7.0)])
+
+
+class TestWrongDimensionalInputs:
+    """A probe, window corner or kNN query of the wrong dimensionality is a
+    ``ValueError`` naming both shapes, at the three entry points every query
+    passes — never a silent answer (Flood's points of three coordinates were
+    all found, ML-Index answered kNN for a 1-D query, LISA answered a 1-D
+    point) or an ``IndexError`` from deep inside a kernel."""
+
+    NAMES = ["ZM", "ML", "RSMI", "LISA", "Flood"]
+    SHAPE = r"must have shape \(b, 2\), got \({}, {}\)"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_points(self, built_2d, name, d):
+        pts, indices = built_2d
+        index, bad = indices[name], _reshaped(pts[:400], d)
+        with pytest.raises(ValueError, match=self.SHAPE.format(1, d)):
+            index.point_query(bad[0])
+        with pytest.raises(ValueError, match=self.SHAPE.format(400, d)):
+            index.point_queries(bad)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_windows(self, built_2d, name, d):
+        pts, indices = built_2d
+        index = indices[name]
+        lo, hi = _reshaped(pts[:50] - 0.01, d), _reshaped(pts[:50] + 0.01, d)
+        with pytest.raises(ValueError, match=self.SHAPE.format(1, d)):
+            index.window_query(Rect.from_arrays(lo[0], hi[0]))
+        with pytest.raises(ValueError, match=self.SHAPE.format(50, d)):
+            index.window_queries([Rect.from_arrays(a, b) for a, b in zip(lo, hi)])
+        with pytest.raises(ValueError, match=self.SHAPE.format(50, d)):
+            index.window_rows(lo, hi)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_knn(self, built_2d, name, d):
+        pts, indices = built_2d
+        index, bad = indices[name], _reshaped(pts[:40], d)
+        with pytest.raises(ValueError, match=self.SHAPE.format(1, d)):
+            index.knn_query(bad[0], 3)
+        with pytest.raises(ValueError, match=self.SHAPE.format(40, d)):
+            index.knn_queries(bad, 3)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_right_shapes_still_answer(self, built_2d, name):
+        """The check takes the shapes every caller passes: a ``(d,)`` row,
+        ``(b, d)`` batches and empty ``(0, d)`` ones."""
+        pts, indices = built_2d
+        index = indices[name]
+        assert index.point_query(pts[0])
+        assert index.point_queries(pts[:5]).all()
+        assert index.point_queries(np.empty((0, 2))).shape == (0,)
+        rows, counts = index.window_rows(np.empty((0, 2)), np.empty((0, 2)))
+        assert rows.shape == (0, 2) and counts.shape == (0,)
+        assert index.knn_queries(np.empty((0, 2)), 3) == []
+        assert len(index.knn_query(pts[0], 3)) == 3
 
 
 class TestQueryBoundaries:

@@ -11,6 +11,13 @@ Both must give every answer, the ``QueryStats`` triple, every store's
 block reads, every model's ``invocations`` and the predicted-range-width
 histogram alike, for all five indices, batch sizes either side of the
 forward pass's chunk, duplicate probes and misses.
+
+A batch of one takes the membership kernel's binary search inside the
+scanned slice; its oracle is the full-slice scan it replaced — every
+scanned row tested with ``|key - q| <= atol`` and its coordinates — on
+the probes where the two could part: distinct points sharing one key,
+ML-Index keys within ``KEY_ATOL`` of a stored key, non-finite probes and
+runs widened by native inserts.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from repro.indices.base import TrainedModel, scan_ranges
 from repro.indices.rmi import RMIModel
 from repro.obs.metrics import get_registry
 from repro.obs.query_obs import record_range_widths
-from repro.perf.batching import batch_point_membership
+from repro.perf.batching import batch_point_membership, sorted_point_membership
+from repro.storage.blocks import BlockStore
 
 N = 6_000
 SIZES = (1, 2, 4095, 4096, 4097, 65_536)
@@ -84,6 +92,20 @@ def oracle_rmi_ranges(rmi: RMIModel, keys: np.ndarray):
     return lo, hi
 
 
+def oracle_membership(store, lo, hi, keys, pts, atol) -> np.ndarray:
+    """A batch of one as the full-slice scan: one ``store.scan``, then every
+    scanned row's key and coordinates tested; larger batches through the
+    unsorted kernel wrapper."""
+    if len(keys) != 1:
+        return batch_point_membership(store, lo, hi, keys, pts, atol)
+    rows, row_keys, _ids = store.scan(int(lo[0]), int(hi[0]))
+    found = np.zeros(1, dtype=bool)
+    if len(rows):
+        match = np.abs(row_keys - float(keys[0])) <= atol
+        found[0] = (match & (rows == pts[0]).all(axis=1)).any()
+    return found
+
+
 def oracle_point_queries(index, pts: np.ndarray) -> np.ndarray:
     """``point_queries`` with the unsorted lookup in each visited run."""
     runs, run, keys = index.point_plan(pts)
@@ -98,8 +120,8 @@ def oracle_point_queries(index, pts: np.ndarray) -> np.ndarray:
             ranges = oracle_model_ranges(keyed.model, keys[rows])
         lo, hi = keyed.scan_bounds(*ranges)
         record_range_widths(index.name, lo, hi)
-        found[rows] = batch_point_membership(
-            keyed.store, lo, hi, keys[rows], pts[rows], atol=index.KEY_ATOL
+        found[rows] = oracle_membership(
+            keyed.store, lo, hi, keys[rows], pts[rows], index.KEY_ATOL
         )
         index.query_stats.model_invocations += len(rows)
         index.query_stats.points_scanned += int(np.maximum(hi - lo, 0).sum())
@@ -211,3 +233,123 @@ def test_rmi_ranges_equal_the_mask_split(built, name):
             out.append([a.tolist() for a in ranges(keys_in)])
             out.append([m.invocations - b for m, b in zip(rmi.models, before)])
         assert got == want
+
+
+# ----------------------------------------------------------------------
+# A batch of one: the binary search against the full-slice scan
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def twinned(data):
+    """Every index over the data plus twins of 400 points moved 1e-9 along
+    x: ZM and RSMI store the twins under their originals' Morton codes,
+    Flood under their y keys."""
+    twins = data[:400] + [1e-9, 0.0]
+    points = np.concatenate([data, twins])
+    builder = ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP")
+    return {
+        name: cls(builder=builder, **kwargs).build(points)
+        for name, (cls, kwargs) in CASES.items()
+    }
+
+
+def _one_at_a_time(index, probes) -> None:
+    for p in probes:
+        new = _effects(index, index.point_queries, p[None, :])
+        old = _effects(index, partial(oracle_point_queries, index), p[None, :])
+        assert new == old, p
+
+
+def _edge_probes(data: np.ndarray) -> np.ndarray:
+    """Stored points and their twins (both stored), points sharing a key
+    with a stored one but not stored, ML-Index probes within ``KEY_ATOL`` of
+    a stored key, and non-finite probes."""
+    nan, inf = np.nan, np.inf
+    return np.concatenate([
+        data[:60],  # stored, each with a stored twin under the same key
+        data[:60] + [1e-9, 0.0],  # the twins
+        data[:60] + [-1e-9, 0.0],  # same key, not stored
+        data[500:560] + [1e-13, 0.0],  # iDistance key within 1e-12, not stored
+        data[600:640] + [0.0, -1e-13],
+        [[nan, 0.5], [0.5, nan], [nan, nan], [inf, 0.5], [0.5, -inf],
+         [-inf, -inf], [inf, nan], [1e300, 0.5], [-1e300, -1e300]],
+    ])
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_batch_of_one_equals_the_full_slice_scan(twinned, data, tracer, name):
+    index = twinned[name]
+    probes = _edge_probes(data)
+    if name in ("ZM", "RSMI", "Flood"):  # the twins really share keys
+        assert (index.map(probes[:60]) == index.map(probes[60:120])).sum() > 50
+    with np.errstate(invalid="ignore", over="ignore"):
+        _one_at_a_time(index, probes)
+
+
+def test_keys_within_the_tolerance_of_a_stored_key(built):
+    """The kernel alone, one probe at a time, on ML-Index's store: stored
+    keys moved by every offset around ``atol`` and ``2 * atol`` (where the
+    rounding of ``q -+ atol`` and of ``|key - q|`` can disagree), with the
+    row's own coordinates and a neighbour's, against the full-slice scan:
+    answers and block reads alike."""
+    index = built["ML"]
+    store, atol = index.run.store, index.KEY_ATOL
+    offsets = [0.0]
+    for step in (atol / 2, atol, 2 * atol, 3 * atol):
+        for scale in (1 - 1e-3, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 1e-3):
+            offsets += [step * scale, -step * scale]
+    rng = np.random.default_rng(4)
+    for i in rng.choice(len(store) - 1, 80, replace=False).tolist():
+        lo, hi = np.array([max(i - 7, 0)]), np.array([i + 9])
+        for offset in offsets:
+            key = np.array([store.keys[i] + offset])
+            for row in (i, i + 1):
+                point = store.points[row : row + 1]
+                store.reset_block_reads()
+                got = sorted_point_membership(store, lo, hi, key, point, atol)
+                got_reads = store.block_reads
+                store.reset_block_reads()
+                want = oracle_membership(store, lo, hi, key, point, atol)
+                assert (got.tolist(), got_reads) == (want.tolist(), store.block_reads)
+    for key in (np.nan, np.inf, -np.inf):
+        point = store.points[:1]
+        for tol in (0.0, atol):
+            got = sorted_point_membership(store, [0], [len(store)], [key], point, tol)
+            want = oracle_membership(store, [0], [len(store)], [key], point, tol)
+            assert got.tolist() == want.tolist() == [False]
+
+
+def test_tolerance_edges_of_keys_near_zero():
+    """Keys within a few ``atol`` of zero, where ``|key - q|`` and ``q -+
+    atol`` round on different scales: ``q -+ atol`` alone would miss rows
+    the predicate accepts, and the kernel's ``2 * atol`` margin must not."""
+    atol = MLIndex.KEY_ATOL
+    rng = np.random.default_rng(8)
+    keys = np.sort(rng.uniform(-5e-15, 5e-15, 40))
+    store = BlockStore(np.column_stack([keys, keys]), keys)
+    keys = store.keys
+    for i in range(len(store)):
+        point = store.points[i : i + 1]
+        for offset in (atol, -atol):
+            for step in range(-3, 4):  # q = key + offset, moved by 0-3 ulps
+                probe = keys[i] + offset
+                for _ in range(abs(step)):
+                    probe = np.nextafter(probe, np.inf if step > 0 else -np.inf)
+                got = sorted_point_membership(store, [0], [len(store)], [probe], point, atol)
+                want = oracle_membership(store, [0], [len(store)], [probe], point, atol)
+                assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", ["ZM", "ML", "LISA", "RSMI"])
+def test_batch_of_one_after_native_inserts(data, tracer, name):
+    """Runs widened by native inserts (``inserts > 0``): inserted points,
+    stored points and misses, one at a time."""
+    cls, kwargs = CASES[name]
+    builder = ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP")
+    index = cls(builder=builder, **kwargs).build(data[:3_000])
+    rng = np.random.default_rng(6)
+    inserted = np.concatenate([data[3_000:3_040], data[:10] + [2e-9, 0.0]])
+    for p in inserted:
+        index.insert(p)
+    assert sum(run.inserts for run in index.runs()) > 0
+    probes = np.concatenate([inserted, data[rng.integers(0, 3_000, 40)], rng.random((20, 2))])
+    _one_at_a_time(index, probes)

@@ -1,6 +1,7 @@
 """Unit tests for Morton (Z-order) codes."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,29 @@ def _bit_loop_encode(coords: np.ndarray, bits: int) -> np.ndarray:
     return codes
 
 
+def _byte_table_encode(coords: np.ndarray, bits: int) -> np.ndarray:
+    """The encoder before the 16-bit table, kept as the oracle: each
+    coordinate spread one byte at a time through a 256-entry table, in C
+    order whatever the input's layout."""
+    arr = np.asarray(coords)
+    n, d = arr.shape
+    table = np.array(
+        [
+            sum(((v >> i) & 1) << (i * d) for i in range(8)) & (2**64 - 1)
+            for v in range(256)
+        ],
+        dtype=np.uint64,
+    )
+    octets = arr.astype("<u8", order="C").view(np.uint8).reshape(n, d, 8)
+    codes = np.zeros(n, dtype=np.uint64)
+    for j in range((bits + 7) // 8):
+        for dim in range(d):
+            part = table[octets[:, dim, j]]
+            part <<= np.uint64(8 * j * d + dim)
+            codes |= part
+    return codes
+
+
 @st.composite
 def _grids(draw):
     """(coords, bits) for d in 1..5 and any bits with d * bits <= 63;
@@ -104,13 +128,18 @@ class TestTableDrivenEncode:
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_every_bit_width_at_the_grid_corners(self, d):
-        # Every bits (not only multiples of 8) with d * bits <= 63.
+        # Every bits (not only multiples of 8 or 16) with d * bits <= 63,
+        # against the bit loop and the byte-table encoder.
+        rng = np.random.default_rng(d)
         for bits in range(1, 63 // d + 1):
             top = 2**bits - 1
-            coords = np.array(list(itertools.product((0, 1, top // 2, top), repeat=d)))
-            np.testing.assert_array_equal(
-                morton_encode(coords, bits=bits), _bit_loop_encode(coords, bits)
-            )
+            coords = np.concatenate([
+                np.array(list(itertools.product((0, 1, top // 2, top), repeat=d))),
+                rng.integers(0, top, (32, d), endpoint=True),
+            ])
+            codes = morton_encode(coords, bits=bits)
+            np.testing.assert_array_equal(codes, _bit_loop_encode(coords, bits))
+            np.testing.assert_array_equal(codes, _byte_table_encode(coords, bits))
 
     def test_unsigned_and_small_integer_inputs(self):
         coords = np.array([[255, 0], [7, 200]], dtype=np.uint8)
@@ -153,8 +182,15 @@ class TestTableDrivenEncode:
     def test_range_and_shape_errors(self, d, data):
         bits = data.draw(st.integers(1, 63 // d))
         good = np.zeros((2, d), dtype=np.int64)
-        # 2**63 (d = 1, bits = 63) only fits an unsigned array.
-        for bad_cell, dtype in ((-1, np.int64), (2**bits, np.uint64)):
+        # 2**63 (d = 1, bits = 63) only fits an unsigned array.  The 16-bit
+        # table would wrap a negative cell round to its end and mask the
+        # high bits off one past the grid: refused, not encoded.
+        for bad_cell, dtype in (
+            (-1, np.int64),
+            (-(2**16), np.int64),
+            (2**bits, np.uint64),
+            (2**bits + 2**16, np.uint64),
+        ):
             bad = good.astype(dtype)
             bad[1, d - 1] = bad_cell
             with pytest.raises(ValueError, match="must lie in"):
@@ -165,6 +201,78 @@ class TestTableDrivenEncode:
             morton_encode(good, bits=63 // d + 1)
         with pytest.raises(ValueError, match="bits must be"):
             morton_encode(good, bits=0)
+
+
+_INT_TYPES = (
+    np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64
+)
+
+
+@st.composite
+def _encoder_inputs(draw):
+    """(coords, bits, layout): d in 1..5, any ``bits`` with ``d * bits <=
+    63`` (above 16 the 16-bit table takes several chunks), any integer
+    dtype that holds the cells, values at the chunk edges (2**k - 1, 2**k)
+    drawn often, and the array laid out C-ordered, F-ordered or strided."""
+    d = draw(st.integers(1, 5))
+    bits = draw(st.integers(1, 63 // d))
+    dtype = draw(st.sampled_from([t for t in _INT_TYPES if np.iinfo(t).max >= 2**bits - 1]))
+    top = 2**bits - 1
+    edge = st.integers(0, bits).flatmap(
+        lambda k: st.sampled_from([max(2**k - 1, 0), min(2**k, top)])
+    )
+    cell = st.one_of(st.integers(0, top), edge)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=30))
+    coords = np.array(rows, dtype=dtype)
+    layout = draw(st.sampled_from(["C", "F", "columns", "rows"]))
+    if layout == "F":
+        coords = np.asfortranarray(coords)
+    elif layout == "columns":
+        coords = np.repeat(coords, 2, axis=1)[:, ::2]
+    elif layout == "rows":
+        coords = np.repeat(coords, 3, axis=0)[1::3]
+    return coords, bits
+
+
+class TestSixteenBitTable:
+    """The 16-bit spread table against the byte-table encoder it replaced."""
+
+    @given(_encoder_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_byte_table_encoder(self, inputs):
+        coords, bits = inputs
+        codes = morton_encode(coords, bits=bits)
+        assert codes.dtype == np.uint64
+        np.testing.assert_array_equal(codes, _byte_table_encode(coords, bits))
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_zvalues_is_the_checked_encode_of_the_grid(self, d, data):
+        """``zvalues`` skips the range check where ``grid_coordinates``
+        makes it redundant: points inside, outside, on a degenerate axis,
+        huge and non-finite all get the code the checked path gives, or
+        its error (past 53 bits the float clamp can hit ``2**bits``)."""
+        bits = data.draw(st.integers(1, 63 // d))
+        lo = data.draw(st.lists(st.floats(-5, 5), min_size=d, max_size=d))
+        extent = data.draw(
+            st.lists(st.sampled_from([0.0, 1e-6, 1.0, 3.5]), min_size=d, max_size=d)
+        )
+        bounds = Rect(tuple(lo), tuple(a + e for a, e in zip(lo, extent)))
+        coord = st.one_of(
+            st.floats(-10, 10),
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300]),
+        )
+        rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=20))
+        points = np.array(rows, dtype=np.float64).reshape(-1, d)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cells = grid_coordinates(points, bounds, bits)
+            try:
+                want = morton_encode(cells, bits=bits)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    zvalues(points, bounds, bits)
+            else:
+                np.testing.assert_array_equal(zvalues(points, bounds, bits), want)
 
 
 @st.composite
