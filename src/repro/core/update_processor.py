@@ -440,15 +440,21 @@ class UpdateProcessor:
 def _stored_copies(index: LearnedSpatialIndex, point: np.ndarray) -> int:
     """How many rows of ``index`` equal ``point`` exactly.  Copies share
     one key, so they sit together in the run the index's point plan names:
-    the rows under that key (within ``KEY_ATOL``), whatever the model's
-    bounds — exact for every index, RSMI included."""
+    the rows under that key, whatever the model's bounds — exact for every
+    index, RSMI included.  "Under that key" is the membership kernel's
+    predicate: keyed within ``2 * KEY_ATOL``, then ``|key - q| <= KEY_ATOL``
+    (:func:`~repro.perf.batching.sorted_point_membership`)."""
     runs, run, keys = index.point_plan(point[None, :])
     if run[0] < 0:
         return 0
     store = runs[int(run[0])].store
-    lo = np.searchsorted(store.keys, keys[0] - index.KEY_ATOL, side="left")
-    hi = np.searchsorted(store.keys, keys[0] + index.KEY_ATOL, side="right")
-    return int((store.points[lo:hi] == point).all(axis=1).sum())
+    key, atol = keys[0], index.KEY_ATOL
+    lo = np.searchsorted(store.keys, key - 2 * atol, side="left")
+    hi = np.searchsorted(store.keys, key + 2 * atol, side="right")
+    match = (store.points[lo:hi] == point).all(axis=1)
+    if atol:
+        match &= np.abs(store.keys[lo:hi] - key) <= atol
+    return int(match.sum())
 
 
 def train_rebuild_predictor(

@@ -32,7 +32,7 @@ from repro.ml.pla import PiecewiseLinearModel
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
-from repro.perf.batching import batch_window_refine, flat_window_refine
+from repro.perf.batching import batch_window_refine, flat_window_refine, merge_ranges
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -204,15 +204,18 @@ class TrainedModel:
         return normalise_keys(keys, self.key_lo, self.key_hi - self.key_lo)
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
-        """Predicted positions without invocation accounting (pure)."""
+        """Predicted positions of float64 ``keys`` without invocation
+        accounting (pure)."""
         if self.n_indexed == 0:
             return np.zeros(len(keys), dtype=np.int64)
-        raw = self.net.predict(self.normalise(keys)[:, None])
-        return predicted_positions(raw, self.n_indexed)
+        x = normalise_keys(keys, self.key_lo, self.key_hi - self.key_lo)
+        return predicted_positions(self.net.predict(x[:, None]), self.n_indexed)
 
     def predict_positions(self, keys: np.ndarray) -> np.ndarray:
         """Predicted sorted positions (clipped to [0, n-1]) for ``keys``."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.float64))
+        keys = np.asarray(keys, dtype=np.float64)
+        if keys.ndim == 0:
+            keys = keys[None]
         self.invocations += len(keys)
         return self._positions(keys)
 
@@ -461,7 +464,7 @@ def rank_by_owner(owner: np.ndarray, dist: np.ndarray, owners: int) -> np.ndarra
     scan order.  A stable float ``argsort`` is timsort, several times the cost
     of both passes (docs/performance.md); one owner takes it alone."""
     if owners <= 1:
-        return np.argsort(dist, kind="stable")
+        return dist.argsort(kind="stable")
     order = np.argsort(dist)
     order = order.take(argsort_ids(owner.take(order), owners))
     own, ranked = owner.take(order), dist.take(order)
@@ -488,7 +491,7 @@ class LearnedSpatialIndex(ABC):
     of which :class:`~repro.indices.run.KeyedRun` hold the answer.  The
     scan is written once, here: :meth:`point_queries` and
     :meth:`window_queries` / :meth:`window_rows` execute any plan, and
-    :meth:`knn_queries` runs over window plans (:meth:`window_rows`).  The
+    :meth:`knn_queries` runs over window plans (:meth:`_window_rows`).  The
     per-query spellings of the paper's API are batches of one, so an index
     has a single query path and "batch == scalar" holds by construction.
     ``build_stats`` and ``query_stats`` expose the cost counters every
@@ -734,6 +737,14 @@ class LearnedSpatialIndex(ABC):
             raise ValueError(f"{w} low corners but {len(win_hi)} high corners")
         if w == 0:
             return np.empty((0, self.bounds.ndim)), np.zeros(0, dtype=np.int64)
+        return self._window_rows(win_lo, win_hi)
+
+    def _window_rows(
+        self, win_lo: np.ndarray, win_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`window_rows` of corner arrays that are already a checked,
+        non-empty ``(w, d)`` float64 pair (the kNN rounds build their own)."""
+        w = len(win_lo)
         with _span("query.window_batch", index=self.name, windows=w):
             runs, run, lo, hi, owner = self._charged_plan(win_lo, win_hi)
             with _span("query.refine", index=self.name, queries=w):
@@ -785,13 +796,52 @@ class LearnedSpatialIndex(ABC):
         """Side of each query's first kNN window: the cube expected to hold
         k points at the global density ``n / area``.  An index with one
         key-sorted store reads a tighter side off the query's key-order
-        neighbours (:class:`~repro.indices.mapsort.MapAndSortIndex`)."""
+        neighbours (:class:`~repro.indices.mapsort.MapAndSortIndex`), and
+        RSMI off its neighbours in the leaf a lookup of it visits
+        (:meth:`_store_seed_sides`)."""
         assert self.bounds is not None
         volume = self.bounds.area()
         density = self.n_points / volume if volume > 0 else self.n_points
         return np.full(
             len(pts), (k / max(density, 1e-12)) ** (1.0 / self.bounds.ndim)
         )
+
+    def _store_seed_sides(
+        self, store, pts: np.ndarray, keys: np.ndarray, k: int
+    ) -> np.ndarray:
+        """First kNN window sides for queries keyed ``keys`` in the
+        key-sorted ``store``, from their neighbours in key order.
+
+        The ``m = min(2k, len(store))`` rows around each key's rank are
+        indexed points, so with ``len(store) >= k``, or the store holding
+        every point, the k-th smallest of their distances bounds the true
+        k-th distance from above: the window of that half-side holds the
+        whole answer.  The rows are charged to ``points_scanned`` and to
+        the store's block reads.
+        """
+        n = len(store)
+        m = min(2 * k, n)
+        rank = store.keys.searchsorted(keys)
+        lo = np.minimum(np.maximum(rank - k, 0), n - m)
+        if len(pts) == 1:
+            # A batch of one (every per-query call) is one contiguous
+            # scan, as in the batching kernels: no merge machinery.
+            near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
+        else:
+            rows = (lo[:, None] + np.arange(m)).ravel()
+            near = store.points.take(rows, axis=0).reshape(len(pts), m, -1)
+            store.charge_block_reads(*merge_ranges(lo, lo + m))
+        self.query_stats.points_scanned += len(pts) * m
+        diff = near - pts[:, None, :]
+        dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+        kth = min(k, m) - 1
+        dist.partition(kth, axis=1)
+        radius = dist[:, kth]
+        # A few ulps of slack at the coordinates' scale: rounding, in the
+        # distances or in ``q -+ radius``, must not put the neighbour that
+        # set the radius outside its own window.
+        radius += (np.maximum.reduce(np.abs(pts), axis=1) + radius) * 2.0**-50
+        return 2.0 * radius
 
     def _knn_rounds(self, pts: np.ndarray, k: int) -> list[np.ndarray]:
         """kNN via growing window queries (the paper's learned-index
@@ -808,58 +858,62 @@ class LearnedSpatialIndex(ABC):
         One loop over *expansion rounds* is shared by the whole batch: each
         round plans the active queries' windows straight from their corner
         arrays, ``centre -+ side / 2``, and refines them in one pass
-        (:meth:`window_rows`: window plans, with no :class:`Rect` per
-        query and no :meth:`window_queries` call), ranks every candidate
+        (:meth:`_window_rows`: the charged window plan and its refinement,
+        with no :class:`Rect` per query and no re-check of the corners it
+        built), ranks every candidate
         in a single flattened distance computation + :func:`rank_by_owner`
         (owner-major, distance-minor, ties in scan order whatever else is
         in the batch), retires the covered queries, and
         doubles the remaining sides.  Queries finish independently, so one
         slow region never re-scans the rest.
         """
-        b = len(pts)
-        assert self.bounds is not None
-        reach = np.maximum(
-            np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
-        ).max(axis=1)
-        # A non-finite query has no such side; it gets the floor.
-        max_side = np.maximum(
-            float(self.bounds.extents.max()) * 2.0 + 1e-9,
+        bounds = self.bounds
+        assert bounds is not None
+        # How far each query is from the farthest face of the data bounds,
+        # along the worst axis; a non-finite query has no such side, and
+        # gets the floor.
+        reach = np.maximum.reduce(np.abs(pts[:, None, :] - bounds.corners), axis=(1, 2))
+        limit = np.maximum(
+            bounds.max_extent * 2.0 + 1e-9,
             2.0 * np.where(np.isfinite(reach), reach, 0.0),
         )
         # Floored: a zero side (the query sits on k coincident points)
         # could never double should an approximate window miss them.
-        side = np.maximum(self._knn_first_sides(pts, k), max_side * 1e-9)
-        results: list[np.ndarray | None] = [None] * b
-        active = np.arange(b)
-        while len(active):
-            # One window plan per expansion round, refined in one pass over
-            # every active query's candidate window.
-            centre = pts[active]
-            s = side[active]
-            half = (s / 2.0)[:, None]
-            flat, counts = self.window_rows(centre - half, centre + half)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            owner = np.repeat(np.arange(len(active)), counts)
+        side = np.maximum(self._knn_first_sides(pts, k), limit * 1e-9)
+        results: list[np.ndarray | None] = [None] * len(pts)
+        # The active queries, their centres, sides and limits, compacted
+        # as queries retire: round one gathers nothing.  Array methods
+        # throughout: the ``np.`` spellings of cumsum, repeat and full add
+        # a Python wrapper each, ~1 µs a call at a batch of one.
+        active, centre = np.arange(len(pts)), pts
+        while True:
+            half = side / 2.0
+            corner = half[:, None]
+            flat, counts = self._window_rows(centre - corner, centre + corner)
+            a = len(counts)
+            starts = counts.cumsum()
+            starts -= counts
             # Rows are window-major: each window's centre repeated over its
             # rows (a 2-D ``centre[owner]`` gather costs 30× more).
-            diff = flat - np.repeat(centre, counts, axis=0)
+            diff = flat - centre.repeat(counts, axis=0)
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            order = rank_by_owner(owner, dist, len(active))
-            flat = flat.take(order, axis=0)
-            dist = dist[order]
+            order = rank_by_owner(np.arange(a).repeat(counts), dist, a)
             # k-th distance per query: inf with fewer than k candidates.
             full = counts >= k
-            kth = np.full(len(active), np.inf)
-            kth[full] = dist[offsets[:-1][full] + k - 1]
+            kth = np.empty(a)
+            kth.fill(np.inf)
+            kth[full] = dist.take(order.take(starts[full] + (k - 1)))
             # Retired: covered, or outgrown — spelt so that a NaN side (a
             # non-finite query) counts as outgrown instead of never ending.
-            done = (kth <= s / 2.0) | ~(s <= max_side[active])
-            ends = offsets[:-1] + np.minimum(counts, k)
+            done = (kth <= half) | ~(side <= limit)
+            ends = starts + np.minimum(counts, k)
+            flat = flat.take(order, axis=0)
             for qi, start, end in zip(
-                active[done].tolist(), offsets[:-1][done].tolist(), ends[done].tolist()
+                active[done].tolist(), starts[done].tolist(), ends[done].tolist()
             ):
                 results[qi] = flat[start:end]
-            active = active[~done]
-            side[active] *= 2.0
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+            left = ~done
+            active = active[left]
+            if not len(active):
+                return results  # type: ignore[return-value]
+            centre, side, limit = centre[left], side[left] * 2.0, limit[left]

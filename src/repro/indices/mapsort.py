@@ -22,7 +22,6 @@ from repro.indices.base import LearnedSpatialIndex, ModelBuilder
 from repro.indices.rmi import RMIModel
 from repro.indices.run import KeyedRun
 from repro.obs.trace import span as _span
-from repro.perf.batching import merge_ranges
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
@@ -131,38 +130,11 @@ class MapAndSortIndex(LearnedSpatialIndex):
         return [self.run], np.zeros(len(lo), dtype=np.int64), lo, hi, owner
 
     def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """First kNN window sides from each query's key-order neighbours.
-
-        The 2k rows around the query key's rank in the store (all rows when
-        n < 2k) are indexed points, so the k-th smallest of their distances
-        bounds the true k-th distance from above: the window of that
-        half-side holds the whole answer and the driver's test passes in
-        round one (given exact windows).
-        """
-        store = self.run.store
-        n = len(store)
-        m = min(2 * k, n)
+        """First kNN window sides from each query's key-order neighbours
+        in the one store (``_store_seed_sides``; all rows when n < 2k), so
+        the driver's test passes in round one (given exact windows)."""
         with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
-            rank = np.searchsorted(store.keys, self.map(pts))
-            lo = np.minimum(np.maximum(rank - k, 0), n - m)
-            if len(pts) == 1:
-                # A batch of one (every per-query call) is one contiguous
-                # scan, as in the batching kernels: no merge machinery.
-                near = store.scan(int(lo[0]), int(lo[0]) + m)[0][None]
-            else:
-                rows = (lo[:, None] + np.arange(m)).ravel()
-                near = store.points.take(rows, axis=0).reshape(len(pts), m, -1)
-                store.charge_block_reads(*merge_ranges(lo, lo + m))
-            self.query_stats.points_scanned += len(pts) * m
-            diff = near - pts[:, None, :]
-            dist = np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
-            kth = min(k, m) - 1
-            radius = np.partition(dist, kth, axis=1)[:, kth]
-            # A few ulps of slack at the coordinates' scale: rounding, in
-            # the distances or in ``q -+ radius``, must not put the
-            # neighbour that set the radius outside its own window.
-            radius += (np.abs(pts).max(axis=1) + radius) * 2.0**-50
-            return 2.0 * radius
+            return self._store_seed_sides(self.run.store, pts, self.map(pts), k)
 
     @property
     def error_width(self) -> int:

@@ -33,8 +33,9 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     ~1e154): there the difference is scaled by its largest component
     first, so a far query is far, not infinitely far."""
     norm = np.sqrt(np.einsum("...d,...d->...", diff, diff))
-    over = np.isinf(norm) & np.isfinite(diff).all(axis=-1)
+    over = np.isinf(norm)
     if over.any():
+        over &= np.isfinite(diff).all(axis=-1)
         big = diff[over]
         scale = np.abs(big).max(axis=-1, keepdims=True)
         unit = big / scale
@@ -128,14 +129,12 @@ class MLIndex(MapAndSortIndex):
         """
         assert self.mapping is not None
         keys = self.run.store.keys
-        partition = np.arange(self.mapping.n_references)
-        base = partition * self.mapping.stretch
-        caps = np.nextafter((partition + 1.0) * self.mapping.stretch, -np.inf)
+        base, caps = self.mapping.partition_edges
         r = radius[:, None]
         key_lo = base + np.maximum(0.0, ref_dist - r)
         key_hi = np.minimum(base + ref_dist + r, caps)
-        lo = np.searchsorted(keys, key_lo.ravel(), side="left")
-        hi = np.searchsorted(keys, key_hi.ravel(), side="right")
+        lo = keys.searchsorted(key_lo.ravel(), side="left")
+        hi = keys.searchsorted(key_hi.ravel(), side="right")
         return lo, hi
 
     def window_plan(self, win_lo: np.ndarray, win_hi: np.ndarray):
@@ -179,18 +178,17 @@ class MLIndex(MapAndSortIndex):
         assert self.mapping is not None and self.bounds is not None
         b = len(pts)
         self.query_stats.queries += b
-        d = self.bounds.ndim
-        volume = self.bounds.area()
+        bounds = self.bounds
+        volume = bounds.area()
         density = self.n_points / volume if volume > 0 else self.n_points
-        radius = np.full(b, 0.5 * (k / max(density, 1e-12)) ** (1.0 / d))
+        radius = np.empty(b)
+        radius.fill(0.5 * (k / max(density, 1e-12)) ** (1.0 / bounds.ndim))
         # Give up once the ball must cover the data bounds: the query's
         # distance to their farthest corner (at most the space diameter for
         # a query inside them; a query outside needs more).  A non-finite
         # coordinate has no such distance; its annuli are empty, and the
         # finite ones set when it stops.
-        reach = np.maximum(
-            np.abs(pts - self.bounds.lo_array), np.abs(pts - self.bounds.hi_array)
-        )
+        reach = np.maximum.reduce(np.abs(pts[:, None, :] - bounds.corners), axis=1)
         reach = np.where(np.isfinite(reach), reach, 0.0)
         max_radius = _norms(reach) + 1e-9
         refs = self.mapping.references
@@ -199,50 +197,58 @@ class MLIndex(MapAndSortIndex):
         ref_dist = _norms(pts[:, None, :] - refs[None, :, :])
         store = self.run.store
         results: list[np.ndarray | None] = [None] * b
-        active = np.arange(b)
-        while len(active):
-            lo, hi = self._annulus_ranks(ref_dist[active], radius[active])
+        # The active queries and their centres, distances and radii,
+        # compacted as queries retire: round one gathers nothing.
+        active, centre = np.arange(b), pts
+        while True:
+            a = len(active)
+            lo, hi = self._annulus_ranks(ref_dist, radius)
             # Every candidate row is charged once; block reads are charged
             # once per merged interval group, vectorised.
             counts = np.maximum(hi - lo, 0)
             self.query_stats.points_scanned += int(counts.sum())
             store.charge_block_reads(*merge_ranges(lo, hi))
-            per_query = counts.reshape(len(active), m).sum(axis=1)
-            starts = np.cumsum(per_query) - per_query
-            offsets = np.cumsum(counts) - counts
-            done = np.zeros(len(active), dtype=bool)
+            per_query = np.add.reduce(counts.reshape(a, m), axis=1)
+            starts = per_query.cumsum()
+            starts -= per_query
+            offsets = counts.cumsum()
+            offsets -= counts
+            done = np.zeros(a, dtype=bool)
             # Refined in consecutive groups of queries, a new one wherever
             # the rows before a query pass another multiple of the budget.
-            cuts = np.flatnonzero(np.diff(starts // _KNN_GROUP_ROWS)) + 1
-            for j0, j1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(active)]):
-                group, n_cand = active[j0:j1], per_query[j0:j1]
+            budget = starts // _KNN_GROUP_ROWS
+            cuts = ((budget[1:] != budget[:-1]).nonzero()[0] + 1).tolist()
+            for j0, j1 in zip([0, *cuts], [*cuts, a]):
+                g, n_cand = j1 - j0, per_query[j0:j1]
                 # Rows query-major, partitions ascending, scan order within.
                 e0, e1 = j0 * m, j1 * m
                 rows = np.arange(offsets[e0], offsets[e0] + n_cand.sum())
-                rows -= np.repeat(offsets[e0:e1] - lo[e0:e1], counts[e0:e1])
+                rows -= (offsets[e0:e1] - lo[e0:e1]).repeat(counts[e0:e1])
                 cand = store.points.take(rows, axis=0)
-                cdiff = cand - np.repeat(pts[group], n_cand, axis=0)
+                cdiff = cand - centre[j0:j1].repeat(n_cand, axis=0)
                 dist = np.sqrt(np.einsum("ij,ij->i", cdiff, cdiff))
-                owner = np.repeat(np.arange(len(group)), n_cand)
-                order = rank_by_owner(owner, dist, len(group))
+                order = rank_by_owner(np.arange(g).repeat(n_cand), dist, g)
                 cand = cand.take(order, axis=0)
                 first = starts[j0:j1] - starts[j0]
                 # k-th distance per query: inf with fewer than k candidates.
                 full = n_cand >= k
-                kth = np.full(len(group), np.inf)
-                kth[full] = dist[order[first[full] + k - 1]]
+                kth = np.empty(g)
+                kth.fill(np.inf)
+                kth[full] = dist.take(order.take(first[full] + (k - 1)))
                 # Retired: k candidates within the radius, or a ball that
                 # outgrew the data — spelt so that a NaN counts as outgrown.
-                r = radius[group]
-                out = (kth <= r) | ~(r <= max_radius[group])
+                r = radius[j0:j1]
+                out = (kth <= r) | ~(r <= max_radius[j0:j1])
                 ends = first + np.minimum(n_cand, k)
                 # Copied: a view would keep the group's candidates alive.
                 for qi, start, end in zip(
-                    group[out].tolist(), first[out].tolist(), ends[out].tolist()
+                    active[j0:j1][out].tolist(), first[out].tolist(), ends[out].tolist()
                 ):
                     results[qi] = cand[start:end].copy()
                 done[j0:j1] = out
-            active = active[~done]
-            radius[active] *= 2.0
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+            left = ~done
+            active = active[left]
+            if not len(active):
+                return results  # type: ignore[return-value]
+            centre, ref_dist = centre[left], ref_dist[left]
+            radius, max_radius = radius[left] * 2.0, max_radius[left]

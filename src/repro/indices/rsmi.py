@@ -53,6 +53,30 @@ class _Node:
     run: KeyedRun | None = None
     depth: int = 0
 
+    def __post_init__(self) -> None:
+        # Derived state for the window walk, set here and by :meth:`link`.
+        # A window is a row ``[lo, -hi]``: it meets the box where the row
+        # is ``<= [hi, -lo]`` (``reach``), and ``max(row, [lo, -hi])``
+        # (``floor``) clips it to the box.
+        lo, hi = self.bounds.lo_array, self.bounds.hi_array
+        self.reach = np.concatenate((hi, -lo))
+        self.floor = np.concatenate((lo, -hi))
+        self._index_children()
+
+    def link(self, branch: int, child: "_Node") -> None:
+        """Put ``child`` in slot ``branch``."""
+        self.children[branch] = child
+        self._index_children()
+
+    def _index_children(self) -> None:
+        """The non-empty children, highest branch first (``kids``), and
+        their branches as a column (``kid_branch``)."""
+        slots = [
+            b for b in reversed(range(len(self.children))) if self.children[b] is not None
+        ]
+        self.kids = [self.children[b] for b in slots]
+        self.kid_branch = np.array(slots, dtype=np.int64)[:, None]
+
     @property
     def is_leaf(self) -> bool:
         return self.run is not None
@@ -252,8 +276,8 @@ class RSMIIndex(LearnedSpatialIndex):
             node.children = [None] * self.fanout
             for b, child_pts, child_bounds in specs:
 
-                def _attach(child: _Node, children=node.children, slot=b) -> None:
-                    children[slot] = child
+                def _attach(child: _Node, parent=node, slot=b) -> None:
+                    parent.link(slot, child)
 
                 next_frontier.append((child_pts, child_bounds, depth + 1, _attach))
         return next_frontier
@@ -286,7 +310,7 @@ class RSMIIndex(LearnedSpatialIndex):
             if child is None:
                 # First point routed here: open a fresh single-point leaf.
                 child = self._make_singleton_leaf(q, node.bounds, node.depth + 1)
-                node.children[b] = child
+                node.link(b, child)
                 self.n_points += 1
                 return
             parent, branch = node, b
@@ -299,7 +323,7 @@ class RSMIIndex(LearnedSpatialIndex):
             if parent is None:
                 self.root = rebuilt
             else:
-                parent.children[branch] = rebuilt
+                parent.link(branch, rebuilt)
 
     def _make_singleton_leaf(self, point: np.ndarray, bounds: Rect, depth: int) -> _Node:
         keys = self._node_keys(point[None, :], bounds)
@@ -356,24 +380,28 @@ class RSMIIndex(LearnedSpatialIndex):
         leaves: list[KeyedRun] = []
         empty = np.empty(0, dtype=np.int64)
         run, lo_parts, hi_parts, owner = [empty], [empty], [empty], [empty]
+        d = win_lo.shape[1]
+        top = self.fanout - 1
+        # Each window as one row ``[lo, -hi]`` (see ``_Node.reach``): one
+        # comparison tests it against a box, one maximum clips it.
+        signed = np.concatenate((win_lo, -win_hi), axis=1)
         stack: list[tuple[_Node, np.ndarray]] = [(self.root, np.arange(len(win_lo)))]
         while stack:
             node, active = stack.pop()
+            rows = signed.take(active, axis=0)
             # Closed-box intersection test (touching counts), vectorised
             # over the active windows — mirrors Rect.intersects.
-            blo, bhi = node.bounds.lo_array, node.bounds.hi_array
-            hit = np.all(win_lo[active] <= bhi, axis=1) & np.all(
-                blo <= win_hi[active], axis=1
-            )
+            hit = np.logical_and.reduce(rows <= node.reach, axis=1)
             active = active[hit]
             w = len(active)
             if w == 0:
                 continue
             # Clip each window to the node's box before mapping, so
             # corner codes stay inside the local curve's domain.
-            lo = np.maximum(win_lo[active], blo)
-            hi = np.minimum(win_hi[active], bhi)
-            z = self._node_keys(np.vstack([lo, hi]), node.bounds)
+            clipped = np.maximum(rows[hit], node.floor)
+            z = self._node_keys(
+                np.concatenate((clipped[:, :d], -clipped[:, d:])), node.bounds
+            )
             self.query_stats.model_invocations += 2 * w
             lo_all, hi_all = node.model.search_ranges(z)
             pos_lo, pos_hi = lo_all[:w], hi_all[w:]
@@ -385,19 +413,37 @@ class RSMIIndex(LearnedSpatialIndex):
                 owner.append(active)
                 leaves.append(node.run)
                 continue
+            # The child range each window's corner predictions bracket (a
+            # low position is never negative, so only its top is bounded).
             n = max(node.n, 1)
-            b_lo = np.clip((pos_lo * self.fanout) // n, 0, self.fanout - 1)
-            b_hi = np.clip(((pos_hi - 1) * self.fanout) // n, 0, self.fanout - 1)
-            # Push children high-branch-first so the LIFO pop visits
+            b_lo = np.minimum((pos_lo * self.fanout) // n, top)
+            b_hi = np.maximum(np.minimum(((pos_hi - 1) * self.fanout) // n, top), 0)
+            branch = node.kid_branch
+            reached = (b_lo <= branch) & (branch <= b_hi)
+            # Children pushed high-branch-first, so the LIFO pop visits
             # each window's children in ascending pre-order.
-            for b in range(self.fanout - 1, -1, -1):
-                child = node.children[b]
-                if child is None:
-                    continue
-                sub = active[(b_lo <= b) & (b <= b_hi)]
+            for child, mask in zip(node.kids, reached):
+                sub = active[mask]
                 if len(sub):
                     stack.append((child, sub))
         return leaves, *map(np.concatenate, (run, lo_parts, hi_parts, owner))
+
+    def _knn_first_sides(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """First kNN window sides from each query's leaf: :meth:`point_plan`
+        names it (its routing charged as a point lookup's), and the 2k rows
+        around the query's rank among the leaf's keys set the side
+        (:meth:`~repro.indices.base.LearnedSpatialIndex._store_seed_sides`).
+        Those rows are indexed points, so a leaf of at least k rows
+        certifies the side; a query routed to an empty slot or to a smaller
+        leaf keeps the global-density guess."""
+        sides = super()._knn_first_sides(pts, k)
+        with _span("query.knn_seed", index=self.name, queries=len(pts), k=k):
+            leaves, run, keys = self.point_plan(pts)
+            for r, rows in group_by(run, len(leaves)):
+                store = leaves[r].store
+                if len(store) >= k:
+                    sides[rows] = self._store_seed_sides(store, pts[rows], keys[rows], k)
+        return sides
 
     def map(self, points: np.ndarray) -> np.ndarray:
         """Global Morton keys over the root bounds (CDF tracking only;

@@ -75,7 +75,7 @@ class ZMIndex(MapAndSortIndex):
         ``model_invocations`` are charged)."""
         assert self.bounds is not None
         w = len(win_lo)
-        z = zvalues(np.vstack([win_lo, win_hi]), self.bounds, self.bits)
+        z = zvalues(np.concatenate((win_lo, win_hi)), self.bounds, self.bits)
         return self._one_run(*self._scan_runs(z[:w], z[w:]))
 
     def _scan_runs(
@@ -107,7 +107,7 @@ class ZMIndex(MapAndSortIndex):
         keys = self.run.store.keys
 
         def rank(codes: np.ndarray, side: str) -> np.ndarray:
-            return np.searchsorted(keys, codes.astype(np.float64), side=side)
+            return keys.searchsorted(codes.astype(np.float64), side=side)
 
         lo, hi = rank(zlo, "left"), rank(zhi, "right")
         owner = live = np.arange(len(lo))

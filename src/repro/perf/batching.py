@@ -77,17 +77,15 @@ def merge_ranges(
     lo, hi = lo[keep], hi[keep]
     if len(lo) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
+    order = lo.argsort(kind="stable")
+    lo, hi = lo.take(order), hi.take(order)
     running_end = np.maximum.accumulate(hi)
-    # A range starts a new group when it begins past everything seen so far.
-    new_group = np.empty(len(lo), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = lo[1:] > running_end[:-1]
-    starts = lo[new_group]
-    group_last = np.append(np.flatnonzero(new_group)[1:] - 1, len(lo) - 1)
-    ends = running_end[group_last]
-    return starts, ends
+    # A range starts a new group when it begins past everything seen so
+    # far; a group ends where the next one starts, or at the last range.
+    new_group = np.empty(len(lo) + 1, dtype=bool)
+    new_group[0] = new_group[-1] = True
+    np.greater(lo[1:], running_end[:-1], out=new_group[1:-1])
+    return lo[new_group[:-1]], running_end[new_group[1:]]
 
 
 def _flatten_runs(
@@ -197,9 +195,12 @@ def sorted_point_membership(
     # per-group store.scan loop, with no slice materialisation.
     store.charge_block_reads(*merge_ranges(lo, hi))
 
-    # Candidate runs: rows whose key matches, intersected with the range.
-    run_lo = np.searchsorted(store.keys, query_keys - atol, side="left")
-    run_hi = np.searchsorted(store.keys, query_keys + atol, side="right")
+    # Candidate runs: the rows keyed within 2 * atol, intersected with the
+    # range, then the predicate ``|key - q| <= atol`` — the b = 1 branch's,
+    # so a probe's answer does not depend on its batch.  At atol = 0 the
+    # run is the probe's key exactly, and the predicate is skipped.
+    run_lo = np.searchsorted(store.keys, query_keys - 2 * atol, side="left")
+    run_hi = np.searchsorted(store.keys, query_keys + 2 * atol, side="right")
     cand_lo = np.maximum(run_lo, lo)
     cand_hi = np.minimum(run_hi, hi)
     counts = np.maximum(cand_hi - cand_lo, 0)
@@ -212,13 +213,19 @@ def sorted_point_membership(
         # every run is a single row, so no flattening bookkeeping is needed.
         sel = counts > 0
         rows = cand_lo[sel]
-        equal = np.ones(len(rows), dtype=bool)
+        if atol:
+            equal = np.abs(store.keys[rows] - query_keys[sel]) <= atol
+        else:
+            equal = np.ones(len(rows), dtype=bool)
         for dim in range(d):
             equal &= store.points[rows, dim] == query_points[sel, dim]
         out[sel] = equal
         return out
 
     rows, owner = _flatten_runs(cand_lo, counts)
+    if atol:
+        keep = np.abs(store.keys[rows] - query_keys[owner]) <= atol
+        rows, owner = rows[keep], owner[keep]
     # Progressive per-dimension narrowing: each comparison shrinks the
     # surviving rows before the next dimension gathers, so mismatches
     # (the overwhelming majority) are touched exactly once.

@@ -60,6 +60,16 @@ class IDistanceMapping:
     def _r_norm(self) -> np.ndarray:  # each reference's squared norm
         return np.einsum("ij,ij->i", self.references, self.references)
 
+    @cached_property
+    def partition_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each partition's first key ``j * c`` and the largest key below
+        the next partition's, ``nextafter((j + 1) * c, -inf)``."""
+        partition = np.arange(self.n_references)
+        return (
+            partition * self.stretch,
+            np.nextafter((partition + 1.0) * self.stretch, -np.inf),
+        )
+
     @property
     def n_references(self) -> int:
         return len(self.references)

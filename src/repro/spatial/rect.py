@@ -83,9 +83,19 @@ class Rect:
     def center(self) -> np.ndarray:
         return (self.lo_array + self.hi_array) / 2.0
 
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """``(2, d)``: the low corner's row, then the high corner's."""
+        return np.stack((self.lo_array, self.hi_array))
+
     @property
     def extents(self) -> np.ndarray:
         return self.hi_array - self.lo_array
+
+    @cached_property
+    def max_extent(self) -> float:
+        """The longest side."""
+        return float(self.extents.max())
 
     @cached_property
     def unit_scale(self) -> np.ndarray:

@@ -174,7 +174,8 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
     outside ``bounds`` are clipped (queries may extend past the data MBR),
     in float before the integer cast, so an infinite or huge coordinate
     lands in the edge cell it is beyond instead of wrapping to cell 0
-    through the cast's overflow; NaN lands in cell 0.
+    through the cast's overflow; NaN lands in cell 0.  Past 53 bits the
+    top cell is clamped once more after the cast.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -185,16 +186,19 @@ def grid_coordinates(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.nda
         )
     # A degenerate axis has scale 1: everything maps to cell 0.
     scaled = (pts - bounds.lo_array) / bounds.unit_scale
-    cells = np.fmin(np.fmax(np.floor(scaled * (2**bits)), 0.0), 2**bits - 1)
-    return cells.astype(np.int64)
+    top = 2**bits - 1
+    cells = np.fmin(np.fmax(np.floor(scaled * (2**bits)), 0.0), top)
+    if bits <= 53:
+        return cells.astype(np.int64)
+    # Past 53 bits the float ``top`` rounds up to ``2**bits``: the cells are
+    # clamped again as integers (``uint64`` holds ``2**63``, ``int64`` not).
+    return np.minimum(cells.astype(np.uint64), np.uint64(top)).astype(np.int64)
 
 
 def zvalues(points: np.ndarray, bounds: Rect, bits: int = 16) -> np.ndarray:
     """Morton codes of continuous points: scale to the grid, then
-    interleave, unchecked where :func:`grid_coordinates` clamps every cell
-    into the grid (the top cell ``2**bits - 1`` is a float to 53 bits)."""
+    interleave, unchecked, since :func:`grid_coordinates` clamps every
+    cell into the grid."""
     cells = grid_coordinates(points, bounds, bits)
-    if bits > 53:
-        return morton_encode(cells, bits=bits)
     _check_args(cells.shape[1], bits)
     return _interleave(cells, bits)

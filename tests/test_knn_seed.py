@@ -1,11 +1,11 @@
 """The kNN first-window seed (``indices/base.py``).
 
 ZM and LISA size a query's first window from its key-order neighbours in
-the store; RSMI and Flood keep the global-density guess.  The seed may only
-change what a kNN call costs, never what it answers: the properties here
-are that it bounds the true k-th distance from above (so one round of
-windows is enough), and that answers keep their bytes — rows, order and
-tie-breaks.
+the store, RSMI from its neighbours in the leaf its point plan names;
+Flood keeps the global-density guess.  The seed may only change what a kNN
+call costs, never what it answers: the properties here are that it bounds
+the true k-th distance from above (so one round of windows is enough), and
+that answers keep their bytes — rows, order and tie-breaks.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
 from repro.indices import FloodIndex, LISAIndex, RSMIIndex, ZMIndex
-from repro.indices.base import OriginalBuilder
+from repro.indices.base import LearnedSpatialIndex, OriginalBuilder, QueryStats
 from repro.ml.trainer import TrainConfig
 from repro.obs.trace import get_tracer
 from repro.queries import brute_force_knn
@@ -28,9 +28,9 @@ from tests.brute import _distances, assert_knn
 
 def _count_window_rounds(index):
     """Record the size of every kNN round's window batch ``index`` refines
-    (``window_rows``)."""
-    rounds, inner = [], index.window_rows
-    index.window_rows = lambda lo, hi: rounds.append(len(lo)) or inner(lo, hi)
+    (``_window_rows``)."""
+    rounds, inner = [], index._window_rows
+    index._window_rows = lambda lo, hi: rounds.append(len(lo)) or inner(lo, hi)
     return rounds
 
 
@@ -161,7 +161,8 @@ def test_update_processor_knn_is_brute_force_order(tied_points, knn_probes, cls)
 
 
 # ----------------------------------------------------------------------
-# (d) the density-seeded indices answer as before
+# (d) Flood (density-seeded) and RSMI (leaf-seeded) answer as the
+#     density-seeded driver did
 # ----------------------------------------------------------------------
 def _density_seeded_knn(index, pts, k):
     """The expanding-window driver as it stood before the seed: first side
@@ -204,6 +205,44 @@ def test_density_seeded_indices_answer_unchanged(tied_points, knn_probes, cls):
         assert all(len(g) == k for g in got[-2:])  # far queries reach the data
 
 
+def test_rsmi_seed_covers_the_kth_distance_and_is_charged(tied_points, knn_probes):
+    """RSMI's leaf seed: a query whose leaf holds at least k rows gets a
+    side whose half bounds the true k-th distance; one routed to a smaller
+    leaf keeps the density guess.  The seed charges the rows it reads and
+    the point plan's routing, and one round of windows follows (RSMI's
+    windows are approximate, so a few queries may need a second)."""
+    builder = ELSIModelBuilder(ELSIConfig(train_epochs=40), method="SP")
+    index = RSMIIndex(builder=builder, leaf_capacity=300).build(tied_points)
+    queries = np.vstack([knn_probes, [[5.0, 5.0], [-3.0, 0.5]]])
+    for k in (1, 25, 280, 700):
+        density = LearnedSpatialIndex._knn_first_sides(index, queries, k)
+        leaves, run, _keys = index.point_plan(queries)
+        rows = np.array([len(leaves[r].store) if r >= 0 else 0 for r in run.tolist()])
+        index.query_stats.reset()
+        sides = index._knn_first_sides(queries, k)
+        stats = index.query_stats
+        plan_only = QueryStats()
+        index.query_stats = plan_only
+        index.point_plan(queries)
+        index.query_stats = stats
+        seeded = rows >= k
+        assert stats.model_invocations == plan_only.model_invocations > 0
+        assert stats.points_scanned == int(np.minimum(2 * k, rows)[seeded].sum())
+        for q, side, guess, ok in zip(queries, sides, density, seeded):
+            if ok:
+                assert side / 2.0 >= np.sort(_distances(tied_points, q))[k - 1]
+            else:
+                assert side == guess
+        if k == 25:
+            rounds = _count_window_rounds(index)
+            assert_knn("RSMI", tied_points, queries, k, index.knn_queries(queries, k))
+            # Nearly every query is seeded, and one round answers nearly all.
+            assert seeded.mean() > 0.95
+            assert rounds[0] == len(queries) and sum(rounds[1:]) <= len(queries) // 20
+        if k == 700:
+            assert not seeded.any()
+
+
 # ----------------------------------------------------------------------
 # Accounting and tracing
 # ----------------------------------------------------------------------
@@ -211,7 +250,7 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
     index = _build(ZMIndex, tied_points)
     queries, k = knn_probes[:50], 9
     window_scanned, window_reads = [], []
-    inner = index.window_rows
+    inner = index._window_rows
 
     def metered(win_lo, win_hi):
         scanned, reads = index.query_stats.points_scanned, index.store.block_reads
@@ -220,7 +259,7 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
         window_reads.append(index.store.block_reads - reads)
         return result
 
-    index.window_rows = metered
+    index._window_rows = metered
     index.query_stats.reset()
     index.store.reset_block_reads()
     tracer = get_tracer()

@@ -29,10 +29,12 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
+from repro.core.update_processor import _stored_copies
 from repro.data import load_dataset
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import TrainedModel, scan_ranges
 from repro.indices.rmi import RMIModel
+from repro.indices.run import KeyedRun
 from repro.obs.metrics import get_registry
 from repro.obs.query_obs import record_range_widths
 from repro.perf.batching import batch_point_membership, sorted_point_membership
@@ -327,6 +329,7 @@ def test_tolerance_edges_of_keys_near_zero():
     keys = np.sort(rng.uniform(-5e-15, 5e-15, 40))
     store = BlockStore(np.column_stack([keys, keys]), keys)
     keys = store.keys
+    probes, points, answers = [], [], []
     for i in range(len(store)):
         point = store.points[i : i + 1]
         for offset in (atol, -atol):
@@ -337,6 +340,60 @@ def test_tolerance_edges_of_keys_near_zero():
                 got = sorted_point_membership(store, [0], [len(store)], [probe], point, atol)
                 want = oracle_membership(store, [0], [len(store)], [probe], point, atol)
                 assert got.tolist() == want.tolist()
+                probes.append(probe)
+                points.append(point[0])
+                answers += got.tolist()
+    # The same probes in batches of 2 and 128 (unsorted, and the sorted
+    # kernel): each answers as it does alone.
+    probes, points = np.array(probes), np.array(points)
+    assert 0 < sum(answers) < len(answers)
+    for b in (2, 128):
+        for start in range(0, len(probes), b):
+            part = slice(start, start + b)
+            m = len(probes[part])
+            lo, hi = np.zeros(m, dtype=np.int64), np.full(m, len(store))
+            got = batch_point_membership(store, lo, hi, probes[part], points[part], atol)
+            assert got.tolist() == answers[part], (b, start)
+            order = np.argsort(probes[part])
+            got = sorted_point_membership(
+                store, lo, hi, probes[part][order], points[part][order], atol
+            )
+            assert got.tolist() == np.array(answers[part])[order].tolist(), (b, start)
+
+
+def test_stored_copies_use_the_kernel_predicate():
+    """The update processor counts a point's stored copies under the
+    membership kernel's predicate: on keys near zero, at every offset
+    around ``atol``, a probe has copies exactly when the kernel finds it,
+    and as many as the rows with its coordinates and ``|key - q| <=
+    atol``."""
+    atol = MLIndex.KEY_ATOL
+    rng = np.random.default_rng(8)
+    keys = np.sort(rng.uniform(-5e-15, 5e-15, 40))
+    keys = np.concatenate([keys, keys[:5]])  # five points stored twice
+    store = BlockStore(np.column_stack([keys, keys]), keys)
+
+    class OneRun:
+        KEY_ATOL = atol
+
+        def point_plan(self, pts):
+            return [KeyedRun(store, None)], np.zeros(1, dtype=np.int64), self.key
+
+    index = OneRun()
+    for i in range(len(store)):
+        point = store.points[i : i + 1]
+        for offset in (0.0, atol, -atol):
+            for step in range(-3, 4):
+                probe = store.keys[i] + offset
+                for _ in range(abs(step)):
+                    probe = np.nextafter(probe, np.inf if step > 0 else -np.inf)
+                index.key = np.array([probe])
+                copies = _stored_copies(index, point[0])
+                found = sorted_point_membership(store, [0], [len(store)], [probe], point, atol)
+                match = (store.points == point).all(axis=1)
+                match &= np.abs(store.keys - probe) <= atol
+                assert copies == int(match.sum())
+                assert (copies > 0) == bool(found[0])
 
 
 @pytest.mark.parametrize("name", ["ZM", "ML", "LISA", "RSMI"])

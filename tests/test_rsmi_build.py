@@ -49,7 +49,7 @@ def _build_depth_first(points, leaf_capacity=300):
         if specs:
             node.children = [None] * index.fanout
             for b, child_pts, child_bounds in specs:
-                node.children[b] = build_node(child_pts, child_bounds, depth + 1)
+                node.link(b, build_node(child_pts, child_bounds, depth + 1))
         return node
 
     index.root = build_node(pts, index.bounds, 0)

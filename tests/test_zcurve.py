@@ -1,7 +1,6 @@
 """Unit tests for Morton (Z-order) codes."""
 
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -248,10 +247,10 @@ class TestSixteenBitTable:
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=200, deadline=None)
     def test_zvalues_is_the_checked_encode_of_the_grid(self, d, data):
-        """``zvalues`` skips the range check where ``grid_coordinates``
-        makes it redundant: points inside, outside, on a degenerate axis,
-        huge and non-finite all get the code the checked path gives, or
-        its error (past 53 bits the float clamp can hit ``2**bits``)."""
+        """``zvalues`` skips the range check, which ``grid_coordinates``
+        makes redundant at every ``bits``: points inside, outside, on a
+        degenerate axis, huge and non-finite all get the code the checked
+        path gives."""
         bits = data.draw(st.integers(1, 63 // d))
         lo = data.draw(st.lists(st.floats(-5, 5), min_size=d, max_size=d))
         extent = data.draw(
@@ -266,13 +265,8 @@ class TestSixteenBitTable:
         points = np.array(rows, dtype=np.float64).reshape(-1, d)
         with np.errstate(invalid="ignore", over="ignore"):
             cells = grid_coordinates(points, bounds, bits)
-            try:
-                want = morton_encode(cells, bits=bits)
-            except ValueError as err:
-                with pytest.raises(ValueError, match=re.escape(str(err))):
-                    zvalues(points, bounds, bits)
-            else:
-                np.testing.assert_array_equal(zvalues(points, bounds, bits), want)
+            want = morton_encode(cells, bits=bits)
+            np.testing.assert_array_equal(zvalues(points, bounds, bits), want)
 
 
 @st.composite
@@ -380,6 +374,22 @@ class TestGridScaling:
         pts = np.array([[-1.0, 2.0]])
         cells = grid_coordinates(pts, bounds, bits=4)
         np.testing.assert_array_equal(cells[0], [0, 15])
+
+    @pytest.mark.parametrize("bits", range(54, 64))
+    def test_upper_bound_past_53_bits(self, bits):
+        """In 1-D a cell can need more bits than a float64 holds: a point
+        on the upper bound, or past it, is the top cell ``2**bits - 1``
+        (which rounds up to ``2**bits`` as a float), and its code is that
+        cell; the float just below 1 keeps its own cell."""
+        bounds = Rect((0.0,), (1.0,))
+        below = np.nextafter(1.0, 0.0)
+        pts = np.array([[1.0], [5.0], [np.inf], [below], [0.0], [np.nan]])
+        top = 2**bits - 1
+        want = [top, top, top, int(below * 2.0**bits), 0, 0]
+        cells = grid_coordinates(pts, bounds, bits)
+        assert cells.dtype == np.int64 and cells[:, 0].tolist() == want
+        assert zvalues(pts, bounds, bits).tolist() == want
+        assert morton_encode(cells, bits=bits).tolist() == want
 
     def test_degenerate_axis(self):
         bounds = Rect((0.0, 0.5), (1.0, 0.5))  # zero extent in y
