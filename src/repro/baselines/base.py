@@ -15,18 +15,7 @@ import numpy as np
 
 from repro.spatial.rect import Rect
 
-__all__ = ["TraditionalIndex", "knn_from_candidates"]
-
-
-def knn_from_candidates(candidates: np.ndarray, point: np.ndarray, k: int) -> np.ndarray:
-    """The k candidates nearest to ``point`` (all of them if fewer than k)."""
-    if len(candidates) == 0:
-        return candidates
-    q = np.asarray(point, dtype=np.float64)
-    diff = candidates - q
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.argsort(dist, kind="stable")
-    return candidates[order[: min(k, len(order))]]
+__all__ = ["TraditionalIndex"]
 
 
 class TraditionalIndex(ABC):

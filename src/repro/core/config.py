@@ -56,13 +56,6 @@ class ELSIConfig:
         float64 keys under float64 nets.  The fields remain only because the
         e2e benchmark's frozen workload definitions pass these values; they
         go when that benchmark's ledger next opens.
-    faults:
-        Fault-injection spec armed when a server is constructed with this
-        config: comma-separated ``site=kind[:times[:after]]`` entries
-        (see :mod:`repro.faults`), e.g. ``"snapshot.write=error:1"`` or
-        ``"wal.append=torn_write:1:5"``.  Empty disables injection.  The
-        ``REPRO_FAULTS`` environment variable arms the same spec
-        process-wide.
     methods:
         Method pool names to consider, in canonical order.
     """
@@ -83,7 +76,6 @@ class ELSIConfig:
     hidden_size: int = 16
     parallelism: str = "serial"
     dtype: str = "float64"
-    faults: str = ""
     seed: int = 0
     methods: tuple[str, ...] = field(
         default=("SP", "CL", "MR", "RS", "RL", "OG")
@@ -112,7 +104,3 @@ class ELSIConfig:
                 raise ValueError(
                     f"{name} can only be {only!r}, got {getattr(self, name)!r}"
                 )
-        if self.faults:
-            from repro.faults.registry import parse_fault_spec
-
-            parse_fault_spec(self.faults)  # validates; arming is the server's job

@@ -134,10 +134,11 @@ class UpdateProcessor:
         self.auto_rebuild = auto_rebuild
         self.native = native
         self._index_factory = index_factory
-        self._base_points = self._snapshot_points(index)
-        self._base_keys = np.sort(
-            np.asarray(index.map(self._base_points), dtype=np.float64)
-        )
+        # D itself is the index's rows: in side-list mode the processor
+        # never changes the index, so only its size at build is kept.
+        base = index.indexed_points()
+        self._n0 = len(base)
+        self._base_keys = np.sort(np.asarray(index.map(base), dtype=np.float64))
         self._inserted: list[np.ndarray] = []
         # Exact-match lookup structure over the side list, playing the role
         # of the paper's binary tree on updated-point IDs (Section IV-B2):
@@ -150,11 +151,6 @@ class UpdateProcessor:
         self._updates_total = 0
         self.rebuilds = 0
         self.last_rebuild_seconds = 0.0
-
-    @staticmethod
-    def _snapshot_points(index: LearnedSpatialIndex) -> np.ndarray:
-        """All points currently indexed (exact, from the index's storage)."""
-        return index.indexed_points()
 
     # ------------------------------------------------------------------
     # Updates
@@ -172,7 +168,7 @@ class UpdateProcessor:
     @property
     def n_effective(self) -> int:
         """Current logical cardinality |D'|."""
-        base_n = self.index.n_points if self.native else len(self._base_points)
+        base_n = self.index.n_points if self.native else self._n0
         return base_n - self._marked + len(self._inserted)
 
     def insert(self, point: np.ndarray) -> None:
@@ -371,9 +367,7 @@ class UpdateProcessor:
     # ------------------------------------------------------------------
     def current_points(self) -> np.ndarray:
         """The logical data set D' (base minus deletions plus insertions)."""
-        base = self._filter_deleted(
-            self.index.indexed_points() if self.native else self._base_points
-        )
+        base = self._filter_deleted(self.index.indexed_points())
         extra = self._inserted_array()
         if len(extra) == 0:
             return base
@@ -381,35 +375,32 @@ class UpdateProcessor:
             return extra
         return np.vstack([base, extra])
 
-    def update_features(self) -> np.ndarray:
-        """The rebuild predictor's feature vector for the current state."""
+    def _feature_args(self) -> tuple[int, float, int, float, float]:
+        """``(n, dist_u, depth, update_ratio, cdf_sim)`` for the current
+        state, as :meth:`RebuildPredictor.features` takes them."""
         current = self.current_points()
         keys = np.sort(np.asarray(self.index.map(current), dtype=np.float64))
         dist_u = uniform_dissimilarity(keys, assume_sorted=True)
         cdf_sim = 1.0 - ks_distance(keys, self._base_keys, assume_sorted=True)
         depth = self.index.depth() if hasattr(self.index, "depth") else 1
-        n0 = len(self._base_points)
-        update_ratio = self._updates_total / max(n0, 1)
         # (n0 is the size at the last (re)build; the ratio resets on rebuild.)
-        return RebuildPredictor.features(
-            n=max(len(current), 1),
-            dist_u=dist_u,
-            depth=depth,
-            update_ratio=update_ratio,
-            cdf_sim=cdf_sim,
-        )
+        update_ratio = self._updates_total / max(self._n0, 1)
+        return max(len(current), 1), dist_u, depth, update_ratio, cdf_sim
+
+    def update_features(self) -> np.ndarray:
+        """The rebuild predictor's feature vector for the current state."""
+        return RebuildPredictor.features(*self._feature_args())
 
     def to_rebuild(self) -> bool:
         """Whether the system recommends a full rebuild now."""
         if self.predictor is not None:
-            x = self.update_features()
-            return bool(self.predictor.net.predict(x[None, :])[0] >= 0.5)
+            return self.predictor.should_rebuild(*self._feature_args())
         # Untrained fallback: rebuild once the CDF drifted or the side list
         # outgrew a tenth of the base data (a simple, Oracle-style rule).
         current = self.current_points()
         keys = np.sort(np.asarray(self.index.map(current), dtype=np.float64))
         drift = ks_distance(keys, self._base_keys, assume_sorted=True)
-        return drift > 0.05 or len(self._inserted) > 0.1 * len(self._base_points)
+        return drift > 0.05 or len(self._inserted) > 0.1 * self._n0
 
     def fresh_index(self) -> LearnedSpatialIndex:
         """The unbuilt index a rebuild builds into."""
@@ -425,7 +416,7 @@ class UpdateProcessor:
             fresh = self.fresh_index().build(points)
         elapsed = time.perf_counter() - started
         self.index = fresh
-        self._base_points = points
+        self._n0 = len(points)
         self._base_keys = np.sort(np.asarray(fresh.map(points), dtype=np.float64))
         self._inserted = []
         self._inserted_count = {}

@@ -11,13 +11,11 @@ armed number of triggers.
 
 The registry is process-global (:func:`get_fault_registry`) so a fault
 armed in a test thread fires inside the server's worker threads.  Arming
-comes from three equivalent sources:
+comes from two sources:
 
 - the API: ``get_fault_registry().arm("wal.append", kind="error")``;
 - the ``REPRO_FAULTS`` environment variable, parsed once when the global
-  registry is created (``site=kind[:times[:after]]``, comma-separated);
-- ``ELSIConfig.faults``, the same spec string, armed by ``IndexServer``
-  at construction.
+  registry is created (``site=kind[:times[:after]]``, comma-separated).
 
 Every trigger increments both a per-registry counter and the process-wide
 observability counter ``faults.triggered{site=...}``, so chaos runs can

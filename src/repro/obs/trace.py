@@ -354,14 +354,6 @@ class Tracer:
             traces = self._local.traces = []
         return traces
 
-    def current_span_id(self) -> "str | None":
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def current_trace_id(self) -> "str | None":
-        traces = self._trace_stack()
-        return traces[-1] if traces else None
-
     def span(self, name: str, **attrs):
         """A context manager recording one span (no-op when disabled)."""
         if not self._enabled:

@@ -183,7 +183,7 @@ def sorted_point_membership(
     if n == 0 or b == 0:
         return out
     if b == 1:
-        pts, keys, _ids = store.scan(int(lo[0]), int(hi[0]))
+        pts, keys = store.scan(int(lo[0]), int(hi[0]))
         key = float(query_keys[0])
         first, stop = keys.searchsorted((key - 2 * atol, math.nextafter(key + 2 * atol, math.inf)))
         if first < stop:

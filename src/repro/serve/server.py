@@ -26,7 +26,7 @@ Consistency model:
   rebuild: rebuilding happens entirely in a background worker, and the
   swap is a single attribute assignment.
 - The rebuild worker re-evaluates the rebuild predictor (or the CDF-drift
-  heuristic) every ``rebuild_check_every`` updates, exactly the paper's
+  heuristic) every ``ELSIConfig.f_u`` updates, exactly the paper's
   ``f_u``-periodic ``to_rebuild`` protocol run off the request path.
 
 Fault tolerance (docs/serving.md, "Durability and failure modes"):
@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import RebuildPredictor, UpdateProcessor, update_point
-from repro.faults.registry import fault_check, get_fault_registry
+from repro.faults.registry import fault_check
 from repro.indices.base import LearnedSpatialIndex
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span as _span
@@ -116,12 +116,10 @@ class ServeConfig:
         enlarged a batch and added 2 ms to every flight
         (docs/performance.md).  The field remains only because the e2e
         benchmark's frozen workload definitions pass it.
-    rebuild_check_every:
-        Updates between rebuild-predictor evaluations (the serving-side
-        ``f_u``).  The check and any rebuild run in a background worker.
     auto_rebuild:
-        Whether the background worker may swap in rebuilt generations on
-        its own.  :meth:`IndexServer.rebuild_now` works either way.
+        Whether the background worker may check ``to_rebuild`` every
+        ``ELSIConfig.f_u`` updates and swap in rebuilt generations on its
+        own.  :meth:`IndexServer.rebuild_now` works either way.
     max_queue_depth:
         Bounded admission: submissions beyond this queue depth raise
         :class:`~repro.serve.errors.ServerOverloaded` instead of growing
@@ -137,13 +135,11 @@ class ServeConfig:
         Exponential-backoff window for those retries; each wait is
         jittered to avoid thundering retries across servers.
     fsync_policy:
-        WAL durability: ``always`` / ``batch`` / ``off`` (see
-        :mod:`repro.serve.wal`).
+        WAL durability: ``always`` / ``off`` (see :mod:`repro.serve.wal`).
     """
 
     max_batch_size: int = 256
     max_wait_seconds: float = 0.0
-    rebuild_check_every: int = 512
     auto_rebuild: bool = True
     max_queue_depth: int = 10_000
     request_timeout_seconds: float | None = None
@@ -158,10 +154,6 @@ class ServeConfig:
         if self.max_wait_seconds != 0:
             raise ValueError(
                 f"max_wait_seconds can only be 0, got {self.max_wait_seconds}"
-            )
-        if self.rebuild_check_every < 1:
-            raise ValueError(
-                f"rebuild_check_every must be >= 1, got {self.rebuild_check_every}"
             )
         if self.max_queue_depth < 0:
             raise ValueError(
@@ -207,8 +199,8 @@ class IndexServer:
     config:
         Admission/worker/durability knobs (:class:`ServeConfig`).
     elsi_config:
-        Passed to the update processor (supplies ``f_u`` etc.).  Its
-        ``faults`` spec, if any, is armed on the process fault registry.
+        Passed to the update processor; its ``f_u`` is also the number
+        of updates between background rebuild checks.
     predictor:
         Optional trained rebuild predictor; without one the CDF-drift
         heuristic decides rebuilds.
@@ -245,8 +237,6 @@ class IndexServer:
             raise ValueError("the served index must be built first")
         self.config = config or ServeConfig()
         self.elsi_config = elsi_config or ELSIConfig()
-        if self.elsi_config.faults:
-            get_fault_registry().arm_spec(self.elsi_config.faults)
         self.predictor = predictor
         self._index_factory = index_factory
         self.stats = ServerStats()
@@ -311,11 +301,10 @@ class IndexServer:
         elif wal is False:
             wal = None
         self.wal: WriteAheadLog | None = wal
+        # Durability bootstrap: the WAL only recovers *on top of* a
+        # snapshot, so an empty snapshot directory gets the base
+        # generation persisted up front.
         if self.snapshots is not None:
-            self.snapshots.mark_serving(generation)
-            # Durability bootstrap: the WAL only recovers *on top of* a
-            # snapshot, so an empty snapshot directory gets the base
-            # generation persisted up front.
             if self.wal is not None and not self.snapshots.generations():
                 self.save_snapshot()
 
@@ -637,7 +626,7 @@ class IndexServer:
                 self._pending_ops.append((op, point, seq))
                 self._journal_gauge.set(len(self._pending_ops))
             self._updates_since_check += 1
-            due = self._updates_since_check >= self.config.rebuild_check_every
+            due = self._updates_since_check >= self.elsi_config.f_u
             if due:
                 self._updates_since_check = 0
         self.stats.note_update(op)
@@ -848,12 +837,17 @@ class IndexServer:
         if self.snapshots is not None:
             try:
                 self.save_snapshot()
-                if self.wal is not None:
-                    # Compact, but keep the *previous* generation's log:
-                    # if this generation's snapshot later turns out to be
-                    # unloadable, recovery falls back to the previous
-                    # snapshot and still needs its full WAL delta.
-                    self.wal.remove_through(self._gen.gen_id - 1)
+                # Compact, but keep the previous snapshot and every log from
+                # its generation on: if this generation's snapshot later
+                # turns out to be unloadable, recovery falls back to the
+                # previous one and still needs its full WAL delta.  It is
+                # generation - 1 unless a recovery had to fall back further.
+                gen_id = self._gen.gen_id
+                older = [g for g in self.snapshots.generations() if g < gen_id]
+                if older:
+                    self.snapshots.remove_through(older[-1])
+                    if self.wal is not None:
+                        self.wal.remove_through(older[-1])
             except SnapshotFailed:
                 # The rebuild itself succeeded — keep serving, but flag
                 # the lost durability compaction: recovery still works
@@ -907,8 +901,6 @@ class IndexServer:
                                 if pending:
                                     self.wal.sync()
                             self._wal_gauge.set(self.wal.depth)
-                        if self.snapshots is not None:
-                            self.snapshots.mark_serving(old.gen_id + 1)
                 self._swap_hist.record(time.perf_counter() - swap_started)
                 self._journal_gauge.set(0)
         finally:

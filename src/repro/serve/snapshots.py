@@ -18,9 +18,13 @@ The manager is also the recovery loader's first line of defence:
   compaction guarantees one generation deep by always retaining the
   previous generation's log (see :mod:`repro.serve.wal`); a fallback
   past that horizon makes ``IndexServer.from_snapshot`` come up
-  ``degraded`` instead of silently missing deltas;
-- :meth:`prune` refuses to delete the generation currently being served
-  (:meth:`mark_serving`) or an explicitly protected one.
+  ``degraded`` instead of silently missing deltas.
+
+Retention mirrors the WAL's: once a rebuild's snapshot is saved, the
+server calls :meth:`remove_through` (and the WAL's) with the generation
+of the newest older snapshot, so the directory keeps the current and the
+previous snapshot — the previous one is the fallback for a current one
+that turns out unloadable — and every log from the previous one on.
 
 Fault injection: the write path passes the ``snapshot.write`` site, so
 chaos tests can make saves fail or tear deterministically.
@@ -63,7 +67,6 @@ class SnapshotManager:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._serving: int | None = None
         self.cleanup_tmp()
 
     # ------------------------------------------------------------------
@@ -78,15 +81,6 @@ class SnapshotManager:
             if match:
                 found.append(int(match.group(1)))
         return sorted(found)
-
-    def latest(self) -> int | None:
-        generations = self.generations()
-        return generations[-1] if generations else None
-
-    def mark_serving(self, generation: int | None) -> None:
-        """Record the generation currently being served; :meth:`prune`
-        will refuse to delete its snapshot."""
-        self._serving = generation
 
     def cleanup_tmp(self) -> list[Path]:
         """Remove orphaned ``.tmp`` files left by a crash mid-save."""
@@ -155,20 +149,19 @@ class SnapshotManager:
             )
         raise FileNotFoundError(f"no snapshots in {self.directory}")
 
-    def prune(self, keep: int = 3, protect: int | None = None) -> list[Path]:
-        """Delete all but the newest ``keep`` snapshots; returns removals.
+    def remove_through(self, generation: int) -> list[Path]:
+        """Delete snapshots for generations **before** ``generation``;
+        returns the removed paths.
 
-        The generation marked as being served (:meth:`mark_serving`) and
-        ``protect`` are never deleted, whatever ``keep`` says.
+        Call only once a snapshot newer than ``generation`` is saved.  The
+        server passes the previous snapshot's generation, as it does to
+        :meth:`repro.serve.wal.WriteAheadLog.remove_through`, so a
+        fallback to the previous snapshot still finds it and its logs.
         """
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        protected = {g for g in (protect, self._serving) if g is not None}
         removed = []
-        for generation in self.generations()[:-keep]:
-            if generation in protected:
-                continue
-            path = self.path_for(generation)
-            path.unlink()
-            removed.append(path)
+        for gen in self.generations():
+            if gen < generation:
+                path = self.path_for(gen)
+                path.unlink()
+                removed.append(path)
         return removed

@@ -51,7 +51,7 @@ from repro.serve.errors import WALCorruption
 
 __all__ = ["FSYNC_POLICIES", "WALRecord", "WriteAheadLog"]
 
-FSYNC_POLICIES = ("always", "batch", "off")
+FSYNC_POLICIES = ("always", "off")
 
 _WAL_RE = re.compile(r"^wal-(\d+)\.log$")
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
@@ -94,10 +94,8 @@ class WriteAheadLog:
         append mode, so reopening after recovery extends the same log).
     fsync_policy:
         ``always`` — fsync every append before returning (an
-        acknowledged update survives an OS crash); ``batch`` — fsync
-        every ``batch_every`` appends (bounded loss window, much
-        cheaper); ``off`` — OS-buffered writes only (survives process
-        crashes, not machine crashes).
+        acknowledged update survives an OS crash); ``off`` — OS-buffered
+        writes only (survives process crashes, not machine crashes).
     """
 
     def __init__(
@@ -105,20 +103,15 @@ class WriteAheadLog:
         directory: str | Path,
         generation: int = 0,
         fsync_policy: str = "always",
-        batch_every: int = 64,
     ) -> None:
         if fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync_policy must be one of {FSYNC_POLICIES}, got {fsync_policy!r}"
             )
-        if batch_every < 1:
-            raise ValueError(f"batch_every must be >= 1, got {batch_every}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = fsync_policy
-        self.batch_every = batch_every
         self._appends_counter = get_registry().counter("wal.appends")
-        self._unsynced = 0
         # Sequence numbers are global across every log in the directory,
         # so replay order is well defined across rotations and recoveries.
         self._seq = 0
@@ -205,15 +198,8 @@ class WriteAheadLog:
             raise InjectedFault("torn write injected at wal.append")
         self._file.write(record)
         self._file.flush()
-        if not sync:
-            self._unsynced += 1
-        elif self.fsync_policy == "always":
+        if sync and self.fsync_policy == "always":
             os.fsync(self._file.fileno())
-        elif self.fsync_policy == "batch":
-            self._unsynced += 1
-            if self._unsynced >= self.batch_every:
-                os.fsync(self._file.fileno())
-                self._unsynced = 0
         self._seq = max(self._seq, seq)
         self._depth += 1
         self._appends_counter.inc()
@@ -224,7 +210,6 @@ class WriteAheadLog:
         if not self._file.closed:
             self._file.flush()
             os.fsync(self._file.fileno())
-            self._unsynced = 0
 
     # ------------------------------------------------------------------
     # Rotation and pruning

@@ -78,11 +78,6 @@ class ShardHandle:
     def shard_id(self) -> int:
         return self.spec.shard_id
 
-    @property
-    def ready_status(self) -> "dict | None":
-        """The status the worker reported when it came up."""
-        return self._ready_status
-
     def alive(self) -> bool:
         """Whether the handle can take requests.  A poisoned handle (a
         request timed out, leaving its reply un-consumed on the pipe)

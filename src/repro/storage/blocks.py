@@ -24,9 +24,6 @@ class BlockStore:
     keys:
         One mapped key per point, stored as float64; the store sorts by
         these.
-    ids:
-        Optional stable point identifiers (defaults to the pre-sort row
-        numbers), used by the update processor's side list.
     block_size:
         Points per block (the paper's B).
     """
@@ -35,7 +32,6 @@ class BlockStore:
         self,
         points: np.ndarray,
         keys: np.ndarray,
-        ids: np.ndarray | None = None,
         block_size: int = 100,
     ) -> None:
         pts = np.asarray(points, dtype=np.float64)
@@ -48,17 +44,9 @@ class BlockStore:
             )
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if ids is None:
-            ids = np.arange(len(pts), dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (len(pts),):
-                raise ValueError("need one id per point")
-
         order = np.argsort(key_arr, kind="stable")
         self.points = pts[order]
         self.keys = key_arr[order]
-        self.ids = ids[order]
         self.block_size = block_size
         self._reads = 0
 
@@ -70,18 +58,17 @@ class BlockStore:
         return {
             "points": self.points,
             "keys": self.keys,
-            "ids": self.ids,
             "block_size": self.block_size,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "BlockStore":
         """Adopt :meth:`state_dict` columns as they are: already key-sorted,
-        so nothing is re-sorted, copied or cast."""
+        so nothing is re-sorted, copied or cast.  An ``ids`` column, which
+        older snapshots carry, is ignored."""
         store = cls.__new__(cls)
         store.points = state["points"]
         store.keys = state["keys"]
-        store.ids = state["ids"]
         store.block_size = state["block_size"]
         store._reads = 0
         return store
@@ -91,10 +78,6 @@ class BlockStore:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.keys)
-
-    @property
-    def n_blocks(self) -> int:
-        return max(1, -(-len(self.keys) // self.block_size)) if len(self.keys) else 0
 
     @property
     def block_reads(self) -> int:
@@ -107,27 +90,19 @@ class BlockStore:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def rank_of_key(self, key: float, side: str = "left") -> int:
-        """Sorted position of ``key`` (binary search)."""
-        return int(np.searchsorted(self.keys, key, side=side))
-
-    def scan(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Points, keys and ids in positions [lo, hi), clipped to bounds.
+    def scan(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and keys in positions [lo, hi), clipped to bounds.
 
         Charges block reads for every block the range touches.
         """
         lo = max(0, lo)
         hi = min(len(self.keys), hi)
         if hi <= lo:
-            return (
-                np.empty((0, self.points.shape[1])),
-                np.empty(0, dtype=self.keys.dtype),
-                np.empty(0, dtype=np.int64),
-            )
+            return np.empty((0, self.points.shape[1])), np.empty(0, dtype=self.keys.dtype)
         first_block = lo // self.block_size
         last_block = (hi - 1) // self.block_size
         self._reads += last_block - first_block + 1
-        return self.points[lo:hi], self.keys[lo:hi], self.ids[lo:hi]
+        return self.points[lo:hi], self.keys[lo:hi]
 
     def charge_block_reads(self, starts: np.ndarray, ends: np.ndarray) -> int:
         """Charge block reads for disjoint half-open ranges without gathering.
@@ -153,15 +128,7 @@ class BlockStore:
         self._reads += reads
         return reads
 
-    def scan_key_range(
-        self, key_lo: float, key_hi: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scan all entries with key in [key_lo, key_hi]."""
-        lo = self.rank_of_key(key_lo, side="left")
-        hi = self.rank_of_key(key_hi, side="right")
-        return self.scan(lo, hi)
-
-    def insert(self, point: np.ndarray, key: float, point_id: int = -1) -> int:
+    def insert(self, point: np.ndarray, key: float) -> int:
         """Insert one point at its sorted key position; returns the position.
 
         O(n) per insert (array shift) — the in-memory analogue of adding a
@@ -177,11 +144,4 @@ class BlockStore:
         pos = int(np.searchsorted(self.keys, key, side="right"))
         self.points = np.insert(self.points, pos, p, axis=0)
         self.keys = np.insert(self.keys, pos, key)
-        self.ids = np.insert(self.ids, pos, int(point_id))
         return pos
-
-    def block_of(self, position: int) -> int:
-        """Block id holding sorted position ``position``."""
-        if not 0 <= position < len(self.keys):
-            raise IndexError(f"position {position} out of range")
-        return position // self.block_size

@@ -23,28 +23,14 @@ def test_points_follow_keys(store):
     s, pts, keys = store
     order = np.argsort(keys, kind="stable")
     np.testing.assert_array_equal(s.points, pts[order])
-    np.testing.assert_array_equal(s.ids, order)
-
-
-def test_n_blocks(store):
-    s, _, _ = store
-    assert s.n_blocks == 5
 
 
 def test_scan_clipping(store):
     s, _, _ = store
-    pts, keys, ids = s.scan(-10, 10_000)
+    pts, keys = s.scan(-10, 10_000)
     assert len(pts) == 250
-    pts, keys, ids = s.scan(200, 100)
+    pts, keys = s.scan(200, 100)
     assert len(pts) == 0
-
-
-def test_scan_key_range_inclusive(store):
-    s, _, _ = store
-    pts, keys, _ids = s.scan_key_range(0.25, 0.75)
-    assert np.all((keys >= 0.25) & (keys <= 0.75))
-    # Every qualifying key is returned.
-    assert len(keys) == int(((s.keys >= 0.25) & (s.keys <= 0.75)).sum())
 
 
 def test_block_reads_accounting(store):
@@ -58,26 +44,13 @@ def test_block_reads_accounting(store):
     assert s.block_reads == 3
 
 
-def test_rank_of_key(store):
-    s, _, _ = store
-    key = s.keys[100]
-    assert s.keys[s.rank_of_key(key)] == key
-
-
-def test_block_of(store):
-    s, _, _ = store
-    assert s.block_of(0) == 0
-    assert s.block_of(50) == 1
-    with pytest.raises(IndexError):
-        s.block_of(250)
-
-
 def test_duplicate_keys_kept():
     pts = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
     keys = np.array([5.0, 5.0, 5.0])
     s = BlockStore(pts, keys)
-    scanned, _, _ = s.scan_key_range(5.0, 5.0)
-    assert len(scanned) == 3
+    scanned, _ = s.scan(0, len(s))
+    # Every copy is kept, in input order (the sort is stable).
+    np.testing.assert_array_equal(scanned, pts)
 
 
 def test_invalid_inputs():
@@ -86,13 +59,3 @@ def test_invalid_inputs():
         BlockStore(pts, np.zeros(2))
     with pytest.raises(ValueError):
         BlockStore(pts, np.zeros(3), block_size=0)
-    with pytest.raises(ValueError):
-        BlockStore(pts, np.zeros(3), ids=np.zeros(2, dtype=np.int64))
-
-
-def test_custom_ids():
-    pts = np.array([[0.2, 0.2], [0.1, 0.1]])
-    keys = np.array([2.0, 1.0])
-    ids = np.array([70, 71])
-    s = BlockStore(pts, keys, ids=ids)
-    np.testing.assert_array_equal(s.ids, [71, 70])

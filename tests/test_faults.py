@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import ELSIConfig
 from repro.faults import (
     FAULT_KINDS,
     FAULT_SITES,
@@ -43,11 +42,6 @@ class TestSpecs:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_fault_spec(bad)
-
-    def test_elsi_config_validates_faults(self):
-        ELSIConfig(faults="wal.append=error:1")
-        with pytest.raises(ValueError):
-            ELSIConfig(faults="nope=error")
 
 
 class TestFiring:

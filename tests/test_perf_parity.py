@@ -146,7 +146,7 @@ def _scan_each(store, lo, hi, keys, points, atol) -> np.ndarray:
     """The oracle: one ``store.scan`` and the predicate per probe."""
     found = []
     for a, b, key, point in zip(lo.tolist(), hi.tolist(), keys, points):
-        pts, stored, _ids = store.scan(a, b)
+        pts, stored = store.scan(a, b)
         match = np.abs(stored - float(key)) <= atol
         found.append(bool((match & (pts == point).all(axis=1)).any()))
     return np.array(found)

@@ -174,6 +174,35 @@ def _net_types(tree):
     return set()
 
 
+def _with_ids(tree):
+    """``tree`` with an int64 ``ids`` column in every store's state, as
+    stores wrote it before the column was dropped."""
+    if isinstance(tree, dict):
+        out = {key: _with_ids(value) for key, value in tree.items()}
+        if {"points", "keys", "block_size"} <= tree.keys():
+            out["ids"] = np.arange(len(tree["keys"]), dtype=np.int64)[::-1].copy()
+        return out
+    if isinstance(tree, list):
+        return [_with_ids(value) for value in tree]
+    return tree
+
+
+def _counted(index, run):
+    """The bytes of ``run(index)``'s answers, the ``QueryStats`` triple
+    and the block reads it charged."""
+    index.query_stats.reset()
+    for r in index.runs():
+        r.store.reset_block_reads()
+    answers = run(index)
+    flat = answers if isinstance(answers, (list, tuple)) else [answers]
+    stats = index.query_stats
+    return (
+        [a.tobytes() for a in flat],
+        (stats.model_invocations, stats.points_scanned, stats.queries),
+        sum(r.store.block_reads for r in index.runs()),
+    )
+
+
 class TestEveryIndex:
     """The same round-trip contract for all five classes."""
 
@@ -200,6 +229,33 @@ class TestEveryIndex:
         assert _net_types(loaded.state_dict()) == {"PiecewiseLinearModel"}
         assert_trees_equal(index.state_dict(), loaded.state_dict())
         assert_same_answers(index, loaded, osm_points)
+
+    @every_index
+    def test_stores_with_an_ids_column_still_load(self, cls, osm_points, tmp_path):
+        """A snapshot in the older layout, whose every store carries an
+        ``ids`` column, loads with the column ignored: answers, the
+        ``QueryStats`` triple and block reads equal a fresh build's, and
+        its state holds no ``ids``."""
+        index = cls(builder=_sp_builder(epochs=60)).build(osm_points)
+        _insert_natively(index, np.random.default_rng(4).random((10, 2)))
+        path = tmp_path / "old-layout.npz"
+        old = _with_ids(index.state_dict())
+        n_runs = len(list(index.runs()))
+        assert json.dumps(persist._lift(old, {})).count('"ids"') == n_runs
+        persist._write_tree(
+            {"format": persist.FORMAT, "index": index.name, "state": old}, path
+        )
+        loaded = load_index(path)
+        assert_trees_equal(index.state_dict(), loaded.state_dict())
+        rng = np.random.default_rng(9)
+        probes = np.vstack([osm_points[::37], rng.random((40, 2))])
+        lo = rng.random((40, 2)) * 0.9
+        for run in (
+            lambda ix: ix.point_queries(probes),
+            lambda ix: ix.window_rows(lo, lo + 0.08),
+            lambda ix: ix.knn_queries(probes, 7),
+        ):
+            assert _counted(loaded, run) == _counted(index, run)
 
     @pytest.mark.parametrize("cls", [ZMIndex, MLIndex], ids=lambda c: c.name)
     def test_two_stage_rmi_round_trip(self, cls, osm_points, tmp_path):

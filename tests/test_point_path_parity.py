@@ -100,7 +100,7 @@ def oracle_membership(store, lo, hi, keys, pts, atol) -> np.ndarray:
     unsorted kernel wrapper."""
     if len(keys) != 1:
         return batch_point_membership(store, lo, hi, keys, pts, atol)
-    rows, row_keys, _ids = store.scan(int(lo[0]), int(hi[0]))
+    rows, row_keys = store.scan(int(lo[0]), int(hi[0]))
     found = np.zeros(1, dtype=bool)
     if len(rows):
         match = np.abs(row_keys - float(keys[0])) <= atol

@@ -284,13 +284,15 @@ class TestRequestShape:
                 assert_knn("ZM", current, r.points, r.k, got)
 
     def test_kinds_and_config_fields_are_pinned(self):
-        """Three request kinds; ``ServeConfig`` has nine settable fields
-        plus ``max_wait_seconds``, which accepts only 0."""
+        """Three request kinds; ``ServeConfig`` has eight settable fields
+        plus ``max_wait_seconds``, which accepts only 0.  The background
+        rebuild check runs every ``ELSIConfig.f_u`` updates: there is no
+        second cadence field."""
         import dataclasses
 
         assert KINDS == ("point", "window", "knn")
         assert {f.name for f in dataclasses.fields(ServeConfig)} == {
-            "max_batch_size", "max_wait_seconds", "rebuild_check_every",
+            "max_batch_size", "max_wait_seconds",
             "auto_rebuild", "max_queue_depth", "request_timeout_seconds",
             "max_retries", "retry_base_delay", "retry_max_delay", "fsync_policy",
         }
@@ -525,14 +527,15 @@ class TestSnapshots:
             built_index.point_queries(osm_points[:50]),
         )
 
-    def test_latest_and_prune(self, built_index, tmp_path):
+    def test_remove_through(self, built_index, tmp_path):
+        """Snapshots before the named generation go; it and later stay."""
         manager = SnapshotManager(tmp_path)
         for gen in (1, 2, 5):
             manager.save(built_index, gen)
-        assert manager.latest() == 5
-        removed = manager.prune(keep=1)
-        assert len(removed) == 2
-        assert manager.generations() == [5]
+        removed = manager.remove_through(2)
+        assert [p.name for p in removed] == ["gen-000001.npz"]
+        assert manager.generations() == [2, 5]
+        assert manager.remove_through(2) == []
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -876,7 +879,7 @@ class TestFaultTolerance:
         server = IndexServer(
             index,
             ServeConfig(
-                rebuild_check_every=1, max_retries=0,
+                max_retries=0,
                 retry_base_delay=0.01, retry_max_delay=0.02,
             ),
             elsi_config=ELSIConfig(train_epochs=60, f_u=1),
@@ -1001,17 +1004,6 @@ class TestSnapshotHardening:
         manager.path_for(0).write_bytes(b"junk")
         with pytest.raises(FileNotFoundError):
             manager.load()
-
-    def test_prune_refuses_serving_generation(self, built_index, tmp_path):
-        manager = SnapshotManager(tmp_path)
-        for gen in (1, 2, 5):
-            manager.save(built_index, gen)
-        manager.mark_serving(1)
-        removed = manager.prune(keep=1)
-        assert [p.name for p in removed] == ["gen-000002.npz"]
-        assert manager.generations() == [1, 5]
-        removed = manager.prune(keep=1, protect=5)
-        assert removed == []
 
 
 #: ``(name, labels)`` of ``IndexServer.stats_snapshot()`` after the scripted

@@ -58,15 +58,11 @@ class TestFraming:
             wal.append("insert", np.array([0.1, 0.2]))
 
     def test_fsync_policy_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            WriteAheadLog(tmp_path, fsync_policy="sometimes")
+        for bad in ("sometimes", "batch"):
+            with pytest.raises(ValueError):
+                WriteAheadLog(tmp_path, fsync_policy=bad)
         for policy in FSYNC_POLICIES:
             WriteAheadLog(tmp_path / policy, fsync_policy=policy).close()
-
-    def test_batch_policy_appends(self, tmp_path):
-        with WriteAheadLog(tmp_path, fsync_policy="batch", batch_every=2) as wal:
-            _append_n(wal, 5)
-        assert len(WriteAheadLog.replay_file(wal.path)) == 5
 
 
 class TestTornAndCorrupt:
@@ -267,6 +263,76 @@ class TestCrashRecovery:
             assert restored.point_query(before)
             assert restored.point_query(after)
         restored.close()
+
+    def test_rebuilds_keep_two_snapshots_and_two_logs(
+        self, small_index, osm_points, tmp_path
+    ):
+        """Every rebuild compacts snapshots and logs alike to the current
+        and the previous generation, and a torn newest snapshot still
+        recovers every acknowledged update from the previous one."""
+        base = osm_points[:600]
+        schedule = make_schedule(base, 16, 3)
+        server = self._open(str(tmp_path), index=small_index)
+        for i, (op, point) in enumerate(schedule):
+            server.insert(point) if op == "insert" else server.delete(point)
+            if i % 4 == 3:
+                server.rebuild_now()
+        assert server.generation == 4
+        server.close()
+        assert sorted(p.name for p in Path(tmp_path).iterdir()) == [
+            "gen-000003.npz", "gen-000004.npz", "wal-000003.log", "wal-000004.log",
+        ]
+        snap = Path(tmp_path) / "gen-000004.npz"
+        snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
+        restored = self._open(str(tmp_path))
+        try:
+            assert restored.health == HEALTHY  # both logs kept: no gap
+            recovered = restored._gen.processor.current_points()
+            assert verify_recovery(base, schedule, len(schedule), recovered) == len(schedule)
+        finally:
+            restored.close()
+
+    def test_compaction_after_a_fallback_keeps_the_fallback(
+        self, small_index, osm_points, tmp_path
+    ):
+        """A recovery that fell back past a torn snapshot serves a
+        generation with no snapshot of its own; the next rebuild keeps the
+        snapshot it fell back to and that one's logs, so a second torn
+        snapshot still recovers every acknowledged update."""
+        base = osm_points[:600]
+        schedule = make_schedule(base, 9, 5)
+        directory = Path(tmp_path)
+
+        def tear(gen):
+            snap = directory / f"gen-{gen:06d}.npz"
+            snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
+
+        server = self._open(str(tmp_path), index=small_index)
+        for op, point in schedule[:3]:
+            server.insert(point) if op == "insert" else server.delete(point)
+        server.rebuild_now()  # gen 1
+        for op, point in schedule[3:6]:
+            server.insert(point) if op == "insert" else server.delete(point)
+        server.close()
+        tear(1)
+        server = self._open(str(tmp_path))  # gen 0's snapshot + wal-0, wal-1
+        assert server.generation == 1
+        for op, point in schedule[6:]:
+            server.insert(point) if op == "insert" else server.delete(point)
+        server.rebuild_now()  # gen 2
+        server.close()
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "gen-000000.npz", "gen-000001.npz.corrupt", "gen-000002.npz",
+            "wal-000000.log", "wal-000001.log", "wal-000002.log",
+        ]
+        tear(2)
+        restored = self._open(str(tmp_path))
+        try:
+            assert restored.health == HEALTHY
+            recovered = restored._gen.processor.current_points()
+            assert verify_recovery(base, schedule, len(schedule), recovered) == len(schedule)
+        finally:
+            restored.close()
 
     def test_strict_replay_raises_salvage_degrades(self, small_index, tmp_path):
         """Mid-file corruption of acknowledged records fails recovery
