@@ -114,7 +114,9 @@ class UpdateProcessor:
         instead of the side list (the paper's Figure 15 setting: "LISA and
         RSMI use built-in insertion procedures, and ML uses extra data
         pages").  Built-in inserts degrade query performance structurally,
-        which is what the rebuild predictor exists to repair.
+        which is what the rebuild predictor exists to repair.  An index
+        with no built-in insertion (Flood) keeps its inserts on the side
+        list, as if ``native`` were off.
     """
 
     def __init__(
@@ -132,7 +134,9 @@ class UpdateProcessor:
         self.config = config or ELSIConfig()
         self.predictor = predictor
         self.auto_rebuild = auto_rebuild
-        self.native = native
+        self.native = native and (
+            type(index).insert is not LearnedSpatialIndex.insert
+        )
         self._index_factory = index_factory
         # D itself is the index's rows: in side-list mode the processor
         # never changes the index, so only its size at build is kept.

@@ -1,12 +1,14 @@
 """Request and reply types flowing through the serving queue.
 
 A request is one batch of reads of one kind — point membership, window or
-kNN — plus a :class:`Reply`, a miniature single-assignment future the
-dispatcher completes once the micro-batch containing the request has been
-answered.  Replies record submission/completion timestamps and the
-generation that answered them, which is what the swap-under-load tests
-assert on: every reply names exactly one generation, and all replies of
-one micro-batch name the same one.
+kNN — plus a :class:`Reply`, a miniature single-assignment future that
+whoever serves the micro-batch containing the request completes once it
+has been answered: the thread that waits on the reply, or the server's
+dispatcher when nobody does (:class:`~repro.serve.server.IndexServer`).
+Replies record submission/completion timestamps and the generation that
+answered them, which is what the swap-under-load tests assert on: every
+reply names exactly one generation, and all replies of one micro-batch
+name the same one.
 
 :meth:`Request.__post_init__` is the one place that says what a
 well-formed request is (kind, ``(n, d)`` payload shapes, ``k``); a
@@ -37,10 +39,19 @@ class Reply:
     :meth:`resolve` / :meth:`reject`: a waiter acquires it (with its
     timeout) and hands it straight on, so any number of threads may wait.
     Completing twice raises (the lock is already released).
+
+    A served reply carries a serve hook, ``_serve(reply, deadline)``, set
+    by the server at submission: :meth:`wait` calls it first, so a waiter
+    whose request is still queued answers it in its own thread instead of
+    sleeping through two thread hand-offs.  The hook returns when the
+    reply is complete, when another thread is serving, or at ``deadline``
+    (a ``perf_counter`` reading, ``None`` for none); the waiter then
+    blocks on the lock as before.
     """
 
     __slots__ = (
         "_latch",
+        "_serve",
         "value",
         "error",
         "generation",
@@ -51,6 +62,7 @@ class Reply:
     def __init__(self) -> None:
         self._latch = threading.Lock()
         self._latch.acquire()
+        self._serve = None
         self.value = None
         self.error: BaseException | None = None
         self.generation: int | None = None
@@ -58,15 +70,15 @@ class Reply:
         self.completed_at: float | None = None
 
     def resolve(self, value, generation: int, at: float | None = None) -> None:
-        """Complete the reply with a result (dispatcher side); ``at`` is
-        the completion stamp when the dispatcher took one for a group."""
+        """Complete the reply with a result (serving side); ``at`` is
+        the completion stamp when the server took one for a group."""
         self.value = value
         self.generation = generation
         self.completed_at = time.perf_counter() if at is None else at
         self._latch.release()
 
     def reject(self, error: BaseException, at: float | None = None) -> None:
-        """Complete the reply with an error (dispatcher side)."""
+        """Complete the reply with an error (serving side)."""
         self.error = error
         self.completed_at = time.perf_counter() if at is None else at
         self._latch.release()
@@ -77,7 +89,15 @@ class Reply:
         return not self._latch.locked()
 
     def wait(self, timeout: float | None = None):
-        """Block until completed; returns the value or raises the error."""
+        """Block until completed; returns the value or raises the error.
+        With a serve hook, serve queued work first (see the class notes)."""
+        if self._serve is not None and self._latch.locked():
+            if timeout is None:
+                self._serve(self, None)
+            else:
+                deadline = time.perf_counter() + timeout
+                self._serve(self, deadline)
+                timeout = deadline - time.perf_counter()
         if not self._latch.acquire(timeout=-1 if timeout is None else max(timeout, 0.0)):
             raise TimeoutError("request did not complete in time")
         self._latch.release()

@@ -4,15 +4,23 @@
 :class:`~repro.core.update_processor.UpdateProcessor`) behind a
 *generation pointer*.  A request is a batch of one kind — point, window
 or kNN — and the per-query spellings are batches of one.  Requests enter
-one deque under one condition; the one dispatcher takes everything that
-is queued (up to ``max_batch_size``) and makes one processor call per
-kind over every request's rows (``point_queries`` / ``window_rows`` /
+one deque under one condition.  Whoever serves takes everything that is
+queued (up to ``max_batch_size``) and makes one processor call per kind
+over every request's rows (``point_queries`` / ``window_rows`` /
 ``knn_queries``, one kNN call per ``k``), handing each request its own
-slice.  While it serves, the next batch forms by itself — that is where
-batching pays, so nothing holds a batch open.  Each kind-group of a batch
-is stamped once, counted into the stats, and only then released, so a
-served request costs little more than its share of the batch call
+slice.  While a batch is served, the next one forms by itself — that is
+where batching pays, so nothing holds a batch open.  Each kind-group of
+a batch is stamped once, counted into the stats, and only then released,
+so a served request costs little more than its share of the batch call
 (``docs/performance.md``, "Where a served request's time goes").
+
+Who serves is settled by one ``_serving`` lock (flat combining): a
+thread that waits on a reply whose request is still queued takes the
+lock, if it is free, and serves queued batches in order until its own
+reply is complete — a closed-loop client answers its whole flight itself
+and pays no thread hand-off.  The one dispatcher thread serves under the
+same lock whatever nobody waits for (open-loop clients, ``done()``
+pollers) and whatever queues up while a waiter serves.
 
 Consistency model:
 
@@ -110,10 +118,12 @@ class ServeConfig:
     max_batch_size:
         Hard cap on requests per micro-batch.
     max_wait_seconds:
-        Single-valued: ``0``, the only value accepted.  The dispatcher
-        serves whatever is queued and the next batch forms meanwhile; with
-        one client keeping 128 requests in flight a 2 ms hold never
-        enlarged a batch and added 2 ms to every flight
+        Single-valued: ``0``, the only value accepted.  Whoever serves —
+        the waiting client or the dispatcher — takes whatever is queued
+        and the next batch forms meanwhile.  A closed-loop client that
+        waits on its flight serves it whole as one batch, so a hold has
+        nothing to gather; when the dispatcher served every flight, a
+        2 ms hold never enlarged a batch and added 2 ms to every flight
         (docs/performance.md).  The field remains only because the e2e
         benchmark's frozen workload definitions pass it.
     auto_rebuild:
@@ -125,7 +135,7 @@ class ServeConfig:
         :class:`~repro.serve.errors.ServerOverloaded` instead of growing
         the queue without limit.  ``0`` disables the bound.
     request_timeout_seconds:
-        Requests older than this when the dispatcher picks them up are
+        Requests older than this when a batch takes them up are
         shed with :class:`~repro.serve.errors.RequestTimeout` rather
         than served stale.  ``None`` disables shedding by age.
     max_retries:
@@ -254,15 +264,26 @@ class IndexServer:
         self._wal_gauge = self.stats.registry.gauge("serve.wal_depth")
         self._queue_gauge = self.stats.registry.gauge("serve.queue_depth")
         # Admission: one deque under one condition.  submit() checks,
-        # counts and appends under it; the dispatcher pops a whole batch
+        # counts and appends under it; whoever serves pops a whole batch
         # under it; close() flips ``_closed`` under it, so nothing is
         # enqueued after shutdown.  ``_parked`` says the dispatcher waits
         # in wait() un-notified; the first submission clears it and
         # notifies, so the rest of a flight (submitted before the
-        # dispatcher gets the GIL) pays for no notify.
-        self._admission = threading.Condition(threading.Lock())
+        # dispatcher gets the GIL) pays for no notify.  submit() and
+        # _take_batch() hold the bare lock: neither waits, and a
+        # Condition's ``with`` runs two Python-level methods, half a
+        # microsecond more per request.
+        self._admission_lock = threading.Lock()
+        self._admission = threading.Condition(self._admission_lock)
         self._pending: "deque[Request]" = deque()
         self._parked = False
+        # Held by whoever takes and serves a batch, the dispatcher or a
+        # waiting client, so a taken batch is always being served: a
+        # waiter that gets it while its reply is not done knows its
+        # request is still queued.  Lock order: _serving -> _admission.
+        self._serving = threading.Lock()
+        # Every reply's serve hook: one bound method, not one per submit.
+        self._serve_hook = self._serve_waiting
         self._d = index.bounds.ndim
         self._stop = threading.Event()
         self._rebuild_wanted = threading.Event()
@@ -488,7 +509,7 @@ class IndexServer:
                 f"this server's index is {self._d}-dimensional, got a "
                 f"{request.d}-dimensional {request.kind} request"
             )
-        with self._admission:
+        with self._admission_lock:
             if self._closed:
                 raise ServerClosed(
                     "server is closed; submissions after close() are rejected"
@@ -505,6 +526,7 @@ class IndexServer:
                     "queueing unboundedly"
                 )
             self.stats.note_submit(request.kind)
+            request.reply._serve = self._serve_hook
             self._pending.append(request)
             if self._parked:
                 self._parked = False
@@ -638,24 +660,53 @@ class IndexServer:
     # Dispatch: micro-batch admission and execution
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        while (batch := self._next_batch()) is not None:
-            self._serve_batch(batch)
+        while self._await_pending():
+            with self._serving:
+                # A waiter may have served the queue empty meanwhile.
+                if batch := self._take_batch():
+                    self._serve_batch(batch)
 
-    def _next_batch(self) -> "list[Request] | None":
-        """Everything that is queued, up to ``max_batch_size``; ``None``
-        once the server is closed and nothing is left to serve."""
+    def _await_pending(self) -> bool:
+        """Block until something is queued; False once the server is
+        closed and nothing is left to serve."""
         pending = self._pending
         with self._admission:
             while not pending:
                 if self._closed:
-                    return None
+                    return False
                 self._parked = True
                 self._admission.wait()
                 self._parked = False
+            return True
+
+    def _take_batch(self) -> "list[Request]":
+        """The queue's head, up to ``max_batch_size`` requests (empty when
+        nothing is queued).  Only the holder of ``_serving`` takes."""
+        pending = self._pending
+        with self._admission_lock:
             return [
                 pending.popleft()
                 for _ in range(min(len(pending), self.config.max_batch_size))
             ]
+
+    def _serve_waiting(self, reply: Reply, deadline: "float | None") -> None:
+        """A waiter's serve hook (:meth:`Reply.wait`): unless another
+        thread is serving, serve queued batches, oldest first, until
+        ``reply`` is complete or ``deadline`` passes."""
+        if not self._serving.acquire(blocking=False):
+            return
+        try:
+            # Holding _serving, an incomplete reply is still queued, so
+            # each batch taken here moves the queue towards it.
+            while not reply.done() and (
+                deadline is None or time.perf_counter() < deadline
+            ):
+                if batch := self._take_batch():
+                    self._serve_batch(batch)
+                else:
+                    return
+        finally:
+            self._serving.release()
 
     def _shed_expired(self, batch: list[Request], now: float) -> list[Request]:
         """Reject requests that aged past the deadline while queued."""
@@ -741,10 +792,13 @@ class IndexServer:
                         for r, a, b in _spans(windows)
                     ])
         except BaseException as exc:  # noqa: BLE001 - must fail replies, not the worker
-            # completed_at is the dispatcher's own mark of what it released.
+            # completed_at is the server's own mark of what it released.
             failed = [r for r in batch if r.reply.completed_at is None]
             self._release(failed, started, gen.gen_id, error=exc)
-        self.stats.note_batch(len(batch), time.perf_counter() - started)
+            if not isinstance(exc, Exception):
+                raise  # an interrupt still reaches a client that serves
+        finally:
+            self.stats.note_batch(len(batch), time.perf_counter() - started)
 
     def _release(
         self,

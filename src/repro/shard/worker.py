@@ -20,7 +20,11 @@ worker then skips span capture entirely, keeping the disabled fast
 path); with a context present the command runs under
 ``Tracer.capture()`` inside an ambient ``serve.dispatch`` span, and the
 captured span dicts ship back in the reply's ``spans`` slot — on error
-replies too, so failed branches stay visible in the merged tree.  The
+replies too, so failed branches stay visible in the merged tree.  A
+query command submits its request and waits on it in this one thread,
+which serves the batch itself unless the server's dispatcher took it
+first (``IndexServer``: a waiting thread serves its own request), so the
+batch's spans nest under ``serve.dispatch`` in the caller's trace.  The
 echoed sequence id lets the parent discard stale replies left over
 from timed-out requests, and the server's typed errors
 (``ServerOverloaded``, ``ServerReadOnly``, ...) pickle cleanly and cross

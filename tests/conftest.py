@@ -6,6 +6,8 @@ Tests run at reduced scale (n ~ 1-3k, ~100 epochs); correctness properties
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,17 @@ def _disarm_faults():
 
     yield
     get_fault_registry().reset()
+
+
+@pytest.fixture()
+def fast_switching():
+    """Thread switches every 10 µs, so races show up in a short test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

@@ -13,9 +13,10 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
 from repro.data.generators import skewed, uniform
-from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window, window_recall
 from repro.spatial.rect import Rect
+from tests.brute import assert_windows, point_truth
 
 INDEX_CASES = [
     pytest.param(ZMIndex, {}, id="ZM"),
@@ -177,6 +178,40 @@ class TestNativeModeProcessor:
         processor.insert(np.array([0.5, 0.5]))
         processor.rebuild()
         assert processor.index.leaf_capacity == 123
+
+    @pytest.mark.parametrize(
+        "cls,kwargs",
+        [p.values for p in INDEX_CASES] + [(FloodIndex, {})],
+        ids=[p.id for p in INDEX_CASES] + ["Flood"],
+    )
+    def test_native_mode_answers_on_every_index(
+        self, cls, kwargs, base_points, insert_points
+    ):
+        """``native=True`` on each of the five indices: 60 inserts, then
+        point and window answers against a linear scan of D'.  Flood has no
+        built-in insertion, so its inserts stay on the side list."""
+        index = _build(cls, kwargs, base_points)
+        processor = UpdateProcessor(index, ELSIConfig(train_epochs=80), native=True)
+        inserted = insert_points[:60]
+        for p in inserted:
+            processor.insert(p)
+        assert processor.native is (cls is not FloodIndex)
+        if cls is FloodIndex:
+            assert processor.n_pending == len(inserted)
+        everything = np.vstack([base_points, inserted])
+        assert processor.n_effective == len(everything)
+        misses = np.random.default_rng(3).random((40, 2)) + 1.5
+        probes = np.vstack([inserted, base_points[::41], misses])
+        np.testing.assert_array_equal(
+            processor.point_queries(probes), point_truth(everything, probes)
+        )
+        windows = [Rect.centered(p, 0.05) for p in inserted[::4]]
+        rows, counts = processor.window_rows(
+            np.vstack([w.lo_array for w in windows]),
+            np.vstack([w.hi_array for w in windows]),
+        )
+        cuts = np.cumsum(counts)[:-1]
+        assert_windows(cls.name, everything, windows, np.split(rows, cuts))
 
     def test_unsupported_insert_raises(self):
         from repro.indices.base import LearnedSpatialIndex

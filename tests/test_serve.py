@@ -6,7 +6,6 @@ arrive without ever blocking on the rebuild and (b) name exactly one
 generation — no batch may mix pre- and post-swap index state.
 """
 
-import sys
 import threading
 import time
 
@@ -659,17 +658,6 @@ class TestReply:
                 reply.wait(1)
         with pytest.raises(RuntimeError):
             reply.resolve(1, 0)  # single-assignment: already completed
-
-
-@pytest.fixture()
-def fast_switching():
-    """Thread switches every 10 µs, so races show up in a short test."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class TestAdmissionStress:
