@@ -49,8 +49,8 @@ def main() -> int:
     )
     index.knn_queries(pts[:8], 5)
 
-    # The level-wise RSMI build: rsmi.fit_level spans with one
-    # build.models call per tree level, plus a traced point lookup, the
+    # The level-wise RSMI build: one rsmi.fit_level span per tree level,
+    # its nodes' build.train spans under it, plus a traced point lookup, the
     # shared-DFS window walk and expanding-window kNN riding on it (under
     # the query.point_batch / query.window_batch spans every index emits).
     from repro.indices.rsmi import RSMIIndex

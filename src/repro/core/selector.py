@@ -75,20 +75,6 @@ class DatasetRecord:
         return list(self.speedups)
 
 
-@dataclass
-class _CellJob:
-    """One (cardinality, delta) grid cell: pure data plus the user's
-    ``index_factory``, picklable as long as the factory is."""
-
-    index_factory: Callable
-    config: ELSIConfig
-    n: int
-    delta: float
-    seed: int
-    n_queries: int
-    query_kind: str
-
-
 def _og_baseline(timings: dict[str, tuple[float, float]]) -> tuple[float, float]:
     """OG's (build, query) times, or the per-component max when OG was not
     measured.  The components are taken independently: a tuple-max would
@@ -102,38 +88,38 @@ def _og_baseline(timings: dict[str, tuple[float, float]]) -> tuple[float, float]
     )
 
 
-def _measure_cell(job: _CellJob) -> DatasetRecord:
-    """Build + query every method on one generated data set.
-
-    Module-level, self-timing and fed a picklable job, so
-    ``ProcessPoolExecutor().map(_measure_cell, jobs)`` is the way back to a
-    pooled grid (docs/performance.md).
-    """
-    cfg = job.config
-    with _span("selector.cell", n=job.n, delta=job.delta) as cell_span:
-        points = dataset_with_uniform_distance(job.n, job.delta, seed=job.seed)
+def _measure_cell(
+    index_factory: Callable,
+    cfg: ELSIConfig,
+    n: int,
+    delta: float,
+    seed: int,
+    n_queries: int,
+    query_kind: str,
+) -> DatasetRecord:
+    """Build + query every method on one generated data set."""
+    with _span("selector.cell", n=n, delta=delta) as cell_span:
+        points = dataset_with_uniform_distance(n, delta, seed=seed)
         keys = np.sort(zvalues(points, Rect.bounding(points)).astype(np.float64))
         dist_u = uniform_dissimilarity(keys, assume_sorted=True)
         cell_span.set(dist_u=round(dist_u, 4))
-        record = DatasetRecord(n=job.n, dist_u=dist_u)
+        record = DatasetRecord(n=n, dist_u=dist_u)
         timings: dict[str, tuple[float, float]] = {}
-        rng = np.random.default_rng(job.seed)
-        query_ids = rng.integers(0, job.n, size=min(job.n_queries, job.n))
-        if job.query_kind == "window":
+        rng = np.random.default_rng(seed)
+        query_ids = rng.integers(0, n, size=min(n_queries, n))
+        if query_kind == "window":
             from repro.queries.workload import window_workload
 
-            windows = window_workload(
-                points, max(job.n_queries // 5, 5), 1e-3, seed=job.seed
-            )
+            windows = window_workload(points, max(n_queries // 5, 5), 1e-3, seed=seed)
         for method in cfg.methods:
-            with _span("selector.method", method=method, n=job.n):
+            with _span("selector.method", method=method, n=n):
                 builder = ELSIModelBuilder(cfg, method=method)
                 started = time.perf_counter()
-                index = job.index_factory(builder)
+                index = index_factory(builder)
                 index.build(points)
                 build_time = time.perf_counter() - started
                 started = time.perf_counter()
-                if job.query_kind == "point":
+                if query_kind == "point":
                     for qi in query_ids:
                         index.point_query(points[qi])
                 else:
@@ -178,26 +164,17 @@ def collect_selector_data(
         raise ValueError(f"query_kind must be 'point' or 'window', got {query_kind!r}")
     cfg = config or ELSIConfig()
     _warm_mr_pool(cfg)
-    jobs = [
-        _CellJob(
-            index_factory=index_factory,
-            config=cfg,
-            n=n,
-            delta=delta,
-            seed=seed + i,
-            n_queries=n_queries,
-            query_kind=query_kind,
-        )
-        for n in cardinalities
-        for i, delta in enumerate(deltas)
-    ]
     with _span(
         "selector.collect",
-        cells=len(jobs),
+        cells=len(cardinalities) * len(deltas),
         methods=len(cfg.methods),
         query_kind=query_kind,
     ):
-        return [_measure_cell(job) for job in jobs]
+        return [
+            _measure_cell(index_factory, cfg, n, delta, seed + i, n_queries, query_kind)
+            for n in cardinalities
+            for i, delta in enumerate(deltas)
+        ]
 
 
 def records_to_samples(records: list[DatasetRecord]) -> list[ScorerSample]:

@@ -106,26 +106,6 @@ class BuildStats:
     n_models: int = 0
     methods_used: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.prepare_seconds
-            + self.train_seconds
-            + self.extra_seconds
-            + self.error_bound_seconds
-        )
-
-    def merge(self, other: "BuildStats") -> None:
-        """Accumulate another model's build costs (multi-model indices)."""
-        self.prepare_seconds += other.prepare_seconds
-        self.train_seconds += other.train_seconds
-        self.extra_seconds += other.extra_seconds
-        self.error_bound_seconds += other.error_bound_seconds
-        self.train_set_size += other.train_set_size
-        self.n_models += other.n_models
-        for name, count in other.methods_used.items():
-            self.methods_used[name] = self.methods_used.get(name, 0) + count
-
 
 @dataclass
 class QueryStats:
@@ -347,35 +327,6 @@ class ModelBuilder(ABC):
         map_fn: "MapFn | None" = None,
     ) -> TrainedModel:
         """Train an index model for the given partition and record costs."""
-
-    def build_models(
-        self,
-        partitions: list[tuple[np.ndarray, np.ndarray]],
-        stats: BuildStats,
-        map_fn: "MapFn | list[MapFn | None] | None" = None,
-    ) -> list[TrainedModel]:
-        """Build one model per ``(sorted_keys, sorted_points)`` partition,
-        one after another, in partition order (so method choice draws from
-        shared RNG state deterministically).
-
-        ``map_fn`` is either one mapping shared by every partition (RMI
-        stage-2 leaves over a global curve) or a list with one mapping per
-        partition (RSMI's node-local curves, where each sibling has its own
-        bounding box).
-        """
-        if isinstance(map_fn, list):
-            if len(map_fn) != len(partitions):
-                raise ValueError(
-                    f"got {len(map_fn)} map functions for {len(partitions)} partitions"
-                )
-            map_fns = map_fn
-        else:
-            map_fns = [map_fn] * len(partitions)
-        with _span("build.models", partitions=len(partitions)):
-            return [
-                self.build_model(keys, pts, stats, mf)
-                for (keys, pts), mf in zip(partitions, map_fns)
-            ]
 
 
 class OriginalBuilder(ModelBuilder):

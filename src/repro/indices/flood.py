@@ -143,27 +143,18 @@ class FloodIndex(LearnedSpatialIndex):
         columns = self._column_of(pts[:, 0])
         self.build_stats.prepare_seconds += time.perf_counter() - started
 
-        # Per-column stores are laid out first (cheap sorts), then every
-        # column model builds in one ``build_models`` call — Flood's
-        # columns are independent partitions.
-        stores: list[BlockStore | None] = []
+        self._columns = []
         for c in range(self.n_columns):
             members = pts[columns == c]
             if len(members) == 0:
-                stores.append(None)
+                self._columns.append(None)
                 continue
             started = time.perf_counter()
-            order = np.argsort(members[:, 1], kind="stable")
-            sorted_pts = members[order]
-            stores.append(
-                BlockStore(sorted_pts, sorted_pts[:, 1], block_size=self.block_size)
-            )
+            sorted_pts = members[np.argsort(members[:, 1], kind="stable")]
+            store = BlockStore(sorted_pts, sorted_pts[:, 1], block_size=self.block_size)
             self.build_stats.prepare_seconds += time.perf_counter() - started
-        partitions = [(store.keys, store.points) for store in stores if store is not None]
-        models = iter(self.builder.build_models(partitions, self.build_stats, map_fn=None))
-        self._columns = [
-            None if store is None else KeyedRun(store, next(models)) for store in stores
-        ]
+            model = self.builder.build_model(store.keys, store.points, self.build_stats)
+            self._columns.append(KeyedRun(store, model))
         return self
 
     def runs(self):

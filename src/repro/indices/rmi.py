@@ -78,6 +78,11 @@ class ModelSet:
         )
 
 
+#: Below this many keys an RMI stays single-stage whatever its
+#: ``branching``: tiny stage-2 models are pure overhead.
+MIN_PARTITION_SIZE = 2_000
+
+
 class RMIModel:
     """One- or two-stage learned CDF over a sorted key array.
 
@@ -86,23 +91,15 @@ class RMIModel:
     builder:
         Trains each member model (ELSI's hook).
     branching:
-        Number of stage-2 models; ``1`` collapses to a single model.
-    min_partition_size:
-        Below this cardinality the index stays single-stage regardless of
-        ``branching`` (tiny stage-2 models are pure overhead).
+        Number of stage-2 models; ``1`` (or fewer than
+        :data:`MIN_PARTITION_SIZE` keys) collapses to a single model.
     """
 
-    def __init__(
-        self,
-        builder: ModelBuilder,
-        branching: int = 1,
-        min_partition_size: int = 2_000,
-    ) -> None:
+    def __init__(self, builder: ModelBuilder, branching: int = 1) -> None:
         if branching < 1:
             raise ValueError(f"branching must be >= 1, got {branching}")
         self.builder = builder
         self.branching = branching
-        self.min_partition_size = min_partition_size
         self.stage1: TrainedModel | None = None
         self.stage2: list[TrainedModel] = []
         self._stage2_positions: list[np.ndarray] = []
@@ -123,7 +120,8 @@ class RMIModel:
         stats: BuildStats,
         map_fn: MapFn | None = None,
     ) -> "RMIModel":
-        """Train the model hierarchy over globally key-sorted data."""
+        """Train the model hierarchy over globally key-sorted data: stage 1,
+        then one stage-2 model per non-empty branch, in branch order."""
         self.n = len(sorted_keys)
         if self.n == 0:
             raise ValueError("cannot fit an RMI on an empty key set")
@@ -131,25 +129,19 @@ class RMIModel:
         self.stage2 = []
         self._stage2_positions = []
         self._leaves = None
-        if self.branching == 1 or self.n < self.min_partition_size:
+        if self.branching == 1 or self.n < MIN_PARTITION_SIZE:
             return self
-
-        # Stage-2 leaves are independent per-partition jobs: prepare every
-        # partition, then build them all in one ``build_models`` call
-        # (results stay in branch order).
         routed = self._route(sorted_keys)
-        positions_per_branch = [
-            np.flatnonzero(routed == branch) for branch in range(self.branching)
-        ]
-        partitions = [
-            (sorted_keys[positions], sorted_points[positions])
-            for positions in positions_per_branch
-            if len(positions)
-        ]
-        models = iter(self.builder.build_models(partitions, stats, map_fn))
-        for positions in positions_per_branch:
+        for branch in range(self.branching):
+            positions = np.flatnonzero(routed == branch)
             # An empty branch reuses stage 1 (routing sends no key there).
-            self.stage2.append(self.stage1 if len(positions) == 0 else next(models))
+            self.stage2.append(
+                self.builder.build_model(
+                    sorted_keys[positions], sorted_points[positions], stats, map_fn
+                )
+                if len(positions)
+                else self.stage1
+            )
             self._stage2_positions.append(positions)
         self._gather_leaves()
         return self

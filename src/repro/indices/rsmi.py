@@ -15,12 +15,12 @@ Every node model is trained through the pluggable
 scenario Figure 3 illustrates ELSI accelerating (models M_{0,0}, M_{1,0},
 M_{1,1} built one at a time).
 
-The build is level-wise: every sibling subtree's model fit at a given
-depth is an independent job, and a level is one
-:meth:`~repro.indices.base.ModelBuilder.build_models` call (a
-``build.models`` span under each ``rsmi.fit_level``).  Node preparation
-stays in tree order and every fit job is a pure function of its
-partition, so the tree is the one a depth-first recursion would build.
+The build is level-wise: each node of a level is sorted on its local
+curve, fitted and split in turn, so the models are fitted breadth first
+(one ``rsmi.fit_level`` span per level).  A fit by a fixed method is a
+pure function of its partition, so the tree is the one a depth-first
+recursion would build; a random-choice builder draws its methods in
+breadth-first order.
 """
 
 from __future__ import annotations
@@ -227,60 +227,38 @@ class RSMIIndex(LearnedSpatialIndex):
         return specs
 
     def _build_subtree(self, points: np.ndarray, bounds: Rect, depth: int) -> _Node:
-        """Frontier build: one ``build_models`` dispatch per tree level
-        (full builds start at the root; leaf-overflow rebuilds start at the
-        old leaf's depth).
-
-        Sibling subtrees at the same depth are independent — their model
-        fits go to the builder as a single batch.  Node preparation (sort,
-        routing) stays in deterministic tree order.
-        """
-        # A frontier entry: (points, bounds, depth, attach) where attach
-        # places the finished node on its parent (or captures the root).
-        root_ref: list[_Node | None] = [None]
-
-        def _set_root(node: _Node) -> None:
-            root_ref[0] = node
-
-        frontier: list = [(points, bounds, depth, _set_root)]
+        """Build a subtree one level at a time (full builds start at the
+        root, leaf-overflow rebuilds at the old leaf's depth): each node of
+        the level, in order, is key-sorted on its local curve, fitted,
+        linked to its parent and split."""
+        root: _Node | None = None
+        # A frontier entry: (parent, branch, points, bounds); the root has
+        # no parent.
+        frontier: list = [(None, 0, points, bounds)]
         while frontier:
-            level_depth = frontier[0][2]
-            with _span("rsmi.fit_level", level=level_depth, nodes=len(frontier)):
-                frontier = self._fit_level(frontier)
-        assert root_ref[0] is not None
-        return root_ref[0]
-
-    def _fit_level(self, frontier: list) -> list:
-        """Fit every frontier node's model in one dispatch; expand splits."""
-        prepared = [
-            self._sort_by_node_keys(pts, bounds) for pts, bounds, _d, _a in frontier
-        ]
-        map_fns = [
-            (lambda pts, b=bounds: self._node_keys(pts, b))
-            for _pts, bounds, _d, _a in frontier
-        ]
-        models = self.builder.build_models(
-            [(keys, pts) for pts, keys in prepared],
-            self.build_stats,
-            map_fn=map_fns,
-        )
-        next_frontier: list = []
-        for (pts, bounds, depth, attach), (sorted_pts, sorted_keys), model in zip(
-            frontier, prepared, models
-        ):
-            node = _Node(bounds=bounds, model=model, n=len(pts), depth=depth)
-            attach(node)
-            specs = self._split_specs(node, sorted_pts, sorted_keys)
-            if not specs:
-                continue
-            node.children = [None] * self.fanout
-            for b, child_pts, child_bounds in specs:
-
-                def _attach(child: _Node, parent=node, slot=b) -> None:
-                    parent.link(slot, child)
-
-                next_frontier.append((child_pts, child_bounds, depth + 1, _attach))
-        return next_frontier
+            deeper: list = []
+            with _span("rsmi.fit_level", level=depth, nodes=len(frontier)):
+                for parent, branch, pts, box in frontier:
+                    sorted_pts, sorted_keys = self._sort_by_node_keys(pts, box)
+                    model = self.builder.build_model(
+                        sorted_keys,
+                        sorted_pts,
+                        self.build_stats,
+                        lambda p, box=box: self._node_keys(p, box),
+                    )
+                    node = _Node(bounds=box, model=model, n=len(pts), depth=depth)
+                    if parent is None:
+                        root = node
+                    else:
+                        parent.link(branch, node)
+                    specs = self._split_specs(node, sorted_pts, sorted_keys)
+                    if specs:
+                        node.children = [None] * self.fanout
+                    deeper.extend((node, b, sub, sub_box) for b, sub, sub_box in specs)
+            frontier = deeper
+            depth += 1
+        assert root is not None
+        return root
 
     def _route(self, model: TrainedModel, keys: np.ndarray, n: int) -> np.ndarray:
         """Child assignment: the model's predicted rank, bucketed by fanout

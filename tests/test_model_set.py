@@ -26,7 +26,8 @@ def _members(rng, sizes=(300, 50, 700, 1, 120), zero_span=None):
             keys[:] = keys[0]
         partitions.append((keys, np.column_stack([keys, keys])))
     builder = OriginalBuilder(TrainConfig(epochs=30))
-    members = builder.build_models(partitions, BuildStats())
+    stats = BuildStats()
+    members = [builder.build_model(keys, pts, stats) for keys, pts in partitions]
     return members, [keys for keys, _ in partitions]
 
 

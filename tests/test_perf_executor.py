@@ -85,7 +85,7 @@ def test_one_build_dispatch(monkeypatch, tmp_path):
             ELSIConfig(dtype=value)
     for fn in (
         collect_selector_data,
-        ModelBuilder.build_models,
+        ModelBuilder.build_model,
         fit_model,
         OriginalBuilder.__init__,
         TrainedModel.measure_error_bounds,
@@ -100,6 +100,10 @@ def test_one_build_dispatch(monkeypatch, tmp_path):
         "fusion_rejection_reason",
         "REPRO_DTYPE",
         "REPRO_PARALLELISM",
+        "build_models",
+        "_fit_level",
+        "_CellJob",
+        "min_partition_size",
     ):
         assert _sites(name) == [], name
     assert _sites("float32") == ["storage/persist.py"]
@@ -131,9 +135,8 @@ def test_config_validates_parallelism():
 
 
 def test_build_is_traced_per_model(osm_points, tracer):
-    """One ``build.train`` and one ``build.error_bounds`` span per model, a
-    ``build.models`` span per multi-model call, and ``BuildStats`` that
-    add up to the spans."""
+    """One ``build.train`` and one ``build.error_bounds`` span per model, and
+    ``BuildStats`` that add up to the spans."""
     config = ELSIConfig(train_epochs=60)
     index = ZMIndex(builder=ELSIModelBuilder(config, method="SP"), branching=8)
     index.build(osm_points)
@@ -144,8 +147,6 @@ def test_build_is_traced_per_model(osm_points, tracer):
     assert index.build_stats.n_models == models
     assert {s.attrs["method"] for s in train} == {"SP"}
     assert sum(s.attrs["train_size"] for s in train) == index.build_stats.train_set_size
-    (group,) = tracer.find("build.models")
-    assert group.attrs == {"partitions": models - 1}
     # train_seconds is each fit's training loop, timed inside its span.
     assert 0.5 * sum(s.duration for s in train) <= index.build_stats.train_seconds
     assert index.build_stats.train_seconds <= sum(s.duration for s in train)

@@ -1,11 +1,12 @@
 """Tests for RSMI's level-wise build and its obs instrumentation.
 
-The level-wise frontier build dispatches every level's sibling model fits
-as one ``build_models`` batch; the resulting tree must be identical to a
-depth-first recursion — structure, models, and error bounds.  The
-depth-first builder lives here, as the reference: ``RSMIIndex`` has one
-build.
+The level-wise build fits each level's nodes in turn, breadth first; the
+resulting tree must be identical to a depth-first recursion — structure,
+models, and error bounds.  The depth-first builder lives here, as the
+reference: ``RSMIIndex`` has one build.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from repro.spatial.rect import Rect
 from tests.brute import assert_windows
 
 
-def _index(leaf_capacity=300):
+def _index(leaf_capacity=300, builder=None):
     config = ELSIConfig(train_epochs=60)
     return RSMIIndex(
-        builder=ELSIModelBuilder(config, method="SP"), leaf_capacity=leaf_capacity
+        builder=builder or ELSIModelBuilder(config, method="SP"),
+        leaf_capacity=leaf_capacity,
     )
 
 
@@ -28,10 +30,10 @@ def _build(points, leaf_capacity=300):
     return _index(leaf_capacity).build(points)
 
 
-def _build_depth_first(points, leaf_capacity=300):
+def _build_depth_first(points, leaf_capacity=300, builder=None):
     """The reference: one ``build_model`` call per node, children built
     before siblings, sharing the index's own sort and split steps."""
-    index = _index(leaf_capacity=leaf_capacity)
+    index = _index(leaf_capacity=leaf_capacity, builder=builder)
     pts = index._prepare_points(points)
     index.bounds = Rect.bounding(pts)
     index.n_points = len(pts)
@@ -130,6 +132,71 @@ class TestLevelwiseParity:
             RSMIIndex(build_strategy="level")
 
 
+class _RecordingRandom(ELSIModelBuilder):
+    """A random-choice builder that records, per call, the partition's keys,
+    the method it drew for them and the model it returned."""
+
+    def __init__(self):
+        super().__init__(ELSIConfig(train_epochs=60), random_choice=True)
+        self.drawn = {}
+        self.models = []
+
+    def _choose(self, sorted_keys, map_fn):
+        chosen = super()._choose(sorted_keys, map_fn)
+        self.drawn[sorted_keys.tobytes()] = chosen.name
+        return chosen
+
+    def build_model(self, *args, **kwargs):
+        model = super().build_model(*args, **kwargs)
+        self.models.append(model)
+        return model
+
+
+class _Replay(ELSIModelBuilder):
+    """Fits each partition with the method a recorded build drew for it,
+    whatever order the partitions come in."""
+
+    def __init__(self, drawn):
+        super().__init__(ELSIConfig(train_epochs=60), random_choice=True)
+        self.drawn = drawn
+
+    def _choose(self, sorted_keys, map_fn):
+        return self._by_name[self.drawn[sorted_keys.tobytes()]]
+
+
+def _breadth_first(root):
+    """``(depth, n)`` of every node, level by level, siblings in branch order."""
+    order, queue = [], deque([root])
+    while queue:
+        node = queue.popleft()
+        order.append((node.depth, node.n))
+        queue.extend(c for c in node.children if c is not None)
+    return order
+
+
+class TestRandomChoiceOrder:
+    def test_models_are_fitted_breadth_first(self, osm_points):
+        """A random-choice builder draws one method per ``build_model``
+        call, so the call order decides which partition gets which method.
+        The calls arrive in breadth-first order of the tree a depth-first
+        recursion builds with the same draws per partition."""
+        recorder = _RecordingRandom()
+        index = _index(builder=recorder).build(osm_points)
+        assert len(recorder.drawn) == len(recorder.models) == index.n_models()
+        assert len(set(recorder.drawn.values())) > 1
+        node_of = {id(node.model): node for node in index._nodes()}
+        calls = [(node_of[id(m)].depth, node_of[id(m)].n) for m in recorder.models]
+
+        reference = _build_depth_first(osm_points, builder=_Replay(recorder.drawn))
+        sig_ref, sig = [], []
+        _signature(reference.root, sig_ref)
+        _signature(index.root, sig)
+        assert sig == sig_ref
+        _weights_equal(reference, index)
+        assert calls == _breadth_first(reference.root)
+        assert index.depth() >= 2  # depth-first order would differ
+
+
 class TestRSMISpans:
     def test_build_emits_level_spans(self, osm_points, tracer):
         _build(osm_points)
@@ -140,8 +207,18 @@ class TestRSMISpans:
         assert levels, "level-wise build must emit per-level spans"
         assert levels[0].attrs["level"] == 0
         assert levels[0].attrs["nodes"] == 1
-        # Each level is one build_models call.
-        assert len(tracer.find("build.models")) == len(levels)
+        # Each level's model fits nest under its span, one per node.
+        by_id = {s.span_id: s for s in tracer.spans()}
+        fitted = {level.span_id: 0 for level in levels}
+        for train in tracer.find("build.train"):
+            parent = by_id[train.parent_id]
+            while parent.name != "rsmi.fit_level":
+                parent = by_id[parent.parent_id]
+            fitted[parent.span_id] += 1
+        assert [fitted[level.span_id] for level in levels] == [
+            level.attrs["nodes"] for level in levels
+        ]
+        assert sum(fitted.values()) == build_spans[0].attrs["models"]
 
     def test_query_spans(self, osm_points, tracer):
         """RSMI queries emit the span vocabulary every index shares."""

@@ -76,15 +76,3 @@ class TestOriginalBuilder:
         builder = OriginalBuilder()
         with pytest.raises(ValueError):
             builder.build_model(np.empty(0), np.empty((0, 2)), BuildStats())
-
-    def test_stats_merge(self):
-        a = BuildStats(prepare_seconds=1.0, train_seconds=2.0, n_models=1)
-        a.methods_used["SP"] = 1
-        b = BuildStats(train_seconds=3.0, extra_seconds=0.5, n_models=2)
-        b.methods_used["SP"] = 2
-        b.methods_used["OG"] = 1
-        a.merge(b)
-        assert a.train_seconds == 5.0
-        assert a.n_models == 3
-        assert a.methods_used == {"SP": 3, "OG": 1}
-        assert a.total_seconds == pytest.approx(6.5)
