@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.queries.types import check_k
 from repro.spatial.rect import Rect
 
 __all__ = ["TraditionalIndex"]
@@ -72,8 +73,7 @@ class BestFirstKNN:
     """
 
     def __init__(self, point: np.ndarray, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_k(k)
         self.q = np.asarray(point, dtype=np.float64)
         self.k = k
         self._heap: list[tuple[float, int, object]] = []

@@ -26,6 +26,7 @@ from repro.indices.base import InsertRefused, LearnedSpatialIndex
 from repro.ml.ffn import FFN
 from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.trace import span as _span
+from repro.queries.types import check_k
 from repro.spatial.cdf import ks_distance, uniform_dissimilarity
 from repro.spatial.rect import Rect
 
@@ -349,8 +350,7 @@ class UpdateProcessor:
         """Batch kNN: the base index answers the whole batch at once (the
         vectorised expanding-window path where available), then each
         query's answer is merged with the side list."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_k(k)
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(pts) == 0:
             return []

@@ -33,6 +33,7 @@ from repro.ml.trainer import TrainConfig, train_regressor
 from repro.obs.query_obs import record_range_widths
 from repro.obs.trace import span as _span
 from repro.perf.batching import batch_window_refine, flat_window_refine, merge_ranges
+from repro.queries.types import check_k
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -734,8 +735,7 @@ class LearnedSpatialIndex(ABC):
         first: one ``(m, d)`` array per row, as exact as the index's
         windows.  Checks the batch; :meth:`_knn_rounds` answers it."""
         self._check_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_k(k)
         pts = self._batch(points)
         b = len(pts)
         if b == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.queries.types import check_k
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -30,8 +31,7 @@ def brute_force_window(points: np.ndarray, window: Rect) -> np.ndarray:
 
 def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
     """The true k nearest points by linear scan."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     pts = np.asarray(points, dtype=np.float64)
     q = np.asarray(query, dtype=np.float64)
     if len(pts) == 0:
@@ -67,8 +67,7 @@ def knn_recall(
     returned: np.ndarray, points: np.ndarray, query: np.ndarray, k: int
 ) -> float:
     """Fraction of returned neighbours within the true k-th distance."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     pts = np.asarray(points, dtype=np.float64)
     q = np.asarray(query, dtype=np.float64)
     if len(pts) == 0:

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.spatial.rect import Rect
 
-__all__ = ["KNNQuery", "PointQuery", "WindowQuery"]
+__all__ = ["KNNQuery", "PointQuery", "WindowQuery", "check_k"]
+
+
+def check_k(k) -> int:
+    """``k`` of a kNN query as an ``int``: an integer >= 1 (a Python or
+    NumPy integer), else ``ValueError``.  A float ``k``, even a whole one,
+    is refused: it would only fail later, as a slice bound."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -43,8 +57,7 @@ class KNNQuery:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
 
     @property
     def array(self) -> np.ndarray:

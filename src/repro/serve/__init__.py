@@ -19,7 +19,7 @@ from repro.serve.errors import (
     SnapshotFailed,
     WALCorruption,
 )
-from repro.serve.requests import KINDS, KNN, POINT, WINDOW, Reply, Request
+from repro.serve.requests import KINDS, KNN, POINT, WINDOW, Request
 from repro.serve.server import (
     DEGRADED,
     HEALTHY,
@@ -43,7 +43,6 @@ __all__ = [
     "POINT",
     "READ_ONLY",
     "RebuildFailed",
-    "Reply",
     "Request",
     "RequestTimeout",
     "ServeConfig",

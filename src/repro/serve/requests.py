@@ -1,29 +1,31 @@
-"""Request and reply types flowing through the serving queue.
+"""The one object a served read is: its batch, and the reply it becomes.
 
-A request is one batch of reads of one kind — point membership, window or
-kNN — plus a :class:`Reply`, a miniature single-assignment future that
-whoever serves the micro-batch containing the request completes once it
-has been answered: the thread that waits on the reply, or the server's
-dispatcher when nobody does (:class:`~repro.serve.server.IndexServer`).
-Replies record submission/completion timestamps and the generation that
-answered them, which is what the swap-under-load tests assert on: every
-reply names exactly one generation, and all replies of one micro-batch
-name the same one.
+A :class:`Request` is one batch of reads of one kind — point membership,
+window or kNN — and its own reply: a miniature single-assignment future
+that whoever serves the micro-batch containing it completes once it has
+been answered, the thread that waits on it or the server's dispatcher
+when nobody does (:class:`~repro.serve.server.IndexServer`).  ``submit``
+hands the request itself back, so a served read costs one Python object.
+A request records its submission/completion timestamps and the
+generation that answered it, which is what the swap-under-load tests
+assert on: every reply names exactly one generation, and all replies of
+one micro-batch name the same one.
 
-:meth:`Request.__post_init__` is the one place that says what a
-well-formed request is (kind, ``(n, d)`` payload shapes, ``k``); a
-malformed one raises there, to its submitter, before anything is queued.
+:meth:`Request.__init__` is the one place that says what a well-formed
+request is (kind, ``(n, d)`` payload shapes, ``k``); a malformed one
+raises there, to its submitter, before anything is queued.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["KINDS", "KNN", "POINT", "Reply", "Request", "WINDOW"]
+from repro.queries.types import check_k
+
+__all__ = ["KINDS", "KNN", "POINT", "Request", "WINDOW", "release"]
 
 POINT = "point"
 WINDOW = "window"
@@ -32,24 +34,48 @@ KNN = "knn"
 KINDS = (POINT, WINDOW, KNN)
 
 
-class Reply:
-    """Single-assignment completion handle for one request.
+class Request:
+    """One queued batch of reads of one kind, and its reply.
+
+    Point and kNN requests carry ``points``, an ``(n, d)`` array (plus
+    ``k``, an integer >= 1, for kNN); window requests carry the corner
+    arrays ``win_lo`` and ``win_hi``, ``(w, d)`` each.  ``size`` and ``d``
+    are the payload's row count and dimensionality; a server admits only
+    its index's own ``d``.  A request resolves to its batch's answers: a
+    bool array (point), ``(rows, counts)`` — every window's rows back to
+    back and a row count per window — (window), or one ``(m, d)`` array
+    per query (kNN).  A ``scalar`` request holds one row and resolves to
+    its one answer instead: a bool, an ``(m, d)`` array, an ``(m, d)``
+    array.  ``k`` and ``scalar`` come before the window corners so that
+    the served per-query spellings pass them by position: a keyword
+    argument costs a dict per request.
 
     Completion is one lock, held from construction and released by
-    :meth:`resolve` / :meth:`reject`: a waiter acquires it (with its
-    timeout) and hands it straight on, so any number of threads may wait.
-    Completing twice raises (the lock is already released).
+    :func:`release` (a micro-batch's kind-group at a time; :meth:`resolve`
+    / :meth:`reject` for one request).  :meth:`wait` on a completed
+    request reads its answer without touching the lock; a waiter on a
+    pending one acquires the lock (with its timeout) and hands it straight
+    on, so any number of threads may wait.  Completing twice raises (the
+    lock is already released).
 
-    A served reply carries a serve hook, ``_serve(reply, deadline)``, set
-    by the server at submission: :meth:`wait` calls it first, so a waiter
-    whose request is still queued answers it in its own thread instead of
-    sleeping through two thread hand-offs.  The hook returns when the
-    reply is complete, when another thread is serving, or at ``deadline``
-    (a ``perf_counter`` reading, ``None`` for none); the waiter then
-    blocks on the lock as before.
+    A submitted request carries its server's serve hook, ``_serve(request,
+    deadline)``: :meth:`wait` on a pending request calls it first, so a
+    waiter whose request is still queued answers it in its own thread
+    instead of sleeping through two thread hand-offs.  The hook returns
+    when the request is complete, when another thread is serving, or at
+    ``deadline`` (a ``perf_counter`` reading, ``None`` for none); the
+    waiter then blocks on the lock.
     """
 
     __slots__ = (
+        "kind",
+        "points",
+        "win_lo",
+        "win_hi",
+        "k",
+        "scalar",
+        "size",
+        "d",
         "_latch",
         "_serve",
         "value",
@@ -59,9 +85,44 @@ class Reply:
         "completed_at",
     )
 
-    def __init__(self) -> None:
-        self._latch = threading.Lock()
-        self._latch.acquire()
+    def __init__(
+        self,
+        kind: str,
+        points: np.ndarray | None = None,
+        k: int = 0,
+        scalar: bool = False,
+        win_lo: np.ndarray | None = None,
+        win_hi: np.ndarray | None = None,
+    ) -> None:
+        if kind == WINDOW:
+            if win_lo is None or win_hi is None:
+                raise ValueError("window requests need win_lo and win_hi corner arrays")
+            shape = win_lo.shape
+            if win_hi.shape != shape:
+                raise ValueError(
+                    f"window corners differ in shape: {shape} vs {win_hi.shape}"
+                )
+        elif kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        else:
+            if kind == KNN:
+                k = check_k(k)
+            if points is None:
+                raise ValueError(f"{kind} requests need a points array")
+            shape = points.shape
+        if len(shape) != 2:
+            raise ValueError(f"{kind} requests need (n, d) arrays, got shape {shape}")
+        if scalar and shape[0] != 1:
+            raise ValueError(f"a scalar {kind} request holds one row, got {shape[0]}")
+        self.size, self.d = shape
+        self.kind = kind
+        self.points = points
+        self.win_lo = win_lo
+        self.win_hi = win_hi
+        self.k = k
+        self.scalar = scalar
+        self._latch = latch = threading.Lock()
+        latch.acquire()
         self._serve = None
         self.value = None
         self.error: BaseException | None = None
@@ -69,38 +130,35 @@ class Reply:
         self.submitted_at = time.perf_counter()
         self.completed_at: float | None = None
 
-    def resolve(self, value, generation: int, at: float | None = None) -> None:
-        """Complete the reply with a result (serving side); ``at`` is
-        the completion stamp when the server took one for a group."""
-        self.value = value
-        self.generation = generation
-        self.completed_at = time.perf_counter() if at is None else at
-        self._latch.release()
+    def resolve(self, value, generation: int) -> None:
+        """Complete the request with its answer (serving side)."""
+        release([self], time.perf_counter(), generation, [value])
 
-    def reject(self, error: BaseException, at: float | None = None) -> None:
-        """Complete the reply with an error (serving side)."""
-        self.error = error
-        self.completed_at = time.perf_counter() if at is None else at
-        self._latch.release()
+    def reject(self, error: BaseException) -> None:
+        """Complete the request with an error (serving side)."""
+        release([self], time.perf_counter(), error=error)
 
     def done(self) -> bool:
-        """Completed?  (Reads False for the instant another thread's
-        :meth:`wait` holds the lock on its way out.)"""
+        """Completed?  (Reads False for the instant a waiter that blocked
+        before completion holds the lock on its way out.)"""
         return not self._latch.locked()
 
     def wait(self, timeout: float | None = None):
-        """Block until completed; returns the value or raises the error.
-        With a serve hook, serve queued work first (see the class notes)."""
-        if self._serve is not None and self._latch.locked():
-            if timeout is None:
-                self._serve(self, None)
-            else:
-                deadline = time.perf_counter() + timeout
-                self._serve(self, deadline)
-                timeout = deadline - time.perf_counter()
-        if not self._latch.acquire(timeout=-1 if timeout is None else max(timeout, 0.0)):
-            raise TimeoutError("request did not complete in time")
-        self._latch.release()
+        """Block until completed; returns the answer or raises the error.
+        A completed request returns at once; a pending one serves queued
+        work first when it has a serve hook (see the class notes)."""
+        latch = self._latch
+        if latch.locked():
+            if self._serve is not None:
+                if timeout is None:
+                    self._serve(self, None)
+                else:
+                    deadline = time.perf_counter() + timeout
+                    self._serve(self, deadline)
+                    timeout = deadline - time.perf_counter()
+            if not latch.acquire(timeout=-1 if timeout is None else max(timeout, 0.0)):
+                raise TimeoutError("request did not complete in time")
+            latch.release()
         if self.error is not None:
             raise self.error
         return self.value
@@ -112,55 +170,26 @@ class Reply:
         return self.completed_at - self.submitted_at
 
 
-@dataclass
-class Request:
-    """One queued batch of reads of one kind.
-
-    Point and kNN requests carry ``points``, an ``(n, d)`` array (plus
-    ``k`` for kNN); window requests carry the corner arrays ``win_lo`` and
-    ``win_hi``, ``(w, d)`` each.  A request resolves to its batch's
-    answers: a bool array (point), ``(rows, counts)`` — every window's
-    rows back to back and a row count per window — (window), or one
-    ``(m, d)`` array per query (kNN).  A ``scalar`` request holds one row
-    and resolves to its one answer instead: a bool, an ``(m, d)`` array,
-    an ``(m, d)`` array.
-    """
-
-    kind: str
-    points: np.ndarray | None = None
-    win_lo: np.ndarray | None = None
-    win_hi: np.ndarray | None = None
-    k: int = 0
-    scalar: bool = False
-    reply: Reply = field(default_factory=Reply)
-    #: Dimensionality and row count of the payload, read off by
-    #: ``__post_init__``; a server admits only its index's own ``d``.
-    d: int = field(init=False, default=0)
-    size: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == KNN and self.k < 1:
-            raise ValueError(f"kNN requests need k >= 1, got {self.k}")
-        if self.kind == WINDOW:
-            if self.win_lo is None or self.win_hi is None:
-                raise ValueError("window requests need win_lo and win_hi corner arrays")
-            shape = self.win_lo.shape
-            if self.win_hi.shape != shape:
-                raise ValueError(
-                    f"window corners differ in shape: {shape} vs {self.win_hi.shape}"
-                )
-        elif self.points is None:
-            raise ValueError(f"{self.kind} requests need a points array")
-        else:
-            shape = self.points.shape
-        if len(shape) != 2:
-            raise ValueError(
-                f"{self.kind} requests need (n, d) arrays, got shape {shape}"
-            )
-        if self.scalar and shape[0] != 1:
-            raise ValueError(
-                f"a scalar {self.kind} request holds one row, got {shape[0]}"
-            )
-        self.size, self.d = shape
+def release(
+    group: "list[Request]",
+    at: float,
+    generation: int | None = None,
+    values: "list | None" = None,
+    error: BaseException | None = None,
+) -> None:
+    """Complete every request of ``group`` at one stamp ``at``: each with
+    its answer from ``values`` and ``generation``, or all with ``error``.
+    The one place a request is completed; the server releases a whole
+    kind-group of a micro-batch with one call, no method call per
+    request."""
+    if error is None:
+        for r, value in zip(group, values):
+            r.value = value
+            r.generation = generation
+            r.completed_at = at
+            r._latch.release()
+    else:
+        for r in group:
+            r.error = error
+            r.completed_at = at
+            r._latch.release()

@@ -21,6 +21,23 @@ from repro.obs.metrics import Counter, MetricsRegistry
 __all__ = ["ServerStats"]
 
 
+class _Labelled(dict):
+    """The counters of one labelled series by label value, each bound on
+    first use (an unseen label exports nothing): ``labelled[value]`` is
+    one dict subscript once bound."""
+
+    def __init__(self, registry: MetricsRegistry, name: str, label: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._name = name
+        self._label = label
+
+    def __missing__(self, value: str) -> Counter:
+        counter = self._registry.counter(self._name, **{self._label: value})
+        self[value] = counter
+        return counter
+
+
 class ServerStats:
     """Counters + histograms accumulated across the server's stages.
 
@@ -39,10 +56,12 @@ class ServerStats:
         self._lock = threading.Lock()
         self.registry = registry or MetricsRegistry()
         r = self.registry
-        # Labelled counters, bound on first use (an unseen label exports nothing).
-        self._submitted: dict[str, Counter] = {}
-        self._shed: dict[str, Counter] = {}
-        self._retries: dict[str, Counter] = {}
+        #: Requests admitted, by kind: ``submitted[kind].inc()``.  The
+        #: server's admission section increments it under its own lock,
+        #: which already serialises submissions.
+        self.submitted = _Labelled(r, "serve.requests_submitted", "kind")
+        self._shed = _Labelled(r, "serve.requests_shed", "reason")
+        self._retries = _Labelled(r, "serve.retries", "op")
         self._completed = r.counter("serve.requests_completed")
         self._errors = r.counter("serve.request_errors")
         self._batches = r.counter("serve.batches")
@@ -63,19 +82,6 @@ class ServerStats:
         self.latency = r.histogram("serve.request_latency_seconds")
 
     # ------------------------------------------------------------------
-    def _bound(
-        self, bound: "dict[str, Counter]", name: str, label: str, value: str
-    ) -> Counter:
-        counter = bound.get(value)
-        if counter is None:
-            counter = bound[value] = self.registry.counter(name, **{label: value})
-        return counter
-
-    def note_submit(self, kind: str) -> None:
-        """One request admitted.  Not locked here: the caller holds the
-        server's admission lock, which already serialises submissions."""
-        self._bound(self._submitted, "serve.requests_submitted", "kind", kind).inc()
-
     def note_update(self, kind: str) -> None:
         with self._lock:
             if kind == "insert":
@@ -116,12 +122,12 @@ class ServerStats:
         capacity), ``timeout`` (aged out while queued), or ``read_only``
         (update rejected in degraded-read-only state)."""
         with self._lock:
-            self._bound(self._shed, "serve.requests_shed", "reason", reason).inc()
+            self._shed[reason].inc()
 
     def note_retry(self, op: str) -> None:
         """One backoff retry of a background op (``rebuild``/``snapshot``)."""
         with self._lock:
-            self._bound(self._retries, "serve.retries", "op", op).inc()
+            self._retries[op].inc()
 
     def note_rebuild_failure(self) -> None:
         with self._lock:

@@ -90,6 +90,7 @@ import numpy as np
 from repro.core.update_processor import update_point
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer, new_request_id, span as _span
+from repro.queries.types import check_k
 from repro.serve.errors import ServerOverloaded, ServerReadOnly
 from repro.shard.errors import ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
@@ -404,8 +405,7 @@ class ShardRouter:
         round one and the final top k are each one distance pass and one
         lexsort, whatever the batch size.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_k(k)
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         b = len(pts)
         if b == 0:

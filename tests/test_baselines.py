@@ -51,6 +51,12 @@ class TestExactness:
             assert len(got) == len(truth)
             assert set(map(tuple, got)) == set(map(tuple, truth))
 
+    def test_non_integer_k_rejected(self, built, osm_points, cls):
+        index = self._get(built, cls)
+        for k in (0, 2.5, np.float64(3.0)):
+            with pytest.raises(ValueError, match="k must be"):
+                index.knn_query(osm_points[0], k)
+
     def test_knn_exact_distances(self, built, osm_points, cls):
         index = self._get(built, cls)
         rng = np.random.default_rng(1)

@@ -267,6 +267,24 @@ class TestMLBatchKNN:
         with pytest.raises(ValueError, match="k must be"):
             indices["ML"].knn_query(osm_points[0], 0)
 
+    def test_non_integer_k_rejected(self, indices, osm_points):
+        """A float ``k`` is refused where the query enters, by the index and
+        by the update processor over it, instead of failing as a slice
+        bound inside the rounds."""
+        from repro.core.update_processor import UpdateProcessor
+
+        processor = UpdateProcessor(indices["ZM"])
+        for k in (2.5, np.float64(3.0)):
+            for call in (
+                lambda: indices["ZM"].knn_queries(osm_points[:2], k),
+                lambda: indices["ML"].knn_query(osm_points[0], k),
+                lambda: processor.knn_queries(osm_points[:2], k),
+            ):
+                with pytest.raises(ValueError, match="k must be an integer"):
+                    call()
+        got = indices["ZM"].knn_queries(osm_points[:2], np.int64(4))
+        assert_knn("ZM", osm_points, osm_points[:2], 4, got)
+
     def test_query_stats_match_scalar(self, osm_points):
         """kNN annuli are located by ``searchsorted``: no model runs, none
         is charged, and every gathered candidate row is."""

@@ -9,7 +9,7 @@ from repro.queries.evaluate import (
     knn_recall,
     window_recall,
 )
-from repro.queries.types import KNNQuery, PointQuery, WindowQuery
+from repro.queries.types import KNNQuery, PointQuery, WindowQuery, check_k
 from repro.queries.workload import knn_workload, point_workload, window_workload
 from repro.spatial.rect import Rect
 
@@ -25,6 +25,24 @@ class TestTypes:
     def test_knn_query_validation(self):
         with pytest.raises(ValueError):
             KNNQuery((0.5, 0.5), k=0)
+
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0), 2.5, np.float64(3.0), "3", None])
+    def test_k_must_be_an_integer_of_at_least_one(self, k, osm_points):
+        """One check for every kNN entry point here: a float ``k``, even a
+        whole one, is refused like a ``k`` below one."""
+        q = osm_points[0]
+        for call in (
+            lambda: check_k(k),
+            lambda: KNNQuery((0.5, 0.5), k=k),
+            lambda: brute_force_knn(osm_points, q, k),
+            lambda: knn_recall(osm_points[:3], osm_points, q, k),
+        ):
+            with pytest.raises(ValueError, match="k must be an integer >= 1"):
+                call()
+
+    def test_integer_k_of_any_integer_type_is_accepted(self):
+        for k in (1, 25, np.int64(3), np.int32(7), np.uint8(2)):
+            assert check_k(k) == k and type(check_k(k)) is int
 
     def test_window_query_wraps_rect(self):
         w = WindowQuery(Rect.unit(2))

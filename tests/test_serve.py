@@ -27,7 +27,6 @@ from repro.serve import (
     WINDOW,
     IndexServer,
     RebuildFailed,
-    Reply,
     Request,
     RequestTimeout,
     ServeConfig,
@@ -36,6 +35,7 @@ from repro.serve import (
     ServerReadOnly,
     SnapshotManager,
 )
+from repro.serve.requests import release
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
@@ -54,10 +54,10 @@ def _server(index, **kwargs) -> IndexServer:
 def _queue_then_start(server: IndexServer, requests: list) -> list:
     """Queue ``requests`` on a server that has not started, then start it:
     the dispatcher's first batch holds all of them (up to
-    ``max_batch_size``).  Returns their replies."""
+    ``max_batch_size``).  Returns them: each request is its own reply."""
     server._pending.extend(requests)
     server.start()
-    return [r.reply for r in requests]
+    return requests
 
 
 class TestBasicServing:
@@ -187,6 +187,41 @@ class TestBasicServing:
         assert series_sum(snap, "serve.requests_submitted", kind="point") == 10
         assert series_sum(snap, "serve.requests_submitted", kind="window") == 1
         assert series_sum(snap, "serve.requests_completed") == 11
+        assert series_sum(snap, "serve.request_errors") == 0
+
+    def test_a_non_integer_k_is_refused_and_spares_its_batch(
+        self, built_index, osm_points
+    ):
+        """A kNN request with a non-integer ``k`` raises at submit, so it
+        never reaches a micro-batch: a window and a point request queued
+        as one batch with it get brute-force answers."""
+        probe, query = osm_points[5], osm_points[9]
+        window = Rect.centered(osm_points[7], 0.1)
+        flight = [
+            Request(POINT, points=probe[None], scalar=True),
+            Request(WINDOW, win_lo=window.lo_array[None],
+                    win_hi=window.hi_array[None], scalar=True),
+        ]
+        server = _server(built_index)
+        for bad in (2.5, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="integer"):
+                flight.append(Request(KNN, points=query[None], k=bad, scalar=True))
+            with pytest.raises(ValueError, match="integer"):
+                server.submit_knn(query, bad)
+        hit, rows = _queue_then_start(server, flight)
+        with server:
+            assert hit.wait(20) is True
+            assert_windows("ZM", osm_points, [window], [rows.wait(20)])
+            assert server.stats.batches == 1
+            for bad in (2.5, np.float64(3.0)):
+                with pytest.raises(ValueError, match="integer"):
+                    server.submit_knn(query, bad)
+                with pytest.raises(ValueError, match="integer"):
+                    server.submit_knn_batch(osm_points[:3], bad)
+            got = server.submit_knn(query, np.int64(3)).wait(20)
+            assert_knn("ZM", osm_points, query[None], 3, [got])
+            snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.requests_submitted", kind="knn") == 1
         assert series_sum(snap, "serve.request_errors") == 0
 
     def test_bad_config_rejected(self):
@@ -615,9 +650,48 @@ class TestLifecycle:
                 pass
 
 
+def _pending_request() -> Request:
+    """A point request nobody serves: its completion is the test's."""
+    return Request(POINT, np.zeros((1, 2)), 0, True)
+
+
+def _wait_from_threads(request: Request, n: int = 8, complete=None) -> list:
+    """``request.wait(10)`` from ``n`` threads started together (and, when
+    given, ``complete(request)`` from one more thread at the same moment):
+    each waiter's answer, or the exception it raised."""
+    got: list = []
+    lock = threading.Lock()
+    start = threading.Barrier(n if complete is None else n + 1)
+
+    def waiter():
+        start.wait()
+        try:
+            out = request.wait(10)
+        except BaseException as exc:  # noqa: BLE001 - the test reads it
+            out = exc
+        with lock:
+            got.append(out)
+
+    def completer():
+        start.wait()
+        complete(request)
+
+    threads = [threading.Thread(target=waiter) for _ in range(n)]
+    if complete is not None:
+        threads.append(threading.Thread(target=completer))
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    return got
+
+
 class TestReply:
+    """A request is its own reply: one object from submit to answer."""
+
     def test_wait_times_out_while_pending_then_returns_repeatedly(self):
-        reply = Reply()
+        reply = _pending_request()
         assert not reply.done()
         for timeout in (0.0, 0.01, -1.0):
             with pytest.raises(TimeoutError):
@@ -633,7 +707,7 @@ class TestReply:
         assert reply.latency_seconds >= 0.0
 
     def test_every_waiter_returns(self):
-        reply = Reply()
+        reply = _pending_request()
         got: list = []
         waiters = [
             threading.Thread(target=lambda: got.append(reply.wait(10)))
@@ -650,7 +724,7 @@ class TestReply:
         assert got == [42, 42]
 
     def test_reject_reraises_and_completion_is_single(self):
-        reply = Reply()
+        reply = _pending_request()
         reply.reject(ServerClosed("gone"))
         assert reply.done()
         for _ in range(2):
@@ -658,6 +732,99 @@ class TestReply:
                 reply.wait(1)
         with pytest.raises(RuntimeError):
             reply.resolve(1, 0)  # single-assignment: already completed
+
+    def test_completed_replies_answer_eight_waiters_at_once(self):
+        """A completed reply returns at once, whoever asks: its value from
+        a resolved one and its error from a rejected one, to eight threads
+        waiting together, and it stays done throughout."""
+        resolved = _pending_request()
+        resolved.resolve("answer", 7)
+        assert _wait_from_threads(resolved) == ["answer"] * 8
+        assert resolved.done() and resolved.generation == 7
+        rejected = _pending_request()
+        error = RequestTimeout("shed")
+        rejected.reject(error)
+        assert _wait_from_threads(rejected) == [error] * 8
+        assert rejected.done()
+
+    def test_waiters_racing_completion_all_return(self, fast_switching):
+        """Eight waiters start as the request completes, so each finds it
+        pending (the lock) or complete (no lock): every one returns the
+        answer or raises the error, and none is left blocked."""
+        error = ServerClosed("gone")
+        for i in range(60):
+            reply = _pending_request()
+            if i % 2:
+                got = _wait_from_threads(reply, complete=lambda r: r.resolve(i, 0))
+                assert got == [i] * 8
+            else:
+                got = _wait_from_threads(
+                    reply,
+                    complete=lambda r: release([r], time.perf_counter(), 0, error=error),
+                )
+                assert got == [error] * 8
+            assert reply.done()
+
+    def test_a_second_completion_still_raises(self):
+        """Whichever way a request was completed — alone or with its
+        micro-batch group — completing it again raises."""
+        for complete in (
+            lambda r: r.resolve(1, 0),
+            lambda r: r.reject(ServerClosed("gone")),
+            lambda r: release([r], time.perf_counter(), 0, [1]),
+            lambda r: release([r], time.perf_counter(), 0, error=ServerClosed("gone")),
+        ):
+            for again in (
+                lambda r: r.resolve(2, 1),
+                lambda r: r.reject(ServerClosed("again")),
+                lambda r: release([r], time.perf_counter(), 1, [2]),
+            ):
+                reply = _pending_request()
+                complete(reply)
+                with pytest.raises(RuntimeError):
+                    again(reply)
+                assert reply.done()
+
+    def test_done_holds_before_and_after_completion(self):
+        """``done()`` reads False while pending, including after a waiter
+        timed out, and True once completed, before and after waits."""
+        reply = _pending_request()
+        assert not reply.done()
+        with pytest.raises(TimeoutError):
+            reply.wait(0.01)
+        assert not reply.done()
+        release([reply], time.perf_counter(), 4, ["answer"])
+        assert reply.done()
+        assert reply.wait(0) == "answer"
+        assert reply.done()
+        assert _wait_from_threads(reply) == ["answer"] * 8
+        assert reply.done()
+
+    def test_submit_returns_the_request(self, built_index, osm_points):
+        """Every ``submit_*`` hands back the request it queued — one object
+        carrying its kind, the answering generation and its latency."""
+        window = Rect.centered(np.array([0.5, 0.5]), 0.1)
+        p = osm_points[0]
+        with _server(built_index) as server:
+            for submit, kind in (
+                (lambda: server.submit_point(p), POINT),
+                (lambda: server.submit_window(window), WINDOW),
+                (lambda: server.submit_knn(p, 3), KNN),
+                (lambda: server.submit_point_batch(osm_points[:4]), POINT),
+                (lambda: server.submit_window_batch(
+                    window.lo_array[None], window.hi_array[None]), WINDOW),
+                (lambda: server.submit_knn_batch(osm_points[:4], 3), KNN),
+            ):
+                request = submit()
+                assert isinstance(request, Request) and request.kind == kind
+                assert not hasattr(request, "reply")
+                request.wait(20)
+                assert request.done()
+                assert request.generation == server.generation
+                assert request.latency_seconds >= 0.0
+            mine = Request(POINT, osm_points[:1])
+            assert server.submit(mine) is mine
+            assert mine.wait(20).tolist() == [True]
 
 
 class TestAdmissionStress:

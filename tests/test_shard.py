@@ -225,6 +225,16 @@ class TestBatchRequests:
             Request(kind=KNN, points=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="win_lo"):
             Request(kind="window")
+        with pytest.raises(ValueError, match="integer"):
+            Request(kind=KNN, points=np.zeros((2, 2)), k=2.5)
+
+    def test_router_refuses_a_non_integer_k(self):
+        handle = _StubHandle(0)
+        router = _stub_router([handle])
+        for k in (0, 2.5, np.float64(3.0)):
+            with pytest.raises(ValueError, match="k must be"):
+                router.knn_queries(np.zeros((2, 2)), k)
+        assert handle.requests == []
 
 
 # ----------------------------------------------------------------------
