@@ -358,7 +358,7 @@ def _updates_cell(ctx: Context, cell: Cell, base: np.ndarray) -> dict:
     inserts = skewed(int(INSERT_RATIOS[-1] * len(base)) + 1, seed=ctx.seed + 7)
     target, _ = ctx.build(cell, base)
     if cell.index in LEARNED_INDICES:
-        target = UpdateProcessor(target, ctx.config, auto_rebuild=False, native=True)
+        target = UpdateProcessor(target, native=True)
     trajectory = []
     cursor = 0
     for ratio in INSERT_RATIOS:

@@ -46,7 +46,8 @@ class ELSIConfig:
     gamma:
         RL discount factor (0.9 per Section V-B2).
     f_u:
-        Updates between rebuild-predictor invocations (Section IV-B2).
+        Updates between rebuild-predictor invocations (Section IV-B2);
+        ``IndexServer`` counts them and runs the check.
     train_epochs / hidden_size:
         FFN training epochs and hidden width for index models (paper: 500
         epochs, lr 0.01).

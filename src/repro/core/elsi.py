@@ -124,13 +124,9 @@ class ELSI:
     # ------------------------------------------------------------------
     # Updates (Figure 3's update / to_rebuild APIs)
     # ------------------------------------------------------------------
-    def updates(
-        self, index: LearnedSpatialIndex, auto_rebuild: bool = False
-    ) -> UpdateProcessor:
-        """Wrap a built index in ELSI's update processor."""
-        return UpdateProcessor(
-            index,
-            config=self.config,
-            predictor=self.rebuild_predictor,
-            auto_rebuild=auto_rebuild,
-        )
+    def updates(self, index: LearnedSpatialIndex) -> UpdateProcessor:
+        """Wrap a built index in ELSI's update processor.  Ask its
+        ``to_rebuild`` after a batch of updates, or serve it through
+        :class:`~repro.serve.server.IndexServer`, which asks every
+        ``f_u`` updates."""
+        return UpdateProcessor(index, predictor=self.rebuild_predictor)

@@ -7,7 +7,15 @@ base index's results.  The CDF of the indexed data is snapshotted at build
 time; as updates arrive, ``sim(D', D)`` is recomputed so the learned
 *rebuild predictor* — an FFN over cardinality, distribution, index depth,
 update ratio and CDF change — can decide when to trigger a full rebuild
-(the ``to_rebuild`` API).  The predictor runs after every ``f_u`` updates.
+(the ``to_rebuild`` API).
+
+The processor only answers ``to_rebuild`` and runs ``rebuild`` when asked;
+it keeps no ``f_u`` counter of its own.  The paper's ``f_u`` cadence runs
+in one place, :class:`~repro.serve.server.IndexServer`: every
+``ELSIConfig.f_u`` updates it wakes its background worker, which asks
+``to_rebuild`` and rebuilds off the request path.  An in-process caller
+(the "-R" indices of Figures 15–16) asks ``to_rebuild`` itself, after
+each batch of updates.
 
 Ground truth for the predictor follows Section VII-B2: indices with and
 without rebuilds are compared after batches of updates, and the label is 1
@@ -103,13 +111,12 @@ class UpdateProcessor:
     index:
         A built :class:`~repro.indices.base.LearnedSpatialIndex`.
     config:
-        Supplies ``f_u`` (updates between predictor invocations).
+        Read by nothing: the processor keeps no ``f_u`` counter (see the
+        module notes).  It stays only because the frozen e2e workload
+        definitions pass it.
     predictor:
         Optional trained :class:`RebuildPredictor`; without one,
         ``to_rebuild`` falls back to a CDF-drift heuristic.
-    auto_rebuild:
-        When True, :meth:`insert`/:meth:`delete` trigger a rebuild as soon
-        as the predictor says so (the "-R" indices of Figures 15–16).
     native:
         Route insertions through the index's *built-in* insertion procedure
         instead of the side list (the paper's Figure 15 setting: "LISA and
@@ -125,7 +132,6 @@ class UpdateProcessor:
         index: LearnedSpatialIndex,
         config: ELSIConfig | None = None,
         predictor: RebuildPredictor | None = None,
-        auto_rebuild: bool = False,
         native: bool = False,
         index_factory=None,
     ) -> None:
@@ -134,7 +140,6 @@ class UpdateProcessor:
         self.index = index
         self.config = config or ELSIConfig()
         self.predictor = predictor
-        self.auto_rebuild = auto_rebuild
         self.native = native and (
             type(index).insert is not LearnedSpatialIndex.insert
         )
@@ -152,7 +157,7 @@ class UpdateProcessor:
         #: Deletion marks on stored rows: key -> [copies marked, copies
         #: stored].  One delete marks one copy, as one WAL record logs it.
         self._deleted: dict[tuple[float, ...], list[int]] = {}
-        self._updates_since_check = 0
+        #: Updates since the last (re)build: the predictor's update ratio.
         self._updates_total = 0
         self.rebuilds = 0
         self.last_rebuild_seconds = 0.0
@@ -191,7 +196,7 @@ class UpdateProcessor:
         elif not (self.native and self._insert_native(p)):
             self._inserted.append(p)
             self._inserted_count[key] = self._inserted_count.get(key, 0) + 1
-        self._note_update()
+        self._updates_total += 1
 
     def _insert_native(self, point: np.ndarray) -> bool:
         """Whether the index's built-in insertion took ``point``; one it
@@ -216,7 +221,7 @@ class UpdateProcessor:
             self._inserted_count[key] -= 1
             if self._inserted_count[key] == 0:
                 del self._inserted_count[key]
-            self._note_update()
+            self._updates_total += 1
             return True
         marks = self._deleted.get(key)
         if marks is None:
@@ -227,16 +232,8 @@ class UpdateProcessor:
         if marks[0] == marks[1]:
             return False
         marks[0] += 1
-        self._note_update()
-        return True
-
-    def _note_update(self) -> None:
-        self._updates_since_check += 1
         self._updates_total += 1
-        if self._updates_since_check >= self.config.f_u:
-            self._updates_since_check = 0
-            if self.auto_rebuild and self.to_rebuild():
-                self.rebuild()
+        return True
 
     # ------------------------------------------------------------------
     # Queries (merge the side list with the base index)
@@ -426,7 +423,6 @@ class UpdateProcessor:
         self._inserted_count = {}
         self._deleted = {}
         self._updates_total = 0
-        self._updates_since_check = 0
         self.rebuilds += 1
         self.last_rebuild_seconds = elapsed
         return elapsed
@@ -454,7 +450,6 @@ def _stored_copies(index: LearnedSpatialIndex, point: np.ndarray) -> int:
 
 def train_rebuild_predictor(
     index_factory,
-    config: ELSIConfig | None = None,
     cardinalities: tuple[int, ...] = (2_000, 5_000),
     deltas: tuple[float, ...] = (0.0, 0.4, 0.8),
     insert_fractions: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
@@ -473,7 +468,6 @@ def train_rebuild_predictor(
     from repro.data.controlled import dataset_with_uniform_distance
     from repro.data.generators import skewed
 
-    cfg = config or ELSIConfig()
     features: list[np.ndarray] = []
     labels: list[int] = []
     rng = np.random.default_rng(seed)
@@ -482,7 +476,7 @@ def train_rebuild_predictor(
             points = dataset_with_uniform_distance(n, delta, seed=seed + i)
             index = index_factory()
             index.build(points)
-            processor = UpdateProcessor(index, cfg)
+            processor = UpdateProcessor(index)
             inserts = skewed(int(max(insert_fractions) * n) + 1, seed=seed + 100 + i)
             cursor = 0
             for fraction in insert_fractions:

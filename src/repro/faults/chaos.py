@@ -49,7 +49,7 @@ from repro.data import load_dataset
 from repro.faults.registry import InjectedFault, get_fault_registry
 from repro.indices.zm import ZMIndex
 from repro.obs.metrics import series_sum
-from repro.serve.server import HEALTHY, IndexServer, ServeConfig
+from repro.serve.server import HEALTHY, MAX_RETRIES, IndexServer
 from repro.spatial.rect import Rect
 
 __all__ = [
@@ -170,10 +170,8 @@ def _reference_processor(
     seed: int, n: int, epochs: int, schedule, m: int
 ) -> UpdateProcessor:
     """The uncrashed reference: a fresh build plus ``schedule[:m]``."""
-    index, _, config, factory = _build_index(seed, n, epochs)
-    processor = UpdateProcessor(
-        index, config, auto_rebuild=False, index_factory=factory
-    )
+    index, _, _, factory = _build_index(seed, n, epochs)
+    processor = UpdateProcessor(index, index_factory=factory)
     for op, point in schedule[:m]:
         if op == "insert":
             processor.insert(point)
@@ -209,7 +207,6 @@ def _child_main(args: argparse.Namespace) -> int:
     schedule = make_schedule(points, args.ops, args.seed)
     server = IndexServer(
         index,
-        ServeConfig(max_retries=1, retry_base_delay=0.01, retry_max_delay=0.05),
         elsi_config=config,
         index_factory=factory,
         snapshots=args.dir,
@@ -357,11 +354,8 @@ def torn_snapshot(
     index, points, config, factory = _build_index(seed, n, epochs)
     schedule = make_schedule(points, ops, seed)
     half = ops // 2
-    # max_retries=0: the torn write is *not* retried away, so the corrupt
-    # file stays on disk as the newest generation — the recovery target.
     server = IndexServer(
         index,
-        ServeConfig(max_retries=0),
         elsi_config=config,
         index_factory=factory,
         snapshots=directory,
@@ -369,7 +363,9 @@ def torn_snapshot(
     )
     for op, point in schedule[:half]:
         server.insert(point) if op == "insert" else server.delete(point)
-    registry.arm("snapshot.write", kind="torn_write", times=1)
+    # Every attempt tears, retries included, so the corrupt file stays on
+    # disk as the newest generation — the recovery target.
+    registry.arm("snapshot.write", kind="torn_write", times=MAX_RETRIES + 1)
     server.rebuild_now()  # swap succeeds; the new snapshot lands torn
     if server.health == HEALTHY:
         raise ChaosError("torn snapshot save should have degraded the server")
@@ -405,7 +401,8 @@ def rebuild_crash_retry(
     epochs: int = 40,
     crashes: int = 2,
 ) -> dict:
-    """Rebuild attempts crash ``crashes`` times; retries must converge."""
+    """Rebuild attempts crash ``crashes`` times (at most the server's
+    ``MAX_RETRIES``); retries must converge."""
     directory = Path(directory)
     registry = get_fault_registry()
     registry.reset()
@@ -413,9 +410,6 @@ def rebuild_crash_retry(
     schedule = make_schedule(points, ops, seed)
     server = IndexServer(
         index,
-        ServeConfig(
-            max_retries=crashes + 1, retry_base_delay=0.01, retry_max_delay=0.05
-        ),
         elsi_config=config,
         index_factory=factory,
         snapshots=directory,

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 ENV_TRACE = "REPRO_TRACE"
+#: Spans the in-memory ring buffer keeps (the newest); a file sink keeps all.
+RING_SIZE = 8192
 
 _id_counter = itertools.count(1)
 _request_counter = itertools.count(1)
@@ -294,9 +296,8 @@ class _Capture:
 class Tracer:
     """Owns the enabled flag, the ring buffer, and the optional file sink."""
 
-    def __init__(self, ring_size: int = 8192) -> None:
+    def __init__(self) -> None:
         self._enabled = False
-        self.ring_size = ring_size
         self._buffer: list[SpanRecord] = []
         self._lock = threading.Lock()
         # O_APPEND file descriptor for JSONL streaming: one os.write per
@@ -314,11 +315,9 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self, path: "str | None" = None, ring_size: "int | None" = None) -> None:
+    def enable(self, path: "str | None" = None) -> None:
         """Turn tracing on, optionally streaming spans to a JSONL file."""
         with self._lock:
-            if ring_size is not None:
-                self.ring_size = ring_size
             if path is not None and path != self.sink_path:
                 if self._sink is not None:
                     os.close(self._sink)
@@ -379,8 +378,8 @@ class Tracer:
             return
         with self._lock:
             self._buffer.append(record)
-            if len(self._buffer) > self.ring_size:
-                del self._buffer[: len(self._buffer) - self.ring_size]
+            if len(self._buffer) > RING_SIZE:
+                del self._buffer[: len(self._buffer) - RING_SIZE]
             if self._sink is not None:
                 # A single write of the whole encoded line to an O_APPEND
                 # fd: concurrent writers (other threads are already
@@ -469,8 +468,8 @@ def enabled() -> bool:
     return _TRACER._enabled
 
 
-def enable(path: "str | None" = None, ring_size: "int | None" = None) -> None:
-    _TRACER.enable(path=path, ring_size=ring_size)
+def enable(path: "str | None" = None) -> None:
+    _TRACER.enable(path=path)
 
 
 def disable() -> None:

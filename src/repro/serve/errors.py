@@ -1,8 +1,9 @@
 """Typed serving errors: shedding, lifecycle, and durability failures.
 
-Clients need to distinguish "retry later" (:class:`ServerOverloaded`,
-:class:`RequestTimeout`), "stop sending writes" (:class:`ServerReadOnly`),
-and "this handle is dead" (:class:`ServerClosed`) — a bare RuntimeError
+Clients need to distinguish "retry later" (:class:`ServerOverloaded`),
+"not answered yet" (:class:`RequestTimeout`), "stop sending writes"
+(:class:`ServerReadOnly`), and "this handle is dead"
+(:class:`ServerClosed`) — a bare RuntimeError
 can't carry that, so every failure mode the server sheds or rejects with
 has its own type.  :class:`RebuildFailed` and :class:`SnapshotFailed`
 surface background-worker failures to ``rebuild_now()`` callers and the
@@ -31,7 +32,8 @@ class ServerOverloaded(RuntimeError):
 
 
 class RequestTimeout(TimeoutError):
-    """The request aged past the deadline while queued and was shed."""
+    """A wait on a request ran out of time (``Request.wait``); the request
+    itself is not withdrawn and is still answered."""
 
 
 class ServerReadOnly(RuntimeError):

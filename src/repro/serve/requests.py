@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from repro.queries.types import check_k
+from repro.serve.errors import RequestTimeout
 
 __all__ = ["KINDS", "KNN", "POINT", "Request", "WINDOW", "release"]
 
@@ -55,8 +56,11 @@ class Request:
     / :meth:`reject` for one request).  :meth:`wait` on a completed
     request reads its answer without touching the lock; a waiter on a
     pending one acquires the lock (with its timeout) and hands it straight
-    on, so any number of threads may wait.  Completing twice raises (the
-    lock is already released).
+    on, so any number of threads may wait.  Completing twice raises:
+    :meth:`resolve` and :meth:`reject` check first and leave the first
+    answer, its generation and its stamp as they were; :func:`release`
+    (the server's path, which never completes twice) finds out from the
+    lock, after writing.
 
     A submitted request carries its server's serve hook, ``_serve(request,
     deadline)``: :meth:`wait` on a pending request calls it first, so a
@@ -132,11 +136,17 @@ class Request:
 
     def resolve(self, value, generation: int) -> None:
         """Complete the request with its answer (serving side)."""
+        self._check_pending()
         release([self], time.perf_counter(), generation, [value])
 
     def reject(self, error: BaseException) -> None:
         """Complete the request with an error (serving side)."""
+        self._check_pending()
         release([self], time.perf_counter(), error=error)
+
+    def _check_pending(self) -> None:
+        if self.completed_at is not None:
+            raise RuntimeError("request already completed")
 
     def done(self) -> bool:
         """Completed?  (Reads False for the instant a waiter that blocked
@@ -146,7 +156,10 @@ class Request:
     def wait(self, timeout: float | None = None):
         """Block until completed; returns the answer or raises the error.
         A completed request returns at once; a pending one serves queued
-        work first when it has a serve hook (see the class notes)."""
+        work first when it has a serve hook (see the class notes).  Raises
+        :class:`~repro.serve.errors.RequestTimeout` once ``timeout``
+        seconds pass; a request that times out is not withdrawn, and its
+        server still answers it."""
         latch = self._latch
         if latch.locked():
             if self._serve is not None:
@@ -157,7 +170,7 @@ class Request:
                     self._serve(self, deadline)
                     timeout = deadline - time.perf_counter()
             if not latch.acquire(timeout=-1 if timeout is None else max(timeout, 0.0)):
-                raise TimeoutError("request did not complete in time")
+                raise RequestTimeout("request did not complete in time")
             latch.release()
         if self.error is not None:
             raise self.error

@@ -5,8 +5,8 @@
 *generation pointer*.  A request is a batch of one kind — point, window
 or kNN — and the per-query spellings are batches of one.  Requests enter
 one deque under one condition.  Whoever serves takes everything that is
-queued (up to ``max_batch_size``) and makes one processor call per kind
-over every request's rows (``point_queries`` / ``window_rows`` /
+queued (up to :data:`MAX_BATCH_SIZE`) and makes one processor call per
+kind over every request's rows (``point_queries`` / ``window_rows`` /
 ``knn_queries``, one kNN call per ``k``), handing each request its own
 slice.  While a batch is served, the next one forms by itself — that is
 where batching pays, so nothing holds a batch open.  Each kind-group of
@@ -45,16 +45,17 @@ Fault tolerance (docs/serving.md, "Durability and failure modes"):
   :meth:`IndexServer.from_snapshot` replays it, quarantining corrupt
   snapshots and falling back to older generations.
 - Rebuild and snapshot failures retry with exponential backoff + jitter
-  under ``max_retries``; the old generation keeps serving throughout.
+  up to :data:`MAX_RETRIES` times; the old generation keeps serving.
   The health state walks ``healthy → degraded → read_only``: degraded
   after any failure, read-only (queries served, updates rejected with
   :class:`~repro.serve.errors.ServerReadOnly`) once the rebuild retry
   budget is exhausted.  A later successful rebuild restores ``healthy``.
-- Admission control is bounded: past ``max_queue_depth`` submissions
-  shed with :class:`~repro.serve.errors.ServerOverloaded`; requests that
-  age past ``request_timeout_seconds`` in the queue shed with
-  :class:`~repro.serve.errors.RequestTimeout` instead of being served
-  stale.
+- Admission control is bounded: past :data:`MAX_QUEUE_DEPTH` queued
+  requests a submission sheds with
+  :class:`~repro.serve.errors.ServerOverloaded`.  A queued request is
+  never shed by age: a client that stops waiting gets
+  :class:`~repro.serve.errors.RequestTimeout` from its own ``wait``, and
+  the request is still served.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import span as _span
 from repro.serve.errors import (
     RebuildFailed,
-    RequestTimeout,
     ServerClosed,
     ServerOverloaded,
     ServerReadOnly,
@@ -108,15 +108,29 @@ READ_ONLY = "read_only"
 
 _HEALTH_LEVELS = {HEALTHY: 0, DEGRADED: 1, READ_ONLY: 2}
 
+#: Hard cap on requests per micro-batch: whoever serves takes at most
+#: this many from the head of the queue at a time.
+MAX_BATCH_SIZE = 256
+#: Bounded admission: a submission that finds this many requests queued
+#: raises :class:`~repro.serve.errors.ServerOverloaded` instead of
+#: growing the queue without limit.
+MAX_QUEUE_DEPTH = 10_000
+#: Retry budget of a background rebuild or snapshot save: attempts
+#: beyond the first.
+MAX_RETRIES = 3
+#: Exponential-backoff window of those retries, in seconds; each wait is
+#: jittered to ``[0.5, 1.5)`` of its step so servers do not retry in step.
+RETRY_BASE_DELAY = 0.05
+RETRY_MAX_DELAY = 2.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Admission-control and durability knobs.
+    """The serving knobs a caller sets; the bounds of batching, admission
+    and retries are the module constants above.
 
     Attributes
     ----------
-    max_batch_size:
-        Hard cap on requests per micro-batch.
     max_wait_seconds:
         Single-valued: ``0``, the only value accepted.  Whoever serves —
         the waiting client or the dispatcher — takes whatever is queued
@@ -127,59 +141,21 @@ class ServeConfig:
         (docs/performance.md).  The field remains only because the e2e
         benchmark's frozen workload definitions pass it.
     auto_rebuild:
-        Whether the background worker may check ``to_rebuild`` every
-        ``ELSIConfig.f_u`` updates and swap in rebuilt generations on its
+        Whether the background worker checks ``to_rebuild`` every
+        ``ELSIConfig.f_u`` updates and swaps in rebuilt generations on its
         own.  :meth:`IndexServer.rebuild_now` works either way.
-    max_queue_depth:
-        Bounded admission: submissions beyond this queue depth raise
-        :class:`~repro.serve.errors.ServerOverloaded` instead of growing
-        the queue without limit.  ``0`` disables the bound.
-    request_timeout_seconds:
-        Requests older than this when a batch takes them up are
-        shed with :class:`~repro.serve.errors.RequestTimeout` rather
-        than served stale.  ``None`` disables shedding by age.
-    max_retries:
-        Retry budget for background rebuilds and snapshot saves (the
-        attempt count beyond the first try).
-    retry_base_delay / retry_max_delay:
-        Exponential-backoff window for those retries; each wait is
-        jittered to avoid thundering retries across servers.
     fsync_policy:
         WAL durability: ``always`` / ``off`` (see :mod:`repro.serve.wal`).
     """
 
-    max_batch_size: int = 256
     max_wait_seconds: float = 0.0
     auto_rebuild: bool = True
-    max_queue_depth: int = 10_000
-    request_timeout_seconds: float | None = None
-    max_retries: int = 3
-    retry_base_delay: float = 0.05
-    retry_max_delay: float = 2.0
     fsync_policy: str = "always"
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_wait_seconds != 0:
             raise ValueError(
                 f"max_wait_seconds can only be 0, got {self.max_wait_seconds}"
-            )
-        if self.max_queue_depth < 0:
-            raise ValueError(
-                f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
-            )
-        if self.request_timeout_seconds is not None and self.request_timeout_seconds <= 0:
-            raise ValueError(
-                "request_timeout_seconds must be positive or None, "
-                f"got {self.request_timeout_seconds}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_base_delay < 0 or self.retry_max_delay < self.retry_base_delay:
-            raise ValueError(
-                "need 0 <= retry_base_delay <= retry_max_delay, got "
-                f"{self.retry_base_delay}/{self.retry_max_delay}"
             )
         if self.fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
@@ -207,7 +183,7 @@ class IndexServer:
     index:
         A *built* :class:`~repro.indices.base.LearnedSpatialIndex`.
     config:
-        Admission/worker/durability knobs (:class:`ServeConfig`).
+        Rebuild and durability knobs (:class:`ServeConfig`).
     elsi_config:
         Passed to the update processor; its ``f_u`` is also the number
         of updates between background rebuild checks.
@@ -336,7 +312,6 @@ class IndexServer:
     def from_snapshot(
         cls,
         snapshots: "SnapshotManager | str",
-        generation: int | None = None,
         wal: "str | bool | None" = None,
         salvage: bool = False,
         **kwargs,
@@ -364,7 +339,7 @@ class IndexServer:
         """
         if not isinstance(snapshots, SnapshotManager):
             snapshots = SnapshotManager(snapshots)
-        index, gen_id = snapshots.load(generation)
+        index, gen_id = snapshots.load()
         if not wal:
             return cls(index, snapshots=snapshots, generation=gen_id, **kwargs)
         wal_dir = snapshots.directory if wal is True else Path(wal)
@@ -524,12 +499,11 @@ class IndexServer:
                 raise RuntimeError(
                     "server is not started; use start() or a with-block"
                 )
-            depth = self.config.max_queue_depth
-            if depth and len(self._pending) >= depth:
+            if len(self._pending) >= MAX_QUEUE_DEPTH:
                 self.stats.note_shed("overloaded")
                 raise ServerOverloaded(
-                    f"request queue is at capacity ({depth}); shedding instead of "
-                    "queueing unboundedly"
+                    f"request queue is at capacity ({MAX_QUEUE_DEPTH}); shedding "
+                    "instead of queueing unboundedly"
                 )
             self.stats.submitted[request.kind].inc()
             request._serve = self._serve_hook
@@ -546,9 +520,11 @@ class IndexServer:
     # batch request is the shard router's scatter unit: a shard worker
     # answers a whole routed sub-batch as one request, so queue and reply
     # bookkeeping is paid once per sub-batch, and the sub-batch is answered
-    # from one generation like any micro-batch.
+    # from one generation like any micro-batch.  Every payload is copied
+    # (``np.array``): a caller may reuse its buffer as soon as submit
+    # returns.  A window's corners come from its immutable ``Rect``.
     def submit_point(self, point: np.ndarray) -> Request:
-        return self.submit(Request(POINT, np.asarray(point, np.float64)[None], 0, True))
+        return self.submit(Request(POINT, np.array(point, np.float64)[None], 0, True))
 
     def submit_window(self, window: Rect) -> Request:
         return self.submit(
@@ -561,11 +537,11 @@ class IndexServer:
         )
 
     def submit_knn(self, point: np.ndarray, k: int) -> Request:
-        return self.submit(Request(KNN, np.asarray(point, np.float64)[None], k, True))
+        return self.submit(Request(KNN, np.array(point, np.float64)[None], k, True))
 
     def submit_point_batch(self, points: np.ndarray) -> Request:
         """Membership of each ``(n, d)`` row: resolves to a bool array."""
-        return self.submit(Request(POINT, np.asarray(points, dtype=np.float64)))
+        return self.submit(Request(POINT, np.array(points, dtype=np.float64)))
 
     def submit_window_batch(self, win_lo: np.ndarray, win_hi: np.ndarray) -> Request:
         """Windows given as ``(w, d)`` corner arrays: resolves to ``(rows,
@@ -573,15 +549,15 @@ class IndexServer:
         return self.submit(
             Request(
                 WINDOW,
-                win_lo=np.asarray(win_lo, dtype=np.float64),
-                win_hi=np.asarray(win_hi, dtype=np.float64),
+                win_lo=np.array(win_lo, dtype=np.float64),
+                win_hi=np.array(win_hi, dtype=np.float64),
             )
         )
 
     def submit_knn_batch(self, points: np.ndarray, k: int) -> Request:
         """The ``k`` nearest of each ``(n, d)`` row: resolves to one array
         per row, nearest first."""
-        return self.submit(Request(KNN, np.asarray(points, dtype=np.float64), k))
+        return self.submit(Request(KNN, np.array(points, dtype=np.float64), k))
 
     def point_query(self, point: np.ndarray, timeout: float | None = 30.0) -> bool:
         return self.submit_point(point).wait(timeout)
@@ -684,14 +660,11 @@ class IndexServer:
             return True
 
     def _take_batch(self) -> "list[Request]":
-        """The queue's head, up to ``max_batch_size`` requests (empty when
-        nothing is queued).  Only the holder of ``_serving`` takes."""
+        """The queue's head, up to :data:`MAX_BATCH_SIZE` requests (empty
+        when nothing is queued).  Only the holder of ``_serving`` takes."""
         pending = self._pending
         with self._admission_lock:
-            return [
-                pending.popleft()
-                for _ in range(min(len(pending), self.config.max_batch_size))
-            ]
+            return [pending.popleft() for _ in range(min(len(pending), MAX_BATCH_SIZE))]
 
     def _serve_waiting(self, reply: Request, deadline: "float | None") -> None:
         """A waiter's serve hook (:meth:`Request.wait`): unless another
@@ -712,35 +685,12 @@ class IndexServer:
         finally:
             self._serving.release()
 
-    def _shed_expired(self, batch: list[Request], now: float) -> list[Request]:
-        """Reject requests that aged past the deadline while queued."""
-        timeout = self.config.request_timeout_seconds
-        if timeout is None:
-            return batch
-        live: list[Request] = []
-        for r in batch:
-            waited = now - r.submitted_at
-            if waited > timeout:
-                self.stats.note_shed("timeout")
-                r.reject(
-                    RequestTimeout(
-                        f"request waited {waited * 1e3:.1f} ms in queue "
-                        f"(deadline {timeout * 1e3:.1f} ms); shed unserved"
-                    )
-                )
-            else:
-                live.append(r)
-        return live
-
     def _serve_batch(self, batch: list[Request]) -> None:
         # One generation read per batch: every request in the batch is
         # answered from this snapshot, however long the batch takes and
         # whatever the rebuild worker swaps in meanwhile.
         gen = self._gen
         started = time.perf_counter()
-        batch = self._shed_expired(batch, started)
-        if not batch:
-            return
         points: list[Request] = []
         windows: list[Request] = []
         by_k: dict[int, list[Request]] = {}
@@ -842,12 +792,9 @@ class IndexServer:
 
     def _backoff(self, attempt: int, budget_exhausted_error: Exception) -> None:
         """Sleep one jittered exponential-backoff step (interruptible)."""
-        delay = min(
-            self.config.retry_base_delay * (2 ** (attempt - 1)),
-            self.config.retry_max_delay,
-        )
+        delay = min(RETRY_BASE_DELAY * (2 ** (attempt - 1)), RETRY_MAX_DELAY)
         delay *= 0.5 + random.random()  # jitter in [0.5x, 1.5x)
-        if self._stop.wait(min(delay, self.config.retry_max_delay)):
+        if self._stop.wait(min(delay, RETRY_MAX_DELAY)):
             raise budget_exhausted_error
 
     def rebuild_now(self) -> float:
@@ -855,8 +802,8 @@ class IndexServer:
         the build seconds.  Safe to call from any thread; queries keep
         being served from the old generation throughout.
 
-        Failures retry with exponential backoff + jitter under the
-        ``max_retries`` budget (health ``degraded`` while retrying, old
+        Failures retry with exponential backoff + jitter up to
+        :data:`MAX_RETRIES` times (health ``degraded`` while retrying, old
         generation still serving).  When the budget is exhausted the
         server degrades to ``read_only`` and this raises
         :class:`~repro.serve.errors.RebuildFailed` — callers see the
@@ -872,11 +819,11 @@ class IndexServer:
                     attempt += 1
                     self.last_rebuild_error = exc
                     self.stats.note_rebuild_failure()
-                    if attempt > self.config.max_retries:
+                    if attempt > MAX_RETRIES:
                         self._set_health(READ_ONLY)
                         raise RebuildFailed(
                             f"rebuild failed after {attempt} attempts "
-                            f"(budget {self.config.max_retries} retries): {exc}"
+                            f"(budget {MAX_RETRIES} retries): {exc}"
                         ) from exc
                     self._set_health(DEGRADED)
                     self.stats.note_retry("rebuild")
@@ -962,14 +909,8 @@ class IndexServer:
         return elapsed
 
     def _make_processor(self, index: LearnedSpatialIndex) -> UpdateProcessor:
-        # auto_rebuild stays False: the *server* owns rebuild scheduling
-        # (background worker), never the synchronous update call path.
         return UpdateProcessor(
-            index,
-            self.elsi_config,
-            predictor=self.predictor,
-            auto_rebuild=False,
-            index_factory=self._index_factory,
+            index, predictor=self.predictor, index_factory=self._index_factory
         )
 
     # ------------------------------------------------------------------
@@ -980,7 +921,7 @@ class IndexServer:
         pending since the last rebuild are not part of the snapshot —
         with a WAL attached they are covered by the log).
 
-        Write failures retry with backoff under ``max_retries``; raises
+        Write failures retry with backoff up to :data:`MAX_RETRIES` times; raises
         :class:`~repro.serve.errors.SnapshotFailed` when exhausted."""
         if self.snapshots is None:
             raise RuntimeError("no SnapshotManager configured")
@@ -993,7 +934,7 @@ class IndexServer:
             except Exception as exc:  # noqa: BLE001 - injected or real
                 attempt += 1
                 self.stats.note_snapshot_failure()
-                if attempt > self.config.max_retries:
+                if attempt > MAX_RETRIES:
                     raise SnapshotFailed(
                         f"snapshot save for generation {gen.gen_id} failed "
                         f"after {attempt} attempts: {exc}"

@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = ["ServerStats"]
 
@@ -96,8 +96,7 @@ class ServerStats:
         released, so whoever holds an answer finds it in the stats."""
         with self._lock:
             (self._errors if failed else self._completed).inc(len(latencies))
-            self.queue_wait.record_many(queue_waits)
-            self.latency.record_many(latencies)
+            Histogram.record_pair(self.queue_wait, self.latency, queue_waits, latencies)
 
     def note_batch(self, size: int, service_seconds: float) -> None:
         with self._lock:
@@ -119,8 +118,8 @@ class ServerStats:
 
     def note_shed(self, reason: str) -> None:
         """One request (or update) shed: ``overloaded`` (queue at
-        capacity), ``timeout`` (aged out while queued), or ``read_only``
-        (update rejected in degraded-read-only state)."""
+        capacity), ``closed`` (queued when the server closed), or
+        ``read_only`` (update rejected in degraded-read-only state)."""
         with self._lock:
             self._shed[reason].inc()
 

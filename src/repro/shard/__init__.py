@@ -12,7 +12,7 @@ worker, snapshots, and WAL under a per-shard directory — and a
 from repro.shard.cluster import build_cluster, open_cluster
 from repro.shard.errors import ShardError, ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
-from repro.shard.router import RouterConfig, ShardRouter
+from repro.shard.router import ShardRouter
 from repro.shard.shardmap import CURVES, ShardMap
 from repro.shard.worker import (
     ENV_KEYS,
@@ -25,7 +25,6 @@ from repro.shard.worker import (
 __all__ = [
     "CURVES",
     "ENV_KEYS",
-    "RouterConfig",
     "ShardError",
     "ShardHandle",
     "ShardMap",

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.indices import LEARNED_INDICES
 from repro.shard.handle import ShardHandle
-from repro.shard.router import RouterConfig, ShardRouter
+from repro.shard.router import ShardRouter
 from repro.shard.shardmap import ShardMap
 from repro.shard.worker import BUILD_POINTS_FILE, WorkerSpec, capture_env
 
@@ -53,12 +53,12 @@ def _check_index(name: str) -> None:
         )
 
 
-def _spawn_all(specs: "list[WorkerSpec]", start_timeout: float) -> "list[ShardHandle]":
+def _spawn_all(specs: "list[WorkerSpec]") -> "list[ShardHandle]":
     """Spawn every worker, closing the ones already up if any fails."""
     handles: list[ShardHandle] = []
     try:
         for spec in specs:
-            handles.append(ShardHandle(spec, start_timeout=start_timeout))
+            handles.append(ShardHandle(spec))
     except BaseException:
         for handle in handles:
             handle.close()
@@ -72,28 +72,24 @@ def build_cluster(
     n_shards: int,
     index: str = "ZM",
     method: str = "SP",
-    curve: str = "zorder",
-    bits: int = 16,
     elsi: "dict | None" = None,
     serve: "dict | None" = None,
     wal: bool = True,
-    env: "dict | None" = None,
-    router_config: RouterConfig | None = None,
-    start_timeout: float = 300.0,
 ) -> ShardRouter:
     """Partition, persist, spawn, and front ``points`` with a router.
 
     ``elsi`` / ``serve`` are keyword dicts for each worker's ``ELSIConfig``
-    and ``ServeConfig``; ``env`` overrides the captured ``REPRO_FAULTS``
-    propagation.  ``index`` is a name
-    of :data:`repro.indices.LEARNED_INDICES`; an unknown one is refused
-    here, before anything is written or spawned.
+    and ``ServeConfig``; the workers inherit ``REPRO_FAULTS`` as it is set
+    now (:func:`~repro.shard.worker.capture_env`).  The shard map is a
+    Z-order map at its default resolution.  ``index`` is a name of
+    :data:`repro.indices.LEARNED_INDICES`; an unknown one is refused here,
+    before anything is written or spawned.
     """
     _check_index(index)
     pts = np.asarray(points, dtype=np.float64)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    shard_map = ShardMap.from_points(pts, n_shards, curve=curve, bits=bits)
+    shard_map = ShardMap.from_points(pts, n_shards)
     shard_map.save(directory / _MAP_FILE)
     meta = {
         "version": _CLUSTER_VERSION,
@@ -108,7 +104,7 @@ def build_cluster(
         json.dumps(meta, indent=2, sort_keys=True)
     )
     owners = shard_map.shard_of_points(pts)
-    worker_env = capture_env(env)
+    worker_env = capture_env()
     specs = []
     for sid in range(shard_map.n_shards):
         shard_dir = _shard_dir(directory, sid)
@@ -126,17 +122,10 @@ def build_cluster(
                 wal=bool(wal),
             )
         )
-    handles = _spawn_all(specs, start_timeout)
-    return ShardRouter(shard_map, handles, config=router_config)
+    return ShardRouter(shard_map, _spawn_all(specs))
 
 
-def open_cluster(
-    directory: "str | Path",
-    env: "dict | None" = None,
-    router_config: RouterConfig | None = None,
-    salvage: bool = False,
-    start_timeout: float = 300.0,
-) -> ShardRouter:
+def open_cluster(directory: "str | Path", salvage: bool = False) -> ShardRouter:
     """Reopen a persisted cluster: every shard recovers from its own
     snapshots + WAL replay (``IndexServer.from_snapshot(..., wal=True)``)."""
     directory = Path(directory)
@@ -148,7 +137,7 @@ def open_cluster(
             f"(this build reads version {_CLUSTER_VERSION})"
         )
     _check_index(meta["index"])
-    worker_env = capture_env(env)
+    worker_env = capture_env()
     specs = [
         WorkerSpec(
             shard_id=sid,
@@ -164,5 +153,4 @@ def open_cluster(
         )
         for sid in range(shard_map.n_shards)
     ]
-    handles = _spawn_all(specs, start_timeout)
-    return ShardRouter(shard_map, handles, config=router_config)
+    return ShardRouter(shard_map, _spawn_all(specs))

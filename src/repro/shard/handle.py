@@ -51,20 +51,18 @@ __all__ = ["ShardHandle"]
 #: Granularity of the poll loop that watches both the pipe and the
 #: process liveness while waiting for a response.
 _POLL_SECONDS = 0.05
+#: How long a (re)spawned worker may take to build or recover its index
+#: and report ready.
+START_TIMEOUT = 300.0
 
 
 class ShardHandle:
     """Spawn, talk to, respawn, and stop one shard worker."""
 
-    def __init__(
-        self,
-        spec: WorkerSpec,
-        start_timeout: float = 300.0,
-        mp_context: str = "spawn",
-    ) -> None:
+    def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        self.start_timeout = start_timeout
-        self._ctx = mp.get_context(mp_context)
+        # spawn: a fresh interpreter that inherits nothing by fork.
+        self._ctx = mp.get_context("spawn")
         self._lock = threading.RLock()
         self._proc = None
         self._conn = None
@@ -104,7 +102,7 @@ class ShardHandle:
         self._proc = proc
         self._conn = parent_conn
         self._poisoned = False
-        kind, payload = self._recv_raw(self.start_timeout)
+        kind, payload = self._recv_raw(START_TIMEOUT)
         if kind == "err":
             self._reap()
             raise payload

@@ -35,7 +35,7 @@ and no step below runs once per query except slicing the answers apart.
 Failure handling (the PR 7 vocabulary, per shard)
 -------------------------------------------------
 - ``ServerOverloaded`` → exponential-backoff retry against the same
-  shard, up to ``RouterConfig.max_retries``.
+  shard, up to :data:`MAX_RETRIES` times.
 - dead worker (``ShardUnavailable``) → for *queries* the router respawns
   the shard (``from_snapshot(..., wal=True)`` recovery from its own
   directory) and retries — queries are idempotent; for *updates* the
@@ -83,7 +83,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,51 +95,20 @@ from repro.shard.errors import ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.shardmap import ShardMap
 
-__all__ = ["RouterConfig", "ShardRouter"]
+__all__ = ["ShardRouter"]
 
+#: Per-shard deadline for one sub-request, in seconds.
+REQUEST_TIMEOUT = 60.0
+#: Retry budget per sub-request: overload backoff and post-respawn
+#: retries both draw from it.
+MAX_RETRIES = 3
+#: Exponential-backoff window of ``ServerOverloaded`` retries, in seconds.
+RETRY_BASE_DELAY = 0.01
+RETRY_MAX_DELAY = 0.5
 #: Per-shard scrape deadline: generous enough for a busy worker, short
-#: enough that one wedged shard cannot stall a snapshot for the
-#: router-configured request timeout (often 60 s).
+#: enough that one wedged shard cannot stall a snapshot for a whole
+#: :data:`REQUEST_TIMEOUT`.
 SCRAPE_TIMEOUT = 10.0
-
-
-@dataclass(frozen=True)
-class RouterConfig:
-    """Scatter-gather and failure-handling knobs.
-
-    Attributes
-    ----------
-    request_timeout:
-        Per-shard deadline for one sub-request.
-    max_retries:
-        Retry budget per sub-request (overload backoff and post-respawn
-        retries both draw from it).
-    retry_base_delay / retry_max_delay:
-        Exponential-backoff window for ``ServerOverloaded`` retries.
-    auto_respawn:
-        Whether a dead shard is recovered (snapshots + WAL) and retried
-        transparently for idempotent queries.  Off, queries raise
-        :class:`~repro.shard.errors.ShardUnavailable` like updates do.
-    """
-
-    request_timeout: float = 60.0
-    max_retries: int = 3
-    retry_base_delay: float = 0.01
-    retry_max_delay: float = 0.5
-    auto_respawn: bool = True
-
-    def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
-            raise ValueError(
-                f"request_timeout must be positive, got {self.request_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_base_delay < 0 or self.retry_max_delay < self.retry_base_delay:
-            raise ValueError(
-                "need 0 <= retry_base_delay <= retry_max_delay, got "
-                f"{self.retry_base_delay}/{self.retry_max_delay}"
-            )
 
 
 class ShardRouter:
@@ -150,7 +118,6 @@ class ShardRouter:
         self,
         shard_map: ShardMap,
         handles: "list[ShardHandle]",
-        config: RouterConfig | None = None,
     ) -> None:
         if shard_map.n_shards != len(handles):
             raise ValueError(
@@ -159,7 +126,6 @@ class ShardRouter:
             )
         self.shard_map = shard_map
         self.handles = list(handles)
-        self.config = config or RouterConfig()
         self.registry = MetricsRegistry()
         # Each shard's last good stats export and the monotonic time it
         # arrived: a shard that stops answering keeps its counters in
@@ -203,7 +169,6 @@ class ShardRouter:
         self, shard_id: int, command: str, *payload,
         idempotent: bool, trace: "dict | None" = None,
     ):
-        cfg = self.config
         handle = self.handles[shard_id]
         # Scatter runs on pool threads, which don't inherit the caller
         # thread's span stack — seed it from the explicit trace context so
@@ -220,53 +185,40 @@ class ShardRouter:
             while True:
                 try:
                     return handle.request(
-                        command, *payload,
-                        timeout=cfg.request_timeout, trace=trace,
+                        command, *payload, timeout=REQUEST_TIMEOUT, trace=trace
                     )
                 except ServerOverloaded:
                     self.registry.counter(
                         "router.retries", shard=shard_id, reason="overloaded"
                     ).inc()
                     attempt += 1
-                    if attempt > cfg.max_retries:
+                    if attempt > MAX_RETRIES:
                         raise
                     with _span(
                         "shard.retry", shard=shard_id,
                         reason="overloaded", attempt=attempt,
                     ):
                         time.sleep(
-                            min(
-                                cfg.retry_base_delay * (2 ** (attempt - 1)),
-                                cfg.retry_max_delay,
-                            )
+                            min(RETRY_BASE_DELAY * (2 ** (attempt - 1)), RETRY_MAX_DELAY)
                         )
-                except ShardUnavailable:
-                    self.registry.counter("router.shard_deaths", shard=shard_id).inc()
-                    if not (idempotent and cfg.auto_respawn):
-                        raise
-                    attempt += 1
-                    if attempt > cfg.max_retries:
-                        raise
-                    with _span(
-                        "shard.retry", shard=shard_id,
-                        reason="unavailable", attempt=attempt,
-                    ):
-                        self._ensure_alive(shard_id)
-                except ShardTimeout:
-                    # The handle poisoned itself (alive() is now False): the
-                    # wedged worker must be killed and respawned before the
-                    # shard can answer again.
+                except (ShardUnavailable, ShardTimeout) as exc:
+                    # A timed-out handle poisoned itself (alive() is now
+                    # False): like a dead worker, the wedged one must be
+                    # killed and respawned before the shard answers again.
+                    timed_out = isinstance(exc, ShardTimeout)
                     self.registry.counter(
-                        "router.shard_timeouts", shard=shard_id
+                        "router.shard_timeouts" if timed_out else "router.shard_deaths",
+                        shard=shard_id,
                     ).inc()
-                    if not (idempotent and cfg.auto_respawn):
+                    if not idempotent:
                         raise
                     attempt += 1
-                    if attempt > cfg.max_retries:
+                    if attempt > MAX_RETRIES:
                         raise
                     with _span(
                         "shard.retry", shard=shard_id,
-                        reason="timeout", attempt=attempt,
+                        reason="timeout" if timed_out else "unavailable",
+                        attempt=attempt,
                     ):
                         self._ensure_alive(shard_id)
 
@@ -489,7 +441,7 @@ class ShardRouter:
             # recover through — nothing is in flight, so routing the update
             # to the respawned shard cannot double-apply.  Only death
             # mid-request (outcome unknown) surfaces to the caller.
-            if self.config.auto_respawn and not self.handles[sid].alive():
+            if not self.handles[sid].alive():
                 self._ensure_alive(sid)
             try:
                 result = self._call(

@@ -76,14 +76,11 @@ WORKER_CRASH_EXIT = 17
 BUILD_POINTS_FILE = "build_points.npy"
 
 
-def capture_env(overrides: "dict | None" = None) -> dict:
-    """The :data:`ENV_KEYS` subset of the current environment, plus
-    ``overrides`` — captured in the parent at spec-creation time so spawn
-    never has to rely on what a child happens to inherit."""
-    env = {key: os.environ[key] for key in ENV_KEYS if key in os.environ}
-    if overrides:
-        env.update({str(k): str(v) for k, v in overrides.items()})
-    return env
+def capture_env() -> dict:
+    """The :data:`ENV_KEYS` subset of the current environment — captured
+    in the parent at spec-creation time so spawn (and every respawn) never
+    has to rely on what a child happens to inherit."""
+    return {key: os.environ[key] for key in ENV_KEYS if key in os.environ}
 
 
 @dataclass

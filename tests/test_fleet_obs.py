@@ -15,7 +15,7 @@ from repro.obs.report import (
     request_spans,
 )
 from repro.obs.trace import get_tracer
-from repro.shard import RouterConfig, ShardRouter, build_cluster
+from repro.shard import ShardRouter, build_cluster
 from repro.shard.errors import ShardUnavailable
 from repro.shard.shardmap import ShardMap
 from repro.spatial.rect import Rect
@@ -56,7 +56,7 @@ def _stub_fleet(handles):
         np.asarray([2**30] * (len(handles) - 1), dtype=np.uint64),
         Rect.unit(), bits=16,
     )
-    return ShardRouter(smap, handles, config=RouterConfig())
+    return ShardRouter(smap, handles)
 
 
 class TestFleetSnapshot:
@@ -153,14 +153,20 @@ def test_router_snapshot_schema_is_the_parents():
 
 
 def test_router_config_fields_are_pinned():
-    """Five settable values: the deadline, the retry budget and its
-    backoff window, and respawn."""
-    import dataclasses
+    """No settable values: the deadline, the retry budget and its backoff
+    window are module constants, and a dead or wedged shard is always
+    respawned for an idempotent query."""
+    import inspect
 
-    assert [f.name for f in dataclasses.fields(RouterConfig)] == [
-        "request_timeout", "max_retries", "retry_base_delay",
-        "retry_max_delay", "auto_respawn",
-    ]
+    import repro.shard
+    from repro.shard import router
+
+    assert list(inspect.signature(ShardRouter).parameters) == ["shard_map", "handles"]
+    assert not hasattr(repro.shard, "RouterConfig")
+    assert (
+        router.REQUEST_TIMEOUT, router.MAX_RETRIES,
+        router.RETRY_BASE_DELAY, router.RETRY_MAX_DELAY,
+    ) == (60.0, 3, 0.01, 0.5)
 
 
 # ----------------------------------------------------------------------

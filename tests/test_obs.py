@@ -21,7 +21,7 @@ from repro.obs.report import (
     render_report,
     render_tree,
 )
-from repro.obs.trace import SpanRecord, Tracer, get_tracer, span, traced
+from repro.obs.trace import RING_SIZE, SpanRecord, Tracer, get_tracer, span, traced
 
 
 # ----------------------------------------------------------------------
@@ -80,14 +80,14 @@ def test_disabled_span_is_shared_noop():
 
 
 def test_ring_buffer_caps_retention():
-    t = Tracer(ring_size=4)
+    t = Tracer()
     t.enable()
-    for i in range(10):
+    for i in range(RING_SIZE + 6):
         with t.span("tick", i=i):
             pass
     kept = t.spans()
-    assert len(kept) == 4
-    assert [r.attrs["i"] for r in kept] == [6, 7, 8, 9]
+    assert len(kept) == RING_SIZE
+    assert [r.attrs["i"] for r in kept] == list(range(6, RING_SIZE + 6))
 
 
 def test_jsonl_sink_streams_spans(tmp_path, tracer):
@@ -200,6 +200,33 @@ def test_histogram_record_many_matches_the_record_loop():
         many.record_many([])
         many.record_many(np.empty(0))
         np.testing.assert_array_equal(many.counts, loop.counts)
+
+
+def test_record_pair_equals_two_record_many_calls():
+    """Two histograms filled in one pass over both sample arrays hold the
+    bucket counts, total and max two ``record_many`` calls give them, bit
+    for bit: bulk values, bucket edges, zero and overflow, at lengths on
+    both sides of NumPy's pairwise-summation block."""
+    rng = np.random.default_rng(11)
+    edges = [1e-6 * 2.0**i for i in range(-3, 31)]
+    for n in (1, 7, 128, 129, 1_000, 20_000):
+        a = 10.0 ** rng.uniform(-8, 3, n)
+        b = 10.0 ** rng.uniform(-8, 3, n)
+        b[: min(n, len(edges))] = edges[:n]
+        a[0], b[-1] = 0.0, 1e12
+        pair = Histogram(), Histogram()
+        Histogram.record_pair(*pair, a, b)
+        Histogram.record_pair(*pair, a[:0], b[:0])  # empty: records nothing
+        for got, values in zip(pair, (a, b)):
+            want = Histogram()
+            want.record_many(values)
+            np.testing.assert_array_equal(got.counts, want.counts)
+            assert got.total == want.total
+            assert got.max == want.max
+    with pytest.raises(ValueError):
+        Histogram.record_pair(Histogram(), Histogram(), np.ones(2), np.ones(3))
+    with pytest.raises(ValueError):
+        Histogram.record_pair(Histogram(), Histogram(1.0), np.ones(2), np.ones(2))
 
 
 def test_histogram_merge_adds_samples():
@@ -582,8 +609,7 @@ def test_jsonl_sink_concurrent_writers_stay_line_atomic(tmp_path, tracer):
     import threading as _threading
 
     path = tmp_path / "concurrent.jsonl"
-    old_ring = tracer.ring_size
-    tracer.enable(path=str(path), ring_size=16)  # small ring: sink is the record
+    tracer.enable(path=str(path))
     n_threads, n_spans = 8, 150
     padding = "x" * 200  # fat lines make torn writes easy to catch
 
@@ -600,7 +626,6 @@ def test_jsonl_sink_concurrent_writers_stay_line_atomic(tmp_path, tracer):
     for t in threads:
         t.join()
     tracer.disable()
-    tracer.ring_size = old_ring  # don't leak the shrunken ring to other tests
     lines = path.read_text().splitlines()
     assert len(lines) == n_threads * n_spans
     seen = set()

@@ -6,6 +6,7 @@ arrive without ever blocking on the rebuild and (b) name exactly one
 generation — no batch may mix pre- and post-swap index state.
 """
 
+import itertools
 import threading
 import time
 
@@ -14,6 +15,8 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
+from repro.core.update_processor import UpdateProcessor
+from repro.data import load_dataset
 from repro.faults import get_fault_registry
 from repro.indices import ZMIndex
 from repro.obs.metrics import histogram_stat, series_sum
@@ -36,6 +39,7 @@ from repro.serve import (
     SnapshotManager,
 )
 from repro.serve.requests import release
+from repro.serve.server import MAX_BATCH_SIZE, MAX_QUEUE_DEPTH, MAX_RETRIES
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
@@ -47,14 +51,13 @@ def built_index(osm_points):
 
 
 def _server(index, **kwargs) -> IndexServer:
-    kwargs.setdefault("config", ServeConfig(max_batch_size=64))
     return IndexServer(index, elsi_config=ELSIConfig(train_epochs=80), **kwargs)
 
 
 def _queue_then_start(server: IndexServer, requests: list) -> list:
     """Queue ``requests`` on a server that has not started, then start it:
     the dispatcher's first batch holds all of them (up to
-    ``max_batch_size``).  Returns them: each request is its own reply."""
+    ``MAX_BATCH_SIZE``).  Returns them: each request is its own reply."""
     server._pending.extend(requests)
     server.start()
     return requests
@@ -89,6 +92,42 @@ class TestBasicServing:
         server = _server(built_index)
         with pytest.raises(RuntimeError):
             server.submit_point(osm_points[0])
+
+    def test_a_reused_buffer_does_not_change_a_queued_request(
+        self, built_index, osm_points
+    ):
+        """Every ``submit_*`` copies its payload: a client that overwrites
+        its array while the request is still queued gets the answer for
+        what it submitted."""
+        window = Rect.centered(osm_points[5], 0.05)
+        with _server(built_index) as server:
+            # Stall the dispatcher in a first batch so the rest stay queued.
+            get_fault_registry().arm("serve.dispatch", kind="delay", delay_seconds=0.2)
+            blocker = server.submit_point(osm_points[0])
+            time.sleep(0.05)
+            p = osm_points[1].copy()
+            r = server.submit_point(p)
+            p[:] = 5.0
+            q = osm_points[2].copy()
+            nn = server.submit_knn(q, 3)
+            q[:] = 5.0
+            batch = osm_points[:4].copy()
+            hits = server.submit_point_batch(batch)
+            batch[:] = 5.0
+            lo, hi = window.lo_array[None].copy(), window.hi_array[None].copy()
+            rows = server.submit_window_batch(lo, hi)
+            lo[:], hi[:] = 5.0, 5.0
+            kq = osm_points[3:5].copy()
+            nns = server.submit_knn_batch(kq, 2)
+            kq[:] = 5.0
+            assert blocker.wait(20) is True
+            assert r.wait(20) is True
+            assert_knn("ZM", osm_points, osm_points[2:3], 3, [nn.wait(20)])
+            assert hits.wait(20).tolist() == [True] * 4
+            got, counts = rows.wait(20)
+            assert_windows("ZM", osm_points, [window], [got])
+            assert counts.tolist() == [len(got)]
+            assert_knn("ZM", osm_points, osm_points[3:5], 2, nns.wait(20))
 
     def test_stats_surface(self, built_index, osm_points):
         with _server(built_index) as server:
@@ -226,8 +265,6 @@ class TestBasicServing:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            ServeConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
             ServeConfig(max_wait_seconds=-1.0)
         with pytest.raises(ValueError):
             ServeConfig(max_wait_seconds=0.002)  # single-valued: 0 only
@@ -318,18 +355,19 @@ class TestRequestShape:
                 assert_knn("ZM", current, r.points, r.k, got)
 
     def test_kinds_and_config_fields_are_pinned(self):
-        """Three request kinds; ``ServeConfig`` has eight settable fields
-        plus ``max_wait_seconds``, which accepts only 0.  The background
-        rebuild check runs every ``ELSIConfig.f_u`` updates: there is no
-        second cadence field."""
+        """Three request kinds; ``ServeConfig`` has two settable fields
+        plus ``max_wait_seconds``, which accepts only 0.  The batch cap,
+        the queue bound and the retry budget and backoff are module
+        constants, and a queued request is never shed by age.  The
+        background rebuild check runs every ``ELSIConfig.f_u`` updates:
+        there is no second cadence field."""
         import dataclasses
 
         assert KINDS == ("point", "window", "knn")
         assert {f.name for f in dataclasses.fields(ServeConfig)} == {
-            "max_batch_size", "max_wait_seconds",
-            "auto_rebuild", "max_queue_depth", "request_timeout_seconds",
-            "max_retries", "retry_base_delay", "retry_max_delay", "fsync_policy",
+            "max_wait_seconds", "auto_rebuild", "fsync_policy",
         }
+        assert (MAX_BATCH_SIZE, MAX_QUEUE_DEPTH, MAX_RETRIES) == (256, 10_000, 3)
 
 
 #: Updates a 2-D server must refuse: another dimensionality, NaN, +-inf.
@@ -380,6 +418,32 @@ def test_malformed_updates_are_refused_before_the_wal(small_server_parts, tmp_pa
 
 
 class TestUpdates:
+    def test_the_rebuild_check_runs_every_f_u_updates(self, osm_points, monkeypatch):
+        """The server is the one place the paper's ``f_u`` cadence runs:
+        nobody asks ``to_rebuild`` before ``f_u`` updates; after them the
+        background worker asks, and swaps in a rebuild when it says so."""
+        asked: list = []
+        ask = UpdateProcessor.to_rebuild
+        monkeypatch.setattr(
+            UpdateProcessor, "to_rebuild", lambda self: asked.append(1) or ask(self)
+        )
+        config = ELSIConfig(train_epochs=60, f_u=200)
+        index = ZMIndex(builder=ELSIModelBuilder(config, method="SP")).build(osm_points)
+        skew = load_dataset("Skewed", 400, seed=6)
+        with IndexServer(index, elsi_config=config) as server:
+            for p in skew[:199]:
+                server.insert(p)
+            time.sleep(0.3)  # the worker polls every 0.1 s
+            assert asked == [] and server.generation == 0
+            for p in skew[199:]:
+                server.insert(p)
+            deadline = time.perf_counter() + 30.0
+            while server.generation == 0 and time.perf_counter() < deadline:
+                time.sleep(0.01)
+        assert asked
+        assert server.generation >= 1
+        assert server.n_points == len(osm_points) + len(skew)
+
     def test_insert_visible_to_queries(self, built_index):
         fresh = np.array([0.111, 0.222])
         with _server(built_index, config=ServeConfig(auto_rebuild=False)) as server:
@@ -491,7 +555,7 @@ class TestSwapUnderLoad:
         )
         server = IndexServer(
             index,
-            ServeConfig(max_batch_size=32, auto_rebuild=False),
+            ServeConfig(auto_rebuild=False),
             elsi_config=ELSIConfig(train_epochs=60),
         )
         with server:
@@ -785,6 +849,44 @@ class TestReply:
                     again(reply)
                 assert reply.done()
 
+    def test_a_second_completion_keeps_the_first_answer(self):
+        """A second ``resolve`` / ``reject`` raises before it writes: the
+        first answer (or error), its generation and its stamp survive."""
+        for again in (
+            lambda r: r.resolve("second", 2),
+            lambda r: r.reject(ServerClosed("again")),
+        ):
+            reply = _pending_request()
+            reply.resolve("first", 1)
+            stamp = reply.completed_at
+            with pytest.raises(RuntimeError):
+                again(reply)
+            assert reply.wait(0) == "first"
+            assert reply.generation == 1
+            assert reply.error is None
+            assert reply.completed_at == stamp
+        error = ServerClosed("first")
+        reply = _pending_request()
+        reply.reject(error)
+        with pytest.raises(RuntimeError):
+            reply.resolve("second", 2)
+        assert reply.value is None and reply.generation is None
+        with pytest.raises(ServerClosed) as raised:
+            reply.wait(0)
+        assert raised.value is error
+
+    def test_a_timed_out_wait_raises_request_timeout(self):
+        """A wait that runs out of time raises the typed ``RequestTimeout``
+        (a ``TimeoutError``) and leaves the request pending."""
+        reply = _pending_request()
+        for timeout in (0.0, 0.01):
+            with pytest.raises(RequestTimeout):
+                reply.wait(timeout)
+        assert issubclass(RequestTimeout, TimeoutError)
+        assert not reply.done()
+        reply.resolve("late", 0)
+        assert reply.wait(0) == "late"
+
     def test_done_holds_before_and_after_completion(self):
         """``done()`` reads False while pending, including after a waiter
         timed out, and True once completed, before and after waits."""
@@ -831,22 +933,25 @@ class TestAdmissionStress:
     def test_every_submission_is_shed_or_answered_right(
         self, built_index, osm_points, fast_switching
     ):
-        """Four submitters against the dispatcher and a 64-deep queue,
-        closed mid-stream: each submission raises ServerOverloaded /
-        ServerClosed or is answered correctly (or rejected with
-        ServerClosed), nothing stays pending, and the counters add up."""
+        """Four submitters against a dispatcher slowed to 10 ms a batch, so
+        the queue reaches ``MAX_QUEUE_DEPTH``, closed once submissions
+        shed: each submission raises ServerOverloaded / ServerClosed or is
+        answered correctly (or rejected with ServerClosed), nothing stays
+        pending, and the counters add up."""
         rng = np.random.default_rng(12)
         probes = np.vstack([osm_points[:300], rng.random((300, 2)) + 2.0])
         truth = point_truth(osm_points, probes)
-        config = ServeConfig(max_batch_size=16, max_queue_depth=64)
-        server = _server(built_index, config=config).start()
+        server = _server(built_index).start()
+        get_fault_registry().arm(
+            "serve.dispatch", kind="delay", delay_seconds=0.01, times=0
+        )
         accepted: list = []  # (probe number, reply)
         overloaded = closed = 0
         lock = threading.Lock()
 
         def submitter(offset: int) -> None:
             nonlocal overloaded, closed
-            for i in range(offset, 20 * len(probes), 4):
+            for i in itertools.count(offset, 4):
                 j = i % len(probes)
                 try:
                     reply = server.submit_point(probes[j])
@@ -864,11 +969,15 @@ class TestAdmissionStress:
         threads = [threading.Thread(target=submitter, args=(o,)) for o in range(4)]
         for t in threads:
             t.start()
-        time.sleep(0.15)
+        deadline = time.perf_counter() + 30.0
+        while not overloaded and time.perf_counter() < deadline:
+            time.sleep(0.005)
         server.close()
         for t in threads:
             t.join(timeout=30)
             assert not t.is_alive()
+        get_fault_registry().reset()
+        assert overloaded > 0
         with pytest.raises(ServerClosed):
             server.submit_point(probes[0])
 
@@ -892,21 +1001,19 @@ class TestAdmissionStress:
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_error(self, built_index, osm_points):
-        config = ServeConfig(
-            max_batch_size=4, max_wait_seconds=0.0, max_queue_depth=4
-        )
-        with _server(built_index, config=config) as server:
+        with _server(built_index) as server:
             # Stall the single dispatcher inside one batch so the queue
             # genuinely backs up behind it.
             get_fault_registry().arm(
-                "serve.dispatch", kind="delay", delay_seconds=0.3
+                "serve.dispatch", kind="delay", delay_seconds=1.0
             )
             first = server.submit_point(osm_points[0])
             time.sleep(0.05)
             accepted = [first]
             with pytest.raises(ServerOverloaded):
-                for i in range(1, 32):
-                    accepted.append(server.submit_point(osm_points[i]))
+                for i in range(1, MAX_QUEUE_DEPTH + 2):
+                    accepted.append(server.submit_point(osm_points[i % 1000]))
+            assert len(accepted) >= MAX_QUEUE_DEPTH
             # Everything that *was* admitted still completes.
             for reply in accepted:
                 reply.wait(20)
@@ -916,32 +1023,9 @@ class TestAdmissionControl:
             snap, "serve.requests_shed", reason="overloaded"
         )
 
-    def test_aged_requests_shed_with_timeout(self, built_index, osm_points):
-        config = ServeConfig(
-            max_batch_size=4, max_wait_seconds=0.0, request_timeout_seconds=0.05
-        )
-        with _server(built_index, config=config) as server:
-            get_fault_registry().arm(
-                "serve.dispatch", kind="delay", delay_seconds=0.3
-            )
-            fresh = server.submit_point(osm_points[0])  # enters the stalled batch
-            time.sleep(0.1)
-            stale = server.submit_point(osm_points[1])  # queued behind the stall
-            assert fresh.wait(20) is True
-            with pytest.raises(RequestTimeout):
-                stale.wait(20)
-            snap = server.stats.registry.export()
-            assert series_sum(snap, "serve.requests_shed", reason="timeout") >= 1
-
     def test_bad_admission_config_rejected(self):
         with pytest.raises(ValueError):
-            ServeConfig(max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            ServeConfig(request_timeout_seconds=0.0)
-        with pytest.raises(ValueError):
             ServeConfig(fsync_policy="sync-maybe")
-        with pytest.raises(ValueError):
-            ServeConfig(retry_base_delay=0.5, retry_max_delay=0.1)
 
 
 @pytest.fixture()
@@ -957,15 +1041,7 @@ class TestFaultTolerance:
 
     def _server(self, parts, **kwargs):
         index, config, factory = parts
-        kwargs.setdefault(
-            "config",
-            ServeConfig(
-                auto_rebuild=False,
-                max_retries=2,
-                retry_base_delay=0.01,
-                retry_max_delay=0.05,
-            ),
-        )
+        kwargs.setdefault("config", ServeConfig(auto_rebuild=False))
         return IndexServer(
             index, elsi_config=config, index_factory=factory, **kwargs
         )
@@ -985,17 +1061,14 @@ class TestFaultTolerance:
         server.close()
 
     def test_exhausted_rebuild_budget_goes_read_only(self, small_server_parts):
-        server = self._server(
-            small_server_parts,
-            config=ServeConfig(
-                auto_rebuild=False, max_retries=1,
-                retry_base_delay=0.01, retry_max_delay=0.02,
-            ),
-        )
+        server = self._server(small_server_parts)
         get_fault_registry().arm("rebuild.worker", kind="error", times=0)
         with pytest.raises(RebuildFailed):
             server.rebuild_now()
         assert server.health == READ_ONLY
+        snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.rebuild_failures") == MAX_RETRIES + 1
+        assert series_sum(snap, "serve.retries", op="rebuild") == MAX_RETRIES
         assert server.last_rebuild_error is not None
         with pytest.raises(ServerReadOnly):
             server.insert(np.array([0.5, 0.5]))
@@ -1012,17 +1085,14 @@ class TestFaultTolerance:
     def test_snapshot_failure_degrades_but_serves(
         self, small_server_parts, tmp_path
     ):
-        server = self._server(
-            small_server_parts,
-            config=ServeConfig(auto_rebuild=False, max_retries=0),
-            snapshots=str(tmp_path),
-        )
+        server = self._server(small_server_parts, snapshots=str(tmp_path))
         generations_before = server.snapshots.generations()
         get_fault_registry().arm("snapshot.write", kind="error", times=0)
         server.rebuild_now()
         assert server.generation == 1  # the rebuild itself landed
         assert server.health == DEGRADED
-        assert series_sum(server.stats.registry.export(), "serve.snapshot_failures") >= 1
+        snap = server.stats.registry.export()
+        assert series_sum(snap, "serve.snapshot_failures") == MAX_RETRIES + 1
         assert server.snapshots.generations() == generations_before
         server.insert(np.array([0.6, 0.6]))  # degraded still accepts writes
         server.close()
@@ -1033,10 +1103,6 @@ class TestFaultTolerance:
         index, config, factory = small_server_parts
         server = IndexServer(
             index,
-            ServeConfig(
-                max_retries=0,
-                retry_base_delay=0.01, retry_max_delay=0.02,
-            ),
             elsi_config=ELSIConfig(train_epochs=60, f_u=1),
             index_factory=factory,
         )
@@ -1049,8 +1115,10 @@ class TestFaultTolerance:
                     server.insert(p)
             except ServerReadOnly:
                 pass
+            # Every attempt fails: the worker retries MAX_RETRIES times
+            # with backoff, then the server goes read-only.
             deadline = time.time() + 10.0
-            while server.last_rebuild_error is None and time.time() < deadline:
+            while server.health != READ_ONLY and time.time() < deadline:
                 time.sleep(0.01)
         assert server.last_rebuild_error is not None
         assert server.health == READ_ONLY
@@ -1196,10 +1264,7 @@ def test_server_snapshot_schema_is_the_parents(small_server_parts, osm_points):
     get_registry().clear()  # the snapshot merges the process-wide registry
     server = IndexServer(
         index,
-        ServeConfig(
-            max_batch_size=4, max_wait_seconds=0.0, max_queue_depth=4,
-            auto_rebuild=False,
-        ),
+        ServeConfig(max_wait_seconds=0.0, auto_rebuild=False),
         elsi_config=config,
         index_factory=factory,
     )
@@ -1209,12 +1274,12 @@ def test_server_snapshot_schema_is_the_parents(small_server_parts, osm_points):
         server.window_query(Rect.centered(np.array([0.5, 0.5]), 0.1))
         server.insert(np.array([0.123, 0.456]))
         server.rebuild_now()
-        get_fault_registry().arm("serve.dispatch", kind="delay", delay_seconds=0.3)
+        get_fault_registry().arm("serve.dispatch", kind="delay", delay_seconds=1.0)
         accepted = [server.submit_point(osm_points[0])]
         time.sleep(0.05)
         with pytest.raises(ServerOverloaded):
-            for p in osm_points[1:32]:
-                accepted.append(server.submit_point(p))
+            for i in range(1, MAX_QUEUE_DEPTH + 2):
+                accepted.append(server.submit_point(osm_points[i % len(osm_points)]))
         get_fault_registry().reset()
         for reply in accepted:
             reply.wait(20)

@@ -28,7 +28,8 @@ from repro.core.config import ELSIConfig
 from repro.faults import get_fault_registry
 from repro.indices import ZMIndex
 from repro.obs.metrics import series_sum
-from repro.serve import IndexServer, ServeConfig, ServerClosed
+from repro.serve import IndexServer, ServerClosed
+from repro.serve.server import MAX_BATCH_SIZE
 from repro.shard.worker import WorkerSpec, _traced_dispatch
 from tests.brute import point_truth
 
@@ -61,10 +62,8 @@ def slow_switching():
         gc.enable()
 
 
-def _server(index, **config) -> IndexServer:
-    return IndexServer(
-        index, ServeConfig(**config), elsi_config=ELSIConfig(train_epochs=80)
-    ).start()
+def _server(index) -> IndexServer:
+    return IndexServer(index, elsi_config=ELSIConfig(train_epochs=80)).start()
 
 
 def _until(condition, seconds: float = 10.0) -> None:
@@ -96,7 +95,7 @@ class TestWhoServes:
     def test_a_closed_loop_flight_is_served_whole_by_its_waiter(
         self, built_index, osm_points, probes, monkeypatch, slow_switching
     ):
-        server = _server(built_index, max_batch_size=256)
+        server = _server(built_index)
         try:
             calls = _record_batches(server, monkeypatch)
             _until(lambda: server._parked)
@@ -116,22 +115,26 @@ class TestWhoServes:
     ):
         """A waiter serves batches oldest first until its own reply is
         done, and leaves the rest of the queue where it is."""
-        server = _server(built_index, max_batch_size=16)
+        cap = MAX_BATCH_SIZE
+        flight = np.vstack([probes, probes])[: 2 * cap + cap // 2]
+        server = _server(built_index)
         try:
             calls = _record_batches(server, monkeypatch)
             _until(lambda: server._parked)
-            replies = [server.submit_point(p) for p in probes[:40]]
-            assert replies[20].wait(10.0) == point_truth(osm_points, probes[20:21])[0]
+            replies = [server.submit_point(p) for p in flight]
+            assert replies[cap + 4].wait(10.0) == point_truth(
+                osm_points, flight[cap + 4 : cap + 5]
+            )[0]
             me = threading.get_ident()
-            assert calls == [(me, 16), (me, 16)]
-            assert not replies[32].done()
+            assert calls == [(me, cap), (me, cap)]
+            assert not replies[2 * cap].done()
             answers = [reply.wait(10.0) for reply in replies]
         finally:
             server.close()
-        # The last eight go to whoever takes ``_serving`` next: this waiter
-        # or the dispatcher its first submission woke.
-        assert [size for _, size in calls] == [16, 16, 8]
-        assert answers == point_truth(osm_points, probes[:40]).tolist()
+        # The last half batch goes to whoever takes ``_serving`` next: this
+        # waiter or the dispatcher its first submission woke.
+        assert [size for _, size in calls] == [cap, cap, cap // 2]
+        assert answers == point_truth(osm_points, flight).tolist()
 
     def test_a_request_nobody_waits_on_is_served_by_the_dispatcher(
         self, built_index, osm_points, probes, monkeypatch
@@ -158,7 +161,7 @@ class TestRaces:
         right or rejected with ServerClosed, no wait times out, and the
         counters add up."""
         truth = point_truth(osm_points, probes)
-        server = _server(built_index, max_batch_size=16)
+        server = _server(built_index)
         lock = threading.Lock()
         answered: list = []  # (probe number, answer)
         rejected = accepted = 0
@@ -243,7 +246,8 @@ class TestRaces:
         """A KeyboardInterrupt raised in a batch a client serves fails
         that batch's replies and stops the client there, even when its
         own request waits in a later batch; the server serves on."""
-        server = _server(built_index, max_batch_size=2)
+        cap = MAX_BATCH_SIZE
+        server = _server(built_index)
         processor = server._gen.processor
         lookups = processor.point_queries
         raised: list = []
@@ -257,18 +261,18 @@ class TestRaces:
         monkeypatch.setattr(processor, "point_queries", interrupted_once)
         try:
             _until(lambda: server._parked)
-            replies = [server.submit_point(p) for p in probes[:3]]
+            replies = [server.submit_point(p) for p in probes[: cap + 1]]
             with pytest.raises(KeyboardInterrupt):
-                replies[2].wait(10.0)
-            for reply in replies[:2]:
+                replies[cap].wait(10.0)
+            for reply in replies[:cap]:
                 with pytest.raises(KeyboardInterrupt):
                     reply.wait(0)
-            assert replies[2].wait(10.0) is True
+            assert replies[cap].wait(10.0) is True  # probes[cap] is indexed
         finally:
             server.close()
-        assert raised == [2]
+        assert raised == [cap]
         snap = server.stats.registry.export()
-        assert series_sum(snap, "serve.request_errors") == 2
+        assert series_sum(snap, "serve.request_errors") == cap
         assert series_sum(snap, "serve.requests_completed") == 1
         assert series_sum(snap, "serve.batches") == 2
 

@@ -28,7 +28,6 @@ from repro.indices import ZMIndex
 from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve import ServerOverloaded, ServerReadOnly
 from repro.shard import (
-    RouterConfig,
     ShardHandle,
     ShardMap,
     ShardRouter,
@@ -39,6 +38,7 @@ from repro.shard import (
     capture_env,
     open_cluster,
 )
+from repro.shard.router import MAX_RETRIES
 from repro.shard.worker import PackedRows
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
@@ -280,12 +280,11 @@ class _StubHandle:
         pass
 
 
-def _stub_router(handles, **config):
+def _stub_router(handles):
     smap = ShardMap(
         np.asarray([2**30] * 0, dtype=np.uint64), Rect.unit(), bits=16
     )
-    cfg = RouterConfig(retry_base_delay=0.0, retry_max_delay=0.0, **config)
-    return ShardRouter(smap, handles, config=cfg)
+    return ShardRouter(smap, handles)
 
 
 class TestRouterFailureHandling:
@@ -300,9 +299,10 @@ class TestRouterFailureHandling:
 
     def test_overloaded_beyond_budget_raises(self):
         handle = _StubHandle(0, fail=[ServerOverloaded("full")] * 9)
-        router = _stub_router([handle], max_retries=2)
+        router = _stub_router([handle])
         with pytest.raises(ServerOverloaded):
             router.point_queries(np.zeros((1, 2)))
+        assert handle.requests.count("point_batch") == MAX_RETRIES + 1
 
     def test_dead_shard_respawned_for_queries(self):
         handle = _StubHandle(0, fail=[ShardUnavailable("dead", shard_id=0)])
@@ -330,13 +330,6 @@ class TestRouterFailureHandling:
         assert report["applied"] == 1
         assert [r["error"] for r in report["rejected"]] == ["ServerReadOnly"]
         assert report["health"]["overall"] in ("healthy", "degraded")
-
-    def test_auto_respawn_off_surfaces_query_failures(self):
-        handle = _StubHandle(0, fail=[ShardUnavailable("dead", shard_id=0)])
-        router = _stub_router([handle], auto_respawn=False)
-        with pytest.raises(ShardUnavailable):
-            router.point_queries(np.zeros((1, 2)))
-        assert handle.respawns == 0
 
     def test_timed_out_shard_respawned_for_queries(self):
         # A timeout poisons the handle; the router must respawn (killing
@@ -556,7 +549,7 @@ def reference(osm_points):
     config = ELSIConfig(**_ELSI)
     index = ZMIndex(builder=ELSIModelBuilder(config, method="SP"))
     index.build(osm_points)
-    return UpdateProcessor(index, config, auto_rebuild=False)
+    return UpdateProcessor(index)
 
 
 class TestClusterParity:
@@ -819,20 +812,19 @@ class TestEnvPropagation:
         monkeypatch.setenv("REPRO_FAULTS", "index.query=error:1")
         monkeypatch.setenv("REPRO_DTYPE", "float32")  # read by nothing
         assert capture_env() == {"REPRO_FAULTS": "index.query=error:1"}
-        assert capture_env({"REPRO_FAULTS": ""}) == {"REPRO_FAULTS": ""}
 
-    def test_faults_armed_inside_shard_worker(self, osm_points, tmp_path):
-        # The parent process has no faults armed; the spec's env must arm
-        # the site inside the worker regardless of start-method inheritance.
+    def test_faults_armed_inside_shard_worker(self, osm_points, tmp_path, monkeypatch):
+        # The parent's registry read its environment long ago and stays
+        # unarmed; REPRO_FAULTS as set when the cluster is built is
+        # captured into the worker's spec (a respawn arms it again), and
+        # the worker arms the site from its spec.
         assert "REPRO_FAULTS" not in os.environ
+        monkeypatch.setenv("REPRO_FAULTS", "index.query=error:1")
         router = build_cluster(
-            osm_points[:400],
-            tmp_path,
-            n_shards=1,
-            elsi=_ELSI,
-            serve=_SERVE,
-            env={"REPRO_FAULTS": "index.query=error:1"},
+            osm_points[:400], tmp_path, n_shards=1, elsi=_ELSI, serve=_SERVE
         )
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert router.handles[0].spec.env == {"REPRO_FAULTS": "index.query=error:1"}
         with router:
             with pytest.raises(InjectedFault):
                 router.point_queries(osm_points[:4])

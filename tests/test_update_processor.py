@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import ELSIConfig
 from repro.core.update_processor import (
     RebuildPredictor,
     UpdateProcessor,
@@ -201,15 +200,6 @@ class TestRebuild:
         proc, _pts = processor
         assert not proc.to_rebuild()
 
-    def test_auto_rebuild_fires_at_f_u(self, osm_points, sp_builder):
-        config = ELSIConfig(train_epochs=60, f_u=200)
-        index = ZMIndex(builder=sp_builder).build(osm_points)
-        proc = UpdateProcessor(index, config, auto_rebuild=True)
-        skew = load_dataset("Skewed", 400, seed=6)
-        for p in skew:
-            proc.insert(p)
-        assert proc.rebuilds >= 1
-
     def test_unbuilt_index_rejected(self, sp_builder, fast_config):
         with pytest.raises(ValueError):
             UpdateProcessor(ZMIndex(builder=sp_builder), fast_config)
@@ -284,7 +274,6 @@ class TestRebuildPredictor:
 
         predictor = train_rebuild_predictor(
             lambda: ZMIndex(builder=ELSIModelBuilder(fast_config, method="SP")),
-            config=fast_config,
             cardinalities=(500,),
             deltas=(0.0,),
             insert_fractions=(0.05, 0.2),
