@@ -46,7 +46,7 @@ def main() -> None:
     with_rebuild = elsi.updates(index_r)  # the "-R" configuration
 
     print(f"Streaming {N_STREAM:,} skewed check-ins (one festival district) ...\n")
-    stream = skewed(N_STREAM, s=4.0, seed=11)
+    stream = skewed(N_STREAM, seed=11)
     rng = np.random.default_rng(0)
 
     header = f"{'inserted':>9} {'sim(D_prime,D)':>15} {'to_rebuild':>11} " \

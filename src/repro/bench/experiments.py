@@ -117,7 +117,7 @@ class Cell:
     variant: str
     lam: float | None = None
     overrides: dict = field(default_factory=dict)
-    measures: set[str] = field(default_factory=set)
+    measures: set[str] = field(default_factory=set, init=False)
 
     def key(self, seed: int) -> tuple:
         return (self.dataset, self.n, self.index, self.variant, self.lam, seed)

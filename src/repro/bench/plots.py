@@ -13,6 +13,8 @@ import numpy as np
 __all__ = ["bar_chart", "line_chart"]
 
 _TICKS = "▏▎▍▌▋▊▉█"
+#: Cells the longest bar of a :func:`bar_chart` fills.
+_BAR_WIDTH = 40
 
 
 def _bar(value: float, max_value: float, width: int) -> str:
@@ -32,7 +34,6 @@ def bar_chart(
     labels: list[str],
     values: list[float],
     title: str = "",
-    width: int = 40,
     unit: str = "",
 ) -> str:
     """A horizontal bar chart, one row per label."""
@@ -45,7 +46,8 @@ def bar_chart(
     lines = [title] if title else []
     for label, value in zip(labels, values):
         lines.append(
-            f"{label.ljust(label_width)} {_bar(value, max_value, width).ljust(width)} "
+            f"{label.ljust(label_width)} "
+            f"{_bar(value, max_value, _BAR_WIDTH).ljust(_BAR_WIDTH)} "
             f"{value:g}{unit}"
         )
     return "\n".join(lines)

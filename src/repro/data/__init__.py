@@ -11,12 +11,11 @@ uniform, which is how the method scorer and rebuild predictor are trained
 
 from repro.data.controlled import dataset_with_uniform_distance
 from repro.data.datasets import DATASETS, load_dataset
-from repro.data.generators import gaussian_mixture, skewed, uniform
+from repro.data.generators import skewed, uniform
 
 __all__ = [
     "DATASETS",
     "dataset_with_uniform_distance",
-    "gaussian_mixture",
     "load_dataset",
     "skewed",
     "uniform",

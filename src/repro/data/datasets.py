@@ -22,7 +22,7 @@ __all__ = ["DATASETS", "load_dataset"]
 # fewer megacities — modelled by a different hub count).
 DATASETS: dict[str, Callable[[int, int], np.ndarray]] = {
     "Uniform": lambda n, seed: uniform(n, seed=seed),
-    "Skewed": lambda n, seed: skewed(n, s=4.0, seed=seed),
+    "Skewed": lambda n, seed: skewed(n, seed=seed),
     "OSM1": lambda n, seed: osm_like(n, seed=seed, n_hubs=40),
     "OSM2": lambda n, seed: osm_like(n, seed=seed + 1, n_hubs=15),
     "TPC-H": lambda n, seed: tpch_like(n, seed=seed),

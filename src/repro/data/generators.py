@@ -2,17 +2,18 @@
 
 - ``uniform``: i.i.d. uniform in the unit hypercube (the paper's Uniform,
   128 M points there; cardinality is a parameter here).
-- ``skewed``: uniform with every y-coordinate replaced by ``y**s`` (s = 4),
+- ``skewed``: uniform with every y-coordinate replaced by ``y**4``,
   exactly the construction the paper borrows from HRR [20].
-- ``gaussian_mixture``: clustered data used for MR's synthetic pool and for
-  selector training diversity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gaussian_mixture", "skewed", "uniform"]
+__all__ = ["SKEW_EXPONENT", "skewed", "uniform"]
+
+#: The exponent of the paper's Skewed set (HRR's construction).
+SKEW_EXPONENT = 4.0
 
 
 def uniform(n: int, d: int = 2, seed: int = 0) -> np.ndarray:
@@ -25,39 +26,14 @@ def uniform(n: int, d: int = 2, seed: int = 0) -> np.ndarray:
     return rng.random((n, d))
 
 
-def skewed(n: int, d: int = 2, s: float = 4.0, seed: int = 0) -> np.ndarray:
-    """The paper's Skewed set: uniform, then last coordinate raised to ``s``.
+def skewed(n: int, d: int = 2, seed: int = 0) -> np.ndarray:
+    """The paper's Skewed set: uniform, then last coordinate raised to
+    :data:`SKEW_EXPONENT`.
 
-    With s = 4 the mass concentrates near 0 along that axis, producing the
-    density skew that stresses grid-structured indices.
+    The mass concentrates near 0 along that axis, producing the density
+    skew that stresses grid-structured indices.
     """
-    if s <= 0:
-        raise ValueError(f"s must be > 0, got {s}")
     pts = uniform(n, d, seed)
-    pts[:, -1] = pts[:, -1] ** s
+    pts[:, -1] = pts[:, -1] ** SKEW_EXPONENT
     return pts
 
-
-def gaussian_mixture(
-    n: int,
-    n_clusters: int = 8,
-    d: int = 2,
-    spread: float = 0.05,
-    seed: int = 0,
-) -> np.ndarray:
-    """Clustered points: ``n_clusters`` Gaussians with random centres.
-
-    Points are clipped to the unit hypercube so every generator shares the
-    same data space.  Cluster weights are Dirichlet-distributed, giving
-    unequal cluster sizes like real PoI data.
-    """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    if spread <= 0:
-        raise ValueError(f"spread must be > 0, got {spread}")
-    rng = np.random.default_rng(seed)
-    centers = rng.random((n_clusters, d))
-    weights = rng.dirichlet(np.ones(n_clusters))
-    assignment = rng.choice(n_clusters, size=n, p=weights)
-    pts = centers[assignment] + rng.normal(0.0, spread, size=(n, d))
-    return np.clip(pts, 0.0, 1.0)

@@ -125,11 +125,6 @@ class FFN:
         """Number of weight layers (hidden + output)."""
         return len(self.weights)
 
-    @property
-    def n_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return self.flat_params.size
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on a batch; returns shape (n_samples, n_outputs).
 

@@ -20,7 +20,6 @@ cardinality (``kind="point"``), never the name.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -83,10 +82,6 @@ class Gauge:
         self.value += amount
         self.updated_at = time.time()
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-        self.updated_at = time.time()
-
     def snapshot(self) -> float:
         return self.value
 
@@ -134,11 +129,10 @@ class Histogram:
         hi = self.base * 2.0**index
         return lo, hi
 
-    def record(self, value: float, count: int = 1) -> None:
-        """Record ``value`` — ``count`` times at once, for call sites where
-        every member of a batch observed the same latency."""
-        self.counts[self.bucket_index(value)] += count
-        self.total += value * count
+    def record(self, value: float) -> None:
+        """Record one sample ``value``."""
+        self.counts[self.bucket_index(value)] += 1
+        self.total += value
         if value > self.max:
             self.max = value
 
@@ -377,9 +371,6 @@ class MetricsRegistry:
                     raise ValueError(
                         f"cannot merge metric {name!r} of unknown kind {kind!r}"
                     )
-
-    def export_json(self) -> str:
-        return json.dumps(self.export(), indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -423,10 +423,6 @@ class Tracer:
         with self._lock:
             return list(self._buffer)
 
-    def find(self, name: str) -> list[SpanRecord]:
-        """Buffered spans with the given name (test convenience)."""
-        return [r for r in self.spans() if r.name == name]
-
 
 #: The process-wide tracer every instrumentation site talks to.
 _TRACER = Tracer()

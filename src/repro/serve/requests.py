@@ -176,12 +176,6 @@ class Request:
             raise self.error
         return self.value
 
-    @property
-    def latency_seconds(self) -> float:
-        """Submit-to-complete wall clock (only valid once done)."""
-        assert self.completed_at is not None
-        return self.completed_at - self.submitted_at
-
 
 def release(
     group: "list[Request]",

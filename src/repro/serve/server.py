@@ -122,6 +122,10 @@ MAX_RETRIES = 3
 #: jittered to ``[0.5, 1.5)`` of its step so servers do not retry in step.
 RETRY_BASE_DELAY = 0.05
 RETRY_MAX_DELAY = 2.0
+#: How long :meth:`IndexServer.point_query`, ``window_query`` and
+#: ``knn_query`` wait for their answer before raising
+#: :class:`~repro.serve.errors.RequestTimeout`, in seconds.
+QUERY_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -559,16 +563,14 @@ class IndexServer:
         per row, nearest first."""
         return self.submit(Request(KNN, np.array(points, dtype=np.float64), k))
 
-    def point_query(self, point: np.ndarray, timeout: float | None = 30.0) -> bool:
-        return self.submit_point(point).wait(timeout)
+    def point_query(self, point: np.ndarray) -> bool:
+        return self.submit_point(point).wait(QUERY_TIMEOUT)
 
-    def window_query(self, window: Rect, timeout: float | None = 30.0) -> np.ndarray:
-        return self.submit_window(window).wait(timeout)
+    def window_query(self, window: Rect) -> np.ndarray:
+        return self.submit_window(window).wait(QUERY_TIMEOUT)
 
-    def knn_query(
-        self, point: np.ndarray, k: int, timeout: float | None = 30.0
-    ) -> np.ndarray:
-        return self.submit_knn(point, k).wait(timeout)
+    def knn_query(self, point: np.ndarray, k: int) -> np.ndarray:
+        return self.submit_knn(point, k).wait(QUERY_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Update ingestion

@@ -46,15 +46,15 @@ class ServerStats:
     the end-to-end request latency.  Updates/rebuilds/snapshots have their
     own counters so tests can assert the background machinery ran.
 
-    All instruments come from ``registry`` (a fresh per-instance
-    :class:`~repro.obs.metrics.MetricsRegistry` by default) and are read
-    from its export; ``batches`` / ``batched_requests`` are int views for
+    All instruments come from ``registry``, a per-instance
+    :class:`~repro.obs.metrics.MetricsRegistry`, and are read from its
+    export; ``batches`` / ``batched_requests`` are int views for
     the e2e layer pass, which differences them around a load.
     """
 
-    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         r = self.registry
         #: Requests admitted, by kind: ``submitted[kind].inc()``.  The
         #: server's admission section increments it under its own lock,

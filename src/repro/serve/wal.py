@@ -157,10 +157,6 @@ class WriteAheadLog:
         """Records in the current generation's log (replay backlog)."""
         return self._depth
 
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------

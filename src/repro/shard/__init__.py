@@ -1,6 +1,6 @@
 """The sharded serving tier: scatter-gather routing over worker processes.
 
-The keyspace is partitioned into N contiguous space-filling-curve key
+The keyspace is partitioned into N contiguous Z-order key
 ranges (:class:`ShardMap`, rank-quantile boundaries persisted as
 ``shard_map.json``); each range is served by its own worker process — a
 full :class:`~repro.serve.server.IndexServer` with generations, rebuild
@@ -13,17 +13,15 @@ from repro.shard.cluster import build_cluster, open_cluster
 from repro.shard.errors import ShardError, ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
-from repro.shard.shardmap import CURVES, ShardMap
+from repro.shard.shardmap import ShardMap
 from repro.shard.worker import (
     ENV_KEYS,
-    WORKER_CRASH_EXIT,
     WorkerSpec,
     capture_env,
     shard_worker_main,
 )
 
 __all__ = [
-    "CURVES",
     "ENV_KEYS",
     "ShardError",
     "ShardHandle",
@@ -31,7 +29,6 @@ __all__ = [
     "ShardRouter",
     "ShardTimeout",
     "ShardUnavailable",
-    "WORKER_CRASH_EXIT",
     "WorkerSpec",
     "build_cluster",
     "capture_env",

@@ -13,7 +13,7 @@ exactly the single-server recovery contract, one directory per shard.
 
 Durable layout under the cluster directory::
 
-    shard_map.json          boundaries + curve + bits + bounds
+    shard_map.json          boundaries + bounds (+ the curve and bits it keys by)
     cluster.json            index kind, method, config, serve knobs
     shard-000/              per-shard: build_points.npy, gen-NNNNNN.npz
     shard-001/              snapshots, wal-NNNNNN.log files
@@ -125,7 +125,7 @@ def build_cluster(
     return ShardRouter(shard_map, _spawn_all(specs))
 
 
-def open_cluster(directory: "str | Path", salvage: bool = False) -> ShardRouter:
+def open_cluster(directory: "str | Path") -> ShardRouter:
     """Reopen a persisted cluster: every shard recovers from its own
     snapshots + WAL replay (``IndexServer.from_snapshot(..., wal=True)``)."""
     directory = Path(directory)
@@ -149,7 +149,6 @@ def open_cluster(directory: "str | Path", salvage: bool = False) -> ShardRouter:
             env=worker_env,
             recover=True,
             wal=bool(meta["wal"]),
-            salvage=salvage,
         )
         for sid in range(shard_map.n_shards)
     ]

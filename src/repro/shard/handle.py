@@ -244,18 +244,6 @@ class ShardHandle:
             self._spawn()
             return dict(self._ready_status or {})
 
-    def crash(self) -> None:
-        """Order the worker to die with ``os._exit`` (chaos hook)."""
-        with self._lock:
-            if self._proc is None:
-                return
-            self._seq += 1
-            try:
-                self._conn.send((self._seq, 0.0, "crash", None))
-            except (BrokenPipeError, OSError):
-                pass
-            self._proc.join(timeout=10.0)
-
     def close(self) -> None:
         with self._lock:
             if self._proc is None:

@@ -15,7 +15,7 @@ and no step below runs once per query except slicing the answers apart.
 - **point batches** — each row goes to exactly the shard owning its
   curve code; one ``point_batch`` sub-request per involved shard.
 - **window batches** — each window goes to every shard overlapping its
-  corner-code interval (all shards under a Hilbert map); per-window
+  corner-code interval; per-window
   results are the concatenation of the per-shard results in shard order.
   Note the row order within a window's result therefore differs from a
   single unsharded index's scan order — the *multiset* of points is
@@ -47,10 +47,9 @@ Failure handling (the PR 7 vocabulary, per shard)
   router treats it exactly like a death: idempotent queries respawn the
   shard (killing the wedged process) and retry; a timed-out *update*
   surfaces — its outcome is unknown, so it is never resent.
-- ``ServerReadOnly`` → surfaces on single updates;
-  :meth:`ShardRouter.apply_updates` instead degrades partially — healthy
-  shards keep absorbing their updates, the read-only shard's rejections
-  are itemised next to a fleet health summary.
+- ``ServerReadOnly`` → surfaces on the update, and is counted on
+  ``router.read_only_rejections``; other shards keep absorbing theirs,
+  and :meth:`ShardRouter.health_summary` names the read-only shard.
 
 Observability
 -------------
@@ -454,43 +453,6 @@ class ShardRouter:
                 raise
         self.registry.counter("router.updates", op=op).inc()
         return result
-
-    def apply_updates(self, ops: "list[tuple[str, np.ndarray]]") -> dict:
-        """Apply ``(op, point)`` updates, degrading partially.
-
-        Every point is checked first: a list holding one malformed point
-        (NaN, infinite, wrong dimensionality) is refused whole with a
-        ``ValueError``, before any update is sent.  Then healthy shards
-        absorb their updates; a shard that is read-only (or down) rejects
-        its share without failing the rest.  The return value itemises
-        what happened and carries a fleet health summary:
-        ``{"applied": n, "rejected": [{"index", "op", "shard", "error"},
-        ...], "health": ...}``.
-        """
-        d = self.shard_map.bounds.ndim
-        checked = [(op, update_point(point, d)) for op, point in ops]
-        applied, rejected = 0, []
-        for i, (op, pt) in enumerate(checked):
-            try:
-                self._update(op, pt)
-                applied += 1
-            except (ServerReadOnly, ShardUnavailable, ShardTimeout) as exc:
-                shard = getattr(exc, "shard_id", None)
-                if shard is None:
-                    shard = int(self.shard_map.shard_of_points(pt[None, :])[0])
-                rejected.append(
-                    {
-                        "index": i,
-                        "op": op,
-                        "shard": shard,
-                        "error": type(exc).__name__,
-                    }
-                )
-        return {
-            "applied": applied,
-            "rejected": rejected,
-            "health": self.health_summary(),
-        }
 
     # ------------------------------------------------------------------
     # Health and metrics

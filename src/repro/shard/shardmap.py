@@ -1,13 +1,14 @@
-"""The shard map: contiguous space-filling-curve key ranges, one per shard.
+"""The shard map: contiguous Z-order key ranges, one per shard.
 
 Following LiLIS (see PAPERS.md), the keyspace is the image of the data
-under a space-filling curve — Morton/Z-order by default, Hilbert as an
-alternative — and each shard owns one contiguous code range.  Boundaries
-are chosen by **rank quantiles** over the mapped keys of the build data
-(so shards hold equal point counts, not equal key-space volume, which
-matters on skewed data) and then snapped to positions where adjacent
-sorted keys differ, so duplicate codes never straddle a cut: routing by
-``searchsorted`` stays consistent with the partition actually built.
+under a space-filling curve — here Morton/Z-order at 16 bits per
+dimension (:data:`CURVE`, :data:`BITS`) — and each shard owns one
+contiguous code range.  Boundaries are chosen by **rank quantiles** over
+the mapped keys of the build data (so shards hold equal point counts, not
+equal key-space volume, which matters on skewed data) and then snapped to
+positions where adjacent sorted keys differ, so duplicate codes never
+straddle a cut: routing by ``searchsorted`` stays consistent with the
+partition actually built.
 
 Routing rules (all conservative, never lossy):
 
@@ -17,17 +18,15 @@ Routing rules (all conservative, never lossy):
   Morton codes are monotone in each coordinate (spreading bits preserves
   order and the per-dimension bit positions are disjoint), so every
   point inside the rect has a code inside that corner interval — shards
-  outside it provably hold nothing of interest.  Hilbert codes have no
-  such corner-interval property, so with ``curve="hilbert"`` window (and
-  kNN round-two) routing broadcasts to all shards — correct, just
-  unpruned;
+  outside it provably hold nothing of interest;
 - **kNN** → round one asks the point's home shard, round two widens to
   the shards overlapping the interval of the ball's bounding rect (the
   same :meth:`ShardMap.shard_spans`, over ``q - r`` and ``q + r``).
 
 The map is persisted as ``shard_map.json`` next to the per-shard
 directories and reloaded verbatim on cluster reopen — boundaries are part
-of the durable state, not recomputed.
+of the durable state, not recomputed.  The file still names its curve and
+bit count; a map that names another one is refused on load.
 """
 
 from __future__ import annotations
@@ -37,13 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.spatial.hilbert import hilbert_values
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 
-__all__ = ["CURVES", "ShardMap"]
+__all__ = ["BITS", "CURVE", "ShardMap"]
 
-CURVES = ("zorder", "hilbert")
+#: The curve every shard map keys points by, and its bits per dimension;
+#: both are written to ``shard_map.json``.
+CURVE = "zorder"
+BITS = 16
 
 _MAP_VERSION = 1
 
@@ -57,52 +58,34 @@ class ShardMap:
     side="right")`` is the owning shard.
     """
 
-    def __init__(
-        self,
-        boundaries: np.ndarray,
-        bounds: Rect,
-        curve: str = "zorder",
-        bits: int = 16,
-    ) -> None:
-        if curve not in CURVES:
-            raise ValueError(f"curve must be one of {CURVES}, got {curve!r}")
+    def __init__(self, boundaries: np.ndarray, bounds: Rect) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.uint64)
         if np.any(np.diff(self.boundaries.astype(np.int64)) <= 0):
             raise ValueError("shard boundaries must be strictly increasing")
         self.bounds = bounds
-        self.curve = curve
-        self.bits = int(bits)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_points(
-        cls,
-        points: np.ndarray,
-        n_shards: int,
-        bounds: Rect | None = None,
-        curve: str = "zorder",
-        bits: int = 16,
-    ) -> "ShardMap":
+    def from_points(cls, points: np.ndarray, n_shards: int) -> "ShardMap":
         """Rank-quantile boundaries over the mapped keys of ``points``.
 
         Each cut lands at rank ``i * n / n_shards`` and is then snapped
         forward to the next position where the sorted key changes (so a
         run of equal codes stays whole in one shard).  Raises when the
         data has too few distinct codes to support ``n_shards`` non-empty
-        shards — lower ``n_shards`` or raise ``bits``.
+        shards — lower ``n_shards``.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or len(pts) == 0:
             raise ValueError(f"need a non-empty (n, d) array, got shape {pts.shape}")
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if bounds is None:
-            bounds = Rect.bounding(pts)
+        bounds = Rect.bounding(pts)
         if n_shards == 1:
-            return cls(np.empty(0, dtype=np.uint64), bounds, curve=curve, bits=bits)
-        keys = np.sort(cls._encode(pts, bounds, curve, bits))
+            return cls(np.empty(0, dtype=np.uint64), bounds)
+        keys = np.sort(zvalues(pts, bounds, bits=BITS))
         n = len(keys)
         if n < n_shards:
             raise ValueError(
@@ -120,26 +103,15 @@ class ShardMap:
             if cut >= n:
                 raise ValueError(
                     f"cannot cut {n} keys ({len(np.unique(keys))} distinct) "
-                    f"into {n_shards} non-empty shards; lower n_shards or "
-                    f"raise bits"
+                    f"into {n_shards} non-empty shards; lower n_shards"
                 )
             boundaries.append(int(keys[cut]))
         if len(set(boundaries)) != len(boundaries):
             raise ValueError(
                 f"duplicate shard boundaries at n_shards={n_shards}: the key "
-                "distribution is too concentrated; lower n_shards or raise bits"
+                "distribution is too concentrated; lower n_shards"
             )
-        return cls(
-            np.asarray(boundaries, dtype=np.uint64), bounds, curve=curve, bits=bits
-        )
-
-    @staticmethod
-    def _encode(
-        points: np.ndarray, bounds: Rect, curve: str, bits: int
-    ) -> np.ndarray:
-        if curve == "hilbert":
-            return hilbert_values(points, bounds, bits=bits)
-        return zvalues(points, bounds, bits=bits)
+        return cls(np.asarray(boundaries, dtype=np.uint64), bounds)
 
     # ------------------------------------------------------------------
     # Routing
@@ -149,12 +121,9 @@ class ShardMap:
         return len(self.boundaries) + 1
 
     def keys_of(self, points: np.ndarray) -> np.ndarray:
-        """Curve codes of ``points`` (clipped into the map's bounds)."""
-        return self._encode(
-            np.atleast_2d(np.asarray(points, dtype=np.float64)),
-            self.bounds,
-            self.curve,
-            self.bits,
+        """Z-order codes of ``points`` (clipped into the map's bounds)."""
+        return zvalues(
+            np.atleast_2d(np.asarray(points, dtype=np.float64)), self.bounds, bits=BITS
         )
 
     def shard_of_points(self, points: np.ndarray) -> np.ndarray:
@@ -167,22 +136,17 @@ class ShardMap:
         """Per box ``[lo[i], hi[i]]``, the closed range ``first[i] ..
         last[i]`` of shards that can hold one of its points.
 
-        Z-order: the corner-code interval ``[code(lo), code(hi)]`` covers
-        every point in the box (Morton monotonicity), so the span is the
-        shards overlapping it — all ``2 * w`` corners are encoded in one
+        The corner-code interval ``[code(lo), code(hi)]`` covers every
+        point in the box (Morton monotonicity), so the span is the shards
+        overlapping it — all ``2 * w`` corners are encoded in one
         :meth:`keys_of` call.  Corners are clipped into the map's bounds
         first, which is what the grid does to them anyway and lets a box
         reach to infinity (a kNN ball of unbounded radius spans every
-        shard).  Hilbert: every shard (no corner interval exists).
+        shard).
         """
         lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
         hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
         w = len(lo)
-        if self.curve != "zorder":
-            return (
-                np.zeros(w, dtype=np.intp),
-                np.full(w, self.n_shards - 1, dtype=np.intp),
-            )
         corners = np.clip(
             np.concatenate([lo, hi]), self.bounds.lo_array, self.bounds.hi_array
         )
@@ -194,21 +158,14 @@ class ShardMap:
         first, last = self.shard_spans(window.lo_array, window.hi_array)
         return range(int(first[0]), int(last[0]) + 1)
 
-    def shards_for_ball(self, center: np.ndarray, radius: float) -> range:
-        """Shards that can contain a point within ``radius`` of ``center``
-        (the kNN round-two candidate set; ``inf`` means every shard)."""
-        q = np.asarray(center, dtype=np.float64)
-        first, last = self.shard_spans(q - radius, q + radius)
-        return range(int(first[0]), int(last[0]) + 1)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "version": _MAP_VERSION,
-            "curve": self.curve,
-            "bits": self.bits,
+            "curve": CURVE,
+            "bits": BITS,
             "n_shards": self.n_shards,
             "bounds": {
                 "lo": self.bounds.lo_array.tolist(),
@@ -232,16 +189,16 @@ class ShardMap:
                 f"unsupported shard map version {data.get('version')!r} "
                 f"(this build reads version {_MAP_VERSION})"
             )
+        if data["curve"] != CURVE or data["bits"] != BITS:
+            raise ValueError(
+                f"shard map keys by curve {data['curve']!r} at {data['bits']!r} "
+                f"bits; this build routes by {CURVE!r} at {BITS} bits"
+            )
         bounds = Rect.from_arrays(
             np.asarray(data["bounds"]["lo"], dtype=np.float64),
             np.asarray(data["bounds"]["hi"], dtype=np.float64),
         )
-        smap = cls(
-            np.asarray(data["boundaries"], dtype=np.uint64),
-            bounds,
-            curve=data["curve"],
-            bits=int(data["bits"]),
-        )
+        smap = cls(np.asarray(data["boundaries"], dtype=np.uint64), bounds)
         if smap.n_shards != int(data["n_shards"]):
             raise ValueError(
                 f"shard map is inconsistent: {len(smap.boundaries)} boundaries "
@@ -254,7 +211,4 @@ class ShardMap:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return (
-            f"ShardMap(n_shards={self.n_shards}, curve={self.curve!r}, "
-            f"bits={self.bits})"
-        )
+        return f"ShardMap(n_shards={self.n_shards})"

@@ -39,11 +39,10 @@ commands carry whole sub-batches as arrays — ``("point_batch", points)``,
 of its kind.  Window and kNN answers come back packed
 (:class:`PackedRows`): one flat ``(m, d)`` array of rows plus a row count
 per query, so the pipe pickles two arrays per sub-batch whatever its
-size.  A window sub-batch's corner arrays go into the server as they
-came, and its ``(rows, counts)`` answer comes back as it left.
-
-``("crash",)`` makes the worker die with ``os._exit`` — no cleanup, no
-flushes — which is the chaos hook the kill-mid-stream recovery test uses.
+size.  A sub-batch arrives unpickled, an array nothing else holds, so
+the worker builds the server's ``Request`` around it as it came (the
+public ``submit_*_batch`` methods copy what their caller passes), and a
+window sub-batch's ``(rows, counts)`` answer comes back as it left.
 """
 
 from __future__ import annotations
@@ -56,9 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.serve.requests import KNN, POINT, WINDOW, Request
+
 __all__ = [
     "ENV_KEYS",
-    "WORKER_CRASH_EXIT",
     "WorkerSpec",
     "capture_env",
     "shard_worker_main",
@@ -66,10 +66,6 @@ __all__ = [
 
 #: Environment configuration propagated explicitly into workers at spawn.
 ENV_KEYS = ("REPRO_FAULTS",)
-
-#: Exit code of a deliberate ``("crash",)`` — same idea as the chaos
-#: child's marker: distinguishes commanded crashes from real failures.
-WORKER_CRASH_EXIT = 17
 
 #: File the parent writes a shard's build partition to (and the worker
 #: reads it back from on a fresh build).
@@ -110,8 +106,6 @@ class WorkerSpec:
     wal:
         Whether updates are write-ahead-logged (required for the zero
         acknowledged-loss recovery contract).
-    salvage:
-        Passed through to ``from_snapshot`` on recovery.
     """
 
     shard_id: int
@@ -123,7 +117,6 @@ class WorkerSpec:
     env: dict = field(default_factory=dict)
     recover: bool = False
     wal: bool = True
-    salvage: bool = False
 
 
 def _apply_env(spec: WorkerSpec) -> None:
@@ -163,7 +156,6 @@ def _open_server(spec: WorkerSpec):
         return IndexServer.from_snapshot(
             directory,
             wal=spec.wal,
-            salvage=spec.salvage,
             config=serve_config,
             elsi_config=config,
             index_factory=factory,
@@ -215,8 +207,6 @@ def shard_worker_main(spec: WorkerSpec, conn) -> None:
                 message[0], message[1], message[2], message[3],
             )
             payload = message[4:]
-            if command == "crash":
-                os._exit(WORKER_CRASH_EXIT)
             if command == "close":
                 conn.send((seq, "ok", None, None))
                 break
@@ -309,13 +299,15 @@ def _dispatch(server, spec: WorkerSpec, command: str, payload: tuple, timeout: f
     wait = _reply_wait(timeout)
     if command == "point_batch":
         (points,) = payload
-        return np.asarray(server.submit_point_batch(points).wait(wait))
+        return np.asarray(server.submit(Request(POINT, points)).wait(wait))
     if command == "window_batch":
-        return PackedRows(*server.submit_window_batch(*payload).wait(wait))
+        win_lo, win_hi = payload
+        request = Request(WINDOW, win_lo=win_lo, win_hi=win_hi)
+        return PackedRows(*server.submit(request).wait(wait))
     if command == "knn_batch":
         points, k = payload
         return PackedRows.pack(
-            server.submit_knn_batch(points, k).wait(wait), points.shape[1]
+            server.submit(Request(KNN, points, k)).wait(wait), points.shape[1]
         )
     if command == "insert":
         (point,) = payload

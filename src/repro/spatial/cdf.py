@@ -1,10 +1,11 @@
-"""Empirical CDFs and the Kolmogorov–Smirnov dissimilarity of Section III.
+"""The Kolmogorov–Smirnov dissimilarity of Section III.
 
 ELSI measures how well a small training set ``D_S`` approximates ``D`` by
-Definition 2: ``sim(D_S, D) = 1 - sup_x |cdf_{K(D_S)}(x) - cdf_{K(D)}(x)|``,
-the KS statistic over the *key values* of the two sets.
+Definition 2: ``sim(D_S, D) = 1 - dist(D_S, D)`` with ``dist(D_S, D) =
+sup_x |cdf_{K(D_S)}(x) - cdf_{K(D)}(x)|``, the KS statistic over the *key
+values* of the two sets.
 
-Two implementations are provided:
+Two implementations of ``dist`` are provided:
 
 - :func:`ks_distance` — the paper's optimised ``O(n_S log n)`` algorithm
   that binary-searches the rank of every ``D_S`` key in ``D``,
@@ -21,11 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "dissimilarity",
-    "empirical_cdf",
     "ks_distance",
     "ks_distance_reference",
-    "similarity",
     "uniform_dissimilarity",
 ]
 
@@ -41,17 +39,6 @@ def _as_sorted(keys: np.ndarray, assume_sorted: bool) -> np.ndarray:
     if not assume_sorted:
         arr = np.sort(arr, kind="stable")
     return arr
-
-
-def empirical_cdf(keys: np.ndarray, x: np.ndarray, assume_sorted: bool = False) -> np.ndarray:
-    """Empirical CDF of ``keys`` evaluated at points ``x``.
-
-    ``cdf(x) = |{k in keys : k <= x}| / |keys|``.
-    """
-    sorted_keys = _as_sorted(keys, assume_sorted)
-    xs = np.asarray(x, dtype=np.float64)
-    ranks = np.searchsorted(sorted_keys, xs, side="right")
-    return ranks / len(sorted_keys)
 
 
 def ks_distance(
@@ -91,20 +78,6 @@ def ks_distance_reference(small: np.ndarray, large: np.ndarray) -> float:
     cdf_s = np.searchsorted(s, values, side="right") / len(s)
     cdf_l = np.searchsorted(l, values, side="right") / len(l)
     return float(np.abs(cdf_s - cdf_l).max())
-
-
-def dissimilarity(
-    small: np.ndarray, large: np.ndarray, assume_sorted: bool = False
-) -> float:
-    """``dist(D_S, D)`` of Definition 2 — alias of :func:`ks_distance`."""
-    return ks_distance(small, large, assume_sorted=assume_sorted)
-
-
-def similarity(
-    small: np.ndarray, large: np.ndarray, assume_sorted: bool = False
-) -> float:
-    """``sim(D_S, D) = 1 - dist(D_S, D)`` of Definition 2."""
-    return 1.0 - ks_distance(small, large, assume_sorted=assume_sorted)
 
 
 def uniform_dissimilarity(keys: np.ndarray, assume_sorted: bool = False) -> float:

@@ -97,31 +97,3 @@ class IDistanceMapping:
         """The iDistance key ``j * stretch + dist(p, o_j)`` per point."""
         ids, dists = self.nearest_reference(points)
         return ids * self.stretch + dists
-
-    def partition_interval(self, partition: int) -> tuple[float, float]:
-        """Key interval [j*c, (j+1)*c) owned by partition ``partition``."""
-        if not 0 <= partition < self.n_references:
-            raise ValueError(f"partition {partition} out of range")
-        return partition * self.stretch, (partition + 1) * self.stretch
-
-    def annulus_keys(
-        self, center: np.ndarray, radius: float
-    ) -> list[tuple[float, float]]:
-        """Key ranges that may contain points within ``radius`` of ``center``.
-
-        For each reference ``o_j`` at distance ``r_j`` from the query centre,
-        points of partition j within the query ball have key in
-        ``[j*c + max(0, r_j - radius), j*c + r_j + radius]`` — the classic
-        iDistance annulus filter used by window and kNN search.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        c = np.asarray(center, dtype=np.float64)
-        diff = self.references - c
-        ref_dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ranges: list[tuple[float, float]] = []
-        for j, r_j in enumerate(ref_dist):
-            lo = j * self.stretch + max(0.0, r_j - radius)
-            hi = j * self.stretch + r_j + radius
-            ranges.append((lo, hi))
-        return ranges

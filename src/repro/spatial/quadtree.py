@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.spatial.rect import Rect
 
-__all__ = ["QuadTree", "QuadTreeNode"]
+__all__ = ["MAX_DEPTH", "QuadTree", "QuadTreeNode"]
+
+#: Hard recursion cap, so duplicate points cannot cause unbounded
+#: splitting; a leaf at this depth may exceed ``max_points``.
+MAX_DEPTH = 24
 
 
 @dataclass
@@ -39,49 +43,36 @@ class QuadTreeNode:
 
 
 class QuadTree:
-    """Recursive midpoint partitioning of ``points`` within ``bounds``.
+    """Recursive midpoint partitioning of ``points`` within their bounding
+    box.
 
     Parameters
     ----------
     points:
         (n, d) array of coordinates.
     max_points:
-        The β of Algorithm 2 — leaves hold at most this many points.
-    bounds:
-        Partitioned space; defaults to the bounding box of ``points``.
-    max_depth:
-        Hard recursion cap so duplicate points cannot cause unbounded
-        splitting; a leaf at ``max_depth`` may exceed ``max_points``.
+        The β of Algorithm 2 — leaves hold at most this many points (but
+        see :data:`MAX_DEPTH`).
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        max_points: int,
-        bounds: Rect | None = None,
-        max_depth: int = 24,
-    ) -> None:
+    def __init__(self, points: np.ndarray, max_points: int) -> None:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError(f"expected an (n, d) array, got shape {pts.shape}")
         if max_points < 1:
             raise ValueError(f"max_points must be >= 1, got {max_points}")
-        if max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
         self.points = pts
         self.max_points = max_points
-        self.max_depth = max_depth
-        if bounds is None:
-            if len(pts) == 0:
-                bounds = Rect.unit(pts.shape[1] if pts.shape[1] else 2)
-            else:
-                bounds = Rect.bounding(pts)
+        if len(pts) == 0:
+            bounds = Rect.unit(pts.shape[1] if pts.shape[1] else 2)
+        else:
+            bounds = Rect.bounding(pts)
         self.bounds = bounds
         self.root = self._build(np.arange(len(pts), dtype=np.int64), bounds, depth=0)
 
     def _build(self, indices: np.ndarray, bounds: Rect, depth: int) -> QuadTreeNode:
         node = QuadTreeNode(bounds=bounds, depth=depth)
-        if len(indices) <= self.max_points or depth >= self.max_depth:
+        if len(indices) <= self.max_points or depth >= MAX_DEPTH:
             node.point_indices = indices
             return node
         mid = bounds.center
@@ -99,58 +90,15 @@ class QuadTree:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def leaves(self, include_empty: bool = False) -> list[QuadTreeNode]:
-        """All leaf cells, depth-first; empty leaves skipped by default."""
+    def leaves(self) -> list[QuadTreeNode]:
+        """All non-empty leaf cells, depth-first."""
         out: list[QuadTreeNode] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                if include_empty or node.size > 0:
+                if node.size > 0:
                     out.append(node)
             else:
                 stack.extend(reversed(node.children))
         return out
-
-    def depth(self) -> int:
-        """Maximum leaf depth."""
-        best = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                best = max(best, node.depth)
-            else:
-                stack.extend(node.children)
-        return best
-
-    def locate(self, point: np.ndarray) -> QuadTreeNode:
-        """The leaf cell whose bounds contain ``point``.
-
-        Points outside the tree bounds are clamped to the nearest cell
-        (descending by midpoint comparisons never leaves the tree).
-        """
-        p = np.asarray(point, dtype=np.float64)
-        node = self.root
-        while not node.is_leaf:
-            mid = node.bounds.center
-            code = 0
-            for dim in range(node.bounds.ndim):
-                if p[dim] >= mid[dim]:
-                    code |= 1 << dim
-            node = node.children[code]
-        return node
-
-    def count_nodes(self) -> tuple[int, int]:
-        """(internal, leaf) node counts."""
-        internal = 0
-        leaf = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaf += 1
-            else:
-                internal += 1
-                stack.extend(node.children)
-        return internal, leaf

@@ -120,13 +120,6 @@ class Rect:
         pts = np.asarray(points, dtype=np.float64)
         return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """Whether ``other`` lies entirely inside this box."""
-        return bool(
-            np.all(other.lo_array >= self.lo_array)
-            and np.all(other.hi_array <= self.hi_array)
-        )
-
     def intersects(self, other: "Rect") -> bool:
         """Whether the two closed boxes overlap (touching counts)."""
         return bool(

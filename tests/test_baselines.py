@@ -184,7 +184,8 @@ class TestRStarSpecifics:
                 assert node.mbr.contains_points(node.points).all()
             else:
                 for child in node.children:
-                    assert node.mbr.contains_rect(child.mbr)
+                    corners = np.stack([child.mbr.lo_array, child.mbr.hi_array])
+                    assert node.mbr.contains_points(corners).all()
                     stack.append(child)
 
     def test_node_capacity_invariant(self, osm_points):

@@ -75,6 +75,14 @@ class TestHarness:
         assert "a" in text
 
 
+
+def _cell(*fields, measures):
+    """A grid cell that measures ``measures`` (``grid`` adds them after
+    construction the same way)."""
+    cell = Cell(*fields)
+    cell.measures.update(measures)
+    return cell
+
 class TestContext:
     @pytest.fixture(scope="class")
     def ctx(self):
@@ -153,7 +161,7 @@ class TestContext:
 
     def test_table1_driver_structure(self, ctx):
         methods = ctx.config.methods
-        rows = self._rows(ctx, [Cell("OSM1", 600, "ZM", m, measures={"point"}) for m in methods])
+        rows = self._rows(ctx, [_cell("OSM1", 600, "ZM", m, measures={"point"}) for m in methods])
         table = tables(by_seed(rows))["table1"]
         assert [m for (m,) in table.cells] == list(methods)
         for method in methods:
@@ -162,7 +170,7 @@ class TestContext:
         assert all(row["point_us"] > 0 for row in rows)
 
     def test_fig13_size_defaults_scale_with_n(self, ctx):
-        rows = self._rows(ctx, [Cell("OSM1", 600, "RR*", "", measures={"sizes"})])
+        rows = self._rows(ctx, [_cell("OSM1", 600, "RR*", "", measures={"sizes"})])
         counts = tables(by_seed(rows))["fig13b_results"]
         series = [counts.med("RR*", col) for col in counts.cols]
         assert len(series) == 5

@@ -9,7 +9,7 @@ from repro.data.controlled import (
     keys_with_uniform_distance,
     population_cdf,
 )
-from repro.data.generators import gaussian_mixture, skewed, uniform
+from repro.data.generators import skewed, uniform
 from repro.data.real_like import nyc_like, osm_like, tpch_like
 
 
@@ -31,7 +31,7 @@ class TestGenerators:
     def test_skewed_construction(self):
         """Skewed = Uniform with y -> y^4 (the HRR construction)."""
         base = uniform(5_000, seed=2)
-        sk = skewed(5_000, s=4.0, seed=2)
+        sk = skewed(5_000, seed=2)
         np.testing.assert_array_equal(sk[:, 0], base[:, 0])
         np.testing.assert_allclose(sk[:, 1], base[:, 1] ** 4)
 
@@ -39,18 +39,9 @@ class TestGenerators:
         sk = skewed(10_000, seed=3)
         assert (sk[:, 1] < 0.1).mean() > 0.5
 
-    def test_gaussian_mixture_clusters(self):
-        pts = gaussian_mixture(5_000, n_clusters=3, spread=0.01, seed=4)
-        assert pts.shape == (5_000, 2)
-        assert np.all((pts >= 0) & (pts <= 1))
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             uniform(-1)
-        with pytest.raises(ValueError):
-            skewed(10, s=0.0)
-        with pytest.raises(ValueError):
-            gaussian_mixture(10, n_clusters=0)
 
 
 class TestControlled:

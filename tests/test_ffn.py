@@ -19,7 +19,7 @@ class TestConstruction:
 
     def test_n_parameters(self):
         net = FFN([1, 16, 1])
-        assert net.n_parameters == 1 * 16 + 16 + 16 * 1 + 1
+        assert net.flat_params.size == 1 * 16 + 16 + 16 * 1 + 1
 
     def test_rejects_single_layer(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestFlatParameterVector:
     def _assert_bound(net: FFN) -> None:
         for p in net.parameters():
             assert np.shares_memory(p, net.flat_params)
-        assert net.flat_params.size == net.n_parameters
+        assert net.flat_params.size == sum(p.size for p in net.parameters())
         assert net.flat_grads.shape == net.flat_params.shape
 
     @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ class _ScrapeStubHandle:
 def _stub_fleet(handles):
     smap = ShardMap(
         np.asarray([2**30] * (len(handles) - 1), dtype=np.uint64),
-        Rect.unit(), bits=16,
+        Rect.unit(),
     )
     return ShardRouter(smap, handles)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.indices import MLIndex
 from repro.spatial.idistance import IDistanceMapping
 
 
@@ -44,35 +45,22 @@ def test_single_point_input(mapping):
     assert key.shape == (1,)
 
 
-def test_partition_interval(mapping):
-    m, _pts = mapping
-    lo, hi = m.partition_interval(3)
-    assert lo == pytest.approx(3 * m.stretch)
-    assert hi == pytest.approx(4 * m.stretch)
-    with pytest.raises(ValueError):
-        m.partition_interval(m.n_references)
-
-
-def test_annulus_covers_ball(mapping):
-    """Every point within `radius` of the centre has its key inside the
-    annulus range of its partition — the iDistance search invariant."""
-    m, pts = mapping
-    center = np.array([0.5, 0.5])
-    radius = 0.2
-    ranges = m.annulus_keys(center, radius)
-    dist_to_center = np.linalg.norm(pts - center, axis=1)
-    in_ball = pts[dist_to_center <= radius]
-    keys = m.keys(in_ball)
-    ids, _ = m.nearest_reference(in_ball)
-    for key, pid in zip(keys, ids):
-        lo, hi = ranges[pid]
-        assert lo - 1e-9 <= key <= hi + 1e-9
-
-
-def test_negative_radius_rejected(mapping):
-    m, _pts = mapping
-    with pytest.raises(ValueError):
-        m.annulus_keys(np.array([0.5, 0.5]), -0.1)
+def test_annulus_covers_ball(sp_builder):
+    """Every stored point within ``radius`` of the centre has its rank
+    inside the annulus run of its partition that ML-Index scans
+    (``MLIndex._annulus_ranks``) — the iDistance search invariant."""
+    pts = np.random.default_rng(0).random((1_000, 2))
+    index = MLIndex(n_references=8, builder=sp_builder).build(pts)
+    store = index.run.store
+    m = index.mapping
+    for center, radius in (([0.5, 0.5], 0.2), ([0.1, 0.9], 0.05), ([0.3, 0.6], 0.0)):
+        center = np.asarray(center)
+        ref_dist = np.sqrt(((m.references - center) ** 2).sum(axis=1))[None, :]
+        lo, hi = index._annulus_ranks(ref_dist, np.array([radius]))
+        rows = np.flatnonzero(np.sqrt(((store.points - center) ** 2).sum(axis=1)) <= radius)
+        ids, _ = m.nearest_reference(store.points[rows])
+        for row, pid in zip(rows, ids):
+            assert lo[pid] <= row < hi[pid]
 
 
 def test_fit_fewer_points_than_references():

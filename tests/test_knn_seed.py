@@ -24,6 +24,7 @@ from repro.obs.trace import get_tracer
 from repro.queries import brute_force_knn
 from repro.spatial.rect import Rect
 from tests.brute import _distances, assert_knn
+from tests.spans import spans_named
 
 
 def _count_window_rounds(index):
@@ -267,10 +268,10 @@ def test_seed_rows_are_charged_and_traced(tied_points, knn_probes):
     tracer.reset()
     try:
         index.knn_queries(queries, k)
-        (batch,) = tracer.find("query.knn_batch")
-        (seed,) = tracer.find("query.knn_seed")
-        (window,) = tracer.find("query.window_batch")
-        (refine,) = tracer.find("query.refine")
+        (batch,) = spans_named(tracer, "query.knn_batch")
+        (seed,) = spans_named(tracer, "query.knn_seed")
+        (window,) = spans_named(tracer, "query.window_batch")
+        (refine,) = spans_named(tracer, "query.refine")
     finally:
         tracer.disable()
         tracer.reset()

@@ -22,6 +22,7 @@ from repro.obs.report import (
     render_tree,
 )
 from repro.obs.trace import RING_SIZE, SpanRecord, Tracer, get_tracer, span, traced
+from tests.spans import spans_named
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +31,7 @@ from repro.obs.trace import RING_SIZE, SpanRecord, Tracer, get_tracer, span, tra
 def test_span_records_name_duration_attrs(tracer):
     with span("unit.work", n=7):
         pass
-    records = tracer.find("unit.work")
+    records = spans_named(tracer, "unit.work")
     assert len(records) == 1
     rec = records[0]
     assert rec.attrs == {"n": 7}
@@ -43,9 +44,9 @@ def test_span_nesting_links_parents(tracer):
         with span("inner") as inner:
             with span("leaf"):
                 pass
-    leaf = tracer.find("leaf")[0]
-    mid = tracer.find("inner")[0]
-    top = tracer.find("outer")[0]
+    leaf = spans_named(tracer, "leaf")[0]
+    mid = spans_named(tracer, "inner")[0]
+    top = spans_named(tracer, "outer")[0]
     assert leaf.parent_id == inner.span_id
     assert mid.parent_id == outer.span_id
     assert top.parent_id is None
@@ -54,7 +55,7 @@ def test_span_nesting_links_parents(tracer):
 def test_span_set_attaches_attrs_in_flight(tracer):
     with span("work", phase="start") as s:
         s.set(result=42)
-    rec = tracer.find("work")[0]
+    rec = spans_named(tracer, "work")[0]
     assert rec.attrs == {"phase": "start", "result": 42}
 
 
@@ -64,7 +65,7 @@ def test_traced_decorator(tracer):
         return 2 * v
 
     assert double(21) == 42
-    rec = tracer.find("decorated.call")[0]
+    rec = spans_named(tracer, "decorated.call")[0]
     assert rec.attrs == {"tag": "x"}
 
 
@@ -120,8 +121,8 @@ def test_capture_redirects_and_adopt_reparents(tracer):
 
     shipped = [r.to_dict() for r in captured]  # what crosses the pickle boundary
     tracer.adopt(shipped, parent_id="parent-span")
-    root = tracer.find("worker.root")[0]
-    child = tracer.find("worker.child")[0]
+    root = spans_named(tracer, "worker.root")[0]
+    child = spans_named(tracer, "worker.child")[0]
     assert root.parent_id == "parent-span"
     assert child.parent_id == root.span_id  # intra-batch links preserved
 
@@ -292,7 +293,7 @@ def test_gauge_moves_both_ways():
     g = Gauge()
     g.set(5)
     g.inc(2)
-    g.dec(3)
+    g.inc(-3)
     assert g.value == 4.0
 
 
@@ -307,7 +308,7 @@ def test_registry_export_formats():
     ]
     assert series_sum(dump, "depth") == 2.0
     assert histogram_stat(dump, "lat", "count") == 1
-    assert json.loads(r.export_json())["depth"][0]["kind"] == "gauge"
+    assert json.loads(json.dumps(dump))["depth"][0]["kind"] == "gauge"
 
 
 def test_export_readers():
@@ -320,7 +321,7 @@ def test_export_readers():
     r.gauge("telemetry.shard_up", shard=1).set(0.0)
     r.histogram("lat", base=1.0, n_buckets=6, kind="point").record_many([0.5, 2.0])
     r.histogram("lat", base=1.0, n_buckets=6, kind="knn").record_many([4.0, 9.0])
-    export = json.loads(r.export_json())  # as it arrives written to a file
+    export = json.loads(json.dumps(r.export()))  # as it arrives written to a file
     assert series_sum(export, "no.such.metric") == 0.0
     assert histogram_stat(export, "no.such.metric", "p99") == 0.0
     assert series_sum(export, "serve.requests_shed") == 5.0
@@ -454,7 +455,7 @@ def test_registry_merge_roundtrips_through_json():
     a.counter("jobs").inc(3)
     a.gauge("depth").set(7)
     a.histogram("lat", base=1.0, n_buckets=4).record(2.5)
-    fleet.merge(json.loads(a.export_json()))
+    fleet.merge(json.loads(json.dumps(a.export())))
     assert fleet.counter("jobs").value == 3
     assert fleet.gauge("depth").value == 7.0
     assert fleet.histogram("lat", base=1.0, n_buckets=4).count == 1
@@ -534,13 +535,13 @@ def test_trace_id_root_is_own_id_and_descendants_inherit(tracer):
     with span("outer") as outer:
         with span("inner"):
             pass
-    top = tracer.find("outer")[0]
-    mid = tracer.find("inner")[0]
+    top = spans_named(tracer, "outer")[0]
+    mid = spans_named(tracer, "inner")[0]
     assert top.trace_id == top.span_id
     assert mid.trace_id == top.trace_id
     with span("second"):
         pass
-    other = tracer.find("second")[0]
+    other = spans_named(tracer, "second")[0]
     assert other.trace_id != top.trace_id  # each root starts a new trace
 
 
@@ -548,7 +549,7 @@ def test_ambient_seeds_parent_and_trace_id(tracer):
     with tracer.ambient("remote-parent", trace_id="remote-trace"):
         with span("seeded"):
             pass
-    rec = tracer.find("seeded")[0]
+    rec = spans_named(tracer, "seeded")[0]
     assert rec.parent_id == "remote-parent"
     assert rec.trace_id == "remote-trace"
 
@@ -557,7 +558,7 @@ def test_ambient_without_trace_id_uses_parent(tracer):
     with tracer.ambient("remote-parent"):
         with span("seeded"):
             pass
-    assert tracer.find("seeded")[0].trace_id == "remote-parent"
+    assert spans_named(tracer, "seeded")[0].trace_id == "remote-parent"
 
 
 def test_adopt_stamps_trace_id_over_whole_batch(tracer):
@@ -570,8 +571,8 @@ def test_adopt_stamps_trace_id_over_whole_batch(tracer):
         parent_id="caller-span",
         trace_id="caller-trace",
     )
-    root = tracer.find("w.root")[0]
-    child = tracer.find("w.child")[0]
+    root = spans_named(tracer, "w.root")[0]
+    child = spans_named(tracer, "w.child")[0]
     assert root.parent_id == "caller-span"
     assert root.trace_id == "caller-trace"
     assert child.trace_id == "caller-trace"  # non-roots stamped too
@@ -598,7 +599,7 @@ def test_error_spans_tag_exception_type(tracer):
     with pytest.raises(RuntimeError):
         with span("doomed"):
             raise RuntimeError("boom")
-    rec = tracer.find("doomed")[0]
+    rec = spans_named(tracer, "doomed")[0]
     assert rec.attrs["error"] == "RuntimeError"
 
 
@@ -695,10 +696,3 @@ def test_registry_merge_histogram_boundary_mismatch_rejected():
     wider.histogram("lat", base=1.0, n_buckets=8).record(2.0)
     with pytest.raises(ValueError, match="n_buckets"):
         fleet.merge(wider.export())
-
-
-def test_histogram_record_count_batches():
-    h = Histogram(base=1.0, n_buckets=4)
-    h.record(2.0, count=10)
-    assert h.count == 10
-    assert h.total == pytest.approx(20.0)

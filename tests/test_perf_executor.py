@@ -16,6 +16,7 @@ from repro.core.selector import collect_selector_data
 from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import ModelBuilder, OriginalBuilder, TrainedModel, fit_model
 from repro.storage.persist import save_index
+from tests.spans import spans_named
 
 SRC = Path(repro.__file__).parent
 
@@ -142,8 +143,8 @@ def test_build_is_traced_per_model(osm_points, tracer):
     index.build(osm_points)
     models = len(index.model.models)
     assert models > 2
-    train = tracer.find("build.train")
-    assert len(train) == len(tracer.find("build.error_bounds")) == models
+    train = spans_named(tracer, "build.train")
+    assert len(train) == len(spans_named(tracer, "build.error_bounds")) == models
     assert index.build_stats.n_models == models
     assert {s.attrs["method"] for s in train} == {"SP"}
     assert sum(s.attrs["train_size"] for s in train) == index.build_stats.train_set_size

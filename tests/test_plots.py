@@ -14,7 +14,7 @@ class TestBarChart:
         assert "2.5s" in lines[1]
 
     def test_longest_bar_is_max(self):
-        text = bar_chart(["a", "b"], [10.0, 5.0], width=20)
+        text = bar_chart(["a", "b"], [10.0, 5.0])
         a_line, b_line = text.splitlines()
         assert a_line.count("█") > b_line.count("█")
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.spatial.cdf import ks_distance, ks_distance_reference
 from repro.spatial.hilbert import hilbert_decode, hilbert_encode
-from repro.spatial.quadtree import QuadTree
+from repro.spatial.quadtree import MAX_DEPTH, QuadTree
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import morton_decode, morton_encode, zvalues
 
@@ -77,14 +77,14 @@ def test_ks_distance_to_self_is_zero(keys):
 @given(points_2d, st.integers(1, 20))
 @settings(max_examples=40, deadline=None)
 def test_quadtree_partition_invariants(points, max_points):
-    tree = QuadTree(points, max_points=max_points, max_depth=12)
+    tree = QuadTree(points, max_points=max_points)
     leaves = tree.leaves()
     indices = np.concatenate([leaf.point_indices for leaf in leaves]) if leaves else np.empty(0)
     # Every point in exactly one leaf.
     assert sorted(indices.tolist()) == list(range(len(points)))
     # Capacity respected unless the depth cap was hit.
     for leaf in leaves:
-        assert leaf.size <= max_points or leaf.depth == 12
+        assert leaf.size <= max_points or leaf.depth == MAX_DEPTH
 
 
 @given(points_2d)

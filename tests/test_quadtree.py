@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.spatial.quadtree import QuadTree
+from repro.spatial.quadtree import MAX_DEPTH, QuadTree
 from repro.spatial.rect import Rect
+
+
+def _node_counts(tree):
+    """(internal, leaf) node counts, empty leaves included."""
+    internal = leaf = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaf += 1
+        else:
+            internal += 1
+            stack.extend(node.children)
+    return internal, leaf
 
 
 def test_every_point_in_exactly_one_leaf(osm_points):
@@ -31,52 +45,35 @@ def test_single_node_when_under_capacity():
     pts = np.random.default_rng(0).random((10, 2))
     tree = QuadTree(pts, max_points=100)
     assert tree.root.is_leaf
-    assert tree.depth() == 0
+    assert tree.leaves() == [tree.root]
 
 
 def test_duplicate_points_bounded_by_max_depth():
     pts = np.tile([[0.5, 0.5]], (100, 1))
-    tree = QuadTree(pts, max_points=4, max_depth=6)
-    assert tree.depth() <= 6
+    tree = QuadTree(pts, max_points=4)
+    assert [leaf.depth for leaf in tree.leaves()] == [MAX_DEPTH]
     assert sum(leaf.size for leaf in tree.leaves()) == 100
-
-
-def test_locate_finds_containing_leaf(osm_points):
-    tree = QuadTree(osm_points, max_points=32)
-    for p in osm_points[:100]:
-        leaf = tree.locate(p)
-        assert leaf.is_leaf
-        assert leaf.bounds.contains_point(np.clip(p, leaf.bounds.lo_array, leaf.bounds.hi_array))
-
-
-def test_locate_consistent_with_membership(osm_points):
-    tree = QuadTree(osm_points, max_points=32)
-    for i in range(0, 200, 7):
-        leaf = tree.locate(osm_points[i])
-        assert i in set(leaf.point_indices.tolist())
 
 
 def test_3d_partitioning():
     pts = np.random.default_rng(1).random((500, 3))
     tree = QuadTree(pts, max_points=32)
-    internal, _leaves = tree.count_nodes()
-    assert internal >= 1
+    assert not tree.root.is_leaf
     # Each internal node has 2^3 children.
     assert len(tree.root.children) == 8
     assert sum(leaf.size for leaf in tree.leaves()) == 500
 
 
-def test_explicit_bounds():
-    pts = np.array([[0.4, 0.4], [0.6, 0.6]])
-    tree = QuadTree(pts, max_points=1, bounds=Rect.unit(2))
-    assert tree.bounds == Rect.unit(2)
+def test_bounds_are_the_points_bounding_box():
+    pts = np.array([[0.4, 0.3], [0.6, 0.7]])
+    tree = QuadTree(pts, max_points=1)
+    assert tree.bounds == Rect.bounding(pts)
 
 
 def test_empty_points():
     tree = QuadTree(np.empty((0, 2)), max_points=4)
     assert tree.root.is_leaf
     assert tree.leaves() == []
-    assert tree.leaves(include_empty=True)[0].size == 0
 
 
 def test_invalid_args():
@@ -89,6 +86,6 @@ def test_invalid_args():
 
 def test_count_nodes_consistency(osm_points):
     tree = QuadTree(osm_points, max_points=50)
-    internal, leaves = tree.count_nodes()
+    internal, leaves = _node_counts(tree)
     # A full 2^d-ary tree: leaves = internal * (2^d - 1) + 1.
     assert leaves == internal * 3 + 1

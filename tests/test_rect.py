@@ -78,12 +78,6 @@ class TestGeometry:
         r = Rect((0.0, 0.0), (2.0, 3.0))
         assert r.margin() == pytest.approx(5.0)
 
-    def test_contains_rect(self):
-        outer = Rect.unit(2)
-        inner = Rect((0.2, 0.2), (0.8, 0.8))
-        assert outer.contains_rect(inner)
-        assert not inner.contains_rect(outer)
-
     def test_min_distance_sq(self):
         r = Rect((0.0, 0.0), (1.0, 1.0))
         assert r.min_distance_sq(np.array([0.5, 0.5])) == 0.0
@@ -98,7 +92,7 @@ class TestSplitMidpoint:
         assert len(children) == 4
         assert sum(c.area() for c in children) == pytest.approx(r.area())
         for c in children:
-            assert r.contains_rect(c)
+            assert r.contains_points(np.stack([c.lo_array, c.hi_array])).all()
 
     def test_child_code_ordering(self):
         # Bit d set = upper half along dimension d.

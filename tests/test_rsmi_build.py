@@ -16,6 +16,7 @@ from repro.core.config import ELSIConfig
 from repro.indices.rsmi import RSMIIndex, _Node
 from repro.spatial.rect import Rect
 from tests.brute import assert_windows
+from tests.spans import spans_named
 
 
 def _index(leaf_capacity=300, builder=None):
@@ -200,17 +201,17 @@ class TestRandomChoiceOrder:
 class TestRSMISpans:
     def test_build_emits_level_spans(self, osm_points, tracer):
         _build(osm_points)
-        build_spans = tracer.find("rsmi.build")
+        build_spans = spans_named(tracer, "rsmi.build")
         assert len(build_spans) == 1
         assert build_spans[0].attrs["models"] >= 1
-        levels = tracer.find("rsmi.fit_level")
+        levels = spans_named(tracer, "rsmi.fit_level")
         assert levels, "level-wise build must emit per-level spans"
         assert levels[0].attrs["level"] == 0
         assert levels[0].attrs["nodes"] == 1
         # Each level's model fits nest under its span, one per node.
         by_id = {s.span_id: s for s in tracer.spans()}
         fitted = {level.span_id: 0 for level in levels}
-        for train in tracer.find("build.train"):
+        for train in spans_named(tracer, "build.train"):
             parent = by_id[train.parent_id]
             while parent.name != "rsmi.fit_level":
                 parent = by_id[parent.parent_id]
@@ -226,11 +227,11 @@ class TestRSMISpans:
         tracer.reset()
         index.point_query(osm_points[0])
         index.window_query(Rect(np.array([0.2, 0.2]), np.array([0.4, 0.4])))
-        point_spans = tracer.find("query.point_batch")
+        point_spans = spans_named(tracer, "query.point_batch")
         assert len(point_spans) == 1
         assert point_spans[0].attrs == {"index": "RSMI", "queries": 1}
-        window_spans = tracer.find("query.window_batch")
+        window_spans = spans_named(tracer, "query.window_batch")
         assert len(window_spans) == 1
         assert window_spans[0].attrs == {"index": "RSMI", "windows": 1}
-        assert tracer.find("query.model_predict") and tracer.find("query.refine")
+        assert spans_named(tracer, "query.model_predict") and spans_named(tracer, "query.refine")
         assert not [s for s in tracer.spans() if s.name.startswith("rsmi.")]

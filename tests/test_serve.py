@@ -86,7 +86,7 @@ class TestBasicServing:
             reply = server.submit_point(osm_points[0])
             reply.wait(20)
             assert reply.generation == server.generation
-            assert reply.latency_seconds >= 0.0
+            assert (reply.completed_at - reply.submitted_at) >= 0.0
 
     def test_submit_before_start_rejected(self, built_index, osm_points):
         server = _server(built_index)
@@ -536,7 +536,7 @@ class TestSwapUnderLoad:
             for reply in replies:
                 assert reply.wait(30) is True
                 generations.add(reply.generation)
-                max_latency = max(max_latency, reply.latency_seconds)
+                max_latency = max(max_latency, (reply.completed_at - reply.submitted_at))
             # The load straddled the swap: early replies came from g0, late
             # ones from g0+1, and nothing else.
             assert generations <= {g0, g0 + 1}
@@ -768,7 +768,7 @@ class TestReply:
             assert reply.wait() == "answer"
         assert reply.done()
         assert reply.generation == 3
-        assert reply.latency_seconds >= 0.0
+        assert (reply.completed_at - reply.submitted_at) >= 0.0
 
     def test_every_waiter_returns(self):
         reply = _pending_request()
@@ -923,7 +923,7 @@ class TestReply:
                 request.wait(20)
                 assert request.done()
                 assert request.generation == server.generation
-                assert request.latency_seconds >= 0.0
+                assert (request.completed_at - request.submitted_at) >= 0.0
             mine = Request(POINT, osm_points[:1])
             assert server.submit(mine) is mine
             assert mine.wait(20).tolist() == [True]

@@ -287,7 +287,7 @@ class TestRaces:
             get_fault_registry().arm("serve.dispatch", kind="delay", delay_seconds=0.5)
             first: list = []
             other = threading.Thread(
-                target=lambda: first.append(server.point_query(probes[0], 10.0))
+                target=lambda: first.append(server.submit_point(probes[0]).wait(10.0))
             )
             other.start()
             _until(lambda: server._serving.locked() and not server._pending)

@@ -7,11 +7,12 @@ canonical (lexsort) ordering, since a cross-shard merge cannot reproduce
 a single index's internal scan order.
 
 The failure tests exercise the PR 7 vocabulary through the router:
-overload retry, read-only partial degradation, and the chaos-style
+overload retry, read-only partial degradation, and the
 kill-one-shard-mid-stream scenario asserting zero acknowledged-update
 loss while the surviving shards keep serving.
 """
 
+import json
 import os
 import threading
 import warnings
@@ -39,7 +40,8 @@ from repro.shard import (
     open_cluster,
 )
 from repro.shard.router import MAX_RETRIES
-from repro.shard.worker import PackedRows
+from repro.shard.shardmap import BITS
+from repro.shard.worker import PackedRows, _dispatch
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
 from tests.brute import point_truth, processor_windows
@@ -55,9 +57,9 @@ def _scalar_span(smap, lo, hi):
     """One box's shard span the way the per-query router computed it:
     every shard without a finite Z-order corner interval, else the shards
     of the two corner codes, one ``searchsorted`` each."""
-    if smap.curve != "zorder" or not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return 0, smap.n_shards - 1
-    code_lo, code_hi = zvalues(np.stack([lo, hi]), smap.bounds, bits=smap.bits)
+    code_lo, code_hi = zvalues(np.stack([lo, hi]), smap.bounds, bits=BITS)
     return (
         int(np.searchsorted(smap.boundaries, code_lo, side="right")),
         int(np.searchsorted(smap.boundaries, code_hi, side="right")),
@@ -115,22 +117,23 @@ class TestShardMap:
         for _ in range(25):
             q = osm_points[rng.integers(len(osm_points))]
             radius = float(rng.uniform(0.01, 0.2))
-            visited = set(smap.shards_for_ball(q, radius))
+            first, last = smap.shard_spans(q - radius, q + radius)
+            visited = set(range(int(first[0]), int(last[0]) + 1))
             dist = np.sqrt(((osm_points - q) ** 2).sum(axis=1))
             assert set(owners[dist <= radius].tolist()) <= visited
-        assert set(smap.shards_for_ball(osm_points[0], np.inf)) == set(range(5))
+        first, last = smap.shard_spans(osm_points[0] - np.inf, osm_points[0] + np.inf)
+        assert (first.tolist(), last.tolist()) == ([0], [4])
 
     def test_zorder_interval_matches_key_arithmetic(self, osm_points):
         smap = ShardMap.from_points(osm_points, 4)
         window = Rect((0.2, 0.3), (0.4, 0.5))
         corners = np.stack([window.lo_array, window.hi_array])
-        lo, hi = zvalues(corners, smap.bounds, bits=smap.bits)
+        lo, hi = zvalues(corners, smap.bounds, bits=BITS)
         first, last = np.searchsorted(smap.boundaries, [lo, hi], side="right")
         assert list(smap.shards_for_window(window)) == list(range(first, last + 1))
 
-    @pytest.mark.parametrize("curve", ["zorder", "hilbert"])
-    def test_shard_spans_equals_scalar_definition(self, osm_points, curve):
-        smap = ShardMap.from_points(osm_points, 5, curve=curve)
+    def test_shard_spans_equals_scalar_definition(self, osm_points):
+        smap = ShardMap.from_points(osm_points, 5)
         rng = np.random.default_rng(13)
         centres = rng.uniform(-0.5, 1.5, size=(200, 2))  # many outside the map
         half = rng.uniform(0.0, 0.4, size=(200, 1))
@@ -142,35 +145,68 @@ class TestShardMap:
         assert first.shape == last.shape == (200,)
         want = [_scalar_span(smap, a, b) for a, b in zip(lo, hi)]
         assert list(zip(first.tolist(), last.tolist())) == want
-        if curve == "hilbert":
-            assert set(want) == {(0, 4)}
-        else:
-            assert len(set(want)) > 5  # the spans do vary
-        # The scalar spellings are batch-of-one calls of the same function.
+        assert len(set(want)) > 5  # the spans do vary
+        # The scalar spelling is a batch-of-one call of the same function.
         for i in (0, 7, 14, 50, 199):
             span = list(range(want[i][0], want[i][1] + 1))
-            assert list(smap.shards_for_ball(centres[i], float(half[i, 0]))) == span
             if np.isfinite(half[i, 0]):
                 window = Rect.from_arrays(lo[i], hi[i])
                 assert list(smap.shards_for_window(window)) == span
 
-    def test_hilbert_windows_broadcast(self, osm_points):
-        smap = ShardMap.from_points(osm_points, 3, curve="hilbert")
-        window = Rect((0.2, 0.2), (0.25, 0.25))
-        assert list(smap.shards_for_window(window)) == [0, 1, 2]
-        # Point routing still works: every point owned by exactly one shard.
-        owners = smap.shard_of_points(osm_points)
-        assert set(np.unique(owners)) <= {0, 1, 2}
-
     def test_save_load_roundtrip(self, osm_points, tmp_path):
-        smap = ShardMap.from_points(osm_points, 4, bits=14)
+        smap = ShardMap.from_points(osm_points, 4)
         path = smap.save(tmp_path / "shard_map.json")
         loaded = ShardMap.load(path)
         np.testing.assert_array_equal(loaded.boundaries, smap.boundaries)
-        assert loaded.curve == smap.curve and loaded.bits == smap.bits
         np.testing.assert_array_equal(
             loaded.shard_of_points(osm_points), smap.shard_of_points(osm_points)
         )
+
+    def test_a_map_in_the_format_before_the_curve_was_fixed_loads(self, osm_points, tmp_path):
+        """A ``shard_map.json`` as written when the curve and bit count
+        were settable (Z-order at 16 bits, the only map a cluster built)
+        loads, routes every point and window as it says, and is written
+        back byte for byte."""
+        smap = ShardMap.from_points(osm_points, 3)
+        written = {
+            "bits": 16,
+            "boundaries": [int(b) for b in smap.boundaries],
+            "bounds": {
+                "hi": smap.bounds.hi_array.tolist(),
+                "lo": smap.bounds.lo_array.tolist(),
+            },
+            "curve": "zorder",
+            "n_shards": 3,
+            "version": 1,
+        }
+        path = tmp_path / "shard_map.json"
+        path.write_text(json.dumps(written, indent=2, sort_keys=True))
+        loaded = ShardMap.load(path)
+        codes = zvalues(osm_points, loaded.bounds, bits=16)
+        np.testing.assert_array_equal(
+            loaded.shard_of_points(osm_points),
+            np.searchsorted(np.asarray(written["boundaries"], dtype=np.uint64), codes, side="right"),
+        )
+        np.testing.assert_array_equal(
+            loaded.shard_of_points(osm_points), smap.shard_of_points(osm_points)
+        )
+        lo, hi = osm_points[:50] - 0.05, osm_points[:50] + 0.05
+        for got, want in zip(loaded.shard_spans(lo, hi), smap.shard_spans(lo, hi)):
+            np.testing.assert_array_equal(got, want)
+        assert loaded.save(tmp_path / "again.json").read_text() == path.read_text()
+
+    @pytest.mark.parametrize(
+        "field, value", [("curve", "hilbert"), ("bits", 14), ("bits", 32)]
+    )
+    def test_a_map_naming_another_curve_or_bit_count_is_refused(
+        self, osm_points, tmp_path, field, value
+    ):
+        path = ShardMap.from_points(osm_points, 2).save(tmp_path / "shard_map.json")
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=repr(value)):
+            ShardMap.load(path)
 
     def test_single_shard_owns_everything(self, osm_points):
         smap = ShardMap.from_points(osm_points, 1)
@@ -215,6 +251,34 @@ class TestBatchRequests:
         for got, q in zip(batched, osm_points[:5]):
             want = server.submit_knn(q, 6).wait(20)
             np.testing.assert_array_equal(_canon(got), _canon(want))
+
+    def test_dispatch_queues_the_unpickled_sub_batch_itself(
+        self, server, osm_points, monkeypatch
+    ):
+        """A routed sub-batch arrives unpickled, an array nothing else
+        holds: the worker queues it as it came, with no second copy, and
+        answers as the public ``submit_*_batch`` methods do."""
+        queued = []
+        submit = server.submit
+        monkeypatch.setattr(server, "submit", lambda r: queued.append(r) or submit(r))
+        spec = WorkerSpec(shard_id=0, directory="unused")
+        probes = np.vstack([osm_points[:20], osm_points[:20] + 3.0])
+        got = _dispatch(server, spec, "point_batch", (probes,), 20.0)
+        assert queued[-1].points is probes
+        np.testing.assert_array_equal(got, server.submit_point_batch(probes).wait(20))
+
+        lo, hi = osm_points[:6] - 0.05, osm_points[:6] + 0.05
+        got = _dispatch(server, spec, "window_batch", (lo, hi), 20.0)
+        assert queued[-1].win_lo is lo and queued[-1].win_hi is hi
+        rows, counts = server.submit_window_batch(lo, hi).wait(20)
+        np.testing.assert_array_equal(got.rows, rows)
+        np.testing.assert_array_equal(got.counts, counts)
+
+        queries = osm_points[:5].copy()
+        got = _dispatch(server, spec, "knn_batch", (queries, 4), 20.0)
+        assert queued[-1].points is queries
+        for a, b in zip(got.split(), server.submit_knn_batch(queries, 4).wait(20)):
+            np.testing.assert_array_equal(a, b)
 
     def test_batch_requests_validate_payloads(self):
         from repro.serve.requests import KNN, POINT, Request
@@ -281,9 +345,7 @@ class _StubHandle:
 
 
 def _stub_router(handles):
-    smap = ShardMap(
-        np.asarray([2**30] * 0, dtype=np.uint64), Rect.unit(), bits=16
-    )
+    smap = ShardMap(np.asarray([2**30] * 0, dtype=np.uint64), Rect.unit())
     return ShardRouter(smap, handles)
 
 
@@ -319,17 +381,20 @@ class TestRouterFailureHandling:
         assert handle.respawns == 0  # at-most-once: no blind redo
 
     def test_read_only_surfaces_with_partial_degradation(self):
-        handle = _StubHandle(0, fail=[ServerReadOnly("read only")])
-        router = _stub_router([handle])
+        """A read-only shard rejects its update; the other shard keeps
+        absorbing its own."""
+        handles = [_StubHandle(0, fail=[ServerReadOnly("read only")]), _StubHandle(1)]
+        smap = ShardMap(np.asarray([2**31], dtype=np.uint64), Rect.unit())
+        router = ShardRouter(smap, handles)
+        low, high = np.array([0.1, 0.1]), np.array([0.9, 0.9])
+        assert smap.shard_of_points(np.stack([low, high])).tolist() == [0, 1]
         with pytest.raises(ServerReadOnly):
-            router.insert(np.array([0.1, 0.1]))
-        handle.fail = [ServerReadOnly("read only")]
-        report = router.apply_updates(
-            [("insert", np.array([0.1, 0.1])), ("insert", np.array([0.9, 0.9]))]
-        )
-        assert report["applied"] == 1
-        assert [r["error"] for r in report["rejected"]] == ["ServerReadOnly"]
-        assert report["health"]["overall"] in ("healthy", "degraded")
+            router.insert(low)
+        router.insert(high)
+        export = router.registry.export()
+        assert series_sum(export, "router.read_only_rejections", shard=0) == 1
+        assert series_sum(export, "router.updates", op="insert") == 1
+        assert router.health_summary()["overall"] == "healthy"
 
     def test_timed_out_shard_respawned_for_queries(self):
         # A timeout poisons the handle; the router must respawn (killing
@@ -365,18 +430,17 @@ class TestRouterFailureHandling:
         assert series_sum(stats, "telemetry.scrape_failures", shard=0) == 1
         assert series_sum(stats, "telemetry.shard_up", shard=0) == 0.0
 
-    def test_apply_updates_rejects_timed_out_then_recovers(self):
+    def test_update_after_a_timed_out_one_respawns_then_applies(self):
         handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
         router = _stub_router([handle])
-        report = router.apply_updates(
-            [("insert", np.array([0.1, 0.1])), ("insert", np.array([0.9, 0.9]))]
-        )
-        # First update timed out (rejected, never resent); the poisoned
-        # handle was respawned before the second, which applied cleanly.
-        assert report["applied"] == 1
-        assert [r["error"] for r in report["rejected"]] == ["ShardTimeout"]
-        assert report["rejected"][0]["shard"] == 0
+        # The first update timed out (surfaced, never resent); the poisoned
+        # handle is respawned before the second, which applies cleanly.
+        with pytest.raises(ShardTimeout):
+            router.insert(np.array([0.1, 0.1]))
+        assert handle.respawns == 0
+        router.insert(np.array([0.9, 0.9]))
         assert handle.respawns == 1
+        assert handle.requests == ["insert", "insert"]
 
 
 #: Updates a router over a 2-D map must refuse before routing them.
@@ -392,7 +456,7 @@ MALFORMED = {
 class TestRouterRefusesMalformedUpdates:
     """A NaN, infinite or wrong-dimensional point is a ``ValueError``
     before the router maps it to a shard (no cast warning) or sends
-    anything; ``apply_updates`` refuses a list holding one whole."""
+    anything."""
 
     @pytest.fixture()
     def router(self):
@@ -408,14 +472,6 @@ class TestRouterRefusesMalformedUpdates:
     def test_single_update(self, router, op, point):
         with pytest.raises(ValueError, match="update needs"):
             getattr(router, op)(point)
-
-    @pytest.mark.parametrize("point", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_apply_updates_refuses_the_list_whole(self, router, point):
-        good = np.array([0.5, 0.5])
-        with pytest.raises(ValueError, match="update needs"):
-            router.apply_updates(
-                [("insert", good), ("delete", point), ("insert", good)]
-            )
 
 
 class TestRouterRoutesBatches:
@@ -852,9 +908,10 @@ class TestKillOneShardMidStream:
             acked = 0
             for i, (op, point) in enumerate(schedule):
                 if i == len(schedule) // 2:
-                    # Kill shard 0's worker process mid-stream (os._exit,
+                    # Kill shard 0's worker process mid-stream (SIGKILL,
                     # no flushes) — acknowledged ops must survive.
-                    router.handles[0].crash()
+                    router.handles[0]._proc.kill()
+                    router.handles[0]._proc.join(timeout=10.0)
                     assert not router.handles[0].alive()
                     # The surviving shard keeps serving while 0 is down:
                     shard1_points = [
