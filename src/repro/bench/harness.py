@@ -105,9 +105,10 @@ class ExperimentScale:
         )
 
     @staticmethod
-    def from_env(default: str = "smoke") -> "ExperimentScale":
-        """Scale selected by the ``REPRO_SCALE`` environment variable."""
-        name = os.environ.get("REPRO_SCALE", default).lower()
+    def from_env() -> "ExperimentScale":
+        """Scale selected by the ``REPRO_SCALE`` environment variable
+        (``smoke`` when it is unset)."""
+        name = os.environ.get("REPRO_SCALE", "smoke").lower()
         if name not in ("smoke", "default", "large"):
             raise ValueError(f"REPRO_SCALE must be smoke, default or large, got {name!r}")
         return getattr(ExperimentScale, name)()

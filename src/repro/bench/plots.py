@@ -15,6 +15,9 @@ __all__ = ["bar_chart", "line_chart"]
 _TICKS = "▏▎▍▌▋▊▉█"
 #: Cells the longest bar of a :func:`bar_chart` fills.
 _BAR_WIDTH = 40
+#: Columns and rows of a :func:`line_chart`'s plotting area.
+_CHART_WIDTH = 60
+_CHART_HEIGHT = 12
 
 
 def _bar(value: float, max_value: float, width: int) -> str:
@@ -56,8 +59,6 @@ def bar_chart(
 def line_chart(
     series: dict[str, list[tuple[float, float]]],
     title: str = "",
-    width: int = 60,
-    height: int = 12,
     log_y: bool = False,
 ) -> str:
     """An ASCII line chart of (x, y) series; one glyph per series.
@@ -68,6 +69,7 @@ def line_chart(
     if not series:
         raise ValueError("need at least one series")
     glyphs = "ox+*#@%&"
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     all_points = [(x, y) for pts in series.values() for x, y in pts]
     if not all_points:
         raise ValueError("series contain no points")

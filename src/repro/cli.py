@@ -8,10 +8,6 @@ Commands
     Build an index on a data set and report the Section VI cost breakdown.
 ``query``
     Build then run a point/window/kNN workload, reporting latencies.
-``chaos``
-    Run the fault-injection chaos scenarios (process kill + recovery
-    under three kill modes, torn snapshot, rebuild-crash-retry) and
-    assert zero acknowledged-update loss (see docs/serving.md).
 ``experiments run``
     Run the paper's evaluation grid (Section VII) into a resumable rows
     file, print every table and check the paper's shapes.
@@ -41,7 +37,6 @@ from repro.bench.experiments import TRADITIONAL_INDICES as _TRADITIONAL
 from repro.bench.harness import format_table
 from repro.core import ELSIConfig, ELSIModelBuilder
 from repro.data import DATASETS, load_dataset
-from repro.faults.chaos import SCENARIOS as _CHAOS_SCENARIOS
 from repro.indices import LEARNED_INDICES
 from repro.queries.workload import knn_workload, point_workload, window_workload
 from repro.spatial.cdf import uniform_dissimilarity
@@ -137,46 +132,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         title=f"{args.index} on {args.dataset} (n={args.n})",
     ))
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.faults.chaos import ChaosError, run_scenarios
-
-    names = args.scenario  # None means every scenario
-    if args.dir is not None:
-        context = None
-        base = args.dir
-    else:
-        context = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        base = context.name
-    try:
-        report = run_scenarios(base, names=names, seed=args.seed)
-    except ChaosError as exc:
-        print(f"CHAOS FAILURE: {exc}", file=sys.stderr)
-        report = {"error": str(exc), "ok": False}
-    finally:
-        if context is not None:
-            context.cleanup()
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-    if "error" in report:
-        return 1
-    rows = [
-        [r["scenario"], f"{r['acked']}", f"{r['recovered_prefix']}",
-         "ok" if r["ok"] else "LOST UPDATES"]
-        for r in report["scenarios"]
-    ]
-    print(format_table(
-        ["scenario", "acked ops", "recovered prefix", "verdict"],
-        rows,
-        title="chaos: crash/recover scenarios (zero acknowledged-update loss)",
-    ))
-    print(f"fault triggers: {report['fault_report']['triggered']}")
-    return 0 if report["ok"] else 1
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -354,17 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queries", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("chaos", help="run the fault-injection chaos scenarios")
-    p.add_argument("--scenario", action="append", default=None,
-                   choices=tuple(_CHAOS_SCENARIOS),
-                   help="scenario to run (repeatable; default: all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dir", default=None,
-                   help="working directory (default: a fresh temp dir)")
-    p.add_argument("--report", default=None,
-                   help="write the combined JSON report here")
-    p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser("obs", help="observability tools (traces)")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)

@@ -67,18 +67,14 @@ def keys_with_uniform_distance(n: int, delta: float, seed: int = 0) -> np.ndarra
     return _inverse_cdf(u, delta)
 
 
-def dataset_with_uniform_distance(
-    n: int, delta: float, d: int = 2, seed: int = 0
-) -> np.ndarray:
-    """(n, d) points whose every marginal has KS distance ``delta`` from uniform.
+def dataset_with_uniform_distance(n: int, delta: float, seed: int = 0) -> np.ndarray:
+    """(n, 2) points whose every marginal has KS distance ``delta`` from uniform.
 
     Coordinates are sampled independently, each through the two-piece CDF;
     ``delta = 0`` reduces to the uniform generator.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     cols = [
         keys_with_uniform_distance(n, delta, seed=seed + 7919 * dim)
-        for dim in range(d)
+        for dim in range(2)
     ]
-    return np.column_stack(cols) if n else np.empty((0, d))
+    return np.column_stack(cols) if n else np.empty((0, 2))

@@ -26,14 +26,14 @@ def uniform(n: int, d: int = 2, seed: int = 0) -> np.ndarray:
     return rng.random((n, d))
 
 
-def skewed(n: int, d: int = 2, seed: int = 0) -> np.ndarray:
-    """The paper's Skewed set: uniform, then last coordinate raised to
-    :data:`SKEW_EXPONENT`.
+def skewed(n: int, seed: int = 0) -> np.ndarray:
+    """The paper's Skewed set: 2-d uniform, then the second coordinate
+    raised to :data:`SKEW_EXPONENT`.
 
     The mass concentrates near 0 along that axis, producing the density
     skew that stresses grid-structured indices.
     """
-    pts = uniform(n, d, seed)
+    pts = uniform(n, 2, seed)
     pts[:, -1] = pts[:, -1] ** SKEW_EXPONENT
     return pts
 

@@ -13,6 +13,10 @@ import numpy as np
 
 __all__ = ["nyc_like", "osm_like", "tpch_like"]
 
+#: TPC-H lineitem's quantity range (1..50) and shipdate span in days.
+TPCH_QUANTITIES = 50
+TPCH_DAYS = 2526
+
 
 def osm_like(n: int, seed: int = 0, n_hubs: int = 40) -> np.ndarray:
     """OpenStreetMap-style points: multi-scale clusters along linear features.
@@ -51,7 +55,7 @@ def osm_like(n: int, seed: int = 0, n_hubs: int = 40) -> np.ndarray:
     return np.clip(pts, 0.0, 1.0)
 
 
-def tpch_like(n: int, seed: int = 0, n_quantities: int = 50, n_days: int = 2526) -> np.ndarray:
+def tpch_like(n: int, seed: int = 0) -> np.ndarray:
     """TPC-H lineitem (quantity, shipdate): an integer lattice distribution.
 
     Quantity is uniform on 1..50 and shipdate near-uniform over ~7 years of
@@ -62,11 +66,11 @@ def tpch_like(n: int, seed: int = 0, n_quantities: int = 50, n_days: int = 2526)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    quantity = rng.integers(1, n_quantities + 1, size=n)
+    quantity = rng.integers(1, TPCH_QUANTITIES + 1, size=n)
     # Shipdate ramps up/down at the date-range edges like the benchmark.
-    days = rng.integers(0, n_days, size=n)
-    x = (quantity - 1) / max(n_quantities - 1, 1)
-    y = days / max(n_days - 1, 1)
+    days = rng.integers(0, TPCH_DAYS, size=n)
+    x = (quantity - 1) / (TPCH_QUANTITIES - 1)
+    y = days / (TPCH_DAYS - 1)
     return np.column_stack([x, y]).astype(np.float64)
 
 

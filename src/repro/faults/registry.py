@@ -4,29 +4,21 @@ Production failure paths are unreachable from ordinary tests — a snapshot
 write that tears, a WAL append that hits a full disk, a rebuild worker
 that dies — so the serving stack declares *injection sites* (one string
 name per failure point) and calls :func:`fault_check` as it passes each
-one.  Tests and the chaos harness (:mod:`repro.faults.chaos`) arm a site
-with a :class:`FaultSpec` — raise, delay, or tear the write — and the
-next ``fault_check`` hits fire it, deterministically, for exactly the
-armed number of triggers.
+one.  Tests arm a site with a :class:`FaultSpec` — raise, delay, or tear
+the write — through ``get_fault_registry().arm("wal.append",
+kind="error")``, and the next ``fault_check`` hits fire it,
+deterministically, for exactly the armed number of triggers.
 
 The registry is process-global (:func:`get_fault_registry`) so a fault
-armed in a test thread fires inside the server's worker threads.  Arming
-comes from two sources:
-
-- the API: ``get_fault_registry().arm("wal.append", kind="error")``;
-- the ``REPRO_FAULTS`` environment variable, parsed once when the global
-  registry is created (``site=kind[:times[:after]]``, comma-separated).
-
-Every trigger increments both a per-registry counter and the process-wide
-observability counter ``faults.triggered{site=...}``, so chaos runs can
-assert that the faults they armed actually fired (and export the report
-through ``repro/obs``).  When nothing is armed, ``fault_check`` is one
-dict emptiness test — safe to leave in hot paths.
+armed in a test thread fires inside the server's worker threads.  Every
+trigger increments both a per-registry counter and the process-wide
+observability counter ``faults.triggered{site=...}``, so a test can
+assert that the faults it armed actually fired.  When nothing is armed,
+``fault_check`` is one dict emptiness test — safe to leave in hot paths.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,7 +26,6 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "ENV_FAULTS",
     "FAULT_KINDS",
     "FAULT_SITES",
     "FaultSpec",
@@ -42,10 +33,7 @@ __all__ = [
     "FaultRegistry",
     "fault_check",
     "get_fault_registry",
-    "parse_fault_spec",
 ]
-
-ENV_FAULTS = "REPRO_FAULTS"
 
 #: The failure points the serving stack declares.  Arming an unknown site
 #: is an error (it would silently never fire).
@@ -58,9 +46,11 @@ FAULT_SITES = (
 )
 
 #: ``error`` raises :class:`InjectedFault`; ``delay`` sleeps
-#: ``delay_seconds`` then continues; ``torn_write`` instructs write sites
-#: to leave a partial record on disk and then fail (simulating a crash
-#: mid-write) — sites without torn-write semantics treat it as ``error``.
+#: ``delay_seconds`` then continues; ``torn_write`` makes a write site
+#: write part of its data and then fail: the WAL writes half a record and
+#: cuts it back before raising, the snapshot store renames a truncated
+#: file into place — sites without torn-write semantics treat it as
+#: ``error``.
 FAULT_KINDS = ("error", "delay", "torn_write")
 
 
@@ -110,48 +100,13 @@ class FaultSpec:
             raise ValueError(f"delay_seconds must be >= 0, got {self.delay_seconds}")
 
 
-def parse_fault_spec(spec: str) -> list[FaultSpec]:
-    """Parse a ``site=kind[:times[:after]]`` comma-separated spec string.
-
-    Examples: ``"wal.append=error"``, ``"snapshot.write=torn_write:1"``,
-    ``"rebuild.worker=error:2,serve.dispatch=delay"``.
-    """
-    out: list[FaultSpec] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(
-                f"bad fault spec {part!r}: expected site=kind[:times[:after]]"
-            )
-        site, _, rhs = part.partition("=")
-        pieces = rhs.split(":")
-        if not pieces or not pieces[0]:
-            raise ValueError(f"bad fault spec {part!r}: missing kind")
-        kind = pieces[0]
-        try:
-            times = int(pieces[1]) if len(pieces) > 1 else 1
-            after = int(pieces[2]) if len(pieces) > 2 else 0
-        except ValueError as exc:
-            raise ValueError(
-                f"bad fault spec {part!r}: times/after must be integers"
-            ) from exc
-        if len(pieces) > 3:
-            raise ValueError(f"bad fault spec {part!r}: too many ':' fields")
-        out.append(FaultSpec(site=site.strip(), kind=kind, times=times, after=after))
-    return out
-
-
 class FaultRegistry:
     """Thread-safe registry of armed faults, checked at injection sites."""
 
-    def __init__(self, env: "str | None" = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._specs: dict[str, FaultSpec] = {}
         self._triggered: dict[str, int] = {}
-        if env:
-            self.arm_spec(env)
 
     # ------------------------------------------------------------------
     # Arming
@@ -172,14 +127,6 @@ class FaultRegistry:
         with self._lock:
             self._specs[site] = spec
         return spec
-
-    def arm_spec(self, spec: str) -> list[FaultSpec]:
-        """Arm every fault in a ``REPRO_FAULTS``-format spec string."""
-        specs = parse_fault_spec(spec)
-        with self._lock:
-            for s in specs:
-                self._specs[s.site] = s
-        return specs
 
     def disarm(self, site: "str | None" = None) -> None:
         """Disarm one site, or everything when ``site`` is None."""
@@ -244,28 +191,17 @@ class FaultRegistry:
                 return self._triggered.get(site, 0)
             return sum(self._triggered.values())
 
-    def report(self) -> dict:
-        """JSON-able summary: per-site trigger counts + still-armed specs."""
-        with self._lock:
-            return {
-                "triggered": dict(self._triggered),
-                "armed": {
-                    site: {"kind": s.kind, "times": s.times, "fired": s._fired}
-                    for site, s in self._specs.items()
-                },
-            }
-
 
 _global_lock = threading.Lock()
 _global_registry: "FaultRegistry | None" = None
 
 
 def get_fault_registry() -> FaultRegistry:
-    """The process-global registry (arms ``REPRO_FAULTS`` on first use)."""
+    """The process-global registry."""
     global _global_registry
     with _global_lock:
         if _global_registry is None:
-            _global_registry = FaultRegistry(env=os.environ.get(ENV_FAULTS))
+            _global_registry = FaultRegistry()
         return _global_registry
 
 

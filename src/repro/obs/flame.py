@@ -29,6 +29,11 @@ __all__ = [
     "top_paths",
 ]
 
+#: Pixel height of one frame row of the SVG icicle.
+ROW_HEIGHT = 18
+#: Frames narrower than this share of the total are left out of the SVG.
+MIN_FRACTION = 0.001
+
 
 def folded_stacks(records: list[SpanRecord]) -> dict[str, float]:
     """Collapse a span trace to ``{"root;child;...": self_seconds}``.
@@ -54,14 +59,14 @@ def folded_stacks(records: list[SpanRecord]) -> dict[str, float]:
     return out
 
 
-def render_folded(stacks: dict[str, float], unit: float = 1e6) -> str:
+def render_folded(stacks: dict[str, float]) -> str:
     """Folded stacks as text: ``path value`` per line, heaviest first.
 
-    Values are scaled by ``unit`` (default microseconds) and rounded —
-    ``flamegraph.pl`` and speedscope both expect integer sample counts.
+    Values are in microseconds, rounded — ``flamegraph.pl`` and speedscope
+    both expect integer sample counts.
     """
     lines = [
-        f"{path} {max(1, round(seconds * unit))}"
+        f"{path} {max(1, round(seconds * 1e6))}"
         for path, seconds in sorted(stacks.items(), key=lambda kv: -kv[1])
     ]
     return "\n".join(lines)
@@ -108,16 +113,11 @@ def _color(name: str) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def render_svg(
-    stacks: dict[str, float],
-    width: int = 1200,
-    row_height: int = 18,
-    min_fraction: float = 0.001,
-) -> str:
+def render_svg(stacks: dict[str, float], width: int = 1200) -> str:
     """A self-contained SVG icicle flame graph (root on top).
 
     Rect widths are proportional to subtree time; frames narrower than
-    ``min_fraction`` of the total are dropped.  Every rect carries a
+    :data:`MIN_FRACTION` of the total are dropped.  Every rect carries a
     ``<title>`` tooltip with the exact time and share, so the SVG is
     explorable in any browser without JavaScript.
     """
@@ -132,7 +132,7 @@ def render_svg(
         nonlocal depth_limit
         depth_limit = max(depth_limit, depth + 1)
         w = frame.total * scale
-        y = depth * row_height
+        y = depth * ROW_HEIGHT
         share = frame.total / total
         title = (
             f"{frame.name}: {frame.total * 1e3:.3f} ms "
@@ -141,9 +141,9 @@ def render_svg(
         rects.append(
             f'<g><title>{escape(title)}</title>'
             f'<rect x="{x:.2f}" y="{y}" width="{max(w, 0.5):.2f}" '
-            f'height="{row_height - 1}" fill="{_color(frame.name)}" rx="1"/>'
+            f'height="{ROW_HEIGHT - 1}" fill="{_color(frame.name)}" rx="1"/>'
             + (
-                f'<text x="{x + 3:.2f}" y="{y + row_height - 6}" '
+                f'<text x="{x + 3:.2f}" y="{y + ROW_HEIGHT - 6}" '
                 f'font-size="11" font-family="monospace">'
                 f"{escape(frame.name[: max(1, int(w / 7))])}</text>"
                 if w > 20
@@ -153,12 +153,12 @@ def render_svg(
         )
         cx = x
         for child in sorted(frame.children.values(), key=lambda f: -f.total):
-            if child.total / total < min_fraction:
+            if child.total / total < MIN_FRACTION:
                 continue
             emit(child, cx, depth + 1, scale)
             cx += child.total * scale
     emit(root, 0.0, 0, width / total)
-    height = depth_limit * row_height + 4
+    height = depth_limit * ROW_HEIGHT + 4
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'

@@ -29,6 +29,9 @@ __all__ = [
     "request_spans",
 ]
 
+#: Children :func:`render_tree` shows under one span; the rest are counted.
+MAX_CHILDREN = 20
+
 
 def load_trace(path: str) -> list[SpanRecord]:
     """Parse a JSONL trace file into span records (file order)."""
@@ -192,9 +195,9 @@ def render_tree(
     records: list[SpanRecord],
     max_depth: int = 12,
     min_seconds: float = 0.0,
-    max_children: int = 20,
 ) -> str:
-    """The nested span structure as an indented text tree."""
+    """The nested span structure as an indented text tree; a span shows
+    at most :data:`MAX_CHILDREN` of its children."""
     roots, children = build_tree(records)
     lines: list[str] = []
 
@@ -209,10 +212,10 @@ def render_tree(
         if depth + 1 >= max_depth:
             return
         kids = children.get(record.span_id, [])
-        for child in kids[:max_children]:
+        for child in kids[:MAX_CHILDREN]:
             emit(child, depth + 1)
-        if len(kids) > max_children:
-            lines.append(f"{'  ' * (depth + 1)}... ({len(kids) - max_children} more)")
+        if len(kids) > MAX_CHILDREN:
+            lines.append(f"{'  ' * (depth + 1)}... ({len(kids) - MAX_CHILDREN} more)")
 
     for root in roots:
         emit(root, 0)

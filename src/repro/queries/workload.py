@@ -41,18 +41,16 @@ def window_workload(
     points: np.ndarray,
     n_queries: int = 1_000,
     area_fraction: float = 1e-4,
-    bounds: Rect | None = None,
     seed: int = 0,
 ) -> list[WindowQuery]:
     """Square windows centred on data points, covering ``area_fraction``
-    of the data space (0.01 % = 1e-4, the Figure 12 default)."""
+    of the points' bounding box (0.01 % = 1e-4, the Figure 12 default)."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         raise ValueError("need at least one point")
     if not 0.0 < area_fraction <= 1.0:
         raise ValueError(f"area_fraction must lie in (0, 1], got {area_fraction}")
-    if bounds is None:
-        bounds = Rect.bounding(pts)
+    bounds = Rect.bounding(pts)
     d = bounds.ndim
     side = (bounds.area() * area_fraction) ** (1.0 / d)
     rng = np.random.default_rng(seed)

@@ -522,10 +522,10 @@ class IndexServer:
     # The per-query spellings are batches of one that resolve to the one
     # answer (a point that is not ``(d,)`` stays malformed as a batch).  A
     # batch request is the shard router's scatter unit: a shard worker
-    # answers a whole routed sub-batch as one request, so queue and reply
+    # queues a whole routed sub-batch as one ``Request``, so queue and reply
     # bookkeeping is paid once per sub-batch, and the sub-batch is answered
-    # from one generation like any micro-batch.  Every payload is copied
-    # (``np.array``): a caller may reuse its buffer as soon as submit
+    # from one generation like any micro-batch.  Every payload here is
+    # copied (``np.array``): a caller may reuse its buffer as soon as submit
     # returns.  A window's corners come from its immutable ``Rect``.
     def submit_point(self, point: np.ndarray) -> Request:
         return self.submit(Request(POINT, np.array(point, np.float64)[None], 0, True))
@@ -546,22 +546,6 @@ class IndexServer:
     def submit_point_batch(self, points: np.ndarray) -> Request:
         """Membership of each ``(n, d)`` row: resolves to a bool array."""
         return self.submit(Request(POINT, np.array(points, dtype=np.float64)))
-
-    def submit_window_batch(self, win_lo: np.ndarray, win_hi: np.ndarray) -> Request:
-        """Windows given as ``(w, d)`` corner arrays: resolves to ``(rows,
-        counts)``, every window's rows back to back and a count per window."""
-        return self.submit(
-            Request(
-                WINDOW,
-                win_lo=np.array(win_lo, dtype=np.float64),
-                win_hi=np.array(win_hi, dtype=np.float64),
-            )
-        )
-
-    def submit_knn_batch(self, points: np.ndarray, k: int) -> Request:
-        """The ``k`` nearest of each ``(n, d)`` row: resolves to one array
-        per row, nearest first."""
-        return self.submit(Request(KNN, np.array(points, dtype=np.float64), k))
 
     def point_query(self, point: np.ndarray) -> bool:
         return self.submit_point(point).wait(QUERY_TIMEOUT)

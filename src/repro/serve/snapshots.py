@@ -27,7 +27,8 @@ previous snapshot — the previous one is the fallback for a current one
 that turns out unloadable — and every log from the previous one on.
 
 Fault injection: the write path passes the ``snapshot.write`` site, so
-chaos tests can make saves fail or tear deterministically.
+tests (``tests/test_recovery_machine.py``) can make saves fail or tear
+deterministically.
 """
 
 from __future__ import annotations

@@ -24,13 +24,18 @@ Record framing is self-checking: ``<u32 payload-length><u32 crc32>``
 followed by a JSON payload ``{"seq", "op", "p"}``.  A crash mid-append
 leaves a torn record at the tail; replay stops there — by the append
 protocol a torn record was never acknowledged, so dropping it is exactly
-right.  A bad record with *more* valid data behind it means real
-corruption, which replay reports via :class:`~repro.serve.errors.WALCorruption`
-unless told to salvage the readable prefix.
+right.  Torn bytes never stay in front of a later record: an append that
+fails partway cuts the file back to its last whole record before it
+raises, and a log opened on a torn tail (a crash mid-append) cuts that
+tail off before its first append.  A bad record with *more* valid data
+behind it therefore means real corruption, which replay reports via
+:class:`~repro.serve.errors.WALCorruption` unless told to salvage the
+readable prefix.
 
 Fault injection: :func:`repro.faults.fault_check` guards the append path
-(site ``wal.append``) — ``torn_write`` faults write half a record and
-fail, which is how the chaos tests produce torn tails deterministically.
+(site ``wal.append``) — a ``torn_write`` fault writes half a record and
+fails, so the append's cut-back runs deterministically
+(``tests/test_recovery_machine.py``).
 """
 
 from __future__ import annotations
@@ -81,6 +86,52 @@ def _encode(seq: int, op: str, point: np.ndarray) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, bool]":
+    """``(records, end, torn)`` of one log file: its whole records, the
+    byte offset where the last of them ends, and whether the bytes after
+    it are a torn tail (a record cut short by the end of the file)."""
+    records: list[WALRecord] = []
+    if not path.exists():
+        return records, 0, False
+    data = path.read_bytes()
+    offset = 0
+    while offset < len(data):
+        header = data[offset : offset + _HEADER.size]
+        if len(header) < _HEADER.size:
+            return records, offset, True  # torn header: the crash signature
+        length, crc = _HEADER.unpack(header)
+        corrupt = None
+        if length > _MAX_PAYLOAD:
+            corrupt = f"implausible record length {length}"
+        else:
+            payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
+            if len(payload) < length:
+                return records, offset, True  # torn payload: never acknowledged
+            if zlib.crc32(payload) != crc:
+                corrupt = "crc mismatch"
+        if corrupt is None:
+            try:
+                entry = json.loads(payload.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                corrupt = "undecodable payload"
+        if corrupt is not None:
+            # The record is physically complete but wrong — that is disk
+            # corruption, not a crash artefact.
+            if not salvage:
+                raise WALCorruption(f"{corrupt} at byte {offset} of {path}")
+            get_registry().counter("wal.corrupt_records").inc()
+            break
+        records.append(
+            WALRecord(
+                seq=int(entry["seq"]),
+                op=str(entry["op"]),
+                point=np.asarray(entry["p"], dtype=np.float64),
+            )
+        )
+        offset += _HEADER.size + length
+    return records, offset, False
+
+
 class WriteAheadLog:
     """An append-only, generation-rotated log of acknowledged updates.
 
@@ -115,15 +166,27 @@ class WriteAheadLog:
         # Sequence numbers are global across every log in the directory,
         # so replay order is well defined across rotations and recoveries.
         self._seq = 0
-        self._depth = 0
         for gen in self.generations():
-            for record in self.replay_file(self.path_for(gen), salvage=True):
-                self._seq = max(self._seq, record.seq)
+            if gen != generation:
+                for record in self.replay_file(self.path_for(gen), salvage=True):
+                    self._seq = max(self._seq, record.seq)
+        self._open(generation)
+
+    def _open(self, generation: int) -> None:
+        """Open ``generation``'s log for appending, first cutting off a
+        torn tail a crash mid-append left (it was never acknowledged, and
+        a record appended behind it would read as corruption)."""
         self.generation = int(generation)
-        self._file = open(self.path_for(self.generation), "ab")
-        self._depth = len(
-            self.replay_file(self.path_for(self.generation), salvage=True)
-        )
+        path = self.path_for(self.generation)
+        records, end, torn = _scan(path, salvage=True)
+        if torn:
+            os.truncate(path, end)
+        self._file = open(path, "ab")
+        #: Where the last whole record ends: an append that fails cuts
+        #: the file back to here.
+        self._end = self._file.tell()
+        self._depth = len(records)
+        self._seq = max([self._seq, *(record.seq for record in records)])
 
     # ------------------------------------------------------------------
     # Paths
@@ -186,16 +249,21 @@ class WriteAheadLog:
             seq = self._seq + 1
         record = _encode(seq, op, np.asarray(point, dtype=np.float64))
         action = fault_check("wal.append")
-        if action == "torn_write":
-            # Crash mid-write: half the record reaches the OS, the append
-            # fails — replay must drop the torn tail.
-            self._file.write(record[: max(len(record) // 2, 1)])
+        try:
+            if action == "torn_write":
+                # A write that fails partway: half the record reaches the OS.
+                self._file.write(record[: max(len(record) // 2, 1)])
+                self._file.flush()
+                raise InjectedFault("torn write injected at wal.append")
+            self._file.write(record)
             self._file.flush()
-            raise InjectedFault("torn write injected at wal.append")
-        self._file.write(record)
-        self._file.flush()
-        if sync and self.fsync_policy == "always":
-            os.fsync(self._file.fileno())
+            if sync and self.fsync_policy == "always":
+                os.fsync(self._file.fileno())
+        except (OSError, InjectedFault):
+            # Never leave torn bytes for the next append to land behind.
+            self._file.truncate(self._end)
+            raise
+        self._end += len(record)
         self._seq = max(self._seq, seq)
         self._depth += 1
         self._appends_counter.inc()
@@ -215,9 +283,7 @@ class WriteAheadLog:
         against the new generation's base)."""
         self.sync()
         self._file.close()
-        self.generation = int(generation)
-        self._file = open(self.path_for(self.generation), "ab")
-        self._depth = 0
+        self._open(generation)
 
     def remove_through(self, generation: int) -> list[Path]:
         """Delete logs for generations **before** ``generation``.
@@ -260,51 +326,7 @@ class WriteAheadLog:
         with ``salvage=True`` — keeps the valid prefix and counts the
         loss on the ``wal.corrupt_records`` metric.
         """
-        path = Path(path)
-        records: list[WALRecord] = []
-        if not path.exists():
-            return records
-        data = path.read_bytes()
-        offset = 0
-        while offset < len(data):
-            header = data[offset : offset + _HEADER.size]
-            if len(header) < _HEADER.size:
-                break  # torn header at the tail: the crash signature
-            length, crc = _HEADER.unpack(header)
-            corrupt = None
-            if length > _MAX_PAYLOAD:
-                corrupt = f"implausible record length {length}"
-            else:
-                payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
-                if len(payload) < length:
-                    break  # torn payload at the tail: never acknowledged
-                if zlib.crc32(payload) != crc:
-                    corrupt = "crc mismatch"
-            if corrupt is not None:
-                # The record is physically complete but wrong — that is
-                # disk corruption, not a crash artefact.
-                if salvage:
-                    get_registry().counter("wal.corrupt_records").inc()
-                    break
-                raise WALCorruption(f"{corrupt} at byte {offset} of {path}")
-            try:
-                entry = json.loads(payload.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                if salvage:
-                    get_registry().counter("wal.corrupt_records").inc()
-                    break
-                raise WALCorruption(
-                    f"undecodable payload at byte {offset} of {path}"
-                ) from exc
-            records.append(
-                WALRecord(
-                    seq=int(entry["seq"]),
-                    op=str(entry["op"]),
-                    point=np.asarray(entry["p"], dtype=np.float64),
-                )
-            )
-            offset += _HEADER.size + length
-        return records
+        return _scan(Path(path), salvage)[0]
 
     @classmethod
     def replay_dir(

@@ -14,15 +14,9 @@ from repro.shard.errors import ShardError, ShardTimeout, ShardUnavailable
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
 from repro.shard.shardmap import ShardMap
-from repro.shard.worker import (
-    ENV_KEYS,
-    WorkerSpec,
-    capture_env,
-    shard_worker_main,
-)
+from repro.shard.worker import WorkerSpec, shard_worker_main
 
 __all__ = [
-    "ENV_KEYS",
     "ShardError",
     "ShardHandle",
     "ShardMap",
@@ -31,7 +25,6 @@ __all__ = [
     "ShardUnavailable",
     "WorkerSpec",
     "build_cluster",
-    "capture_env",
     "open_cluster",
     "shard_worker_main",
 ]

@@ -31,7 +31,7 @@ from repro.indices import LEARNED_INDICES
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
 from repro.shard.shardmap import ShardMap
-from repro.shard.worker import BUILD_POINTS_FILE, WorkerSpec, capture_env
+from repro.shard.worker import BUILD_POINTS_FILE, WorkerSpec
 
 __all__ = ["build_cluster", "open_cluster"]
 
@@ -79,13 +79,16 @@ def build_cluster(
     """Partition, persist, spawn, and front ``points`` with a router.
 
     ``elsi`` / ``serve`` are keyword dicts for each worker's ``ELSIConfig``
-    and ``ServeConfig``; the workers inherit ``REPRO_FAULTS`` as it is set
-    now (:func:`~repro.shard.worker.capture_env`).  The shard map is a
-    Z-order map at its default resolution.  ``index`` is a name of
+    and ``ServeConfig``.  Every shard write-ahead-logs its updates:
+    ``wal`` accepts only ``True``, and remains because the e2e benchmark's
+    frozen shard workload passes it.  The shard map is a Z-order map at
+    its default resolution.  ``index`` is a name of
     :data:`repro.indices.LEARNED_INDICES`; an unknown one is refused here,
     before anything is written or spawned.
     """
     _check_index(index)
+    if wal is not True:
+        raise ValueError(f"every shard write-ahead-logs: wal can only be True, got {wal!r}")
     pts = np.asarray(points, dtype=np.float64)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -97,14 +100,12 @@ def build_cluster(
         "method": method,
         "elsi": dict(elsi or {}),
         "serve": dict(serve or {}),
-        "wal": bool(wal),
         "n_shards": shard_map.n_shards,
     }
     (directory / _CLUSTER_FILE).write_text(
         json.dumps(meta, indent=2, sort_keys=True)
     )
     owners = shard_map.shard_of_points(pts)
-    worker_env = capture_env()
     specs = []
     for sid in range(shard_map.n_shards):
         shard_dir = _shard_dir(directory, sid)
@@ -118,8 +119,6 @@ def build_cluster(
                 method=method,
                 elsi=dict(elsi or {}),
                 serve=dict(serve or {}),
-                env=worker_env,
-                wal=bool(wal),
             )
         )
     return ShardRouter(shard_map, _spawn_all(specs))
@@ -137,7 +136,6 @@ def open_cluster(directory: "str | Path") -> ShardRouter:
             f"(this build reads version {_CLUSTER_VERSION})"
         )
     _check_index(meta["index"])
-    worker_env = capture_env()
     specs = [
         WorkerSpec(
             shard_id=sid,
@@ -146,9 +144,7 @@ def open_cluster(directory: "str | Path") -> ShardRouter:
             method=meta["method"],
             elsi=dict(meta["elsi"]),
             serve=dict(meta["serve"]),
-            env=worker_env,
             recover=True,
-            wal=bool(meta["wal"]),
         )
         for sid in range(shard_map.n_shards)
     ]

@@ -17,11 +17,7 @@ __all__ = [
 
 
 class ShardError(RuntimeError):
-    """Base class for shard-tier failures."""
-
-    def __init__(self, message: str, shard_id: "int | None" = None) -> None:
-        super().__init__(message)
-        self.shard_id = shard_id
+    """Base class for shard-tier failures; the message names the shard."""
 
 
 class ShardUnavailable(ShardError):

@@ -111,7 +111,6 @@ class ShardHandle:
             raise ShardUnavailable(
                 f"shard {self.shard_id} sent {kind!r} instead of the ready "
                 "handshake",
-                shard_id=self.shard_id,
             )
         self._ready_status = payload
 
@@ -141,7 +140,6 @@ class ShardHandle:
                     raise ShardTimeout(
                         f"shard {self.shard_id} did not answer within "
                         f"{timeout:.1f}s",
-                        shard_id=self.shard_id,
                     )
                 wait = min(wait, remaining)
             try:
@@ -151,13 +149,11 @@ class ShardHandle:
                 raise ShardUnavailable(
                     f"shard {self.shard_id} worker died mid-request "
                     f"(exitcode {self._proc.exitcode})",
-                    shard_id=self.shard_id,
                 ) from None
             if not self._proc.is_alive() and not self._conn.poll(0):
                 raise ShardUnavailable(
                     f"shard {self.shard_id} worker is dead "
                     f"(exitcode {self._proc.exitcode})",
-                    shard_id=self.shard_id,
                 )
 
     def _recv_response(self, seq: int, timeout: float):
@@ -193,12 +189,10 @@ class ShardHandle:
                     f"shard {self.shard_id} handle is poisoned after a "
                     "request timeout (its reply is still owed on the pipe); "
                     "respawn before further requests",
-                    shard_id=self.shard_id,
                 )
             if self._proc is None or not self._proc.is_alive():
                 raise ShardUnavailable(
                     f"shard {self.shard_id} has no live worker",
-                    shard_id=self.shard_id,
                 )
             self._seq += 1
             seq = self._seq
@@ -208,7 +202,6 @@ class ShardHandle:
                 raise ShardUnavailable(
                     f"shard {self.shard_id} worker died before the request "
                     "could be sent",
-                    shard_id=self.shard_id,
                 ) from None
             try:
                 kind, result, spans = self._recv_response(seq, timeout)

@@ -4,12 +4,7 @@ Workers are started with the ``spawn`` multiprocessing context — a fresh
 interpreter, **nothing inherited from the parent by fork** — so every bit
 of configuration a shard needs travels explicitly in its
 :class:`WorkerSpec`: the per-shard directory (snapshots + WAL + build
-points), the index kind and build method, ELSI/serve config kwargs, and
-the captured environment (``REPRO_FAULTS``).  The
-worker applies that environment to ``os.environ`` *and* arms the fault
-spec on its own fault registry before building anything, so
-``repro chaos``-style scenarios can target fault sites inside an
-individual shard regardless of how the process started.
+points), the index kind and build method, and ELSI/serve config kwargs.
 
 The control protocol over the duplex pipe is one request, one response:
 the parent sends ``(seq, timeout, command, trace, *payload)`` tuples and
@@ -40,9 +35,9 @@ of its kind.  Window and kNN answers come back packed
 (:class:`PackedRows`): one flat ``(m, d)`` array of rows plus a row count
 per query, so the pipe pickles two arrays per sub-batch whatever its
 size.  A sub-batch arrives unpickled, an array nothing else holds, so
-the worker builds the server's ``Request`` around it as it came (the
-public ``submit_*_batch`` methods copy what their caller passes), and a
-window sub-batch's ``(rows, counts)`` answer comes back as it left.
+the worker builds the server's ``Request`` around it as it came, with no
+copy, and a window sub-batch's ``(rows, counts)`` answer comes back as it
+left.
 """
 
 from __future__ import annotations
@@ -58,25 +53,13 @@ import numpy as np
 from repro.serve.requests import KNN, POINT, WINDOW, Request
 
 __all__ = [
-    "ENV_KEYS",
     "WorkerSpec",
-    "capture_env",
     "shard_worker_main",
 ]
-
-#: Environment configuration propagated explicitly into workers at spawn.
-ENV_KEYS = ("REPRO_FAULTS",)
 
 #: File the parent writes a shard's build partition to (and the worker
 #: reads it back from on a fresh build).
 BUILD_POINTS_FILE = "build_points.npy"
-
-
-def capture_env() -> dict:
-    """The :data:`ENV_KEYS` subset of the current environment — captured
-    in the parent at spec-creation time so spawn (and every respawn) never
-    has to rely on what a child happens to inherit."""
-    return {key: os.environ[key] for key in ENV_KEYS if key in os.environ}
 
 
 @dataclass
@@ -96,16 +79,13 @@ class WorkerSpec:
         method, resolved in the worker.
     elsi / serve:
         Keyword arguments for ``ELSIConfig`` and ``ServeConfig``.
-    env:
-        Captured :data:`ENV_KEYS` values applied in the worker before
-        anything configuration-sensitive is constructed.
     recover:
         ``True`` opens the server with ``IndexServer.from_snapshot(...,
         wal=True)`` (crash recovery / cluster reopen) instead of building
         from ``build_points.npy``.
-    wal:
-        Whether updates are write-ahead-logged (required for the zero
-        acknowledged-loss recovery contract).
+
+    Every shard write-ahead-logs its updates (the zero acknowledged-loss
+    recovery contract).
     """
 
     shard_id: int
@@ -114,30 +94,7 @@ class WorkerSpec:
     method: str = "SP"
     elsi: dict = field(default_factory=dict)
     serve: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)
     recover: bool = False
-    wal: bool = True
-
-
-def _apply_env(spec: WorkerSpec) -> None:
-    """Apply the spec's captured environment, then arm faults explicitly.
-
-    Applying ``os.environ`` covers everything read lazily after this
-    point (dtype, a fault registry not yet created); the
-    explicit ``arm_spec`` covers the one case the environment cannot —
-    a start method under which this process already initialised its
-    registry before the spec arrived."""
-    for key in ENV_KEYS:
-        if key in spec.env:
-            os.environ[key] = spec.env[key]
-        else:
-            os.environ.pop(key, None)
-    from repro.faults.registry import get_fault_registry
-
-    if spec.env.get("REPRO_FAULTS"):
-        get_fault_registry().arm_spec(spec.env["REPRO_FAULTS"])
-    else:
-        get_fault_registry()
 
 
 def _open_server(spec: WorkerSpec):
@@ -155,7 +112,7 @@ def _open_server(spec: WorkerSpec):
     if spec.recover:
         return IndexServer.from_snapshot(
             directory,
-            wal=spec.wal,
+            wal=True,
             config=serve_config,
             elsi_config=config,
             index_factory=factory,
@@ -169,7 +126,7 @@ def _open_server(spec: WorkerSpec):
         elsi_config=config,
         index_factory=factory,
         snapshots=str(directory),
-        wal=spec.wal,
+        wal=True,
     )
 
 
@@ -188,7 +145,6 @@ def shard_worker_main(spec: WorkerSpec, conn) -> None:
     — the parent's spawn blocks on it, so a shard that fails to build or
     recover surfaces its exception instead of hanging the cluster.
     """
-    _apply_env(spec)
     try:
         server = _open_server(spec)
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe

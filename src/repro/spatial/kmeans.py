@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["KMeansResult", "kmeans"]
 
+#: Lloyd's iterations stop once no centroid moves farther than this.
+TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -51,7 +54,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     max_iterations: int = 25,
-    tolerance: float = 1e-7,
     seed: int = 0,
 ) -> KMeansResult:
     """Cluster ``points`` into ``k`` clusters; returns centroids and labels.
@@ -94,7 +96,7 @@ def kmeans(
                 new_centroids[c] = pts[int(np.argmax(dist_sq))]
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if shift <= tolerance:
+        if shift <= TOLERANCE:
             break
 
     labels = _assign(pts, centroids)

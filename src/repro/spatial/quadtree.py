@@ -29,8 +29,10 @@ class QuadTreeNode:
 
     bounds: Rect
     depth: int
-    point_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    children: list["QuadTreeNode"] = field(default_factory=list)
+    point_indices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), init=False
+    )
+    children: list["QuadTreeNode"] = field(default_factory=list, init=False)
 
     @property
     def is_leaf(self) -> bool:

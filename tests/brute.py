@@ -10,6 +10,11 @@ kNN built on them) must return only true rows and reach a recall floor.
 :func:`processor_windows` also holds the update processor's window rows to
 the per-window merge it made before ``window_rows`` (a copy of that merge,
 :func:`per_window_merge`), concatenated.
+
+:func:`make_schedule`, :func:`apply_op` and :func:`verify_recovery` are the
+durability tests' oracle: a deterministic insert/delete schedule, and the
+proof that a recovered data set is the base plus a schedule prefix that
+covers every acknowledged update.
 """
 
 from __future__ import annotations
@@ -131,3 +136,67 @@ def processor_windows(processor, windows) -> list:
     assert rows.tobytes() == flat.tobytes()
     cuts = [0, *np.cumsum(counts).tolist()]
     return [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def make_schedule(
+    points: np.ndarray, n_ops: int, seed: int
+) -> list[tuple[str, np.ndarray]]:
+    """A deterministic randomized insert/delete schedule over ``points``,
+    three deletes in ten.
+
+    Deletes target points live at that position in the schedule (base
+    points or earlier inserts), so every op changes the data set.
+    """
+    rng = np.random.default_rng(seed + 0x5EED)
+    live = [np.asarray(p, dtype=np.float64) for p in points]
+    ops: list[tuple[str, np.ndarray]] = []
+    for _ in range(n_ops):
+        if live and rng.random() < 0.3:
+            victim = live.pop(int(rng.integers(len(live))))
+            ops.append(("delete", victim))
+        else:
+            fresh = rng.uniform(0.0, 1.0, size=points.shape[1])
+            live.append(fresh)
+            ops.append(("insert", fresh))
+    return ops
+
+
+def apply_op(live: list, op: str, point: np.ndarray) -> None:
+    """Apply one schedule op to a list of live points (a delete removes
+    one copy, if there is one)."""
+    if op == "insert":
+        live.append(np.asarray(point, dtype=np.float64))
+        return
+    for i, existing in enumerate(live):
+        if np.array_equal(existing, point):
+            live.pop(i)
+            return
+
+
+def verify_recovery(
+    base_points: np.ndarray,
+    schedule: list[tuple[str, np.ndarray]],
+    n_acked: int,
+    recovered_points: np.ndarray,
+) -> int:
+    """The ``m >= n_acked`` for which ``recovered_points`` is the base plus
+    ``schedule[:m]``; fails when there is none.
+
+    ``m`` may exceed the acknowledged count: an op whose WAL append hit
+    disk but whose acknowledgement never reached the client may survive.
+    A missing acknowledged op may not.
+    """
+    recovered = canon(recovered_points)
+    live = [np.asarray(p, dtype=np.float64) for p in base_points]
+    for op, point in schedule[:n_acked]:
+        apply_op(live, op, point)
+    for m in range(n_acked, len(schedule) + 1):
+        if np.array_equal(canon(live), recovered):
+            return m
+        if m < len(schedule):
+            apply_op(live, *schedule[m])
+    raise AssertionError(
+        f"acknowledged-update loss: recovered state ({len(recovered)} points) "
+        f"matches no schedule prefix >= the {n_acked} acknowledged ops "
+        f"(base {len(base_points)}, schedule {len(schedule)})"
+    )

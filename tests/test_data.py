@@ -67,7 +67,7 @@ class TestControlled:
         assert uniform_dissimilarity(keys) < 0.02
 
     def test_dataset_marginals(self):
-        pts = dataset_with_uniform_distance(5_000, 0.6, d=2, seed=1)
+        pts = dataset_with_uniform_distance(5_000, 0.6, seed=1)
         from repro.spatial.cdf import uniform_dissimilarity
 
         for dim in range(2):

@@ -8,8 +8,7 @@ code all the same.
 
 In the modules that are ours (``SCOPE`` of ``tests/test_settable_values.py``)
 a test is not enough: each public definition there needs a reader outside
-``tests/`` (and ``faults/chaos.py``, which counts as a test), or an
-:data:`ALLOWED` entry that says why only tests read it.  Names are matched,
+``tests/``, or an :data:`ALLOWED` entry that says why only tests read it.  Names are matched,
 not resolved, so a method is read wherever any attribute of its name is.
 """
 
@@ -62,14 +61,6 @@ ALLOWED = {
     ("ml/pla.py", "PiecewiseLinearModel.n_segments"):
         "(c) ROADMAP items 1 and 10 decide the epsilon-PLA leaf",
     ("queries/evaluate.py", "brute_force_knn"): "(a) the kNN oracle",
-    ("serve/server.py", "IndexServer.submit_window_batch"):
-        "(c) ROADMAP item 22 owns the serving tier's surface; the batch "
-        "spelling of a window request, which the shard worker now queues "
-        "without the copy",
-    ("serve/server.py", "IndexServer.submit_knn_batch"):
-        "(c) ROADMAP item 22 owns the serving tier's surface; the batch "
-        "spelling of a kNN request, which the shard worker now queues "
-        "without the copy",
     ("shard/router.py", "ShardRouter.health_summary"):
         "(e) the fleet's fault report: which shard is down or read-only, the "
         "operator check docs/observability.md documents",
@@ -103,8 +94,7 @@ def _definitions(trees):
 
 def census() -> dict:
     """``{(module, qualified name): line}`` of every in-scope public
-    definition whose name nothing outside the tests reads (chaos counts as
-    a test)."""
+    definition whose name nothing outside the tests reads."""
     trees = list(source_trees())
     shipped = _read_names(
         tree for rel, tree in trees if not rel.startswith(TEST_FILES)

@@ -10,7 +10,6 @@ from repro.faults import (
     InjectedFault,
     fault_check,
     get_fault_registry,
-    parse_fault_spec,
 )
 
 
@@ -23,25 +22,6 @@ class TestSpecs:
         for site in FAULT_SITES:
             for kind in FAULT_KINDS:
                 FaultSpec(site=site, kind=kind)
-
-    def test_parse_spec_string(self):
-        specs = parse_fault_spec(
-            "wal.append=error, snapshot.write=torn_write:2, rebuild.worker=error:3:5"
-        )
-        assert [(s.site, s.kind, s.times, s.after) for s in specs] == [
-            ("wal.append", "error", 1, 0),
-            ("snapshot.write", "torn_write", 2, 0),
-            ("rebuild.worker", "error", 3, 5),
-        ]
-        assert parse_fault_spec("") == []
-
-    @pytest.mark.parametrize(
-        "bad",
-        ["wal.append", "wal.append=", "wal.append=error:x", "wal.append=error:1:2:3"],
-    )
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_fault_spec(bad)
 
 
 class TestFiring:
@@ -87,19 +67,6 @@ class TestFiring:
         for _ in range(5):
             assert registry.check("wal.append") == "torn_write"
         assert "wal.append" in registry.armed()
-
-    def test_env_spec_arms_registry(self):
-        registry = FaultRegistry(env="snapshot.write=error:2")
-        assert registry.armed()["snapshot.write"].times == 2
-
-    def test_report_shape(self):
-        registry = FaultRegistry()
-        registry.arm("wal.append", times=2)
-        with pytest.raises(InjectedFault):
-            registry.check("wal.append")
-        report = registry.report()
-        assert report["triggered"] == {"wal.append": 1}
-        assert report["armed"]["wal.append"]["fired"] == 1
 
     def test_disarm_and_reset(self):
         registry = FaultRegistry()

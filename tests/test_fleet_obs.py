@@ -39,7 +39,7 @@ class _ScrapeStubHandle:
     def request(self, command, *payload, timeout=None, trace=None):
         self.commands.append(command)
         if self.down:
-            raise ShardUnavailable("down", shard_id=self.shard_id)
+            raise ShardUnavailable("down")
         if command == "stats":
             return self.registry.export()
         if command == "status":

@@ -54,6 +54,12 @@ def _server(index, **kwargs) -> IndexServer:
     return IndexServer(index, elsi_config=ELSIConfig(train_epochs=80), **kwargs)
 
 
+def _windows(win_lo: np.ndarray, win_hi: np.ndarray) -> Request:
+    """A window batch request over ``(w, d)`` corner arrays, as the shard
+    worker builds one."""
+    return Request(WINDOW, win_lo=win_lo, win_hi=win_hi)
+
+
 def _queue_then_start(server: IndexServer, requests: list) -> list:
     """Queue ``requests`` on a server that has not started, then start it:
     the dispatcher's first batch holds all of them (up to
@@ -114,20 +120,10 @@ class TestBasicServing:
             batch = osm_points[:4].copy()
             hits = server.submit_point_batch(batch)
             batch[:] = 5.0
-            lo, hi = window.lo_array[None].copy(), window.hi_array[None].copy()
-            rows = server.submit_window_batch(lo, hi)
-            lo[:], hi[:] = 5.0, 5.0
-            kq = osm_points[3:5].copy()
-            nns = server.submit_knn_batch(kq, 2)
-            kq[:] = 5.0
             assert blocker.wait(20) is True
             assert r.wait(20) is True
             assert_knn("ZM", osm_points, osm_points[2:3], 3, [nn.wait(20)])
             assert hits.wait(20).tolist() == [True] * 4
-            got, counts = rows.wait(20)
-            assert_windows("ZM", osm_points, [window], [got])
-            assert counts.tolist() == [len(got)]
-            assert_knn("ZM", osm_points, osm_points[3:5], 2, nns.wait(20))
 
     def test_stats_surface(self, built_index, osm_points):
         with _server(built_index) as server:
@@ -209,16 +205,16 @@ class TestBasicServing:
                 lambda: server.submit_knn(np.zeros(2), 0),
                 lambda: server.submit_point_batch(np.zeros(2)),
                 lambda: server.submit_point_batch(np.zeros((4, 3))),
-                lambda: server.submit_knn_batch(np.zeros((4, 3)), 2),
+                lambda: server.submit(Request(KNN, np.zeros((4, 3)), 2)),
                 lambda: server.submit_window(Rect((0.1,) * 3, (0.2,) * 3)),
-                lambda: server.submit_window_batch(np.zeros((2, 2)), np.ones((2, 3))),
-                lambda: server.submit_window_batch(np.zeros((2, 2)), np.ones((3, 2))),
-                lambda: server.submit_window_batch(np.zeros(2), np.ones(2)),
+                lambda: server.submit(_windows(np.zeros((2, 2)), np.ones((2, 3)))),
+                lambda: server.submit(_windows(np.zeros((2, 2)), np.ones((3, 2)))),
+                lambda: server.submit(_windows(np.zeros(2), np.ones(2))),
             ):
                 with pytest.raises(ValueError):
                     bad()
-            rows, counts = server.submit_window_batch(
-                np.empty((0, 2)), np.empty((0, 2))
+            rows, counts = server.submit(
+                _windows(np.empty((0, 2)), np.empty((0, 2)))
             ).wait(20)
             assert rows.shape == (0, 2) and counts.shape == (0,)
             snap = server.stats.registry.export()
@@ -256,7 +252,7 @@ class TestBasicServing:
                 with pytest.raises(ValueError, match="integer"):
                     server.submit_knn(query, bad)
                 with pytest.raises(ValueError, match="integer"):
-                    server.submit_knn_batch(osm_points[:3], bad)
+                    server.submit(Request(KNN, osm_points[:3], bad))
             got = server.submit_knn(query, np.int64(3)).wait(20)
             assert_knn("ZM", osm_points, query[None], 3, [got])
             snap = server.stats.registry.export()
@@ -913,9 +909,9 @@ class TestReply:
                 (lambda: server.submit_window(window), WINDOW),
                 (lambda: server.submit_knn(p, 3), KNN),
                 (lambda: server.submit_point_batch(osm_points[:4]), POINT),
-                (lambda: server.submit_window_batch(
-                    window.lo_array[None], window.hi_array[None]), WINDOW),
-                (lambda: server.submit_knn_batch(osm_points[:4], 3), KNN),
+                (lambda: server.submit(
+                    _windows(window.lo_array[None], window.hi_array[None])), WINDOW),
+                (lambda: server.submit(Request(KNN, osm_points[:4], 3)), KNN),
             ):
                 request = submit()
                 assert isinstance(request, Request) and request.kind == kind

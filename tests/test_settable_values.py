@@ -6,9 +6,9 @@ with a default of a public function, class or method in :data:`SCOPE`
 (plus ``UpdateProcessor``) — earns its place only if code outside
 ``tests/`` sets it to something other than its default.  A value that
 only tests move is a branch nothing ships: make it a module constant,
-delete it, or give it an :data:`ALLOWED` entry that says why it stays.
-``src/repro/faults/chaos.py`` counts as a test: its scenarios are
-fault-injection tests run from the command line.
+delete it, or give it an :data:`ALLOWED` entry that says why it stays.  A
+value that nothing moves, tests included, is a constant spelled as a
+parameter: the same verdicts, or an :data:`UNSET_ALLOWED` entry.
 
 The census is an AST walk over ``src``, ``benchmarks``, ``examples`` and
 ``tests``.  Calls are matched by spelling: ``f(...)`` and ``mod.f(...)``
@@ -30,7 +30,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TEST_FILES = ("tests/", "src/repro/faults/chaos.py")
+TEST_FILES = ("tests/",)
 
 #: The modules that are ours (relative to ``src/repro``): their public
 #: callables are the census's targets.
@@ -52,6 +52,8 @@ ALLOWED = {
     ("build_cluster", "index"):
         "(b) the frozen e2e shard workload passes it (ZM); a cluster serves any "
         "of the five learned indices, and the tier's tests build RSMI",
+    ("build_cluster", "wal"):
+        "(b) the frozen e2e shard workload passes it, at its one legal value True",
     ("IndexServer.from_snapshot", "salvage"):
         "(e) the documented recovery path for a log corrupted mid-file "
         "(docs/serving.md): an explicit opt-in to losing the records after it",
@@ -69,7 +71,18 @@ ALLOWED = {
     },
     ("FaultRegistry.disarm", "site"): "(e) a fault-injection instrument",
     ("FaultRegistry.triggered", "site"): "(e) a fault-injection instrument",
-    ("FaultSpec", "delay_seconds"): "(e) a fault-injection instrument",
+    **{
+        ("FaultSpec", param): "(e) a fault-injection instrument"
+        for param in ("after", "delay_seconds", "kind", "times")
+    },
+}
+
+#: Values nothing sets to another value, tests included, kept on purpose:
+#: ``(target, parameter) -> why``, with :data:`ALLOWED`'s reasons.
+UNSET_ALLOWED = {
+    ("IndexServer", "predictor"):
+        "(c) ROADMAP item 20 decides whether the server's rebuild check takes "
+        "the paper's trained predictor",
 }
 
 _MISSING = object()
@@ -400,6 +413,37 @@ def test_every_settable_value_has_a_caller_outside_the_tests():
         "module constant, delete it, or allow-list it with a reason):\n"
         + "\n".join(test_only)
     )
+
+
+def _unset(seen) -> list[str]:
+    return sorted(
+        f"{target}({param}=...)"
+        for (target, param), entry in seen.items()
+        if not entry["tests"] and not entry["shipped"]
+        and (target, param) not in UNSET_ALLOWED
+    )
+
+
+def test_every_settable_value_is_set_by_someone():
+    """A defaulted value that nothing, tests included, sets to another
+    value is a constant spelled as a parameter."""
+    unset = _unset(census())
+    assert not unset, (
+        "settable values nothing sets to a non-default value, tests included "
+        "(make each a module constant, delete it, or allow-list it with a "
+        "reason):\n" + "\n".join(unset)
+    )
+
+
+def test_the_unset_allow_list_names_live_unset_values():
+    """An allowed unset value must still exist, and still be set by
+    nothing: once anything sets it, its entry goes."""
+    seen = census()
+    stale = [
+        key for key in UNSET_ALLOWED
+        if key not in seen or seen[key]["shipped"] or seen[key]["tests"]
+    ]
+    assert not stale, f"unset allow-list entries to drop: {stale}"
 
 
 def test_the_allow_list_names_live_test_only_values():

@@ -13,7 +13,6 @@ loss while the surviving shards keep serving.
 """
 
 import json
-import os
 import threading
 import warnings
 
@@ -23,8 +22,6 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
-from repro.faults.chaos import make_schedule, _apply_op, _canon
-from repro.faults.registry import InjectedFault
 from repro.indices import ZMIndex
 from repro.obs.metrics import histogram_stat, series_sum
 from repro.serve import ServerOverloaded, ServerReadOnly
@@ -36,15 +33,15 @@ from repro.shard import (
     ShardUnavailable,
     WorkerSpec,
     build_cluster,
-    capture_env,
     open_cluster,
 )
 from repro.shard.router import MAX_RETRIES
 from repro.shard.shardmap import BITS
+from repro.serve.requests import KNN, POINT, WINDOW, Request
 from repro.shard.worker import PackedRows, _dispatch
 from repro.spatial.rect import Rect
 from repro.spatial.zcurve import zvalues
-from tests.brute import point_truth, processor_windows
+from tests.brute import apply_op, canon, make_schedule, point_truth, processor_windows
 
 _ELSI = {"train_epochs": 40, "seed": 0}
 _SERVE = {"max_wait_seconds": 0.0}
@@ -238,26 +235,28 @@ class TestBatchRequests:
         windows = [
             Rect.centered(np.array([x, x]), 0.1) for x in (0.25, 0.5, 0.75)
         ]
-        rows, counts = server.submit_window_batch(
-            np.vstack([w.lo_array for w in windows]), np.vstack([w.hi_array for w in windows])
-        ).wait(20)
+        rows, counts = server.submit(Request(
+            WINDOW,
+            win_lo=np.vstack([w.lo_array for w in windows]),
+            win_hi=np.vstack([w.hi_array for w in windows]),
+        )).wait(20)
         assert len(counts) == len(windows) and counts.sum() == len(rows)
         for got, window in zip(PackedRows(rows, counts).split(), windows):
             want = server.submit_window(window).wait(20)
-            np.testing.assert_array_equal(_canon(got), _canon(want))
+            np.testing.assert_array_equal(canon(got), canon(want))
 
     def test_knn_batch_matches_scalar_submits(self, server, osm_points):
-        batched = server.submit_knn_batch(osm_points[:5], 6).wait(20)
+        batched = server.submit(Request(KNN, osm_points[:5], 6)).wait(20)
         for got, q in zip(batched, osm_points[:5]):
             want = server.submit_knn(q, 6).wait(20)
-            np.testing.assert_array_equal(_canon(got), _canon(want))
+            np.testing.assert_array_equal(canon(got), canon(want))
 
     def test_dispatch_queues_the_unpickled_sub_batch_itself(
         self, server, osm_points, monkeypatch
     ):
         """A routed sub-batch arrives unpickled, an array nothing else
         holds: the worker queues it as it came, with no second copy, and
-        answers as the public ``submit_*_batch`` methods do."""
+        answers as the same request submitted in process."""
         queued = []
         submit = server.submit
         monkeypatch.setattr(server, "submit", lambda r: queued.append(r) or submit(r))
@@ -270,19 +269,17 @@ class TestBatchRequests:
         lo, hi = osm_points[:6] - 0.05, osm_points[:6] + 0.05
         got = _dispatch(server, spec, "window_batch", (lo, hi), 20.0)
         assert queued[-1].win_lo is lo and queued[-1].win_hi is hi
-        rows, counts = server.submit_window_batch(lo, hi).wait(20)
+        rows, counts = server.submit(Request(WINDOW, win_lo=lo, win_hi=hi)).wait(20)
         np.testing.assert_array_equal(got.rows, rows)
         np.testing.assert_array_equal(got.counts, counts)
 
         queries = osm_points[:5].copy()
         got = _dispatch(server, spec, "knn_batch", (queries, 4), 20.0)
         assert queued[-1].points is queries
-        for a, b in zip(got.split(), server.submit_knn_batch(queries, 4).wait(20)):
+        for a, b in zip(got.split(), server.submit(Request(KNN, queries, 4)).wait(20)):
             np.testing.assert_array_equal(a, b)
 
     def test_batch_requests_validate_payloads(self):
-        from repro.serve.requests import KNN, POINT, Request
-
         with pytest.raises(ValueError, match="points"):
             Request(kind=POINT)
         with pytest.raises(ValueError, match="k"):
@@ -325,7 +322,7 @@ class _StubHandle:
     def request(self, command, *payload, timeout=None, trace=None):
         self.requests.append(command)
         if not self._alive:
-            raise ShardUnavailable("no live worker", shard_id=self.shard_id)
+            raise ShardUnavailable("no live worker")
         if self.fail:
             exc = self.fail.pop(0)
             if isinstance(exc, ShardTimeout):
@@ -367,14 +364,14 @@ class TestRouterFailureHandling:
         assert handle.requests.count("point_batch") == MAX_RETRIES + 1
 
     def test_dead_shard_respawned_for_queries(self):
-        handle = _StubHandle(0, fail=[ShardUnavailable("dead", shard_id=0)])
+        handle = _StubHandle(0, fail=[ShardUnavailable("dead")])
         handle._alive = False
         router = _stub_router([handle])
         assert router.point_queries(np.zeros((2, 2))).all()
         assert handle.respawns == 1
 
     def test_mid_request_death_not_retried_for_updates(self):
-        handle = _StubHandle(0, fail=[ShardUnavailable("died", shard_id=0)])
+        handle = _StubHandle(0, fail=[ShardUnavailable("died")])
         router = _stub_router([handle])
         with pytest.raises(ShardUnavailable):
             router.insert(np.array([0.5, 0.5]))
@@ -399,7 +396,7 @@ class TestRouterFailureHandling:
     def test_timed_out_shard_respawned_for_queries(self):
         # A timeout poisons the handle; the router must respawn (killing
         # the wedged worker) and retry idempotent queries transparently.
-        handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
+        handle = _StubHandle(0, fail=[ShardTimeout("wedged")])
         router = _stub_router([handle])
         assert router.point_queries(np.zeros((2, 2))).all()
         assert handle.respawns == 1
@@ -407,7 +404,7 @@ class TestRouterFailureHandling:
         assert series_sum(export, "router.shard_timeouts", shard=0) == 1
 
     def test_timeout_on_update_surfaces_without_resend(self):
-        handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
+        handle = _StubHandle(0, fail=[ShardTimeout("wedged")])
         router = _stub_router([handle])
         with pytest.raises(ShardTimeout):
             router.insert(np.array([0.5, 0.5]))
@@ -417,8 +414,8 @@ class TestRouterFailureHandling:
         handle = _StubHandle(
             0,
             fail=[
-                ShardTimeout("wedged", shard_id=0),
-                ShardTimeout("wedged", shard_id=0),
+                ShardTimeout("wedged"),
+                ShardTimeout("wedged"),
             ],
         )
         router = _stub_router([handle])
@@ -431,7 +428,7 @@ class TestRouterFailureHandling:
         assert series_sum(stats, "telemetry.shard_up", shard=0) == 0.0
 
     def test_update_after_a_timed_out_one_respawns_then_applies(self):
-        handle = _StubHandle(0, fail=[ShardTimeout("wedged", shard_id=0)])
+        handle = _StubHandle(0, fail=[ShardTimeout("wedged")])
         router = _stub_router([handle])
         # The first update timed out (surfaced, never resent); the poisoned
         # handle is respawned before the second, which applies cleanly.
@@ -628,7 +625,7 @@ class TestClusterParity:
         got = cluster.window_queries(windows)
         want = processor_windows(reference, windows)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(_canon(g), _canon(w))
+            np.testing.assert_array_equal(canon(g), canon(w))
 
     def test_knn_parity_bit_identical(self, cluster, reference, osm_points):
         queries = osm_points[::211]
@@ -636,14 +633,14 @@ class TestClusterParity:
             got = cluster.knn_queries(queries, k)
             want = reference.knn_queries(queries, k)
             for g, w in zip(got, want):
-                np.testing.assert_array_equal(_canon(g), _canon(w))
+                np.testing.assert_array_equal(canon(g), canon(w))
 
     def test_knn_k_larger_than_shard(self, cluster, reference, osm_points):
         # k close to a shard's whole population forces round two to widen
         # across every shard.
         got = cluster.knn_queries(osm_points[:1], 700)
         want = reference.knn_queries(osm_points[:1], 700)
-        np.testing.assert_array_equal(_canon(got[0]), _canon(want[0]))
+        np.testing.assert_array_equal(canon(got[0]), canon(want[0]))
 
     def test_update_routing_parity(self, cluster, reference, osm_points):
         rng = np.random.default_rng(9)
@@ -660,8 +657,8 @@ class TestClusterParity:
         )
         window = Rect((0.0, 0.0), (1.0, 1.0))
         np.testing.assert_array_equal(
-            _canon(cluster.window_queries([window])[0]),
-            _canon(reference.window_query(window)),
+            canon(cluster.window_queries([window])[0]),
+            canon(reference.window_query(window)),
         )
 
     def test_health_and_merged_stats(self, cluster):
@@ -730,7 +727,7 @@ class TestRouterContract:
             want = np.vstack(per_shard)
             assert rows.dtype == np.float64 and rows.tobytes() == want.tobytes()
             inside = lattice[window.contains_points(lattice)]
-            np.testing.assert_array_equal(_canon(rows), _canon(inside))
+            np.testing.assert_array_equal(canon(rows), canon(inside))
 
     def test_mixed_fanout_batch_returns_one_array_per_window(
         self, lattice_cluster, lattice
@@ -753,7 +750,7 @@ class TestRouterContract:
             assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
             assert rows.ndim == 2 and rows.shape[1] == 2
             inside = lattice[window.contains_points(lattice)]
-            np.testing.assert_array_equal(_canon(rows), _canon(inside))
+            np.testing.assert_array_equal(canon(rows), canon(inside))
         assert got[2].shape == got[3].shape == (0, 2)
         assert len(got[1]) == len(lattice)
 
@@ -861,36 +858,6 @@ class TestWedgedWorkerRecovery:
 
 
 # ----------------------------------------------------------------------
-# Env propagation into workers (satellite)
-# ----------------------------------------------------------------------
-class TestEnvPropagation:
-    def test_capture_env_reads_current_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "index.query=error:1")
-        monkeypatch.setenv("REPRO_DTYPE", "float32")  # read by nothing
-        assert capture_env() == {"REPRO_FAULTS": "index.query=error:1"}
-
-    def test_faults_armed_inside_shard_worker(self, osm_points, tmp_path, monkeypatch):
-        # The parent's registry read its environment long ago and stays
-        # unarmed; REPRO_FAULTS as set when the cluster is built is
-        # captured into the worker's spec (a respawn arms it again), and
-        # the worker arms the site from its spec.
-        assert "REPRO_FAULTS" not in os.environ
-        monkeypatch.setenv("REPRO_FAULTS", "index.query=error:1")
-        router = build_cluster(
-            osm_points[:400], tmp_path, n_shards=1, elsi=_ELSI, serve=_SERVE
-        )
-        monkeypatch.delenv("REPRO_FAULTS")
-        assert router.handles[0].spec.env == {"REPRO_FAULTS": "index.query=error:1"}
-        with router:
-            with pytest.raises(InjectedFault):
-                router.point_queries(osm_points[:4])
-            # times=1: the armed fault fired once and disarmed itself.
-            assert router.point_queries(osm_points[:4]).all()
-            stats = router.stats_snapshot()
-            assert series_sum(stats, "faults.triggered", site="index.query") == 1
-
-
-# ----------------------------------------------------------------------
 # Kill one shard mid-stream: zero acknowledged-update loss (satellite)
 # ----------------------------------------------------------------------
 class TestKillOneShardMidStream:
@@ -927,7 +894,7 @@ class TestKillOneShardMidStream:
                     router.insert(point)
                 else:
                     router.delete(point)
-                _apply_op(live, op, point)
+                apply_op(live, op, point)
                 acked += 1
             assert acked == len(schedule)
             # Shard 0 was respawned from snapshots + WAL along the way.
@@ -936,7 +903,7 @@ class TestKillOneShardMidStream:
             # Zero acknowledged loss: the fleet's state is exactly
             # base + every acknowledged op.
             everything = router.window_queries([Rect.unit()])[0]
-            np.testing.assert_array_equal(_canon(everything), _canon(live))
+            np.testing.assert_array_equal(canon(everything), canon(live))
             # And per-point membership agrees for all acked inserts.
             inserted = [p for op, p in schedule if op == "insert"]
             survivors = [
@@ -949,7 +916,7 @@ class TestKillOneShardMidStream:
         reopened = open_cluster(tmp_path)
         with reopened:
             everything = reopened.window_queries([Rect.unit()])[0]
-            np.testing.assert_array_equal(_canon(everything), _canon(live))
+            np.testing.assert_array_equal(canon(everything), canon(live))
 
 
 # ----------------------------------------------------------------------
@@ -986,4 +953,10 @@ class TestIndexKinds:
         target = tmp_path / "cluster"
         with pytest.raises(ValueError, match="Flood, LISA, ML, RSMI, ZM"):
             build_cluster(osm_points[:100], target, n_shards=2, index="RTree")
+        assert not target.exists()
+
+    def test_a_cluster_without_a_wal_is_refused(self, osm_points, tmp_path):
+        target = tmp_path / "cluster"
+        with pytest.raises(ValueError, match="wal can only be True"):
+            build_cluster(osm_points[:100], target, n_shards=2, wal=False)
         assert not target.exists()

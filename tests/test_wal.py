@@ -1,15 +1,14 @@
 """Tests for write-ahead durability: framing, replay, crash recovery.
 
-The centrepiece is the randomized crash-recovery property test: a server
-with a WAL absorbs a randomized schedule of updates, snapshots, and
-rebuilds, "crashes" at random points (the server object is discarded;
-recovery may use the disk only), and after every recovery the server must
-report **every acknowledged update**, with query results bit-identical to
-an uncrashed reference.  The process-level version of the same property
-(``os._exit`` mid-stream) is the ``kill-*`` scenarios of
-``python -m repro chaos``.
+These pin single transitions: framing, torn and corrupt records,
+rotation, compaction and the recoveries that follow them.  The freely
+interleaved version of the same contract — every acknowledged update
+survives every crash — is the state machine of
+``tests/test_recovery_machine.py``; ``test_crash_recovery_property`` keeps
+two fixed-seed schedules of it against an uncrashed reference.
 """
 
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -20,8 +19,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
-from repro.faults import get_fault_registry
-from repro.faults.chaos import make_schedule, verify_recovery
+from repro.faults import InjectedFault, get_fault_registry
 from repro.indices import ZMIndex
 from repro.serve import (
     DEGRADED,
@@ -32,6 +30,7 @@ from repro.serve import (
     WALCorruption,
     WriteAheadLog,
 )
+from tests.brute import make_schedule, verify_recovery
 
 
 def _append_n(wal: WriteAheadLog, n: int, start: float = 0.0) -> None:
@@ -96,6 +95,30 @@ class TestTornAndCorrupt:
             WriteAheadLog.replay_file(path)
         salvaged = WriteAheadLog.replay_file(path, salvage=True)
         assert [r.seq for r in salvaged] == [1]
+
+    def test_reopened_log_cuts_its_torn_tail(self, tmp_path):
+        """A log opened on a crash's torn tail cuts it off before its
+        first append, so the record appended next replays strictly."""
+        with WriteAheadLog(tmp_path, fsync_policy="off") as wal:
+            _append_n(wal, 2)
+            path = wal.path
+        path.write_bytes(path.read_bytes()[:-3])  # crash mid-append
+        with WriteAheadLog(tmp_path, fsync_policy="off") as wal:
+            assert wal.depth == 1
+            assert wal.append("insert", np.array([0.9, 0.9])) == 2
+        assert [r.seq for r in WriteAheadLog.replay_file(path)] == [1, 2]
+
+    def test_failed_append_cuts_back_to_the_last_whole_record(self, tmp_path):
+        with WriteAheadLog(tmp_path, fsync_policy="off") as wal:
+            _append_n(wal, 2)
+            size = wal.path.stat().st_size
+            get_fault_registry().arm("wal.append", kind="torn_write")
+            with pytest.raises(InjectedFault):
+                wal.append("insert", np.array([0.7, 0.7]))
+            assert wal.path.stat().st_size == size
+            assert wal.depth == 2
+            wal.append("insert", np.array([0.8, 0.8]))
+        assert len(WriteAheadLog.replay_file(wal.path)) == 3
 
     def test_implausible_length_is_corruption(self, tmp_path):
         path = tmp_path / "wal-000000.log"
@@ -330,6 +353,53 @@ class TestCrashRecovery:
             assert restored.health == HEALTHY
             recovered = restored._gen.processor.current_points()
             assert verify_recovery(base, schedule, len(schedule), recovered) == len(schedule)
+        finally:
+            restored.close()
+
+    def _crash(self, server, directory: Path) -> Path:
+        """The directory as a crash leaves it: copied from disk before the
+        old server closes, so nothing it never flushed reaches the copy."""
+        copy = directory.with_name(directory.name + "-crash")
+        shutil.copytree(directory, copy)
+        server.close()
+        return copy
+
+    def test_torn_append_crash_recover_then_acknowledged_updates_survive(
+        self, small_index, tmp_path
+    ):
+        """Torn append, crash, recovery, three acknowledged updates, crash:
+        strict recovery finds all three and comes up healthy."""
+        server = self._open(str(tmp_path / "a"), index=small_index)
+        get_fault_registry().arm("wal.append", kind="torn_write")
+        with pytest.raises(InjectedFault):
+            server.insert(np.array([0.61, 0.62]))
+        directory = self._crash(server, tmp_path / "a")
+        server = self._open(str(directory))
+        acked = [np.array([0.1 * i, 0.33]) for i in (1, 2, 3)]
+        for point in acked:
+            server.insert(point)
+        directory = self._crash(server, directory)
+        restored = self._open(str(directory))
+        try:
+            assert restored.health == HEALTHY
+            assert restored._gen.processor.point_queries(np.array(acked)).all()
+            assert not restored._gen.processor.point_query(np.array([0.61, 0.62]))
+        finally:
+            restored.close()
+
+    def test_append_after_a_torn_append_on_the_same_server_survives(
+        self, small_index, tmp_path
+    ):
+        server = self._open(str(tmp_path / "a"), index=small_index)
+        get_fault_registry().arm("wal.append", kind="torn_write")
+        with pytest.raises(InjectedFault):
+            server.insert(np.array([0.61, 0.62]))
+        acked = np.array([0.44, 0.45])
+        server.insert(acked)
+        restored = self._open(str(self._crash(server, tmp_path / "a")))
+        try:
+            assert restored.health == HEALTHY
+            assert restored._gen.processor.point_query(acked)
         finally:
             restored.close()
 
