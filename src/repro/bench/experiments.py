@@ -48,10 +48,8 @@ from repro.queries.workload import knn_workload, point_workload, window_workload
 
 __all__ = ["Cell", "Context", "failed_rows", "grid", "load_rows", "run_cell", "run_grid"]
 
-#: The paper's four learned base indices by name ("ML", "LISA", "RSMI" are
-#: reported; ZM is used for the method studies, Section VII-A); the classes
-#: are :data:`repro.indices.LEARNED_INDICES`.
-PAPER_INDICES = ("ZM", "ML", "RSMI", "LISA")
+#: Of the paper's four base indices (``LEARNED_INDICES``) these are
+#: reported; ZM is used for the method studies (Section VII-A).
 REPORTED_INDICES = ("ML", "LISA", "RSMI")
 
 TRADITIONAL_INDICES = {"Grid": GridIndex, "KDB": KDBIndex, "HRR": HRRIndex, "RR*": RStarIndex}
@@ -151,7 +149,7 @@ def grid(scale: ExperimentScale) -> list[Cell]:
             for lam in LAMS:
                 add(dataset, name, "F", *measures, lam=lam)
     # Figure 7 and Tables I / II: methods and selectors on OSM1.
-    for name in PAPER_INDICES:
+    for name in LEARNED_INDICES:
         for method, label, overrides in FIG7_SWEEPS:
             add("OSM1", name, variant_name(method, label, overrides), "point",
                 overrides=overrides)

@@ -26,7 +26,6 @@ from repro.bench.experiments import (
     FIG7_SWEEPS,
     INSERT_RATIOS,
     LAMS,
-    PAPER_INDICES,
     REPORTED_INDICES,
     TABLE2_COLUMNS,
     TRADITIONAL_INDICES,
@@ -35,6 +34,7 @@ from repro.bench.experiments import (
 from repro.bench.harness import format_table
 from repro.core import ELSIConfig
 from repro.core.costs import CostModel
+from repro.indices import LEARNED_INDICES
 
 __all__ = ["Table", "by_seed", "claims", "render_report", "shape_failures", "tables"]
 
@@ -169,7 +169,7 @@ def _fig7(data) -> Table:
     variants = {(m, label): variant_name(m, label, o) for m, label, o in FIG7_SWEEPS}
     rows = [
         (index, method, label)
-        for index in PAPER_INDICES
+        for index in LEARNED_INDICES
         for method, label in variants
         if not (index == "LISA" and method in ("CL", "RL"))
     ]
@@ -328,7 +328,7 @@ def shape_failures(data: dict[int, dict[tuple, dict]]) -> list[str]:
     def sweep(index, method, col="build (s)"):
         return [fig7.med(row, col) for row in fig7.cells if row[:2] == (index, method)]
 
-    for i in PAPER_INDICES:
+    for i in LEARNED_INDICES:
         if i != "LISA":  # which has no CL sweep
             check(min(sweep(i, "SP")) < sweep(i, "OG")[0], f"fig7: {i} SP not faster than OG")
             check(min(sweep(i, "MR")) < sweep(i, "OG")[0], f"fig7: {i} MR not faster than OG")

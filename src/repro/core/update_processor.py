@@ -122,9 +122,9 @@ class UpdateProcessor:
         instead of the side list (the paper's Figure 15 setting: "LISA and
         RSMI use built-in insertion procedures, and ML uses extra data
         pages").  Built-in inserts degrade query performance structurally,
-        which is what the rebuild predictor exists to repair.  An index
-        with no built-in insertion (Flood) keeps its inserts on the side
-        list, as if ``native`` were off.
+        which is what the rebuild predictor exists to repair.  A point the
+        index refuses (:class:`~repro.indices.base.InsertRefused`) goes on
+        the side list instead.
     """
 
     def __init__(
@@ -140,9 +140,7 @@ class UpdateProcessor:
         self.index = index
         self.config = config or ELSIConfig()
         self.predictor = predictor
-        self.native = native and (
-            type(index).insert is not LearnedSpatialIndex.insert
-        )
+        self.native = native
         self._index_factory = index_factory
         # D itself is the index's rows: in side-list mode the processor
         # never changes the index, so only its size at build is kept.

@@ -15,23 +15,20 @@ A key-sorted store with the model over it is one
 :class:`repro.indices.run.KeyedRun`, in every index.  An index plans a
 query — which rows of which run to scan (``point_plan`` / ``window_plan``)
 — and :class:`repro.indices.base.LearnedSpatialIndex` scans them, once for
-all five.  ZM, ML-Index and LISA keep their points in one run and differ
+all four.  ZM, ML-Index and LISA keep their points in one run and differ
 only in the mapping: they supply ``map()``, the mapping's fit/state and
 ``window_plan``, and share the rest
 (:class:`repro.indices.mapsort.MapAndSortIndex`).  RSMI has a run per
-leaf, Flood one per column.
+leaf.
 
 - :mod:`repro.indices.zm` — ZM: Z-curve keys + learned CDF model,
 - :mod:`repro.indices.ml_index` — ML-Index: iDistance keys (exact queries),
 - :mod:`repro.indices.rsmi` — RSMI: recursive SFC partitions, model per node,
 - :mod:`repro.indices.lisa` — LISA: grid-mapped keys + shard prediction.
 
-Extensions beyond the paper's four base indices (its stated future work):
-
-- :mod:`repro.indices.flood` — Flood: a query-aware column index whose
-  per-column models ELSI accelerates,
-- :mod:`repro.indices.pgm` — a PGM-style builder giving *provable* error
-  bounds via piecewise-linear CDFs.
+An extension beyond the paper's four base indices:
+:mod:`repro.indices.pgm`, a PGM-style builder giving *provable* error
+bounds via piecewise-linear CDFs.
 """
 
 from repro.indices.base import (
@@ -41,7 +38,6 @@ from repro.indices.base import (
     OriginalBuilder,
     TrainedModel,
 )
-from repro.indices.flood import FloodIndex
 from repro.indices.lisa import LISAIndex
 from repro.indices.ml_index import MLIndex
 from repro.indices.pgm import PGMBuilder
@@ -52,12 +48,11 @@ from repro.indices.zm import ZMIndex
 #: The one name -> class table of the learned indices: the CLI,
 #: persistence, the shard workers and the experiment drivers all read it.
 LEARNED_INDICES: dict[str, type[LearnedSpatialIndex]] = {
-    cls.name: cls for cls in (ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex)
+    cls.name: cls for cls in (ZMIndex, MLIndex, RSMIIndex, LISAIndex)
 }
 
 __all__ = [
     "BuildStats",
-    "FloodIndex",
     "LEARNED_INDICES",
     "LISAIndex",
     "LearnedSpatialIndex",

@@ -121,8 +121,8 @@ class QueryStats:
        paper's per-query cost figures do not depend on batching.
     2. ``model_invocations`` counts predictions actually evaluated, one
        per key handed to a model; scan boundaries located by
-       ``searchsorted`` alone (ZM and Flood windows, ML-Index window and
-       kNN annuli) charge none.
+       ``searchsorted`` alone (ZM windows, ML-Index window and kNN
+       annuli) charge none.
 
     ``queries`` counts index-level queries: an expanding-window kNN
     charges one per window it issues.
@@ -435,7 +435,7 @@ def rank_by_owner(owner: np.ndarray, dist: np.ndarray, owners: int) -> np.ndarra
 
 
 class LearnedSpatialIndex(ABC):
-    """Query-facing API shared by ZM, ML-Index, RSMI, LISA and Flood.
+    """Query-facing API shared by ZM, ML-Index, RSMI and LISA.
 
     Subclasses implement :meth:`build` (map + sort + train through the
     builder) and *plan* the two batch query kinds: :meth:`point_plan` and
@@ -501,8 +501,8 @@ class LearnedSpatialIndex(ABC):
     @abstractmethod
     def runs(self) -> Iterator:
         """The index's :class:`~repro.indices.run.KeyedRun` objects, in
-        storage order: the one run of ZM / ML-Index / LISA, Flood's
-        populated columns, RSMI's leaves."""
+        storage order: the one run of ZM / ML-Index / LISA, RSMI's
+        leaves."""
 
     def indexed_points(self) -> np.ndarray:
         """Every indexed point, exactly, in storage order (used by the
@@ -522,6 +522,7 @@ class LearnedSpatialIndex(ABC):
         """The ``k`` nearest indexed points to ``point`` (may be approximate)."""
         return self.knn_queries(np.asarray(point)[None, :], k)[0]
 
+    @abstractmethod
     def insert(self, point: np.ndarray) -> None:
         """Built-in insertion procedure (Section IV-B2 / Figure 15).
 
@@ -533,7 +534,6 @@ class LearnedSpatialIndex(ABC):
         mapping cannot place raises :class:`InsertRefused` and leaves the
         index as it was.
         """
-        raise NotImplementedError(f"{self.name} has no built-in insertion")
 
     @abstractmethod
     def map(self, points: np.ndarray) -> np.ndarray:
@@ -678,9 +678,9 @@ class LearnedSpatialIndex(ABC):
         gives, charged alike, without a :class:`Rect` per window.  A one-run
         plan is refined in one :func:`~repro.perf.batching.flat_window_refine`
         call, and a lone window's lone range is one slice of the store.  A
-        plan over many runs (RSMI's leaves, Flood's columns) takes
-        :meth:`window_queries`' per-run path and is concatenated: one flat
-        call per run measured 0.77–0.99× of it (docs/performance.md)."""
+        plan over many runs (RSMI's leaves) takes :meth:`window_queries`'
+        per-run path and is concatenated: one flat call per run measured
+        0.77–0.99× of it (docs/performance.md)."""
         self._check_built()
         win_lo = self._batch(win_lo, "window corners")
         win_hi = self._batch(win_hi, "window corners")

@@ -3,9 +3,9 @@
 Map-and-sort leaves a key-sorted :class:`~repro.storage.blocks.BlockStore`;
 predict-and-scan puts a model over it and scans the predicted range.  Every
 index is made of such pairs — one under ZM, ML-Index and LISA
-(:class:`~repro.indices.mapsort.MapAndSortIndex`), one per populated column
-of Flood, one per leaf of RSMI — so the pair, the insert count that widens
-its scans, its point lookup and its durable state are written here, once.
+(:class:`~repro.indices.mapsort.MapAndSortIndex`), one per leaf of RSMI —
+so the pair, the insert count that widens its scans, its point lookup and
+its durable state are written here, once.
 An index's query plan names runs and rank ranges in them;
 :class:`~repro.indices.base.LearnedSpatialIndex` scans them.
 """

@@ -334,12 +334,14 @@ class IndexServer:
         than silently recovering without them (a torn *tail* is always
         dropped — it was never acknowledged).  ``salvage=True`` opts into
         best-effort recovery instead: the readable prefix of a corrupt
-        log is kept, the loss is counted on ``wal.corrupt_records``, and
-        the recovered server comes up ``degraded``.  The server also
-        comes up ``degraded`` when it had to fall back past the WAL's
-        retention horizon (the fallback generation's log was already
-        compacted away, so its deltas are unrecoverable — counted on
-        ``wal.coverage_gaps``).
+        log is kept, the loss is counted on ``wal.corrupt_records``, the
+        log is cut back to that prefix before the first new append (so a
+        later recovery, strict or not, replays every update acknowledged
+        after this one), and the recovered server comes up ``degraded``.
+        The server also comes up ``degraded`` when it had to fall back
+        past the WAL's retention horizon (the fallback generation's log
+        was already compacted away, so its deltas are unrecoverable —
+        counted on ``wal.coverage_gaps``).
         """
         if not isinstance(snapshots, SnapshotManager):
             snapshots = SnapshotManager(snapshots)
@@ -353,6 +355,10 @@ class IndexServer:
             wal_dir, from_generation=gen_id, salvage=salvage
         )
         salvage_dropped = corrupt_counter.value - corrupt_before
+        if salvage_dropped:
+            # What salvage dropped is gone: cut it off, so that no update
+            # acknowledged from here on is appended behind it.
+            WriteAheadLog.cut_corruption(wal_dir, gen_id)
         # Reopen at the highest generation any surviving log reached, so
         # new appends land *after* every replayed record in replay order.
         wal_gens = WriteAheadLog.generations_in(wal_dir)

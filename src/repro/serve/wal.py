@@ -30,7 +30,8 @@ raises, and a log opened on a torn tail (a crash mid-append) cuts that
 tail off before its first append.  A bad record with *more* valid data
 behind it therefore means real corruption, which replay reports via
 :class:`~repro.serve.errors.WALCorruption` unless told to salvage the
-readable prefix.
+readable prefix; a salvage recovery then cuts the log back to that prefix
+(:meth:`WriteAheadLog.cut_corruption`) before anything is appended to it.
 
 Fault injection: :func:`repro.faults.fault_check` guards the append path
 (site ``wal.append``) — a ``torn_write`` fault writes half a record and
@@ -86,19 +87,20 @@ def _encode(seq: int, op: str, point: np.ndarray) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, bool]":
-    """``(records, end, torn)`` of one log file: its whole records, the
-    byte offset where the last of them ends, and whether the bytes after
-    it are a torn tail (a record cut short by the end of the file)."""
+def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, str | None]":
+    """``(records, end, tail)`` of one log file: its whole records, the
+    byte offset where the last of them ends, and what the bytes after it
+    are: ``"torn"`` (a record cut short by the end of the file),
+    ``"corrupt"`` (a salvaged bad record and all behind it) or ``None``."""
     records: list[WALRecord] = []
     if not path.exists():
-        return records, 0, False
+        return records, 0, None
     data = path.read_bytes()
     offset = 0
     while offset < len(data):
         header = data[offset : offset + _HEADER.size]
         if len(header) < _HEADER.size:
-            return records, offset, True  # torn header: the crash signature
+            return records, offset, "torn"  # torn header: the crash signature
         length, crc = _HEADER.unpack(header)
         corrupt = None
         if length > _MAX_PAYLOAD:
@@ -106,7 +108,7 @@ def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, bool]":
         else:
             payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
             if len(payload) < length:
-                return records, offset, True  # torn payload: never acknowledged
+                return records, offset, "torn"  # torn payload: never acknowledged
             if zlib.crc32(payload) != crc:
                 corrupt = "crc mismatch"
         if corrupt is None:
@@ -119,8 +121,7 @@ def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, bool]":
             # corruption, not a crash artefact.
             if not salvage:
                 raise WALCorruption(f"{corrupt} at byte {offset} of {path}")
-            get_registry().counter("wal.corrupt_records").inc()
-            break
+            return records, offset, "corrupt"
         records.append(
             WALRecord(
                 seq=int(entry["seq"]),
@@ -129,7 +130,7 @@ def _scan(path: Path, salvage: bool) -> "tuple[list[WALRecord], int, bool]":
             )
         )
         offset += _HEADER.size + length
-    return records, offset, False
+    return records, offset, None
 
 
 class WriteAheadLog:
@@ -178,8 +179,8 @@ class WriteAheadLog:
         a record appended behind it would read as corruption)."""
         self.generation = int(generation)
         path = self.path_for(self.generation)
-        records, end, torn = _scan(path, salvage=True)
-        if torn:
+        records, end, tail = _scan(path, salvage=True)
+        if tail == "torn":
             os.truncate(path, end)
         self._file = open(path, "ab")
         #: Where the last whole record ends: an append that fails cuts
@@ -326,7 +327,22 @@ class WriteAheadLog:
         with ``salvage=True`` — keeps the valid prefix and counts the
         loss on the ``wal.corrupt_records`` metric.
         """
-        return _scan(Path(path), salvage)[0]
+        records, _, tail = _scan(Path(path), salvage)
+        if tail == "corrupt":
+            get_registry().counter("wal.corrupt_records").inc()
+        return records
+
+    @classmethod
+    def cut_corruption(cls, directory: str | Path, from_generation: int) -> None:
+        """Cut each log from ``from_generation`` on back to the prefix a
+        salvage replay keeps, so no record appended later sits behind its
+        corruption (strict replay would refuse it, salvage would drop it)."""
+        for gen in cls.generations_in(directory):
+            if gen >= from_generation:
+                path = Path(directory) / f"wal-{gen:06d}.log"
+                _, end, tail = _scan(path, salvage=True)
+                if tail == "corrupt":
+                    os.truncate(path, end)
 
     @classmethod
     def replay_dir(

@@ -75,7 +75,7 @@ class WorkerSpec:
         Per-shard directory: ``build_points.npy``, snapshots
         (``gen-NNNNNN.npz``) and WAL files all live here.
     index / method:
-        Index kind (``ZM``/``ML``/``LISA``/``Flood``) and ELSI build
+        Index kind (``ZM``/``ML``/``RSMI``/``LISA``) and ELSI build
         method, resolved in the worker.
     elsi / serve:
         Keyword arguments for ``ELSIConfig`` and ``ServeConfig``.

@@ -32,9 +32,9 @@ _ARRAY = "__ndarray__"
 
 class OldFormatError(Exception):
     """The file is an intact snapshot in a format no longer read: a retired
-    format tag, or key columns / nets stored as float32 by a build from
-    before every index stored float64 (its probes would map to float64
-    keys and miss).
+    format tag, an index kind no longer carried, or key columns / nets
+    stored as float32 by a build from before every index stored float64
+    (its probes would map to float64 keys and miss).
 
     Deliberately not a ``ValueError``: the file is not damaged, so the
     snapshot manager must not quarantine it as corrupt.
@@ -136,8 +136,8 @@ def load_index(path: str | Path):
     The file is outside input: a tag other than :data:`FORMAT`, an index
     name or constructor parameter no class declares, or a reference to an
     array the archive lacks raises ``ValueError`` naming it — except a
-    pre-protocol ``repro-*-v1`` tag or a float32 state, which raise
-    :class:`OldFormatError`.
+    pre-protocol ``repro-*-v1`` tag, an index kind this version no longer
+    carries or a float32 state, which raise :class:`OldFormatError`.
     """
     path = Path(path)
     document = _read_tree(path)
@@ -150,6 +150,11 @@ def load_index(path: str | Path):
     if fmt != FORMAT:
         raise ValueError(f"unknown index format {fmt!r} in {path}")
     name = document.get("index")
+    if name == "Flood":
+        raise OldFormatError(
+            f"{path} holds a Flood index, which this version no longer carries; "
+            f"rebuild it as one of {', '.join(sorted(LEARNED_INDICES))}"
+        )
     cls = LEARNED_INDICES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(

@@ -3,7 +3,7 @@
 An index's per-query methods are batches of one (``indices/base.py``), so
 comparing the two spellings with each other checks nothing.  These helpers
 compare an answer with a linear scan of the data instead: exact indices
-(ZM, ML-Index, Flood) must return the true rows as a multiset / the true
+(ZM, ML-Index) must return the true rows as a multiset / the true
 sorted distance vector; the approximate ones (RSMI, LISA windows, and the
 kNN built on them) must return only true rows and reach a recall floor.
 

@@ -141,19 +141,6 @@ class TestBatchKNN:
             name, osm_points, queries, 7, [index.knn_query(q, 7) for q in queries]
         )
 
-    def test_batch_knn_flood(self, osm_points):
-        from repro.indices import FloodIndex
-
-        config = ELSIConfig(train_epochs=80)
-        index = FloodIndex(builder=ELSIModelBuilder(config, method="SP")).build(
-            osm_points
-        )
-        queries = osm_points[::200]
-        assert_knn("Flood", osm_points, queries, 5, index.knn_queries(queries, 5))
-        assert_knn(
-            "Flood", osm_points, queries, 5, [index.knn_query(q, 5) for q in queries]
-        )
-
     def test_batch_knn_k_exceeds_n(self, indices, osm_points):
         index = indices["ZM"]
         n = index.n_points
@@ -169,16 +156,12 @@ class TestBatchKNN:
         # Outside the data bounds, near and farther than twice the data
         # extent.  ZM, ML-Index and LISA seed the first window from indexed
         # points (their key-order neighbours), so it reaches the data from
-        # anywhere; Flood and RSMI size it from the global density and
-        # double it until it covers the data bounds from where the query is.
-        from repro.indices import FloodIndex
-
+        # anywhere; RSMI sizes it from the global density and doubles it
+        # until it covers the data bounds from where the query is.
         near = np.array([[1.3, 1.2], [-0.4, 0.5]])
         far = np.array([[5.0, 5.0], [-3.0, 0.5], [1e6, -1e6]])
-        builder = ELSIModelBuilder(ELSIConfig(train_epochs=80), method="SP")
-        exact = {name: indices[name] for name in ("ZM", "ML", "LISA")}
-        exact["Flood"] = FloodIndex(builder=builder).build(osm_points)
-        for name, index in exact.items():
+        for name in ("ZM", "ML", "LISA"):
+            index = indices[name]
             for queries in (near, far):
                 assert_knn(name, osm_points, queries, 4, index.knn_queries(queries, 4))
                 assert_knn(

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import LearnedSpatialIndex
 from repro.storage.persist import load_index, save_index
 
@@ -22,7 +22,6 @@ INDEX_CASES = [
     pytest.param(MLIndex, {"branching": 4}, id="ML"),
     pytest.param(RSMIIndex, {"leaf_capacity": 300}, id="RSMI"),
     pytest.param(LISAIndex, {}, id="LISA"),
-    pytest.param(FloodIndex, {"n_columns": 6}, id="Flood"),
 ]
 
 
@@ -50,13 +49,12 @@ def test_bounds_hold_after_every_transition(osm_points, tmp_path, cls, kwargs, d
     index = cls(builder=ELSIModelBuilder(config, method="SP"), **kwargs).build(osm_points)
     assert assert_bounds_hold(index) == len(osm_points)
 
-    if cls.insert is not LearnedSpatialIndex.insert:  # Flood has no built-in insertion
-        rng = np.random.default_rng(3)
-        near = osm_points[rng.integers(0, len(osm_points), 50)]
-        for p in np.clip(near + rng.normal(0.0, 1e-3, near.shape), 0.0, 1.0):
-            index.insert(p)
-        assert sum(run.inserts for run in index.runs()) > 0
-        assert assert_bounds_hold(index) == len(osm_points) + 50
+    rng = np.random.default_rng(3)
+    near = osm_points[rng.integers(0, len(osm_points), 50)]
+    for p in np.clip(near + rng.normal(0.0, 1e-3, near.shape), 0.0, 1.0):
+        index.insert(p)
+    assert sum(run.inserts for run in index.runs()) > 0
+    assert assert_bounds_hold(index) == len(osm_points) + 50
 
     save_index(index, tmp_path / "index.npz")
     loaded = load_index(tmp_path / "index.npz")

@@ -86,11 +86,3 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "point" in out and "window" in out and "kNN" in out
         assert "40/40 found" in out
-
-    def test_query_flood(self, capsys):
-        code = main(
-            ["query", "--index", "Flood", "--dataset", "OSM1",
-             "--method", "SP", "--n", "800", "--epochs", "50", "--queries", "30"]
-        )
-        assert code == 0
-        assert "30/30 found" in capsys.readouterr().out

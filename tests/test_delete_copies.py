@@ -15,7 +15,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.serve.server import IndexServer, ServeConfig
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, canon, point_truth, processor_windows
@@ -27,14 +27,12 @@ INDICES = {
     "ML": (MLIndex, {"branching": 4}),
     "RSMI": (RSMIIndex, {"leaf_capacity": 300}),
     "LISA": (LISAIndex, {}),
-    "Flood": (FloodIndex, {"n_columns": 6}),
 }
-#: Every index with the side list; built-in insertion where there is one.
+#: Every index with the side list and with its built-in insertion.
 PROCESSORS = [
     pytest.param(name, native, id=f"{name}-{'native' if native else 'side_list'}")
     for name in INDICES
     for native in (False, True)
-    if not (native and name == "Flood")
 ]
 
 

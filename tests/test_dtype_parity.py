@@ -1,4 +1,4 @@
-"""The float64 edge cases, checked against brute force for all five
+"""The float64 edge cases, checked against brute force for all four
 indices, in batch and one-at-a-time form.
 
 Keys and nets are float64 end to end, so these are the cases where a key
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
@@ -25,12 +25,11 @@ INDEX_CLASSES = {
     "ML": MLIndex,
     "RSMI": RSMIIndex,
     "LISA": LISAIndex,
-    "Flood": FloodIndex,
 }
 #: Indices whose window (and hence kNN) results are exact, plus LISA, which
 #: misses nothing on this fixture (recall floor 1.0 in ``tests/brute.py``);
 #: RSMI's are approximate by design (non-monotone per-node models).
-EXACT = ("ZM", "ML", "LISA", "Flood")
+EXACT = ("ZM", "ML", "LISA")
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ def built(parity_points):
 
 
 # ----------------------------------------------------------------------
-# Point queries: all five index types
+# Point queries: all four index types
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(INDEX_CLASSES))
 def test_point_query_parity(built, parity_points, name):

@@ -12,7 +12,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.spatial.rect import Rect
 
 
@@ -60,10 +60,10 @@ class TestDegenerateData:
 
 @pytest.fixture(scope="module")
 def built_2d():
-    """All five indices over one 3 000-point OSM1 sample (2-D)."""
+    """All four indices over one 3 000-point OSM1 sample (2-D)."""
     pts = load_dataset("OSM1", 3_000, seed=0)
     builder = ELSIModelBuilder(ELSIConfig(train_epochs=40), method="SP")
-    indices = (ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex)
+    indices = (ZMIndex, MLIndex, RSMIIndex, LISAIndex)
     return pts, {cls.name: cls(builder=builder).build(pts) for cls in indices}
 
 
@@ -78,11 +78,11 @@ def _reshaped(points: np.ndarray, d: int) -> np.ndarray:
 class TestWrongDimensionalInputs:
     """A probe, window corner or kNN query of the wrong dimensionality is a
     ``ValueError`` naming both shapes, at the three entry points every query
-    passes — never a silent answer (Flood's points of three coordinates were
-    all found, ML-Index answered kNN for a 1-D query, LISA answered a 1-D
-    point) or an ``IndexError`` from deep inside a kernel."""
+    passes — never a silent answer (ML-Index answered kNN for a 1-D query,
+    LISA answered a 1-D point) or an ``IndexError`` from deep inside a
+    kernel."""
 
-    NAMES = ["ZM", "ML", "RSMI", "LISA", "Flood"]
+    NAMES = ["ZM", "ML", "RSMI", "LISA"]
     SHAPE = r"must have shape \(b, 2\), got \({}, {}\)"
 
     @pytest.mark.parametrize("d", [1, 3])

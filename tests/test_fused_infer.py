@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import MLIndex, RSMIIndex, ZMIndex
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, point_truth
 
@@ -58,31 +58,6 @@ class TestEngineParity:
         assert_windows(cls.name, osm_points, windows, index.window_queries(windows))
         assert_windows(
             cls.name, osm_points, windows, [index.window_query(w) for w in windows]
-        )
-
-    def test_flood_fuses_columns(self, osm_points):
-        """Each column's own model predicts its probes: batch and one at a
-        time equal brute force."""
-        index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
-        assert len(list(index.runs())) == 6
-        rng = np.random.default_rng(2)
-        probes = _probe_points(osm_points, rng)
-        truth = point_truth(osm_points, probes)
-        np.testing.assert_array_equal(index.point_queries(probes), truth)
-        np.testing.assert_array_equal([index.point_query(p) for p in probes], truth)
-        windows = [Rect.centered(rng.random(2), 0.15) for _ in range(8)]
-        assert_windows("Flood", osm_points, windows, index.window_queries(windows))
-        assert_windows(
-            "Flood", osm_points, windows, [index.window_query(w) for w in windows]
-        )
-
-    def test_flood_batch_knn_matches_scalar(self, osm_points):
-        index = FloodIndex(builder=_builder(), n_columns=6).build(osm_points)
-        rng = np.random.default_rng(3)
-        queries = rng.random((10, 2))
-        assert_knn("Flood", osm_points, queries, 5, index.knn_queries(queries, 5))
-        assert_knn(
-            "Flood", osm_points, queries, 5, [index.knn_query(q, 5) for q in queries]
         )
 
     def test_rsmi_batch_windows_match_scalar(self, osm_points):

@@ -155,7 +155,7 @@ def test_one_query_path_per_index():
         for _, cls in inspect.getmembers(repro.indices, inspect.isclass)
         if issubclass(cls, LearnedSpatialIndex) and cls is not LearnedSpatialIndex
     ]
-    assert len(subclasses) == 5  # ZM, ML, RSMI, LISA, Flood
+    assert len(subclasses) == 4  # ZM, ML, RSMI, LISA
     for cls in subclasses:
         for name in (
             "point_query", "window_query", "knn_query",
@@ -204,21 +204,18 @@ def test_one_keyed_run(built_indices):
     from pathlib import Path
 
     import repro
-    from repro.indices import FloodIndex
-    from repro.indices.base import LearnedSpatialIndex, OriginalBuilder
+    from repro.indices.base import LearnedSpatialIndex
     from repro.indices.mapsort import MapAndSortIndex
     from repro.indices.run import KeyedRun
-    from repro.ml.trainer import TrainConfig
 
-    built, pts = built_indices
+    built, _ = built_indices
     for cls in (ZMIndex, MLIndex, LISAIndex):
         assert issubclass(cls, MapAndSortIndex)
         for member in MAP_AND_SORT_CORE:
             assert member not in vars(cls), f"{cls.__name__} defines {member}"
             assert _definitions(cls, member)[0] is MapAndSortIndex
         assert list(built[cls.name].state_dict()) == STATE_KEYS[cls.name]
-    flood = FloodIndex(builder=OriginalBuilder(TrainConfig(epochs=20))).build(pts)
-    for index in (*built.values(), flood):
+    for index in built.values():
         assert _definitions(type(index), "indexed_points") == [LearnedSpatialIndex]
         runs = list(index.runs())
         assert runs and all(type(run) is KeyedRun for run in runs)
@@ -258,7 +255,7 @@ def test_one_keyed_run(built_indices):
                     for call in ast.walk(node)
                 ), path.name
     assert drivers == ["base.py", "ml_index.py"]
-    for name in ("flood.py", "rsmi.py", "mapsort.py"):
+    for name in ("rsmi.py", "mapsort.py"):
         assert "net.astype(" not in (src / "indices" / name).read_text(), name
 
     def sites(text):
@@ -270,7 +267,7 @@ def test_one_keyed_run(built_indices):
         ]
 
     assert sites("FusedInferenceEngine") == sites("perf.fused_predict") == []
-    for name in ("run.py", "rmi.py", "flood.py"):
+    for name in ("run.py", "rmi.py"):
         assert "einsum(" not in (src / "indices" / name).read_text(), name
     assert sites("ModelSet(") == ["indices/rmi.py"]
     assert sites("_point_lookup") == []

@@ -32,13 +32,13 @@ from hypothesis import strategies as st
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex, ml_index
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex, ml_index
 from repro.indices.base import InsertRefused, LearnedSpatialIndex, QueryStats, rank_by_owner
 from repro.perf.batching import merge_ranges
 from repro.spatial.rect import Rect
 from repro.storage.blocks import BlockStore
 
-CLASSES = (ZMIndex, LISAIndex, RSMIIndex, FloodIndex)
+CLASSES = (ZMIndex, LISAIndex, RSMIIndex)
 
 
 def _rect_rounds(index, pts, k):
@@ -486,7 +486,7 @@ def _parent_of(index):
     return rounds
 
 
-ALL = (ZMIndex, MLIndex, LISAIndex, RSMIIndex, FloodIndex)
+ALL = (ZMIndex, MLIndex, LISAIndex, RSMIIndex)
 
 
 @pytest.mark.parametrize("cls", ALL, ids=lambda c: c.name)

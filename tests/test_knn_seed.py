@@ -1,11 +1,11 @@
 """The kNN first-window seed (``indices/base.py``).
 
 ZM and LISA size a query's first window from its key-order neighbours in
-the store, RSMI from its neighbours in the leaf its point plan names;
-Flood keeps the global-density guess.  The seed may only change what a kNN
-call costs, never what it answers: the properties here are that it bounds
-the true k-th distance from above (so one round of windows is enough), and
-that answers keep their bytes — rows, order and tie-breaks.
+the store, RSMI from its neighbours in the leaf its point plan names.  The
+seed may only change what a kNN call costs, never what it answers: the
+properties here are that it bounds the true k-th distance from above (so
+one round of windows is enough), and that answers keep their bytes — rows,
+order and tie-breaks.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
-from repro.indices import FloodIndex, LISAIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, RSMIIndex, ZMIndex
 from repro.indices.base import LearnedSpatialIndex, OriginalBuilder, QueryStats
 from repro.ml.trainer import TrainConfig
 from repro.obs.trace import get_tracer
@@ -162,8 +162,7 @@ def test_update_processor_knn_is_brute_force_order(tied_points, knn_probes, cls)
 
 
 # ----------------------------------------------------------------------
-# (d) Flood (density-seeded) and RSMI (leaf-seeded) answer as the
-#     density-seeded driver did
+# (d) RSMI (leaf-seeded) answers as the density-seeded driver did
 # ----------------------------------------------------------------------
 def _density_seeded_knn(index, pts, k):
     """The expanding-window driver as it stood before the seed: first side
@@ -194,7 +193,7 @@ def _density_seeded_knn(index, pts, k):
     return out
 
 
-@pytest.mark.parametrize("cls", [RSMIIndex, FloodIndex])
+@pytest.mark.parametrize("cls", [RSMIIndex])
 def test_density_seeded_indices_answer_unchanged(tied_points, knn_probes, cls):
     index = _build(cls, tied_points)
     far = np.array([[5.0, 5.0], [-3.0, 0.5]])

@@ -13,7 +13,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.update_processor import UpdateProcessor
 from repro.data import load_dataset
 from repro.data.generators import skewed, uniform
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window, window_recall
 from repro.spatial.rect import Rect
 from tests.brute import assert_windows, point_truth
@@ -181,23 +181,20 @@ class TestNativeModeProcessor:
 
     @pytest.mark.parametrize(
         "cls,kwargs",
-        [p.values for p in INDEX_CASES] + [(FloodIndex, {})],
-        ids=[p.id for p in INDEX_CASES] + ["Flood"],
+        [p.values for p in INDEX_CASES],
+        ids=[p.id for p in INDEX_CASES],
     )
     def test_native_mode_answers_on_every_index(
         self, cls, kwargs, base_points, insert_points
     ):
-        """``native=True`` on each of the five indices: 60 inserts, then
-        point and window answers against a linear scan of D'.  Flood has no
-        built-in insertion, so its inserts stay on the side list."""
+        """``native=True`` on each of the four indices: 60 inserts, then
+        point and window answers against a linear scan of D'."""
         index = _build(cls, kwargs, base_points)
         processor = UpdateProcessor(index, ELSIConfig(train_epochs=80), native=True)
         inserted = insert_points[:60]
         for p in inserted:
             processor.insert(p)
-        assert processor.native is (cls is not FloodIndex)
-        if cls is FloodIndex:
-            assert processor.n_pending == len(inserted)
+        assert processor.native
         everything = np.vstack([base_points, inserted])
         assert processor.n_effective == len(everything)
         misses = np.random.default_rng(3).random((40, 2)) + 1.5
@@ -214,6 +211,8 @@ class TestNativeModeProcessor:
         assert_windows(cls.name, everything, windows, np.split(rows, cuts))
 
     def test_unsupported_insert_raises(self):
+        """Built-in insertion is abstract: an index without it cannot be
+        made, so ``native=True`` means native on every index there is."""
         from repro.indices.base import LearnedSpatialIndex
 
         class Stub(LearnedSpatialIndex):
@@ -243,8 +242,8 @@ class TestNativeModeProcessor:
             def _restore_structure(self, state):
                 raise NotImplementedError
 
-        with pytest.raises(NotImplementedError):
-            Stub().insert(np.zeros(2))
+        with pytest.raises(TypeError, match="insert"):
+            Stub()
 
 
 class TestBlockStoreInsert:

@@ -403,10 +403,9 @@ def test_one_metrics_schema():
     from repro.indices import LEARNED_INDICES
     from repro.storage import persist
 
-    assert sorted(LEARNED_INDICES) == ["Flood", "LISA", "ML", "RSMI", "ZM"]
+    assert sorted(LEARNED_INDICES) == ["LISA", "ML", "RSMI", "ZM"]
     assert persist.LEARNED_INDICES is LEARNED_INDICES
     assert experiments.LEARNED_INDICES is LEARNED_INDICES
-    assert set(experiments.PAPER_INDICES) == set(LEARNED_INDICES) - {"Flood"}
     assert sites(package, '"ZM":', "ZMIndex, MLIndex") == ["src/repro/indices/__init__.py"]
 
 

@@ -2,7 +2,7 @@
 
 Windows with infinite corners, corners at ±1e15 and half-unbounded slabs,
 kNN queries whose squared distances overflow, and NaN / infinite point
-probes, for all five indices.  A grid-mapped index (ZM, LISA, RSMI, Flood)
+probes, for all four indices.  A grid-mapped index (ZM, LISA, RSMI)
 must answer them without a ``RuntimeWarning``: a coordinate the cell grid
 cannot hold is clamped before any integer cast, not wrapped through one.
 """
@@ -18,7 +18,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.data import load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows
 
@@ -42,19 +42,18 @@ def data() -> np.ndarray:
     return load_dataset("OSM1", 3_000, seed=0)
 
 
-@pytest.fixture(scope="module", params=[ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex])
+@pytest.fixture(scope="module", params=[ZMIndex, MLIndex, RSMIIndex, LISAIndex])
 def index(request, data):
     builder = ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP")
     return request.param(builder=builder).build(data)
 
 
 @contextmanager
-def _strict(index, cast_only=False):
-    """Warnings as errors for a grid-mapped index; for ML-Index, and for
-    point probes whose raw coordinate is a key (ML-Index, Flood), only an
-    invalid integer cast is one: their networks see the infinite keys."""
+def _strict(index):
+    """Warnings as errors for a grid-mapped index; for ML-Index only an
+    invalid integer cast is one: its networks see the infinite keys."""
     with warnings.catch_warnings():
-        if index.name == "ML" or cast_only:
+        if index.name == "ML":
             warnings.simplefilter("ignore")
             warnings.filterwarnings("error", "invalid value encountered in cast")
         else:
@@ -85,7 +84,7 @@ def test_far_knn_equals_brute_force(index, data):
 
 def test_non_finite_point_probes_miss(index, data):
     probes = np.array([[np.nan, 0.5], [INF, 0.5], [-INF, 0.5], [1e300, 0.5], [0.5, -INF]])
-    with _strict(index, cast_only=index.name == "Flood"):
+    with _strict(index):
         found = index.point_queries(np.vstack([probes, data[:3]]))
         alone = [index.point_query(p) for p in probes]
     assert found.tolist() == [False] * len(probes) + [True] * 3

@@ -13,7 +13,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.elsi import ELSI
 from repro.core.selector import collect_selector_data
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import ModelBuilder, OriginalBuilder, TrainedModel, fit_model
 from repro.storage.persist import save_index
 from tests.spans import spans_named
@@ -35,7 +35,7 @@ def _sites(text):
 
 def _snapshot_bytes(tmp_path, name):
     """Every learned index built once over the same points, saved: the
-    bytes of the five snapshots."""
+    bytes of the four snapshots."""
     from repro.data import load_dataset
 
     points = load_dataset("OSM1", 1_500)
@@ -46,7 +46,6 @@ def _snapshot_bytes(tmp_path, name):
         (MLIndex, {"branching": 4}),
         (RSMIIndex, {"leaf_capacity": 300}),
         (LISAIndex, {}),
-        (FloodIndex, {"n_columns": 6}),
     ):
         index = cls(builder=ELSIModelBuilder(config, method="SP"), **params)
         path = tmp_path / f"{name}-{cls.name}.npz"

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import QueryStats, argsort_ids, group_by, rank_by_owner
 from repro.perf import batching
 from repro.perf.batching import (
@@ -30,9 +30,8 @@ from repro.storage.blocks import BlockStore
 from tests.brute import point_truth
 
 INDEX_CLASSES = {
-    cls.name: cls for cls in (ZMIndex, MLIndex, LISAIndex, FloodIndex, RSMIIndex)
+    cls.name: cls for cls in (ZMIndex, MLIndex, LISAIndex, RSMIIndex)
 }
-SUPPORTS_INSERT = {"ZM", "ML", "LISA", "RSMI"}
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def test_batch_equals_scalar_loop(built, osm_points, name):
     assert expected.any() and not expected.all()
 
 
-@pytest.mark.parametrize("name", sorted(SUPPORTS_INSERT))
+@pytest.mark.parametrize("name", sorted(INDEX_CLASSES))
 def test_batch_equals_scalar_after_inserts(osm_points, name):
     config = ELSIConfig(train_epochs=80)
     index = INDEX_CLASSES[name](
@@ -136,7 +135,7 @@ def test_batch_stats_accounting(built, osm_points):
             ]
             assert whole == tuple(map(sum, zip(*singles))), (name, kind)
             assert whole[0] >= len(items) and whole[2] > 0, (name, kind)
-            if (name, kind) in {("ZM", "window"), ("Flood", "window"), ("ML", "knn")}:
+            if (name, kind) in {("ZM", "window"), ("ML", "knn")}:
                 assert whole[1] == 0, (name, kind)  # boundaries by searchsorted
             elif kind == "point" and name in ("ZM", "ML", "LISA"):
                 assert whole[1] == len(items), (name, kind)  # one key, one prediction

@@ -15,7 +15,6 @@ from repro import indices
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.indices import (
-    FloodIndex,
     LearnedSpatialIndex,
     LISAIndex,
     MLIndex,
@@ -151,16 +150,14 @@ class TestRoundTrip:
         assert loaded.n_points == built_index.n_points
 
 
-ALL_PERSISTABLE = (ZMIndex, MLIndex, LISAIndex, FloodIndex, RSMIIndex)
+ALL_PERSISTABLE = (ZMIndex, MLIndex, LISAIndex, RSMIIndex)
 every_index = pytest.mark.parametrize("cls", ALL_PERSISTABLE, ids=lambda c: c.name)
 
 
 def _insert_natively(index, points):
-    """Built-in insertion where the index has one (Flood does not);
-    returns the rows then indexed."""
-    if type(index).insert is not LearnedSpatialIndex.insert:
-        for p in points:
-            index.insert(p)
+    """Built-in insertion of every point; returns the rows then indexed."""
+    for p in points:
+        index.insert(p)
     return index.indexed_points()
 
 
@@ -204,7 +201,7 @@ def _counted(index, run):
 
 
 class TestEveryIndex:
-    """The same round-trip contract for all five classes."""
+    """The same round-trip contract for all four classes."""
 
     @every_index
     @pytest.mark.parametrize("dtype", ["float64"])
@@ -270,7 +267,7 @@ class TestEveryIndex:
 def test_one_persistence_protocol(osm_points, tmp_path):
     """One pair of functions, and no index outside the protocol: every
     concrete ``LearnedSpatialIndex`` that ``repro.indices`` exports must
-    round-trip, so a sixth index cannot be added without state methods."""
+    round-trip, so a fifth index cannot be added without state methods."""
     assert persist.__all__ == ["load_index", "save_index"]
     exported = [
         cls
@@ -411,6 +408,27 @@ class TestErrors:
             load_index(path)
         assert not issubclass(OldFormatError, ValueError)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.npz"]
+        assert path.read_bytes() == before
+
+    def test_a_retired_index_kind_is_refused_by_name_and_left_alone(
+        self, built_index, tmp_path
+    ):
+        """A current-format snapshot of an index kind no longer carried is
+        intact: refused as an old format naming the kind — neither served
+        nor quarantined by the snapshot manager."""
+        from repro.serve.snapshots import SnapshotManager
+
+        manager = SnapshotManager(tmp_path / "snapshots")
+        path = manager.save(built_index, 1)
+        _rewritten(path, path, lambda doc: doc.update(index="Flood"))
+        assert persist._read_tree(path)["format"] == "repro-index-v2"
+        before = path.read_bytes()
+        with pytest.raises(OldFormatError, match="Flood"):
+            load_index(path)
+        with pytest.raises(OldFormatError, match="Flood"):
+            manager.load()
+        assert manager.generations() == [1]
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
         assert path.read_bytes() == before
 
     @every_index

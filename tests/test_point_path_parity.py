@@ -31,7 +31,7 @@ from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.core.update_processor import _stored_copies
 from repro.data import load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices.base import TrainedModel, scan_ranges
 from repro.indices.rmi import RMIModel
 from repro.indices.run import KeyedRun
@@ -168,7 +168,6 @@ CASES = {
     "ML-64": (MLIndex, {"branching": 64}),  # empty branches: stage 1 answers
     "LISA": (LISAIndex, {}),
     "RSMI": (RSMIIndex, {}),
-    "Flood": (FloodIndex, {}),
 }
 
 
@@ -243,8 +242,7 @@ def test_rmi_ranges_equal_the_mask_split(built, name):
 @pytest.fixture(scope="module")
 def twinned(data):
     """Every index over the data plus twins of 400 points moved 1e-9 along
-    x: ZM and RSMI store the twins under their originals' Morton codes,
-    Flood under their y keys."""
+    x: ZM and RSMI store the twins under their originals' Morton codes."""
     twins = data[:400] + [1e-9, 0.0]
     points = np.concatenate([data, twins])
     builder = ELSIModelBuilder(ELSIConfig(train_epochs=60), method="SP")
@@ -281,7 +279,7 @@ def _edge_probes(data: np.ndarray) -> np.ndarray:
 def test_batch_of_one_equals_the_full_slice_scan(twinned, data, tracer, name):
     index = twinned[name]
     probes = _edge_probes(data)
-    if name in ("ZM", "RSMI", "Flood"):  # the twins really share keys
+    if name in ("ZM", "RSMI"):  # the twins really share keys
         assert (index.map(probes[:60]) == index.map(probes[60:120])).sum() > 50
     with np.errstate(invalid="ignore", over="ignore"):
         _one_at_a_time(index, probes)

@@ -17,7 +17,12 @@ reach a function or class named ``f``, ``obj.m(...)`` every method named
 call's keyword arguments, its positional arguments (mapped by the
 signature) and ``**NAME`` expansions of module-level dict literals all
 count as settings; so do the keys of ``build_cluster``'s ``serve=`` dict,
-which every shard worker passes to ``ServeConfig``.
+which every shard worker passes to ``ServeConfig``.  A call to a class
+that inherits its ``__init__`` reaches the base class that defines it.
+
+A keyword (or dict key) that a frozen ``benchmarks/e2e`` file spells is a
+use whatever its value: those files cannot change, so a value they pass,
+even at its default, must stay settable.
 
 A value that is the enclosing function's own parameter, or a field of a
 dataclass read as an attribute (``spec.salvage``), is forwarded: it sets
@@ -31,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TEST_FILES = ("tests/",)
+#: Files whose spelled keywords count as uses whatever their values.
+FROZEN_FILES = ("benchmarks/e2e/",)
 
 #: The modules that are ours (relative to ``src/repro``): their public
 #: callables are the census's targets.
@@ -47,13 +54,6 @@ EXTRA_TARGETS = (("core/update_processor.py", "UpdateProcessor"),)
 #: open ROADMAP item owns the decision, (d) the paper defines it, (e)
 #: safety code.
 ALLOWED = {
-    ("ServeConfig", "max_wait_seconds"):
-        "(b) the frozen e2e workload definitions pass it, at its one legal value 0",
-    ("build_cluster", "index"):
-        "(b) the frozen e2e shard workload passes it (ZM); a cluster serves any "
-        "of the five learned indices, and the tier's tests build RSMI",
-    ("build_cluster", "wal"):
-        "(b) the frozen e2e shard workload passes it, at its one legal value True",
     ("IndexServer.from_snapshot", "salvage"):
         "(e) the documented recovery path for a log corrupted mid-file "
         "(docs/serving.md): an explicit opt-in to losing the records after it",
@@ -234,6 +234,29 @@ def _dict_items(node, dicts):
                 yield key.value, value
 
 
+def _inherited_inits(trees) -> dict:
+    """``{class name: base class name}`` of every ``src/repro`` class that
+    defines no constructor of its own (no ``__init__``, not a dataclass):
+    a call to it runs the first base's."""
+    found = {}
+    for rel, tree in trees:
+        if not rel.startswith("src/repro/"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not node.bases or _is_dataclass(node):
+                continue
+            if any(
+                isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "__init__"
+                for n in node.body
+            ):
+                continue
+            base = node.bases[0]
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if name:
+                found.setdefault(node.name, name)
+    return found
+
+
 def _spellings(func, cls) -> list[str]:
     if isinstance(func, ast.Name):
         return [cls if func.id == "cls" and cls else func.id]
@@ -329,9 +352,12 @@ def census(trees=None) -> dict:
     }
     forwards = []   # (target slot, side, source slot)
 
-    def note(sig, param, value, side, fn):
+    def note(sig, param, value, side, fn, frozen=False):
         slot = (sig.key, param)
         if slot not in state:
+            return
+        if frozen:
+            state[slot][side] = True
             return
         source = None
         if (
@@ -349,32 +375,43 @@ def census(trees=None) -> dict:
             state[slot][side] = True
 
     forwarders = _kwargs_forwarders(trees)
+    inherits = _inherited_inits(trees)
 
-    def visit(spellings, args, keywords, side, fn, depth=0):
+    def targets(spelling):
+        """The signatures a call spelled ``spelling`` reaches: a class
+        without a constructor of its own reaches its base's."""
+        seen = set()
+        while spelling in inherits and spelling not in by_spelling and spelling not in seen:
+            seen.add(spelling)
+            spelling = inherits[spelling]
+        return by_spelling.get(spelling, ())
+
+    def visit(spellings, args, keywords, side, fn, frozen, depth=0):
         for spelling in spellings:
-            for sig in by_spelling.get(spelling, ()):
+            for sig in targets(spelling):
                 for name, arg in zip(sig.positional, args):
                     note(sig, name, arg, side, fn)
                 for kw in keywords:
                     pairs = [(kw.arg, kw.value)] if kw.arg else _dict_items(kw.value, dicts)
                     for name, value in pairs:
-                        note(sig, name, value, side, fn)
+                        note(sig, name, value, side, fn, frozen)
                     if sig.spelling == "build_cluster" and kw.arg == "serve":
                         for config in by_spelling.get("ServeConfig", ()):
                             for name, value in _dict_items(kw.value, dicts):
-                                note(config, name, value, side, fn)
+                                note(config, name, value, side, fn, frozen)
             for own, callees in forwarders.get(spelling, ()):
                 extra = [kw for kw in keywords if kw.arg and kw.arg not in own]
                 if extra and depth < 4:
-                    visit(callees, [], extra, side, fn, depth + 1)
+                    visit(callees, [], extra, side, fn, frozen, depth + 1)
 
     for rel, tree in trees:
         side = "tests" if rel.startswith(TEST_FILES) else "shipped"
+        frozen = rel.startswith(FROZEN_FILES)
         owner = _enclosing(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 fn, cls = owner[id(node)]
-                visit(_spellings(node.func, cls), node.args, node.keywords, side, fn)
+                visit(_spellings(node.func, cls), node.args, node.keywords, side, fn, frozen)
 
     changed = True
     while changed:
@@ -504,3 +541,63 @@ def test_a_value_shipped_code_only_forwards_from_a_test_is_flagged():
     ):
         assert value in flagged
     assert "planted_run(careful_now=...)" not in flagged  # nobody sets it
+
+
+_PLANTED_FROZEN_SRC = '''
+def planted_serve(name, wal=True, fsync="always"):
+    return name, wal, fsync
+'''
+
+_PLANTED_FROZEN_CALLER = '''
+from repro.serve.planted import planted_serve
+
+
+def run():
+    return planted_serve("x", wal=True)
+'''
+
+_PLANTED_EXAMPLE = '''
+from repro.serve.planted import planted_serve
+
+
+def main():
+    return planted_serve("y", fsync="always")
+'''
+
+
+def test_a_keyword_a_frozen_benchmark_file_spells_is_a_use():
+    """``planted_serve(wal=True)`` passes the default, but from a frozen
+    ``benchmarks/e2e`` file: a use.  The same default spelled in any other
+    file sets nothing."""
+    planted = [
+        ("src/repro/serve/planted.py", ast.parse(_PLANTED_FROZEN_SRC)),
+        ("benchmarks/e2e/planted.py", ast.parse(_PLANTED_FROZEN_CALLER)),
+        ("examples/planted.py", ast.parse(_PLANTED_EXAMPLE)),
+    ]
+    unset = _unset(census(list(source_trees()) + planted))
+    assert "planted_serve(wal=...)" not in unset
+    assert "planted_serve(fsync=...)" in unset
+
+
+_PLANTED_BASE_SRC = '''
+class PlantedError(RuntimeError):
+    def __init__(self, message, shard_id=None):
+        super().__init__(message)
+        self.shard_id = shard_id
+
+
+class PlantedGone(PlantedError):
+    """Inherits its base's constructor."""
+
+
+def planted_fail():
+    raise PlantedGone("gone", shard_id=3)
+'''
+
+
+def test_a_call_to_a_subclass_sets_its_inherited_constructor():
+    """``PlantedGone(shard_id=3)`` runs ``PlantedError.__init__``: a
+    shipped setting of the base's parameter."""
+    planted = [("src/repro/shard/planted.py", ast.parse(_PLANTED_BASE_SRC))]
+    seen = census(list(source_trees()) + planted)
+    assert seen[("PlantedError", "shard_id")] == {"tests": False, "shipped": True}

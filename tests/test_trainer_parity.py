@@ -19,7 +19,7 @@ import pytest
 from repro.core.build_processor import ELSIModelBuilder
 from repro.core.config import ELSIConfig
 from repro.data import load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.indices import base as indices_base
 from repro.ml.dqn import DQNAgent, Transition
 from repro.ml.ffn import FFN
@@ -189,7 +189,7 @@ def _member_bytes(path) -> dict[str, bytes]:
         return {info.filename: zf.read(info) for info in zf.infolist()}
 
 
-@pytest.mark.parametrize("cls", [ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex])
+@pytest.mark.parametrize("cls", [ZMIndex, MLIndex, RSMIIndex, LISAIndex])
 def test_index_snapshots_are_byte_identical(cls, monkeypatch, tmp_path):
     points = load_dataset("OSM1", 3_000)
     config = ELSIConfig(train_epochs=60)

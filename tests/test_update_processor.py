@@ -9,7 +9,7 @@ from repro.core.update_processor import (
     train_rebuild_predictor,
 )
 from repro.data import load_dataset
-from repro.indices import FloodIndex, LISAIndex, MLIndex, RSMIIndex, ZMIndex
+from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window
 from repro.spatial.rect import Rect
 from tests.brute import assert_knn, assert_windows, processor_windows
@@ -126,7 +126,7 @@ class TestNoPendingFastPath:
     answer itself; it must be the array the merge would have produced."""
 
     @pytest.mark.parametrize(
-        "index_cls", [ZMIndex, MLIndex, RSMIIndex, LISAIndex, FloodIndex]
+        "index_cls", [ZMIndex, MLIndex, RSMIIndex, LISAIndex]
     )
     def test_fast_path_equals_merge_path(
         self, index_cls, osm_points, sp_builder, fast_config
@@ -211,7 +211,6 @@ class TestRebuild:
             (MLIndex, {"n_references": 5, "branching": 2, "seed": 3}),
             (RSMIIndex, {"leaf_capacity": 300, "fanout": 2, "bits": 12}),
             (LISAIndex, {"grid_size": 6, "shard_size": 40}),
-            (FloodIndex, {"n_columns": 7}),
         ],
         ids=lambda v: getattr(v, "name", ""),
     )

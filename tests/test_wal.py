@@ -421,6 +421,42 @@ class TestCrashRecovery:
         assert restored.health == DEGRADED
         restored.close()
 
+    def test_updates_acknowledged_after_a_salvage_survive_the_next_recovery(
+        self, small_index, tmp_path
+    ):
+        """A salvage recovery cuts the corrupt record off before its first
+        append: an update acknowledged after it is not appended behind the
+        corruption, so a strict recovery and a second salvage recovery
+        both find it."""
+        from repro.obs.metrics import get_registry
+
+        server = self._open(str(tmp_path), index=small_index)
+        server.insert(np.array([0.11, 0.12]))
+        server.insert(np.array([0.13, 0.14]))
+        server.close()
+        wal_path = Path(tmp_path) / "wal-000000.log"
+        data = bytearray(wal_path.read_bytes())
+        data[12] ^= 0xFF  # corrupt the first record's payload
+        wal_path.write_bytes(bytes(data))
+        counter = get_registry().counter("wal.corrupt_records")
+        before = counter.value
+        salvaged = self._open(str(tmp_path), salvage=True)
+        assert salvaged.health == DEGRADED
+        assert counter.value == before + 1
+        acked = np.array([0.55, 0.56])
+        salvaged.insert(acked)
+        salvaged.close()
+        strict = self._open(str(tmp_path))
+        try:
+            assert strict._gen.processor.point_query(acked)
+        finally:
+            strict.close()
+        again = self._open(str(tmp_path), salvage=True)
+        try:
+            assert again._gen.processor.point_query(acked)
+        finally:
+            again.close()
+
     def test_fallback_past_wal_horizon_degrades(self, small_index, tmp_path):
         """Falling back to a generation whose WAL was already compacted
         away cannot be lossless — recovery must say so via health."""
