@@ -9,13 +9,14 @@ time; as updates arrive, ``sim(D', D)`` is recomputed so the learned
 update ratio and CDF change — can decide when to trigger a full rebuild
 (the ``to_rebuild`` API).
 
-The processor only answers ``to_rebuild`` and runs ``rebuild`` when asked;
-it keeps no ``f_u`` counter of its own.  The paper's ``f_u`` cadence runs
+The processor only answers ``to_rebuild`` and rebuilds when asked; it
+keeps no ``f_u`` counter of its own.  The paper's ``f_u`` cadence runs
 in one place, :class:`~repro.serve.server.IndexServer`: every
 ``ELSIConfig.f_u`` updates it wakes its background worker, which asks
 ``to_rebuild`` and rebuilds off the request path.  An in-process caller
 (the "-R" indices of Figures 15–16) asks ``to_rebuild`` itself, after
-each batch of updates.
+each batch of updates.  Both, and the predictor's ground truth, build
+the rebuilt index one way: :meth:`UpdateProcessor.successor`.
 
 Ground truth for the predictor follows Section VII-B2: indices with and
 without rebuilds are compared after batches of updates, and the label is 1
@@ -158,7 +159,6 @@ class UpdateProcessor:
         #: Updates since the last (re)build: the predictor's update ratio.
         self._updates_total = 0
         self.rebuilds = 0
-        self.last_rebuild_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Updates
@@ -232,6 +232,16 @@ class UpdateProcessor:
         marks[0] += 1
         self._updates_total += 1
         return True
+
+    def apply(self, op: str, point: np.ndarray) -> "bool | None":
+        """Apply one logged update, ``op`` being ``"insert"`` or
+        ``"delete"``: what a served update, a rebuild's journal replay and
+        a WAL replay each do with an ``(op, point)`` record."""
+        if op == "insert":
+            return self.insert(point)
+        if op == "delete":
+            return self.delete(point)
+        raise ValueError(f"an update is 'insert' or 'delete', got {op!r}")
 
     # ------------------------------------------------------------------
     # Queries (merge the side list with the base index)
@@ -374,17 +384,21 @@ class UpdateProcessor:
             return extra
         return np.vstack([base, extra])
 
+    def _current_keys(self) -> np.ndarray:
+        """The sorted keys of D', mapped afresh at each call."""
+        keys = self.index.map(self.current_points())
+        return np.sort(np.asarray(keys, dtype=np.float64))
+
     def _feature_args(self) -> tuple[int, float, int, float, float]:
         """``(n, dist_u, depth, update_ratio, cdf_sim)`` for the current
         state, as :meth:`RebuildPredictor.features` takes them."""
-        current = self.current_points()
-        keys = np.sort(np.asarray(self.index.map(current), dtype=np.float64))
+        keys = self._current_keys()
         dist_u = uniform_dissimilarity(keys, assume_sorted=True)
         cdf_sim = 1.0 - ks_distance(keys, self._base_keys, assume_sorted=True)
         depth = self.index.depth() if hasattr(self.index, "depth") else 1
         # (n0 is the size at the last (re)build; the ratio resets on rebuild.)
         update_ratio = self._updates_total / max(self._n0, 1)
-        return max(len(current), 1), dist_u, depth, update_ratio, cdf_sim
+        return max(len(keys), 1), dist_u, depth, update_ratio, cdf_sim
 
     def update_features(self) -> np.ndarray:
         """The rebuild predictor's feature vector for the current state."""
@@ -396,33 +410,29 @@ class UpdateProcessor:
             return self.predictor.should_rebuild(*self._feature_args())
         # Untrained fallback: rebuild once the CDF drifted or the side list
         # outgrew a tenth of the base data (a simple, Oracle-style rule).
-        current = self.current_points()
-        keys = np.sort(np.asarray(self.index.map(current), dtype=np.float64))
-        drift = ks_distance(keys, self._base_keys, assume_sorted=True)
+        drift = ks_distance(self._current_keys(), self._base_keys, assume_sorted=True)
         return drift > 0.05 or len(self._inserted) > 0.1 * self._n0
 
-    def fresh_index(self) -> LearnedSpatialIndex:
-        """The unbuilt index a rebuild builds into."""
-        return (self._index_factory or self.index.unbuilt_copy)()
+    def successor(self, points: np.ndarray) -> "UpdateProcessor":
+        """A processor over a fresh index built on ``points`` through the
+        build API, with no updates pending: the one successor build.  The
+        index is ``index_factory()``, else the wrapped index's
+        ``unbuilt_copy()`` (same class, builder and parameters); the
+        predictor, ``native`` mode, config and factory carry over."""
+        with _span("update.rebuild", n=len(points), pending=len(self._inserted)):
+            fresh = (self._index_factory or self.index.unbuilt_copy)().build(points)
+        return UpdateProcessor(
+            fresh, self.config, self.predictor, self.native, self._index_factory
+        )
 
     def rebuild(self) -> float:
-        """Full index rebuild on D' through the build API; returns seconds."""
-        points = self.current_points()
+        """Full index rebuild on D': this processor takes over its
+        successor's fresh state.  Returns seconds."""
         started = time.perf_counter()
-        with _span(
-            "update.rebuild", n=len(points), pending=len(self._inserted)
-        ):
-            fresh = self.fresh_index().build(points)
+        successor = self.successor(self.current_points())
         elapsed = time.perf_counter() - started
-        self.index = fresh
-        self._n0 = len(points)
-        self._base_keys = np.sort(np.asarray(fresh.map(points), dtype=np.float64))
-        self._inserted = []
-        self._inserted_count = {}
-        self._deleted = {}
-        self._updates_total = 0
-        self.rebuilds += 1
-        self.last_rebuild_seconds = elapsed
+        successor.rebuilds = self.rebuilds + 1
+        vars(self).update(vars(successor))
         return elapsed
 
 
@@ -474,7 +484,7 @@ def train_rebuild_predictor(
             points = dataset_with_uniform_distance(n, delta, seed=seed + i)
             index = index_factory()
             index.build(points)
-            processor = UpdateProcessor(index)
+            processor = UpdateProcessor(index, index_factory=index_factory)
             inserts = skewed(int(max(insert_fractions) * n) + 1, seed=seed + 100 + i)
             cursor = 0
             for fraction in insert_fractions:
@@ -488,8 +498,7 @@ def train_rebuild_predictor(
                     processor.point_query(points[qi])
                 aged = time.perf_counter() - started
 
-                rebuilt = index_factory()
-                rebuilt.build(processor.current_points())
+                rebuilt = processor.successor(processor.current_points()).index
                 started = time.perf_counter()
                 for qi in query_ids:
                     rebuilt.point_query(points[qi])

@@ -31,8 +31,9 @@ Consistency model:
   (side list / deletion marks) and, while a rebuild is in flight, are
   also journalled and replayed into the successor generation before the
   swap — no update is lost across a swap, and no query ever waits for a
-  rebuild: rebuilding happens entirely in a background worker, and the
-  swap is a single attribute assignment.
+  rebuild: the successor (``UpdateProcessor.successor``) is built
+  entirely in a background worker, and the swap is a single attribute
+  assignment.
 - The rebuild worker re-evaluates the rebuild predictor (or the CDF-drift
   heuristic) every ``ELSIConfig.f_u`` updates, exactly the paper's
   ``f_u``-periodic ``to_rebuild`` protocol run off the request path.
@@ -227,13 +228,16 @@ class IndexServer:
             raise ValueError("the served index must be built first")
         self.config = config or ServeConfig()
         self.elsi_config = elsi_config or ELSIConfig()
-        self.predictor = predictor
-        self._index_factory = index_factory
         self.stats = ServerStats()
         if isinstance(snapshots, (str, bytes)) or hasattr(snapshots, "__fspath__"):
             snapshots = SnapshotManager(snapshots)
         self.snapshots: SnapshotManager | None = snapshots
-        self._gen = Generation(generation, self._make_processor(index))
+        # Every later generation's processor is this one's successor, so
+        # the predictor and the factory carry over from here.
+        processor = UpdateProcessor(
+            index, self.elsi_config, predictor, index_factory=index_factory
+        )
+        self._gen = Generation(generation, processor)
         self._gen_swapped_at = time.time()
         # Serving-health gauges, recorded into the per-server registry so
         # stats_snapshot() exports them next to the counters/histograms.
@@ -377,10 +381,7 @@ class IndexServer:
         )
         processor = server._gen.processor
         for record in records:
-            if record.op == "insert":
-                processor.insert(record.point)
-            else:
-                processor.delete(record.point)
+            processor.apply(record.op, record.point)
         if coverage_gap:
             get_registry().counter("wal.coverage_gaps").inc(len(coverage_gap))
             server._set_health(DEGRADED)
@@ -611,11 +612,7 @@ class IndexServer:
                     with self._wal_lock:
                         self.wal.append(op, point, seq=seq)
                 self._wal_gauge.set(self.wal.depth)
-            processor = self._gen.processor
-            if op == "insert":
-                result = processor.insert(point)
-            else:
-                result = processor.delete(point)
+            result = self._gen.processor.apply(op, point)
             if self._rebuilding:
                 self._pending_ops.append((op, point, seq))
                 self._journal_gauge.set(len(self._pending_ops))
@@ -858,10 +855,8 @@ class IndexServer:
             with _span("serve.rebuild", gen=old.gen_id, n=len(points)):
                 fault_check("rebuild.worker")
                 started = time.perf_counter()
-                with _span("serve.rebuild.build", n=len(points)):
-                    fresh = old.processor.fresh_index().build(points)
+                new_processor = old.processor.successor(points)
                 elapsed = time.perf_counter() - started
-                new_processor = self._make_processor(fresh)
                 swap_started = time.perf_counter()
                 with _span("serve.rebuild.swap") as swap_span:
                     with self._update_lock:
@@ -870,10 +865,7 @@ class IndexServer:
                         swap_span.set(journal_depth=depth)
                         with _span("serve.rebuild.replay", journal_depth=depth):
                             for op, p, _seq in pending:
-                                if op == "insert":
-                                    new_processor.insert(p)
-                                else:
-                                    new_processor.delete(p)
+                                new_processor.apply(op, p)
                         self._pending_ops = []
                         self._gen = Generation(old.gen_id + 1, new_processor)
                         self._gen_swapped_at = time.time()
@@ -899,11 +891,6 @@ class IndexServer:
             with self._update_lock:
                 self._rebuilding = False
         return elapsed
-
-    def _make_processor(self, index: LearnedSpatialIndex) -> UpdateProcessor:
-        return UpdateProcessor(
-            index, predictor=self.predictor, index_factory=self._index_factory
-        )
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -166,11 +166,13 @@ class WriteAheadLog:
         self._appends_counter = get_registry().counter("wal.appends")
         # Sequence numbers are global across every log in the directory,
         # so replay order is well defined across rotations and recoveries.
+        # Reading them is no replay: a corrupt log is counted on
+        # ``wal.corrupt_records`` when it is replayed, not when opened beside.
         self._seq = 0
         for gen in self.generations():
             if gen != generation:
-                for record in self.replay_file(self.path_for(gen), salvage=True):
-                    self._seq = max(self._seq, record.seq)
+                records, _, _ = _scan(self.path_for(gen), salvage=True)
+                self._seq = max([self._seq, *(record.seq for record in records)])
         self._open(generation)
 
     def _open(self, generation: int) -> None:

@@ -59,6 +59,8 @@ ALLOWED = {
         "(docs/serving.md): an explicit opt-in to losing the records after it",
     ("WriteAheadLog.replay_dir", "salvage"):
         "(e) what from_snapshot(salvage=True) forwards to the log's replay",
+    ("WriteAheadLog.replay_file", "salvage"):
+        "(e) what replay_dir(salvage=True) forwards to each log's replay",
     ("batch_point_membership", "atol"):
         "(a) the parity tests hold the key-ordered point path, which takes the "
         "same tolerance, to this kernel; (b) the frozen e2e layers call it",

@@ -1,5 +1,7 @@
 """Unit tests for the update processor and rebuild predictor (Section IV-B2)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from repro.core.update_processor import (
 from repro.data import load_dataset
 from repro.indices import LISAIndex, MLIndex, RSMIIndex, ZMIndex
 from repro.queries.evaluate import brute_force_window
+from repro.serve import IndexServer, ServeConfig
 from repro.spatial.rect import Rect
+from repro.storage.persist import save_index
 from tests.brute import assert_knn, assert_windows, processor_windows
 
 
@@ -229,6 +233,40 @@ class TestRebuild:
         assert rebuilt.builder is sp_builder
         assert rebuilt._params() == {"block_size": 50, **params}
         assert rebuilt.n_points == 601
+
+
+def _snapshot_members(index, path) -> dict[str, bytes]:
+    """``save_index``'s archive, member by member (the zip's own
+    timestamps excluded)."""
+    save_index(index, path)
+    with zipfile.ZipFile(path) as zf:
+        return {info.filename: zf.read(info) for info in zf.infolist()}
+
+
+def test_processor_and_server_rebuild_the_same_successor(
+    osm_points, sp_builder, fast_config, tmp_path
+):
+    """One rebuild path: the same updates, then ``rebuild()`` on a bare
+    processor and ``rebuild_now()`` on a server, give the same index
+    bytes and the same D'."""
+    index = ZMIndex(builder=sp_builder).build(osm_points[:800])
+    processor = UpdateProcessor(index, fast_config)
+    inserts = load_dataset("Skewed", 60, seed=3)
+    with IndexServer(index, ServeConfig(auto_rebuild=False), fast_config) as server:
+        for target in (processor, server):
+            for p in inserts:
+                target.insert(p)
+            for p in (*osm_points[:20], inserts[0], inserts[5]):
+                assert target.delete(p)
+        processor.rebuild()
+        server.rebuild_now()
+        served = server._gen.processor
+        np.testing.assert_array_equal(
+            served.current_points(), processor.current_points()
+        )
+        assert _snapshot_members(served.index, tmp_path / "served.npz") == (
+            _snapshot_members(processor.index, tmp_path / "bare.npz")
+        )
 
 
 class TestRebuildPredictor:

@@ -21,6 +21,7 @@ from repro.core.config import ELSIConfig
 from repro.core.update_processor import UpdateProcessor
 from repro.faults import InjectedFault, get_fault_registry
 from repro.indices import ZMIndex
+from repro.obs.metrics import get_registry
 from repro.serve import (
     DEGRADED,
     FSYNC_POLICIES,
@@ -126,6 +127,24 @@ class TestTornAndCorrupt:
         with pytest.raises(WALCorruption):
             WriteAheadLog.replay_file(path)
         assert WriteAheadLog.replay_file(path, salvage=True) == []
+
+    def test_opening_beside_a_corrupt_log_counts_nothing(self, tmp_path):
+        """A log opened beside one corrupt mid-file reads its sequence
+        numbers without counting the corruption; only a replay counts it,
+        once."""
+        with WriteAheadLog(tmp_path, fsync_policy="off") as wal:
+            _append_n(wal, 3)
+            path = wal.path
+        data = bytearray(path.read_bytes())
+        data[len(data) // 3 + 12] ^= 0xFF  # the second record's payload
+        path.write_bytes(bytes(data))
+        counter = get_registry().counter("wal.corrupt_records")
+        before = counter.value
+        for _ in range(3):
+            WriteAheadLog(tmp_path, generation=1, fsync_policy="off").close()
+        assert counter.value == before
+        WriteAheadLog.replay_dir(tmp_path, salvage=True)
+        assert counter.value == before + 1
 
 
 class TestRotation:
@@ -428,8 +447,6 @@ class TestCrashRecovery:
         append: an update acknowledged after it is not appended behind the
         corruption, so a strict recovery and a second salvage recovery
         both find it."""
-        from repro.obs.metrics import get_registry
-
         server = self._open(str(tmp_path), index=small_index)
         server.insert(np.array([0.11, 0.12]))
         server.insert(np.array([0.13, 0.14]))
